@@ -1,10 +1,17 @@
 """Dense optical flow via iterative pyramidal Lucas-Kanade.
 
-The estimator builds Gaussian pyramids for both frames, then refines a dense
-displacement field coarse-to-fine. At every level the second frame is warped
-back by the current estimate and a windowed least-squares increment is solved
-in closed form per pixel. Textureless pixels (small minimum eigenvalue of the
-gradient normal matrix) receive no increment, which leaves them at the value
+Each frame is turned once into a `FramePyramid`: its Gaussian pyramid and,
+per level, the image gradients, the windowed gradient normal matrix (the
+structure tensor) with its inverted determinant, and the bilinear taps that
+resize a flow field from the next coarser level. A clip of n frames builds
+n pyramids, and frame t serves as `nxt` for the pair (t-1, t) and as `prev`
+for the pair (t, t+1).
+
+The estimator refines a dense displacement field coarse-to-fine. At every
+level the second frame is warped back by the current estimate and a windowed
+least-squares increment is solved in closed form per pixel from the first
+frame's structure tensor. Textureless pixels (small minimum eigenvalue of the
+normal matrix) receive no increment, which leaves them at the value
 interpolated from coarser levels.
 """
 
@@ -63,69 +70,149 @@ def _smooth(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def _downsample(img: np.ndarray) -> np.ndarray:
-    return _smooth(img)[::2, ::2]
+def _box_sum(stack: np.ndarray, radius: int) -> np.ndarray:
+    """Sum over a (2r+1)^2 window, clipped at the borders, of each (h, w) slice.
 
-
-def _build_pyramid(img: np.ndarray, levels: int) -> list[np.ndarray]:
-    pyr = [img]
-    for _ in range(levels - 1):
-        if min(pyr[-1].shape) < 8:
-            break
-        pyr.append(_downsample(pyr[-1]))
-    return pyr
-
-
-def _gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gy, gx = np.gradient(img)
-    return gx, gy
-
-
-def _box_sum(img: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over a (2r+1)^2 window, clipped at the borders.
-
-    Uses an integral image embedded in a zero/saturated border so every
-    window sum is a pure slice expression.
+    `stack` is (k, h, w). The cumulative sums are written straight into an
+    integral image embedded in a zero/saturated border, so every window sum
+    is a pure slice expression.
     """
-    h, w = img.shape
+    k, h, w = stack.shape
     r = radius
-    c = img.cumsum(axis=0).cumsum(axis=1)
-    integ = np.zeros((h + 2 * r + 1, w + 2 * r + 1))
-    integ[r + 1 : r + 1 + h, r + 1 : r + 1 + w] = c
-    integ[r + 1 + h :, r + 1 : r + 1 + w] = c[-1]
-    integ[r + 1 : r + 1 + h, r + 1 + w :] = c[:, -1:]
-    integ[r + 1 + h :, r + 1 + w :] = c[-1, -1]
-    return (
-        integ[2 * r + 1 :, 2 * r + 1 :]
-        - integ[:h, 2 * r + 1 :]
-        - integ[2 * r + 1 :, :w]
-        + integ[:h, :w]
-    )
+    d = 2 * r + 1
+    integ = np.zeros((k, h + d, w + d))
+    c = integ[:, r + 1 : r + 1 + h, r + 1 : r + 1 + w]
+    np.cumsum(stack, axis=1, out=c)
+    np.cumsum(c, axis=2, out=c)
+    integ[:, r + 1 + h :, r + 1 : r + 1 + w] = c[:, -1:]
+    integ[:, r + 1 : r + 1 + h, r + 1 + w :] = c[:, :, -1:]
+    integ[:, r + 1 + h :, r + 1 + w :] = c[:, -1:, -1:]
+    out = integ[:, d:, d:] - integ[:, :h, d:]
+    out -= integ[:, d:, :w]
+    out += integ[:, :h, :w]
+    return out
 
 
-def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Bilinear lookup at float coordinates, clamped to the image."""
+def _pad_edge(img: np.ndarray) -> np.ndarray:
+    """`img` with its last row and column repeated once: (h+1, w+1)."""
     h, w = img.shape
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = ys - y0
-    fx = xs - x0
-    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
-    return top * (1.0 - fy) + bot * fy
+    out = np.empty((h + 1, w + 1))
+    out[:h, :w] = img
+    out[h, :w] = img[-1]
+    out[:, w] = out[:, w - 1]
+    return out
 
 
-def _resize_flow(u: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    h, w = u.shape
-    ht, wt = shape
-    ys = (np.arange(ht) + 0.5) * (h / ht) - 0.5
-    xs = (np.arange(wt) + 0.5) * (w / wt) - 0.5
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    return _sample_bilinear(u, grid_y, grid_x)
+def _bilinear_taps(shape: tuple[int, int], ys: np.ndarray, xs: np.ndarray):
+    """Where bilinear lookups at (ys, xs) read in an (h, w) image.
+
+    Coordinates are clamped to the image. Returns the flat index of each
+    point's top-left neighbour in the `_pad_edge`-padded image, whose extra
+    row and column stand in for the clamped neighbours past the last row or
+    column, and the fractional offsets (fx, fy).
+    """
+    h, w = shape
+    ys = np.maximum(ys, 0.0)
+    np.minimum(ys, h - 1.0, out=ys)
+    xs = np.maximum(xs, 0.0)
+    np.minimum(xs, w - 1.0, out=xs)
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
+    ys -= y0
+    xs -= x0
+    y0 *= w + 1
+    y0 += x0  # exact: small integers in float64
+    return y0.astype(np.intp), xs, ys
+
+
+def _interpolate(padded: np.ndarray, taps) -> np.ndarray:
+    """Bilinear values of an image, given `_pad_edge(image)`, at `taps`."""
+    idx, fx, fy = taps
+    flat = padded.ravel()
+    row = padded.shape[1]
+    gx = 1.0 - fx
+    top = flat.take(idx)
+    top *= gx
+    t = flat[1:].take(idx)
+    t *= fx
+    top += t
+    bot = flat[row:].take(idx)
+    bot *= gx
+    flat[row + 1 :].take(idx, out=t)
+    t *= fx
+    bot += t
+    top *= 1.0 - fy
+    bot *= fy
+    top += bot
+    return top
+
+
+class _Level:
+    """One pyramid level: the image and what Lucas-Kanade derives from it.
+
+    `coarse_shape` is the shape of the next coarser level, if any; the
+    bilinear taps that resize its flow onto this grid are computed here.
+    """
+
+    def __init__(self, image: np.ndarray, radius: int, min_eig: float, coarse_shape=None):
+        h, w = image.shape
+        self.image = image
+        self.padded = _pad_edge(image)
+        gy, gx = np.gradient(image)
+        self.grad = np.stack([gx, gy])
+        sxx, sxy, syy = _box_sum(np.stack([gx * gx, gx * gy, gy * gy]), radius)
+        det = sxx * syy - sxy * sxy
+        trace = sxx + syy
+        lam_min = 0.5 * (trace - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
+        valid = (lam_min > min_eig) & (det > 1e-12)
+        self.inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
+        self.sxx, self.sxy, self.neg_syy = sxx, sxy, -syy
+        self.rows = np.arange(h, dtype=np.float64)[:, None]
+        self.cols = np.arange(w, dtype=np.float64)
+        self.up_taps = self.up_scale = None
+        if coarse_shape is not None:
+            hc, wc = coarse_shape
+            ys = (np.arange(h) + 0.5) * (hc / h) - 0.5
+            xs = (np.arange(w) + 0.5) * (wc / w) - 0.5
+            grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+            self.up_taps = _bilinear_taps(coarse_shape, grid_y, grid_x)
+            self.up_scale = (w / wc, h / hc)
+
+
+class FramePyramid:
+    """A frame's Gaussian pyramid with per-level gradients and structure tensor.
+
+    Build it once per frame and pass it to `dense_flow` as `prev` or `nxt`;
+    the parameters must equal those given to `dense_flow`. `levels[0]` is the
+    full-resolution frame, and `levels[0].grad` its central-difference
+    gradients (gx, gy).
+    """
+
+    def __init__(self, frame, levels: int = 3, window: int = 7, min_eig: float = 1e-3):
+        if levels < 1:
+            raise InvalidParameterError("levels must be >= 1")
+        img = _as_float_image(frame)
+        self.params = (levels, window, min_eig)
+        self.shape = img.shape
+        radius = max(1, window // 2)
+        images = [img]
+        for _ in range(levels - 1):
+            if min(images[-1].shape) < 8:
+                break
+            images.append(np.ascontiguousarray(_smooth(images[-1])[::2, ::2]))
+        coarse_shapes = [im.shape for im in images[1:]] + [None]
+        self.levels = [_Level(im, radius, min_eig, cs) for im, cs in zip(images, coarse_shapes)]
+
+
+def _pyramid(frame, levels: int, window: int, min_eig: float) -> FramePyramid:
+    if not isinstance(frame, FramePyramid):
+        return FramePyramid(frame, levels, window, min_eig)
+    if frame.params != (levels, window, min_eig):
+        raise InvalidParameterError(
+            f"pyramid built with (levels, window, min_eig) = {frame.params}, "
+            f"flow asked for {(levels, window, min_eig)}"
+        )
+    return frame
 
 
 def dense_flow(
@@ -138,71 +225,87 @@ def dense_flow(
 ) -> FlowField:
     """Estimate dense displacement from `prev` to `nxt`.
 
-    Inputs are GrayFrames or 2-D arrays of equal shape; `levels` is the
+    Inputs are GrayFrames, 2-D arrays of equal shape, or `FramePyramid`s
+    built with the same `levels`, `window` and `min_eig`; `levels` is the
     pyramid depth (>= 1). For a pure integer translation of a textured image
     the interior median of the result matches the translation to well under
     a quarter pixel per component.
     """
-    a = _as_float_image(prev)
-    b = _as_float_image(nxt)
-    if a.shape != b.shape:
-        raise InvalidParameterError("frames must share dimensions")
     if levels < 1:
         raise InvalidParameterError("levels must be >= 1")
+    pa = _pyramid(prev, levels, window, min_eig)
+    pb = _pyramid(nxt, levels, window, min_eig)
+    if pa.shape != pb.shape:
+        raise InvalidParameterError("frames must share dimensions")
     radius = max(1, window // 2)
 
-    pyr_a = _build_pyramid(a, levels)
-    pyr_b = _build_pyramid(b, levels)
+    u = np.zeros_like(pa.levels[-1].image)
+    v = np.zeros_like(u)
+    for la, lb in zip(reversed(pa.levels), reversed(pb.levels)):
+        if u.shape != la.image.shape:
+            scale_x, scale_y = la.up_scale
+            u = _interpolate(_pad_edge(u), la.up_taps)
+            u *= scale_x
+            v = _interpolate(_pad_edge(v), la.up_taps)
+            v *= scale_y
 
-    u = np.zeros_like(pyr_a[-1])
-    v = np.zeros_like(pyr_a[-1])
-
-    for lvl in range(len(pyr_a) - 1, -1, -1):
-        pa, pb = pyr_a[lvl], pyr_b[lvl]
-        h, w = pa.shape
-        if u.shape != pa.shape:
-            scale_y = h / u.shape[0]
-            scale_x = w / u.shape[1]
-            u = _resize_flow(u, (h, w)) * scale_x
-            v = _resize_flow(v, (h, w)) * scale_y
-
-        gx, gy = _gradients(pa)
-        sxx = _box_sum(gx * gx, radius)
-        sxy = _box_sum(gx * gy, radius)
-        syy = _box_sum(gy * gy, radius)
-        det = sxx * syy - sxy * sxy
-        trace = sxx + syy
-        lam_min = 0.5 * (trace - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
-        valid = (lam_min > min_eig) & (det > 1e-12)
-        inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
-
-        grid_y, grid_x = np.meshgrid(
-            np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
-        )
+        shape = la.image.shape
+        prod = np.empty((2,) + shape)
         for _ in range(iterations):
-            warped = _sample_bilinear(pb, grid_y + v, grid_x + u)
-            it = warped - pa
-            sxt = _box_sum(gx * it, radius)
-            syt = _box_sum(gy * it, radius)
-            du = (-syy * sxt + sxy * syt) * inv_det
-            dv = (sxy * sxt - sxx * syt) * inv_det
+            it = _interpolate(lb.padded, _bilinear_taps(shape, la.rows + v, la.cols + u))
+            it -= la.image
+            np.multiply(la.grad, it, out=prod)
+            sxt, syt = _box_sum(prod, radius)
+            du = la.neg_syy * sxt
+            du += la.sxy * syt
+            du *= la.inv_det
+            dv = la.sxy * sxt
+            dv -= la.sxx * syt
+            dv *= la.inv_det
             # A single increment larger than the window is never trustworthy.
             np.clip(du, -radius, radius, out=du)
             np.clip(dv, -radius, radius, out=dv)
-            u = u + du
-            v = v + dv
+            u += du
+            v += dv
 
-    return FlowField(width=a.shape[1], height=a.shape[0], u=u, v=v)
+    return FlowField(width=pa.shape[1], height=pa.shape[0], u=u, v=v)
 
 
 def median_filter_3x3(field: np.ndarray) -> np.ndarray:
-    """3x3 median with edge replication; stabilizes flow before tracking."""
-    p = np.pad(field, 1, mode="edge")
-    h, w = field.shape
-    stack = np.empty((9, h, w))
-    k = 0
-    for dy in range(3):
-        for dx in range(3):
-            stack[k] = p[dy : dy + h, dx : dx + w]
-            k += 1
-    return np.median(stack, axis=0)
+    """3x3 median with edge replication; stabilizes flow before tracking.
+
+    Devillard's `opt_med9` min/max selection network. Its first nine
+    compare-exchanges sort three triples; taking each triple as a column of
+    the window lets neighbouring windows share those sorts, so the columns
+    are sorted once and the remaining ten exchanges run on shifted views.
+    For finite input the result equals `np.median` over the nine values;
+    non-finite input is rejected because NaN ordering is undefined here.
+    """
+    a = np.asarray(field, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameterError("median filter input contains non-finite values")
+    p = np.pad(a, 1, mode="edge")
+    h, w = a.shape
+    # Sort every vertical triple of the padded field: lo <= mid <= hi.
+    top, center, bottom = p[:-2], p[1:-1], p[2:]
+    mid = np.minimum(center, bottom)
+    hi = np.maximum(center, bottom)
+    lo = np.minimum(top, mid)
+    np.maximum(top, mid, out=mid)
+    mid, hi = np.minimum(mid, hi), np.maximum(mid, hi, out=hi)
+    # Window columns x, x+1, x+2 hold (p0..p2), (p3..p5), (p6..p8).
+    l0, l1, l2 = lo[:, :w], lo[:, 1 : w + 1], lo[:, 2:]
+    m0, m1, m2 = mid[:, :w], mid[:, 1 : w + 1], mid[:, 2:]
+    h0, h1, h2 = hi[:, :w], hi[:, 1 : w + 1], hi[:, 2:]
+    p3 = np.maximum(l0, l1)                 # sort(p0, p3): only the max is used
+    p5 = np.minimum(h1, h2)                 # sort(p5, p8): only the min
+    p4 = np.minimum(m1, m2)                 # sort(p4, p7)
+    p7 = np.maximum(m1, m2)
+    p6 = np.maximum(p3, l2, out=p3)         # sort(p3, p6): max
+    np.maximum(m0, p4, out=p4)              # sort(p1, p4): max
+    p2 = np.minimum(h0, p5, out=p5)         # sort(p2, p5): min
+    np.minimum(p4, p7, out=p4)              # sort(p4, p7): min
+    lo4 = np.minimum(p4, p2)                # sort(p4, p2)
+    np.maximum(p4, p2, out=p2)
+    np.maximum(p6, lo4, out=lo4)            # sort(p6, p4): max
+    return np.minimum(lo4, p2, out=lo4)     # sort(p4, p2): min

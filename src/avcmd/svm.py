@@ -24,6 +24,7 @@ from .encoding import Channel
 from .errors import (
     BadMagicError,
     DegenerateInputError,
+    FormatError,
     InvalidParameterError,
     TruncatedPayloadError,
     UnsupportedVersionError,
@@ -326,15 +327,29 @@ def _pack_hashes(hashes: dict[Channel, str]) -> bytes:
     return b"".join(out)
 
 
+def _channel(tag: int) -> Channel:
+    try:
+        return Channel(tag)
+    except ValueError:
+        raise FormatError(f"unknown channel tag {tag}") from None
+
+
+def _array(raw: bytes, off: int, dtype: str, count: int) -> tuple[np.ndarray, int]:
+    """`count` values of `dtype` at `off`, checked against the file length."""
+    end = off + count * np.dtype(dtype).itemsize
+    if end > len(raw):
+        raise TruncatedPayloadError("model file truncated")
+    return np.frombuffer(raw, dtype=dtype, count=count, offset=off), end
+
+
 def _unpack_hashes(raw: bytes, off: int) -> tuple[dict[Channel, str], int]:
     (count,) = struct.unpack_from("<B", raw, off)
     off += 1
     hashes = {}
     for _ in range(count):
         (tag,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        hashes[Channel(tag)] = raw[off : off + 32].hex()
-        off += 32
+        digest, off = _array(raw, off + 1, "u1", 32)
+        hashes[_channel(tag)] = digest.tobytes().hex()
     return hashes, off
 
 
@@ -392,21 +407,24 @@ def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
             for _ in range(n_hists):
                 tag, k, a_c = struct.unpack_from("<BId", raw, off)
                 off += struct.calcsize("<BId")
-                h = np.frombuffer(raw, dtype="<f4", count=n_train * k, offset=off)
-                off += n_train * k * 4
-                train_hists[Channel(tag)] = h.reshape(n_train, k).astype(np.float64)
-                means[Channel(tag)] = a_c
+                h, off = _array(raw, off, "<f4", n_train * k)
+                train_hists[_channel(tag)] = h.reshape(n_train, k).astype(np.float64)
+                means[_channel(tag)] = a_c
             classes = []
             solutions = []
             for _ in range(n_classes):
                 cls, bias, n_sv = struct.unpack_from("<idI", raw, off)
                 off += struct.calcsize("<idI")
-                support = np.frombuffer(raw, dtype="<u4", count=n_sv, offset=off).astype(np.intp)
-                off += n_sv * 4
-                coef = np.frombuffer(raw, dtype="<f8", count=n_sv, offset=off).astype(np.float64)
-                off += n_sv * 8
+                support, off = _array(raw, off, "<u4", n_sv)
+                coef, off = _array(raw, off, "<f8", n_sv)
+                if n_sv and int(support.max()) >= n_train:
+                    raise FormatError("support index beyond the training set")
                 classes.append(cls)
-                solutions.append(BinarySolution(support=support, coef=coef, bias=bias, iterations=0))
+                solutions.append(
+                    BinarySolution(
+                        support=support.astype(np.intp), coef=coef.astype(np.float64), bias=bias, iterations=0
+                    )
+                )
             return KernelSvmModel(
                 classes=np.asarray(classes),
                 solutions=solutions,
@@ -419,14 +437,15 @@ def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
         if kind == KIND_LINEAR:
             dim, degenerate = struct.unpack_from("<IB", raw, off)
             off += 5
+            record = struct.calcsize("<id") + dim * 4
+            if n_classes * record > len(raw) - off:
+                raise TruncatedPayloadError("model file truncated")
             classes = []
             weights = np.empty((n_classes, dim))
             biases = np.empty(n_classes)
             for i in range(n_classes):
                 cls, bias = struct.unpack_from("<id", raw, off)
-                off += struct.calcsize("<id")
-                w = np.frombuffer(raw, dtype="<f4", count=dim, offset=off).astype(np.float64)
-                off += dim * 4
+                w, off = _array(raw, off + struct.calcsize("<id"), "<f4", dim)
                 classes.append(cls)
                 weights[i] = w
                 biases[i] = bias

@@ -31,7 +31,7 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
-from .flow import _sample_bilinear, dense_flow, median_filter_3x3
+from .flow import FramePyramid, _bilinear_taps, _interpolate, _pad_edge, dense_flow, median_filter_3x3
 from .frames import Clip, GrayFrame
 
 TRAJ_DIM = 30
@@ -241,89 +241,75 @@ def descriptor_mbh(flow_tube: np.ndarray, params: TrackerParams = TrackerParams(
 # ---------------------------------------------------------------------------
 # fast descriptor accumulation over integral histograms
 
-def _integral_hist(bins: np.ndarray, weights: np.ndarray, n_bins: int) -> np.ndarray:
-    h, w = bins.shape
-    maps = np.zeros((h, w, n_bins))
-    np.put_along_axis(maps, bins[..., None], weights[..., None], axis=2)
-    integ = np.zeros((h + 1, w + 1, n_bins))
-    integ[1:, 1:] = maps.cumsum(axis=0).cumsum(axis=1)
-    return integ
-
-
 def _rect_sums(integ, y0, y1, x0, x1):
     return integ[y1, x1] - integ[y0, x1] - integ[y1, x0] + integ[y0, x0]
 
 
-def _frame_integrals(images, flows, f: int, bbox, params: TrackerParams) -> dict[str, np.ndarray]:
-    """Integral orientation histograms restricted to a bounding box.
+def _frame_integrals(image, flow, bbox, params: TrackerParams) -> np.ndarray:
+    """One integral histogram over a bounding box for all four descriptors.
 
-    Gradients are taken on a one-pixel-padded crop so interior values match
-    the full-frame central differences exactly.
+    `image` is the frame and `flow` its (u, v), both full-frame; gradients
+    are taken before cropping, so the box edges get central differences.
+    The last axis holds the hog bins, the hof bins with the zero-motion bin,
+    then the mbh bins of u and of v.
+    """
+    nb = params.n_bins
+    y0, y1, x0, x1 = bbox
+    u, v = flow
+    dy, dx = np.gradient(np.stack([image, u, v]), axis=(1, 2))
+    box = np.s_[y0:y1, x0:x1]
+    bins, weights = _orientation_bins(
+        np.stack([dx[0][box], u[box], dx[1][box], dx[2][box]]),
+        np.stack([dy[0][box], v[box], dy[1][box], dy[2][box]]),
+        nb,
+    )
+    still = weights[1] < params.hof_zero_thresh
+    bins[1][still] = nb
+    weights[1][still] = 1.0
+    bins += np.array([0, nb, 2 * nb + 1, 3 * nb + 1])[:, None, None]
+
+    bh, bw = y1 - y0, x1 - x0
+    integ = np.zeros((bh + 1, bw + 1, 4 * nb + 1))
+    maps = integ[1:, 1:]
+    maps[np.arange(bh)[:, None], np.arange(bw), bins] = weights
+    # cumsum along axis 0, one row at a time: the same sequential sums, but
+    # each step adds a whole contiguous row.
+    for y in range(1, bh):
+        np.add(maps[y - 1], maps[y], out=maps[y])
+    np.cumsum(maps, axis=1, out=maps)
+    return integ
+
+
+def _describe_batch(starts, paths, frames, flows, params: TrackerParams):
+    """hog/hof/mbh of the trajectories (starts[i], paths[i]) via integrals.
+
+    `frames` are the clip's GrayFrames and `flows` the (u, v) of each frame.
+
+    Returns three (n, dim) arrays, each row L2-normalized.
     """
     p = params
-    y0, y1, x0, x1 = bbox
-    h, w = images[0].shape
-    gy0, gy1 = max(0, y0 - 1), min(h, y1 + 1)
-    gx0, gx1 = max(0, x0 - 1), min(w, x1 + 1)
-    oy, ox = y0 - gy0, x0 - gx0
-
-    out = {}
-    img = images[f][gy0:gy1, gx0:gx1]
-    gy, gx = np.gradient(img)
-    bins, weights = _orientation_bins(gx[oy:, ox:][: y1 - y0, : x1 - x0], gy[oy:, ox:][: y1 - y0, : x1 - x0], p.n_bins)
-    out["hog"] = _integral_hist(bins, weights, p.n_bins)
-
-    u, v = flows[f]
-    uc = u[y0:y1, x0:x1]
-    vc = v[y0:y1, x0:x1]
-    bins, weights = _orientation_bins(uc, vc, p.n_bins)
-    still = weights < p.hof_zero_thresh
-    bins = np.where(still, p.n_bins, bins)
-    weights = np.where(still, 1.0, weights)
-    out["hof"] = _integral_hist(bins, weights, p.n_bins + 1)
-
-    for kind, comp in (("mbhu", u), ("mbhv", v)):
-        crop = comp[gy0:gy1, gx0:gx1]
-        cgy, cgx = np.gradient(crop)
-        bins, weights = _orientation_bins(
-            cgx[oy:, ox:][: y1 - y0, : x1 - x0], cgy[oy:, ox:][: y1 - y0, : x1 - x0], p.n_bins
-        )
-        out[kind] = _integral_hist(bins, weights, p.n_bins)
-    return out
-
-
-def _describe_batch(candidates, images, flows, params: TrackerParams):
-    """Compute hog/hof/mbh for candidate (start, points) pairs via integrals."""
-    p = params
+    L = p.traj_len
+    nb = p.n_bins
     half = p.tube_size // 2
     cs = p.tube_size // p.spatial_cells
-    slots_per_tc = p.traj_len // p.temporal_cells
-    n = len(candidates)
+    n = len(starts)
 
-    hog = np.zeros((n, p.temporal_cells, p.spatial_cells, p.spatial_cells, p.n_bins))
-    hof = np.zeros((n, p.temporal_cells, p.spatial_cells, p.spatial_cells, p.n_bins + 1))
-    mbu = np.zeros_like(hog)
-    mbv = np.zeros_like(hog)
-
-    by_frame: dict[int, list[tuple[int, int, int, int]]] = {}
-    for idx, (start, points) in enumerate(candidates):
-        for t in range(p.traj_len):
-            cx = int(round(points[t, 0]))
-            cy = int(round(points[t, 1]))
-            by_frame.setdefault(start + t, []).append((idx, t, cx, cy))
-
-    for f, entries in by_frame.items():
-        idxs = np.array([e[0] for e in entries], dtype=np.intp)
-        tcs = np.array([e[1] // slots_per_tc for e in entries], dtype=np.intp)
-        cxs = np.array([e[2] for e in entries], dtype=np.intp)
-        cys = np.array([e[3] for e in entries], dtype=np.intp)
+    acc = np.zeros((n, p.temporal_cells, p.spatial_cells, p.spatial_cells, 4 * nb + 1))
+    centers = np.rint(paths[:, :L]).astype(np.intp)  # (n, L, 2) tube centers (x, y)
+    tube_frames = starts[:, None] + np.arange(L)
+    # Ascending frames: the order in which each cell sums its frames.
+    for f in np.unique(tube_frames):
+        idxs, ts = np.nonzero(tube_frames == f)
+        tcs = ts // (L // p.temporal_cells)
+        cxs = centers[idxs, ts, 0]
+        cys = centers[idxs, ts, 1]
         bbox = (
             int(cys.min() - half),
             int(cys.max() + half),
             int(cxs.min() - half),
             int(cxs.max() + half),
         )
-        stacks = _frame_integrals(images, flows, f, bbox, params)
+        integ = _frame_integrals(frames[f].data.astype(np.float64), flows[f], bbox, params)
         bys = cys - bbox[0]
         bxs = cxs - bbox[2]
         for cy_i in range(p.spatial_cells):
@@ -332,25 +318,26 @@ def _describe_batch(candidates, images, flows, params: TrackerParams):
             for cx_i in range(p.spatial_cells):
                 x0 = bxs - half + cx_i * cs
                 x1 = x0 + cs
-                hog[idxs, tcs, cy_i, cx_i] += _rect_sums(stacks["hog"], y0, y1, x0, x1)
-                hof[idxs, tcs, cy_i, cx_i] += _rect_sums(stacks["hof"], y0, y1, x0, x1)
-                mbu[idxs, tcs, cy_i, cx_i] += _rect_sums(stacks["mbhu"], y0, y1, x0, x1)
-                mbv[idxs, tcs, cy_i, cx_i] += _rect_sums(stacks["mbhv"], y0, y1, x0, x1)
+                acc[idxs, tcs, cy_i, cx_i] += _rect_sums(integ, y0, y1, x0, x1)
 
-    out = []
-    for i in range(n):
-        mbh = np.concatenate([mbu[i].ravel(), mbv[i].ravel()])
-        out.append((_l2(hog[i].ravel()), _l2(hof[i].ravel()), _l2(mbh)))
-    return out
+    cells = p.temporal_cells * p.spatial_cells ** 2
+    hog = acc[..., :nb].reshape(n, cells * nb)
+    hof = acc[..., nb : 2 * nb + 1].reshape(n, cells * (nb + 1))
+    mbh = np.concatenate(
+        [acc[..., 2 * nb + 1 : 3 * nb + 1].reshape(n, cells * nb), acc[..., 3 * nb + 1 :].reshape(n, cells * nb)],
+        axis=1,
+    )
+    for desc in (hog, hof, mbh):
+        for row in desc:
+            row[:] = _l2(row)
+    return hog, hof, mbh
 
 
-def _tube_inside(points: np.ndarray, traj_len: int, half: int, w: int, h: int) -> bool:
-    for t in range(traj_len):
-        cx = int(round(points[t, 0]))
-        cy = int(round(points[t, 1]))
-        if cx - half < 0 or cx + half > w or cy - half < 0 or cy + half > h:
-            return False
-    return True
+def _tube_inside(paths: np.ndarray, traj_len: int, half: int, w: int, h: int) -> np.ndarray:
+    """Per trajectory: does every tube of its first traj_len points fit the frame?"""
+    c = np.rint(paths[:, :traj_len])
+    x, y = c[..., 0], c[..., 1]
+    return ((x - half >= 0) & (x + half <= w) & (y - half >= 0) & (y + half <= h)).all(axis=1)
 
 
 def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
@@ -365,69 +352,72 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     if n_frames < L + 1:
         return TrackResult([], too_short=True)
 
-    images = [f.data.astype(np.float64) for f in clip.frames]
-    h, w = images[0].shape
+    h, w = clip.frames[0].data.shape
     half = params.tube_size // 2
 
     flows: list[tuple[np.ndarray, np.ndarray]] = []
-    live: list[dict] = []
-    finished: list[dict] = []
+    # Live trajectories, one row each: start frame and an (L+1, 2) point
+    # buffer filled up to index (current frame - start).
+    starts = np.empty(0, dtype=np.intp)
+    paths = np.empty((0, L + 1, 2))
+    done = [(starts, paths)]  # finished trajectories, in batches
 
-    def spawn(frame_idx: int):
-        occupied = [tr["points"][-1] for tr in live]
-        for x, y in sample_points(images[frame_idx], params.grid_step, occupied, params.quality):
-            live.append({"start": frame_idx, "points": [(x, y)]})
+    def spawn(frame_idx: int, image: np.ndarray) -> None:
+        nonlocal starts, paths
+        occupied = paths[np.arange(len(starts)), frame_idx - starts].tolist()
+        new = sample_points(image, params.grid_step, occupied, params.quality)
+        if new:
+            fresh = np.zeros((len(new), L + 1, 2))
+            fresh[:, 0] = new
+            starts = np.concatenate([starts, np.full(len(new), frame_idx, dtype=np.intp)])
+            paths = np.concatenate([paths, fresh])
 
-    spawn(0)
+    nxt = FramePyramid(clip.frames[0], levels=params.pyramid_levels)
+    spawn(0, nxt.levels[0].image)
     for t in range(n_frames - 1):
-        field = dense_flow(images[t], images[t + 1], levels=params.pyramid_levels)
+        prev, nxt = nxt, FramePyramid(clip.frames[t + 1], levels=params.pyramid_levels)
+        field = dense_flow(prev, nxt, levels=params.pyramid_levels)
         flows.append((field.u, field.v))
         u_med = median_filter_3x3(field.u)
         v_med = median_filter_3x3(field.v)
 
-        keep = []
-        if live:
-            xs = np.array([tr["points"][-1][0] for tr in live])
-            ys = np.array([tr["points"][-1][1] for tr in live])
-            nxs = xs + _sample_bilinear(u_med, ys, xs)
-            nys = ys + _sample_bilinear(v_med, ys, xs)
-            for tr, nx, ny in zip(live, nxs, nys):
-                if not (0.0 <= nx <= w - 1.0 and 0.0 <= ny <= h - 1.0):
-                    continue  # left the frame
-                tr["points"].append((float(nx), float(ny)))
-                if len(tr["points"]) == L + 1:
-                    finished.append(tr)
-                else:
-                    keep.append(tr)
-        live = keep
+        if len(starts):
+            xs, ys = paths[np.arange(len(starts)), t - starts].T
+            taps = _bilinear_taps((h, w), ys, xs)
+            nxs = xs + _interpolate(_pad_edge(u_med), taps)
+            nys = ys + _interpolate(_pad_edge(v_med), taps)
+            # Drop trajectories that left the frame.
+            inside = (0.0 <= nxs) & (nxs <= w - 1.0) & (0.0 <= nys) & (nys <= h - 1.0)
+            starts, paths = starts[inside], paths[inside]
+            age = t + 1 - starts
+            paths[np.arange(len(starts)), age] = np.stack([nxs[inside], nys[inside]], axis=1)
+            complete = age == L
+            done.append((starts[complete], paths[complete]))
+            starts, paths = starts[~complete], paths[~complete]
         # Refill only while a new track can still complete within the clip.
         if (n_frames - 1) - (t + 1) >= L:
-            spawn(t + 1)
+            spawn(t + 1, nxt.levels[0].image)
 
-    candidates = []
-    for tr in finished:
-        points = np.asarray(tr["points"], dtype=np.float64)
-        if is_static(points, params.sigma_min):
-            continue
-        if is_erratic(points, params.erratic_frac):
-            continue
-        if not _tube_inside(points, L, half, w, h):
-            continue
-        candidates.append((tr["start"], points))
-
-    candidates.sort(key=lambda c: (c[0], c[1][0, 0], c[1][0, 1]))
-    described = _describe_batch(candidates, images, flows, params)
+    starts = np.concatenate([s for s, _ in done])
+    paths = np.concatenate([p for _, p in done])
+    keep = _tube_inside(paths, L, half, w, h)
+    for i in np.flatnonzero(keep):
+        keep[i] = not (is_static(paths[i], params.sigma_min) or is_erratic(paths[i], params.erratic_frac))
+    starts, paths = starts[keep], paths[keep]
+    order = np.lexsort((paths[:, 0, 1], paths[:, 0, 0], starts))
+    starts, paths = starts[order], paths[order]
+    hog, hof, mbh = _describe_batch(starts, paths, clip.frames, flows, params)
 
     trajectories = [
         Trajectory(
-            start_frame=start,
-            points=points,
-            traj=descriptor_traj(points),
-            hog=hog,
-            hof=hof,
-            mbh=mbh,
+            start_frame=int(starts[i]),
+            points=paths[i],
+            traj=descriptor_traj(paths[i]),
+            hog=hog[i],
+            hof=hof[i],
+            mbh=mbh[i],
         )
-        for (start, points), (hog, hof, mbh) in zip(candidates, described)
+        for i in range(len(starts))
     ]
     return TrackResult(trajectories)
 
@@ -435,15 +425,24 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
 # ---------------------------------------------------------------------------
 # feature dump
 
+def _feature_record(traj_len: int) -> np.dtype:
+    """One IGTF record: start frame, the L+1 points (x, y), the 426 descriptor values."""
+    return np.dtype([("start", "<u4"), ("points", "<f4", (traj_len + 1, 2)), ("desc", "<f4", (DESC_DIM,))])
+
+
 def write_features(path: str | Path, trajectories: list[Trajectory]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<HI", FEATURES_VERSION, len(trajectories)))
-        for tr in trajectories:
-            fh.write(struct.pack("<I", tr.start_frame))
-            fh.write(tr.points.astype("<f4").tobytes())
-            payload = np.concatenate([tr.traj, tr.hog, tr.hof, tr.mbh]).astype("<f4")
-            fh.write(payload.tobytes())
+    header = FEATURES_MAGIC + struct.pack("<HI", FEATURES_VERSION, len(trajectories))
+    if not trajectories:
+        Path(path).write_bytes(header)
+        return
+    lengths = {len(tr.points) for tr in trajectories}
+    if len(lengths) > 1:
+        raise InvalidParameterError("all trajectories in a feature file must have the same length")
+    records = np.empty(len(trajectories), dtype=_feature_record(lengths.pop() - 1))
+    records["start"] = [tr.start_frame for tr in trajectories]
+    records["points"] = [tr.points for tr in trajectories]
+    records["desc"] = [np.concatenate([tr.traj, tr.hog, tr.hof, tr.mbh]) for tr in trajectories]
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def read_features(path: str | Path, traj_len: int | None = None) -> list[Trajectory]:
@@ -471,23 +470,17 @@ def read_features(path: str | Path, traj_len: int | None = None) -> list[Traject
     if traj_len is not None and traj_len != L:
         raise FormatError(f"expected trajectory length {traj_len}, file has {L}")
 
-    out = []
-    off = 10
-    for _ in range(count):
-        (start,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        points = np.frombuffer(raw, dtype="<f4", count=(L + 1) * 2, offset=off).reshape(L + 1, 2)
-        off += (L + 1) * 8
-        desc = np.frombuffer(raw, dtype="<f4", count=DESC_DIM, offset=off).astype(np.float64)
-        off += DESC_DIM * 4
-        out.append(
-            Trajectory(
-                start_frame=start,
-                points=points.astype(np.float64),
-                traj=desc[:TRAJ_DIM],
-                hog=desc[TRAJ_DIM : TRAJ_DIM + HOG_DIM],
-                hof=desc[TRAJ_DIM + HOG_DIM : TRAJ_DIM + HOG_DIM + HOF_DIM],
-                mbh=desc[TRAJ_DIM + HOG_DIM + HOF_DIM :],
-            )
+    records = np.frombuffer(raw, dtype=_feature_record(L), count=count, offset=10)
+    points = records["points"].astype(np.float64)
+    desc = records["desc"].astype(np.float64)
+    return [
+        Trajectory(
+            start_frame=int(start),
+            points=points[i],
+            traj=desc[i, :TRAJ_DIM],
+            hog=desc[i, TRAJ_DIM : TRAJ_DIM + HOG_DIM],
+            hof=desc[i, TRAJ_DIM + HOG_DIM : TRAJ_DIM + HOG_DIM + HOF_DIM],
+            mbh=desc[i, TRAJ_DIM + HOG_DIM + HOF_DIM :],
         )
-    return out
+        for i, start in enumerate(records["start"])
+    ]

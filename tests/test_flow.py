@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from avcmd.errors import InvalidParameterError
-from avcmd.flow import FlowField, dense_flow, median_filter_3x3
+from avcmd.flow import FlowField, FramePyramid, dense_flow, median_filter_3x3
+from avcmd.synth import generate_corpus
 
+import reference_tracker as ref
 from conftest import smooth_texture
 
 
@@ -75,3 +77,72 @@ def test_median_filter_kills_salt_noise():
     out = median_filter_3x3(field)
     assert out[5, 5] == 1.0
     assert np.all(out == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the reference oracles in reference_tracker.py
+
+
+class TestMedianAgainstOracle:
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (3, 3), (5, 8), (17, 11), (64, 64)]
+    )
+    def test_equals_np_median(self, shape, rng):
+        fields = [
+            rng.normal(size=shape),
+            rng.integers(-2, 3, size=shape).astype(np.float64),  # many ties
+            rng.choice([-0.0, 0.0, 1.0, -1.0], size=shape),  # signed zeros
+            np.full(shape, 3.5),
+        ]
+        for field in fields:
+            assert np.array_equal(median_filter_3x3(field), ref.median_filter_3x3(field))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        field = np.zeros((4, 5))
+        field[2, 3] = bad
+        with pytest.raises(InvalidParameterError):
+            median_filter_3x3(field)
+
+
+def _frame_pairs():
+    pairs = [shifted_pair(2, -1), shifted_pair(-3, 2, size=37)]
+    tex = smooth_texture(60, 80, 11)
+    pairs.append((tex[5:50, 3:75], tex[6:51, 5:77]))  # 45x72: odd level shapes
+    sample = generate_corpus(1, seed=3, frames=16, size=96)[3]
+    for clip in (sample.rgb, sample.depth):
+        pairs.append((clip.frames[6], clip.frames[7]))
+    return pairs
+
+
+class TestFlowAgainstOracle:
+    @pytest.mark.parametrize("levels,window,iterations", [(1, 7, 3), (2, 5, 2), (3, 7, 3), (4, 3, 1)])
+    def test_arrays_pyramids_and_oracle_agree(self, levels, window, iterations):
+        for prev, nxt in _frame_pairs():
+            expected = ref.dense_flow(prev, nxt, levels=levels, window=window, iterations=iterations)
+            from_arrays = dense_flow(prev, nxt, levels=levels, window=window, iterations=iterations)
+            from_pyramids = dense_flow(
+                FramePyramid(prev, levels=levels, window=window),
+                FramePyramid(nxt, levels=levels, window=window),
+                levels=levels,
+                window=window,
+                iterations=iterations,
+            )
+            for got in (from_arrays, from_pyramids):
+                assert np.array_equal(got.u, expected.u)
+                assert np.array_equal(got.v, expected.v)
+
+    def test_pyramid_with_other_parameters_rejected(self):
+        prev, nxt = shifted_pair(1, 0, size=32)
+        b = FramePyramid(nxt)
+        for kwargs in ({"levels": 2}, {"window": 5}, {"min_eig": 1e-2}):
+            with pytest.raises(InvalidParameterError):
+                dense_flow(FramePyramid(prev, **kwargs), b)
+            with pytest.raises(InvalidParameterError):
+                dense_flow(prev, b, **kwargs)
+
+    def test_pyramid_validation(self):
+        with pytest.raises(InvalidParameterError):
+            FramePyramid(np.zeros((8, 8)), levels=0)
+        with pytest.raises(InvalidParameterError):
+            dense_flow(FramePyramid(np.zeros((8, 8))), FramePyramid(np.zeros((8, 9))))

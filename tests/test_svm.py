@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from avcmd.encoding import Channel
-from avcmd.errors import DegenerateInputError, InvalidParameterError
+from avcmd.errors import AvcmdError, DegenerateInputError, InvalidParameterError, TruncatedPayloadError
 from avcmd.svm import (
     KernelSvmModel,
     LinearSvmModel,
@@ -244,3 +246,57 @@ class TestModelIO:
 
         with pytest.raises(BadMagicError):
             read_model(p)
+
+
+class TestModelReaderTotality:
+    """Any cut or corrupted model file reads back or raises an AvcmdError."""
+
+    @staticmethod
+    def _models(rng):
+        x, y = separable_points(rng, n_per=4)
+        hists = {Channel.HOG: rng.random((8, 3)), Channel.MBH: rng.random((8, 3))}
+        kernel = train_kernel_svm(
+            x @ x.T, y, c=3.0, train_hists=hists,
+            channel_means={Channel.HOG: 0.4, Channel.MBH: 0.6},
+            codebook_hashes={Channel.HOG: "ab" * 32},
+        )
+        return {"kernel": kernel, "linear": train_linear_svm(x, y, c=2.0)}
+
+    @pytest.mark.parametrize("kind", ["kernel", "linear"])
+    def test_every_truncation_raises(self, tmp_path, rng, kind):
+        path = tmp_path / "m.igsv"
+        write_model(path, self._models(rng)[kind])
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(AvcmdError):
+                read_model(path)
+
+    @pytest.mark.parametrize("kind", ["kernel", "linear"])
+    def test_every_byte_flip_reads_or_raises(self, tmp_path, rng, kind):
+        path = tmp_path / "m.igsv"
+        write_model(path, self._models(rng)[kind])
+        raw = path.read_bytes()
+        for pos in range(len(raw)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(raw)
+                flipped[pos] ^= mask
+                path.write_bytes(bytes(flipped))
+                try:
+                    model = read_model(path)
+                except AvcmdError:
+                    continue
+                assert isinstance(model, (KernelSvmModel, LinearSvmModel))
+                if isinstance(model, KernelSvmModel):
+                    assert all(int(s.support.max(initial=-1)) < model.n_train for s in model.solutions)
+
+    def test_oversized_linear_dimension_is_truncation(self, tmp_path, rng):
+        path = tmp_path / "m.igsv"
+        write_model(path, self._models(rng)["linear"])
+        raw = bytearray(path.read_bytes())
+        dim_at = 4 + 5 + 8 + 1  # magic, version/kind/classes, C, empty hash table
+        assert struct.unpack_from("<I", raw, dim_at)[0] == 2
+        struct.pack_into("<I", raw, dim_at, 0x7FFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedPayloadError):
+            read_model(path)

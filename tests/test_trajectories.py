@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from avcmd.errors import FormatError, InvalidParameterError, TruncatedPayloadError
 from avcmd.flow import dense_flow
 from avcmd.frames import Clip, GrayFrame, Modality
+from avcmd.synth import GESTURE_CLASSES, generate_corpus
 from avcmd.trajectories import (
     HOF_DIM,
     HOG_DIM,
@@ -27,6 +29,7 @@ from avcmd.trajectories import (
     write_features,
 )
 
+import reference_tracker as ref
 from conftest import smooth_texture
 
 P = TrackerParams()
@@ -375,3 +378,77 @@ class TestFeatureDump:
         write_features(path, self._trajs())
         with pytest.raises(FormatError):
             read_features(path, traj_len=20)
+
+
+class TestTrackAgainstReference:
+    """The optimized tracker reproduces the reference tracker bit for bit."""
+
+    @staticmethod
+    def assert_identical(got, expected):
+        assert got.too_short == expected.too_short
+        assert len(got.trajectories) == len(expected.trajectories)
+        for a, b in zip(got.trajectories, expected.trajectories):
+            assert a.start_frame == b.start_frame
+            for name in ("points", "traj", "hog", "hof", "mbh"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("stream", ["rgb", "depth"])
+    @pytest.mark.parametrize(
+        "size,patterns", [(96, GESTURE_CLASSES), (120, GESTURE_CLASSES[::2])]
+    )
+    def test_synthetic_corpus(self, size, patterns, stream):
+        corpus = generate_corpus(1, seed=21, frames=20, size=size, patterns=patterns)
+        kept = 0
+        for sample in corpus:
+            clip = getattr(sample, stream)
+            got = track(clip)
+            self.assert_identical(got, ref.track(clip))
+            kept += len(got.trajectories)
+        assert kept > 0
+
+    def test_moving_block_and_short_clips(self):
+        for clip in (moving_block_clip(), static_clip(), static_clip(n_frames=10)):
+            self.assert_identical(track(clip), ref.track(clip))
+
+    def test_other_tracker_parameters(self):
+        params = TrackerParams(grid_step=4, pyramid_levels=2, tube_size=24, hof_zero_thresh=0.2)
+        clip = moving_block_clip()
+        self.assert_identical(track(clip, params), ref.track(clip, params))
+
+
+def _write_features_per_record(path, trajectories):
+    """The record-at-a-time IGTF writer that write_features replaced."""
+    with open(path, "wb") as fh:
+        fh.write(b"IGTF")
+        fh.write(struct.pack("<HI", 1, len(trajectories)))
+        for tr in trajectories:
+            fh.write(struct.pack("<I", tr.start_frame))
+            fh.write(tr.points.astype("<f4").tobytes())
+            fh.write(np.concatenate([tr.traj, tr.hog, tr.hof, tr.mbh]).astype("<f4").tobytes())
+
+
+class TestFeatureBytes:
+    def test_same_bytes_as_per_record_writer(self, tmp_path):
+        tracked = track(moving_block_clip()).trajectories
+        assert tracked
+        for trajs in (tracked, TestFeatureDump()._trajs(n=5, seed=4), []):
+            write_features(tmp_path / "one.igtf", trajs)
+            _write_features_per_record(tmp_path / "each.igtf", trajs)
+            assert (tmp_path / "one.igtf").read_bytes() == (tmp_path / "each.igtf").read_bytes()
+
+    def test_read_back_is_the_float32_cast(self, tmp_path):
+        trajs = track(moving_block_clip()).trajectories
+        write_features(tmp_path / "f.igtf", trajs)
+        for a, b in zip(trajs, read_features(tmp_path / "f.igtf")):
+            assert a.start_frame == b.start_frame
+            assert np.array_equal(a.points.astype(np.float32), b.points)
+            for name in ("traj", "hog", "hof", "mbh"):
+                assert np.array_equal(getattr(a, name).astype(np.float32), getattr(b, name))
+
+    def test_mixed_lengths_rejected(self, tmp_path):
+        a, b = TestFeatureDump()._trajs(n=2)
+        short = Trajectory(
+            start_frame=0, points=a.points[:11], traj=a.traj, hog=a.hog, hof=a.hof, mbh=a.mbh
+        )
+        with pytest.raises(InvalidParameterError):
+            write_features(tmp_path / "f.igtf", [short, b])
