@@ -7,6 +7,14 @@ template distance; the ranked command list is the n-best a downstream
 fusion stage consumes. Speaker mismatch is reduced with one global affine
 feature transform fitted on DTW-aligned enrollment data, and a wake-word
 gate suppresses every hypothesis when the keyword score is below threshold.
+
+There is one DTW implementation, `_dtw_sweep`: it fills the accumulated-cost
+tables of one query against K templates together, one anti-diagonal step at
+a time over a (K, Ta, max Tb) cost stack padded with inf. Ranking an
+utterance is one sweep over every template of the grammar, and choosing an
+enrollment utterance's nearest template is one sweep over its command's
+templates; `dtw_distance` and `dtw_align` are the K = 1 case, the latter
+with the predecessor table. The search is exact, with no band.
 """
 
 from __future__ import annotations
@@ -120,40 +128,57 @@ def _frame_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Explicit differences: the dot-product expansion loses the exact zeros
     # on identical frames to cancellation, and d(x, x) = 0 is contractual.
     diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(diff.sum(axis=2))
 
 
-def _dtw_tables(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated cost and predecessor tables, filled along anti-diagonals."""
-    ta, tb = a.shape[0], b.shape[0]
-    cost = _frame_costs(a, b)
-    acc = np.full((ta, tb), np.inf)
-    move = np.zeros((ta, tb), dtype=np.uint8)  # 0 start, 1 diag, 2 up, 3 left
-    prev1 = np.full(ta, np.inf)  # diagonal s-1, indexed by row
-    prev2 = np.full(ta, np.inf)  # diagonal s-2
-    for s in range(ta + tb - 1):
-        i_lo = max(0, s - (tb - 1))
-        i_hi = min(s, ta - 1)
-        i = np.arange(i_lo, i_hi + 1)
-        j = s - i
-        c = cost[i, j]
-        if s == 0:
-            cur_vals = c
-            move[0, 0] = 0
-        else:
-            up = np.where(i > 0, prev1[np.maximum(i - 1, 0)], np.inf)      # (i-1, j)
-            left = prev1[i]                                                 # (i, j-1)
-            left = np.where(j > 0, left, np.inf)
-            diag = np.where((i > 0) & (j > 0), prev2[np.maximum(i - 1, 0)], np.inf)
-            stacked = np.stack([diag, up, left])
-            choice = np.argmin(stacked, axis=0)  # prefers diag on ties
-            cur_vals = c + stacked[choice, np.arange(i.size)]
-            move[i, j] = choice + 1
-        acc[i, j] = cur_vals
-        prev2 = prev1
-        prev1 = np.full(ta, np.inf)
-        prev1[i] = cur_vals
-    return acc, move
+def _dtw_sweep(query: np.ndarray, templates: list[np.ndarray], with_moves: bool = False):
+    """Minimum path costs of `query` against every template, in one sweep.
+
+    The K frame-cost matrices are stacked into a (K, Ta, W) array padded with
+    inf, W = max(Tb_k, 2), and the accumulated tables are filled together
+    along anti-diagonals s = i + j. Two rolling diagonals of shape (K, Ta+1)
+    hold cell (i, s-i) at column i+1; column 0 is an inf sentinel for row -1.
+    In the flat (Ta*W) view a diagonal is the strided slice
+    s + i*(W-1), so the step needs no index arrays. Template k's total is
+    read at step Ta + Tb_k - 2; padded cells cost inf and never win a min.
+
+    Returns the (K,) totals and, when `with_moves` (K must be 1), the (Ta, W)
+    predecessor table: 0 start, 1 diag, 2 up, 3 left, diag first on ties.
+    """
+    ta = query.shape[0]
+    widths = [t.shape[0] for t in templates]
+    k, w = len(templates), max(2, max(widths))
+    costs = np.full((k, ta, w), np.inf)
+    for n, t in enumerate(templates):
+        costs[n, :, : widths[n]] = _frame_costs(query, t)
+    flat = costs.reshape(k, ta * w)
+    totals = flat[:, 0].copy()  # a 1x1 problem ends at step 0
+    finished: dict[int, list[int]] = {}  # step -> templates whose end cell it fills
+    for n, tb in enumerate(widths):
+        finished.setdefault(ta + tb - 2, []).append(n)
+    moves = np.zeros((ta, w), dtype=np.uint8) if with_moves else None
+
+    prev1 = np.full((k, ta + 1), np.inf)  # diagonal s-1
+    prev2 = np.full((k, ta + 1), np.inf)  # diagonal s-2
+    prev1[:, 1] = flat[:, 0]
+    for s in range(1, max(finished) + 1):
+        lo, hi = max(0, s - w + 1), min(s, ta - 1)
+        cells = slice(s + lo * (w - 1), s + hi * (w - 1) + 1, w - 1)
+        diag = prev2[:, lo : hi + 1]
+        up = prev1[:, lo : hi + 1]
+        left = prev1[:, lo + 1 : hi + 2]
+        best = np.minimum(up, left)
+        if moves is not None:
+            moves.ravel()[cells] = np.where(diag <= best, 1, np.where(up <= left, 2, 3))[0]
+        np.minimum(diag, best, out=best)
+        best += flat[:, cells]
+        prev2[:, lo + 1 : hi + 2] = best
+        prev1, prev2 = prev2, prev1
+        done = finished.get(s)
+        if done is not None:
+            totals[done] = prev1[done, ta]
+    return totals, moves
 
 
 def _coerce(seq) -> np.ndarray:
@@ -165,21 +190,26 @@ def _coerce(seq) -> np.ndarray:
     return a
 
 
+def _distances(query, templates, with_moves: bool = False):
+    """Path-length-normalized DTW distances of `query` to each template."""
+    fq = _coerce(query)
+    fts = [_coerce(t) for t in templates]
+    if any(ft.shape[1] != fq.shape[1] for ft in fts):
+        raise InvalidParameterError("sequences must share the feature dimension")
+    totals, moves = _dtw_sweep(fq, fts, with_moves)
+    return totals / (fq.shape[0] + np.asarray([ft.shape[0] for ft in fts])), moves
+
+
 def dtw_distance(a, b) -> float:
     """Path-length-normalized DTW distance: min path cost / (Ta + Tb)."""
-    fa, fb = _coerce(a), _coerce(b)
-    if fa.shape[1] != fb.shape[1]:
-        raise InvalidParameterError("sequences must share the feature dimension")
-    acc, _ = _dtw_tables(fa, fb)
-    return float(acc[-1, -1] / (fa.shape[0] + fb.shape[0]))
+    dists, _ = _distances(a, [b])
+    return float(dists[0])
 
 
 def dtw_align(a, b) -> tuple[float, list[tuple[int, int]]]:
     """Distance plus the optimal warping path as (frame_a, frame_b) pairs."""
     fa, fb = _coerce(a), _coerce(b)
-    if fa.shape[1] != fb.shape[1]:
-        raise InvalidParameterError("sequences must share the feature dimension")
-    acc, move = _dtw_tables(fa, fb)
+    dists, move = _distances(fa, [fb], with_moves=True)
     path = []
     i, j = fa.shape[0] - 1, fb.shape[0] - 1
     while True:
@@ -194,7 +224,7 @@ def dtw_align(a, b) -> tuple[float, list[tuple[int, int]]]:
         else:
             j -= 1
     path.reverse()
-    return float(acc[-1, -1] / (fa.shape[0] + fb.shape[0])), path
+    return float(dists[0]), path
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +245,14 @@ def classify_command(
             raise InvalidParameterError(f"command {cmd} has no templates")
     if transform is not None:
         utterance = transform.apply(utterance)
-    scored = []
+    # One sweep over the grammar's templates in command order; each command
+    # scores the minimum over its own slice.
+    dists, _ = _distances(utterance, [t for cmd in grammar.commands for t in templates[cmd]])
+    scored, start = [], 0
     for cmd in grammar.commands:
-        best = min(dtw_distance(utterance, t) for t in templates[cmd])
-        scored.append(Hypothesis(command=cmd, score=best))
+        stop = start + len(templates[cmd])
+        scored.append(Hypothesis(command=cmd, score=float(dists[start:stop].min())))
+        start = stop
     scored.sort(key=lambda h: (h.score, h.command))
     tie = len(scored) > 1 and scored[0].score == scored[1].score
     return NBest(hypotheses=tuple(scored), tie=tie)
@@ -234,6 +268,23 @@ def keyword_gate(nbest: NBest, keyword_score: float, threshold: float) -> NBest:
 # ---------------------------------------------------------------------------
 # speaker adaptation
 
+def _aligned_enrollment(
+    templates: dict[int, list[MfccSeq]],
+    enrollment: list[tuple[int, MfccSeq]],
+) -> list[tuple[MfccSeq, MfccSeq, np.ndarray]]:
+    """Each enrollment utterance, its nearest template of the same command
+    (the first on ties) and their DTW path as an (n, 2) array of frame pairs."""
+    out = []
+    for cmd, utt in enrollment:
+        if not templates.get(cmd):
+            raise InvalidParameterError(f"command {cmd} has no templates")
+        dists, _ = _distances(utt, templates[cmd])
+        best = templates[cmd][int(np.argmin(dists))]
+        _, path = dtw_align(utt, best)
+        out.append((utt, best, np.asarray(path)))
+    return out
+
+
 def adapt_speaker(
     templates: dict[int, list[MfccSeq]],
     enrollment: list[tuple[int, MfccSeq]],
@@ -248,21 +299,9 @@ def adapt_speaker(
     commands = {cmd for cmd, _ in enrollment}
     if len(commands) < 3:
         raise InvalidParameterError("enrollment must cover at least 3 distinct commands")
-    xs, ys = [], []
-    for cmd, utt in enrollment:
-        if not templates.get(cmd):
-            raise InvalidParameterError(f"command {cmd} has no templates")
-        best_t, best_d = None, np.inf
-        for tmpl in templates[cmd]:
-            d = dtw_distance(utt, tmpl)
-            if d < best_d:
-                best_d, best_t = d, tmpl
-        _, path = dtw_align(utt, best_t)
-        for i, j in path:
-            xs.append(utt.frames[i])
-            ys.append(best_t.frames[j])
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    aligned = _aligned_enrollment(templates, enrollment)
+    x = np.vstack([utt.frames[path[:, 0]] for utt, _, path in aligned])
+    y = np.vstack([tmpl.frames[path[:, 1]] for _, tmpl, path in aligned])
 
     x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
     solution, _, rank, _ = np.linalg.lstsq(x_aug, y, rcond=None)
@@ -286,16 +325,9 @@ def alignment_objective(
 ) -> float:
     """Sum of squared residuals between transformed enrollment and templates."""
     total = 0.0
-    for cmd, utt in enrollment:
-        best_t, best_d = None, np.inf
-        for tmpl in templates[cmd]:
-            d = dtw_distance(utt, tmpl)
-            if d < best_d:
-                best_d, best_t = d, tmpl
-        _, path = dtw_align(utt, best_t)
+    for utt, tmpl, path in _aligned_enrollment(templates, enrollment):
         mapped = utt.frames @ transform.a.T + transform.b
-        for i, j in path:
-            diff = mapped[i] - best_t.frames[j]
+        for diff in mapped[path[:, 0]] - tmpl.frames[path[:, 1]]:
             total += float(diff @ diff)
     return total
 

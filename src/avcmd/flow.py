@@ -5,7 +5,8 @@ per level, the image gradients, the windowed gradient normal matrix (the
 structure tensor) with its inverted determinant, and the bilinear taps that
 resize a flow field from the next coarser level. A clip of n frames builds
 n pyramids, and frame t serves as `nxt` for the pair (t-1, t) and as `prev`
-for the pair (t, t+1).
+for the pair (t, t+1). The per-level fields are built on first use: a frame
+that only ever serves as `nxt` needs its images and nothing else.
 
 The estimator refines a dense displacement field coarse-to-fine. At every
 level the second frame is warped back by the current estimate and a windowed
@@ -18,6 +19,7 @@ interpolated from coarser levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,33 +152,52 @@ def _interpolate(padded: np.ndarray, taps) -> np.ndarray:
 class _Level:
     """One pyramid level: the image and what Lucas-Kanade derives from it.
 
-    `coarse_shape` is the shape of the next coarser level, if any; the
-    bilinear taps that resize its flow onto this grid are computed here.
+    The image and its padded copy serve the level as `nxt` of a frame pair;
+    the gradients, structure tensor and resize taps serve it as `prev` and
+    are built on first access, so a pyramid used only as `nxt` (the last
+    frame of a clip, or the second array given to `dense_flow`) never builds
+    them. `coarse_shape` is the shape of the next coarser level, if any.
     """
 
     def __init__(self, image: np.ndarray, radius: int, min_eig: float, coarse_shape=None):
         h, w = image.shape
         self.image = image
         self.padded = _pad_edge(image)
-        gy, gx = np.gradient(image)
-        self.grad = np.stack([gx, gy])
-        sxx, sxy, syy = _box_sum(np.stack([gx * gx, gx * gy, gy * gy]), radius)
+        self.rows = np.arange(h, dtype=np.float64)[:, None]
+        self.cols = np.arange(w, dtype=np.float64)
+        self.radius = radius
+        self.min_eig = min_eig
+        self.coarse_shape = coarse_shape
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """Central-difference gradients (gx, gy), stacked."""
+        gy, gx = np.gradient(self.image)
+        return np.stack([gx, gy])
+
+    @cached_property
+    def tensor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Windowed normal matrix as (sxx, sxy, -syy) and its inverted
+        determinant, zero where the minimum eigenvalue is too small."""
+        gx, gy = self.grad
+        sxx, sxy, syy = _box_sum(np.stack([gx * gx, gx * gy, gy * gy]), self.radius)
         det = sxx * syy - sxy * sxy
         trace = sxx + syy
         lam_min = 0.5 * (trace - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
-        valid = (lam_min > min_eig) & (det > 1e-12)
-        self.inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
-        self.sxx, self.sxy, self.neg_syy = sxx, sxy, -syy
-        self.rows = np.arange(h, dtype=np.float64)[:, None]
-        self.cols = np.arange(w, dtype=np.float64)
-        self.up_taps = self.up_scale = None
-        if coarse_shape is not None:
-            hc, wc = coarse_shape
-            ys = (np.arange(h) + 0.5) * (hc / h) - 0.5
-            xs = (np.arange(w) + 0.5) * (wc / w) - 0.5
-            grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-            self.up_taps = _bilinear_taps(coarse_shape, grid_y, grid_x)
-            self.up_scale = (w / wc, h / hc)
+        valid = (lam_min > self.min_eig) & (det > 1e-12)
+        inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
+        return sxx, sxy, -syy, inv_det
+
+    @cached_property
+    def upsample(self):
+        """Bilinear taps and (x, y) scale that resize the next coarser level's
+        flow onto this grid."""
+        h, w = self.image.shape
+        hc, wc = self.coarse_shape
+        ys = (np.arange(h) + 0.5) * (hc / h) - 0.5
+        xs = (np.arange(w) + 0.5) * (wc / w) - 0.5
+        grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+        return _bilinear_taps(self.coarse_shape, grid_y, grid_x), (w / wc, h / hc)
 
 
 class FramePyramid:
@@ -243,25 +264,26 @@ def dense_flow(
     v = np.zeros_like(u)
     for la, lb in zip(reversed(pa.levels), reversed(pb.levels)):
         if u.shape != la.image.shape:
-            scale_x, scale_y = la.up_scale
-            u = _interpolate(_pad_edge(u), la.up_taps)
+            taps, (scale_x, scale_y) = la.upsample
+            u = _interpolate(_pad_edge(u), taps)
             u *= scale_x
-            v = _interpolate(_pad_edge(v), la.up_taps)
+            v = _interpolate(_pad_edge(v), taps)
             v *= scale_y
 
         shape = la.image.shape
+        sxx, sxy, neg_syy, inv_det = la.tensor
         prod = np.empty((2,) + shape)
         for _ in range(iterations):
             it = _interpolate(lb.padded, _bilinear_taps(shape, la.rows + v, la.cols + u))
             it -= la.image
             np.multiply(la.grad, it, out=prod)
             sxt, syt = _box_sum(prod, radius)
-            du = la.neg_syy * sxt
-            du += la.sxy * syt
-            du *= la.inv_det
-            dv = la.sxy * sxt
-            dv -= la.sxx * syt
-            dv *= la.inv_det
+            du = neg_syy * sxt
+            du += sxy * syt
+            du *= inv_det
+            dv = sxy * sxt
+            dv -= sxx * syt
+            dv *= inv_det
             # A single increment larger than the window is never trustworthy.
             np.clip(du, -radius, radius, out=du)
             np.clip(dv, -radius, radius, out=dv)

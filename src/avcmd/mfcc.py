@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import wave
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,25 @@ def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return mat
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _analysis_constants(sample_rate: int, frame_len: int, n_fft: int, n_mels: int, n_ceps: int):
+    """Hamming window, mel filterbank and DCT matrix of one analysis setting.
+
+    Built once per setting and shared, read-only, by every `mfcc` call that
+    uses it.
+    """
+    return (
+        _read_only(np.hamming(frame_len)),
+        _read_only(mel_filterbank(sample_rate, n_fft, n_mels)),
+        _read_only(_dct_matrix(n_ceps, n_mels)),
+    )
+
+
 def _deltas(feats: np.ndarray) -> np.ndarray:
     """+/-2 frame regression deltas with edge replication."""
     padded = np.pad(feats, ((2, 2), (0, 0)), mode="edge")
@@ -119,18 +139,19 @@ def mfcc(
     n_frames = x.size // frame_shift
     pad = max(0, (n_frames - 1) * frame_shift + frame_len - y.size)
     y = np.pad(y, (0, pad))
-    idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(n_frames)[:, None]
-    windowed = y[idx] * np.hamming(frame_len)
-
     n_fft = 1 << (frame_len - 1).bit_length()
+    window, filterbank, dct = _analysis_constants(sample_rate, frame_len, n_fft, n_mels, n_ceps)
+    idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(n_frames)[:, None]
+    windowed = y[idx] * window
+
     power = np.abs(np.fft.rfft(windowed, n_fft)) ** 2
-    energies = power @ mel_filterbank(sample_rate, n_fft, n_mels).T
+    energies = power @ filterbank.T
     # Cap the dynamic range at 60 dB below the utterance peak: without the
     # relative floor, empty filters sit at the absolute floor and flip
     # wildly with tiny spectral shifts.
     floor = max(_LOG_FLOOR, 1e-6 * float(energies.max()))
     log_e = np.log(np.maximum(energies, floor))
-    ceps = log_e @ _dct_matrix(n_ceps, n_mels).T
+    ceps = log_e @ dct.T
     if cmn:
         ceps = ceps - ceps.mean(axis=0, keepdims=True)
     d1 = _deltas(ceps)

@@ -41,7 +41,7 @@ MBH_DIM = 192
 DESC_DIM = TRAJ_DIM + HOG_DIM + HOF_DIM + MBH_DIM  # 426
 
 FEATURES_MAGIC = b"IGTF"
-FEATURES_VERSION = 1
+FEATURES_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -431,14 +431,16 @@ def _feature_record(traj_len: int) -> np.dtype:
 
 
 def write_features(path: str | Path, trajectories: list[Trajectory]) -> None:
-    header = FEATURES_MAGIC + struct.pack("<HI", FEATURES_VERSION, len(trajectories))
+    """IGTF v2: magic, version u16, count u32, L u32 (0 when empty), records."""
+    lengths = {len(tr.points) - 1 for tr in trajectories}
+    if len(lengths) > 1:
+        raise InvalidParameterError("all trajectories in a feature file must have the same length")
+    traj_len = lengths.pop() if lengths else 0
+    header = FEATURES_MAGIC + struct.pack("<HII", FEATURES_VERSION, len(trajectories), traj_len)
     if not trajectories:
         Path(path).write_bytes(header)
         return
-    lengths = {len(tr.points) for tr in trajectories}
-    if len(lengths) > 1:
-        raise InvalidParameterError("all trajectories in a feature file must have the same length")
-    records = np.empty(len(trajectories), dtype=_feature_record(lengths.pop() - 1))
+    records = np.empty(len(trajectories), dtype=_feature_record(traj_len))
     records["start"] = [tr.start_frame for tr in trajectories]
     records["points"] = [tr.points for tr in trajectories]
     records["desc"] = [np.concatenate([tr.traj, tr.hog, tr.hof, tr.mbh]) for tr in trajectories]
@@ -446,31 +448,46 @@ def write_features(path: str | Path, trajectories: list[Trajectory]) -> None:
 
 
 def read_features(path: str | Path, traj_len: int | None = None) -> list[Trajectory]:
+    """Read an IGTF file; `traj_len`, when given, must match the file's L.
+
+    Version 2 stores L in its header. Version 1 does not, and its L cannot be
+    told from the file size alone, so it is read only when `traj_len` is given.
+    The payload must be exactly count records of L, or the read fails.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 10:
         raise TruncatedPayloadError("feature file shorter than its header")
     if raw[:4] != FEATURES_MAGIC:
         raise BadMagicError(f"bad magic {raw[:4]!r}")
     version, count = struct.unpack_from("<HI", raw, 4)
-    if version != FEATURES_VERSION:
+    if version == FEATURES_VERSION:
+        if len(raw) < 14:
+            raise TruncatedPayloadError("feature file shorter than its header")
+        (L,) = struct.unpack_from("<I", raw, 10)
+        offset = 14
+        if count and traj_len is not None and traj_len != L:
+            raise FormatError(f"expected trajectory length {traj_len}, file has {L}")
+    elif version == 1:
+        if traj_len is None:
+            raise UnsupportedVersionError("feature version 1 does not record L; pass traj_len to read it")
+        L, offset = traj_len, 10
+    else:
         raise UnsupportedVersionError(f"feature version {version} not supported")
-    body = len(raw) - 10
+    body = len(raw) - offset
     if count == 0:
         if body:
             raise FormatError("feature file declares zero trajectories but has payload")
         return []
-    if body % count:
-        raise TruncatedPayloadError("payload size is not a multiple of the record size")
-    record = body // count
-    # record = 4 + (L+1)*8 + DESC_DIM*4
-    inferred = (record - 4 - DESC_DIM * 4) / 8 - 1
-    if inferred <= 0 or inferred != int(inferred):
-        raise FormatError("record size does not match any trajectory length")
-    L = int(inferred)
-    if traj_len is not None and traj_len != L:
-        raise FormatError(f"expected trajectory length {traj_len}, file has {L}")
+    if L < 1:
+        raise FormatError(f"trajectory length {L} must be >= 1")
+    # Sized by arithmetic before any dtype is built from the file's L.
+    record = 4 + (L + 1) * 8 + DESC_DIM * 4
+    if body != count * record:
+        raise TruncatedPayloadError(
+            f"payload is {body} bytes, {count} records of length {L} need {count * record}"
+        )
 
-    records = np.frombuffer(raw, dtype=_feature_record(L), count=count, offset=10)
+    records = np.frombuffer(raw, dtype=_feature_record(L), count=count, offset=offset)
     points = records["points"].astype(np.float64)
     desc = records["desc"].astype(np.float64)
     return [

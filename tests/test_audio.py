@@ -20,10 +20,15 @@ from avcmd.audio import (
     keyword_gate,
     load_template_store,
     save_template_manifest,
+    _distances,
 )
 from avcmd.errors import InvalidParameterError
 from avcmd.mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read, wav_write
+from avcmd.selftest import build_audio_templates
+from avcmd.synth import generate_command_audio
 from avcmd.vocabulary import Command
+
+import reference_audio as ref
 
 
 def seq(frames: np.ndarray) -> MfccSeq:
@@ -73,6 +78,23 @@ class TestMfcc:
         a = mfcc(x, 16000).frames
         b = mfcc(x.copy(), 16000).frames
         assert np.array_equal(a, b)
+
+    def test_cached_constants_are_shared_read_only_and_fresh(self, rng):
+        from avcmd.mfcc import _analysis_constants, _dct_matrix, mel_filterbank
+
+        x = rng.normal(size=8000) * 0.2
+        first = mfcc(x, 16000).frames
+        window, filterbank, dct = _analysis_constants(16000, 400, 512, 26, 13)
+        for cached, fresh in (
+            (window, np.hamming(400)),
+            (filterbank, mel_filterbank(16000, 512, 26)),
+            (dct, _dct_matrix(13, 26)),
+        ):
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, fresh)
+        mfcc(rng.normal(size=20000) * 0.2, 44100)
+        assert _analysis_constants(16000, 400, 512, 26, 13)[1] is filterbank
+        assert np.array_equal(mfcc(x, 16000).frames, first)
 
     def test_too_short_signal_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -291,3 +313,96 @@ class TestTemplateStore:
         utt = mfcc(waves[1], sr)
         out = classify_command(utt, store, grammar)
         assert out.top.command == 1
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the per-pair reference oracles in reference_audio.py
+
+def _random_frames(rng, t, dim=5, integer=False):
+    # Small integers make equal path costs, and so tie-breaking, common.
+    return rng.integers(0, 3, size=(t, dim)).astype(np.float64) if integer else rng.normal(size=(t, dim))
+
+
+class TestDtwAgainstReference:
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_batched_distances_equal_per_pair(self, rng, integer):
+        for _ in range(12):
+            query = _random_frames(rng, int(rng.integers(1, 61)), integer=integer)
+            k = int(rng.integers(1, 8))
+            templates = [_random_frames(rng, int(rng.integers(1, 61)), integer=integer) for _ in range(k)]
+            got, _ = _distances(query, templates)
+            want = np.array([ref.dtw_distance(query, t) for t in templates])
+            assert np.array_equal(got, want)
+
+    def test_single_template_and_edge_lengths(self, rng):
+        lengths = [(1, 1), (1, 2), (2, 1), (1, 60), (60, 1), (2, 2), (60, 60), (7, 33)]
+        for ta, tb in lengths:
+            a, b = _random_frames(rng, ta), _random_frames(rng, tb)
+            assert dtw_distance(a, b) == ref.dtw_distance(a, b)
+        # every length 1..60 against one query, in a single batch
+        query = _random_frames(rng, 23)
+        templates = [_random_frames(rng, tb) for tb in range(1, 61)]
+        got, _ = _distances(query, templates)
+        assert np.array_equal(got, [ref.dtw_distance(query, t) for t in templates])
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_alignments_equal(self, rng, integer):
+        for _ in range(25):
+            a = _random_frames(rng, int(rng.integers(1, 61)), integer=integer)
+            b = _random_frames(rng, int(rng.integers(1, 61)), integer=integer)
+            dist, path = dtw_align(a, b)
+            want_dist, want_path = ref.dtw_align(a, b)
+            assert dist == want_dist
+            assert path == want_path
+
+    def test_nbest_with_duplicated_templates(self, rng):
+        grammar = CommandGrammar(entries=tuple(GrammarEntry(command=c) for c in (4, 1, 3, 0)))
+        shared = random_seq(rng, t=12)
+        templates = {
+            4: [random_seq(rng, t=9), shared],
+            1: [shared, random_seq(rng, t=30), shared],
+            3: [random_seq(rng, t=1)],
+            0: [random_seq(rng, t=17), random_seq(rng, t=25)],
+        }
+        for utt in (random_seq(rng, t=14), random_seq(rng, t=1), shared):
+            got = classify_command(utt, templates, grammar)
+            assert got == ref.classify_command(utt, templates, grammar)
+        # both commands holding `shared` score it exactly: a flagged tie
+        near = seq(shared.frames + 1e-3)
+        got = classify_command(near, templates, grammar)
+        assert got.tie and [h.command for h in got.hypotheses[:2]] == [1, 4]
+        assert got == ref.classify_command(near, templates, grammar)
+
+    def test_nbest_on_synthetic_commands(self):
+        templates = build_audio_templates(7, per_command=2)
+        grammar = default_grammar()
+        enrollment = [(int(c), mfcc(generate_command_audio(int(c), 500 + int(c), 20.0), 16000)) for c in Command]
+        transform = adapt_speaker(templates, enrollment)
+        for c in Command:
+            utt = mfcc(generate_command_audio(int(c), 900 + int(c), 20.0), 16000)
+            for tr in (None, transform):
+                assert classify_command(utt, templates, grammar, tr) == ref.classify_command(
+                    utt, templates, grammar, tr
+                )
+
+    def test_speaker_transforms_equal(self):
+        templates = build_audio_templates(11, per_command=3)
+        for speaker in range(3):
+            enrollment = [
+                (int(c), mfcc(generate_command_audio(int(c), 40 * speaker + int(c), 20.0), 16000))
+                for c in Command
+            ]
+            got = adapt_speaker(templates, enrollment)
+            want = ref.adapt_speaker(templates, enrollment)
+            assert got.bias_only == want.bias_only
+            assert np.array_equal(got.a, want.a)
+            assert np.array_equal(got.b, want.b)
+
+    def test_bias_only_transform_equal(self):
+        const = seq(np.ones((10, FEATURE_DIM)))
+        templates = {0: [const, seq(np.ones((4, FEATURE_DIM)) * 2.0)], 1: [const], 2: [const]}
+        enrollment = [(0, seq(np.ones((6, FEATURE_DIM)) * 3.0)), (1, const), (2, const)]
+        got = adapt_speaker(templates, enrollment)
+        want = ref.adapt_speaker(templates, enrollment)
+        assert got.bias_only and want.bias_only
+        assert np.array_equal(got.b, want.b)

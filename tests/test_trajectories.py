@@ -6,7 +6,13 @@ import struct
 import numpy as np
 import pytest
 
-from avcmd.errors import FormatError, InvalidParameterError, TruncatedPayloadError
+from avcmd.errors import (
+    AvcmdError,
+    FormatError,
+    InvalidParameterError,
+    TruncatedPayloadError,
+    UnsupportedVersionError,
+)
 from avcmd.flow import dense_flow
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.synth import GESTURE_CLASSES, generate_corpus
@@ -416,11 +422,17 @@ class TestTrackAgainstReference:
         self.assert_identical(track(clip, params), ref.track(clip, params))
 
 
-def _write_features_per_record(path, trajectories):
-    """The record-at-a-time IGTF writer that write_features replaced."""
+def _write_features_per_record(path, trajectories, version=2):
+    """The record-at-a-time IGTF writer that write_features replaced.
+
+    Version 2 adds the trajectory length L (0 for an empty file) to the
+    version 1 header; the records are the same.
+    """
     with open(path, "wb") as fh:
         fh.write(b"IGTF")
-        fh.write(struct.pack("<HI", 1, len(trajectories)))
+        fh.write(struct.pack("<HI", version, len(trajectories)))
+        if version == 2:
+            fh.write(struct.pack("<I", len(trajectories[0].points) - 1 if trajectories else 0))
         for tr in trajectories:
             fh.write(struct.pack("<I", tr.start_frame))
             fh.write(tr.points.astype("<f4").tobytes())
@@ -452,3 +464,55 @@ class TestFeatureBytes:
         )
         with pytest.raises(InvalidParameterError):
             write_features(tmp_path / "f.igtf", [short, b])
+
+
+class TestFeatureFileIsTotal:
+    """A cut or mislabelled IGTF file raises instead of reading back short."""
+
+    def test_cut_at_every_byte_raises(self, tmp_path):
+        path = tmp_path / "f.igtf"
+        write_features(path, TestFeatureDump()._trajs(n=3))
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(AvcmdError):
+                read_features(path)
+
+    def test_cut_empty_file_raises(self, tmp_path):
+        path = tmp_path / "f.igtf"
+        write_features(path, [])
+        raw = path.read_bytes()
+        assert len(raw) == 14
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(AvcmdError):
+                read_features(path)
+
+    def test_header_length_is_checked_against_payload(self, tmp_path):
+        path = tmp_path / "f.igtf"
+        write_features(path, TestFeatureDump()._trajs(n=3))
+        raw = bytearray(path.read_bytes())
+        for wrong in (14, 16, 0, 2**32 - 1):
+            raw[10:14] = struct.pack("<I", wrong)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError):
+                read_features(path)
+
+    def test_version_1_needs_the_trajectory_length(self, tmp_path):
+        trajs = TestFeatureDump()._trajs(n=3)
+        path = tmp_path / "v1.igtf"
+        _write_features_per_record(path, trajs, version=1)
+        with pytest.raises(UnsupportedVersionError):
+            read_features(path)
+        write_features(tmp_path / "v2.igtf", trajs)
+        for a, b in zip(read_features(path, traj_len=15), read_features(tmp_path / "v2.igtf")):
+            assert a.start_frame == b.start_frame
+            for name in ("points", "traj", "hog", "hof", "mbh"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        with pytest.raises(TruncatedPayloadError):
+            read_features(path, traj_len=12)
+        raw = path.read_bytes()
+        for cut in range(10, len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(AvcmdError):
+                read_features(path, traj_len=15)
