@@ -19,14 +19,13 @@ import numpy as np
 from . import config as config_mod
 from .audio import classify_command, default_grammar, keyword_gate, load_template_store
 from .container import Annotation, read_annotations, read_clip, write_annotations, write_clip
-from .detector import ActivityDetector, activity_score, segments_from_events
+from .detector import activity_segments
 from .encoding import (
     CHANNEL_ORDER,
     Channel,
     bovw_encode,
     read_codebook,
     read_encoded,
-    train_codebook,
     vlad_encode,
     write_codebook,
     write_encoded,
@@ -34,8 +33,8 @@ from .encoding import (
     read_vlad_vectors,
     combine_vlad,
 )
-from .errors import AvcmdError, PipelineMismatchError
-from .gesture import GesturePipeline
+from .errors import AvcmdError
+from .gesture import GesturePipeline, channel_matrices, chi2_distances, train_bovw_model, train_codebooks
 from .metrics import export_curve_csv, first_attempt_curve, render_report_text, task_report, write_report_json
 from .mfcc import mfcc, wav_read, wav_write
 from .selftest import build_audio_templates, build_gesture_artifacts, pipeline_from_artifacts, report_bytes, run_selftest
@@ -49,7 +48,7 @@ from .session import (
     write_script,
     write_session_log,
 )
-from .svm import read_model, train_kernel_svm, train_linear_svm, write_model
+from .svm import read_model, train_linear_svm, write_model
 from .synth import build_session_streams, generate_audio_corpus, generate_corpus
 from .trajectories import read_features, write_features, track
 from .vocabulary import command_name
@@ -142,18 +141,7 @@ def _load_feature_dir(features_dir: str, annotations_path: str | None):
         labels = [None] * len(paths)
     if not paths:
         raise AvcmdError(f"no .igtf features under {features_dir}")
-    per_clip = []
-    for p in paths:
-        trajs = read_features(p)
-        per_clip.append(
-            {
-                Channel.TRAJ: np.stack([t.traj for t in trajs]) if trajs else np.empty((0, 30)),
-                Channel.HOG: np.stack([t.hog for t in trajs]) if trajs else np.empty((0, 96)),
-                Channel.HOF: np.stack([t.hof for t in trajs]) if trajs else np.empty((0, 108)),
-                Channel.MBH: np.stack([t.mbh for t in trajs]) if trajs else np.empty((0, 192)),
-            }
-        )
-    return per_clip, labels
+    return [channel_matrices(read_features(p)) for p in paths], labels
 
 
 def _cmd_codebook(args) -> int:
@@ -161,15 +149,10 @@ def _cmd_codebook(args) -> int:
     per_clip, _ = _load_feature_dir(args.features, args.annotations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for offset, ch in enumerate(CHANNEL_ORDER):
-        pool = np.vstack([d[ch] for d in per_clip if d[ch].shape[0]])
-        cb = train_codebook(
-            pool,
-            k=args.k or cfg.codebook_k,
-            seed=cfg.codebook_seed + offset,
-            channel=ch,
-            subsample=cfg.descriptor_subsample,
-        )
+    books = train_codebooks(
+        per_clip, k=args.k or cfg.codebook_k, seed=cfg.codebook_seed, subsample=cfg.descriptor_subsample
+    )
+    for ch, cb in books.items():
         write_codebook(out / _CHANNEL_FILES[ch], cb)
     print(f"wrote 4 channel codebooks to {out}")
     return 0
@@ -207,28 +190,19 @@ def _cmd_train(args) -> int:
     annotations = read_annotations(args.annotations)
     labels = np.asarray([a.label for a in annotations])
     books = _read_codebooks(args.codebooks)
-    hashes = {ch: cb.content_hash() for ch, cb in books.items()}
     if args.kind == "kernel":
-        from .encoding import channel_mean_distance, chi2_distance_matrix, multichannel_gram
-        from .gesture import _l1_rows
-
         encoded = read_encoded(args.encoded)
         if len(encoded) != labels.shape[0]:
             raise AvcmdError("encoded clip count does not match the annotation sidecar")
         hists = {
             ch: np.stack([e[ch].counts for e in encoded]) for ch in CHANNEL_ORDER
         }
-        dists = {ch: chi2_distance_matrix(_l1_rows(hists[ch])) for ch in CHANNEL_ORDER}
-        means = {ch: channel_mean_distance(d) for ch, d in dists.items()}
-        gram = multichannel_gram(dists, means)
-        model = train_kernel_svm(
-            gram, labels, c=args.c or cfg.svm_c,
-            train_hists=hists, channel_means=means, codebook_hashes=hashes,
-        )
+        model = train_bovw_model(hists, chi2_distances(hists), labels, args.c or cfg.svm_c, books)
     else:
         vectors = read_vlad_vectors(args.vlad)
         if vectors.shape[0] != labels.shape[0]:
             raise AvcmdError("vlad vector count does not match the annotation sidecar")
+        hashes = {ch: cb.content_hash() for ch, cb in books.items()}
         model = train_linear_svm(vectors, labels, c=args.c or cfg.svm_c, codebook_hashes=hashes)
     write_model(args.out, model)
     print(f"trained {args.kind} model on {labels.shape[0]} clips -> {args.out}")
@@ -251,12 +225,6 @@ def _cmd_classify(args) -> int:
 
     model = read_model(args.model)
     books = _read_codebooks(args.codebooks)
-    for ch, cb in books.items():
-        want = model.codebook_hashes.get(ch)
-        if want is not None and want != cb.content_hash():
-            raise PipelineMismatchError(
-                f"codebook {ch.name} does not match the model (expected {want[:12]}..)"
-            )
     pipeline = GesturePipeline(codebooks=books, model=model, tracker=cfg.tracker_params())
     clip = read_clip(args.clip)
     pred = pipeline.classify_clip(clip)
@@ -272,15 +240,15 @@ def _cmd_detect(args) -> int:
     cfg = _load_cfg(args)
     clip = read_clip(args.clip)
     params = cfg.session_params(clip.fps)
-    det = ActivityDetector(
-        params.theta_on, params.theta_off, params.min_dur_frames, params.max_gap_frames
+    segments = activity_segments(
+        clip.frames,
+        params.tau_noise,
+        params.theta_on,
+        params.theta_off,
+        params.min_dur_frames,
+        params.max_gap_frames,
     )
-    events = list(det.push(0.0))
-    for t in range(1, len(clip.frames)):
-        score = activity_score(clip.frames[t - 1], clip.frames[t], params.tau_noise)
-        events.extend(det.push(score))
-    events.extend(det.flush())
-    for start, end in segments_from_events(events):
+    for start, end in segments:
         print(json.dumps({"start_frame": start, "end_frame": end}))
     return 0
 

@@ -44,7 +44,6 @@ class PipelineConfig:
     snr_db: float = 20.0
     # misc
     seed: int = 42
-    jobs: int = 1
     lang: str = "en"
 
     def validate(self) -> "PipelineConfig":
@@ -62,7 +61,6 @@ class PipelineConfig:
             (0.0 <= self.theta_off <= self.theta_on <= 1.0, "need 0 <= theta_off <= theta_on <= 1"),
             (self.min_dur_s > 0.0, "min_dur_s must be positive"),
             (self.max_gap_s > 0.0, "max_gap_s must be positive"),
-            (self.jobs >= 1, "jobs must be >= 1"),
             (self.lang in ("en", "de", "it"), "lang must be one of en, de, it"),
         ]
         for ok, message in checks:

@@ -7,6 +7,9 @@ theta_off for max_gap consecutive frames, which also merges pulses separated
 by shorter lulls. Because it runs causally, a Start is announced only after
 the segment has survived min_dur frames and an End trails the actual
 boundary by max_gap frames; the event carries the true boundary frame.
+
+`detect_segments` is the one detection loop; `activity_segments` runs it
+over a clip's frame-difference scores for the session runner and `detect`.
 """
 
 from __future__ import annotations
@@ -115,6 +118,19 @@ def detect_segments(
         events.extend(det.push(float(s)))
     events.extend(det.flush())
     return events
+
+
+def activity_segments(
+    frames, tau_noise: float, theta_on: float, theta_off: float, min_dur: int, max_gap: int
+) -> list[tuple[int, int]]:
+    """(start, end) activity segments; each frame is scored, then pushed."""
+
+    def scores():
+        yield 0.0  # frame 0 has no predecessor
+        for t in range(1, len(frames)):
+            yield activity_score(frames[t - 1], frames[t], tau_noise)
+
+    return segments_from_events(detect_segments(scores(), theta_on, theta_off, min_dur, max_gap))
 
 
 def segments_from_events(events: list[SegmentEvent]) -> list[tuple[int, int]]:

@@ -6,6 +6,11 @@ histograms (BoVW) or as aggregated first-order residuals (VLAD). Histogram
 channels are compared with the chi-square distance and combined into one
 kernel value as exp(-sum_c D_c / A_c), where A_c is the mean pairwise
 training distance of channel c.
+
+Every chi-square distance comes from `chi2_cross_matrix` (`chi2_distance`
+and `chi2_distance_matrix` are its 1x1 and (h, h) cases), and every kernel
+value from `cross_gram` (`multichannel_gram` symmetrizes it with a unit
+diagonal; `multichannel_kernel` is its single-pair case).
 """
 
 from __future__ import annotations
@@ -262,100 +267,11 @@ def combine_vlad(per_channel: dict[Channel, VladVec]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # chi-square machinery
 
-def chi2_distance(h1: np.ndarray, h2: np.ndarray) -> float:
-    """0.5 * sum (a-b)^2/(a+b) over bins with a nonzero denominator."""
-    a = np.asarray(h1, dtype=np.float64)
-    b = np.asarray(h2, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidParameterError("histograms must be vectors of equal length")
-    denom = a + b
-    mask = denom > 0
-    diff = a[mask] - b[mask]
-    return float(0.5 * np.sum(diff * diff / denom[mask]))
-
-
-def chi2_distance_matrix(hists: np.ndarray) -> np.ndarray:
-    """Symmetric pairwise chi-square distances, zero diagonal by construction."""
-    h = np.asarray(hists, dtype=np.float64)
-    n = h.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        diff = h[i][None, :] - h[i + 1 :]
-        denom = h[i][None, :] + h[i + 1 :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            terms = np.where(denom > 0, diff * diff / np.where(denom > 0, denom, 1.0), 0.0)
-        out[i, i + 1 :] = 0.5 * terms.sum(axis=1)
-    return out + out.T
-
-
-def channel_mean_distance(dist_matrix: np.ndarray) -> float:
-    """Mean over unordered distinct training pairs."""
-    d = np.asarray(dist_matrix, dtype=np.float64)
-    n = d.shape[0]
-    if n < 2:
-        raise DegenerateInputError("need at least two samples to average pair distances")
-    iu = np.triu_indices(n, k=1)
-    return float(d[iu].mean())
-
-
-def multichannel_kernel(
-    sample_i: dict[Channel, BovwHist],
-    sample_j: dict[Channel, BovwHist],
-    channel_means: dict[Channel, float],
-) -> float:
-    """exp(-sum_c D(h_i^c, h_j^c) / A_c) over the channels present in A."""
-    if set(sample_i) != set(sample_j) or set(sample_i) != set(channel_means):
-        raise InvalidParameterError("samples and channel means must cover the same channels")
-    exponent = 0.0
-    for ch, a_c in channel_means.items():
-        if a_c <= 0:
-            raise DegenerateInputError(f"channel mean for {ch.name} must be positive")
-        d = chi2_distance(sample_i[ch].l1_normalized(), sample_j[ch].l1_normalized())
-        exponent += d / a_c
-    return float(np.exp(-exponent))
-
-
-def multichannel_gram(
-    dist_matrices: dict[Channel, np.ndarray],
-    channel_means: dict[Channel, float],
-) -> np.ndarray:
-    """Gram matrix from precomputed per-channel distance matrices.
-
-    Symmetric with a unit diagonal by construction.
-    """
-    if set(dist_matrices) != set(channel_means):
-        raise InvalidParameterError("distance matrices and channel means must cover the same channels")
-    first = next(iter(dist_matrices.values()))
-    total = np.zeros_like(np.asarray(first, dtype=np.float64))
-    for ch, d in dist_matrices.items():
-        a_c = channel_means[ch]
-        if a_c <= 0:
-            raise DegenerateInputError(f"channel mean for {ch.name} must be positive")
-        total += np.asarray(d, dtype=np.float64) / a_c
-    gram = np.exp(-total)
-    gram = np.triu(gram, k=1)
-    gram = gram + gram.T
-    np.fill_diagonal(gram, 1.0)
-    return gram
-
-
-def cross_gram(
-    dists: dict[Channel, np.ndarray],
-    channel_means: dict[Channel, float],
-) -> np.ndarray:
-    """Kernel rows for test-vs-train distance matrices (no symmetrization)."""
-    total = None
-    for ch, d in dists.items():
-        a_c = channel_means[ch]
-        if a_c <= 0:
-            raise DegenerateInputError(f"channel mean for {ch.name} must be positive")
-        term = np.asarray(d, dtype=np.float64) / a_c
-        total = term if total is None else total + term
-    return np.exp(-total)
-
-
 def chi2_cross_matrix(hists_a: np.ndarray, hists_b: np.ndarray) -> np.ndarray:
-    """Chi-square distances between two histogram sets, (len(a), len(b))."""
+    """Chi-square distances between two histogram sets, (len(a), len(b)).
+
+    0.5 * sum (a-b)^2/(a+b) over bins with a nonzero denominator.
+    """
     a = np.asarray(hists_a, dtype=np.float64)
     b = np.asarray(hists_b, dtype=np.float64)
     out = np.zeros((a.shape[0], b.shape[0]))
@@ -368,30 +284,105 @@ def chi2_cross_matrix(hists_a: np.ndarray, hists_b: np.ndarray) -> np.ndarray:
     return out
 
 
+def chi2_distance(h1: np.ndarray, h2: np.ndarray) -> float:
+    """Chi-square distance of two histograms: the 1x1 `chi2_cross_matrix`."""
+    a = np.asarray(h1, dtype=np.float64)
+    b = np.asarray(h2, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise InvalidParameterError("histograms must be vectors of equal length")
+    return float(chi2_cross_matrix(a[None, :], b[None, :])[0, 0])
+
+
+def chi2_distance_matrix(hists: np.ndarray) -> np.ndarray:
+    """Pairwise distances of one set; (h_j-h_i)^2 == (h_i-h_j)^2 and
+    h_j+h_i == h_i+h_j exactly, so it is symmetric bit for bit, zero diagonal."""
+    return chi2_cross_matrix(hists, hists)
+
+
+def channel_mean_distance(dist_matrix: np.ndarray) -> float:
+    """Mean over unordered distinct training pairs."""
+    d = np.asarray(dist_matrix, dtype=np.float64)
+    n = d.shape[0]
+    if n < 2:
+        raise DegenerateInputError("need at least two samples to average pair distances")
+    iu = np.triu_indices(n, k=1)
+    return float(d[iu].mean())
+
+
+def cross_gram(
+    dists: dict[Channel, np.ndarray],
+    channel_means: dict[Channel, float],
+) -> np.ndarray:
+    """Kernel values exp(-sum_c D_c / A_c) from per-channel distance matrices.
+
+    `dists` and `channel_means` must cover the same, nonempty channel set and
+    every A_c must be positive. Channels are summed in the order of `dists`.
+    """
+    if not dists or set(dists) != set(channel_means):
+        raise InvalidParameterError("distance matrices and channel means must cover the same channels")
+    total = None
+    for ch, d in dists.items():
+        a_c = channel_means[ch]
+        if a_c <= 0:
+            raise DegenerateInputError(f"channel mean for {ch.name} must be positive")
+        term = np.asarray(d, dtype=np.float64) / a_c
+        total = term if total is None else total + term
+    return np.exp(-total)
+
+
+def multichannel_gram(
+    dist_matrices: dict[Channel, np.ndarray],
+    channel_means: dict[Channel, float],
+) -> np.ndarray:
+    """Training Gram matrix: `cross_gram`, symmetrized, with a unit diagonal."""
+    gram = np.triu(cross_gram(dist_matrices, channel_means), k=1)
+    gram = gram + gram.T
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+def multichannel_kernel(
+    sample_i: dict[Channel, BovwHist],
+    sample_j: dict[Channel, BovwHist],
+    channel_means: dict[Channel, float],
+) -> float:
+    """exp(-sum_c D(h_i^c, h_j^c) / A_c): `cross_gram` over 1x1 distances."""
+    if set(sample_i) != set(sample_j):
+        raise InvalidParameterError("both samples must cover the same channels")
+    dists = {
+        ch: chi2_cross_matrix(h.l1_normalized()[None, :], sample_j[ch].l1_normalized()[None, :])
+        for ch, h in sample_i.items()
+    }
+    return float(cross_gram(dists, channel_means)[0, 0])
+
+
 # ---------------------------------------------------------------------------
 # encoded-video file: magic, version u16, clip count u32, channel count u8,
 # per channel (tag u8, K u32); then per clip, per channel, raw counts f32.
-# Clip order matches the annotation sidecar the file was produced from.
+# Clip order matches the annotation sidecar the file was produced from. With
+# clips there is a channel and every K >= 1, so the payload, exactly
+# clips x sum(4 K) bytes, bounds the declared clip count.
 
 ENCODED_MAGIC = b"IGEV"
 ENCODED_VERSION = 1
 
 
 def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> None:
-    if not clips:
-        channels: tuple[Channel, ...] = ()
-    else:
-        channels = tuple(ch for ch in CHANNEL_ORDER if ch in clips[0])
-        for hists in clips:
-            if tuple(ch for ch in CHANNEL_ORDER if ch in hists) != channels:
-                raise InvalidParameterError("all clips must share the same channel set")
+    def layout(hists):
+        return [(ch, hists[ch].counts.shape[0]) for ch in CHANNEL_ORDER if ch in hists]
+
+    table = layout(clips[0]) if clips else []
+    if clips and not (table and min(k for _, k in table) >= 1):
+        raise InvalidParameterError("clips need at least one channel, each with at least one bin")
+    if any(layout(hists) != table for hists in clips):
+        raise InvalidParameterError("all clips must share the same channels and histogram sizes")
     with open(path, "wb") as fh:
         fh.write(ENCODED_MAGIC)
-        fh.write(struct.pack("<HIB", ENCODED_VERSION, len(clips), len(channels)))
-        for ch in channels:
-            fh.write(struct.pack("<BI", int(ch), clips[0][ch].counts.shape[0]))
+        fh.write(struct.pack("<HIB", ENCODED_VERSION, len(clips), len(table)))
+        for ch, k in table:
+            fh.write(struct.pack("<BI", int(ch), k))
         for hists in clips:
-            for ch in channels:
+            for ch, _ in table:
                 fh.write(hists[ch].counts.astype("<f4").tobytes())
 
 
@@ -405,28 +396,30 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != ENCODED_VERSION:
         raise UnsupportedVersionError(f"encoded-video version {version} not supported")
-    off = head
+    if n_clips > 0 and n_channels == 0:
+        raise FormatError(f"encoded-video file declares {n_clips} clips and no channels")
+    off = head + 5 * n_channels
+    if len(raw) < off:
+        raise TruncatedPayloadError("encoded-video channel table truncated")
     channels: list[tuple[Channel, int]] = []
-    for _ in range(n_channels):
-        if off + 5 > len(raw):
-            raise TruncatedPayloadError("encoded-video channel table truncated")
-        tag, k = struct.unpack_from("<BI", raw, off)
-        off += 5
+    for tag, k in struct.iter_unpack("<BI", raw[head:off]):
         try:
             channels.append((Channel(tag), k))
         except ValueError:
             raise FormatError(f"unknown channel tag {tag}") from None
-    out = []
-    for _ in range(n_clips):
-        hists = {}
-        for ch, k in channels:
-            if off + 4 * k > len(raw):
-                raise TruncatedPayloadError("encoded-video payload truncated")
-            counts = np.frombuffer(raw, dtype="<f4", count=k, offset=off).astype(np.float64)
-            off += 4 * k
-            hists[ch] = BovwHist(counts=counts, channel=ch)
-        out.append(hists)
-    return out
+        if k == 0:
+            raise FormatError(f"channel tag {tag} declares zero bins")
+    row = sum(k for _, k in channels)
+    extra = len(raw) - off - 4 * row * n_clips
+    if extra < 0:
+        raise TruncatedPayloadError("encoded-video payload truncated")
+    if extra > 0:
+        raise FormatError(f"{extra} bytes after the encoded-video payload")
+    counts = np.frombuffer(raw, dtype="<f4", count=n_clips * row, offset=off)
+    counts = counts.astype(np.float64).reshape(n_clips, row)
+    bounds = np.cumsum([0] + [k for _, k in channels])
+    spans = [(ch, lo, hi) for (ch, _), lo, hi in zip(channels, bounds[:-1], bounds[1:])]
+    return [{ch: BovwHist(counts=c[lo:hi], channel=ch) for ch, lo, hi in spans} for c in counts]
 
 
 # ---------------------------------------------------------------------------

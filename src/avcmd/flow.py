@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .frames import GrayFrame
 
-# 5-tap binomial kernel used for pyramid smoothing.
+# 5-tap binomial kernel of `binomial_blur`.
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
@@ -60,15 +60,16 @@ def _as_float_image(frame) -> np.ndarray:
     return a
 
 
-def _smooth(img: np.ndarray) -> np.ndarray:
-    # Separable binomial blur with edge-replicated borders.
-    p = np.pad(img, 2, mode="edge")
-    out = np.zeros_like(img)
-    tmp = np.zeros((img.shape[0], p.shape[1]))
-    for k, w in enumerate(_BINOMIAL):
-        tmp += w * p[k : k + img.shape[0], :]
-    for k, w in enumerate(_BINOMIAL):
-        out += w * tmp[:, k : k + img.shape[1]]
+def binomial_blur(img: np.ndarray, mode: str) -> np.ndarray:
+    """Separable 5-tap binomial blur; `mode` is the `np.pad` mode of the border."""
+    h, w = img.shape
+    p = np.pad(img, 2, mode=mode)
+    tmp = np.zeros((h, p.shape[1]))
+    for k, wgt in enumerate(_BINOMIAL):
+        tmp += wgt * p[k : k + h, :]
+    out = np.zeros((h, w))
+    for k, wgt in enumerate(_BINOMIAL):
+        out += wgt * tmp[:, k : k + w]
     return out
 
 
@@ -220,7 +221,7 @@ class FramePyramid:
         for _ in range(levels - 1):
             if min(images[-1].shape) < 8:
                 break
-            images.append(np.ascontiguousarray(_smooth(images[-1])[::2, ::2]))
+            images.append(np.ascontiguousarray(binomial_blur(images[-1], "edge")[::2, ::2]))
         coarse_shapes = [im.shape for im in images[1:]] + [None]
         self.levels = [_Level(im, radius, min_eig, cs) for im, cs in zip(images, coarse_shapes)]
 

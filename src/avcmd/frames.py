@@ -9,6 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -106,8 +107,8 @@ class Clip:
         frames = tuple(self.frames)
         if not frames:
             raise InvalidParameterError("clip must contain at least one frame")
-        if self.fps <= 0:
-            raise InvalidParameterError("fps must be positive")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise InvalidParameterError(f"fps must be finite and positive, not {self.fps}")
         w, h = frames[0].width, frames[0].height
         for f in frames:
             if f.width != w or f.height != h:

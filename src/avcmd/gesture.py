@@ -18,6 +18,7 @@ from .encoding import (
     BovwHist,
     Channel,
     Codebook,
+    bovw_encode,
     channel_mean_distance,
     chi2_cross_matrix,
     chi2_distance_matrix,
@@ -28,31 +29,30 @@ from .encoding import (
 from .errors import InvalidParameterError, PipelineMismatchError
 from .frames import Clip
 from .svm import DEFAULT_C, KernelSvmModel, Prediction, train_kernel_svm
-from .trajectories import TrackerParams, track
+from .trajectories import HOF_DIM, HOG_DIM, MBH_DIM, TRAJ_DIM, TrackerParams, Trajectory, track
 from .vocabulary import BACKGROUND_LABEL
 
 _CHANNEL_ATTR = {
-    Channel.TRAJ: "traj",
-    Channel.HOG: "hog",
-    Channel.HOF: "hof",
-    Channel.MBH: "mbh",
+    Channel.TRAJ: ("traj", TRAJ_DIM),
+    Channel.HOG: ("hog", HOG_DIM),
+    Channel.HOF: ("hof", HOF_DIM),
+    Channel.MBH: ("mbh", MBH_DIM),
 }
 
-_CHANNEL_DIM = {Channel.TRAJ: 30, Channel.HOG: 96, Channel.HOF: 108, Channel.MBH: 192}
+
+def channel_matrices(trajectories: list[Trajectory]) -> dict[Channel, np.ndarray]:
+    """Per-channel descriptor matrices, one row per trajectory (possibly 0-row)."""
+    return {
+        ch: np.stack([getattr(t, attr) for t in trajectories]) if trajectories else np.empty((0, dim))
+        for ch, (attr, dim) in _CHANNEL_ATTR.items()
+    }
 
 
 def extract_channel_descriptors(
     clip: Clip, params: TrackerParams = TrackerParams()
 ) -> dict[Channel, np.ndarray]:
     """Per-channel descriptor matrices for one clip (possibly 0-row)."""
-    result = track(clip, params)
-    out = {}
-    for ch, attr in _CHANNEL_ATTR.items():
-        if result.trajectories:
-            out[ch] = np.stack([getattr(t, attr) for t in result.trajectories])
-        else:
-            out[ch] = np.empty((0, _CHANNEL_DIM[ch]))
-    return out
+    return channel_matrices(track(clip, params).trajectories)
 
 
 @dataclass
@@ -73,8 +73,6 @@ class GesturePipeline:
                 )
 
     def encode_clip(self, clip: Clip) -> dict[Channel, BovwHist]:
-        from .encoding import bovw_encode
-
         descs = extract_channel_descriptors(clip, self.tracker)
         return {ch: bovw_encode(descs[ch], cb) for ch, cb in self.codebooks.items()}
 
@@ -121,18 +119,27 @@ def train_gesture_pipeline(
         raise InvalidParameterError("clip and label counts differ")
     per_clip = [extract_channel_descriptors(cl, tracker) for cl in clips]
     hists, codebooks = encode_corpus(per_clip, k=k, seed=seed, subsample=subsample)
-    dists = {ch: chi2_distance_matrix(_l1_rows(hists[ch])) for ch in CHANNEL_ORDER}
-    means = {ch: channel_mean_distance(d) for ch, d in dists.items()}
-    gram = multichannel_gram(dists, means)
-    model = train_kernel_svm(
-        gram,
-        np.asarray(labels),
-        c=c,
-        train_hists={ch: hists[ch] for ch in CHANNEL_ORDER},
-        channel_means=means,
-        codebook_hashes={ch: cb.content_hash() for ch, cb in codebooks.items()},
-    )
+    model = train_bovw_model(hists, chi2_distances(hists), labels, c, codebooks)
     return GesturePipeline(codebooks=codebooks, model=model, tracker=tracker)
+
+
+def train_codebooks(
+    per_clip_descriptors: list[dict[Channel, np.ndarray]],
+    k: int,
+    seed: int,
+    subsample: int | None = 100_000,
+) -> dict[Channel, Codebook]:
+    """One codebook per channel on the pooled descriptors; channel i uses seed + i."""
+    return {
+        ch: train_codebook(
+            np.vstack([d[ch] for d in per_clip_descriptors if d[ch].shape[0]]),
+            k=k,
+            seed=seed + offset,
+            channel=ch,
+            subsample=subsample,
+        )
+        for offset, ch in enumerate(CHANNEL_ORDER)
+    }
 
 
 def encode_corpus(
@@ -142,18 +149,11 @@ def encode_corpus(
     subsample: int | None = 100_000,
 ) -> tuple[dict[Channel, np.ndarray], dict[Channel, Codebook]]:
     """Train per-channel codebooks on the pool and encode every clip."""
-    from .encoding import bovw_encode
-
-    codebooks = {}
-    hists = {}
-    for offset, ch in enumerate(CHANNEL_ORDER):
-        pool = np.vstack([d[ch] for d in per_clip_descriptors if d[ch].shape[0]])
-        codebooks[ch] = train_codebook(
-            pool, k=k, seed=seed + offset, channel=ch, subsample=subsample
-        )
-        hists[ch] = np.stack(
-            [bovw_encode(d[ch], codebooks[ch]).counts for d in per_clip_descriptors]
-        )
+    codebooks = train_codebooks(per_clip_descriptors, k, seed, subsample)
+    hists = {
+        ch: np.stack([bovw_encode(d[ch], cb).counts for d in per_clip_descriptors])
+        for ch, cb in codebooks.items()
+    }
     return hists, codebooks
 
 
@@ -161,6 +161,34 @@ def _l1_rows(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     sums = h.sum(axis=1, keepdims=True)
     return np.divide(h, sums, out=np.zeros_like(h), where=sums > 0)
+
+
+def chi2_distances(hists: dict[Channel, np.ndarray]) -> dict[Channel, np.ndarray]:
+    """Per-channel pairwise chi-square distances of L1-normalized count rows."""
+    return {ch: chi2_distance_matrix(_l1_rows(h)) for ch, h in hists.items()}
+
+
+def train_bovw_model(
+    hists: dict[Channel, np.ndarray],
+    dists: dict[Channel, np.ndarray],
+    labels,
+    c: float,
+    codebooks: dict[Channel, Codebook],
+) -> KernelSvmModel:
+    """The multichannel chi-square kernel SVM on training count histograms.
+
+    `dists` is `chi2_distances(hists)`; the model keeps the histograms, the
+    channel means and the codebook hashes that prediction needs.
+    """
+    means = {ch: channel_mean_distance(d) for ch, d in dists.items()}
+    return train_kernel_svm(
+        multichannel_gram(dists, means),
+        np.asarray(labels),
+        c=c,
+        train_hists=hists,
+        channel_means=means,
+        codebook_hashes={ch: cb.content_hash() for ch, cb in codebooks.items()},
+    )
 
 
 def evaluate_loo_bovw(

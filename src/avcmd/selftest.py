@@ -17,16 +17,17 @@ import numpy as np
 
 from .audio import adapt_speaker, classify_command, default_grammar, dtw_distance
 from .detector import activity_score
-from .encoding import CHANNEL_ORDER, channel_mean_distance, chi2_distance_matrix, multichannel_gram
+from .encoding import CHANNEL_ORDER, channel_mean_distance, multichannel_gram
 from .errors import NoInputError, UndefinedMetricError
-from .flow import dense_flow
+from .flow import binomial_blur, dense_flow
 from .fsm import FsmState, StateKind, fsm_step
 from .gesture import (
     GesturePipeline,
-    _l1_rows,
+    chi2_distances,
     encode_corpus,
     evaluate_loo_bovw,
     extract_channel_descriptors,
+    train_bovw_model,
 )
 from .mfcc import FEATURE_DIM, MfccSeq, mfcc
 from .metrics import accuracy, first_attempt_curve, mcrr, user_performance
@@ -43,7 +44,6 @@ from .session import (
     run_session,
 )
 from .audio import Hypothesis
-from .svm import train_kernel_svm
 from .synth import (
     MotionPattern,
     build_session_streams,
@@ -117,12 +117,10 @@ def build_gesture_artifacts(
     per_depth = [extract_channel_descriptors(s.depth, tracker) for s in samples]
     hists_rgb, codebooks_rgb = encode_corpus(per_rgb, k=k, seed=seed + 1, subsample=subsample)
     hists_depth, _ = encode_corpus(per_depth, k=k, seed=seed + 1, subsample=subsample)
-    dists_rgb = {ch: chi2_distance_matrix(_l1_rows(hists_rgb[ch])) for ch in CHANNEL_ORDER}
-    dists_depth = {ch: chi2_distance_matrix(_l1_rows(hists_depth[ch])) for ch in CHANNEL_ORDER}
     return GestureArtifacts(
         labels=labels,
-        dists_rgb=dists_rgb,
-        dists_depth=dists_depth,
+        dists_rgb=chi2_distances(hists_rgb),
+        dists_depth=chi2_distances(hists_depth),
         hists_rgb=hists_rgb,
         codebooks_rgb=codebooks_rgb,
         tracker=tracker,
@@ -132,16 +130,7 @@ def build_gesture_artifacts(
 
 
 def pipeline_from_artifacts(art: GestureArtifacts) -> GesturePipeline:
-    means = {ch: channel_mean_distance(d) for ch, d in art.dists_rgb.items()}
-    gram = multichannel_gram(art.dists_rgb, means)
-    model = train_kernel_svm(
-        gram,
-        art.labels,
-        c=art.svm_c,
-        train_hists=art.hists_rgb,
-        channel_means=means,
-        codebook_hashes={ch: cb.content_hash() for ch, cb in art.codebooks_rgb.items()},
-    )
+    model = train_bovw_model(art.hists_rgb, art.dists_rgb, art.labels, art.svm_c, art.codebooks_rgb)
     return GesturePipeline(codebooks=art.codebooks_rgb, model=model, tracker=art.tracker)
 
 
@@ -222,12 +211,7 @@ def criterion_flow_oracle(size: int = 64, seed: int = 7) -> CriterionResult:
     """Integer translations recovered by the interior flow median."""
     rng = np.random.default_rng(seed)
     margin = 8
-    tex = rng.standard_normal((size + 2 * margin, size + 2 * margin))
-    kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    for axis in (0, 1):
-        tex = np.apply_along_axis(
-            lambda m: np.convolve(np.pad(m, 2, mode="wrap"), kernel, mode="valid"), axis, tex
-        )
+    tex = binomial_blur(rng.standard_normal((size + 2 * margin, size + 2 * margin)), "wrap")
     tex = ((tex - tex.min()) / (tex.max() - tex.min()) * 215 + 20).astype(np.uint8)
 
     worst = 0.0

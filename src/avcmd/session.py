@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 
 from .audio import CommandGrammar, MfccSeq, NBest, SpeakerTransform, classify_command, keyword_gate
-from .detector import ActivityDetector, activity_score, segments_from_events
+from .detector import activity_segments
 from .errors import FormatError, InvalidParameterError, NoInputError, SessionDesyncError
 from .fsm import FsmState, fsm_step
 from .frames import Clip
@@ -176,16 +176,14 @@ def run_session(
     # temporal localization of visual activity
     segments: list[tuple[int, int]] = []
     if video is not None and n_frames >= 2:
-        det = ActivityDetector(
-            params.theta_on, params.theta_off, params.min_dur_frames, params.max_gap_frames
+        segments = activity_segments(
+            video.frames,
+            params.tau_noise,
+            params.theta_on,
+            params.theta_off,
+            params.min_dur_frames,
+            params.max_gap_frames,
         )
-        events = []
-        events.extend(det.push(0.0))  # frame 0 has no predecessor
-        for t in range(1, n_frames):
-            score = activity_score(video.frames[t - 1], video.frames[t], params.tau_noise)
-            events.extend(det.push(score))
-        events.extend(det.flush())
-        segments = segments_from_events(events)
 
     # classify each activity segment once
     seg_hyps: list[tuple[tuple[int, int], list[tuple[int, float]] | None]] = []

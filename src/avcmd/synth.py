@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
+from .flow import binomial_blur
 from .frames import Clip, DepthFrame, GrayFrame, Modality, Sensor, log_depth, to_grayscale
 from .mfcc import mfcc
 from .session import AudioEvent, SessionStep
@@ -82,16 +83,8 @@ def default_spec(pattern: MotionPattern, jitter_rng: np.random.Generator | None 
 def _smooth_field(rng: np.random.Generator, h: int, w: int, passes: int = 3) -> np.ndarray:
     """Band-limited random field in [0, 1]."""
     field = rng.standard_normal((h, w))
-    kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
     for _ in range(passes):
-        padded = np.pad(field, 2, mode="wrap")
-        tmp = np.zeros((h, padded.shape[1]))
-        for k, wgt in enumerate(kernel):
-            tmp += wgt * padded[k : k + h, :]
-        out = np.zeros((h, w))
-        for k, wgt in enumerate(kernel):
-            out += wgt * tmp[:, k : k + w]
-        field = out
+        field = binomial_blur(field, "wrap")
     field -= field.min()
     field /= max(field.max(), 1e-12)
     return field

@@ -3,17 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from avcmd.flow import binomial_blur
+
 
 def smooth_texture(height: int, width: int, seed: int, lo: int = 20, hi: int = 235) -> np.ndarray:
     """Band-limited random texture, uint8. Shared by the flow/tracking tests."""
     rng = np.random.default_rng(seed)
-    img = rng.standard_normal((height, width))
     # Cheap separable blur to remove pixel-level noise while keeping corners.
-    kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    for axis in (0, 1):
-        img = np.apply_along_axis(
-            lambda m: np.convolve(np.pad(m, 2, mode="wrap"), kernel, mode="valid"), axis, img
-        )
+    img = binomial_blur(rng.standard_normal((height, width)), "wrap")
     img -= img.min()
     img /= max(img.max(), 1e-12)
     return (lo + img * (hi - lo)).astype(np.uint8)

@@ -1,0 +1,89 @@
+"""Reference oracles for the single chi-square, kernel, detection and blur paths.
+
+These are the forms each idea had before it was folded into one
+implementation: a symmetric chi-square matrix filled from its upper triangle
+by its own row loop, a Gram builder and a cross-kernel builder that each sum
+the per-channel distance terms themselves, the session runner's inline
+activity-detection loop, and the synthetic generator's own wrap-padded
+binomial blur. The merged code must reproduce them bit for bit; the tests
+compare with `np.array_equal` and `==`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from avcmd.detector import ActivityDetector, activity_score, segments_from_events
+from avcmd.errors import DegenerateInputError, InvalidParameterError
+
+
+def chi2_distance_matrix(hists: np.ndarray) -> np.ndarray:
+    h = np.asarray(hists, dtype=np.float64)
+    n = h.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        diff = h[i][None, :] - h[i + 1 :]
+        denom = h[i][None, :] + h[i + 1 :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = np.where(denom > 0, diff * diff / np.where(denom > 0, denom, 1.0), 0.0)
+        out[i, i + 1 :] = 0.5 * terms.sum(axis=1)
+    return out + out.T
+
+
+def multichannel_gram(dist_matrices: dict, channel_means: dict) -> np.ndarray:
+    if set(dist_matrices) != set(channel_means):
+        raise InvalidParameterError("distance matrices and channel means must cover the same channels")
+    first = next(iter(dist_matrices.values()))
+    total = np.zeros_like(np.asarray(first, dtype=np.float64))
+    for ch, d in dist_matrices.items():
+        a_c = channel_means[ch]
+        if a_c <= 0:
+            raise DegenerateInputError(f"channel mean for {ch.name} must be positive")
+        total += np.asarray(d, dtype=np.float64) / a_c
+    gram = np.exp(-total)
+    gram = np.triu(gram, k=1)
+    gram = gram + gram.T
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+def cross_gram(dists: dict, channel_means: dict) -> np.ndarray:
+    total = None
+    for ch, d in dists.items():
+        a_c = channel_means[ch]
+        if a_c <= 0:
+            raise DegenerateInputError(f"channel mean for {ch.name} must be positive")
+        term = np.asarray(d, dtype=np.float64) / a_c
+        total = term if total is None else total + term
+    return np.exp(-total)
+
+
+def session_segments(frames, params) -> list[tuple[int, int]]:
+    """`run_session`'s inline detection loop; `params` is a `SessionParams`."""
+    det = ActivityDetector(
+        params.theta_on, params.theta_off, params.min_dur_frames, params.max_gap_frames
+    )
+    events = []
+    events.extend(det.push(0.0))  # frame 0 has no predecessor
+    for t in range(1, len(frames)):
+        score = activity_score(frames[t - 1], frames[t], params.tau_noise)
+        events.extend(det.push(score))
+    events.extend(det.flush())
+    return segments_from_events(events)
+
+
+def smooth_field(rng: np.random.Generator, h: int, w: int, passes: int = 3) -> np.ndarray:
+    field = rng.standard_normal((h, w))
+    kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    for _ in range(passes):
+        padded = np.pad(field, 2, mode="wrap")
+        tmp = np.zeros((h, padded.shape[1]))
+        for k, wgt in enumerate(kernel):
+            tmp += wgt * padded[k : k + h, :]
+        out = np.zeros((h, w))
+        for k, wgt in enumerate(kernel):
+            out += wgt * tmp[:, k : k + w]
+        field = out
+    field -= field.min()
+    field /= max(field.max(), 1e-12)
+    return field

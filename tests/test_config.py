@@ -38,6 +38,10 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("mystery_knob = 3\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    # `jobs` was validated but never read; it is now an unknown key
+    path.write_text("jobs = 0\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(path)
 
 
 def test_bad_value_rejected(tmp_path):
@@ -62,7 +66,6 @@ def test_missing_equals_rejected(tmp_path):
         ("quality", "0"),
         ("svm_c", "-1"),
         ("lang", "fr"),
-        ("jobs", "0"),
     ],
 )
 def test_range_violations(tmp_path, key, value):

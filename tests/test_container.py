@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from avcmd.container import (
     write_clip,
 )
 from avcmd.errors import (
+    AvcmdError,
     BadMagicError,
     FormatError,
     TruncatedPayloadError,
@@ -109,6 +111,19 @@ def test_truncated_header(tmp_path):
     path.write_bytes(b"IGSC\x01")
     with pytest.raises(TruncatedPayloadError):
         read_clip(path)
+
+
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_fps_rejected(tmp_path, rng, fps):
+    path = tmp_path / "c.igsc"
+    write_clip(path, make_clip(rng))
+    raw = bytearray(path.read_bytes())
+    raw[16:20] = struct.pack("<f", fps)  # the fps field ends the 20-byte header
+    path.write_bytes(bytes(raw))
+    with pytest.raises(AvcmdError):
+        read_clip(path)
+    with pytest.raises(AvcmdError):
+        make_clip(rng, fps=fps)
 
 
 def test_label_round_trips_via_sidecar(tmp_path, rng):

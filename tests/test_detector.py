@@ -3,14 +3,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import reference_encoding as ref
+from avcmd import detector
 from avcmd.detector import (
     ActivityDetector,
     EventKind,
     activity_score,
+    activity_segments,
     detect_segments,
     segments_from_events,
 )
 from avcmd.errors import ConfigError, InvalidParameterError
+from avcmd.frames import GrayFrame
+from avcmd.session import BACK_SCRIPT, LEGS_SCRIPT, SessionParams
+from avcmd.synth import build_session_streams
 
 
 class TestActivityScore:
@@ -110,3 +116,65 @@ class TestDetectSegments:
             assert a != b
         for s, e in segments_from_events(events):
             assert e > s
+
+
+def _pulse_frames(rng, n, size=12, bursts=((5, 14), (20, 23), (30, 45))):
+    """Static noise frames with bursts of changed pixels."""
+    base = rng.integers(0, 256, size=size * size, dtype=np.uint8)
+    frames = []
+    for t in range(n):
+        data = base.copy()
+        if any(lo <= t < hi for lo, hi in bursts):
+            idx = rng.choice(data.size, size=int(rng.integers(1, data.size)), replace=False)
+            data[idx] = rng.integers(0, 256, size=idx.size, dtype=np.uint8)
+        frames.append(GrayFrame(width=size, height=size, data=data))
+    return tuple(frames)
+
+
+def _segments(frames, p):
+    return activity_segments(
+        frames, p.tau_noise, p.theta_on, p.theta_off, p.min_dur_frames, p.max_gap_frames
+    )
+
+
+class TestActivitySegments:
+    """`activity_segments` equals the session runner's old inline loop."""
+
+    @pytest.mark.parametrize("script", [LEGS_SCRIPT, BACK_SCRIPT])
+    def test_session_streams(self, script):
+        video = build_session_streams(script, seed=41).video
+        p = SessionParams()
+        got = _segments(video.frames, p)
+        assert got and got == ref.session_segments(video.frames, p)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SessionParams(),
+            SessionParams(theta_on=0.0, theta_off=0.0, min_dur_frames=1, max_gap_frames=1),
+            SessionParams(tau_noise=0.0, theta_on=0.5, theta_off=0.1, min_dur_frames=3, max_gap_frames=2),
+            SessionParams(theta_on=0.3, theta_off=0.3, min_dur_frames=20, max_gap_frames=9),
+        ],
+    )
+    def test_pulse_streams_and_edge_lengths(self, rng, params):
+        frames = _pulse_frames(rng, 60)
+        for n in (1, 2, 3, 10, 25, 60):
+            assert _segments(frames[:n], params) == ref.session_segments(frames[:n], params)
+
+    def test_one_score_and_one_push_per_frame(self, rng, monkeypatch):
+        calls = {"score": 0, "push": 0}
+        score, push = detector.activity_score, ActivityDetector.push
+
+        def counted_score(*args):
+            calls["score"] += 1
+            return score(*args)
+
+        def counted_push(self, s):
+            calls["push"] += 1
+            return push(self, s)
+
+        monkeypatch.setattr(detector, "activity_score", counted_score)
+        monkeypatch.setattr(ActivityDetector, "push", counted_push)
+        frames = _pulse_frames(rng, 40)
+        _segments(frames, SessionParams())
+        assert calls == {"score": 39, "push": 40}

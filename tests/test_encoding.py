@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_encoding as ref
 from avcmd.encoding import (
     CHANNEL_ORDER,
     BovwHist,
@@ -13,9 +17,11 @@ from avcmd.encoding import (
     VladVec,
     bovw_encode,
     channel_mean_distance,
+    chi2_cross_matrix,
     chi2_distance,
     chi2_distance_matrix,
     combine_vlad,
+    cross_gram,
     kmeans_inertia,
     multichannel_gram,
     multichannel_kernel,
@@ -27,8 +33,10 @@ from avcmd.encoding import (
     write_encoded,
 )
 from avcmd.errors import (
+    AvcmdError,
     BadMagicError,
     DegenerateInputError,
+    FormatError,
     InvalidParameterError,
     TruncatedPayloadError,
 )
@@ -343,3 +351,154 @@ class TestEncodedVideoIO:
         p = tmp_path / "enc.igev"
         write_encoded(p, [])
         assert read_encoded(p) == []
+
+    def test_channels_without_bins_or_channels_rejected(self, tmp_path):
+        p = tmp_path / "enc.igev"
+        with pytest.raises(InvalidParameterError):
+            write_encoded(p, [{}, {}, {}])
+        with pytest.raises(InvalidParameterError):
+            write_encoded(p, [{Channel.HOG: BovwHist(counts=np.zeros(0), channel=Channel.HOG)}])
+        with pytest.raises(InvalidParameterError):
+            write_encoded(
+                p,
+                [
+                    {Channel.HOG: BovwHist(counts=np.ones(3), channel=Channel.HOG)},
+                    {Channel.HOG: BovwHist(counts=np.ones(4), channel=Channel.HOG)},
+                ],
+            )
+
+    def test_clips_without_channels_fail_closed(self, tmp_path):
+        # 3 clips, 0 channels: the 15-byte file that used to read as [{}, {}, {}]
+        p = tmp_path / "enc.igev"
+        p.write_bytes(b"IGEV" + struct.pack("<HIB", 1, 3, 0))
+        with pytest.raises(FormatError):
+            read_encoded(p)
+
+    def test_zero_bin_channel_fails_closed(self, tmp_path):
+        p = tmp_path / "enc.igev"
+        p.write_bytes(b"IGEV" + struct.pack("<HIB", 1, 3, 1) + struct.pack("<BI", 1, 0))
+        with pytest.raises(FormatError):
+            read_encoded(p)
+
+    def _file(self, tmp_path, n_clips=3):
+        rng = np.random.default_rng(5)
+        clips = [
+            {ch: BovwHist(counts=rng.integers(0, 9, size=3 + int(ch)).astype(float), channel=ch)
+             for ch in CHANNEL_ORDER}
+            for _ in range(n_clips)
+        ]
+        p = tmp_path / "enc.igev"
+        write_encoded(p, clips)
+        return p, p.read_bytes()
+
+    def test_cut_at_every_byte_raises(self, tmp_path):
+        p, raw = self._file(tmp_path)
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(AvcmdError):
+                read_encoded(p)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        p, raw = self._file(tmp_path)
+        p.write_bytes(raw + b"\0")
+        with pytest.raises(FormatError):
+            read_encoded(p)
+
+    def test_single_read_equals_per_clip_layout(self, tmp_path):
+        p, raw = self._file(tmp_path)
+        head = 11 + 5 * len(CHANNEL_ORDER)
+        want = np.frombuffer(raw, dtype="<f4", offset=head)
+        got = np.concatenate([e[ch].counts for e in read_encoded(p) for ch in CHANNEL_ORDER])
+        assert np.array_equal(got, want.astype(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips_read_or_raise(self, tmp_path_factory, data):
+        p, raw = self._file(tmp_path_factory.mktemp("igev"), n_clips=2)
+        flipped = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(raw) - 1))
+            flipped[pos] ^= data.draw(st.integers(1, 255))
+        p.write_bytes(bytes(flipped))
+        try:
+            back = read_encoded(p)
+        except AvcmdError:
+            return
+        for hists in back:
+            for ch, h in hists.items():
+                assert h.channel == ch and h.counts.ndim == 1
+
+
+class TestSinglePathsAgainstReference:
+    """The merged chi-square and kernel paths equal their old forms bit for bit."""
+
+    def _hist_sets(self):
+        rng = np.random.default_rng(2024)
+        for n in (1, 2, 3, 17, 59):
+            for k in (4, 32, 64, 100, 513):
+                h = rng.random((n, k)) * (rng.random((n, k)) < 0.6)
+                h[rng.random(n) < 0.2] = 0.0  # some all-zero rows
+                sums = h.sum(axis=1, keepdims=True)
+                yield np.divide(h, sums, out=np.zeros_like(h), where=sums > 0)
+
+    def test_chi2_distance_matrix(self):
+        for h in self._hist_sets():
+            got = chi2_distance_matrix(h)
+            assert np.array_equal(got, ref.chi2_distance_matrix(h))
+            assert np.array_equal(got, chi2_cross_matrix(h, h))
+
+    def test_chi2_distance_matrix_on_counts(self):
+        rng = np.random.default_rng(4)
+        h = rng.integers(0, 5, size=(23, 40)).astype(np.float64)
+        assert np.array_equal(chi2_distance_matrix(h), ref.chi2_distance_matrix(h))
+
+    def _dists(self, n, seed):
+        rng = np.random.default_rng(seed)
+        dists = {}
+        for ch in CHANNEL_ORDER:
+            h = rng.random((n, 12))
+            h /= h.sum(axis=1, keepdims=True)
+            dists[ch] = ref.chi2_distance_matrix(h)
+        return dists, {ch: channel_mean_distance(d) for ch, d in dists.items()}
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_gram_and_cross_gram(self, n):
+        dists, means = self._dists(n, seed=n)
+        assert np.array_equal(multichannel_gram(dists, means), ref.multichannel_gram(dists, means))
+        assert np.array_equal(cross_gram(dists, means), ref.cross_gram(dists, means))
+        rows = {ch: d[:3, 1:] for ch, d in dists.items()}
+        assert np.array_equal(cross_gram(rows, means), ref.cross_gram(rows, means))
+        single = {Channel.HOF: dists[Channel.HOF]}
+        one_mean = {Channel.HOF: means[Channel.HOF]}
+        assert np.array_equal(multichannel_gram(single, one_mean), ref.multichannel_gram(single, one_mean))
+
+    def test_gram_equals_cross_gram_on_symmetric_zero_diagonal_input(self):
+        dists, means = self._dists(30, seed=8)
+        assert np.array_equal(multichannel_gram(dists, means), cross_gram(dists, means))
+
+    def test_kernel_is_one_entry_of_cross_gram(self, rng):
+        samples = [
+            {ch: BovwHist(counts=rng.random(6) * 10, channel=ch) for ch in CHANNEL_ORDER}
+            for _ in range(2)
+        ]
+        means = {ch: 0.3 + 0.1 * int(ch) for ch in CHANNEL_ORDER}
+        a, b = ({ch: h.l1_normalized()[None, :] for ch, h in s.items()} for s in samples)
+        dists = {ch: chi2_cross_matrix(a[ch], b[ch]) for ch in CHANNEL_ORDER}
+        assert multichannel_kernel(samples[0], samples[1], means) == ref.cross_gram(dists, means)[0, 0]
+
+    def test_cross_gram_rejects_missing_mean_and_empty_input(self):
+        d = np.zeros((1, 2))
+        with pytest.raises(InvalidParameterError):
+            cross_gram({Channel.HOG: d, Channel.HOF: d}, {Channel.HOG: 1.0})
+        with pytest.raises(InvalidParameterError):
+            cross_gram({}, {})
+        with pytest.raises(InvalidParameterError):
+            multichannel_gram({}, {})
+
+    def test_kernel_rejects_mismatched_channel_sets(self):
+        a = {Channel.HOG: BovwHist(counts=np.array([1.0, 0.0]), channel=Channel.HOG)}
+        b = {Channel.HOF: BovwHist(counts=np.array([1.0, 0.0]), channel=Channel.HOF)}
+        with pytest.raises(InvalidParameterError):
+            multichannel_kernel(a, b, {Channel.HOG: 1.0})
+        with pytest.raises(InvalidParameterError):
+            multichannel_kernel(a, a, {Channel.HOF: 1.0})

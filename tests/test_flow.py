@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avcmd.errors import InvalidParameterError
-from avcmd.flow import FlowField, FramePyramid, dense_flow, median_filter_3x3
+from avcmd.flow import FlowField, FramePyramid, binomial_blur, dense_flow, median_filter_3x3
 from avcmd.synth import generate_corpus
 
 import reference_tracker as ref
@@ -146,3 +146,21 @@ class TestFlowAgainstOracle:
             FramePyramid(np.zeros((8, 8)), levels=0)
         with pytest.raises(InvalidParameterError):
             dense_flow(FramePyramid(np.zeros((8, 8))), FramePyramid(np.zeros((8, 9))))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (5, 5), (24, 20), (96, 96)])
+def test_edge_blur_equals_pyramid_oracle(shape):
+    img = np.random.default_rng(sum(shape)).normal(100.0, 40.0, size=shape)
+    assert np.array_equal(binomial_blur(img, "edge"), ref._smooth(img))
+
+
+@pytest.mark.parametrize("shape,seed", [((80, 80), 7), ((60, 80), 11), ((18, 18), 4), ((5, 9), 0)])
+def test_wrap_blur_equals_per_axis_convolution(shape, seed):
+    # the form the flow-oracle texture and the test textures were built with
+    img = np.random.default_rng(seed).standard_normal(shape)
+    want = img
+    for axis in (0, 1):
+        want = np.apply_along_axis(
+            lambda m: np.convolve(np.pad(m, 2, mode="wrap"), ref._BINOMIAL, mode="valid"), axis, want
+        )
+    assert np.array_equal(binomial_blur(img, "wrap"), want)

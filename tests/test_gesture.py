@@ -3,17 +3,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from avcmd.encoding import CHANNEL_ORDER, Channel, chi2_distance_matrix
+import reference_encoding as ref
+from avcmd.encoding import (
+    CHANNEL_ORDER,
+    Channel,
+    channel_mean_distance,
+    chi2_distance_matrix,
+    train_codebook,
+)
 from avcmd.errors import PipelineMismatchError
 from avcmd.gesture import (
     GesturePipeline,
     _l1_rows,
+    channel_matrices,
+    chi2_distances,
     encode_corpus,
     evaluate_loo_bovw,
     extract_channel_descriptors,
+    train_bovw_model,
+    train_codebooks,
     train_gesture_pipeline,
 )
-from avcmd.svm import read_model, write_model
+from avcmd.svm import read_model, train_kernel_svm, write_model
+from avcmd.trajectories import track
 from avcmd.synth import default_spec, generate_corpus, generate_gesture_clip
 from avcmd.vocabulary import BACKGROUND_LABEL, Command, MotionPattern
 
@@ -40,6 +52,66 @@ class TestDescriptorExtraction:
         assert descs[Channel.MBH].shape[1] == 192
         counts = {ch: d.shape[0] for ch, d in descs.items()}
         assert len(set(counts.values())) == 1  # one row per trajectory everywhere
+
+
+    def test_channel_matrices_stack_trajectory_rows(self, small_corpus):
+        clips, _ = small_corpus
+        trajs = track(clips[1]).trajectories
+        mats = channel_matrices(trajs)
+        for ch, attr in zip(CHANNEL_ORDER, ("traj", "hog", "hof", "mbh")):
+            assert np.array_equal(mats[ch], np.stack([getattr(t, attr) for t in trajs]))
+        empty = channel_matrices([])
+        assert {ch: m.shape for ch, m in empty.items()} == {
+            Channel.TRAJ: (0, 30), Channel.HOG: (0, 96), Channel.HOF: (0, 108), Channel.MBH: (0, 192)
+        }
+        assert all(m.dtype == np.float64 for m in (*mats.values(), *empty.values()))
+
+
+class TestTrainingRecipe:
+    """The shared codebook and kernel-SVM training equals the written-out recipe."""
+
+    def _corpus(self, n=24, seed=6):
+        rng = np.random.default_rng(seed)
+        per_clip = [
+            {ch: rng.normal(size=(int(rng.integers(0, 9)), 3 + int(ch))) for ch in CHANNEL_ORDER}
+            for _ in range(n)
+        ]
+        for d in per_clip[:2]:
+            for ch in CHANNEL_ORDER:
+                d[ch] = rng.normal(size=(8, 3 + int(ch)))
+        return per_clip, np.arange(n) % 4
+
+    def test_codebooks_use_seed_plus_channel_offset(self):
+        per_clip, _ = self._corpus()
+        books = train_codebooks(per_clip, k=5, seed=11, subsample=40)
+        for offset, ch in enumerate(CHANNEL_ORDER):
+            pool = np.vstack([d[ch] for d in per_clip if d[ch].shape[0]])
+            want = train_codebook(pool, k=5, seed=11 + offset, channel=ch, subsample=40)
+            assert books[ch].content_hash() == want.content_hash()
+
+    def test_bovw_model_equals_written_out_recipe(self):
+        per_clip, labels = self._corpus()
+        hists, books = encode_corpus(per_clip, k=5, seed=2, subsample=None)
+        dists = chi2_distances(hists)
+        old_dists = {ch: ref.chi2_distance_matrix(_l1_rows(hists[ch])) for ch in CHANNEL_ORDER}
+        assert all(np.array_equal(dists[ch], old_dists[ch]) for ch in CHANNEL_ORDER)
+        means = {ch: channel_mean_distance(d) for ch, d in old_dists.items()}
+        want = train_kernel_svm(
+            ref.multichannel_gram(old_dists, means),
+            labels,
+            c=10.0,
+            train_hists=hists,
+            channel_means=means,
+            codebook_hashes={ch: cb.content_hash() for ch, cb in books.items()},
+        )
+        got = train_bovw_model(hists, dists, list(labels), 10.0, books)
+        assert got.channel_means == want.channel_means
+        assert got.codebook_hashes == want.codebook_hashes
+        assert np.array_equal(got.classes, want.classes)
+        for a, b in zip(got.solutions, want.solutions):
+            assert np.array_equal(a.support, b.support)
+            assert np.array_equal(a.coef, b.coef)
+            assert a.bias == b.bias and a.iterations == b.iterations
 
 
 class TestPipeline:

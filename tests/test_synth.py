@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference_encoding as ref
 from avcmd.audio import dtw_distance
 from avcmd.detector import activity_score
 from avcmd.errors import InvalidParameterError
@@ -19,6 +20,7 @@ from avcmd.synth import (
     generate_command_audio,
     generate_corpus,
     generate_gesture_clip,
+    _smooth_field,
 )
 from avcmd.vocabulary import BACKGROUND_LABEL, Command, MotionPattern
 
@@ -160,3 +162,12 @@ class TestSessionStreams:
         assert clip_digest(a.video) == clip_digest(b.video)
         for ea, eb in zip(a.audio_events, b.audio_events):
             assert np.array_equal(ea.features.frames, eb.features.frames)
+
+
+@pytest.mark.parametrize(
+    "h,w,passes", [(96, 96, 3), (120, 120, 3), (34, 14, 2), (3, 2, 2), (1, 5, 1), (7, 7, 0)]
+)
+def test_smooth_field_equals_wrap_blur_oracle(h, w, passes):
+    for seed in (0, 1, 99):
+        got = _smooth_field(np.random.default_rng(seed), h, w, passes)
+        assert np.array_equal(got, ref.smooth_field(np.random.default_rng(seed), h, w, passes))
