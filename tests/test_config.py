@@ -66,6 +66,7 @@ def test_missing_equals_rejected(tmp_path):
         ("quality", "0"),
         ("svm_c", "-1"),
         ("lang", "fr"),
+        ("jobs", "0"),          # no longer a key: rejected as unknown
     ],
 )
 def test_range_violations(tmp_path, key, value):
