@@ -9,7 +9,7 @@ generated ground-truth corpora.
 
 from .frames import Clip, DepthFrame, GrayFrame, Modality, Sensor, linear_depth, log_depth, to_grayscale
 from .flow import FlowField, FramePyramid, dense_flow
-from .trajectories import TrackerParams, Trajectory, descriptor_hof, descriptor_hog, descriptor_mbh, descriptor_traj, sample_points, track
+from .trajectories import TrackerParams, Trajectory, TrajectorySet, descriptor_traj, sample_points, track
 from .encoding import (
     BovwHist,
     Channel,

@@ -26,13 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DimensionOverflowError,
-    FormatError,
-    TruncatedPayloadError,
-    UnsupportedVersionError,
-)
+from .errors import DimensionOverflowError, FormatError, check_payload, unpack_header
 from .frames import Clip, GrayFrame, Modality, Sensor
 
 CLIP_MAGIC = b"IGSC"
@@ -73,27 +67,17 @@ def write_clip(path: str | Path, clip: Clip) -> None:
 
 def read_clip(path: str | Path, label: int | None = None) -> Clip:
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TruncatedPayloadError("file shorter than the container header")
-    magic, version, modality, sensor, width, height, n_frames, fps = _HEADER.unpack_from(raw)
-    if magic != CLIP_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != CLIP_VERSION:
-        raise UnsupportedVersionError(f"container version {version} not supported")
+    modality, sensor, width, height, n_frames, fps = unpack_header(raw, _HEADER, CLIP_MAGIC, CLIP_VERSION, "container")
     if width == 0 or height == 0 or n_frames == 0:
         raise FormatError("container declares an empty clip")
     frame_size = width * height
-    expected = _HEADER.size + n_frames * frame_size
-    if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"payload holds {len(raw) - _HEADER.size} bytes, expected {n_frames * frame_size}"
-        )
+    check_payload(len(raw), _HEADER.size + n_frames * frame_size, "container")
     try:
         modality = Modality(modality)
         sensor = Sensor(sensor)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    data = np.frombuffer(raw, dtype=np.uint8, count=n_frames * frame_size, offset=_HEADER.size)
+    data = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
     frames = tuple(
         GrayFrame(width=width, height=height, data=data[i * frame_size : (i + 1) * frame_size])
         for i in range(n_frames)

@@ -24,16 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    BadMagicError,
     DegenerateInputError,
     FormatError,
     InvalidParameterError,
     TruncatedPayloadError,
-    UnsupportedVersionError,
+    check_payload,
+    unpack_header,
 )
 
 CODEBOOK_MAGIC = b"IGCB"
 CODEBOOK_VERSION = 1
+_CODEBOOK_HEADER = struct.Struct("<4sHBIIQ")
 
 _ASSIGN_CHUNK = 16384  # rows per nearest-centroid block, bounds memory
 
@@ -98,8 +99,14 @@ class BovwHist:
         object.__setattr__(self, "counts", c)
 
     def l1_normalized(self) -> np.ndarray:
-        total = float(self.counts.sum())
-        return self.counts / total if total > 0 else self.counts.copy()
+        return _l1_rows(self.counts[None, :])[0]
+
+
+def _l1_rows(h: np.ndarray) -> np.ndarray:
+    """Each row divided by its sum; all-zero rows stay zero."""
+    h = np.asarray(h, dtype=np.float64)
+    sums = h.sum(axis=1, keepdims=True)
+    return np.divide(h, sums, out=np.zeros_like(h), where=sums > 0)
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,14 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
         labels[lo:hi] = d.argmin(axis=1)
         dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
     return labels, dists
+
+
+def _cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, dim) column sums of the rows of x in each cluster, one bincount per column."""
+    sums = np.zeros((k, x.shape[1]))
+    for j in range(x.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=x[:, j], minlength=k)
+    return sums
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,9 +206,7 @@ def train_codebook(
         labels, dists = _assign(x, centroids)
         inertia = float(dists.sum())
         counts = np.bincount(labels, minlength=k).astype(np.float64)
-        sums = np.zeros_like(centroids)
-        for j in range(x.shape[1]):
-            sums[:, j] = np.bincount(labels, weights=x[:, j], minlength=k)
+        sums = _cluster_sums(x, labels, k)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         if np.any(~nonempty):
@@ -244,10 +257,8 @@ def vlad_encode(descriptors: np.ndarray, codebook: Codebook) -> VladVec:
     agg = np.zeros((codebook.k, codebook.dim))
     if x.shape[0]:
         labels, _ = _assign(x, c)
-        for j in range(codebook.dim):
-            agg[:, j] = np.bincount(labels, weights=x[:, j], minlength=codebook.k)
         counts = np.bincount(labels, minlength=codebook.k).astype(np.float64)
-        agg -= counts[:, None] * c
+        agg = _cluster_sums(x, labels, codebook.k) - counts[:, None] * c
     flat = agg.ravel()
     flat = np.sign(flat) * np.sqrt(np.abs(flat))
     norm = float(np.linalg.norm(flat))
@@ -365,6 +376,7 @@ def multichannel_kernel(
 
 ENCODED_MAGIC = b"IGEV"
 ENCODED_VERSION = 1
+_ENCODED_HEADER = struct.Struct("<4sHIB")
 
 
 def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> None:
@@ -377,8 +389,7 @@ def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> Non
     if any(layout(hists) != table for hists in clips):
         raise InvalidParameterError("all clips must share the same channels and histogram sizes")
     with open(path, "wb") as fh:
-        fh.write(ENCODED_MAGIC)
-        fh.write(struct.pack("<HIB", ENCODED_VERSION, len(clips), len(table)))
+        fh.write(_ENCODED_HEADER.pack(ENCODED_MAGIC, ENCODED_VERSION, len(clips), len(table)))
         for ch, k in table:
             fh.write(struct.pack("<BI", int(ch), k))
         for hists in clips:
@@ -388,14 +399,8 @@ def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> Non
 
 def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
     raw = Path(path).read_bytes()
-    head = struct.calcsize("<4sHIB")
-    if len(raw) < head:
-        raise TruncatedPayloadError("encoded-video file shorter than its header")
-    magic, version, n_clips, n_channels = struct.unpack_from("<4sHIB", raw)
-    if magic != ENCODED_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != ENCODED_VERSION:
-        raise UnsupportedVersionError(f"encoded-video version {version} not supported")
+    n_clips, n_channels = unpack_header(raw, _ENCODED_HEADER, ENCODED_MAGIC, ENCODED_VERSION, "encoded-video")
+    head = _ENCODED_HEADER.size
     if n_clips > 0 and n_channels == 0:
         raise FormatError(f"encoded-video file declares {n_clips} clips and no channels")
     off = head + 5 * n_channels
@@ -410,11 +415,7 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
         if k == 0:
             raise FormatError(f"channel tag {tag} declares zero bins")
     row = sum(k for _, k in channels)
-    extra = len(raw) - off - 4 * row * n_clips
-    if extra < 0:
-        raise TruncatedPayloadError("encoded-video payload truncated")
-    if extra > 0:
-        raise FormatError(f"{extra} bytes after the encoded-video payload")
+    check_payload(len(raw), off + 4 * row * n_clips, "encoded-video")
     counts = np.frombuffer(raw, dtype="<f4", count=n_clips * row, offset=off)
     counts = counts.astype(np.float64).reshape(n_clips, row)
     bounds = np.cumsum([0] + [k for _, k in channels])
@@ -424,37 +425,34 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
 
 # ---------------------------------------------------------------------------
 # VLAD vector file: magic, version u16, count u32, dim u32, then count x dim
-# f32 rows (finalized vectors, clip order as in the annotation sidecar).
+# f32 rows (finalized vectors, clip order as in the annotation sidecar). A
+# file holds at least one vector of at least one value, all finite, and
+# nothing after the last row.
 
 VLAD_MAGIC = b"IGVL"
 VLAD_VERSION = 1
+_VLAD_HEADER = struct.Struct("<4sHII")
 
 
 def write_vlad_vectors(path: str | Path, vectors: np.ndarray) -> None:
     v = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if v.size == 0 or not np.all(np.isfinite(v)):
+        raise InvalidParameterError("vlad vectors must be a nonempty, finite matrix")
     with open(path, "wb") as fh:
-        fh.write(VLAD_MAGIC)
-        fh.write(struct.pack("<HII", VLAD_VERSION, v.shape[0], v.shape[1]))
+        fh.write(_VLAD_HEADER.pack(VLAD_MAGIC, VLAD_VERSION, v.shape[0], v.shape[1]))
         fh.write(v.astype("<f4").tobytes())
 
 
 def read_vlad_vectors(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    head = struct.calcsize("<4sHII")
-    if len(raw) < head:
-        raise TruncatedPayloadError("vlad file shorter than its header")
-    magic, version, count, dim = struct.unpack_from("<4sHII", raw)
-    if magic != VLAD_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != VLAD_VERSION:
-        raise UnsupportedVersionError(f"vlad version {version} not supported")
-    if len(raw) < head + count * dim * 4:
-        raise TruncatedPayloadError("vlad payload truncated")
-    return (
-        np.frombuffer(raw, dtype="<f4", count=count * dim, offset=head)
-        .reshape(count, dim)
-        .astype(np.float64)
-    )
+    count, dim = unpack_header(raw, _VLAD_HEADER, VLAD_MAGIC, VLAD_VERSION, "vlad")
+    if count == 0 or dim == 0:
+        raise FormatError(f"vlad file declares an empty {count} x {dim} matrix")
+    check_payload(len(raw), _VLAD_HEADER.size + count * dim * 4, "vlad")
+    vectors = np.frombuffer(raw, dtype="<f4", offset=_VLAD_HEADER.size).reshape(count, dim).astype(np.float64)
+    if not np.all(np.isfinite(vectors)):
+        raise FormatError("vlad vectors contain non-finite values")
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -462,37 +460,21 @@ def read_vlad_vectors(path: str | Path) -> np.ndarray:
 # seed u64, centroids f32 row-major
 
 def write_codebook(path: str | Path, codebook: Codebook) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CODEBOOK_MAGIC)
-        fh.write(
-            struct.pack(
-                "<HBIIQ",
-                CODEBOOK_VERSION,
-                int(codebook.channel),
-                codebook.k,
-                codebook.dim,
-                codebook.seed,
-            )
-        )
-        fh.write(codebook.centroids.astype("<f4").tobytes())
+    header = _CODEBOOK_HEADER.pack(
+        CODEBOOK_MAGIC, CODEBOOK_VERSION, int(codebook.channel), codebook.k, codebook.dim, codebook.seed
+    )
+    Path(path).write_bytes(header + codebook.centroids.astype("<f4").tobytes())
 
 
 def read_codebook(path: str | Path) -> Codebook:
     raw = Path(path).read_bytes()
-    header = struct.calcsize("<4sHBIIQ")
-    if len(raw) < header:
-        raise TruncatedPayloadError("codebook file shorter than its header")
-    magic, version, channel, k, dim, seed = struct.unpack_from("<4sHBIIQ", raw)
-    if magic != CODEBOOK_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != CODEBOOK_VERSION:
-        raise UnsupportedVersionError(f"codebook version {version} not supported")
-    expected = header + k * dim * 4
-    if len(raw) < expected:
-        raise TruncatedPayloadError("codebook payload truncated")
+    channel, k, dim, seed = unpack_header(raw, _CODEBOOK_HEADER, CODEBOOK_MAGIC, CODEBOOK_VERSION, "codebook")
+    if k == 0 or dim == 0:
+        raise FormatError(f"codebook declares an empty {k} x {dim} centroid matrix")
+    check_payload(len(raw), _CODEBOOK_HEADER.size + k * dim * 4, "codebook")
     try:
         ch = Channel(channel)
     except ValueError:
         raise FormatError(f"unknown channel tag {channel}") from None
-    centroids = np.frombuffer(raw, dtype="<f4", count=k * dim, offset=header).reshape(k, dim)
+    centroids = np.frombuffer(raw, dtype="<f4", offset=_CODEBOOK_HEADER.size).reshape(k, dim)
     return Codebook(channel=ch, centroids=centroids, seed=seed)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the checks every binary reader shares."""
+
+import struct
 
 
 class AvcmdError(Exception):
@@ -59,3 +61,23 @@ class PipelineMismatchError(AvcmdError):
 
 class SessionDesyncError(AvcmdError):
     """Audio and video streams disagree on the shared frame clock."""
+
+
+def unpack_header(raw: bytes, header: struct.Struct, magic: bytes, version: int, what: str) -> tuple:
+    """The fields after magic and version u16 of a file's header, which must match both."""
+    if len(raw) < header.size:
+        raise TruncatedPayloadError(f"{what} file shorter than its header")
+    got_magic, got_version, *fields = header.unpack_from(raw)
+    if got_magic != magic:
+        raise BadMagicError(f"bad magic {got_magic!r}")
+    if got_version != version:
+        raise UnsupportedVersionError(f"{what} version {got_version} not supported")
+    return tuple(fields)
+
+
+def check_payload(size: int, expected: int, what: str) -> None:
+    """Raise unless a file of `size` bytes is exactly the `expected` bytes its header declares."""
+    if size < expected:
+        raise TruncatedPayloadError(f"{what} payload truncated: {size} of {expected} bytes")
+    if size > expected:
+        raise FormatError(f"{size - expected} bytes after the {what} payload")

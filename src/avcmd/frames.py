@@ -126,10 +126,6 @@ class Clip:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def as_array(self) -> np.ndarray:
-        """Stack frames into a (T, H, W) uint8 array (copy)."""
-        return np.stack([f.data for f in self.frames])
-
     def subclip(self, start: int, stop: int) -> "Clip":
         if not 0 <= start < stop <= len(self.frames):
             raise InvalidParameterError("subclip range out of bounds")

@@ -18,6 +18,7 @@ from .encoding import (
     BovwHist,
     Channel,
     Codebook,
+    _l1_rows,
     bovw_encode,
     channel_mean_distance,
     chi2_cross_matrix,
@@ -29,23 +30,13 @@ from .encoding import (
 from .errors import InvalidParameterError, PipelineMismatchError
 from .frames import Clip
 from .svm import DEFAULT_C, KernelSvmModel, Prediction, train_kernel_svm
-from .trajectories import HOF_DIM, HOG_DIM, MBH_DIM, TRAJ_DIM, TrackerParams, Trajectory, track
+from .trajectories import TrackerParams, TrajectorySet, track
 from .vocabulary import BACKGROUND_LABEL
 
-_CHANNEL_ATTR = {
-    Channel.TRAJ: ("traj", TRAJ_DIM),
-    Channel.HOG: ("hog", HOG_DIM),
-    Channel.HOF: ("hof", HOF_DIM),
-    Channel.MBH: ("mbh", MBH_DIM),
-}
 
-
-def channel_matrices(trajectories: list[Trajectory]) -> dict[Channel, np.ndarray]:
-    """Per-channel descriptor matrices, one row per trajectory (possibly 0-row)."""
-    return {
-        ch: np.stack([getattr(t, attr) for t in trajectories]) if trajectories else np.empty((0, dim))
-        for ch, (attr, dim) in _CHANNEL_ATTR.items()
-    }
+def channel_matrices(trajectories: TrajectorySet) -> dict[Channel, np.ndarray]:
+    """Per-channel descriptor matrices: column views of the set (possibly 0-row)."""
+    return {ch: getattr(trajectories, ch.name.lower()) for ch in CHANNEL_ORDER}
 
 
 def extract_channel_descriptors(
@@ -155,12 +146,6 @@ def encode_corpus(
         for ch, cb in codebooks.items()
     }
     return hists, codebooks
-
-
-def _l1_rows(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=np.float64)
-    sums = h.sum(axis=1, keepdims=True)
-    return np.divide(h, sums, out=np.zeros_like(h), where=sums > 0)
 
 
 def chi2_distances(hists: dict[Channel, np.ndarray]) -> dict[Channel, np.ndarray]:

@@ -72,11 +72,6 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = N_MELS) -> np.nda
     return fb
 
 
-def filter_centers_hz(sample_rate: int, n_mels: int = N_MELS) -> np.ndarray:
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    return mel_to_hz(mel_points)[1:-1]
-
-
 def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     k = np.arange(n_out)[:, None]
     n = np.arange(n_in)[None, :]

@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameterError,
     TruncatedPayloadError,
     UnsupportedVersionError,
+    check_payload,
 )
 
 MODEL_MAGIC = b"IGSV"
@@ -425,6 +426,7 @@ def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
                         support=support.astype(np.intp), coef=coef.astype(np.float64), bias=bias, iterations=0
                     )
                 )
+            check_payload(len(raw), off, "model")
             return KernelSvmModel(
                 classes=np.asarray(classes),
                 solutions=solutions,
@@ -449,6 +451,7 @@ def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
                 classes.append(cls)
                 weights[i] = w
                 biases[i] = bias
+            check_payload(len(raw), off, "model")
             return LinearSvmModel(
                 classes=np.asarray(classes),
                 weights=weights,

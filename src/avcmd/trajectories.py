@@ -13,14 +13,21 @@ spatial by 3 temporal cell grid:
 
 hog/hof/mbh are each L2-normalized as a whole; an all-zero descriptor is
 legal for structureless input.
+
+Trajectories travel as one columnar `TrajectorySet`: start frames (N,),
+point paths (N, L+1, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
+order. `track` builds it, IGTF files store it record for record, and the
+per-channel matrices are its column slices. Iterating a set yields
+`Trajectory` rows of views, for code that wants one trajectory at a time.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +72,9 @@ class TrackerParams:
             raise InvalidParameterError("tube_size must be divisible by spatial_cells")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
+    """One row of a `TrajectorySet`; the arrays are views into the set."""
+
     start_frame: int
     points: np.ndarray    # (L+1, 2) float64, columns (x, y)
     traj: np.ndarray      # (30,)
@@ -74,37 +82,69 @@ class Trajectory:
     hof: np.ndarray       # (108,)
     mbh: np.ndarray       # (192,)
 
+
+@dataclass(frozen=True, eq=False)
+class TrajectorySet:
+    """N trajectories as columns; traj, hog, hof and mbh are slices of desc."""
+
+    start: np.ndarray   # (N,) start frames
+    points: np.ndarray  # (N, L+1, 2) float64, columns (x, y)
+    desc: np.ndarray    # (N, 426) float64, traj | hog | hof | mbh
+
     def __post_init__(self):
-        for name, dim in (("traj", TRAJ_DIM), ("hog", HOG_DIM), ("hof", HOF_DIM), ("mbh", MBH_DIM)):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.shape != (dim,):
-                raise InvalidParameterError(f"{name} descriptor must have {dim} values")
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
+        start = np.asarray(self.start, dtype=np.intp)
+        points = np.asarray(self.points, dtype=np.float64)
+        desc = np.asarray(self.desc, dtype=np.float64)
+        if start.ndim != 1 or points.ndim != 3 or points.shape[::2] != (len(start), 2) or points.shape[1] < 1:
+            raise InvalidParameterError("a trajectory set needs (N,) start frames and (N, L+1, 2) points")
+        if desc.shape != (len(start), DESC_DIM):
+            raise InvalidParameterError(f"a trajectory set needs (N, {DESC_DIM}) descriptors")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "desc", desc)
+
+    @classmethod
+    def empty(cls) -> "TrajectorySet":
+        return cls(np.empty(0, dtype=np.intp), np.empty((0, 1, 2)), np.empty((0, DESC_DIM)))
+
+    @property
+    def traj_len(self) -> int:
+        return self.points.shape[1] - 1
+
+    traj = property(lambda self: self.desc[:, :TRAJ_DIM])
+    hog = property(lambda self: self.desc[:, TRAJ_DIM : TRAJ_DIM + HOG_DIM])
+    hof = property(lambda self: self.desc[:, TRAJ_DIM + HOG_DIM : DESC_DIM - MBH_DIM])
+    mbh = property(lambda self: self.desc[:, DESC_DIM - MBH_DIM :])
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __iter__(self):
+        columns = (self.start.tolist(), self.points, self.traj, self.hog, self.hof, self.mbh)
+        return map(Trajectory._make, zip(*columns))
 
 
 @dataclass
 class TrackResult:
-    trajectories: list[Trajectory]
+    trajectories: TrajectorySet
     too_short: bool = False
 
 
 # ---------------------------------------------------------------------------
 # pruning predicates (re-checkable post hoc)
 
-def is_static(points: np.ndarray, sigma_min: float) -> bool:
+def is_static(points: np.ndarray, sigma_min: float) -> np.ndarray:
+    """Per path in (..., L+1, 2): is the position std below sigma_min?"""
     p = np.asarray(points, dtype=np.float64)
-    std = math.sqrt(float(p[:, 0].var() + p[:, 1].var()))
-    return std < sigma_min
+    return np.sqrt(p[..., 0].var(axis=-1) + p[..., 1].var(axis=-1)) < sigma_min
 
 
-def is_erratic(points: np.ndarray, frac: float = 0.7) -> bool:
-    steps = np.diff(np.asarray(points, dtype=np.float64), axis=0)
-    norms = np.hypot(steps[:, 0], steps[:, 1])
-    total = float(norms.sum())
-    if total <= 0.0:
-        return False
-    return float(norms.max()) > frac * total
+def is_erratic(points: np.ndarray, frac: float = 0.7) -> np.ndarray:
+    """Per path in (..., L+1, 2): does one step exceed frac of the path length?"""
+    steps = np.diff(np.asarray(points, dtype=np.float64), axis=-2)
+    norms = np.hypot(steps[..., 0], steps[..., 1])
+    total = norms.sum(axis=-1)
+    return (total > 0.0) & (norms.max(axis=-1) > frac * total)
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +153,13 @@ def is_erratic(points: np.ndarray, frac: float = 0.7) -> bool:
 def _structure_score(img: np.ndarray) -> np.ndarray:
     """Min eigenvalue of the 3x3-window gradient covariance, per pixel."""
     gy, gx = np.gradient(img)
-    p = lambda a: np.pad(a, 1, mode="edge")
-    sxx = np.zeros_like(img)
-    sxy = np.zeros_like(img)
-    syy = np.zeros_like(img)
-    pgx2, pgxy, pgy2 = p(gx * gx), p(gx * gy), p(gy * gy)
     h, w = img.shape
-    for dy in range(3):
-        for dx in range(3):
-            sxx += pgx2[dy : dy + h, dx : dx + w]
-            sxy += pgxy[dy : dy + h, dx : dx + w]
-            syy += pgy2[dy : dy + h, dx : dx + w]
+
+    def window_sum(a):
+        p = np.pad(a, 1, mode="edge")
+        return sum(p[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3))
+
+    sxx, sxy, syy = window_sum(gx * gx), window_sum(gx * gy), window_sum(gy * gy)
     return 0.5 * (sxx + syy - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
 
 
@@ -143,18 +179,13 @@ def sample_points(frame, step: int, occupied=(), quality: float = 0.001) -> list
         return []
     threshold = quality * max_score
 
-    taken = set()
-    for x, y in occupied:
-        taken.add((int(x // step), int(y // step)))
-
-    points = []
-    for y in range(step // 2, h, step):
-        for x in range(step // 2, w, step):
-            if (x // step, y // step) in taken:
-                continue
-            if score[y, x] >= threshold and score[y, x] > 0.0:
-                points.append((float(x), float(y)))
-    return points
+    taken = {(int(x // step), int(y // step)) for x, y in occupied}
+    return [
+        (float(x), float(y))
+        for y in range(step // 2, h, step)
+        for x in range(step // 2, w, step)
+        if (x // step, y // step) not in taken and score[y, x] >= threshold and score[y, x] > 0.0
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -166,76 +197,26 @@ def _orientation_bins(gx: np.ndarray, gy: np.ndarray, n_bins: int) -> tuple[np.n
     return bins, np.hypot(gx, gy)
 
 
-def _cell_histogram(bins: np.ndarray, weights: np.ndarray, n_bins: int) -> np.ndarray:
-    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n_bins)[:n_bins]
+def _l2_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of m divided by its L2 norm, in place; zero rows stay zero.
 
-
-def _l2(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    return v / n if n > 0 else v
-
-
-def _grid_histogram(bins, weights, spatial_cells, temporal_cells, n_bins):
-    """(T, S, S) tube of bin/weight maps -> flat (temporal, cy, cx, bin) histogram."""
-    t_total, size, _ = bins.shape
-    ts = t_total // temporal_cells
-    cs = size // spatial_cells
-    out = np.zeros((temporal_cells, spatial_cells, spatial_cells, n_bins))
-    for tc in range(temporal_cells):
-        for cy in range(spatial_cells):
-            for cx in range(spatial_cells):
-                b = bins[tc * ts : (tc + 1) * ts, cy * cs : (cy + 1) * cs, cx * cs : (cx + 1) * cs]
-                w = weights[tc * ts : (tc + 1) * ts, cy * cs : (cy + 1) * cs, cx * cs : (cx + 1) * cs]
-                out[tc, cy, cx] = _cell_histogram(b, w, n_bins)
-    return out.ravel()
+    The batched (1, d) @ (d, 1) products are one dot product per row, the
+    same sum np.linalg.norm takes of a single row.
+    """
+    norms = np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0])
+    return np.divide(m, norms[:, None], out=m, where=norms[:, None] > 0)
 
 
 def descriptor_traj(points: np.ndarray) -> np.ndarray:
-    """Successive displacements divided by the total path length (30 values)."""
+    """Per path in (..., L+1, 2): successive displacements over the total path length (2L values)."""
     p = np.asarray(points, dtype=np.float64)
-    steps = np.diff(p, axis=0)
-    total = float(np.hypot(steps[:, 0], steps[:, 1]).sum())
-    if total <= 0.0:
+    steps = np.diff(p, axis=-2)
+    total = np.hypot(steps[..., 0], steps[..., 1]).sum(axis=-1)
+    if np.any(total <= 0.0):
         raise InvalidParameterError(
             "zero total displacement: static trajectories must be pruned before description"
         )
-    return (steps / total).ravel()
-
-
-def descriptor_hog(volume: np.ndarray, params: TrackerParams = TrackerParams()) -> np.ndarray:
-    """Gradient orientation histogram over an intensity tube (L, S, S)."""
-    vol = np.asarray(volume, dtype=np.float64)
-    gy = np.gradient(vol, axis=1)
-    gx = np.gradient(vol, axis=2)
-    bins, weights = _orientation_bins(gx, gy, params.n_bins)
-    return _l2(_grid_histogram(bins, weights, params.spatial_cells, params.temporal_cells, params.n_bins))
-
-
-def descriptor_hof(flow_tube: np.ndarray, params: TrackerParams = TrackerParams()) -> np.ndarray:
-    """Flow orientation histogram with a zero-motion bin; tube is (L, S, S, 2)."""
-    ft = np.asarray(flow_tube, dtype=np.float64)
-    u, v = ft[..., 0], ft[..., 1]
-    bins, weights = _orientation_bins(u, v, params.n_bins)
-    still = weights < params.hof_zero_thresh
-    bins = np.where(still, params.n_bins, bins)
-    weights = np.where(still, 1.0, weights)
-    return _l2(
-        _grid_histogram(bins, weights, params.spatial_cells, params.temporal_cells, params.n_bins + 1)
-    )
-
-
-def descriptor_mbh(flow_tube: np.ndarray, params: TrackerParams = TrackerParams()) -> np.ndarray:
-    """Orientation histograms of the gradients of u and of v (96 + 96 values)."""
-    ft = np.asarray(flow_tube, dtype=np.float64)
-    halves = []
-    for comp in (ft[..., 0], ft[..., 1]):
-        gy = np.gradient(comp, axis=1)
-        gx = np.gradient(comp, axis=2)
-        bins, weights = _orientation_bins(gx, gy, params.n_bins)
-        halves.append(
-            _grid_histogram(bins, weights, params.spatial_cells, params.temporal_cells, params.n_bins)
-        )
-    return _l2(np.concatenate(halves))
+    return (steps / total[..., None, None]).reshape(*steps.shape[:-2], 2 * steps.shape[-2])
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +308,7 @@ def _describe_batch(starts, paths, frames, flows, params: TrackerParams):
         [acc[..., 2 * nb + 1 : 3 * nb + 1].reshape(n, cells * nb), acc[..., 3 * nb + 1 :].reshape(n, cells * nb)],
         axis=1,
     )
-    for desc in (hog, hof, mbh):
-        for row in desc:
-            row[:] = _l2(row)
-    return hog, hof, mbh
+    return _l2_rows(hog), _l2_rows(hof), _l2_rows(mbh)
 
 
 def _tube_inside(paths: np.ndarray, traj_len: int, half: int, w: int, h: int) -> np.ndarray:
@@ -350,7 +328,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     L = params.traj_len
     n_frames = len(clip.frames)
     if n_frames < L + 1:
-        return TrackResult([], too_short=True)
+        return TrackResult(TrajectorySet.empty(), too_short=True)
 
     h, w = clip.frames[0].data.shape
     half = params.tube_size // 2
@@ -400,26 +378,16 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
 
     starts = np.concatenate([s for s, _ in done])
     paths = np.concatenate([p for _, p in done])
-    keep = _tube_inside(paths, L, half, w, h)
-    for i in np.flatnonzero(keep):
-        keep[i] = not (is_static(paths[i], params.sigma_min) or is_erratic(paths[i], params.erratic_frac))
+    keep = (
+        _tube_inside(paths, L, half, w, h)
+        & ~is_static(paths, params.sigma_min)
+        & ~is_erratic(paths, params.erratic_frac)
+    )
     starts, paths = starts[keep], paths[keep]
     order = np.lexsort((paths[:, 0, 1], paths[:, 0, 0], starts))
     starts, paths = starts[order], paths[order]
     hog, hof, mbh = _describe_batch(starts, paths, clip.frames, flows, params)
-
-    trajectories = [
-        Trajectory(
-            start_frame=int(starts[i]),
-            points=paths[i],
-            traj=descriptor_traj(paths[i]),
-            hog=hog[i],
-            hof=hof[i],
-            mbh=mbh[i],
-        )
-        for i in range(len(starts))
-    ]
-    return TrackResult(trajectories)
+    return TrackResult(TrajectorySet(starts, paths, np.hstack([descriptor_traj(paths), hog, hof, mbh])))
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +398,20 @@ def _feature_record(traj_len: int) -> np.dtype:
     return np.dtype([("start", "<u4"), ("points", "<f4", (traj_len + 1, 2)), ("desc", "<f4", (DESC_DIM,))])
 
 
-def write_features(path: str | Path, trajectories: list[Trajectory]) -> None:
+def write_features(path: str | Path, trajectories: TrajectorySet) -> None:
     """IGTF v2: magic, version u16, count u32, L u32 (0 when empty), records."""
-    lengths = {len(tr.points) - 1 for tr in trajectories}
-    if len(lengths) > 1:
-        raise InvalidParameterError("all trajectories in a feature file must have the same length")
-    traj_len = lengths.pop() if lengths else 0
-    header = FEATURES_MAGIC + struct.pack("<HII", FEATURES_VERSION, len(trajectories), traj_len)
-    if not trajectories:
-        Path(path).write_bytes(header)
-        return
-    records = np.empty(len(trajectories), dtype=_feature_record(traj_len))
-    records["start"] = [tr.start_frame for tr in trajectories]
-    records["points"] = [tr.points for tr in trajectories]
-    records["desc"] = [np.concatenate([tr.traj, tr.hog, tr.hof, tr.mbh]) for tr in trajectories]
+    n = len(trajectories)
+    traj_len = trajectories.traj_len if n else 0
+    header = FEATURES_MAGIC + struct.pack("<HII", FEATURES_VERSION, n, traj_len)
+    records = np.empty(n, dtype=_feature_record(traj_len))
+    if n:
+        records["start"] = trajectories.start
+        records["points"] = trajectories.points
+        records["desc"] = trajectories.desc
     Path(path).write_bytes(header + records.tobytes())
 
 
-def read_features(path: str | Path, traj_len: int | None = None) -> list[Trajectory]:
+def read_features(path: str | Path, traj_len: int | None = None) -> TrajectorySet:
     """Read an IGTF file; `traj_len`, when given, must match the file's L.
 
     Version 2 stores L in its header. Version 1 does not, and its L cannot be
@@ -477,7 +441,7 @@ def read_features(path: str | Path, traj_len: int | None = None) -> list[Traject
     if count == 0:
         if body:
             raise FormatError("feature file declares zero trajectories but has payload")
-        return []
+        return TrajectorySet.empty()
     if L < 1:
         raise FormatError(f"trajectory length {L} must be >= 1")
     # Sized by arithmetic before any dtype is built from the file's L.
@@ -486,18 +450,5 @@ def read_features(path: str | Path, traj_len: int | None = None) -> list[Traject
         raise TruncatedPayloadError(
             f"payload is {body} bytes, {count} records of length {L} need {count * record}"
         )
-
     records = np.frombuffer(raw, dtype=_feature_record(L), count=count, offset=offset)
-    points = records["points"].astype(np.float64)
-    desc = records["desc"].astype(np.float64)
-    return [
-        Trajectory(
-            start_frame=int(start),
-            points=points[i],
-            traj=desc[i, :TRAJ_DIM],
-            hog=desc[i, TRAJ_DIM : TRAJ_DIM + HOG_DIM],
-            hof=desc[i, TRAJ_DIM + HOG_DIM : TRAJ_DIM + HOG_DIM + HOF_DIM],
-            mbh=desc[i, TRAJ_DIM + HOG_DIM + HOF_DIM :],
-        )
-        for i, start in enumerate(records["start"])
-    ]
+    return TrajectorySet(records["start"], records["points"], records["desc"])

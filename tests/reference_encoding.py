@@ -4,8 +4,9 @@ These are the forms each idea had before it was folded into one
 implementation: a symmetric chi-square matrix filled from its upper triangle
 by its own row loop, a Gram builder and a cross-kernel builder that each sum
 the per-channel distance terms themselves, the session runner's inline
-activity-detection loop, and the synthetic generator's own wrap-padded
-binomial blur. The merged code must reproduce them bit for bit; the tests
+activity-detection loop, the synthetic generator's own wrap-padded
+binomial blur, and the one-histogram L1 normalization `BovwHist` had beside
+the row-wise one. The merged code must reproduce them bit for bit; the tests
 compare with `np.array_equal` and `==`.
 """
 
@@ -87,3 +88,8 @@ def smooth_field(rng: np.random.Generator, h: int, w: int, passes: int = 3) -> n
     field -= field.min()
     field /= max(field.max(), 1e-12)
     return field
+
+
+def l1_normalized(counts: np.ndarray) -> np.ndarray:
+    total = float(counts.sum())
+    return counts / total if total > 0 else counts.copy()

@@ -10,6 +10,8 @@ bit for bit; the equivalence tests compare with `np.array_equal`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from avcmd.flow import FlowField
@@ -18,11 +20,7 @@ from avcmd.trajectories import (
     TrackerParams,
     Trajectory,
     TrackResult,
-    _l2,
     _orientation_bins,
-    descriptor_traj,
-    is_erratic,
-    is_static,
     sample_points,
 )
 
@@ -206,6 +204,11 @@ def _frame_integrals(images, flows, f: int, bbox, params: TrackerParams) -> dict
     return out
 
 
+def _l2(v: np.ndarray) -> np.ndarray:
+    n = float(np.linalg.norm(v))
+    return v / n if n > 0 else v
+
+
 def describe_batch(candidates, images, flows, params: TrackerParams):
     p = params
     half = p.tube_size // 2
@@ -259,6 +262,23 @@ def describe_batch(candidates, images, flows, params: TrackerParams):
 
 # ---------------------------------------------------------------------------
 # tracking loop
+
+def is_static(points: np.ndarray, sigma_min: float) -> bool:
+    std = math.sqrt(float(points[:, 0].var() + points[:, 1].var()))
+    return std < sigma_min
+
+
+def is_erratic(points: np.ndarray, frac: float) -> bool:
+    steps = np.diff(points, axis=0)
+    norms = np.hypot(steps[:, 0], steps[:, 1])
+    total = float(norms.sum())
+    return total > 0.0 and float(norms.max()) > frac * total
+
+
+def descriptor_traj(points: np.ndarray) -> np.ndarray:
+    steps = np.diff(points, axis=0)
+    return (steps / float(np.hypot(steps[:, 0], steps[:, 1]).sum())).ravel()
+
 
 def _tube_inside(points: np.ndarray, traj_len: int, half: int, w: int, h: int) -> bool:
     for t in range(traj_len):

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from avcmd.cli import main
+from avcmd.cli import _CHANNEL_FILES, main
+from avcmd.container import Annotation, write_annotations, write_clip
+from avcmd.encoding import Channel, Codebook, write_codebook, write_vlad_vectors
+from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.session import read_session_log
 
 
@@ -177,3 +181,39 @@ class TestScriptsAndUsage:
         rc = main(["extract", "--clips", str(tmp_path), "--out", str(tmp_path / "f")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadFilesExitOne:
+    """A clip, codebook or VLAD file that is cut or extended ends the command with exit 1."""
+
+    @pytest.mark.parametrize("target", ["clip", "codebook", "vlad"])
+    @pytest.mark.parametrize("damage", ["cut", "extend"])
+    def test_reader_failure_is_exit_1(self, tmp_path, capsys, target, damage):
+        frame = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        write_clip(tmp_path / "c.igsc", Clip(frames=(frame,) * 3, fps=15.0, modality=Modality.RGB))
+        books = tmp_path / "books"
+        books.mkdir()
+        for ch, name in _CHANNEL_FILES.items():
+            write_codebook(books / name, Codebook(channel=ch, centroids=np.eye(2, 3), seed=0))
+        write_vlad_vectors(tmp_path / "v.igvl", np.eye(2, 6))
+        write_annotations(tmp_path / "a.jsonl", [
+            Annotation(clip=f"c{i}.igsc", label=i, subject="u", task="legs", start_frame=0, end_frame=3)
+            for i in range(2)
+        ])
+        detect = ["detect", "--clip", str(tmp_path / "c.igsc")]
+        train = [
+            "train", "--kind", "linear", "--vlad", str(tmp_path / "v.igvl"), "--annotations",
+            str(tmp_path / "a.jsonl"), "--codebooks", str(books), "--out", str(tmp_path / "m.igsv"),
+        ]
+        path, argv = {
+            "clip": (tmp_path / "c.igsc", detect),
+            "codebook": (books / _CHANNEL_FILES[Channel.TRAJ], train),
+            "vlad": (tmp_path / "v.igvl", train),
+        }[target]
+        assert main(argv) == 0
+        capsys.readouterr()
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1] if damage == "cut" else raw + b"\0")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("truncated" in err or "bytes after" in err)

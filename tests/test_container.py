@@ -106,6 +106,36 @@ def test_truncated_payload(tmp_path, rng):
         read_clip(path)
 
 
+def test_cut_at_every_byte_and_trailing_byte_raise(tmp_path, rng):
+    path = tmp_path / "c.igsc"
+    write_clip(path, make_clip(rng))
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(AvcmdError):
+            read_clip(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(FormatError):
+        read_clip(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_byte_flips_read_or_raise(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("igsc") / "c.igsc"
+    write_clip(path, make_clip(np.random.default_rng(1)))
+    flipped = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(flipped) - 1))
+        flipped[pos] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(flipped))
+    try:
+        back = read_clip(path)
+    except AvcmdError:
+        return
+    assert len(back) * back.width * back.height + 20 == len(flipped)
+
+
 def test_truncated_header(tmp_path):
     path = tmp_path / "c.igsc"
     path.write_bytes(b"IGSC\x01")

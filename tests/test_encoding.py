@@ -25,12 +25,15 @@ from avcmd.encoding import (
     kmeans_inertia,
     multichannel_gram,
     multichannel_kernel,
+    _l1_rows,
     read_codebook,
     read_encoded,
+    read_vlad_vectors,
     train_codebook,
     vlad_encode,
     write_codebook,
     write_encoded,
+    write_vlad_vectors,
 )
 from avcmd.errors import (
     AvcmdError,
@@ -329,6 +332,94 @@ class TestCodebookIO:
             read_codebook(p)
 
 
+def _small_codebook(path):
+    write_codebook(path, Codebook(channel=Channel.HOF, centroids=np.arange(6.0).reshape(2, 3), seed=7))
+
+
+def _small_vlad(path):
+    write_vlad_vectors(path, np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+
+
+def _valid_codebook(cb):
+    return cb.k >= 1 and cb.dim >= 1 and np.all(np.isfinite(cb.centroids))
+
+
+def _valid_vlad(v):
+    return v.ndim == 2 and v.size >= 1 and np.all(np.isfinite(v))
+
+
+_SMALL_FILES = {
+    "igcb": (_small_codebook, read_codebook, _valid_codebook),
+    "igvl": (_small_vlad, read_vlad_vectors, _valid_vlad),
+}
+
+
+class TestCodebookAndVladFilesAreTotal:
+    @pytest.mark.parametrize("fmt", sorted(_SMALL_FILES))
+    def test_cut_at_every_byte_and_trailing_byte_raise(self, tmp_path, fmt):
+        write, read, _ = _SMALL_FILES[fmt]
+        p = tmp_path / f"f.{fmt}"
+        write(p)
+        raw = p.read_bytes()
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(AvcmdError):
+                read(p)
+        p.write_bytes(raw + b"\0")
+        with pytest.raises(FormatError):
+            read(p)
+
+    @pytest.mark.parametrize("fmt", sorted(_SMALL_FILES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips_read_or_raise(self, tmp_path_factory, fmt, data):
+        write, read, valid = _SMALL_FILES[fmt]
+        p = tmp_path_factory.mktemp(fmt) / f"f.{fmt}"
+        write(p)
+        flipped = bytearray(p.read_bytes())
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(flipped) - 1))
+            flipped[pos] ^= data.draw(st.integers(1, 255))
+        p.write_bytes(bytes(flipped))
+        try:
+            back = read(p)
+        except AvcmdError:
+            return
+        assert valid(back)
+
+    @pytest.mark.parametrize("k,dim", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_centroid_matrix_rejected(self, tmp_path, k, dim):
+        p = tmp_path / "cb.igcb"
+        p.write_bytes(b"IGCB" + struct.pack("<HBIIQ", 1, 0, k, dim, 0) + b"\0" * (4 * k * dim))
+        with pytest.raises(FormatError):
+            read_codebook(p)
+
+
+class TestVladFileIO:
+    def test_round_trip_is_the_float32_cast(self, tmp_path):
+        v = np.random.default_rng(3).normal(size=(5, 7))
+        write_vlad_vectors(tmp_path / "v.igvl", v)
+        assert np.array_equal(read_vlad_vectors(tmp_path / "v.igvl"), v.astype(np.float32))
+
+    @pytest.mark.parametrize("count,dim", [(0, 2**32 - 1), (0, 4), (3, 0)])
+    def test_empty_matrix_rejected(self, tmp_path, count, dim):
+        p = tmp_path / "v.igvl"
+        p.write_bytes(b"IGVL" + struct.pack("<HII", 1, count, dim))
+        with pytest.raises(FormatError):
+            read_vlad_vectors(p)
+        with pytest.raises(InvalidParameterError):
+            write_vlad_vectors(p, np.zeros((count, dim % 16)))
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        p = tmp_path / "v.igvl"
+        for bad in (np.nan, np.inf):
+            p.write_bytes(b"IGVL" + struct.pack("<HII", 1, 1, 2) + np.array([0.5, bad], "<f4").tobytes())
+            with pytest.raises(FormatError):
+                read_vlad_vectors(p)
+            with pytest.raises(InvalidParameterError):
+                write_vlad_vectors(p, np.array([0.5, bad]))
+
+
 class TestEncodedVideoIO:
     def test_round_trip(self, tmp_path, rng):
         clips = []
@@ -431,6 +522,17 @@ class TestEncodedVideoIO:
 
 class TestSinglePathsAgainstReference:
     """The merged chi-square and kernel paths equal their old forms bit for bit."""
+
+    def test_l1_normalization(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 130):
+            h = rng.integers(0, 40, size=(40, k)) * (rng.random((40, k)) < 0.5)
+            h[rng.random(40) < 0.2] = 0  # all-zero rows
+            rows = _l1_rows(h)
+            for row, counts in zip(rows, h.astype(np.float64)):
+                want = ref.l1_normalized(counts)
+                assert np.array_equal(BovwHist(counts=counts, channel=Channel.HOG).l1_normalized(), want)
+                assert np.array_equal(row, want)
 
     def _hist_sets(self):
         rng = np.random.default_rng(2024)

@@ -25,7 +25,7 @@ from avcmd.gesture import (
     train_gesture_pipeline,
 )
 from avcmd.svm import read_model, train_kernel_svm, write_model
-from avcmd.trajectories import track
+from avcmd.trajectories import TrajectorySet, track
 from avcmd.synth import default_spec, generate_corpus, generate_gesture_clip
 from avcmd.vocabulary import BACKGROUND_LABEL, Command, MotionPattern
 
@@ -60,7 +60,8 @@ class TestDescriptorExtraction:
         mats = channel_matrices(trajs)
         for ch, attr in zip(CHANNEL_ORDER, ("traj", "hog", "hof", "mbh")):
             assert np.array_equal(mats[ch], np.stack([getattr(t, attr) for t in trajs]))
-        empty = channel_matrices([])
+        assert all(np.shares_memory(m, trajs.desc) for m in mats.values())
+        empty = channel_matrices(TrajectorySet.empty())
         assert {ch: m.shape for ch, m in empty.items()} == {
             Channel.TRAJ: (0, 30), Channel.HOG: (0, 96), Channel.HOF: (0, 108), Channel.MBH: (0, 192)
         }

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from avcmd.encoding import Channel
-from avcmd.errors import AvcmdError, DegenerateInputError, InvalidParameterError, TruncatedPayloadError
+from avcmd.errors import (
+    AvcmdError,
+    DegenerateInputError,
+    FormatError,
+    InvalidParameterError,
+    TruncatedPayloadError,
+)
 from avcmd.svm import (
     KernelSvmModel,
     LinearSvmModel,
@@ -271,6 +277,14 @@ class TestModelReaderTotality:
             path.write_bytes(raw[:cut])
             with pytest.raises(AvcmdError):
                 read_model(path)
+
+    @pytest.mark.parametrize("kind", ["kernel", "linear"])
+    def test_trailing_byte_rejected(self, tmp_path, rng, kind):
+        path = tmp_path / "m.igsv"
+        write_model(path, self._models(rng)[kind])
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError):
+            read_model(path)
 
     @pytest.mark.parametrize("kind", ["kernel", "linear"])
     def test_every_byte_flip_reads_or_raises(self, tmp_path, rng, kind):

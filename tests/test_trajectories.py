@@ -22,10 +22,8 @@ from avcmd.trajectories import (
     MBH_DIM,
     TRAJ_DIM,
     TrackerParams,
-    Trajectory,
-    descriptor_hof,
-    descriptor_hog,
-    descriptor_mbh,
+    TrajectorySet,
+    _describe_batch,
     descriptor_traj,
     is_erratic,
     is_static,
@@ -161,38 +159,88 @@ class TestTrajDescriptor:
 
 
 class TestTubeDescriptors:
+    """`_describe_batch` on one still trajectory in the middle of a 64x64 clip."""
+
+    @staticmethod
+    def _describe(image_value, u, v):
+        frames = [GrayFrame.from_array(np.full((64, 64), image_value, dtype=np.uint8))] * P.traj_len
+        flows = [(np.full((64, 64), u), np.full((64, 64), v))] * P.traj_len
+        paths = np.full((1, P.traj_len + 1, 2), 32.0)
+        hog, hof, mbh = _describe_batch(np.zeros(1, dtype=np.intp), paths, frames, flows, P)
+        return hog[0], hof[0], mbh[0]
+
     def test_flat_tube_gives_zero_hog(self):
-        vol = np.full((15, 32, 32), 99.0)
-        assert np.all(descriptor_hog(vol) == 0.0)
-        assert descriptor_hog(vol).shape == (HOG_DIM,)
+        hog, _, _ = self._describe(99, 0.0, 0.0)
+        assert hog.shape == (HOG_DIM,)
+        assert np.all(hog == 0.0)
 
     def test_zero_flow_hof_mass_in_zero_bins(self):
-        tube = np.zeros((15, 32, 32, 2))
-        d = descriptor_hof(tube)
-        assert d.shape == (HOF_DIM,)
-        zero_bins = d.reshape(3, 2, 2, 9)[..., 8]
-        other_bins = d.reshape(3, 2, 2, 9)[..., :8]
+        _, hof, _ = self._describe(99, 0.0, 0.0)
+        assert hof.shape == (HOF_DIM,)
+        zero_bins = hof.reshape(3, 2, 2, 9)[..., 8]
+        other_bins = hof.reshape(3, 2, 2, 9)[..., :8]
         assert np.all(other_bins == 0.0)
         np.testing.assert_allclose(zero_bins, 1.0 / math.sqrt(12.0))
 
     def test_constant_flow_gives_zero_mbh(self):
-        tube = np.zeros((15, 32, 32, 2))
-        tube[..., 0] = 3.0
-        tube[..., 1] = -1.5
-        d = descriptor_mbh(tube)
-        assert d.shape == (MBH_DIM,)
-        assert np.all(d == 0.0)
+        _, _, mbh = self._describe(99, 3.0, -1.5)
+        assert mbh.shape == (MBH_DIM,)
+        assert np.all(mbh == 0.0)
+
+
+class TestTrajectorySet:
+    def test_shapes_validated(self):
+        good = TestFeatureDump()._trajs(n=2)
+        bad = [
+            (good.start[:1], good.points, good.desc),           # N differs
+            (good.start, good.points[:, :, :1], good.desc),      # not (x, y) pairs
+            (good.start, good.points[:, 0], good.desc),          # no path axis
+            (good.start, good.points, good.desc[:, :-1]),        # 425 descriptor values
+            (good.start[:, None], good.points, good.desc),       # start not a vector
+        ]
+        for start, points, desc in bad:
+            with pytest.raises(InvalidParameterError):
+                TrajectorySet(start, points, desc)
+
+    def test_rows_and_columns_are_the_same_views(self):
+        s = TestFeatureDump()._trajs(n=4)
+        assert len(s) == 4 and s.traj_len == 15
+        spans = {"traj": (0, 30), "hog": (30, 126), "hof": (126, 234), "mbh": (234, 426)}
+        for name, (lo, hi) in spans.items():
+            assert np.shares_memory(getattr(s, name), s.desc)
+            assert np.array_equal(getattr(s, name), s.desc[:, lo:hi])
+        for i, row in enumerate(s):
+            assert row.start_frame == i and type(row.start_frame) is int
+            assert np.array_equal(row.points, s.points[i])
+            for name in spans:
+                assert np.array_equal(getattr(row, name), getattr(s, name)[i])
+        assert not TrajectorySet.empty() and len(TrajectorySet.empty()) == 0
+
+    def test_batched_path_functions_equal_per_path_calls(self):
+        rng = np.random.default_rng(8)
+        paths = np.cumsum(rng.normal(0.0, rng.uniform(0.1, 3.0, size=(400, 1, 1)), size=(400, 16, 2)), axis=1)
+        paths[::7, 9:] += rng.uniform(-60, 60, size=(58, 1, 2))  # some jumps
+        paths[::11] = np.rint(paths[::11])
+        tracked = track(moving_block_clip()).trajectories.points
+        for p in (paths, tracked):
+            static, erratic = is_static(p, P.sigma_min), is_erratic(p, P.erratic_frac)
+            traj = descriptor_traj(p)
+            for i in range(len(p)):
+                assert static[i] == ref.is_static(p[i], P.sigma_min)
+                assert erratic[i] == ref.is_erratic(p[i], P.erratic_frac)
+                assert np.array_equal(traj[i], ref.descriptor_traj(p[i]))
+        assert descriptor_traj(np.empty((0, 16, 2))).shape == (0, 30)
 
 
 class TestTrack:
     def test_static_clip_yields_no_trajectories(self):
         res = track(static_clip())
-        assert res.trajectories == []
+        assert len(res.trajectories) == 0
         assert not res.too_short
 
     def test_short_clip_flagged(self):
         res = track(static_clip(n_frames=10))
-        assert res.trajectories == []
+        assert len(res.trajectories) == 0
         assert res.too_short
 
     def test_moving_block_total_displacement(self):
@@ -238,7 +286,7 @@ class TestTrack:
             img[30 : 30 + block, x : x + block] = btex
             frames.append(GrayFrame.from_array(img.astype(np.uint8)))
         clip = Clip(frames=tuple(frames), fps=15.0, modality=Modality.RGB)
-        assert track(clip).trajectories == []
+        assert len(track(clip).trajectories) == 0
 
     def test_brightness_offset_leaves_hof_unchanged(self):
         res_a = track(moving_block_clip())
@@ -315,7 +363,7 @@ class TestFastPathAgainstBruteForce:
         for t in range(len(images) - 1):
             field = dense_flow(images[t], images[t + 1], levels=P.pyramid_levels)
             flows.append((field.u, field.v))
-        for tr in res.trajectories[:2]:
+        for tr in list(res.trajectories)[:2]:
             hog = self._brute(images, flows, tr.start_frame, tr.points, "hog")
             hof = self._brute(images, flows, tr.start_frame, tr.points, "hof")
             mbu = self._brute(images, flows, tr.start_frame, tr.points, "mbhu")
@@ -330,20 +378,9 @@ class TestFastPathAgainstBruteForce:
 class TestFeatureDump:
     def _trajs(self, n=3, seed=0):
         rng = np.random.default_rng(seed)
-        out = []
-        for i in range(n):
-            pts = np.cumsum(rng.normal(1.0, 0.2, size=(16, 2)), axis=0) + 20.0
-            out.append(
-                Trajectory(
-                    start_frame=i,
-                    points=pts,
-                    traj=descriptor_traj(pts),
-                    hog=rng.random(HOG_DIM),
-                    hof=rng.random(HOF_DIM),
-                    mbh=rng.random(MBH_DIM),
-                )
-            )
-        return out
+        pts = np.cumsum(rng.normal(1.0, 0.2, size=(n, 16, 2)), axis=1) + 20.0
+        desc = np.hstack([descriptor_traj(pts), rng.random((n, HOG_DIM + HOF_DIM + MBH_DIM))])
+        return TrajectorySet(np.arange(n), pts, desc)
 
     def test_round_trip(self, tmp_path):
         trajs = self._trajs()
@@ -362,8 +399,10 @@ class TestFeatureDump:
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "f.igtf"
-        write_features(path, [])
-        assert read_features(path) == []
+        for empty in (TrajectorySet.empty(), TrajectorySet([], np.empty((0, 16, 2)), np.empty((0, 426)))):
+            write_features(path, empty)
+            assert path.read_bytes()[6:] == struct.pack("<II", 0, 0)  # count 0, L 0
+            assert len(read_features(path)) == 0
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.igtf"
@@ -432,7 +471,7 @@ def _write_features_per_record(path, trajectories, version=2):
         fh.write(b"IGTF")
         fh.write(struct.pack("<HI", version, len(trajectories)))
         if version == 2:
-            fh.write(struct.pack("<I", len(trajectories[0].points) - 1 if trajectories else 0))
+            fh.write(struct.pack("<I", trajectories.traj_len if trajectories else 0))
         for tr in trajectories:
             fh.write(struct.pack("<I", tr.start_frame))
             fh.write(tr.points.astype("<f4").tobytes())
@@ -443,7 +482,7 @@ class TestFeatureBytes:
     def test_same_bytes_as_per_record_writer(self, tmp_path):
         tracked = track(moving_block_clip()).trajectories
         assert tracked
-        for trajs in (tracked, TestFeatureDump()._trajs(n=5, seed=4), []):
+        for trajs in (tracked, TestFeatureDump()._trajs(n=5, seed=4), TrajectorySet.empty()):
             write_features(tmp_path / "one.igtf", trajs)
             _write_features_per_record(tmp_path / "each.igtf", trajs)
             assert (tmp_path / "one.igtf").read_bytes() == (tmp_path / "each.igtf").read_bytes()
@@ -456,14 +495,6 @@ class TestFeatureBytes:
             assert np.array_equal(a.points.astype(np.float32), b.points)
             for name in ("traj", "hog", "hof", "mbh"):
                 assert np.array_equal(getattr(a, name).astype(np.float32), getattr(b, name))
-
-    def test_mixed_lengths_rejected(self, tmp_path):
-        a, b = TestFeatureDump()._trajs(n=2)
-        short = Trajectory(
-            start_frame=0, points=a.points[:11], traj=a.traj, hog=a.hog, hof=a.hof, mbh=a.mbh
-        )
-        with pytest.raises(InvalidParameterError):
-            write_features(tmp_path / "f.igtf", [short, b])
 
 
 class TestFeatureFileIsTotal:
@@ -480,7 +511,7 @@ class TestFeatureFileIsTotal:
 
     def test_cut_empty_file_raises(self, tmp_path):
         path = tmp_path / "f.igtf"
-        write_features(path, [])
+        write_features(path, TrajectorySet.empty())
         raw = path.read_bytes()
         assert len(raw) == 14
         for cut in range(len(raw)):
