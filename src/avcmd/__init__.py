@@ -16,14 +16,12 @@ from .encoding import (
     Codebook,
     VladVec,
     bovw_encode,
-    chi2_distance,
     combine_vlad,
     multichannel_gram,
-    multichannel_kernel,
     train_codebook,
     vlad_encode,
 )
-from .svm import KernelSvmModel, LinearSvmModel, Prediction, nbest, predict_ova, train_kernel_svm, train_linear_svm
+from .svm import KernelSvmModel, LinearSvmModel, Prediction, train_kernel_svm, train_linear_svm
 from .mfcc import MfccSeq, mfcc
 from .audio import (
     CommandGrammar,

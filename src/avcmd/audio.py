@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameterError
+from .errors import FormatError, InvalidParameterError, json_field
 from .mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read
 from .vocabulary import DEFAULT_KEYWORD, SURFACE_FORMS, Command
 
@@ -318,20 +318,6 @@ def adapt_speaker(
     return SpeakerTransform(a=a, b=b)
 
 
-def alignment_objective(
-    templates: dict[int, list[MfccSeq]],
-    enrollment: list[tuple[int, MfccSeq]],
-    transform: SpeakerTransform,
-) -> float:
-    """Sum of squared residuals between transformed enrollment and templates."""
-    total = 0.0
-    for utt, tmpl, path in _aligned_enrollment(templates, enrollment):
-        mapped = utt.frames @ transform.a.T + transform.b
-        for diff in mapped[path[:, 0]] - tmpl.frames[path[:, 1]]:
-            total += float(diff @ diff)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # template store: directory of WAVs plus a JSON manifest
 
@@ -345,11 +331,13 @@ def load_template_store(manifest_path: str | Path) -> dict[int, list[MfccSeq]]:
             rows = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad template manifest: {exc}") from None
+    if not isinstance(rows, list):
+        raise FormatError("template manifest must be a JSON list of rows")
     for row in rows:
         try:
-            cmd = int(row["command_id"])
-            rel = row["path"]
-        except (KeyError, TypeError, ValueError) as exc:
+            cmd = json_field(row, "command_id", int)
+            rel = json_field(row, "path", str)
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"bad manifest row {row!r}: {exc}") from None
         samples, rate = wav_read(base / rel)
         templates.setdefault(cmd, []).append(mfcc(samples, rate))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .audio import classify_command, default_grammar, keyword_gate, load_template_store
+from .audio import classify_command, default_grammar, keyword_gate, load_template_store, save_template_manifest
 from .container import Annotation, read_annotations, read_clip, write_annotations, write_clip
 from .detector import activity_segments
 from .encoding import (
@@ -34,10 +34,17 @@ from .encoding import (
     combine_vlad,
 )
 from .errors import AvcmdError
-from .gesture import GesturePipeline, channel_matrices, chi2_distances, train_bovw_model, train_codebooks
+from .gesture import (
+    GesturePipeline,
+    channel_matrices,
+    chi2_distances,
+    train_bovw_model,
+    train_codebooks,
+    train_gesture_pipeline,
+)
 from .metrics import export_curve_csv, first_attempt_curve, render_report_text, task_report, write_report_json
 from .mfcc import mfcc, wav_read, wav_write
-from .selftest import build_audio_templates, build_gesture_artifacts, pipeline_from_artifacts, report_bytes, run_selftest
+from .selftest import build_audio_templates, report_bytes, run_selftest
 from .session import (
     BACK_SCRIPT,
     LEGS_SCRIPT,
@@ -104,7 +111,7 @@ def _cmd_synth(args) -> int:
             name = f"{command_name(cmd)}_{i:02d}.wav"
             wav_write(audio_dir / name, wave, 16000)
             rows.append({"command_id": cmd, "language": "en", "speaker": f"s{i}", "path": name})
-        (audio_dir / "manifest.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        save_template_manifest(audio_dir / "manifest.json", rows)
         print(f"wrote {len(rows)} utterances to {audio_dir}")
     else:  # scripts
         write_script(out / "script_legs.jsonl", LEGS_SCRIPT)
@@ -256,10 +263,10 @@ def _cmd_detect(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     script = {"legs": LEGS_SCRIPT, "back": BACK_SCRIPT}.get(args.script) or read_script(args.script)
-    art = build_gesture_artifacts(
-        clips_per_class=args.train_clips_per_class, seed=cfg.seed, k=32, frames=20
+    samples = generate_corpus(args.train_clips_per_class, seed=cfg.seed, frames=20)
+    pipeline = train_gesture_pipeline(
+        [s.rgb for s in samples], [s.label for s in samples], k=32, seed=cfg.seed + 1, subsample=20_000
     )
-    pipeline = pipeline_from_artifacts(art)
     templates = build_audio_templates(cfg.seed + 40)
     models = SessionModels(gesture=pipeline, templates=templates, grammar=default_grammar())
     streams = build_session_streams(script, seed=cfg.seed + 41, gesture_noise=args.gesture_noise)

@@ -4,7 +4,9 @@ Values load from a plain-text file of `key = value` lines with `#` comments.
 Unknown keys and out-of-range values are rejected. Tracking constants follow
 the dense-trajectory literature's published defaults; the online thresholds
 are tuned on the synthetic suite; both kinds are ordinary config here, so a
-deployment can pin its own.
+deployment can pin its own. The trajectory length and the descriptor cell
+grid are not config: they fix the 426-value descriptor layout, and live as
+constants on `TrackerParams`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .trajectories import TrackerParams
 @dataclass
 class PipelineConfig:
     # trajectory extraction (standard dense-trajectory settings)
-    traj_len: int = 15
     grid_step: int = 5
     quality: float = 0.001
     sigma_min: float = math.sqrt(3.0)
@@ -48,8 +49,6 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         checks = [
-            (self.traj_len >= 3, "traj_len must be >= 3"),
-            (self.traj_len % 3 == 0, "traj_len must be divisible by 3 (temporal cells)"),
             (self.grid_step >= 1, "grid_step must be >= 1"),
             (0.0 < self.quality <= 1.0, "quality must be in (0, 1]"),
             (self.sigma_min > 0.0, "sigma_min must be positive"),
@@ -70,7 +69,6 @@ class PipelineConfig:
 
     def tracker_params(self) -> TrackerParams:
         return TrackerParams(
-            traj_len=self.traj_len,
             grid_step=self.grid_step,
             quality=self.quality,
             sigma_min=self.sigma_min,
@@ -128,12 +126,3 @@ def load_config(path: str | Path) -> PipelineConfig:
             setattr(cfg, name, _parse_value(name, value, kind))
     return cfg.validate()
 
-
-def write_config(path: str | Path, cfg: PipelineConfig) -> None:
-    lines = ["# pipeline configuration", ""]
-    for f in fields(PipelineConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionOverflowError, FormatError, check_payload, unpack_header
+from .errors import DimensionOverflowError, FormatError, check_payload, json_field, read_json_rows, unpack_header
 from .frames import Clip, GrayFrame, Modality, Sensor
 
 CLIP_MAGIC = b"IGSC"
@@ -65,7 +65,7 @@ def write_clip(path: str | Path, clip: Clip) -> None:
             fh.write(frame.data.tobytes())
 
 
-def read_clip(path: str | Path, label: int | None = None) -> Clip:
+def read_clip(path: str | Path) -> Clip:
     raw = Path(path).read_bytes()
     modality, sensor, width, height, n_frames, fps = unpack_header(raw, _HEADER, CLIP_MAGIC, CLIP_VERSION, "container")
     if width == 0 or height == 0 or n_frames == 0:
@@ -82,7 +82,7 @@ def read_clip(path: str | Path, label: int | None = None) -> Clip:
         GrayFrame(width=width, height=height, data=data[i * frame_size : (i + 1) * frame_size])
         for i in range(n_frames)
     )
-    return Clip(frames=frames, fps=fps, modality=modality, sensor_id=sensor, label=label)
+    return Clip(frames=frames, fps=fps, modality=modality, sensor_id=sensor)
 
 
 def write_annotations(path: str | Path, annotations: list[Annotation]) -> None:
@@ -104,36 +104,16 @@ def write_annotations(path: str | Path, annotations: list[Annotation]) -> None:
             )
 
 
+def _annotation(row: dict) -> Annotation:
+    return Annotation(
+        clip=json_field(row, "clip", str),
+        label=json_field(row, "label", int, nullable=True),
+        subject=json_field(row, "subject", str),
+        task=json_field(row, "task", str),
+        start_frame=json_field(row, "start_frame", int),
+        end_frame=json_field(row, "end_frame", int),
+    )
+
+
 def read_annotations(path: str | Path) -> list[Annotation]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(
-                    Annotation(
-                        clip=obj["clip"],
-                        label=obj["label"],
-                        subject=obj["subject"],
-                        task=obj["task"],
-                        start_frame=int(obj["start_frame"]),
-                        end_frame=int(obj["end_frame"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"bad annotation on line {lineno}: {exc}") from None
-    return out
-
-
-def load_annotated_clip(clip_path: str | Path, annotations: list[Annotation]) -> Clip:
-    """Read a clip and attach the label found for it in the sidecar."""
-    name = Path(clip_path).name
-    label = None
-    for a in annotations:
-        if a.clip == name:
-            label = a.label
-            break
-    return read_clip(clip_path, label=label)
+    return read_json_rows(path, "annotation", _annotation)

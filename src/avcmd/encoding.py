@@ -7,10 +7,9 @@ channels are compared with the chi-square distance and combined into one
 kernel value as exp(-sum_c D_c / A_c), where A_c is the mean pairwise
 training distance of channel c.
 
-Every chi-square distance comes from `chi2_cross_matrix` (`chi2_distance`
-and `chi2_distance_matrix` are its 1x1 and (h, h) cases), and every kernel
-value from `cross_gram` (`multichannel_gram` symmetrizes it with a unit
-diagonal; `multichannel_kernel` is its single-pair case).
+Every chi-square distance comes from `chi2_cross_matrix`
+(`chi2_distance_matrix` is its (h, h) case), and every kernel value from
+`cross_gram` (`multichannel_gram` symmetrizes it with a unit diagonal).
 """
 
 from __future__ import annotations
@@ -221,11 +220,6 @@ def train_codebook(
     return Codebook(channel=channel, centroids=centroids.astype(np.float32), seed=seed)
 
 
-def kmeans_inertia(descriptors: np.ndarray, codebook: Codebook) -> float:
-    _, dists = _assign(np.asarray(descriptors, dtype=np.float64), codebook.centroids.astype(np.float64))
-    return float(dists.sum())
-
-
 # ---------------------------------------------------------------------------
 # encodings
 
@@ -285,6 +279,8 @@ def chi2_cross_matrix(hists_a: np.ndarray, hists_b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(hists_a, dtype=np.float64)
     b = np.asarray(hists_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise InvalidParameterError("histograms must be (n, K) matrices with one K")
     out = np.zeros((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
         diff = a[i][None, :] - b
@@ -293,15 +289,6 @@ def chi2_cross_matrix(hists_a: np.ndarray, hists_b: np.ndarray) -> np.ndarray:
             terms = np.where(denom > 0, diff * diff / np.where(denom > 0, denom, 1.0), 0.0)
         out[i] = 0.5 * terms.sum(axis=1)
     return out
-
-
-def chi2_distance(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Chi-square distance of two histograms: the 1x1 `chi2_cross_matrix`."""
-    a = np.asarray(h1, dtype=np.float64)
-    b = np.asarray(h2, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidParameterError("histograms must be vectors of equal length")
-    return float(chi2_cross_matrix(a[None, :], b[None, :])[0, 0])
 
 
 def chi2_distance_matrix(hists: np.ndarray) -> np.ndarray:
@@ -350,21 +337,6 @@ def multichannel_gram(
     gram = gram + gram.T
     np.fill_diagonal(gram, 1.0)
     return gram
-
-
-def multichannel_kernel(
-    sample_i: dict[Channel, BovwHist],
-    sample_j: dict[Channel, BovwHist],
-    channel_means: dict[Channel, float],
-) -> float:
-    """exp(-sum_c D(h_i^c, h_j^c) / A_c): `cross_gram` over 1x1 distances."""
-    if set(sample_i) != set(sample_j):
-        raise InvalidParameterError("both samples must cover the same channels")
-    dists = {
-        ch: chi2_cross_matrix(h.l1_normalized()[None, :], sample_j[ch].l1_normalized()[None, :])
-        for ch, h in sample_i.items()
-    }
-    return float(cross_gram(dists, channel_means)[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and the checks every binary reader shares."""
+"""Exception hierarchy shared across the toolkit, and the checks every file reader shares."""
 
+import json
 import struct
 
 
@@ -81,3 +82,34 @@ def check_payload(size: int, expected: int, what: str) -> None:
         raise TruncatedPayloadError(f"{what} payload truncated: {size} of {expected} bytes")
     if size > expected:
         raise FormatError(f"{size - expected} bytes after the {what} payload")
+
+
+def json_field(row: dict, key: str, kind: type, nullable: bool = False):
+    """row[key], which must be a `kind` (a bool is not an int here), or None when nullable."""
+    value = row[key]
+    if value is None and nullable:
+        return None
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
+def read_json_rows(path, what: str, parse) -> list:
+    """`parse(row)` for the JSON object on each non-blank line of a JSON-lines file.
+
+    A line that is not a JSON object, or whose fields `parse` rejects with
+    KeyError, TypeError or ValueError, raises FormatError naming the line.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise TypeError(f"expected an object, not {row!r}")
+                out.append(parse(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"bad {what} on line {lineno}: {exc}") from None
+    return out

@@ -150,11 +150,6 @@ class LooSample:
 class LooResult:
     per_subject: dict[str, Rate]
 
-    @property
-    def mean_accuracy(self) -> float:
-        rates = [r.pct for r in self.per_subject.values()]
-        return float(np.mean(rates)) if rates else float("nan")
-
 
 def audit_partition(samples: list[LooSample], folds: dict[str, np.ndarray]) -> None:
     """Every index appears in exactly one test fold; uids never straddle subjects."""

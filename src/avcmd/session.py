@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .audio import CommandGrammar, MfccSeq, NBest, SpeakerTransform, classify_command, keyword_gate
 from .detector import activity_segments
-from .errors import FormatError, InvalidParameterError, NoInputError, SessionDesyncError
+from .errors import InvalidParameterError, NoInputError, SessionDesyncError, json_field, read_json_rows
 from .fsm import FsmState, fsm_step
 from .frames import Clip
 from .gesture import GesturePipeline
@@ -276,21 +276,13 @@ def write_script(path: str | Path, steps: list[tuple[int, int, str]]) -> None:
             )
 
 
+def _script_step(row: dict) -> tuple[int, int, str]:
+    command = command_from_name(json_field(row, "command", str))
+    return json_field(row, "step_id", int), int(command), json_field(row, "modality", str)
+
+
 def read_script(path: str | Path) -> list[tuple[int, int, str]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(
-                    (int(obj["step_id"]), int(command_from_name(obj["command"])), obj["modality"])
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise FormatError(f"bad script row on line {lineno}: {exc}") from None
-    return out
+    return read_json_rows(path, "script row", _script_step)
 
 
 def write_session_log(path: str | Path, log: SessionLog) -> None:
@@ -312,32 +304,23 @@ def write_session_log(path: str | Path, log: SessionLog) -> None:
             )
 
 
+def _log_entry(row: dict) -> LogEntry:
+    recognized = json_field(row, "recognized", str, nullable=True)
+    source = json_field(row, "source", str, nullable=True)
+    return LogEntry(
+        step_id=json_field(row, "step_id", int),
+        performed_ok=json_field(row, "performed_ok", bool),
+        recognized=None if recognized is None else int(command_from_name(recognized)),
+        source=None if source is None else FusionSource(source),
+        latency_frames=json_field(row, "latency_frames", int, nullable=True),
+        state_after=json_field(row, "state_after", str),
+    )
+
+
 def read_session_log(path: str | Path) -> SessionLog:
-    entries = []
-    last_state = FsmState.idle().describe()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                entries.append(
-                    LogEntry(
-                        step_id=int(obj["step_id"]),
-                        performed_ok=bool(obj["performed_ok"]),
-                        recognized=None
-                        if obj["recognized"] is None
-                        else int(command_from_name(obj["recognized"])),
-                        source=None if obj["source"] is None else FusionSource(obj["source"]),
-                        latency_frames=obj["latency_frames"],
-                        state_after=obj["state_after"],
-                    )
-                )
-                last_state = obj["state_after"]
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise FormatError(f"bad log row on line {lineno}: {exc}") from None
-    return SessionLog(entries=entries, final_state=last_state)
+    entries = read_json_rows(path, "log row", _log_entry)
+    final_state = entries[-1].state_after if entries else FsmState.idle().describe()
+    return SessionLog(entries=entries, final_state=final_state)
 
 
 # The two built-in validation scripts: one per washing task, seven steps each,

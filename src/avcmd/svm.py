@@ -22,19 +22,20 @@ import numpy as np
 
 from .encoding import Channel
 from .errors import (
-    BadMagicError,
     DegenerateInputError,
     FormatError,
     InvalidParameterError,
     TruncatedPayloadError,
     UnsupportedVersionError,
     check_payload,
+    unpack_header,
 )
 
 MODEL_MAGIC = b"IGSV"
 MODEL_VERSION = 1
 KIND_KERNEL = 0
 KIND_LINEAR = 1
+_MODEL_HEADER = struct.Struct("<4sHBHd")  # magic, version, kind, class count, C
 
 DEFAULT_C = 100.0
 
@@ -180,17 +181,6 @@ def _argmax_prediction(classes: np.ndarray, scores: np.ndarray) -> Prediction:
     best = int(np.argmax(scores))  # first maximum = lowest class id
     tie = bool(np.sum(scores == scores[best]) > 1)
     return Prediction(label=int(classes[best]), scores=scores.copy(), tie=tie)
-
-
-def predict_ova(model, sample) -> Prediction:
-    """Single-sample one-against-all prediction for either model kind."""
-    return model.predict(np.atleast_2d(sample))[0]
-
-
-def nbest(prediction: Prediction, classes: np.ndarray, n: int = 2) -> list[tuple[int, float]]:
-    """Classes sorted by decision value, best first; ties by lower class id."""
-    order = np.lexsort((classes, -prediction.scores))
-    return [(int(classes[i]), float(prediction.scores[i])) for i in order[:n]]
 
 
 def train_kernel_svm(
@@ -355,16 +345,16 @@ def _unpack_hashes(raw: bytes, off: int) -> tuple[dict[Channel, str], int]:
 
 
 def write_model(path: str | Path, model: KernelSvmModel | LinearSvmModel) -> None:
-    parts: list[bytes] = [MODEL_MAGIC]
     if isinstance(model, KernelSvmModel):
         kind = KIND_KERNEL
     elif isinstance(model, LinearSvmModel):
         kind = KIND_LINEAR
     else:
         raise InvalidParameterError(f"cannot serialize {type(model).__name__}")
-    parts.append(struct.pack("<HBH", MODEL_VERSION, kind, model.classes.size))
-    parts.append(struct.pack("<d", model.c))
-    parts.append(_pack_hashes(model.codebook_hashes))
+    parts = [
+        _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, kind, model.classes.size, model.c),
+        _pack_hashes(model.codebook_hashes),
+    ]
 
     if kind == KIND_KERNEL:
         hists = model.train_hists or {}
@@ -389,16 +379,9 @@ def write_model(path: str | Path, model: KernelSvmModel | LinearSvmModel) -> Non
 
 def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
     raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != MODEL_MAGIC:
-        raise BadMagicError("not a model file")
+    kind, n_classes, c = unpack_header(raw, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, "model")
     try:
-        version, kind, n_classes = struct.unpack_from("<HBH", raw, 4)
-        off = 4 + struct.calcsize("<HBH")
-        if version != MODEL_VERSION:
-            raise UnsupportedVersionError(f"model version {version} not supported")
-        (c,) = struct.unpack_from("<d", raw, off)
-        off += 8
-        hashes, off = _unpack_hashes(raw, off)
+        hashes, off = _unpack_hashes(raw, _MODEL_HEADER.size)
 
         if kind == KIND_KERNEL:
             n_train, n_hists = struct.unpack_from("<IB", raw, off)

@@ -14,6 +14,10 @@ spatial by 3 temporal cell grid:
 hog/hof/mbh are each L2-normalized as a whole; an all-zero descriptor is
 legal for structureless input.
 
+The layout is fixed: L = 15, 2x2x3 cells and 8 bins give the 30 + 96 + 108
++ 192 = 426 values of the standard dense-trajectory descriptor, and
+`TrackerParams` holds it as class constants rather than settable fields.
+
 Trajectories travel as one columnar `TrajectorySet`: start frames (N,),
 point paths (N, L+1, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
 order. `track` builds it, IGTF files store it record for record, and the
@@ -27,17 +31,11 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FormatError,
-    InvalidParameterError,
-    TruncatedPayloadError,
-    UnsupportedVersionError,
-)
+from .errors import FormatError, InvalidParameterError, check_payload, unpack_header
 from .flow import FramePyramid, _bilinear_taps, _interpolate, _pad_edge, dense_flow, median_filter_3x3
 from .frames import Clip, GrayFrame
 
@@ -53,21 +51,21 @@ FEATURES_VERSION = 2
 
 @dataclass(frozen=True)
 class TrackerParams:
-    traj_len: int = 15            # L: steps per trajectory (L+1 points)
+    # The descriptor layout behind DESC_DIM and the IGTF records; not settable.
+    traj_len: ClassVar[int] = 15        # L: steps per trajectory (L+1 points)
+    spatial_cells: ClassVar[int] = 2
+    temporal_cells: ClassVar[int] = 3
+    n_bins: ClassVar[int] = 8
+
     grid_step: int = 5            # sampling grid spacing, px
     quality: float = 0.001        # corner threshold, fraction of frame max
     sigma_min: float = math.sqrt(3.0)  # static-pruning position std, px
     erratic_frac: float = 0.7     # single step vs total path length
     pyramid_levels: int = 3
     tube_size: int = 32
-    spatial_cells: int = 2
-    temporal_cells: int = 3
-    n_bins: int = 8
     hof_zero_thresh: float = 0.4  # px/frame; below this flow counts as still
 
     def __post_init__(self):
-        if self.traj_len % self.temporal_cells != 0:
-            raise InvalidParameterError("traj_len must be divisible by temporal_cells")
         if self.tube_size % self.spatial_cells != 0:
             raise InvalidParameterError("tube_size must be divisible by spatial_cells")
 
@@ -393,17 +391,18 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
 # ---------------------------------------------------------------------------
 # feature dump
 
-def _feature_record(traj_len: int) -> np.dtype:
-    """One IGTF record: start frame, the L+1 points (x, y), the 426 descriptor values."""
-    return np.dtype([("start", "<u4"), ("points", "<f4", (traj_len + 1, 2)), ("desc", "<f4", (DESC_DIM,))])
+_FEATURES_HEADER = struct.Struct("<4sHII")
+# One IGTF record: start frame, the L+1 points (x, y), the 426 descriptor values.
+_FEATURE_RECORD = np.dtype(
+    [("start", "<u4"), ("points", "<f4", (TrackerParams.traj_len + 1, 2)), ("desc", "<f4", (DESC_DIM,))]
+)
 
 
 def write_features(path: str | Path, trajectories: TrajectorySet) -> None:
     """IGTF v2: magic, version u16, count u32, L u32 (0 when empty), records."""
     n = len(trajectories)
-    traj_len = trajectories.traj_len if n else 0
-    header = FEATURES_MAGIC + struct.pack("<HII", FEATURES_VERSION, n, traj_len)
-    records = np.empty(n, dtype=_feature_record(traj_len))
+    header = _FEATURES_HEADER.pack(FEATURES_MAGIC, FEATURES_VERSION, n, trajectories.traj_len if n else 0)
+    records = np.empty(n, dtype=_FEATURE_RECORD)
     if n:
         records["start"] = trajectories.start
         records["points"] = trajectories.points
@@ -411,44 +410,17 @@ def write_features(path: str | Path, trajectories: TrajectorySet) -> None:
     Path(path).write_bytes(header + records.tobytes())
 
 
-def read_features(path: str | Path, traj_len: int | None = None) -> TrajectorySet:
-    """Read an IGTF file; `traj_len`, when given, must match the file's L.
+def read_features(path: str | Path) -> TrajectorySet:
+    """Read an IGTF v2 file: count records of L = 15, or none with L = 0.
 
-    Version 2 stores L in its header. Version 1 does not, and its L cannot be
-    told from the file size alone, so it is read only when `traj_len` is given.
-    The payload must be exactly count records of L, or the read fails.
+    The payload must be exactly count records, or the read fails.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < 10:
-        raise TruncatedPayloadError("feature file shorter than its header")
-    if raw[:4] != FEATURES_MAGIC:
-        raise BadMagicError(f"bad magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<HI", raw, 4)
-    if version == FEATURES_VERSION:
-        if len(raw) < 14:
-            raise TruncatedPayloadError("feature file shorter than its header")
-        (L,) = struct.unpack_from("<I", raw, 10)
-        offset = 14
-        if count and traj_len is not None and traj_len != L:
-            raise FormatError(f"expected trajectory length {traj_len}, file has {L}")
-    elif version == 1:
-        if traj_len is None:
-            raise UnsupportedVersionError("feature version 1 does not record L; pass traj_len to read it")
-        L, offset = traj_len, 10
-    else:
-        raise UnsupportedVersionError(f"feature version {version} not supported")
-    body = len(raw) - offset
+    count, traj_len = unpack_header(raw, _FEATURES_HEADER, FEATURES_MAGIC, FEATURES_VERSION, "feature")
+    if count and traj_len != TrackerParams.traj_len:
+        raise FormatError(f"trajectory length {traj_len}, expected {TrackerParams.traj_len}")
+    check_payload(len(raw), _FEATURES_HEADER.size + count * _FEATURE_RECORD.itemsize, "feature")
     if count == 0:
-        if body:
-            raise FormatError("feature file declares zero trajectories but has payload")
         return TrajectorySet.empty()
-    if L < 1:
-        raise FormatError(f"trajectory length {L} must be >= 1")
-    # Sized by arithmetic before any dtype is built from the file's L.
-    record = 4 + (L + 1) * 8 + DESC_DIM * 4
-    if body != count * record:
-        raise TruncatedPayloadError(
-            f"payload is {body} bytes, {count} records of length {L} need {count * record}"
-        )
-    records = np.frombuffer(raw, dtype=_feature_record(L), count=count, offset=offset)
+    records = np.frombuffer(raw, dtype=_FEATURE_RECORD, count=count, offset=_FEATURES_HEADER.size)
     return TrajectorySet(records["start"], records["points"], records["desc"])

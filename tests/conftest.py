@@ -19,3 +19,19 @@ def smooth_texture(height: int, width: int, seed: int, lo: int = 20, hi: int = 2
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def malformed_rows(good: dict, nullable: tuple[str, ...] = ()) -> list:
+    """Rows a JSON row reader must refuse, built around one `good` row.
+
+    A null, an array, a number and a string in place of the object; then the
+    good row with each field missing, or set to an array, to a value of the
+    other JSON scalar kind, or (unless the field is nullable) to null.
+    """
+    rows = [None, [1, 2, 3], 5, "row"]
+    for key, value in good.items():
+        rows.append({k: v for k, v in good.items() if k != key})
+        wrong = 7 if isinstance(value, str) else "7"
+        for bad in ([1, 2, 3], wrong) + (() if key in nullable else (None,)):
+            rows.append({**good, key: bad})
+    return rows

@@ -133,3 +133,22 @@ def adapt_speaker(
     if np.linalg.cond(a) >= MAX_CONDITION:
         return SpeakerTransform(a=np.eye(FEATURE_DIM), b=(y - x).mean(axis=0), bias_only=True)
     return SpeakerTransform(a=a, b=b)
+
+
+def alignment_objective(
+    templates: dict[int, list[MfccSeq]],
+    enrollment: list[tuple[int, MfccSeq]],
+    transform: SpeakerTransform,
+) -> float:
+    """The least-squares objective `adapt_speaker` minimizes: squared residuals
+    between transformed enrollment frames and the frames of the nearest
+    same-command template (the first on ties) that DTW aligns them with."""
+    total = 0.0
+    for cmd, utt in enrollment:
+        best = min(templates[cmd], key=lambda t: dtw_distance(utt, t))
+        _, path = dtw_align(utt, best)
+        mapped = utt.frames @ transform.a.T + transform.b
+        for i, j in path:
+            diff = mapped[i] - best.frames[j]
+            total += float(diff @ diff)
+    return total

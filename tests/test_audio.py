@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from avcmd.audio import (
     NBest,
     SpeakerTransform,
     adapt_speaker,
-    alignment_objective,
     classify_command,
     default_grammar,
     dtw_align,
@@ -22,13 +22,14 @@ from avcmd.audio import (
     save_template_manifest,
     _distances,
 )
-from avcmd.errors import InvalidParameterError
+from avcmd.errors import FormatError, InvalidParameterError
 from avcmd.mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read, wav_write
 from avcmd.selftest import build_audio_templates
 from avcmd.synth import generate_command_audio
 from avcmd.vocabulary import Command
 
 import reference_audio as ref
+from conftest import malformed_rows
 
 
 def seq(frames: np.ndarray) -> MfccSeq:
@@ -272,8 +273,8 @@ class TestAdaptSpeaker:
             for cmd, ts in templates.items()
         ]
         fitted = adapt_speaker(templates, enrollment)
-        obj_fit = alignment_objective(templates, enrollment, fitted)
-        obj_id = alignment_objective(templates, enrollment, SpeakerTransform.identity())
+        obj_fit = ref.alignment_objective(templates, enrollment, fitted)
+        obj_id = ref.alignment_objective(templates, enrollment, SpeakerTransform.identity())
         assert obj_fit <= obj_id + 1e-9
 
     def test_needs_three_commands(self, rng):
@@ -313,6 +314,23 @@ class TestTemplateStore:
         utt = mfcc(waves[1], sr)
         out = classify_command(utt, store, grammar)
         assert out.top.command == 1
+
+    def test_manifest_bytes(self, tmp_path):
+        rows = [{"path": "a.wav", "command_id": 2, "speaker": "s0", "language": "en"}]
+        save_template_manifest(tmp_path / "manifest.json", rows)
+        assert (tmp_path / "manifest.json").read_text() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("top", [5, None, "rows", {"command_id": 0, "path": "a.wav"}])
+    def test_manifest_that_is_not_a_list_is_refused(self, tmp_path, top):
+        (tmp_path / "manifest.json").write_text(json.dumps(top))
+        with pytest.raises(FormatError):
+            load_template_store(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("row", malformed_rows({"command_id": 0, "path": "a.wav"}))
+    def test_malformed_manifest_row_is_refused(self, tmp_path, row):
+        (tmp_path / "manifest.json").write_text(json.dumps([row]))
+        with pytest.raises(FormatError, match="bad manifest row"):
+            load_template_store(tmp_path / "manifest.json")
 
 
 # ---------------------------------------------------------------------------

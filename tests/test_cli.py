@@ -217,3 +217,47 @@ class TestBadFilesExitOne:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("truncated" in err or "bytes after" in err)
+
+
+class TestBadJsonRowsExitOne:
+    """A malformed row in a script, session log or annotation file ends the command with exit 1."""
+
+    LOG_ROW = {
+        "step_id": 1, "performed_ok": True, "recognized": "halt",
+        "source": "agreed", "latency_frames": 4, "state_after": "halted",
+    }
+
+    @pytest.mark.parametrize(
+        "row", [None, [1, 2, 3], 5, {**LOG_ROW, "step_id": None}, {**LOG_ROW, "recognized": 5}]
+    )
+    def test_evaluate_bad_log(self, tmp_path, capsys, row):
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(self.LOG_ROW) + "\n" + json.dumps(row) + "\n")
+        assert main(["evaluate", "--logs", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad log row on line 2")
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("row", [None, [1, 2, 3], {"step_id": None, "command": "halt", "modality": "A"}])
+    def test_bad_script(self, tmp_path, capsys, command, row):
+        script = tmp_path / "script.jsonl"
+        script.write_text(json.dumps(row) + "\n")
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(self.LOG_ROW) + "\n")
+        target = ["--out", str(tmp_path / "out.jsonl")] if command == "simulate" else ["--logs", str(log)]
+        assert main([command, "--script", str(script), *target]) == 1
+        assert capsys.readouterr().err.startswith("error: bad script row on line 1")
+
+    def test_train_bad_annotation(self, tmp_path, capsys):
+        (tmp_path / "a.jsonl").write_text('{"clip": "c.igsc", "label": [1]}\n')
+        argv = [
+            "train", "--annotations", str(tmp_path / "a.jsonl"), "--codebooks", str(tmp_path),
+            "--encoded", str(tmp_path / "e.igev"), "--out", str(tmp_path / "m.igsv"),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: bad annotation on line 1")
+
+    def test_config_setting_traj_len_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "cfg.txt").write_text("traj_len = 12\n")
+        argv = ["--config", str(tmp_path / "cfg.txt"), "extract", "--clips", str(tmp_path), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "unknown key 'traj_len'" in capsys.readouterr().err

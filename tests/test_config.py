@@ -4,13 +4,14 @@ import math
 
 import pytest
 
-from avcmd.config import PipelineConfig, load_config, write_config
+from avcmd.config import PipelineConfig, load_config
 from avcmd.errors import ConfigError
+from avcmd.trajectories import TrackerParams
 
 
 def test_defaults_validate():
     cfg = PipelineConfig().validate()
-    assert cfg.traj_len == 15
+    assert not hasattr(cfg, "traj_len")
     assert cfg.codebook_k == 4000
     assert cfg.svm_c == 100.0
     assert cfg.theta_on == 0.02 and cfg.theta_off == 0.01
@@ -20,7 +21,8 @@ def test_defaults_validate():
 def test_round_trip(tmp_path):
     cfg = PipelineConfig(codebook_k=64, svm_c=10.0, speech_fallback=False, lang="de")
     path = tmp_path / "cfg.txt"
-    write_config(path, cfg)
+    lines = ["codebook_k = 64", "svm_c = 10.0", "speech_fallback = false", "lang = de"]
+    path.write_text("# pipeline configuration\n\n" + "\n".join(lines) + "\n")
     back = load_config(path)
     assert back == cfg
 
@@ -40,6 +42,10 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
     # `jobs` was validated but never read; it is now an unknown key
     path.write_text("jobs = 0\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(path)
+    # `traj_len` is fixed by the descriptor layout; setting it is an error
+    path.write_text("traj_len = 12\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path)
 
@@ -62,7 +68,7 @@ def test_missing_equals_rejected(tmp_path):
     "key,value",
     [
         ("theta_on", "0.005"),  # below theta_off default
-        ("traj_len", "14"),     # not divisible by temporal cells
+        ("traj_len", "14"),     # no longer a key: the layout is fixed at L = 15
         ("quality", "0"),
         ("svm_c", "-1"),
         ("lang", "fr"),
@@ -91,4 +97,5 @@ def test_session_params_conversion():
     assert sp.min_dur_frames == 6   # 0.4 s at 15 fps
     assert sp.max_gap_frames == 8   # 0.5 s rounded
     tp = cfg.tracker_params()
-    assert tp.traj_len == cfg.traj_len
+    assert tp == TrackerParams(grid_step=cfg.grid_step, quality=cfg.quality, sigma_min=cfg.sigma_min)
+    assert tp.traj_len == 15

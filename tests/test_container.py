@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from avcmd.container import (
     Annotation,
-    load_annotated_clip,
     read_annotations,
     read_clip,
     write_annotations,
@@ -24,6 +24,7 @@ from avcmd.errors import (
     UnsupportedVersionError,
 )
 from avcmd.frames import Clip, GrayFrame, Modality, Sensor
+from conftest import malformed_rows
 
 
 def make_clip(rng, n_frames=3, w=4, h=3, modality=Modality.RGB, sensor=Sensor.S2, fps=15.0):
@@ -168,9 +169,10 @@ def test_label_round_trips_via_sidecar(tmp_path, rng):
         tmp_path / "annotations.jsonl",
         [Annotation(clip="g01.igsc", label=5, subject="u1", task="legs", start_frame=0, end_frame=3)],
     )
+    # The container does not store the label; the sidecar row for its name does.
+    assert read_clip(clip_path).label is None
     anns = read_annotations(tmp_path / "annotations.jsonl")
-    back = load_annotated_clip(clip_path, anns)
-    assert back.label == 5
+    assert [a.label for a in anns if a.clip == clip_path.name] == [5]
 
 
 def test_annotation_round_trip(tmp_path):
@@ -181,6 +183,17 @@ def test_annotation_round_trip(tmp_path):
     path = tmp_path / "ann.jsonl"
     write_annotations(path, anns)
     assert read_annotations(path) == anns
+
+
+_GOOD_ANNOTATION = {"clip": "a.igsc", "label": 1, "subject": "u1", "task": "legs", "start_frame": 0, "end_frame": 9}
+
+
+@pytest.mark.parametrize("row", malformed_rows(_GOOD_ANNOTATION, nullable=("label",)))
+def test_malformed_annotation_row_names_its_line(tmp_path, row):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps(_GOOD_ANNOTATION) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(FormatError, match="line 2"):
+        read_annotations(path)
 
 
 def test_bad_annotation_line(tmp_path):

@@ -18,13 +18,10 @@ from avcmd.encoding import (
     bovw_encode,
     channel_mean_distance,
     chi2_cross_matrix,
-    chi2_distance,
     chi2_distance_matrix,
     combine_vlad,
     cross_gram,
-    kmeans_inertia,
     multichannel_gram,
-    multichannel_kernel,
     _l1_rows,
     read_codebook,
     read_encoded,
@@ -43,6 +40,24 @@ from avcmd.errors import (
     InvalidParameterError,
     TruncatedPayloadError,
 )
+
+
+def kmeans_inertia(x, codebook):
+    """Sum of squared distances from each row to its nearest centroid."""
+    d = ((np.asarray(x, dtype=np.float64)[:, None, :] - codebook.centroids.astype(np.float64)) ** 2).sum(axis=2)
+    return float(d.min(axis=1).sum())
+
+
+def chi2_distance(h1, h2):
+    """The chi-square distance of two histograms: one entry of `chi2_cross_matrix`."""
+    return float(chi2_cross_matrix(np.atleast_2d(h1), np.atleast_2d(h2))[0, 0])
+
+
+def multichannel_kernel(sample_i, sample_j, channel_means):
+    """exp(-sum_c D(h_i^c, h_j^c) / A_c): `cross_gram` over 1x1 chi-square distances."""
+    dists = {ch: chi2_cross_matrix(h.l1_normalized()[None, :], sample_j[ch].l1_normalized()[None, :])
+             for ch, h in sample_i.items()}
+    return float(cross_gram(dists, channel_means)[0, 0])
 
 
 class TestKmeans:
@@ -236,7 +251,9 @@ class TestChi2:
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            chi2_distance(np.ones(3), np.ones(4))
+            chi2_cross_matrix(np.ones((1, 3)), np.ones((1, 4)))
+        with pytest.raises(InvalidParameterError):
+            chi2_cross_matrix(np.ones(3), np.ones(3))
 
     def test_matrix_matches_pairwise_calls(self, rng):
         h = rng.random((7, 12))
@@ -586,7 +603,8 @@ class TestSinglePathsAgainstReference:
         means = {ch: 0.3 + 0.1 * int(ch) for ch in CHANNEL_ORDER}
         a, b = ({ch: h.l1_normalized()[None, :] for ch, h in s.items()} for s in samples)
         dists = {ch: chi2_cross_matrix(a[ch], b[ch]) for ch in CHANNEL_ORDER}
-        assert multichannel_kernel(samples[0], samples[1], means) == ref.cross_gram(dists, means)[0, 0]
+        assert cross_gram(dists, means).shape == (1, 1)
+        assert cross_gram(dists, means)[0, 0] == ref.cross_gram(dists, means)[0, 0]
 
     def test_cross_gram_rejects_missing_mean_and_empty_input(self):
         d = np.zeros((1, 2))
@@ -598,9 +616,8 @@ class TestSinglePathsAgainstReference:
             multichannel_gram({}, {})
 
     def test_kernel_rejects_mismatched_channel_sets(self):
-        a = {Channel.HOG: BovwHist(counts=np.array([1.0, 0.0]), channel=Channel.HOG)}
-        b = {Channel.HOF: BovwHist(counts=np.array([1.0, 0.0]), channel=Channel.HOF)}
+        d = np.zeros((1, 1))
         with pytest.raises(InvalidParameterError):
-            multichannel_kernel(a, b, {Channel.HOG: 1.0})
+            cross_gram({Channel.HOG: d}, {Channel.HOF: 1.0})
         with pytest.raises(InvalidParameterError):
-            multichannel_kernel(a, a, {Channel.HOF: 1.0})
+            cross_gram({Channel.HOG: d}, {Channel.HOG: 1.0, Channel.HOF: 1.0})

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from avcmd.audio import Hypothesis, NBest, default_grammar
-from avcmd.errors import InvalidParameterError, NoInputError, SessionDesyncError
+from avcmd.errors import FormatError, InvalidParameterError, NoInputError, SessionDesyncError
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.mfcc import FEATURE_DIM, MfccSeq
 from avcmd.session import (
@@ -28,6 +29,7 @@ from avcmd.session import (
 )
 from avcmd.trajectories import TrackerParams
 from avcmd.vocabulary import Command
+from conftest import malformed_rows
 
 
 def nb(*pairs) -> NBest:
@@ -107,6 +109,47 @@ class TestScriptAndLogIO:
         back = read_session_log(path)
         assert back.entries == log.entries
         assert back.final_state == "halted"
+
+
+_GOOD_SCRIPT_ROW = {"step_id": 1, "command": "halt", "modality": "A"}
+_GOOD_LOG_ROW = {
+    "step_id": 1,
+    "performed_ok": True,
+    "recognized": "halt",
+    "source": "agreed",
+    "latency_frames": 4,
+    "state_after": "halted",
+}
+
+
+class TestMalformedRows:
+    """Every malformed row raises FormatError naming its line, never a TypeError."""
+
+    @pytest.mark.parametrize("row", malformed_rows(_GOOD_SCRIPT_ROW))
+    def test_script_row(self, tmp_path, row):
+        path = tmp_path / "script.jsonl"
+        path.write_text(json.dumps(_GOOD_SCRIPT_ROW) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(FormatError, match="line 2"):
+            read_script(path)
+
+    @pytest.mark.parametrize(
+        "row", malformed_rows(_GOOD_LOG_ROW, nullable=("recognized", "source", "latency_frames"))
+        + [{**_GOOD_LOG_ROW, "recognized": "mop_floor"}, {**_GOOD_LOG_ROW, "source": "telepathy"}]
+    )
+    def test_log_row(self, tmp_path, row):
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(_GOOD_LOG_ROW) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(FormatError, match="line 2"):
+            read_session_log(path)
+
+    def test_final_state_is_the_last_entry(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        rows = [_GOOD_LOG_ROW, {**_GOOD_LOG_ROW, "step_id": 2, "state_after": "idle"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows) + "\n")
+        back = read_session_log(path)
+        assert [e.step_id for e in back.entries] == [1, 2] and back.final_state == "idle"
+        path.write_text("\n")
+        assert read_session_log(path).final_state == "idle"
 
 
 @dataclass

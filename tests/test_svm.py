@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from avcmd.encoding import Channel
+from avcmd.gesture import GesturePipeline
 from avcmd.errors import (
     AvcmdError,
     DegenerateInputError,
@@ -17,8 +19,6 @@ from avcmd.svm import (
     KernelSvmModel,
     LinearSvmModel,
     Prediction,
-    nbest,
-    predict_ova,
     read_model,
     train_kernel_svm,
     train_linear_svm,
@@ -172,26 +172,27 @@ class TestPrediction:
         return Fake()
 
     def test_argmax(self):
-        pred = predict_ova(self._model([0.2, 1.7, -0.3]), np.zeros(1))
+        pred = self._model([0.2, 1.7, -0.3]).predict(np.zeros((1, 1)))[0]
         assert pred.label == 1
         assert not pred.tie
 
     def test_all_equal_scores_tie_to_lowest(self):
-        pred = predict_ova(self._model([0.5, 0.5, 0.5]), np.zeros(1))
+        pred = self._model([0.5, 0.5, 0.5]).predict(np.zeros((1, 1)))[0]
         assert pred.label == 0
         assert pred.tie
 
     def test_argmax_invariant_to_constant_shift(self, rng):
         scores = rng.normal(size=5)
-        p1 = predict_ova(self._model(list(scores)), np.zeros(1))
-        p2 = predict_ova(self._model(list(scores + 123.0)), np.zeros(1))
+        p1 = self._model(list(scores)).predict(np.zeros((1, 1)))[0]
+        p2 = self._model(list(scores + 123.0)).predict(np.zeros((1, 1)))[0]
         assert p1.label == p2.label
 
     def test_nbest_ordering_and_tiebreak(self):
         classes = np.array([0, 1, 2, 3])
         pred = Prediction(label=2, scores=np.array([0.1, 0.9, 0.9, -1.0]), tie=False)
-        top = nbest(pred, classes, n=2)
-        assert top == [(1, 0.9), (2, 0.9)]
+        # The ranked hypotheses the fusion layer consumes come from command_2best.
+        pipeline = SimpleNamespace(model=SimpleNamespace(classes=classes))
+        assert GesturePipeline.command_2best(pipeline, pred) == [(1, 0.9), (2, 0.9)]
 
     def test_vlad_scaling_with_rescaled_c_keeps_argmax(self, rng):
         x, y = separable_points(rng, n_per=10)

@@ -61,6 +61,20 @@ def static_clip(n_frames=18, size=64, seed=5):
     return Clip(frames=(frame,) * n_frames, fps=15.0, modality=Modality.RGB)
 
 
+class TestTrackerParams:
+    def test_descriptor_layout_is_fixed(self):
+        assert (P.traj_len, P.spatial_cells, P.temporal_cells, P.n_bins) == (15, 2, 3, 8)
+        assert TrackerParams.traj_len == 15
+        for name, value in (("traj_len", 12), ("spatial_cells", 4), ("temporal_cells", 5), ("n_bins", 9)):
+            with pytest.raises(TypeError):
+                TrackerParams(**{name: value})
+
+    def test_tube_size_must_split_into_cells(self):
+        assert TrackerParams(tube_size=24).tube_size == 24
+        with pytest.raises(InvalidParameterError):
+            TrackerParams(tube_size=25)
+
+
 class TestSamplePoints:
     def test_flat_frame_yields_nothing(self):
         assert sample_points(np.full((40, 40), 77.0), step=5) == []
@@ -419,10 +433,14 @@ class TestFeatureDump:
             read_features(path)
 
     def test_trajectory_length_mismatch_detected(self, tmp_path):
+        # Well-formed records of L = 20: the payload size agrees with the
+        # header, but the layout is L = 15, so the file is refused.
+        trajs = self._trajs()
+        pts = np.concatenate([trajs.points, trajs.points[:, -5:] + 1.0], axis=1)
         path = tmp_path / "f.igtf"
-        write_features(path, self._trajs())
-        with pytest.raises(FormatError):
-            read_features(path, traj_len=20)
+        _write_features_per_record(path, TrajectorySet(trajs.start, pts, trajs.desc))
+        with pytest.raises(FormatError, match="trajectory length 20"):
+            read_features(path)
 
 
 class TestTrackAgainstReference:
@@ -529,21 +547,32 @@ class TestFeatureFileIsTotal:
             with pytest.raises(FormatError):
                 read_features(path)
 
-    def test_version_1_needs_the_trajectory_length(self, tmp_path):
-        trajs = TestFeatureDump()._trajs(n=3)
+    def test_header_length_14_is_refused_before_the_payload_size(self, tmp_path):
+        path = tmp_path / "f.igtf"
+        write_features(path, TestFeatureDump()._trajs(n=3))
+        raw = bytearray(path.read_bytes())
+        raw[10:14] = struct.pack("<I", 14)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="trajectory length 14") as err:
+            read_features(path)
+        assert not isinstance(err.value, TruncatedPayloadError)
+
+    def test_payload_one_byte_long_is_a_format_error(self, tmp_path):
+        path = tmp_path / "f.igtf"
+        for trajs in (TestFeatureDump()._trajs(n=3), TrajectorySet.empty()):
+            write_features(path, trajs)
+            path.write_bytes(path.read_bytes() + b"\0")
+            with pytest.raises(FormatError) as err:
+                read_features(path)
+            assert not isinstance(err.value, TruncatedPayloadError)
+
+    def test_version_1_is_refused(self, tmp_path):
         path = tmp_path / "v1.igtf"
-        _write_features_per_record(path, trajs, version=1)
+        _write_features_per_record(path, TestFeatureDump()._trajs(n=3), version=1)
         with pytest.raises(UnsupportedVersionError):
             read_features(path)
-        write_features(tmp_path / "v2.igtf", trajs)
-        for a, b in zip(read_features(path, traj_len=15), read_features(tmp_path / "v2.igtf")):
-            assert a.start_frame == b.start_frame
-            for name in ("points", "traj", "hog", "hof", "mbh"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-        with pytest.raises(TruncatedPayloadError):
-            read_features(path, traj_len=12)
         raw = path.read_bytes()
-        for cut in range(10, len(raw)):
+        for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
             with pytest.raises(AvcmdError):
-                read_features(path, traj_len=15)
+                read_features(path)
