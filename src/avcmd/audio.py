@@ -13,8 +13,9 @@ tables of one query against K templates together, one anti-diagonal step at
 a time over a (K, Ta, max Tb) cost stack padded with inf. Ranking an
 utterance is one sweep over every template of the grammar, and choosing an
 enrollment utterance's nearest template is one sweep over its command's
-templates; `dtw_distance` and `dtw_align` are the K = 1 case, the latter
-with the predecessor table. The search is exact, with no band.
+templates, whose predecessor tables also give the chosen template's
+warping path; `dtw_distance` and `dtw_align` are the K = 1 case. The
+search is exact, with no band.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ def _dtw_sweep(query: np.ndarray, templates: list[np.ndarray], with_moves: bool 
     s + i*(W-1), so the step needs no index arrays. Template k's total is
     read at step Ta + Tb_k - 2; padded cells cost inf and never win a min.
 
-    Returns the (K,) totals and, when `with_moves` (K must be 1), the (Ta, W)
-    predecessor table: 0 start, 1 diag, 2 up, 3 left, diag first on ties.
+    Returns the (K,) totals and, when `with_moves`, the (K, Ta, W)
+    predecessor tables: 0 start, 1 diag, 2 up, 3 left, diag first on ties.
+    A cell of template k depends only on cells of its own columns, so its
+    table is the one a sweep of template k alone would fill.
     """
     ta = query.shape[0]
     widths = [t.shape[0] for t in templates]
@@ -157,7 +160,7 @@ def _dtw_sweep(query: np.ndarray, templates: list[np.ndarray], with_moves: bool 
     finished: dict[int, list[int]] = {}  # step -> templates whose end cell it fills
     for n, tb in enumerate(widths):
         finished.setdefault(ta + tb - 2, []).append(n)
-    moves = np.zeros((ta, w), dtype=np.uint8) if with_moves else None
+    moves = np.zeros((k, ta, w), dtype=np.uint8) if with_moves else None
 
     prev1 = np.full((k, ta + 1), np.inf)  # diagonal s-1
     prev2 = np.full((k, ta + 1), np.inf)  # diagonal s-2
@@ -170,7 +173,7 @@ def _dtw_sweep(query: np.ndarray, templates: list[np.ndarray], with_moves: bool 
         left = prev1[:, lo + 1 : hi + 2]
         best = np.minimum(up, left)
         if moves is not None:
-            moves.ravel()[cells] = np.where(diag <= best, 1, np.where(up <= left, 2, 3))[0]
+            moves.reshape(k, ta * w)[:, cells] = np.where(diag <= best, 1, np.where(up <= left, 2, 3))
         np.minimum(diag, best, out=best)
         best += flat[:, cells]
         prev2[:, lo + 1 : hi + 2] = best
@@ -206,12 +209,9 @@ def dtw_distance(a, b) -> float:
     return float(dists[0])
 
 
-def dtw_align(a, b) -> tuple[float, list[tuple[int, int]]]:
-    """Distance plus the optimal warping path as (frame_a, frame_b) pairs."""
-    fa, fb = _coerce(a), _coerce(b)
-    dists, move = _distances(fa, [fb], with_moves=True)
+def _backtrack(move: np.ndarray, i: int, j: int) -> list[tuple[int, int]]:
+    """The warping path that ends at cell (i, j) of a predecessor table."""
     path = []
-    i, j = fa.shape[0] - 1, fb.shape[0] - 1
     while True:
         path.append((i, j))
         m = move[i, j]
@@ -224,7 +224,14 @@ def dtw_align(a, b) -> tuple[float, list[tuple[int, int]]]:
         else:
             j -= 1
     path.reverse()
-    return float(dists[0]), path
+    return path
+
+
+def dtw_align(a, b) -> tuple[float, list[tuple[int, int]]]:
+    """Distance plus the optimal warping path as (frame_a, frame_b) pairs."""
+    fa, fb = _coerce(a), _coerce(b)
+    dists, moves = _distances(fa, [fb], with_moves=True)
+    return float(dists[0]), _backtrack(moves[0], fa.shape[0] - 1, fb.shape[0] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +280,16 @@ def _aligned_enrollment(
     enrollment: list[tuple[int, MfccSeq]],
 ) -> list[tuple[MfccSeq, MfccSeq, np.ndarray]]:
     """Each enrollment utterance, its nearest template of the same command
-    (the first on ties) and their DTW path as an (n, 2) array of frame pairs."""
+    (the first on ties) and their DTW path as an (n, 2) array of frame pairs,
+    backtracked from the one sweep over the command's templates."""
     out = []
     for cmd, utt in enrollment:
         if not templates.get(cmd):
             raise InvalidParameterError(f"command {cmd} has no templates")
-        dists, _ = _distances(utt, templates[cmd])
-        best = templates[cmd][int(np.argmin(dists))]
-        _, path = dtw_align(utt, best)
+        dists, moves = _distances(utt, templates[cmd], with_moves=True)
+        n = int(np.argmin(dists))
+        best = templates[cmd][n]
+        path = _backtrack(moves[n], utt.frames.shape[0] - 1, best.frames.shape[0] - 1)
         out.append((utt, best, np.asarray(path)))
     return out
 

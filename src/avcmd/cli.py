@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AvcmdError as exc:
+    except (AvcmdError, OSError) as exc:  # OSError: a missing or unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,20 @@
 """Dense optical flow via iterative pyramidal Lucas-Kanade.
 
 Each frame is turned once into a `FramePyramid`: its Gaussian pyramid and,
-per level, the image gradients, the windowed gradient normal matrix (the
-structure tensor) with its inverted determinant, and the bilinear taps that
-resize a flow field from the next coarser level. A clip of n frames builds
+per level, the image gradients and the windowed gradient normal matrix (the
+structure tensor) with its inverted determinant. A clip of n frames builds
 n pyramids, and frame t serves as `nxt` for the pair (t-1, t) and as `prev`
 for the pair (t, t+1). The per-level fields are built on first use: a frame
-that only ever serves as `nxt` needs its images and nothing else.
+that only ever serves as `nxt` needs its images and nothing else. The
+bilinear taps that resize a flow field onto a finer level depend only on
+the two shapes, so they are built once per shape pair and shared.
+
+Everything runs in float32, from the frame's conversion to the flow field.
+Window sums add the 2r+1 shifted slices of a zero-padded stack along each
+axis rather than differencing an integral image, whose large running sums
+would cancel in float32. The float64 form of the estimator is the test
+oracle in `tests/reference_tracker.py`; against it the flow differs by a
+stated tolerance, not bit for bit.
 
 The estimator refines a dense displacement field coarse-to-fine. At every
 level the second frame is warped back by the current estimate and a windowed
@@ -19,7 +27,7 @@ interpolated from coarser levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,12 +44,12 @@ class FlowField:
 
     width: int
     height: int
-    u: np.ndarray  # shape (height, width), float64
+    u: np.ndarray  # shape (height, width), float32
     v: np.ndarray
 
     def __post_init__(self):
         for name in ("u", "v"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
+            a = np.asarray(getattr(self, name), dtype=np.float32)
             if a.shape != (self.height, self.width):
                 raise InvalidParameterError(f"{name} must have shape (height, width)")
             if not np.all(np.isfinite(a)):
@@ -53,22 +61,26 @@ class FlowField:
 
 def _as_float_image(frame) -> np.ndarray:
     if isinstance(frame, GrayFrame):
-        return frame.data.astype(np.float64)
-    a = np.asarray(frame, dtype=np.float64)
+        return frame.data.astype(np.float32)
+    a = np.asarray(frame, dtype=np.float32)
     if a.ndim != 2:
         raise InvalidParameterError("expected a 2-D intensity image")
     return a
 
 
 def binomial_blur(img: np.ndarray, mode: str) -> np.ndarray:
-    """Separable 5-tap binomial blur; `mode` is the `np.pad` mode of the border."""
+    """Separable 5-tap binomial blur; `mode` is the `np.pad` mode of the border.
+
+    The result has the dtype of the (floating-point) input.
+    """
     h, w = img.shape
+    taps = _BINOMIAL.astype(img.dtype)
     p = np.pad(img, 2, mode=mode)
-    tmp = np.zeros((h, p.shape[1]))
-    for k, wgt in enumerate(_BINOMIAL):
+    tmp = np.zeros((h, p.shape[1]), dtype=img.dtype)
+    for k, wgt in enumerate(taps):
         tmp += wgt * p[k : k + h, :]
-    out = np.zeros((h, w))
-    for k, wgt in enumerate(_BINOMIAL):
+    out = np.zeros((h, w), dtype=img.dtype)
+    for k, wgt in enumerate(taps):
         out += wgt * tmp[:, k : k + w]
     return out
 
@@ -76,30 +88,39 @@ def binomial_blur(img: np.ndarray, mode: str) -> np.ndarray:
 def _box_sum(stack: np.ndarray, radius: int) -> np.ndarray:
     """Sum over a (2r+1)^2 window, clipped at the borders, of each (h, w) slice.
 
-    `stack` is (k, h, w). The cumulative sums are written straight into an
-    integral image embedded in a zero/saturated border, so every window sum
-    is a pure slice expression.
+    `stack` is (k, h, w). The stack is zero-padded by r on every side, and
+    the 2r+1 shifted slices are added along the rows, then along the columns
+    of that result, so each window sum adds only values of its own window.
     """
     k, h, w = stack.shape
     r = radius
-    d = 2 * r + 1
-    integ = np.zeros((k, h + d, w + d))
-    c = integ[:, r + 1 : r + 1 + h, r + 1 : r + 1 + w]
-    np.cumsum(stack, axis=1, out=c)
-    np.cumsum(c, axis=2, out=c)
-    integ[:, r + 1 + h :, r + 1 : r + 1 + w] = c[:, -1:]
-    integ[:, r + 1 : r + 1 + h, r + 1 + w :] = c[:, :, -1:]
-    integ[:, r + 1 + h :, r + 1 + w :] = c[:, -1:, -1:]
-    out = integ[:, d:, d:] - integ[:, :h, d:]
-    out -= integ[:, d:, :w]
-    out += integ[:, :h, :w]
+    p = np.zeros((k, h + 2 * r, w + 2 * r), dtype=stack.dtype)
+    p[:, r : r + h, r : r + w] = stack
+    rows = p[:, :h].copy()
+    for d in range(1, 2 * r + 1):
+        rows += p[:, d : d + h]
+    out = rows[:, :, :w].copy()
+    for d in range(1, 2 * r + 1):
+        out += rows[:, :, d : d + w]
     return out
+
+
+def _structure_tensor(grad: np.ndarray, radius: int):
+    """Window sums (sxx, sxy, syy) of the gradient products of `grad` =
+    (gx, gy) over a border-clipped (2r+1)^2 window, and the minimum
+    eigenvalue of each 2x2 normal matrix. Lucas-Kanade uses the flow
+    window's radius; point sampling scores corners with radius 1.
+    """
+    gx, gy = grad
+    sxx, sxy, syy = _box_sum(np.stack([gx * gx, gx * gy, gy * gy]), radius)
+    lam_min = 0.5 * (sxx + syy - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
+    return sxx, sxy, syy, lam_min
 
 
 def _pad_edge(img: np.ndarray) -> np.ndarray:
     """`img` with its last row and column repeated once: (h+1, w+1)."""
     h, w = img.shape
-    out = np.empty((h + 1, w + 1))
+    out = np.empty((h + 1, w + 1), dtype=img.dtype)
     out[:h, :w] = img
     out[h, :w] = img[-1]
     out[:, w] = out[:, w - 1]
@@ -124,7 +145,7 @@ def _bilinear_taps(shape: tuple[int, int], ys: np.ndarray, xs: np.ndarray):
     ys -= y0
     xs -= x0
     y0 *= w + 1
-    y0 += x0  # exact: small integers in float64
+    y0 += x0  # exact: integers below 2**24, even in float32
     return y0.astype(np.intp), xs, ys
 
 
@@ -150,25 +171,39 @@ def _interpolate(padded: np.ndarray, taps) -> np.ndarray:
     return top
 
 
+@cache
+def _upsample_taps(shape: tuple[int, int], coarse_shape: tuple[int, int]):
+    """Bilinear taps and (x, y) scale that resize a flow field of
+    `coarse_shape` onto `shape`; read-only, built once per shape pair."""
+    h, w = shape
+    hc, wc = coarse_shape
+    ys = (np.arange(h) + 0.5) * (hc / h) - 0.5
+    xs = (np.arange(w) + 0.5) * (wc / w) - 0.5
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    idx, fx, fy = _bilinear_taps(coarse_shape, grid_y, grid_x)
+    taps = (idx, fx.astype(np.float32), fy.astype(np.float32))
+    for a in taps:
+        a.flags.writeable = False
+    return taps, (w / wc, h / hc)
+
+
 class _Level:
     """One pyramid level: the image and what Lucas-Kanade derives from it.
 
     The image and its padded copy serve the level as `nxt` of a frame pair;
-    the gradients, structure tensor and resize taps serve it as `prev` and
-    are built on first access, so a pyramid used only as `nxt` (the last
-    frame of a clip, or the second array given to `dense_flow`) never builds
-    them. `coarse_shape` is the shape of the next coarser level, if any.
+    the gradients and structure tensor serve it as `prev` and are built on
+    first access, so a pyramid used only as `nxt` (the last frame of a clip,
+    or the second array given to `dense_flow`) never builds them.
     """
 
-    def __init__(self, image: np.ndarray, radius: int, min_eig: float, coarse_shape=None):
+    def __init__(self, image: np.ndarray, radius: int, min_eig: float):
         h, w = image.shape
         self.image = image
         self.padded = _pad_edge(image)
-        self.rows = np.arange(h, dtype=np.float64)[:, None]
-        self.cols = np.arange(w, dtype=np.float64)
+        self.rows = np.arange(h, dtype=np.float32)[:, None]
+        self.cols = np.arange(w, dtype=np.float32)
         self.radius = radius
         self.min_eig = min_eig
-        self.coarse_shape = coarse_shape
 
     @cached_property
     def grad(self) -> np.ndarray:
@@ -180,25 +215,11 @@ class _Level:
     def tensor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Windowed normal matrix as (sxx, sxy, -syy) and its inverted
         determinant, zero where the minimum eigenvalue is too small."""
-        gx, gy = self.grad
-        sxx, sxy, syy = _box_sum(np.stack([gx * gx, gx * gy, gy * gy]), self.radius)
+        sxx, sxy, syy, lam_min = _structure_tensor(self.grad, self.radius)
         det = sxx * syy - sxy * sxy
-        trace = sxx + syy
-        lam_min = 0.5 * (trace - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
         valid = (lam_min > self.min_eig) & (det > 1e-12)
         inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
         return sxx, sxy, -syy, inv_det
-
-    @cached_property
-    def upsample(self):
-        """Bilinear taps and (x, y) scale that resize the next coarser level's
-        flow onto this grid."""
-        h, w = self.image.shape
-        hc, wc = self.coarse_shape
-        ys = (np.arange(h) + 0.5) * (hc / h) - 0.5
-        xs = (np.arange(w) + 0.5) * (wc / w) - 0.5
-        grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-        return _bilinear_taps(self.coarse_shape, grid_y, grid_x), (w / wc, h / hc)
 
 
 class FramePyramid:
@@ -206,8 +227,9 @@ class FramePyramid:
 
     Build it once per frame and pass it to `dense_flow` as `prev` or `nxt`;
     the parameters must equal those given to `dense_flow`. `levels[0]` is the
-    full-resolution frame, and `levels[0].grad` its central-difference
-    gradients (gx, gy).
+    full-resolution frame in float32, and `levels[0].grad` its stacked
+    central-difference gradients (gx, gy), which `track` also uses to sample
+    points and to build hog.
     """
 
     def __init__(self, frame, levels: int = 3, window: int = 7, min_eig: float = 1e-3):
@@ -222,8 +244,7 @@ class FramePyramid:
             if min(images[-1].shape) < 8:
                 break
             images.append(np.ascontiguousarray(binomial_blur(images[-1], "edge")[::2, ::2]))
-        coarse_shapes = [im.shape for im in images[1:]] + [None]
-        self.levels = [_Level(im, radius, min_eig, cs) for im, cs in zip(images, coarse_shapes)]
+        self.levels = [_Level(im, radius, min_eig) for im in images]
 
 
 def _pyramid(frame, levels: int, window: int, min_eig: float) -> FramePyramid:
@@ -247,11 +268,11 @@ def dense_flow(
 ) -> FlowField:
     """Estimate dense displacement from `prev` to `nxt`.
 
-    Inputs are GrayFrames, 2-D arrays of equal shape, or `FramePyramid`s
-    built with the same `levels`, `window` and `min_eig`; `levels` is the
-    pyramid depth (>= 1). For a pure integer translation of a textured image
-    the interior median of the result matches the translation to well under
-    a quarter pixel per component.
+    Inputs are GrayFrames, 2-D arrays of equal shape (converted to
+    float32), or `FramePyramid`s built with the same `levels`, `window` and
+    `min_eig`; `levels` is the pyramid depth (>= 1). For a pure integer
+    translation of a textured image the interior median of the result
+    matches the translation to well under a quarter pixel per component.
     """
     if levels < 1:
         raise InvalidParameterError("levels must be >= 1")
@@ -265,7 +286,7 @@ def dense_flow(
     v = np.zeros_like(u)
     for la, lb in zip(reversed(pa.levels), reversed(pb.levels)):
         if u.shape != la.image.shape:
-            taps, (scale_x, scale_y) = la.upsample
+            taps, (scale_x, scale_y) = _upsample_taps(la.image.shape, u.shape)
             u = _interpolate(_pad_edge(u), taps)
             u *= scale_x
             v = _interpolate(_pad_edge(v), taps)
@@ -273,7 +294,7 @@ def dense_flow(
 
         shape = la.image.shape
         sxx, sxy, neg_syy, inv_det = la.tensor
-        prod = np.empty((2,) + shape)
+        prod = np.empty((2,) + shape, dtype=np.float32)
         for _ in range(iterations):
             it = _interpolate(lb.padded, _bilinear_taps(shape, la.rows + v, la.cols + u))
             it -= la.image
@@ -301,10 +322,14 @@ def median_filter_3x3(field: np.ndarray) -> np.ndarray:
     compare-exchanges sort three triples; taking each triple as a column of
     the window lets neighbouring windows share those sorts, so the columns
     are sorted once and the remaining ten exchanges run on shifted views.
-    For finite input the result equals `np.median` over the nine values;
-    non-finite input is rejected because NaN ordering is undefined here.
+    For finite input the result equals `np.median` over the nine values, in
+    the input's floating-point dtype (integers become float64): the network
+    only selects values. Non-finite input is rejected because NaN ordering
+    is undefined here.
     """
-    a = np.asarray(field, dtype=np.float64)
+    a = np.asarray(field)
+    if a.dtype.kind != "f":
+        a = a.astype(np.float64)
     if not np.all(np.isfinite(a)):
         raise InvalidParameterError("median filter input contains non-finite values")
     p = np.pad(a, 1, mode="edge")

@@ -18,8 +18,13 @@ The layout is fixed: L = 15, 2x2x3 cells and 8 bins give the 30 + 96 + 108
 + 192 = 426 values of the standard dense-trajectory descriptor, and
 `TrackerParams` holds it as class constants rather than settable fields.
 
+The tracker computes in float32, as `flow` does: each frame's pyramid
+supplies the gradients that score sampling nodes (the flow's structure
+tensor with a 3x3 window) and feed hog, and the integral histograms are
+float32. Trajectory points and descriptors are float64.
+
 Trajectories travel as one columnar `TrajectorySet`: start frames (N,),
-point paths (N, L+1, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
+point paths (N, 16, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
 order. `track` builds it, IGTF files store it record for record, and the
 per-channel matrices are its column slices. Iterating a set yields
 `Trajectory` rows of views, for code that wants one trajectory at a time.
@@ -36,8 +41,16 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError, check_payload, unpack_header
-from .flow import FramePyramid, _bilinear_taps, _interpolate, _pad_edge, dense_flow, median_filter_3x3
-from .frames import Clip, GrayFrame
+from .flow import (
+    FramePyramid,
+    _bilinear_taps,
+    _interpolate,
+    _pad_edge,
+    _structure_tensor,
+    dense_flow,
+    median_filter_3x3,
+)
+from .frames import Clip
 
 TRAJ_DIM = 30
 HOG_DIM = 96
@@ -86,15 +99,17 @@ class TrajectorySet:
     """N trajectories as columns; traj, hog, hof and mbh are slices of desc."""
 
     start: np.ndarray   # (N,) start frames
-    points: np.ndarray  # (N, L+1, 2) float64, columns (x, y)
+    points: np.ndarray  # (N, L+1, 2) float64, columns (x, y); L = 15
     desc: np.ndarray    # (N, 426) float64, traj | hog | hof | mbh
 
     def __post_init__(self):
         start = np.asarray(self.start, dtype=np.intp)
         points = np.asarray(self.points, dtype=np.float64)
         desc = np.asarray(self.desc, dtype=np.float64)
-        if start.ndim != 1 or points.ndim != 3 or points.shape[::2] != (len(start), 2) or points.shape[1] < 1:
-            raise InvalidParameterError("a trajectory set needs (N,) start frames and (N, L+1, 2) points")
+        if start.ndim != 1 or points.shape != (len(start), TrackerParams.traj_len + 1, 2):
+            raise InvalidParameterError(
+                f"a trajectory set needs (N,) start frames and (N, {TrackerParams.traj_len + 1}, 2) points"
+            )
         if desc.shape != (len(start), DESC_DIM):
             raise InvalidParameterError(f"a trajectory set needs (N, {DESC_DIM}) descriptors")
         object.__setattr__(self, "start", start)
@@ -103,11 +118,7 @@ class TrajectorySet:
 
     @classmethod
     def empty(cls) -> "TrajectorySet":
-        return cls(np.empty(0, dtype=np.intp), np.empty((0, 1, 2)), np.empty((0, DESC_DIM)))
-
-    @property
-    def traj_len(self) -> int:
-        return self.points.shape[1] - 1
+        return cls(np.empty(0, dtype=np.intp), np.empty((0, TrackerParams.traj_len + 1, 2)), np.empty((0, DESC_DIM)))
 
     traj = property(lambda self: self.desc[:, :TRAJ_DIM])
     hog = property(lambda self: self.desc[:, TRAJ_DIM : TRAJ_DIM + HOG_DIM])
@@ -148,30 +159,20 @@ def is_erratic(points: np.ndarray, frac: float = 0.7) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # point sampling
 
-def _structure_score(img: np.ndarray) -> np.ndarray:
-    """Min eigenvalue of the 3x3-window gradient covariance, per pixel."""
-    gy, gx = np.gradient(img)
-    h, w = img.shape
-
-    def window_sum(a):
-        p = np.pad(a, 1, mode="edge")
-        return sum(p[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3))
-
-    sxx, sxy, syy = window_sum(gx * gx), window_sum(gx * gy), window_sum(gy * gy)
-    return 0.5 * (sxx + syy - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
-
-
-def sample_points(frame, step: int, occupied=(), quality: float = 0.001) -> list[tuple[float, float]]:
+def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.001) -> list[tuple[float, float]]:
     """Grid positions with enough texture and no live trajectory in their cell.
 
-    `occupied` is an iterable of (x, y) positions of currently tracked points;
-    a grid node is skipped when its step-sized cell already holds one.
+    `grad` is the frame's stacked gradients (gx, gy), as its pyramid's
+    `levels[0].grad` holds them; a node's texture is the minimum eigenvalue
+    of the gradient normal matrix over its border-clipped 3x3 window, and it
+    must reach `quality` times the frame's largest. `occupied` is an
+    iterable of (x, y) positions of currently tracked points; a grid node is
+    skipped when its step-sized cell already holds one.
     """
     if step < 1:
         raise InvalidParameterError("step must be >= 1")
-    img = frame.data.astype(np.float64) if isinstance(frame, GrayFrame) else np.asarray(frame, dtype=np.float64)
-    h, w = img.shape
-    score = _structure_score(img)
+    _, h, w = grad.shape
+    score = _structure_tensor(grad, 1)[3]
     max_score = float(score.max())
     if max_score <= 0.0:
         return []
@@ -224,22 +225,23 @@ def _rect_sums(integ, y0, y1, x0, x1):
     return integ[y1, x1] - integ[y0, x1] - integ[y1, x0] + integ[y0, x0]
 
 
-def _frame_integrals(image, flow, bbox, params: TrackerParams) -> np.ndarray:
-    """One integral histogram over a bounding box for all four descriptors.
+def _frame_integrals(grad, flow, bbox, params: TrackerParams) -> np.ndarray:
+    """One float32 integral histogram over a bounding box for all four descriptors.
 
-    `image` is the frame and `flow` its (u, v), both full-frame; gradients
-    are taken before cropping, so the box edges get central differences.
-    The last axis holds the hog bins, the hof bins with the zero-motion bin,
-    then the mbh bins of u and of v.
+    `grad` is the frame's (gx, gy) and `flow` its (u, v), all full-frame;
+    the flow's gradients are taken before cropping, so the box edges get
+    central differences. The last axis holds the hog bins, the hof bins with
+    the zero-motion bin, then the mbh bins of u and of v.
     """
     nb = params.n_bins
     y0, y1, x0, x1 = bbox
+    gx, gy = grad
     u, v = flow
-    dy, dx = np.gradient(np.stack([image, u, v]), axis=(1, 2))
+    dy, dx = np.gradient(np.stack([u, v]), axis=(1, 2))
     box = np.s_[y0:y1, x0:x1]
     bins, weights = _orientation_bins(
-        np.stack([dx[0][box], u[box], dx[1][box], dx[2][box]]),
-        np.stack([dy[0][box], v[box], dy[1][box], dy[2][box]]),
+        np.stack([gx[box], u[box], dx[0][box], dx[1][box]]),
+        np.stack([gy[box], v[box], dy[0][box], dy[1][box]]),
         nb,
     )
     still = weights[1] < params.hof_zero_thresh
@@ -248,7 +250,7 @@ def _frame_integrals(image, flow, bbox, params: TrackerParams) -> np.ndarray:
     bins += np.array([0, nb, 2 * nb + 1, 3 * nb + 1])[:, None, None]
 
     bh, bw = y1 - y0, x1 - x0
-    integ = np.zeros((bh + 1, bw + 1, 4 * nb + 1))
+    integ = np.zeros((bh + 1, bw + 1, 4 * nb + 1), dtype=np.float32)
     maps = integ[1:, 1:]
     maps[np.arange(bh)[:, None], np.arange(bw), bins] = weights
     # cumsum along axis 0, one row at a time: the same sequential sums, but
@@ -259,10 +261,10 @@ def _frame_integrals(image, flow, bbox, params: TrackerParams) -> np.ndarray:
     return integ
 
 
-def _describe_batch(starts, paths, frames, flows, params: TrackerParams):
+def _describe_batch(starts, paths, grads, flows, params: TrackerParams):
     """hog/hof/mbh of the trajectories (starts[i], paths[i]) via integrals.
 
-    `frames` are the clip's GrayFrames and `flows` the (u, v) of each frame.
+    `grads` are the (gx, gy) of each frame and `flows` its (u, v).
 
     Returns three (n, dim) arrays, each row L2-normalized.
     """
@@ -288,7 +290,7 @@ def _describe_batch(starts, paths, frames, flows, params: TrackerParams):
             int(cxs.min() - half),
             int(cxs.max() + half),
         )
-        integ = _frame_integrals(frames[f].data.astype(np.float64), flows[f], bbox, params)
+        integ = _frame_integrals(grads[f], flows[f], bbox, params)
         bys = cys - bbox[0]
         bxs = cxs - bbox[2]
         for cy_i in range(p.spatial_cells):
@@ -331,6 +333,8 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     h, w = clip.frames[0].data.shape
     half = params.tube_size // 2
 
+    # Per frame pair (t, t+1): frame t's gradients and the flow from t.
+    grads: list[np.ndarray] = []
     flows: list[tuple[np.ndarray, np.ndarray]] = []
     # Live trajectories, one row each: start frame and an (L+1, 2) point
     # buffer filled up to index (current frame - start).
@@ -338,10 +342,10 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     paths = np.empty((0, L + 1, 2))
     done = [(starts, paths)]  # finished trajectories, in batches
 
-    def spawn(frame_idx: int, image: np.ndarray) -> None:
+    def spawn(frame_idx: int, grad: np.ndarray) -> None:
         nonlocal starts, paths
         occupied = paths[np.arange(len(starts)), frame_idx - starts].tolist()
-        new = sample_points(image, params.grid_step, occupied, params.quality)
+        new = sample_points(grad, params.grid_step, occupied, params.quality)
         if new:
             fresh = np.zeros((len(new), L + 1, 2))
             fresh[:, 0] = new
@@ -349,10 +353,11 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
             paths = np.concatenate([paths, fresh])
 
     nxt = FramePyramid(clip.frames[0], levels=params.pyramid_levels)
-    spawn(0, nxt.levels[0].image)
+    spawn(0, nxt.levels[0].grad)
     for t in range(n_frames - 1):
         prev, nxt = nxt, FramePyramid(clip.frames[t + 1], levels=params.pyramid_levels)
         field = dense_flow(prev, nxt, levels=params.pyramid_levels)
+        grads.append(prev.levels[0].grad)
         flows.append((field.u, field.v))
         u_med = median_filter_3x3(field.u)
         v_med = median_filter_3x3(field.v)
@@ -372,7 +377,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
             starts, paths = starts[~complete], paths[~complete]
         # Refill only while a new track can still complete within the clip.
         if (n_frames - 1) - (t + 1) >= L:
-            spawn(t + 1, nxt.levels[0].image)
+            spawn(t + 1, nxt.levels[0].grad)
 
     starts = np.concatenate([s for s, _ in done])
     paths = np.concatenate([p for _, p in done])
@@ -384,7 +389,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     starts, paths = starts[keep], paths[keep]
     order = np.lexsort((paths[:, 0, 1], paths[:, 0, 0], starts))
     starts, paths = starts[order], paths[order]
-    hog, hof, mbh = _describe_batch(starts, paths, clip.frames, flows, params)
+    hog, hof, mbh = _describe_batch(starts, paths, grads, flows, params)
     return TrackResult(TrajectorySet(starts, paths, np.hstack([descriptor_traj(paths), hog, hof, mbh])))
 
 
@@ -401,7 +406,7 @@ _FEATURE_RECORD = np.dtype(
 def write_features(path: str | Path, trajectories: TrajectorySet) -> None:
     """IGTF v2: magic, version u16, count u32, L u32 (0 when empty), records."""
     n = len(trajectories)
-    header = _FEATURES_HEADER.pack(FEATURES_MAGIC, FEATURES_VERSION, n, trajectories.traj_len if n else 0)
+    header = _FEATURES_HEADER.pack(FEATURES_MAGIC, FEATURES_VERSION, n, TrackerParams.traj_len if n else 0)
     records = np.empty(n, dtype=_FEATURE_RECORD)
     if n:
         records["start"] = trajectories.start

@@ -1,27 +1,30 @@
 """Reference oracles for the tracker's fast paths.
 
-These are the straightforward forms of the 3x3 median filter, the pyramidal
-Lucas-Kanade flow, the integral-histogram descriptors and the tracking loop:
-one `np.median` over nine shifted views, a fresh pyramid per frame pair, one
-integral image per histogram kind and one Python record per trajectory. The
-optimized code in `avcmd.flow` and `avcmd.trajectories` must reproduce them
-bit for bit; the equivalence tests compare with `np.array_equal`.
+These are the straightforward float64 forms of the 3x3 median filter, the
+pyramidal Lucas-Kanade flow, point sampling, the integral-histogram
+descriptors and the tracking loop: one `np.median` over nine shifted views,
+a fresh pyramid per frame pair, integral-image window sums, one integral
+image per histogram kind and one Python record per trajectory.
+
+The median filter selects values, so `avcmd.flow.median_filter_3x3` must
+equal it bit for bit on the same input. The package's tracker runs in
+float32 with direct window sums, so the flow, the sampling and the tracker
+are compared with the tolerances stated in the tests.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from avcmd.flow import FlowField
 from avcmd.frames import Clip, GrayFrame
 from avcmd.trajectories import (
     TrackerParams,
     Trajectory,
     TrackResult,
     _orientation_bins,
-    sample_points,
 )
 
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -112,8 +115,15 @@ def _resize_flow(u: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return sample_bilinear(u, grid_y, grid_x)
 
 
+class Flow(NamedTuple):
+    """A float64 flow field: u horizontal, v vertical, each (height, width)."""
+
+    u: np.ndarray
+    v: np.ndarray
+
+
 def dense_flow(prev, nxt, levels: int = 3, window: int = 7, iterations: int = 3,
-               min_eig: float = 1e-3) -> FlowField:
+               min_eig: float = 1e-3) -> Flow:
     a = _as_float_image(prev)
     b = _as_float_image(nxt)
     radius = max(1, window // 2)
@@ -152,7 +162,31 @@ def dense_flow(prev, nxt, levels: int = 3, window: int = 7, iterations: int = 3,
             np.clip(dv, -radius, radius, out=dv)
             u = u + du
             v = v + dv
-    return FlowField(width=a.shape[1], height=a.shape[0], u=u, v=v)
+    return Flow(u, v)
+
+
+# ---------------------------------------------------------------------------
+# point sampling
+
+def sample_points(img: np.ndarray, step: int, occupied=(), quality: float = 0.001):
+    """Grid nodes whose 3x3 (border-clipped) min eigenvalue reaches quality x max."""
+    h, w = img.shape
+    gy, gx = np.gradient(img)
+    sxx = _box_sum(gx * gx, 1)
+    sxy = _box_sum(gx * gy, 1)
+    syy = _box_sum(gy * gy, 1)
+    score = 0.5 * (sxx + syy - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
+    max_score = float(score.max())
+    if max_score <= 0.0:
+        return []
+    taken = {(int(x // step), int(y // step)) for x, y in occupied}
+    out = []
+    for y in range(step // 2, h, step):
+        for x in range(step // 2, w, step):
+            s = score[y, x]
+            if (x // step, y // step) not in taken and s >= quality * max_score and s > 0.0:
+                out.append((float(x), float(y)))
+    return out
 
 
 # ---------------------------------------------------------------------------

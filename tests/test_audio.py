@@ -20,6 +20,7 @@ from avcmd.audio import (
     keyword_gate,
     load_template_store,
     save_template_manifest,
+    _backtrack,
     _distances,
 )
 from avcmd.errors import FormatError, InvalidParameterError
@@ -372,6 +373,18 @@ class TestDtwAgainstReference:
             want_dist, want_path = ref.dtw_align(a, b)
             assert dist == want_dist
             assert path == want_path
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_batched_moves_give_each_templates_path(self, rng, integer):
+        # adapt_speaker backtracks its chosen template from the batched sweep
+        for _ in range(12):
+            query = _random_frames(rng, int(rng.integers(1, 41)), integer=integer)
+            k = int(rng.integers(1, 6))
+            templates = [_random_frames(rng, int(rng.integers(1, 41)), integer=integer) for _ in range(k)]
+            _, moves = _distances(query, templates, with_moves=True)
+            assert moves.shape[:2] == (k, len(query))
+            for n, t in enumerate(templates):
+                assert _backtrack(moves[n], len(query) - 1, len(t) - 1) == ref.dtw_align(query, t)[1]
 
     def test_nbest_with_duplicated_templates(self, rng):
         grammar = CommandGrammar(entries=tuple(GrammarEntry(command=c) for c in (4, 1, 3, 0)))

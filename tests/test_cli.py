@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from avcmd.audio import save_template_manifest
 from avcmd.cli import _CHANNEL_FILES, main
 from avcmd.container import Annotation, write_annotations, write_clip
 from avcmd.encoding import Channel, Codebook, write_codebook, write_vlad_vectors
 from avcmd.frames import Clip, GrayFrame, Modality
+from avcmd.mfcc import wav_write
 from avcmd.session import read_session_log
 
 
@@ -261,3 +263,22 @@ class TestBadJsonRowsExitOne:
         argv = ["--config", str(tmp_path / "cfg.txt"), "extract", "--clips", str(tmp_path), "--out", str(tmp_path)]
         assert main(argv) == 1
         assert "unknown key 'traj_len'" in capsys.readouterr().err
+
+
+class TestMissingFilesExitOne:
+    """An input file that does not exist ends the command with exit 1 and an `error:` line."""
+
+    def test_evaluate_missing_log(self, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        assert main(["evaluate", "--logs", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_classify_manifest_names_a_missing_wav(self, tmp_path, capsys):
+        wav = tmp_path / "utt.wav"
+        wav_write(wav, np.zeros(1600), 16000)
+        manifest = tmp_path / "templates.json"
+        save_template_manifest(manifest, [{"command_id": 1, "language": "en", "speaker": "s", "path": "gone.wav"}])
+        assert main(["classify", "--wav", str(wav), "--templates", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gone.wav" in err

@@ -13,7 +13,7 @@ from avcmd.errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
-from avcmd.flow import dense_flow
+from avcmd.flow import FramePyramid, dense_flow
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.synth import GESTURE_CLASSES, generate_corpus
 from avcmd.trajectories import (
@@ -24,6 +24,7 @@ from avcmd.trajectories import (
     TrackerParams,
     TrajectorySet,
     _describe_batch,
+    _orientation_bins,
     descriptor_traj,
     is_erratic,
     is_static,
@@ -37,6 +38,11 @@ import reference_tracker as ref
 from conftest import smooth_texture
 
 P = TrackerParams()
+
+
+def grad_of(img) -> np.ndarray:
+    """The (gx, gy) that `track` hands to `sample_points` for this frame."""
+    return FramePyramid(img).levels[0].grad
 
 
 def moving_block_clip(
@@ -77,32 +83,32 @@ class TestTrackerParams:
 
 class TestSamplePoints:
     def test_flat_frame_yields_nothing(self):
-        assert sample_points(np.full((40, 40), 77.0), step=5) == []
+        assert sample_points(grad_of(np.full((40, 40), 77.0)), step=5) == []
 
     def test_fully_occupied_grid_yields_nothing(self):
         img = smooth_texture(40, 40, 1)
         everywhere = [(x, y) for x in range(0, 40, 2) for y in range(0, 40, 2)]
-        assert sample_points(img, step=5, occupied=everywhere) == []
+        assert sample_points(grad_of(img), step=5, occupied=everywhere) == []
 
     def test_checkerboard_matches_direct_eigenvalue_oracle(self):
         # 3-px checkerboard; the oracle recomputes every node's min eigenvalue
-        # from the raw gradients with numpy.linalg, no shared box-filter code.
+        # from the same gradients with numpy.linalg over the border-clipped
+        # 3x3 window, no shared box-filter code. The gradients are multiples
+        # of 127.5, so the window sums are exact in float32.
         n = 33
         yy, xx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         img = (((yy // 3) + (xx // 3)) % 2 * 255).astype(np.float64)
         step, quality = 5, 0.001
-        got = set(sample_points(img, step=step, quality=quality))
+        grad = grad_of(img)
+        got = set(sample_points(grad, step=step, quality=quality))
 
-        gy, gx = np.gradient(img)
-        pg = lambda a: np.pad(a, 1, mode="edge")
-        pgx, pgy = pg(gx), pg(gy)
+        gx, gy = grad.astype(np.float64)
 
         def node_score(x, y):
             m = np.zeros((2, 2))
-            for dy in range(3):
-                for dx in range(3):
-                    gxv = pgx[y + dy, x + dx]
-                    gyv = pgy[y + dy, x + dx]
+            for yy in range(max(0, y - 1), min(n, y + 2)):
+                for xx in range(max(0, x - 1), min(n, x + 2)):
+                    gxv, gyv = gx[yy, xx], gy[yy, xx]
                     m += np.array([[gxv * gxv, gxv * gyv], [gxv * gyv, gyv * gyv]])
             return float(np.linalg.eigvalsh(m)[0])
 
@@ -124,7 +130,7 @@ class TestSamplePoints:
 
     def test_step_validation(self):
         with pytest.raises(InvalidParameterError):
-            sample_points(np.zeros((8, 8)), step=0)
+            sample_points(np.zeros((2, 8, 8)), step=0)
 
 
 class TestPruningPredicates:
@@ -177,10 +183,10 @@ class TestTubeDescriptors:
 
     @staticmethod
     def _describe(image_value, u, v):
-        frames = [GrayFrame.from_array(np.full((64, 64), image_value, dtype=np.uint8))] * P.traj_len
-        flows = [(np.full((64, 64), u), np.full((64, 64), v))] * P.traj_len
+        grads = [grad_of(np.full((64, 64), image_value, dtype=np.uint8))] * P.traj_len
+        flows = [(np.full((64, 64), u, dtype=np.float32), np.full((64, 64), v, dtype=np.float32))] * P.traj_len
         paths = np.full((1, P.traj_len + 1, 2), 32.0)
-        hog, hof, mbh = _describe_batch(np.zeros(1, dtype=np.intp), paths, frames, flows, P)
+        hog, hof, mbh = _describe_batch(np.zeros(1, dtype=np.intp), paths, grads, flows, P)
         return hog[0], hof[0], mbh[0]
 
     def test_flat_tube_gives_zero_hog(self):
@@ -211,14 +217,19 @@ class TestTrajectorySet:
             (good.start, good.points[:, 0], good.desc),          # no path axis
             (good.start, good.points, good.desc[:, :-1]),        # 425 descriptor values
             (good.start[:, None], good.points, good.desc),       # start not a vector
+            (good.start, good.points[:, :13], good.desc),        # L = 12
+            (good.start, np.concatenate([good.points] * 2, axis=1), good.desc),  # L = 31
+            ([], np.empty((0, 1, 2)), np.empty((0, 426))),       # an empty set of L = 0
+            ([], np.empty((0, 13, 2)), np.empty((0, 426))),      # an empty set of L = 12
         ]
         for start, points, desc in bad:
             with pytest.raises(InvalidParameterError):
                 TrajectorySet(start, points, desc)
+        assert TrajectorySet.empty().points.shape == (0, 16, 2)
 
     def test_rows_and_columns_are_the_same_views(self):
         s = TestFeatureDump()._trajs(n=4)
-        assert len(s) == 4 and s.traj_len == 15
+        assert len(s) == 4 and s.points.shape == (4, 16, 2)
         spans = {"traj": (0, 30), "hog": (30, 126), "hof": (126, 234), "mbh": (234, 426)}
         for name, (lo, hi) in spans.items():
             assert np.shares_memory(getattr(s, name), s.desc)
@@ -331,7 +342,14 @@ class TestTrack:
 
 
 class TestFastPathAgainstBruteForce:
-    """The integral-histogram path must agree with a naive per-pixel tally."""
+    """The integral-histogram path must agree with a naive per-pixel tally.
+
+    Each pixel's bin and weight come from `_orientation_bins` over the whole
+    float32 frame, so the tally, the tube cells and the normalisation are
+    what is checked here; the binning itself is checked against the float64
+    reference tracker. The float32 integral images round their running sums,
+    hence the 1e-6 tolerance on the normalised values (7.7e-8 measured).
+    """
 
     @staticmethod
     def _brute(images, flows, start, points, kind, params=P):
@@ -351,18 +369,14 @@ class TestFastPathAgainstBruteForce:
                 gy, gx = np.gradient(flows[f][0])
             else:
                 gy, gx = np.gradient(flows[f][1])
+            bins, mags = _orientation_bins(gx, gy, params.n_bins)
             cx = int(round(points[t, 0]))
             cy = int(round(points[t, 1]))
             for yy in range(cy - half, cy + half):
                 for xx in range(cx - half, cx + half):
-                    vx, vy = gx[yy, xx], gy[yy, xx]
-                    mag = math.hypot(vx, vy)
-                    if kind == "hof" and mag < params.hof_zero_thresh:
+                    b, wgt = int(bins[yy, xx]), float(mags[yy, xx])
+                    if kind == "hof" and wgt < params.hof_zero_thresh:
                         b, wgt = params.n_bins, 1.0
-                    else:
-                        ang = math.atan2(vy, vx) % (2 * math.pi)
-                        b = min(int(ang * params.n_bins / (2 * math.pi)), params.n_bins - 1)
-                        wgt = mag
                     ci = (yy - (cy - half)) // cs
                     cj = (xx - (cx - half)) // cs
                     acc[t // spt, ci, cj, b] += wgt
@@ -372,7 +386,7 @@ class TestFastPathAgainstBruteForce:
         clip = moving_block_clip()
         res = track(clip)
         assert res.trajectories
-        images = [f.data.astype(np.float64) for f in clip.frames]
+        images = [f.data.astype(np.float32) for f in clip.frames]
         flows = []
         for t in range(len(images) - 1):
             field = dense_flow(images[t], images[t + 1], levels=P.pyramid_levels)
@@ -386,7 +400,7 @@ class TestFastPathAgainstBruteForce:
             for ref, got in ((hog, tr.hog), (hof, tr.hof), (mbh, tr.mbh)):
                 n = np.linalg.norm(ref)
                 ref = ref / n if n > 0 else ref
-                np.testing.assert_allclose(got, ref, atol=1e-9)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
 
 
 class TestFeatureDump:
@@ -435,25 +449,41 @@ class TestFeatureDump:
     def test_trajectory_length_mismatch_detected(self, tmp_path):
         # Well-formed records of L = 20: the payload size agrees with the
         # header, but the layout is L = 15, so the file is refused.
-        trajs = self._trajs()
-        pts = np.concatenate([trajs.points, trajs.points[:, -5:] + 1.0], axis=1)
+        rows = [tr._replace(points=np.concatenate([tr.points, tr.points[-5:] + 1.0])) for tr in self._trajs()]
         path = tmp_path / "f.igtf"
-        _write_features_per_record(path, TrajectorySet(trajs.start, pts, trajs.desc))
+        _write_features_per_record(path, rows)
         with pytest.raises(FormatError, match="trajectory length 20"):
             read_features(path)
 
 
 class TestTrackAgainstReference:
-    """The optimized tracker reproduces the reference tracker bit for bit."""
+    """The float32 tracker against the float64 reference tracker.
 
-    @staticmethod
-    def assert_identical(got, expected):
+    Trajectories are paired by start frame and first point; an unpaired one
+    was spawned, kept or pruned by one tracker only. The bounds are set from
+    measurements on these clips: every trajectory paired, points moved by
+    at most 1.6e-3 px and descriptor values by at most 0.11. The descriptor
+    moves come from orientations on a bin edge, which the two dtypes can
+    bin apart: float32 puts an exact 45-degree vector (gx == gy > 0) in bin
+    0, float64 in bin 1.
+    """
+
+    MAX_UNPAIRED = 0.02  # share of the larger of the two kept sets
+    POINT_TOL_PX = 0.01
+    DESC_TOL = 0.25
+
+    @classmethod
+    def assert_close(cls, got, expected):
         assert got.too_short == expected.too_short
-        assert len(got.trajectories) == len(expected.trajectories)
-        for a, b in zip(got.trajectories, expected.trajectories):
-            assert a.start_frame == b.start_frame
-            for name in ("points", "traj", "hog", "hof", "mbh"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        key = lambda t: (t.start_frame, *map(float, t.points[0]))
+        mine = {key(t): t for t in got.trajectories}
+        want = {key(t): t for t in expected.trajectories}
+        assert len(mine.keys() ^ want.keys()) <= cls.MAX_UNPAIRED * max(len(mine), len(want))
+        for k in mine.keys() & want.keys():
+            a, b = mine[k], want[k]
+            assert np.abs(a.points - b.points).max() <= cls.POINT_TOL_PX
+            for name in ("traj", "hog", "hof", "mbh"):
+                assert np.abs(getattr(a, name) - getattr(b, name)).max() <= cls.DESC_TOL, name
 
     @pytest.mark.parametrize("stream", ["rgb", "depth"])
     @pytest.mark.parametrize(
@@ -465,32 +495,46 @@ class TestTrackAgainstReference:
         for sample in corpus:
             clip = getattr(sample, stream)
             got = track(clip)
-            self.assert_identical(got, ref.track(clip))
+            self.assert_close(got, ref.track(clip))
             kept += len(got.trajectories)
         assert kept > 0
 
     def test_moving_block_and_short_clips(self):
         for clip in (moving_block_clip(), static_clip(), static_clip(n_frames=10)):
-            self.assert_identical(track(clip), ref.track(clip))
+            self.assert_close(track(clip), ref.track(clip))
 
     def test_other_tracker_parameters(self):
         params = TrackerParams(grid_step=4, pyramid_levels=2, tube_size=24, hof_zero_thresh=0.2)
         clip = moving_block_clip()
-        self.assert_identical(track(clip, params), ref.track(clip, params))
+        self.assert_close(track(clip, params), ref.track(clip, params))
+
+    def test_spawned_points_equal_the_reference_sampling(self):
+        # Same frame, no live trajectories: the float32 scores select the
+        # same nodes as the float64 oracle.
+        corpus = generate_corpus(1, seed=21, frames=16, size=96)
+        for sample in corpus:
+            for clip in (sample.rgb, sample.depth):
+                for f in (0, 7):
+                    img = clip.frames[f].data
+                    assert sample_points(grad_of(img), P.grid_step) == ref.sample_points(
+                        img.astype(np.float64), P.grid_step
+                    )
 
 
 def _write_features_per_record(path, trajectories, version=2):
     """The record-at-a-time IGTF writer that write_features replaced.
 
-    Version 2 adds the trajectory length L (0 for an empty file) to the
-    version 1 header; the records are the same.
+    `trajectories` is any sequence of `Trajectory` rows. Version 2 adds the
+    trajectory length L (0 for an empty file) to the version 1 header; the
+    records are the same.
     """
+    rows = list(trajectories)
     with open(path, "wb") as fh:
         fh.write(b"IGTF")
-        fh.write(struct.pack("<HI", version, len(trajectories)))
+        fh.write(struct.pack("<HI", version, len(rows)))
         if version == 2:
-            fh.write(struct.pack("<I", trajectories.traj_len if trajectories else 0))
-        for tr in trajectories:
+            fh.write(struct.pack("<I", len(rows[0].points) - 1 if rows else 0))
+        for tr in rows:
             fh.write(struct.pack("<I", tr.start_frame))
             fh.write(tr.points.astype("<f4").tobytes())
             fh.write(np.concatenate([tr.traj, tr.hog, tr.hof, tr.mbh]).astype("<f4").tobytes())
