@@ -171,6 +171,8 @@ def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.0
     """
     if step < 1:
         raise InvalidParameterError("step must be >= 1")
+    if grad.ndim != 3 or len(grad) != 2:
+        raise InvalidParameterError("grad must be the stacked (gx, gy) of a frame: (2, h, w)")
     _, h, w = grad.shape
     score = _structure_tensor(grad, 1)[3]
     max_score = float(score.max())

@@ -132,6 +132,11 @@ class TestSamplePoints:
         with pytest.raises(InvalidParameterError):
             sample_points(np.zeros((2, 8, 8)), step=0)
 
+    def test_takes_gradients_not_an_image(self):
+        for bad in (np.zeros((8, 8)), np.zeros((3, 8, 8)), np.zeros((1, 2, 8, 8))):
+            with pytest.raises(InvalidParameterError):
+                sample_points(bad, step=5)
+
 
 class TestPruningPredicates:
     def test_static_path(self):
