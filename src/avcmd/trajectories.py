@@ -42,13 +42,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidParameterError, check_payload, unpack_header
 from .flow import (
-    FramePyramid,
-    _bilinear_taps,
-    _interpolate,
-    _pad_edge,
-    _structure_tensor,
-    dense_flow,
-    median_filter_3x3,
+    FramePyramid, _bilinear_taps, _interpolate, _pad_edge, _structure_tensor, dense_flow, median_filter_3x3,
 )
 from .frames import Clip
 
