@@ -71,8 +71,11 @@ def _as_float_image(frame) -> np.ndarray:
 def binomial_blur(img: np.ndarray, mode: str) -> np.ndarray:
     """Separable 5-tap binomial blur; `mode` is the `np.pad` mode of the border.
 
-    The result has the dtype of the (floating-point) input.
+    The result has the dtype of a floating-point input; any other input is
+    blurred in float64.
     """
+    if img.dtype.kind != "f":
+        img = img.astype(np.float64)
     h, w = img.shape
     taps = _BINOMIAL.astype(img.dtype)
     p = np.pad(img, 2, mode=mode)

@@ -21,7 +21,9 @@ The layout is fixed: L = 15, 2x2x3 cells and 8 bins give the 30 + 96 + 108
 The tracker computes in float32, as `flow` does: each frame's pyramid
 supplies the gradients that score sampling nodes (the flow's structure
 tensor with a 3x3 window) and feed hog, and the integral histograms are
-float32. Trajectory points and descriptors are float64.
+float32. Orientations are binned by sign and magnitude comparisons, not by
+a float32 angle, so a gradient on a bin edge gets the bin of its exact
+angle. Trajectory points and descriptors are float64.
 
 Trajectories travel as one columnar `TrajectorySet`: start frames (N,),
 point paths (N, 16, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
@@ -44,7 +46,7 @@ from .errors import FormatError, InvalidParameterError, check_payload, unpack_he
 from .flow import (
     FramePyramid, _bilinear_taps, _interpolate, _pad_edge, _structure_tensor, dense_flow, median_filter_3x3,
 )
-from .frames import Clip
+from .frames import Clip, GrayFrame
 
 TRAJ_DIM = 30
 HOG_DIM = 96
@@ -165,6 +167,9 @@ def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.0
     """
     if step < 1:
         raise InvalidParameterError("step must be >= 1")
+    if isinstance(grad, GrayFrame):
+        raise InvalidParameterError("sample_points takes the frame's gradients, not the frame")
+    grad = np.asarray(grad)
     if grad.ndim != 3 or len(grad) != 2:
         raise InvalidParameterError("grad must be the stacked (gx, gy) of a frame: (2, h, w)")
     _, h, w = grad.shape
@@ -186,9 +191,23 @@ def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.0
 # ---------------------------------------------------------------------------
 # orientation histograms
 
-def _orientation_bins(gx: np.ndarray, gy: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    ang = np.arctan2(gy, gx) % (2.0 * np.pi)
-    bins = np.minimum((ang * (n_bins / (2.0 * np.pi))).astype(np.intp), n_bins - 1)
+def _orientation_bins(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector's octant (bin b holds angles in [45b, 45b + 45) degrees) and its length.
+
+    The octant comes from signs and comparisons of gx, gy and their
+    negations, which are exact, so a vector on a bin edge (an axis or a
+    diagonal) gets the bin of its exact angle in any dtype; float32 arctan2
+    puts gx == gy > 0 in bin 0. Vectors in the lower half-plane, angles in
+    [180, 360), are turned by 180 degrees and get 4 added. A zero vector has
+    no angle and weight 0, so its bin adds nothing.
+    """
+    lower = (gy < 0) | ((gy == 0) & (gx < 0))
+    x = np.where(lower, -gx, gx)
+    y = np.where(lower, -gy, gy)
+    bins = (y >= x).astype(np.intp)
+    bins += x <= 0
+    bins += y <= -x
+    bins += 4 * lower
     return bins, np.hypot(gx, gy)
 
 
@@ -238,7 +257,6 @@ def _frame_integrals(grad, flow, bbox, params: TrackerParams) -> np.ndarray:
     bins, weights = _orientation_bins(
         np.stack([gx[box], u[box], dx[0][box], dx[1][box]]),
         np.stack([gy[box], v[box], dy[0][box], dy[1][box]]),
-        nb,
     )
     still = weights[1] < params.hof_zero_thresh
     bins[1][still] = nb

@@ -3,8 +3,9 @@
 These are the straightforward float64 forms of the 3x3 median filter, the
 pyramidal Lucas-Kanade flow, point sampling, the integral-histogram
 descriptors and the tracking loop: one `np.median` over nine shifted views,
-a fresh pyramid per frame pair, integral-image window sums, one integral
-image per histogram kind and one Python record per trajectory.
+a fresh pyramid per frame pair, integral-image window sums, orientation bins
+from `arctan2`, one integral image per histogram kind and one Python record
+per trajectory.
 
 The median filter selects values, so `avcmd.flow.median_filter_3x3` must
 equal it bit for bit on the same input. The package's tracker runs in
@@ -24,7 +25,6 @@ from avcmd.trajectories import (
     TrackerParams,
     Trajectory,
     TrackResult,
-    _orientation_bins,
 )
 
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -199,6 +199,12 @@ def _integral_hist(bins: np.ndarray, weights: np.ndarray, n_bins: int) -> np.nda
     integ = np.zeros((h + 1, w + 1, n_bins))
     integ[1:, 1:] = maps.cumsum(axis=0).cumsum(axis=1)
     return integ
+
+
+def _orientation_bins(gx: np.ndarray, gy: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    ang = np.arctan2(gy, gx) % (2.0 * np.pi)
+    bins = np.minimum((ang * (n_bins / (2.0 * np.pi))).astype(np.intp), n_bins - 1)
+    return bins, np.hypot(gx, gy)
 
 
 def _rect_sums(integ, y0, y1, x0, x1):

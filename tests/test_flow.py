@@ -200,6 +200,14 @@ def test_blur_keeps_the_input_dtype(dtype):
         assert binomial_blur(img, mode).dtype == dtype
 
 
+def test_blur_of_an_integer_image_is_its_float64_blur():
+    img = np.random.default_rng(3).integers(0, 256, size=(9, 12)).astype(np.uint8)
+    for mode in ("edge", "wrap"):
+        got = binomial_blur(img, mode)
+        assert got.dtype == np.float64 and got.any()
+        np.testing.assert_array_equal(got, binomial_blur(img.astype(np.float64), mode))
+
+
 def _brute_box_sum(img: np.ndarray, r: int) -> np.ndarray:
     h, w = img.shape
     out = np.zeros((h, w), dtype=img.dtype)
