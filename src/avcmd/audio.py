@@ -16,6 +16,14 @@ enrollment utterance's nearest template is one sweep over its command's
 templates, whose predecessor tables also give the chosen template's
 warping path; `dtw_distance` and `dtw_align` are the K = 1 case. The
 search is exact, with no band.
+
+Frame costs come from one BLAS Gram product per template, |a|² + |b|² -
+2 a·b, with cells near zero recomputed from explicit differences, so
+d(x, x) = 0 stays exact and the other costs are within the relative bound
+stated at GRAM_FALLBACK. A template's cost matrix does not depend on the
+other templates in the sweep, so copies of one template score bit for bit
+alike wherever they sit, and the K = 1 distance equals the batched one.
+Sequences with non-finite frames are refused.
 """
 
 from __future__ import annotations
@@ -31,6 +39,13 @@ from .mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read
 from .vocabulary import DEFAULT_KEYWORD, SURFACE_FORMS, Command
 
 MAX_CONDITION = 1e6
+
+# Frame costs whose Gram-product d² is at most GRAM_FALLBACK * (|a|² + |b|²)
+# are recomputed from explicit differences. The product's d² is within
+# (2D + 3) u (|a|² + |b|²) of the exact value (D features, u = 2⁻⁵³), so
+# every other cell's d is within (D + 2) u / GRAM_FALLBACK relative, about
+# 4.6e-6 at D = 39, and so is a DTW distance, whose cost is a sum of cells.
+GRAM_FALLBACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,11 +141,21 @@ class SpeakerTransform:
 # dynamic time warping
 
 def _frame_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Explicit differences: the dot-product expansion loses the exact zeros
-    # on identical frames to cancellation, and d(x, x) = 0 is contractual.
-    diff = a[:, None, :] - b[None, :, :]
-    np.multiply(diff, diff, out=diff)
-    return np.sqrt(diff.sum(axis=2))
+    """Euclidean distances between the frames of `a` (Ta, D) and `b` (Tb, D).
+
+    The expansion |a|² + |b|² - 2 a·b cancels where d² is small, so those
+    cells are recomputed from explicit differences: d(x, x) = 0 stays exact
+    and no d² is negative.
+    """
+    sq_a = np.einsum("ij,ij->i", a, a)
+    sq_b = np.einsum("ij,ij->i", b, b)
+    norms = sq_a[:, None] + sq_b[None, :]
+    d2 = norms - 2.0 * (a @ b.T)
+    i, j = np.nonzero(d2 <= GRAM_FALLBACK * norms)
+    if i.size:
+        diff = a[i] - b[j]
+        d2[i, j] = (diff * diff).sum(axis=1)
+    return np.sqrt(d2, out=d2)
 
 
 def _dtw_sweep(query: np.ndarray, templates: list[np.ndarray], with_moves: bool = False):
@@ -153,6 +178,9 @@ def _dtw_sweep(query: np.ndarray, templates: list[np.ndarray], with_moves: bool 
     widths = [t.shape[0] for t in templates]
     k, w = len(templates), max(2, max(widths))
     costs = np.full((k, ta, w), np.inf)
+    # One Gram product per template, not one over the concatenated templates:
+    # BLAS rounding would then depend on a template's column position, and a
+    # template held by two commands could stop scoring a tie.
     for n, t in enumerate(templates):
         costs[n, :, : widths[n]] = _frame_costs(query, t)
     flat = costs.reshape(k, ta * w)
@@ -190,6 +218,8 @@ def _coerce(seq) -> np.ndarray:
     a = np.asarray(seq, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1:
         raise InvalidParameterError("sequence must be a non-empty (T, dim) matrix")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameterError("sequence contains non-finite values")
     return a
 
 

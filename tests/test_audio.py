@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from avcmd.audio import (
+    GRAM_FALLBACK,
     CommandGrammar,
     GrammarEntry,
     Hypothesis,
@@ -22,6 +23,7 @@ from avcmd.audio import (
     save_template_manifest,
     _backtrack,
     _distances,
+    _frame_costs,
 )
 from avcmd.errors import FormatError, InvalidParameterError
 from avcmd.mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read, wav_write
@@ -168,6 +170,22 @@ class TestDtw:
     def test_dim_mismatch_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             dtw_distance(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, rng, bad):
+        good = rng.normal(size=(6, 5))
+        broken = good.copy()
+        broken[3, 2] = bad
+        calls = (
+            lambda: dtw_distance(broken, good),
+            lambda: dtw_distance(good, broken),
+            lambda: dtw_align(broken, good),
+            lambda: dtw_align(good, broken),
+            lambda: _distances(good, [good, broken]),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="non-finite"):
+                call()
 
 
 class TestClassifyCommand:
@@ -342,6 +360,19 @@ def _random_frames(rng, t, dim=5, integer=False):
     return rng.integers(0, 3, size=(t, dim)).astype(np.float64) if integer else rng.normal(size=(t, dim))
 
 
+def assert_within_bound(got, want, dim=5):
+    """Gram-product distances against the explicit-difference oracle, under
+    the relative bound that `audio.GRAM_FALLBACK` states; a zero stays zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= (dim + 2) * 2.0**-53 / GRAM_FALLBACK * want)
+
+
+def assert_nbest_within_bound(got, want, dim=FEATURE_DIM):
+    assert [h.command for h in got.hypotheses] == [h.command for h in want.hypotheses]
+    assert got.tie == want.tie
+    assert_within_bound([h.score for h in got.hypotheses], [h.score for h in want.hypotheses], dim)
+
+
 class TestDtwAgainstReference:
     @pytest.mark.parametrize("integer", [False, True])
     def test_batched_distances_equal_per_pair(self, rng, integer):
@@ -351,18 +382,21 @@ class TestDtwAgainstReference:
             templates = [_random_frames(rng, int(rng.integers(1, 61)), integer=integer) for _ in range(k)]
             got, _ = _distances(query, templates)
             want = np.array([ref.dtw_distance(query, t) for t in templates])
-            assert np.array_equal(got, want)
+            if integer:  # every product and sum is exact
+                assert np.array_equal(got, want)
+            else:
+                assert_within_bound(got, want)
 
     def test_single_template_and_edge_lengths(self, rng):
         lengths = [(1, 1), (1, 2), (2, 1), (1, 60), (60, 1), (2, 2), (60, 60), (7, 33)]
         for ta, tb in lengths:
             a, b = _random_frames(rng, ta), _random_frames(rng, tb)
-            assert dtw_distance(a, b) == ref.dtw_distance(a, b)
+            assert_within_bound(dtw_distance(a, b), ref.dtw_distance(a, b))
         # every length 1..60 against one query, in a single batch
         query = _random_frames(rng, 23)
         templates = [_random_frames(rng, tb) for tb in range(1, 61)]
         got, _ = _distances(query, templates)
-        assert np.array_equal(got, [ref.dtw_distance(query, t) for t in templates])
+        assert_within_bound(got, [ref.dtw_distance(query, t) for t in templates])
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_alignments_equal(self, rng, integer):
@@ -371,7 +405,10 @@ class TestDtwAgainstReference:
             b = _random_frames(rng, int(rng.integers(1, 61)), integer=integer)
             dist, path = dtw_align(a, b)
             want_dist, want_path = ref.dtw_align(a, b)
-            assert dist == want_dist
+            if integer:
+                assert dist == want_dist
+            else:
+                assert_within_bound(dist, want_dist)
             assert path == want_path
 
     @pytest.mark.parametrize("integer", [False, True])
@@ -397,12 +434,12 @@ class TestDtwAgainstReference:
         }
         for utt in (random_seq(rng, t=14), random_seq(rng, t=1), shared):
             got = classify_command(utt, templates, grammar)
-            assert got == ref.classify_command(utt, templates, grammar)
+            assert_nbest_within_bound(got, ref.classify_command(utt, templates, grammar))
         # both commands holding `shared` score it exactly: a flagged tie
         near = seq(shared.frames + 1e-3)
         got = classify_command(near, templates, grammar)
         assert got.tie and [h.command for h in got.hypotheses[:2]] == [1, 4]
-        assert got == ref.classify_command(near, templates, grammar)
+        assert_nbest_within_bound(got, ref.classify_command(near, templates, grammar))
 
     def test_nbest_on_synthetic_commands(self):
         templates = build_audio_templates(7, per_command=2)
@@ -412,8 +449,9 @@ class TestDtwAgainstReference:
         for c in Command:
             utt = mfcc(generate_command_audio(int(c), 900 + int(c), 20.0), 16000)
             for tr in (None, transform):
-                assert classify_command(utt, templates, grammar, tr) == ref.classify_command(
-                    utt, templates, grammar, tr
+                assert_nbest_within_bound(
+                    classify_command(utt, templates, grammar, tr),
+                    ref.classify_command(utt, templates, grammar, tr),
                 )
 
     def test_speaker_transforms_equal(self):
@@ -437,3 +475,54 @@ class TestDtwAgainstReference:
         want = ref.adapt_speaker(templates, enrollment)
         assert got.bias_only and want.bias_only
         assert np.array_equal(got.b, want.b)
+
+
+class TestGramFrameCosts:
+    """Frame costs from the Gram product keep exact zeros, exact ties between
+    copies of a template, and exact results on integer-valued features."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    def test_shared_frames_cost_exactly_zero(self, rng, scale):
+        x = rng.normal(size=(20, FEATURE_DIM)) * 5.0 * scale
+        longer = np.vstack([rng.normal(size=(7, FEATURE_DIM)) * 5.0 * scale, x, x[::-1]])
+        costs = _frame_costs(x, longer)
+        rows = np.arange(20)
+        assert np.all(costs[rows, 7 + rows] == 0.0)
+        assert np.all(costs[rows, 46 - rows] == 0.0)
+        assert np.count_nonzero(costs) == costs.size - 40
+        assert dtw_distance(x, x) == 0.0
+        assert dtw_distance(x, np.repeat(x, 2, axis=0)) == 0.0
+        grammar = CommandGrammar(entries=(GrammarEntry(command=0), GrammarEntry(command=1)))
+        out = classify_command(seq(x), {0: [seq(longer)], 1: [seq(longer), seq(x)]}, grammar)
+        assert out.top == Hypothesis(command=1, score=0.0)
+
+    def test_duplicated_template_ties_and_equals_single_pair(self, rng):
+        grammar = CommandGrammar(entries=tuple(GrammarEntry(command=c) for c in range(5)))
+        for _ in range(10):
+            templates = {
+                c: [random_seq(rng, t=int(rng.integers(5, 60))) for _ in range(int(rng.integers(1, 4)))]
+                for c in range(5)
+            }
+            shared = random_seq(rng, t=int(rng.integers(5, 60)))
+            pair = sorted(int(c) for c in rng.choice(5, size=2, replace=False))
+            for c in pair:
+                templates[c].insert(int(rng.integers(0, len(templates[c]) + 1)), shared)
+            utt = seq(shared.frames + rng.normal(size=shared.frames.shape) * 0.5)
+            out = classify_command(utt, templates, grammar)
+            assert out.tie and [h.command for h in out.hypotheses[:2]] == pair
+            flat = [t for c in grammar.commands for t in templates[c]]
+            batched, _ = _distances(utt, flat)
+            assert np.array_equal(batched, [dtw_distance(utt, t) for t in flat])
+
+    def test_integer_features_equal_reference(self, rng):
+        # |x|² of 39 features in [-500, 500] is an exact float64 integer
+        def ints(t):
+            return seq(rng.integers(-500, 501, size=(t, FEATURE_DIM)))
+
+        grammar = CommandGrammar(entries=tuple(GrammarEntry(command=c) for c in range(4)))
+        templates = {c: [ints(int(rng.integers(1, 50))) for _ in range(2)] for c in range(4)}
+        for _ in range(5):
+            utt = ints(int(rng.integers(1, 50)))
+            assert classify_command(utt, templates, grammar) == ref.classify_command(utt, templates, grammar)
+            for t in templates[0]:
+                assert dtw_align(utt, t) == ref.dtw_align(utt, t)
