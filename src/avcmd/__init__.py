@@ -21,7 +21,14 @@ from .encoding import (
     train_codebook,
     vlad_encode,
 )
-from .svm import KernelSvmModel, LinearSvmModel, Prediction, train_kernel_svm, train_linear_svm
+from .svm import (
+    KernelSvmModel,
+    LinearSvmModel,
+    Prediction,
+    train_kernel_svm,
+    train_kernel_svms,
+    train_linear_svm,
+)
 from .mfcc import MfccSeq, mfcc
 from .audio import (
     CommandGrammar,

@@ -29,9 +29,13 @@ from .encoding import (
 )
 from .errors import InvalidParameterError, PipelineMismatchError
 from .frames import Clip
-from .svm import DEFAULT_C, KernelSvmModel, Prediction, train_kernel_svm
+from .svm import DEFAULT_C, KernelSvmModel, Prediction, train_kernel_svm, train_kernel_svms
 from .trajectories import TrackerParams, TrajectorySet, track
 from .vocabulary import BACKGROUND_LABEL
+
+# Fold Grams stacked into one batched SMO solve; a 7 x 20 corpus (21.6 MB of
+# float64 fold Grams) is one batch, and larger corpora stay at O(n^2) memory.
+LOO_BATCH_BYTES = 32 << 20
 
 
 def channel_matrices(trajectories: TrajectorySet) -> dict[Channel, np.ndarray]:
@@ -186,20 +190,28 @@ def evaluate_loo_bovw(
 
     Channel normalizers and the SVM are re-trained per fold on the held-in
     samples only; the codebooks behind `dists` were learned once on the full
-    descriptor pool, which is the usual vocabulary treatment.
+    descriptor pool, which is the usual vocabulary treatment. The folds'
+    Grams are stacked, up to `LOO_BATCH_BYTES` at a time, and every fold's
+    one-against-all problems are solved together by `train_kernel_svms`;
+    each fold's model is the one `train_kernel_svm` fits on that fold alone.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
+    per_batch = max(1, LOO_BATCH_BYTES // max(1, 8 * (n - 1) ** 2))
     correct = 0
-    for i in range(n):
-        keep = np.arange(n) != i
-        fold_dists = {ch: dists[ch][np.ix_(keep, keep)] for ch in channels}
-        means = {ch: channel_mean_distance(d) for ch, d in fold_dists.items()}
-        gram = multichannel_gram(fold_dists, means)
-        model = train_kernel_svm(gram, labels[keep], c=c)
-        row = cross_gram(
-            {ch: dists[ch][i, keep][None, :] for ch in channels}, means
-        )
-        if model.predict(row)[0].label == labels[i]:
-            correct += 1
+    for start in range(0, n, per_batch):
+        folds = range(start, min(n, start + per_batch))
+        grams = np.empty((len(folds), n - 1, n - 1))
+        keeps, rows = [], []
+        for slot, i in enumerate(folds):
+            keep = np.arange(n) != i
+            fold_dists = {ch: dists[ch][np.ix_(keep, keep)] for ch in channels}
+            means = {ch: channel_mean_distance(d) for ch, d in fold_dists.items()}
+            grams[slot] = multichannel_gram(fold_dists, means)
+            keeps.append(keep)
+            rows.append(cross_gram({ch: dists[ch][i, keep][None, :] for ch in channels}, means))
+        models = train_kernel_svms(grams, [labels[keep] for keep in keeps], c=c)
+        for i, model, row in zip(folds, models, rows):
+            if model.predict(row)[0].label == labels[i]:
+                correct += 1
     return correct / n

@@ -2,10 +2,18 @@
 
 Two trainers share the multiclass machinery:
 
-* a kernel SVM on a precomputed Gram matrix, solved per class with SMO-style
-  pairwise updates (maximal-violating-pair selection, KKT stop);
+* a kernel SVM on a precomputed Gram matrix, one binary problem per class,
+  solved with SMO-style pairwise updates (maximal-violating-pair selection,
+  KKT stop). One batched solver advances every problem of a fit, and of a
+  whole stack of Grams such as the folds of a leave-one-out run, in a
+  single loop; each problem's arithmetic is that of solving it alone, so
+  the results are the same bit for bit;
 * a linear SVM solved per class with dual coordinate descent on the hinge
   loss, with the bias folded in as an augmented feature.
+
+The trainers refuse a C or tolerance that is not finite and positive, an
+iteration cap below 1 and a Gram with non-finite entries; the model reader
+refuses a file with a non-finite number.
 
 Prediction picks the class with the highest decision value; exact ties go to
 the lowest class id and are flagged. Raw decision values are exposed because
@@ -14,8 +22,9 @@ the fusion layer consumes ranked hypothesis lists, not probabilities.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,47 +64,9 @@ class BinarySolution:
     iterations: int
 
 
-def _smo_binary(gram: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
-                max_iter: int = 10_000) -> BinarySolution:
-    """Solve the binary soft-margin dual on a precomputed kernel.
-
-    Maintains f_i = sum_k alpha_k y_k K_ik and repeatedly updates the
-    maximal violating pair until the KKT gap drops below `tol`.
-    """
-    n = y.shape[0]
-    alpha = np.zeros(n)
-    f = np.zeros(n)
+def _solution(alpha: np.ndarray, y: np.ndarray, f: np.ndarray, c: float, iterations: int) -> BinarySolution:
+    """One problem's bias and support expansion from its final alpha and f."""
     eps = 1e-12
-    it = 0
-    for it in range(1, max_iter + 1):
-        vals = y - f  # equals -E_i; also -y_i * grad_i
-        up = ((y > 0) & (alpha < c - eps)) | ((y < 0) & (alpha > eps))
-        low = ((y < 0) & (alpha < c - eps)) | ((y > 0) & (alpha > eps))
-        if not up.any() or not low.any():
-            break
-        i = int(np.flatnonzero(up)[np.argmax(vals[up])])
-        j = int(np.flatnonzero(low)[np.argmin(vals[low])])
-        if vals[i] - vals[j] < tol:
-            break
-
-        eta = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
-        if eta <= 0:
-            eta = 1e-12
-        a_j_old, a_i_old = alpha[j], alpha[i]
-        # box bounds on alpha_j holding alpha_i + s*alpha_j fixed
-        if y[i] != y[j]:
-            lo = max(0.0, a_j_old - a_i_old)
-            hi = min(c, c + a_j_old - a_i_old)
-        else:
-            lo = max(0.0, a_i_old + a_j_old - c)
-            hi = min(c, a_i_old + a_j_old)
-        e_i = f[i] - y[i]
-        e_j = f[j] - y[j]
-        a_j = np.clip(a_j_old + y[j] * (e_i - e_j) / eta, lo, hi)
-        a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-        alpha[i], alpha[j] = a_i, a_j
-        f += gram[:, i] * (y[i] * (a_i - a_i_old)) + gram[:, j] * (y[j] * (a_j - a_j_old))
-
     vals = y - f
     free = (alpha > eps) & (alpha < c - eps)
     if free.any():
@@ -106,14 +77,75 @@ def _smo_binary(gram: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
         hi = vals[up].max() if up.any() else 0.0
         lo = vals[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
-
     support = np.flatnonzero(alpha > 1e-8)
-    return BinarySolution(
-        support=support,
-        coef=alpha[support] * y[support],
-        bias=bias,
-        iterations=it,
-    )
+    return BinarySolution(support=support, coef=alpha[support] * y[support], bias=bias, iterations=iterations)
+
+
+def _smo_solve(grams: np.ndarray, which: np.ndarray, ys: np.ndarray, c: float, tol: float,
+               max_iter: int) -> list[BinarySolution]:
+    """Solve P binary soft-margin duals together on precomputed kernels.
+
+    Problem p uses the Gram `grams[which[p]]` and the +-1 labels `ys[p]`.
+    Each problem keeps f_i = sum_k alpha_k y_k K_ik and repeatedly updates its
+    maximal violating pair until its KKT gap drops below `tol`. All active
+    problems take one step per iteration as (P,) vectors of the same scalar
+    operations, so every problem's path is the one it takes alone; a problem
+    leaves the active set at the iteration where it stops. Only the kernel
+    columns and entries a step needs are gathered.
+    """
+    n_prob, n = ys.shape
+    eps = 1e-12
+    final_alpha = np.zeros((n_prob, n))
+    final_f = np.zeros((n_prob, n))
+    iterations = np.full(n_prob, max_iter)
+
+    act = np.arange(n_prob)
+    w, y = np.asarray(which), ys
+    pos = y > 0  # labels are +-1
+    alpha = np.zeros((n_prob, n))
+    f = np.zeros((n_prob, n))
+    for it in range(1, max_iter + 1):
+        vals = y - f  # equals -E_i; also -y_i * grad_i
+        below, above = alpha < c - eps, alpha > eps
+        up = np.where(pos, below, above)
+        low = np.where(pos, above, below)
+        # first maximum over `up`, first minimum over `low`
+        i = np.argmax(np.where(up, vals, -np.inf), axis=1)
+        j = np.argmin(np.where(low, vals, np.inf), axis=1)
+        r = np.arange(act.size)
+        stop = ~up.any(axis=1) | ~low.any(axis=1) | (vals[r, i] - vals[r, j] < tol)
+        if stop.any():
+            done = act[stop]
+            iterations[done] = it
+            final_alpha[done], final_f[done] = alpha[stop], f[stop]
+            go = ~stop
+            act, w, y, pos, alpha, f, i, j = (a[go] for a in (act, w, y, pos, alpha, f, i, j))
+            if act.size == 0:
+                break
+            r = np.arange(act.size)
+
+        eta = grams[w, i, i] + grams[w, j, j] - 2.0 * grams[w, i, j]
+        eta = np.where(eta <= 0, 1e-12, eta)
+        a_j_old, a_i_old = alpha[r, j], alpha[r, i]
+        y_i, y_j = y[r, i], y[r, j]
+        # box bounds on alpha_j holding alpha_i + s*alpha_j fixed
+        differ = y_i != y_j
+        lo = np.where(differ, a_j_old - a_i_old, a_i_old + a_j_old - c)
+        hi = np.where(differ, c + a_j_old - a_i_old, a_i_old + a_j_old)
+        lo = np.where(lo > 0.0, lo, 0.0)
+        hi = np.where(hi < c, hi, c)
+        e_i = f[r, i] - y_i
+        e_j = f[r, j] - y_j
+        a_j = np.clip(a_j_old + y_j * (e_i - e_j) / eta, lo, hi)
+        a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
+        alpha[r, i] = a_i
+        alpha[r, j] = a_j
+        f += grams[w, :, i] * (y_i * (a_i - a_i_old))[:, None] + grams[w, :, j] * (y_j * (a_j - a_j_old))[:, None]
+    final_alpha[act], final_f[act] = alpha, f  # problems that ran out of iterations
+
+    return [
+        _solution(final_alpha[p], ys[p], final_f[p], c, int(iterations[p])) for p in range(n_prob)
+    ]
 
 
 def _check_labels(labels: np.ndarray) -> np.ndarray:
@@ -200,23 +232,59 @@ def train_kernel_svm(
         raise InvalidParameterError("gram matrix must be square")
     if g.shape[0] != labels.shape[0]:
         raise InvalidParameterError("gram size and label count differ")
-    if not np.allclose(g, g.T, atol=1e-6):
-        raise InvalidParameterError("gram matrix is not symmetric (tolerance 1e-6)")
-    classes = _check_labels(labels)
-
-    solutions = []
-    for cls in classes:
-        y = np.where(labels == cls, 1.0, -1.0)
-        solutions.append(_smo_binary(g, y, c, tol=tol, max_iter=max_iter))
-    return KernelSvmModel(
-        classes=classes,
-        solutions=solutions,
-        n_train=g.shape[0],
-        c=c,
+    (model,) = train_kernel_svms(g[None], [labels], c=c, tol=tol, max_iter=max_iter)
+    return replace(
+        model,
         train_hists=train_hists,
         channel_means=channel_means,
         codebook_hashes=dict(codebook_hashes or {}),
     )
+
+
+def train_kernel_svms(
+    grams: np.ndarray,
+    labels_per_gram,
+    c: float = DEFAULT_C,
+    tol: float = 1e-3,
+    max_iter: int = 10_000,
+) -> list[KernelSvmModel]:
+    """One one-against-all model per Gram of a (G, n, n) stack, in one SMO solve.
+
+    `labels_per_gram[g]` labels the n samples of `grams[g]`; each Gram has
+    its own classes. Every binary problem of every Gram advances in the same
+    batched solver, and each model equals the one `train_kernel_svm` fits on
+    its Gram alone.
+    """
+    g = np.asarray(grams, dtype=np.float64)
+    if g.ndim != 3 or g.shape[1] != g.shape[2]:
+        raise InvalidParameterError("grams must be a (G, n, n) stack of square matrices")
+    labels = [np.asarray(lab) for lab in labels_per_gram]
+    if len(labels) != g.shape[0]:
+        raise InvalidParameterError("gram count and label set count differ")
+    if any(lab.shape != (g.shape[1],) for lab in labels):
+        raise InvalidParameterError("gram size and label count differ")
+    if not (math.isfinite(c) and c > 0):
+        raise InvalidParameterError(f"C must be finite and positive, got {c}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise InvalidParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not np.all(np.isfinite(g)):
+        raise InvalidParameterError("gram matrix contains non-finite values")
+    if not np.allclose(g, g.transpose(0, 2, 1), atol=1e-6):
+        raise InvalidParameterError("gram matrix is not symmetric (tolerance 1e-6)")
+    classes = [_check_labels(lab) for lab in labels]
+
+    which = np.repeat(np.arange(g.shape[0]), [cls.size for cls in classes])
+    ys = np.concatenate([np.where(lab == cls[:, None], 1.0, -1.0) for lab, cls in zip(labels, classes)])
+    solutions = _smo_solve(g, which, ys, c, tol, max_iter)
+    models, start = [], 0
+    for cls in classes:
+        models.append(
+            KernelSvmModel(classes=cls, solutions=solutions[start:start + cls.size], n_train=g.shape[1], c=c)
+        )
+        start += cls.size
+    return models
 
 
 def _dual_cd_binary(x: np.ndarray, y: np.ndarray, c: float, gap_rtol: float,
@@ -344,6 +412,11 @@ def _unpack_hashes(raw: bytes, off: int) -> tuple[dict[Channel, str], int]:
     return hashes, off
 
 
+def _finite(*values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise FormatError("model file holds non-finite numbers")
+
+
 def write_model(path: str | Path, model: KernelSvmModel | LinearSvmModel) -> None:
     if isinstance(model, KernelSvmModel):
         kind = KIND_KERNEL
@@ -380,6 +453,7 @@ def write_model(path: str | Path, model: KernelSvmModel | LinearSvmModel) -> Non
 def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
     raw = Path(path).read_bytes()
     kind, n_classes, c = unpack_header(raw, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, "model")
+    _finite(c)
     try:
         hashes, off = _unpack_hashes(raw, _MODEL_HEADER.size)
 
@@ -392,6 +466,7 @@ def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
                 tag, k, a_c = struct.unpack_from("<BId", raw, off)
                 off += struct.calcsize("<BId")
                 h, off = _array(raw, off, "<f4", n_train * k)
+                _finite(a_c, h)
                 train_hists[_channel(tag)] = h.reshape(n_train, k).astype(np.float64)
                 means[_channel(tag)] = a_c
             classes = []
@@ -401,6 +476,7 @@ def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
                 off += struct.calcsize("<idI")
                 support, off = _array(raw, off, "<u4", n_sv)
                 coef, off = _array(raw, off, "<f8", n_sv)
+                _finite(bias, coef)
                 if n_sv and int(support.max()) >= n_train:
                     raise FormatError("support index beyond the training set")
                 classes.append(cls)
@@ -431,6 +507,7 @@ def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
             for i in range(n_classes):
                 cls, bias = struct.unpack_from("<id", raw, off)
                 w, off = _array(raw, off + struct.calcsize("<id"), "<f4", dim)
+                _finite(bias, w)
                 classes.append(cls)
                 weights[i] = w
                 biases[i] = bias

@@ -6,8 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from avcmd.encoding import Channel
-from avcmd.gesture import GesturePipeline
+import reference_svm as ref
+from avcmd import gesture
+from avcmd.encoding import CHANNEL_ORDER, Channel, chi2_distance_matrix
+from avcmd.gesture import GesturePipeline, _l1_rows, evaluate_loo_bovw
 from avcmd.errors import (
     AvcmdError,
     DegenerateInputError,
@@ -21,6 +23,7 @@ from avcmd.svm import (
     Prediction,
     read_model,
     train_kernel_svm,
+    train_kernel_svms,
     train_linear_svm,
     write_model,
 )
@@ -83,6 +86,49 @@ class TestKernelSvm:
         gram = rng.normal(size=(6, 6))
         with pytest.raises(InvalidParameterError):
             train_kernel_svm(gram, np.array([0, 0, 0, 1, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"c": -1.0},
+            {"c": 0.0},
+            {"c": float("nan")},
+            {"c": float("inf")},
+            {"tol": 0.0},
+            {"tol": -1e-3},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"max_iter": 0},
+            {"max_iter": -5},
+        ],
+    )
+    def test_bad_solver_parameters_rejected(self, rng, kwargs):
+        x, y = separable_points(rng, n_per=4)
+        with pytest.raises(InvalidParameterError):
+            train_kernel_svm(x @ x.T, y, **kwargs)
+        with pytest.raises(InvalidParameterError):
+            train_kernel_svms((x @ x.T)[None], [y], **kwargs)
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_gram_rejected(self, rng, bad):
+        x, y = separable_points(rng, n_per=4)
+        gram = x @ x.T
+        gram[2, 5] = gram[5, 2] = bad
+        for train in (lambda: train_kernel_svm(gram, y), lambda: train_kernel_svms(gram[None], [y])):
+            with pytest.raises(InvalidParameterError, match="non-finite"):
+                train()
+
+    def test_stack_shape_and_label_count_checked(self, rng):
+        x, y = separable_points(rng, n_per=4)
+        gram = x @ x.T
+        with pytest.raises(InvalidParameterError):
+            train_kernel_svms(gram, [y])  # not a stack
+        with pytest.raises(InvalidParameterError):
+            train_kernel_svms(np.stack([gram, gram]), [y])  # one label set for two Grams
+        with pytest.raises(InvalidParameterError):
+            train_kernel_svms(gram[None], [y[:-1]])
+        with pytest.raises(DegenerateInputError):
+            train_kernel_svms(np.stack([gram, gram]), [y, np.zeros_like(y)])
 
     def test_every_class_has_a_support_vector(self, rng):
         x, y = separable_points(rng)
@@ -302,8 +348,39 @@ class TestModelReaderTotality:
                 except AvcmdError:
                     continue
                 assert isinstance(model, (KernelSvmModel, LinearSvmModel))
+                assert self._all_finite(model)
                 if isinstance(model, KernelSvmModel):
                     assert all(int(s.support.max(initial=-1)) < model.n_train for s in model.solutions)
+
+    @staticmethod
+    def _all_finite(model) -> bool:
+        if isinstance(model, LinearSvmModel):
+            numbers = [model.c, model.weights, model.biases]
+        else:
+            numbers = [model.c, *model.train_hists.values(), *model.channel_means.values()]
+            numbers += [v for s in model.solutions for v in (s.bias, s.coef)]
+        return all(np.all(np.isfinite(v)) for v in numbers)
+
+    @pytest.mark.parametrize(
+        "kind, spoil",
+        [
+            ("kernel", lambda m: setattr(m, "c", float("nan"))),
+            ("kernel", lambda m: setattr(m.solutions[0], "bias", float("nan"))),
+            ("kernel", lambda m: m.solutions[1].coef.__setitem__(0, float("inf"))),
+            ("kernel", lambda m: m.channel_means.__setitem__(Channel.MBH, float("inf"))),
+            ("kernel", lambda m: m.train_hists[Channel.HOG].__setitem__((3, 1), float("nan"))),
+            ("linear", lambda m: setattr(m, "c", float("inf"))),
+            ("linear", lambda m: m.weights.__setitem__((1, 0), float("nan"))),
+            ("linear", lambda m: m.biases.__setitem__(0, float("nan"))),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, rng, kind, spoil):
+        model = self._models(rng)[kind]
+        spoil(model)
+        path = tmp_path / "m.igsv"
+        write_model(path, model)
+        with pytest.raises(FormatError, match="non-finite"):
+            read_model(path)
 
     def test_oversized_linear_dimension_is_truncation(self, tmp_path, rng):
         path = tmp_path / "m.igsv"
@@ -315,3 +392,107 @@ class TestModelReaderTotality:
         path.write_bytes(bytes(raw))
         with pytest.raises(TruncatedPayloadError):
             read_model(path)
+
+
+def _bovw_dists(rng, labels, k=24, spread=4.0):
+    """Chi-square distances of class-structured Poisson count histograms, per channel."""
+    rates = rng.gamma(1.0, size=(labels.max() + 1, k))
+    dists = {}
+    for ch in CHANNEL_ORDER:
+        noise = rng.gamma(1.0, size=(labels.size, k))
+        counts = rng.poisson(spread * rates[labels] + noise).astype(np.float64)
+        dists[ch] = chi2_distance_matrix(_l1_rows(counts))
+    return dists
+
+
+class TestBatchedSmoAgainstReference:
+    """The batched solver against the scalar per-problem SMO of `reference_svm`, bit for bit."""
+
+    @staticmethod
+    def _assert_same(model, want):
+        assert np.array_equal(model.classes, want.classes)
+        assert model.n_train == want.n_train
+        for got, exp in zip(model.solutions, want.solutions, strict=True):
+            assert np.array_equal(got.support, exp.support)
+            assert np.array_equal(got.coef, exp.coef)
+            assert got.bias == exp.bias
+            assert got.iterations == exp.iterations
+
+    def _check_folds(self, dists, labels, c=100.0, max_iter=10_000):
+        folds = list(ref.loo_folds(dists, labels))
+        models = train_kernel_svms(
+            np.stack([gram for _, gram, _, _ in folds]), [lab for _, _, lab, _ in folds], c=c, max_iter=max_iter
+        )
+        for model, (_, gram, fold_labels, _) in zip(models, folds, strict=True):
+            self._assert_same(model, ref.train_kernel_svm(gram, fold_labels, c, max_iter=max_iter))
+        return models
+
+    def test_offline_build_size_loo(self):
+        labels = np.repeat(np.arange(7), 4)
+        dists = _bovw_dists(np.random.default_rng(1), labels, spread=1.5)
+        models = self._check_folds(dists, labels)
+        assert sum(m.classes.size for m in models) == 28 * 7
+        want = ref.evaluate_loo_bovw(dists, labels)
+        assert 0.0 < want < 1.0  # some folds are wrong, so the check is not vacuous
+        assert evaluate_loo_bovw(dists, labels) == want
+        for ch in (Channel.HOG, Channel.MBH):
+            assert evaluate_loo_bovw(dists, labels, channels=(ch,), c=10.0) == ref.evaluate_loo_bovw(
+                dists, labels, channels=(ch,), c=10.0
+            )
+
+    @pytest.mark.parametrize("batch_folds", [1, 3])
+    def test_loo_batches_do_not_change_the_result(self, monkeypatch, batch_folds):
+        labels = np.repeat(np.arange(5), 3)
+        dists = _bovw_dists(np.random.default_rng(2), labels, spread=1.0)
+        monkeypatch.setattr(gesture, "LOO_BATCH_BYTES", batch_folds * 8 * 14 * 14)
+        assert evaluate_loo_bovw(dists, labels) == ref.evaluate_loo_bovw(dists, labels)
+
+    def test_singleton_class(self):
+        labels = np.concatenate([np.repeat(np.arange(4), 4), [4]])
+        dists = _bovw_dists(np.random.default_rng(3), labels, spread=1.5)
+        models = self._check_folds(dists, labels)
+        assert sorted({m.classes.size for m in models}) == [4, 5]  # the fold without class 4
+        assert evaluate_loo_bovw(dists, labels) == ref.evaluate_loo_bovw(dists, labels)
+
+    def test_duplicated_samples(self):
+        # identical samples with different labels give eta = 0 pairs
+        x = np.random.default_rng(4).normal(size=(6, 2))
+        x = np.vstack([x, x])
+        gram = x @ x.T
+        for seed in range(5):
+            labels = np.random.default_rng(seed).integers(0, 3, size=12)
+            labels[:3] = [0, 1, 2]
+            self._assert_same(train_kernel_svm(gram, labels, c=10.0), ref.train_kernel_svm(gram, labels, 10.0))
+        labels = np.repeat(np.arange(4), 3)
+        dists = _bovw_dists(np.random.default_rng(5), labels)
+        dup = {ch: d[np.ix_(np.r_[:12, :12], np.r_[:12, :12])] for ch, d in dists.items()}
+        self._check_folds(dup, np.concatenate([labels, labels[::-1]]))
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 7])
+    def test_unconverged_problems(self, max_iter):
+        labels = np.repeat(np.arange(7), 4)
+        dists = _bovw_dists(np.random.default_rng(6), labels)
+        models = self._check_folds(dists, labels, max_iter=max_iter)
+        assert all(s.iterations <= max_iter for m in models for s in m.solutions)
+        assert any(s.iterations == max_iter for m in models for s in m.solutions)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 60])
+    @pytest.mark.parametrize("c", [0.5, 10.0, 100.0])
+    def test_random_grams(self, n, c):
+        rng = np.random.default_rng(1000 * n + int(c))
+        grams, label_sets = [], []
+        for g in range(4):
+            x = rng.normal(size=(n, 3))
+            if g == 1:
+                x[n // 2:] = x[: n - n // 2]  # duplicated samples
+            gram = np.exp(-0.5 * ((x[:, None] - x[None]) ** 2).sum(-1))
+            if g == 2:
+                gram = gram + 1e-9 * rng.normal(size=gram.shape)  # symmetric within 1e-6 only
+            labels = rng.integers(0, 2 + g % 3, size=n)
+            labels[:2] = [0, 1]
+            grams.append(gram)
+            label_sets.append(labels)
+        for max_iter in (3, 10_000):
+            models = train_kernel_svms(np.stack(grams), label_sets, c=c, max_iter=max_iter)
+            for model, gram, labels in zip(models, grams, label_sets, strict=True):
+                self._assert_same(model, ref.train_kernel_svm(gram, labels, c, max_iter=max_iter))
