@@ -197,20 +197,20 @@ def evaluate_loo_bovw(
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    per_batch = max(1, LOO_BATCH_BYTES // max(1, 8 * (n - 1) ** 2))
+    per_batch = max(1, LOO_BATCH_BYTES // (8 * max(n - 1, 1) ** 2))
     correct = 0
     for start in range(0, n, per_batch):
         folds = range(start, min(n, start + per_batch))
         grams = np.empty((len(folds), n - 1, n - 1))
-        keeps, rows = [], []
+        fold_labels, rows = [], []
         for slot, i in enumerate(folds):
             keep = np.arange(n) != i
             fold_dists = {ch: dists[ch][np.ix_(keep, keep)] for ch in channels}
             means = {ch: channel_mean_distance(d) for ch, d in fold_dists.items()}
             grams[slot] = multichannel_gram(fold_dists, means)
-            keeps.append(keep)
+            fold_labels.append(labels[keep])
             rows.append(cross_gram({ch: dists[ch][i, keep][None, :] for ch in channels}, means))
-        models = train_kernel_svms(grams, [labels[keep] for keep in keeps], c=c)
+        models = train_kernel_svms(grams, fold_labels, c=c)
         for i, model, row in zip(folds, models, rows):
             if model.predict(row)[0].label == labels[i]:
                 correct += 1
