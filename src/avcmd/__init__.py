@@ -7,28 +7,18 @@ modalities, and drives a dialogue FSM -- validated end to end on procedurally
 generated ground-truth corpora.
 """
 
-from .frames import Clip, DepthFrame, GrayFrame, Modality, Sensor, linear_depth, log_depth, to_grayscale
+from .frames import Clip, DepthFrame, GrayFrame, Modality, Sensor, log_depth, to_grayscale
 from .flow import FlowField, FramePyramid, dense_flow
 from .trajectories import TrackerParams, Trajectory, TrajectorySet, descriptor_traj, sample_points, track
 from .encoding import (
     BovwHist,
     Channel,
     Codebook,
-    VladVec,
     bovw_encode,
-    combine_vlad,
     multichannel_gram,
     train_codebook,
-    vlad_encode,
 )
-from .svm import (
-    KernelSvmModel,
-    LinearSvmModel,
-    Prediction,
-    train_kernel_svm,
-    train_kernel_svms,
-    train_linear_svm,
-)
+from .svm import KernelSvmModel, Prediction, train_kernel_svm, train_kernel_svms
 from .mfcc import MfccSeq, mfcc
 from .audio import (
     CommandGrammar,

@@ -26,12 +26,8 @@ from .encoding import (
     bovw_encode,
     read_codebook,
     read_encoded,
-    vlad_encode,
     write_codebook,
     write_encoded,
-    write_vlad_vectors,
-    read_vlad_vectors,
-    combine_vlad,
 )
 from .errors import AvcmdError
 from .gesture import (
@@ -55,8 +51,8 @@ from .session import (
     write_script,
     write_session_log,
 )
-from .svm import read_model, train_linear_svm, write_model
-from .synth import build_session_streams, generate_audio_corpus, generate_corpus
+from .svm import read_model, write_model
+from .synth import SAMPLE_RATE, build_session_streams, generate_audio_corpus, generate_corpus
 from .trajectories import read_features, write_features, track
 from .vocabulary import command_name
 
@@ -109,7 +105,7 @@ def _cmd_synth(args) -> int:
             i = counters.get(cmd, 0)
             counters[cmd] = i + 1
             name = f"{command_name(cmd)}_{i:02d}.wav"
-            wav_write(audio_dir / name, wave, 16000)
+            wav_write(audio_dir / name, wave, SAMPLE_RATE)
             rows.append({"command_id": cmd, "language": "en", "speaker": f"s{i}", "path": name})
         save_template_manifest(audio_dir / "manifest.json", rows)
         print(f"wrote {len(rows)} utterances to {audio_dir}")
@@ -179,15 +175,8 @@ def _read_codebooks(codebooks_dir: str) -> dict[Channel, object]:
 def _cmd_encode(args) -> int:
     per_clip, _ = _load_feature_dir(args.features, args.annotations)
     books = _read_codebooks(args.codebooks)
-    if args.kind == "bovw":
-        encoded = [{ch: bovw_encode(d[ch], books[ch]) for ch in CHANNEL_ORDER} for d in per_clip]
-        write_encoded(args.out, encoded)
-    else:
-        vectors = [
-            combine_vlad({ch: vlad_encode(d[ch], books[ch]) for ch in CHANNEL_ORDER})
-            for d in per_clip
-        ]
-        write_vlad_vectors(args.out, np.stack(vectors))
+    encoded = [{ch: bovw_encode(d[ch], books[ch]) for ch in CHANNEL_ORDER} for d in per_clip]
+    write_encoded(args.out, encoded)
     print(f"encoded {len(per_clip)} clips -> {args.out}")
     return 0
 
@@ -197,22 +186,13 @@ def _cmd_train(args) -> int:
     annotations = read_annotations(args.annotations)
     labels = np.asarray([a.label for a in annotations])
     books = _read_codebooks(args.codebooks)
-    if args.kind == "kernel":
-        encoded = read_encoded(args.encoded)
-        if len(encoded) != labels.shape[0]:
-            raise AvcmdError("encoded clip count does not match the annotation sidecar")
-        hists = {
-            ch: np.stack([e[ch].counts for e in encoded]) for ch in CHANNEL_ORDER
-        }
-        model = train_bovw_model(hists, chi2_distances(hists), labels, args.c or cfg.svm_c, books)
-    else:
-        vectors = read_vlad_vectors(args.vlad)
-        if vectors.shape[0] != labels.shape[0]:
-            raise AvcmdError("vlad vector count does not match the annotation sidecar")
-        hashes = {ch: cb.content_hash() for ch, cb in books.items()}
-        model = train_linear_svm(vectors, labels, c=args.c or cfg.svm_c, codebook_hashes=hashes)
+    encoded = read_encoded(args.encoded)
+    if len(encoded) != labels.shape[0]:
+        raise AvcmdError("encoded clip count does not match the annotation sidecar")
+    hists = {ch: np.stack([e[ch].counts for e in encoded]) for ch in CHANNEL_ORDER}
+    model = train_bovw_model(hists, chi2_distances(hists), labels, args.c or cfg.svm_c, books)
     write_model(args.out, model)
-    print(f"trained {args.kind} model on {labels.shape[0]} clips -> {args.out}")
+    print(f"trained kernel model on {labels.shape[0]} clips -> {args.out}")
     return 0
 
 
@@ -340,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None, help="override codebook size")
     p.set_defaults(func=_cmd_codebook)
 
-    p = sub.add_parser("encode", help="features -> BoVW histograms or VLAD vectors")
-    p.add_argument("--kind", choices=("bovw", "vlad"), default="bovw")
+    p = sub.add_parser("encode", help="features -> BoVW histograms")
     p.add_argument("--features", required=True)
     p.add_argument("--annotations")
     p.add_argument("--codebooks", required=True)
@@ -349,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("train", help="train a gesture classifier")
-    p.add_argument("--kind", choices=("kernel", "linear"), default="kernel")
-    p.add_argument("--encoded", help="BoVW .igev file (kernel)")
-    p.add_argument("--vlad", help="VLAD .igvl file (linear)")
+    p.add_argument("--encoded", required=True, help="BoVW .igev file")
     p.add_argument("--annotations", required=True)
     p.add_argument("--codebooks", required=True)
     p.add_argument("--out", required=True)
@@ -397,6 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "classify":
+        need = ("--templates",) if args.wav else ("--model", "--codebooks", "--clip")
+        missing = [opt for opt in need if getattr(args, opt[2:]) is None]
+        if missing:
+            parser.error(f"classify {'--wav' if args.wav else 'without --wav'} needs {', '.join(missing)}")
     try:
         return args.func(args)
     except (AvcmdError, OSError) as exc:  # OSError: a missing or unreadable input file

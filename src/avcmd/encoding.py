@@ -1,11 +1,11 @@
 """Codebook learning and clip-level encodings.
 
 A codebook is learned per descriptor channel with seeded k-means++ Lloyd
-iterations. Clips are then represented either as hard-assignment visual-word
-histograms (BoVW) or as aggregated first-order residuals (VLAD). Histogram
-channels are compared with the chi-square distance and combined into one
-kernel value as exp(-sum_c D_c / A_c), where A_c is the mean pairwise
-training distance of channel c.
+iterations. A clip is then represented per channel by a hard-assignment
+visual-word histogram (BoVW). Histogram channels are compared with the
+chi-square distance and combined into one kernel value as
+exp(-sum_c D_c / A_c), where A_c is the mean pairwise training distance of
+channel c.
 
 Every chi-square distance comes from `chi2_cross_matrix`
 (`chi2_distance_matrix` is its (h, h) case), and every kernel value from
@@ -108,21 +108,6 @@ def _l1_rows(h: np.ndarray) -> np.ndarray:
     return np.divide(h, sums, out=np.zeros_like(h), where=sums > 0)
 
 
-@dataclass(frozen=True)
-class VladVec:
-    values: np.ndarray  # (K * dim,)
-    n_descriptors: int
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.n_descriptors == 0
-
-
 # ---------------------------------------------------------------------------
 # k-means
 
@@ -223,50 +208,18 @@ def train_codebook(
 # ---------------------------------------------------------------------------
 # encodings
 
-def _check_dim(descriptors: np.ndarray, codebook: Codebook) -> np.ndarray:
-    x = np.asarray(descriptors, dtype=np.float64)
-    if x.size == 0:
-        return x.reshape(0, codebook.dim)
-    if x.ndim != 2 or x.shape[1] != codebook.dim:
-        raise InvalidParameterError(
-            f"descriptor dim {x.shape[-1] if x.ndim == 2 else '?'} does not match codebook dim {codebook.dim}"
-        )
-    return x
-
-
 def bovw_encode(descriptors: np.ndarray, codebook: Codebook) -> BovwHist:
     """Hard-assignment histogram; counts sum to the number of descriptors."""
-    x = _check_dim(descriptors, codebook)
+    x = np.asarray(descriptors, dtype=np.float64)
     counts = np.zeros(codebook.k)
-    if x.shape[0]:
+    if x.size:
+        if x.ndim != 2 or x.shape[1] != codebook.dim:
+            raise InvalidParameterError(
+                f"descriptor dim {x.shape[-1] if x.ndim == 2 else '?'} does not match codebook dim {codebook.dim}"
+            )
         labels, _ = _assign(x, codebook.centroids.astype(np.float64))
         counts = np.bincount(labels, minlength=codebook.k).astype(np.float64)
     return BovwHist(counts=counts, channel=codebook.channel)
-
-
-def vlad_encode(descriptors: np.ndarray, codebook: Codebook) -> VladVec:
-    """Aggregate residuals to the nearest word, then signed sqrt + global L2."""
-    x = _check_dim(descriptors, codebook)
-    c = codebook.centroids.astype(np.float64)
-    agg = np.zeros((codebook.k, codebook.dim))
-    if x.shape[0]:
-        labels, _ = _assign(x, c)
-        counts = np.bincount(labels, minlength=codebook.k).astype(np.float64)
-        agg = _cluster_sums(x, labels, codebook.k) - counts[:, None] * c
-    flat = agg.ravel()
-    flat = np.sign(flat) * np.sqrt(np.abs(flat))
-    norm = float(np.linalg.norm(flat))
-    if norm > 0:
-        flat = flat / norm
-    return VladVec(values=flat, n_descriptors=int(x.shape[0]))
-
-
-def combine_vlad(per_channel: dict[Channel, VladVec]) -> np.ndarray:
-    """Concatenate channel VLAD vectors in the fixed TRAJ|HOG|HOF|MBH order."""
-    missing = [ch.name for ch in CHANNEL_ORDER if ch not in per_channel]
-    if missing:
-        raise InvalidParameterError(f"missing channels: {', '.join(missing)}")
-    return np.concatenate([per_channel[ch].values for ch in CHANNEL_ORDER])
 
 
 # ---------------------------------------------------------------------------
@@ -393,38 +346,6 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
     bounds = np.cumsum([0] + [k for _, k in channels])
     spans = [(ch, lo, hi) for (ch, _), lo, hi in zip(channels, bounds[:-1], bounds[1:])]
     return [{ch: BovwHist(counts=c[lo:hi], channel=ch) for ch, lo, hi in spans} for c in counts]
-
-
-# ---------------------------------------------------------------------------
-# VLAD vector file: magic, version u16, count u32, dim u32, then count x dim
-# f32 rows (finalized vectors, clip order as in the annotation sidecar). A
-# file holds at least one vector of at least one value, all finite, and
-# nothing after the last row.
-
-VLAD_MAGIC = b"IGVL"
-VLAD_VERSION = 1
-_VLAD_HEADER = struct.Struct("<4sHII")
-
-
-def write_vlad_vectors(path: str | Path, vectors: np.ndarray) -> None:
-    v = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if v.size == 0 or not np.all(np.isfinite(v)):
-        raise InvalidParameterError("vlad vectors must be a nonempty, finite matrix")
-    with open(path, "wb") as fh:
-        fh.write(_VLAD_HEADER.pack(VLAD_MAGIC, VLAD_VERSION, v.shape[0], v.shape[1]))
-        fh.write(v.astype("<f4").tobytes())
-
-
-def read_vlad_vectors(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    count, dim = unpack_header(raw, _VLAD_HEADER, VLAD_MAGIC, VLAD_VERSION, "vlad")
-    if count == 0 or dim == 0:
-        raise FormatError(f"vlad file declares an empty {count} x {dim} matrix")
-    check_payload(len(raw), _VLAD_HEADER.size + count * dim * 4, "vlad")
-    vectors = np.frombuffer(raw, dtype="<f4", offset=_VLAD_HEADER.size).reshape(count, dim).astype(np.float64)
-    if not np.all(np.isfinite(vectors)):
-        raise FormatError("vlad vectors contain non-finite values")
-    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,3 @@ def log_depth(depth: DepthFrame) -> GrayFrame:
     lut = np.rint(255.0 * np.log1p(lut_in) / np.log1p(float(depth.d_max)))
     lut = np.clip(lut, 0, 255).astype(np.uint8)
     return GrayFrame.from_array(lut[depth.data])
-
-
-def linear_depth(depth: DepthFrame) -> GrayFrame:
-    """Linearly rescale a depth frame to 8 bits (the raw-depth modality)."""
-    v = np.rint(depth.data.astype(np.float64) * (255.0 / float(depth.d_max)))
-    return GrayFrame.from_array(np.clip(v, 0, 255).astype(np.uint8))

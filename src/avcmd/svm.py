@@ -1,19 +1,15 @@
-"""Soft-margin SVM trainers and one-against-all prediction.
+"""Soft-margin kernel SVM training and one-against-all prediction.
 
-Two trainers share the multiclass machinery:
-
-* a kernel SVM on a precomputed Gram matrix, one binary problem per class,
-  solved with SMO-style pairwise updates (maximal-violating-pair selection,
-  KKT stop). One batched solver advances every problem of a fit, and of a
-  whole stack of Grams such as the folds of a leave-one-out run, in a
-  single loop; each problem's arithmetic is that of solving it alone, so
-  the results are the same bit for bit;
-* a linear SVM solved per class with dual coordinate descent on the hinge
-  loss, with the bias folded in as an augmented feature.
+The SVM works on a precomputed Gram matrix, one binary problem per class,
+solved with SMO-style pairwise updates (maximal-violating-pair selection,
+KKT stop). One batched solver advances every problem of a fit, and of a
+whole stack of Grams such as the folds of a leave-one-out run, in a single
+loop; each problem's arithmetic is that of solving it alone, so the results
+are the same bit for bit.
 
 The trainers refuse a C or tolerance that is not finite and positive, an
 iteration cap below 1 and a Gram with non-finite entries; the model reader
-refuses a file with a non-finite number.
+refuses a file with a non-finite number or a model kind other than kernel.
 
 Prediction picks the class with the highest decision value; exact ties go to
 the lowest class id and are flagged. Raw decision values are exposed because
@@ -42,8 +38,7 @@ from .errors import (
 
 MODEL_MAGIC = b"IGSV"
 MODEL_VERSION = 1
-KIND_KERNEL = 0
-KIND_LINEAR = 1
+KIND_KERNEL = 0  # the only model kind; its header byte stays so files keep their layout
 _MODEL_HEADER = struct.Struct("<4sHBHd")  # magic, version, kind, class count, C
 
 DEFAULT_C = 100.0
@@ -188,27 +183,6 @@ class KernelSvmModel:
         return [_argmax_prediction(self.classes, row) for row in self.decision_values(kernel_rows)]
 
 
-@dataclass
-class LinearSvmModel:
-    classes: np.ndarray
-    weights: np.ndarray  # (n_classes, dim)
-    biases: np.ndarray   # (n_classes,)
-    c: float
-    degenerate: bool = False
-    codebook_hashes: dict[Channel, str] = field(default_factory=dict)
-
-    def decision_values(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.weights.shape[1]:
-            raise InvalidParameterError(
-                f"feature dim {x.shape[1]} does not match model dim {self.weights.shape[1]}"
-            )
-        return x @ self.weights.T + self.biases
-
-    def predict(self, x: np.ndarray) -> list[Prediction]:
-        return [_argmax_prediction(self.classes, row) for row in self.decision_values(x)]
-
-
 def _argmax_prediction(classes: np.ndarray, scores: np.ndarray) -> Prediction:
     best = int(np.argmax(scores))  # first maximum = lowest class id
     tie = bool(np.sum(scores == scores[best]) > 1)
@@ -287,96 +261,19 @@ def train_kernel_svms(
     return models
 
 
-def _dual_cd_binary(x: np.ndarray, y: np.ndarray, c: float, gap_rtol: float,
-                    max_epochs: int, seed: int) -> tuple[np.ndarray, int]:
-    """Dual coordinate descent for the L1 hinge loss.
-
-    Bias-free formulation: keeps the dual box-constrained only, so the
-    per-coordinate update is exact and scaling data by lambda with C
-    rescaled by 1/lambda^2 reproduces the identical optimization path.
-    Stops on the relative duality gap.
-    """
-    n = x.shape[0]
-    rng = np.random.default_rng(seed)
-    alpha = np.zeros(n)
-    w = np.zeros(x.shape[1])
-    q_diag = (x * x).sum(axis=1)
-    epochs = 0
-    for epochs in range(1, max_epochs + 1):
-        for i in rng.permutation(n):
-            if q_diag[i] <= 0.0:
-                continue
-            g = y[i] * (x[i] @ w) - 1.0
-            if alpha[i] <= 0.0:
-                pg = min(g, 0.0)
-            elif alpha[i] >= c:
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            if abs(pg) > 1e-12:
-                new = min(max(alpha[i] - g / q_diag[i], 0.0), c)
-                if new != alpha[i]:
-                    w += (new - alpha[i]) * y[i] * x[i]
-                    alpha[i] = new
-        margins = 1.0 - y * (x @ w)
-        primal = 0.5 * float(w @ w) + c * float(np.clip(margins, 0.0, None).sum())
-        dual = float(alpha.sum()) - 0.5 * float(w @ w)
-        if primal - dual <= gap_rtol * max(abs(primal), 1.0):
-            break
-    return w, epochs
-
-
-def train_linear_svm(
-    x: np.ndarray,
-    labels: np.ndarray,
-    c: float = DEFAULT_C,
-    gap_rtol: float = 1e-3,
-    max_epochs: int = 1000,
-    seed: int = 0,
-    codebook_hashes: dict[Channel, str] | None = None,
-) -> LinearSvmModel:
-    """Per-class hinge-loss linear SVMs via dual coordinate descent.
-
-    The encoder output is zero-centered and L2-normalized, so the separating
-    planes pass near the origin and the biases stay at zero; an all-zero
-    feature matrix is flagged degenerate and falls back to class-prior
-    biases so prediction returns the majority class.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2:
-        raise InvalidParameterError("features must be a (N, dim) matrix")
-    if x.shape[0] != labels.shape[0]:
-        raise InvalidParameterError("feature rows and label count differ")
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("features contain non-finite values")
-    classes = _check_labels(labels)
-    degenerate = bool(np.all(x == 0.0))
-
-    weights = np.zeros((classes.size, x.shape[1]))
-    biases = np.zeros(classes.size)
-    if degenerate:
-        for idx, cls in enumerate(classes):
-            biases[idx] = float(np.mean(labels == cls))
-    else:
-        for idx, cls in enumerate(classes):
-            y = np.where(labels == cls, 1.0, -1.0)
-            w, _ = _dual_cd_binary(x, y, c, gap_rtol, max_epochs, seed + idx)
-            weights[idx] = w
-    return LinearSvmModel(
-        classes=classes,
-        weights=weights,
-        biases=biases,
-        c=c,
-        degenerate=degenerate,
-        codebook_hashes=dict(codebook_hashes or {}),
-    )
-
-
 # ---------------------------------------------------------------------------
-# model file: magic, version u16, kind u8, class count u16, then the payload
-# described below; codebook references are stored as sha256 digests so a
-# classifier refuses histograms produced by a different vocabulary.
+# model file: magic, version u16, kind u8 (0 = kernel; any other value is
+# refused), class count u16, C f64; the codebook table (count u8, then per
+# channel tag u8 and its sha256 digest, so a classifier refuses histograms
+# produced by a different vocabulary); n_train u32 and a channel count u8,
+# then per channel (tag u8, K u32, mean distance f64) and n_train x K f32
+# training counts; then per class (id i32, bias f64, support count u32), the
+# support indices u32 and their coefficients f64.
+
+_TRAIN_SET = struct.Struct("<IB")      # n_train, channel count
+_HIST_RECORD = struct.Struct("<BId")   # channel tag, K, mean distance
+_CLASS_RECORD = struct.Struct("<idI")  # class id, bias, support count
+
 
 def _pack_hashes(hashes: dict[Channel, str]) -> bytes:
     out = [struct.pack("<B", len(hashes))]
@@ -417,109 +314,65 @@ def _finite(*values) -> None:
         raise FormatError("model file holds non-finite numbers")
 
 
-def write_model(path: str | Path, model: KernelSvmModel | LinearSvmModel) -> None:
-    if isinstance(model, KernelSvmModel):
-        kind = KIND_KERNEL
-    elif isinstance(model, LinearSvmModel):
-        kind = KIND_LINEAR
-    else:
-        raise InvalidParameterError(f"cannot serialize {type(model).__name__}")
+def write_model(path: str | Path, model: KernelSvmModel) -> None:
+    hists = model.train_hists or {}
+    means = model.channel_means or {}
     parts = [
-        _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, kind, model.classes.size, model.c),
+        _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, KIND_KERNEL, model.classes.size, model.c),
         _pack_hashes(model.codebook_hashes),
+        _TRAIN_SET.pack(model.n_train, len(hists)),
     ]
-
-    if kind == KIND_KERNEL:
-        hists = model.train_hists or {}
-        means = model.channel_means or {}
-        parts.append(struct.pack("<IB", model.n_train, len(hists)))
-        for ch in sorted(hists, key=int):
-            h = np.asarray(hists[ch])
-            parts.append(struct.pack("<BId", int(ch), h.shape[1], float(means[ch])))
-            parts.append(h.astype("<f4").tobytes())
-        for cls, sol in zip(model.classes, model.solutions):
-            parts.append(struct.pack("<idI", int(cls), sol.bias, sol.support.size))
-            parts.append(sol.support.astype("<u4").tobytes())
-            parts.append(sol.coef.astype("<f8").tobytes())
-    else:
-        parts.append(struct.pack("<IB", model.weights.shape[1], int(model.degenerate)))
-        for cls, w, b in zip(model.classes, model.weights, model.biases):
-            parts.append(struct.pack("<id", int(cls), float(b)))
-            parts.append(w.astype("<f4").tobytes())
-
+    for ch in sorted(hists, key=int):
+        h = np.asarray(hists[ch])
+        parts.append(_HIST_RECORD.pack(int(ch), h.shape[1], float(means[ch])))
+        parts.append(h.astype("<f4").tobytes())
+    for cls, sol in zip(model.classes, model.solutions):
+        parts.append(_CLASS_RECORD.pack(int(cls), sol.bias, sol.support.size))
+        parts.append(sol.support.astype("<u4").tobytes())
+        parts.append(sol.coef.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_model(path: str | Path) -> KernelSvmModel | LinearSvmModel:
+def read_model(path: str | Path) -> KernelSvmModel:
     raw = Path(path).read_bytes()
     kind, n_classes, c = unpack_header(raw, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, "model")
+    if kind != KIND_KERNEL:
+        raise UnsupportedVersionError(f"model kind {kind} not supported (only {KIND_KERNEL}, kernel)")
     _finite(c)
     try:
         hashes, off = _unpack_hashes(raw, _MODEL_HEADER.size)
-
-        if kind == KIND_KERNEL:
-            n_train, n_hists = struct.unpack_from("<IB", raw, off)
-            off += 5
-            train_hists: dict[Channel, np.ndarray] = {}
-            means: dict[Channel, float] = {}
-            for _ in range(n_hists):
-                tag, k, a_c = struct.unpack_from("<BId", raw, off)
-                off += struct.calcsize("<BId")
-                h, off = _array(raw, off, "<f4", n_train * k)
-                _finite(a_c, h)
-                train_hists[_channel(tag)] = h.reshape(n_train, k).astype(np.float64)
-                means[_channel(tag)] = a_c
-            classes = []
-            solutions = []
-            for _ in range(n_classes):
-                cls, bias, n_sv = struct.unpack_from("<idI", raw, off)
-                off += struct.calcsize("<idI")
-                support, off = _array(raw, off, "<u4", n_sv)
-                coef, off = _array(raw, off, "<f8", n_sv)
-                _finite(bias, coef)
-                if n_sv and int(support.max()) >= n_train:
-                    raise FormatError("support index beyond the training set")
-                classes.append(cls)
-                solutions.append(
-                    BinarySolution(
-                        support=support.astype(np.intp), coef=coef.astype(np.float64), bias=bias, iterations=0
-                    )
-                )
-            check_payload(len(raw), off, "model")
-            return KernelSvmModel(
-                classes=np.asarray(classes),
-                solutions=solutions,
-                n_train=n_train,
-                c=c,
-                train_hists=train_hists or None,
-                channel_means=means or None,
-                codebook_hashes=hashes,
+        n_train, n_hists = _TRAIN_SET.unpack_from(raw, off)
+        off += _TRAIN_SET.size
+        train_hists: dict[Channel, np.ndarray] = {}
+        means: dict[Channel, float] = {}
+        for _ in range(n_hists):
+            tag, k, a_c = _HIST_RECORD.unpack_from(raw, off)
+            h, off = _array(raw, off + _HIST_RECORD.size, "<f4", n_train * k)
+            _finite(a_c, h)
+            ch = _channel(tag)
+            train_hists[ch] = h.reshape(n_train, k).astype(np.float64)
+            means[ch] = a_c
+        classes, solutions = [], []
+        for _ in range(n_classes):
+            cls, bias, n_sv = _CLASS_RECORD.unpack_from(raw, off)
+            support, off = _array(raw, off + _CLASS_RECORD.size, "<u4", n_sv)
+            coef, off = _array(raw, off, "<f8", n_sv)
+            _finite(bias, coef)
+            if n_sv and int(support.max()) >= n_train:
+                raise FormatError("support index beyond the training set")
+            classes.append(cls)
+            solutions.append(
+                BinarySolution(support=support.astype(np.intp), coef=coef.astype(np.float64), bias=bias, iterations=0)
             )
-        if kind == KIND_LINEAR:
-            dim, degenerate = struct.unpack_from("<IB", raw, off)
-            off += 5
-            record = struct.calcsize("<id") + dim * 4
-            if n_classes * record > len(raw) - off:
-                raise TruncatedPayloadError("model file truncated")
-            classes = []
-            weights = np.empty((n_classes, dim))
-            biases = np.empty(n_classes)
-            for i in range(n_classes):
-                cls, bias = struct.unpack_from("<id", raw, off)
-                w, off = _array(raw, off + struct.calcsize("<id"), "<f4", dim)
-                _finite(bias, w)
-                classes.append(cls)
-                weights[i] = w
-                biases[i] = bias
-            check_payload(len(raw), off, "model")
-            return LinearSvmModel(
-                classes=np.asarray(classes),
-                weights=weights,
-                biases=biases,
-                c=c,
-                degenerate=bool(degenerate),
-                codebook_hashes=hashes,
-            )
-        raise UnsupportedVersionError(f"unknown model kind {kind}")
     except struct.error:
         raise TruncatedPayloadError("model file truncated") from None
+    check_payload(len(raw), off, "model")
+    return KernelSvmModel(
+        classes=np.asarray(classes),
+        solutions=solutions,
+        n_train=n_train,
+        c=c,
+        train_hists=train_hists or None,
+        channel_means=means or None,
+        codebook_hashes=hashes,
+    )

@@ -30,6 +30,17 @@ from .trajectories import TrackerParams
 from .vocabulary import BACKGROUND_LABEL, COMMAND_GESTURES, Command, MotionPattern
 
 MIN_CLIP_FRAMES = TrackerParams().traj_len + 1
+FPS = 15.0           # frames per second of every clip and session stream
+D_MAX = 4095         # depth range of every rendered depth stream
+SAMPLE_RATE = 16000  # Hz, every synthesized waveform
+
+# Session streams: one larger scene whose limb and gesture excursions exceed
+# the corpus clips' so every pattern clears the activity trigger.
+SESSION_SIZE = 120
+SESSION_SNR_DB = 20.0
+SESSION_NOISE_SIGMA = 3.0
+SESSION_LIMB_W, SESSION_LIMB_LEN = 18, 42
+SESSION_AMPLITUDE_SCALE = 1.3
 
 
 @dataclass(frozen=True)
@@ -185,9 +196,8 @@ class GestureSample:
 class _World:
     """Shared renderer state: textures and depth fields for one scene."""
 
-    def __init__(self, rng: np.random.Generator, size: int, spec: GestureSpec, d_max: int):
+    def __init__(self, rng: np.random.Generator, size: int, spec: GestureSpec):
         self.size = size
-        self.d_max = d_max
         self.bg = 40.0 + 120.0 * _smooth_field(rng, size, size)
         self.limb_tex = 90.0 + 140.0 * _smooth_field(rng, spec.limb_len, spec.limb_w, passes=2)
         self.bg_depth = 2400.0 + 300.0 * _smooth_field(rng, size, size)
@@ -201,9 +211,9 @@ class _World:
         depth = depth + rng.normal(0.0, depth_noise, depth.shape) if depth_noise > 0 else depth
         gray_u8 = np.clip(np.rint(gray), 0, 255).astype(np.uint8)
         rgb_frame = to_grayscale(np.repeat(gray_u8[:, :, None], 3, axis=2))
-        depth_u16 = np.clip(np.rint(depth), 0, self.d_max).astype(np.uint16)
+        depth_u16 = np.clip(np.rint(depth), 0, D_MAX).astype(np.uint16)
         ld_frame = log_depth(
-            DepthFrame(width=self.size, height=self.size, data=depth_u16, d_max=self.d_max)
+            DepthFrame(width=self.size, height=self.size, data=depth_u16, d_max=D_MAX)
         )
         return rgb_frame, ld_frame
 
@@ -213,14 +223,12 @@ def generate_gesture_clip(
     seed: int,
     frames: int,
     size: int = 96,
-    fps: float = 15.0,
-    d_max: int = 4095,
 ) -> GestureSample:
     """Render one gesture as matched RGB and log-depth clips."""
     if frames < MIN_CLIP_FRAMES:
         raise InvalidParameterError(f"need at least {MIN_CLIP_FRAMES} frames, got {frames}")
     rng = np.random.default_rng(seed)
-    world = _World(rng, size, spec, d_max)
+    world = _World(rng, size, spec)
     home = np.array([size / 2.0, size / 2.0])
     offsets = _limb_path(spec, frames, rng)
     margin = spec.amplitude / 2.0 + max(spec.limb_len, spec.limb_w) / 2.0
@@ -234,9 +242,9 @@ def generate_gesture_clip(
         rgb_frames.append(rgb_f)
         ld_frames.append(ld_f)
     return GestureSample(
-        rgb=Clip(frames=tuple(rgb_frames), fps=fps, modality=Modality.RGB,
+        rgb=Clip(frames=tuple(rgb_frames), fps=FPS, modality=Modality.RGB,
                  sensor_id=Sensor.S1, label=spec.class_id),
-        depth=Clip(frames=tuple(ld_frames), fps=fps, modality=Modality.LOG_DEPTH,
+        depth=Clip(frames=tuple(ld_frames), fps=FPS, modality=Modality.LOG_DEPTH,
                    sensor_id=Sensor.S1, label=spec.class_id),
         label=spec.class_id,
     )
@@ -314,12 +322,7 @@ _AUDIO_RECIPES: dict[int, list[tuple[float, tuple[float, float], tuple[float, fl
 }
 
 
-def generate_command_audio(
-    command: int,
-    speaker_seed: int,
-    snr_db: float,
-    sample_rate: int = 16000,
-) -> np.ndarray:
+def generate_command_audio(command: int, speaker_seed: int, snr_db: float) -> np.ndarray:
     """Synthesize one utterance of a command as a mono waveform in [-1, 1]."""
     recipe = _AUDIO_RECIPES.get(int(command))
     if recipe is None:
@@ -330,24 +333,24 @@ def generate_command_audio(
 
     # tight endpointing: long silences would fill the warp path with
     # noise-only frames and blur the command identity
-    parts = [np.zeros(int(0.015 * sample_rate))]
+    parts = [np.zeros(int(0.015 * SAMPLE_RATE))]
     for dur, (f1a, f1b), (f2a, f2b) in recipe:
-        n = max(1, int(round(dur * rate * sample_rate)))
+        n = max(1, int(round(dur * rate * SAMPLE_RATE)))
         wobble = math.exp(rng.normal(0.0, 0.008))
         f1 = np.linspace(f1a, f1b, n) * pitch * wobble
         f2 = np.linspace(f2a, f2b, n) * pitch * wobble
-        ph1 = 2.0 * math.pi * np.cumsum(f1) / sample_rate
-        ph2 = 2.0 * math.pi * np.cumsum(f2) / sample_rate
+        ph1 = 2.0 * math.pi * np.cumsum(f1) / SAMPLE_RATE
+        ph2 = 2.0 * math.pi * np.cumsum(f2) / SAMPLE_RATE
         # harmonic stacks widen each formant's spectral footprint, which
         # keeps more mel filters signal-dominated under additive noise
         low = np.sin(ph1) + 0.5 * np.sin(2.0 * ph1) + 0.3 * np.sin(3.0 * ph1)
         high = np.sin(ph2)
-        if 2.0 * max(f2a, f2b) < 0.95 * sample_rate / 2.0:
+        if 2.0 * max(f2a, f2b) < 0.95 * SAMPLE_RATE / 2.0:
             high = high + 0.4 * np.sin(2.0 * ph2)
         env = np.sin(math.pi * (np.arange(n) + 0.5) / n) ** 0.7
         parts.append((0.5 * low + 0.45 * high) * env)
-        parts.append(np.zeros(int(0.012 * sample_rate)))
-    parts.append(np.zeros(int(0.015 * sample_rate)))
+        parts.append(np.zeros(int(0.012 * SAMPLE_RATE)))
+    parts.append(np.zeros(int(0.015 * SAMPLE_RATE)))
     wave = np.concatenate(parts)
 
     power = float(np.mean(wave**2))
@@ -359,23 +362,11 @@ def generate_command_audio(
     return wave
 
 
-def generate_audio_corpus(
-    per_command: int,
-    seed: int,
-    snr_db: float = 20.0,
-    sample_rate: int = 16000,
-) -> list[tuple[int, np.ndarray]]:
+def generate_audio_corpus(per_command: int, seed: int, snr_db: float = 20.0) -> list[tuple[int, np.ndarray]]:
     out = []
     for cmd in Command:
         for i in range(per_command):
-            out.append(
-                (
-                    int(cmd),
-                    generate_command_audio(
-                        int(cmd), seed + 1000 * int(cmd) + i, snr_db, sample_rate
-                    ),
-                )
-            )
+            out.append((int(cmd), generate_command_audio(int(cmd), seed + 1000 * int(cmd) + i, snr_db)))
     return out
 
 
@@ -392,29 +383,22 @@ class SessionStreams:
 def build_session_streams(
     script: list[tuple[int, int, str]],
     seed: int,
-    size: int = 120,
-    fps: float = 15.0,
     gap_frames: int = 18,
     window_frames: int = 30,
-    snr_db: float = 20.0,
     gesture_noise: bool = False,
-    noise_sigma: float = 3.0,
-    limb_w: int = 18,
-    limb_len: int = 42,
-    amplitude_scale: float = 1.3,
 ) -> SessionStreams:
     """One continuous scene realizing a command script.
 
     The limb rests at its home position between steps, performs the command's
     gesture during audio-gestural windows, and stays still during audio-only
-    windows. The limb and excursions are a bit larger than in corpus clips so
-    every pattern clears the activity trigger regardless of its motion axis.
+    windows, in a `SESSION_SIZE` scene with the other `SESSION_*` settings.
     `gesture_noise` replaces every gesture with sub-threshold background
     drift, which ablates the visual modality.
     """
     rng = np.random.default_rng(seed)
-    base_spec = replace(default_spec(MotionPattern.SWIPE_RIGHT), limb_w=limb_w, limb_len=limb_len)
-    world = _World(rng, size, base_spec, d_max=4095)
+    size = SESSION_SIZE
+    base_spec = replace(default_spec(MotionPattern.SWIPE_RIGHT), limb_w=SESSION_LIMB_W, limb_len=SESSION_LIMB_LEN)
+    world = _World(rng, size, base_spec)
     home = np.array([size / 2.0, size / 2.0])
 
     total = gap_frames
@@ -428,7 +412,7 @@ def build_session_streams(
             )
             spec = default_spec(pattern)
             if pattern != MotionPattern.BACKGROUND:
-                spec = replace(spec, amplitude=spec.amplitude * amplitude_scale)
+                spec = replace(spec, amplitude=spec.amplitude * SESSION_AMPLITUDE_SCALE)
             offsets = _limb_path(spec, window_frames, rng, start_at_home=True)
         else:
             offsets = np.zeros((window_frames, 2))
@@ -441,15 +425,15 @@ def build_session_streams(
         offset_by_frame[step.window[0] : step.window[1]] = offsets
     for t in range(total):
         cx, cy = home + offset_by_frame[t]
-        rgb_f, _ = world.render(cx, cy, rng, noise_sigma, depth_noise=0.0)
+        rgb_f, _ = world.render(cx, cy, rng, SESSION_NOISE_SIGMA, depth_noise=0.0)
         rgb_frames.append(rgb_f)
-    video = Clip(frames=tuple(rgb_frames), fps=fps, modality=Modality.RGB)
+    video = Clip(frames=tuple(rgb_frames), fps=FPS, modality=Modality.RGB)
 
     audio_events = []
     for idx, (step, _) in enumerate(plan):
-        wave = generate_command_audio(step.command, seed + 31 * idx, snr_db)
-        feats = mfcc(wave, 16000)
-        dur_frames = max(2, int(round(len(wave) / 16000.0 * fps)))
+        wave = generate_command_audio(step.command, seed + 31 * idx, SESSION_SNR_DB)
+        feats = mfcc(wave, SAMPLE_RATE)
+        dur_frames = max(2, int(round(len(wave) / SAMPLE_RATE * FPS)))
         start = step.window[0] + 1
         audio_events.append(
             AudioEvent(

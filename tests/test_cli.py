@@ -8,10 +8,11 @@ import pytest
 from avcmd.audio import save_template_manifest
 from avcmd.cli import _CHANNEL_FILES, main
 from avcmd.container import Annotation, write_annotations, write_clip
-from avcmd.encoding import Channel, Codebook, write_codebook, write_vlad_vectors
+from avcmd.encoding import CHANNEL_ORDER, BovwHist, Channel, Codebook, write_codebook, write_encoded
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.mfcc import wav_write
 from avcmd.session import read_session_log
+from avcmd.trajectories import DESC_DIM, TrajectorySet, write_features
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +33,14 @@ def workspace(tmp_path_factory):
         "--out", str(root / "codebooks"),
     ]) == 0
     assert main([
-        "encode", "--kind", "bovw",
+        "encode",
         "--features", str(root / "features"),
         "--annotations", str(root / "annotations.jsonl"),
         "--codebooks", str(root / "codebooks"),
         "--out", str(root / "encoded.igev"),
     ]) == 0
     assert main([
-        "train", "--kind", "kernel",
+        "train",
         "--encoded", str(root / "encoded.igev"),
         "--annotations", str(root / "annotations.jsonl"),
         "--codebooks", str(root / "codebooks"),
@@ -80,21 +81,19 @@ class TestPipelineCommands:
         assert rc == 1
         assert "does not match" in capsys.readouterr().err
 
-    def test_vlad_encode_and_linear_train(self, workspace):
-        assert main([
-            "encode", "--kind", "vlad",
-            "--features", str(workspace / "features"),
-            "--annotations", str(workspace / "annotations.jsonl"),
+    def test_classify_refuses_old_linear_kind_model(self, workspace, tmp_path, capsys):
+        raw = bytearray((workspace / "model.igsv").read_bytes())
+        raw[6] = 1  # the kind byte after magic and version; 1 was the removed linear kind
+        (tmp_path / "linear.igsv").write_bytes(bytes(raw))
+        clip = sorted((workspace / "clips").glob("*_rgb.igsc"))[0]
+        rc = main([
+            "classify",
+            "--model", str(tmp_path / "linear.igsv"),
             "--codebooks", str(workspace / "codebooks"),
-            "--out", str(workspace / "vlad.igvl"),
-        ]) == 0
-        assert main([
-            "train", "--kind", "linear",
-            "--vlad", str(workspace / "vlad.igvl"),
-            "--annotations", str(workspace / "annotations.jsonl"),
-            "--codebooks", str(workspace / "codebooks"),
-            "--out", str(workspace / "linear.igsv"),
-        ]) == 0
+            "--clip", str(clip),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: model kind 1 not supported")
 
     def test_detect_prints_segments(self, workspace, capsys):
         clip = sorted((workspace / "clips").glob("*_rgb.igsc"))[0]
@@ -179,6 +178,36 @@ class TestScriptsAndUsage:
             main(["--help"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["classify", "--wav", "w.wav"],
+            ["train", "--annotations", "a.jsonl", "--codebooks", "books", "--out", "m.igsv"],
+        ],
+        ids=["classify-without-inputs", "classify-wav-without-templates", "train-without-encoded"],
+    )
+    def test_missing_inputs_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--kind", "bovw", "--features", "f", "--codebooks", "books", "--out", "e.igev"],
+            ["train", "--kind", "kernel", "--encoded", "e.igev", "--annotations", "a.jsonl",
+             "--codebooks", "books", "--out", "m.igsv"],
+        ],
+        ids=["encode", "train"],
+    )
+    def test_removed_kind_option_is_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kind" in capsys.readouterr().err
+
     def test_missing_input_is_validation_failure(self, tmp_path, capsys):
         rc = main(["extract", "--clips", str(tmp_path), "--out", str(tmp_path / "f")])
         assert rc == 1
@@ -186,32 +215,47 @@ class TestScriptsAndUsage:
 
 
 class TestBadFilesExitOne:
-    """A clip, codebook or VLAD file that is cut or extended ends the command with exit 1."""
+    """Every binary file the CLI reads ends the command with exit 1 when cut or extended."""
 
-    @pytest.mark.parametrize("target", ["clip", "codebook", "vlad"])
+    @pytest.mark.parametrize("target", ["clip", "codebook", "encoded", "model", "features"])
     @pytest.mark.parametrize("damage", ["cut", "extend"])
     def test_reader_failure_is_exit_1(self, tmp_path, capsys, target, damage):
+        # 16 static frames: long enough to classify, and nothing moves, so no
+        # trajectory reaches the 3-dimensional test codebooks
         frame = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
-        write_clip(tmp_path / "c.igsc", Clip(frames=(frame,) * 3, fps=15.0, modality=Modality.RGB))
+        write_clip(tmp_path / "c.igsc", Clip(frames=(frame,) * 16, fps=15.0, modality=Modality.RGB))
         books = tmp_path / "books"
         books.mkdir()
         for ch, name in _CHANNEL_FILES.items():
             write_codebook(books / name, Codebook(channel=ch, centroids=np.eye(2, 3), seed=0))
-        write_vlad_vectors(tmp_path / "v.igvl", np.eye(2, 6))
+        write_encoded(tmp_path / "e.igev", [
+            {ch: BovwHist(counts=np.eye(2)[i], channel=ch) for ch in CHANNEL_ORDER} for i in range(2)
+        ])
         write_annotations(tmp_path / "a.jsonl", [
-            Annotation(clip=f"c{i}.igsc", label=i, subject="u", task="legs", start_frame=0, end_frame=3)
+            Annotation(clip=f"c{i}.igsc", label=i, subject="u", task="legs", start_frame=0, end_frame=16)
             for i in range(2)
         ])
-        detect = ["detect", "--clip", str(tmp_path / "c.igsc")]
+        (tmp_path / "f").mkdir()
+        write_features(tmp_path / "f" / "c.igtf", TrajectorySet(
+            np.zeros(2), np.zeros((2, 16, 2)), np.arange(2.0 * DESC_DIM).reshape(2, DESC_DIM)
+        ))
         train = [
-            "train", "--kind", "linear", "--vlad", str(tmp_path / "v.igvl"), "--annotations",
-            str(tmp_path / "a.jsonl"), "--codebooks", str(books), "--out", str(tmp_path / "m.igsv"),
+            "train", "--encoded", str(tmp_path / "e.igev"), "--annotations", str(tmp_path / "a.jsonl"),
+            "--codebooks", str(books), "--out", str(tmp_path / "m.igsv"),
         ]
+        classify = [
+            "classify", "--model", str(tmp_path / "m.igsv"), "--codebooks", str(books),
+            "--clip", str(tmp_path / "c.igsc"),
+        ]
+        codebook = ["codebook", "--features", str(tmp_path / "f"), "--out", str(tmp_path / "cb"), "-k", "1"]
         path, argv = {
-            "clip": (tmp_path / "c.igsc", detect),
+            "clip": (tmp_path / "c.igsc", ["detect", "--clip", str(tmp_path / "c.igsc")]),
             "codebook": (books / _CHANNEL_FILES[Channel.TRAJ], train),
-            "vlad": (tmp_path / "v.igvl", train),
+            "encoded": (tmp_path / "e.igev", train),
+            "model": (tmp_path / "m.igsv", classify),
+            "features": (tmp_path / "f" / "c.igtf", codebook),
         }[target]
+        assert main(train) == 0
         assert main(argv) == 0
         capsys.readouterr()
         raw = path.read_bytes()

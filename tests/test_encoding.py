@@ -14,23 +14,18 @@ from avcmd.encoding import (
     BovwHist,
     Channel,
     Codebook,
-    VladVec,
     bovw_encode,
     channel_mean_distance,
     chi2_cross_matrix,
     chi2_distance_matrix,
-    combine_vlad,
     cross_gram,
     multichannel_gram,
     _l1_rows,
     read_codebook,
     read_encoded,
-    read_vlad_vectors,
     train_codebook,
-    vlad_encode,
     write_codebook,
     write_encoded,
-    write_vlad_vectors,
 )
 from avcmd.errors import (
     AvcmdError,
@@ -147,76 +142,6 @@ class TestBovw:
         cb = self._codebook(rng.normal(size=(3, 4)))
         with pytest.raises(InvalidParameterError):
             bovw_encode(rng.normal(size=(5, 3)), cb)
-
-
-class TestVlad:
-    def _codebook(self, centroids):
-        return Codebook(channel=Channel.TRAJ, centroids=np.asarray(centroids, dtype=np.float32), seed=0)
-
-    def test_descriptor_on_centroid_gives_zero(self):
-        cb = self._codebook([[1.0, 2.0], [5.0, 5.0]])
-        v = vlad_encode(np.array([[1.0, 2.0]]), cb)
-        assert np.all(v.values == 0.0)
-
-    def test_single_cluster_direct_formula(self):
-        cb = self._codebook([[1.0, -1.0]])
-        x = np.array([[3.0, 0.0]])
-        v = vlad_encode(x, cb)
-        resid = np.array([2.0, 1.0])
-        expected = np.sign(resid) * np.sqrt(np.abs(resid))
-        expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(v.values, expected, atol=1e-12)
-
-    def test_empty_set_zero_vector_flagged(self):
-        cb = self._codebook([[0.0, 0.0], [1.0, 1.0]])
-        v = vlad_encode(np.empty((0, 2)), cb)
-        assert v.is_empty
-        assert np.all(v.values == 0.0)
-
-    def test_finalized_norm_is_zero_or_one(self, rng):
-        cb = self._codebook(rng.normal(size=(4, 3)))
-        for n in (0, 1, 9):
-            v = vlad_encode(rng.normal(size=(n, 3)), cb)
-            norm = np.linalg.norm(v.values)
-            assert abs(norm) < 1e-12 or abs(norm - 1.0) < 1e-12
-
-    def test_duplicated_descriptors_leave_vlad_unchanged(self, rng):
-        cb = self._codebook(rng.normal(size=(4, 3)))
-        x = rng.normal(size=(9, 3))
-        v1 = vlad_encode(x, cb)
-        v2 = vlad_encode(np.vstack([x, x]), cb)
-        np.testing.assert_allclose(v1.values, v2.values, atol=1e-12)
-
-
-class TestCombineVlad:
-    def _vecs(self, k=16):
-        dims = {Channel.TRAJ: 30, Channel.HOG: 96, Channel.HOF: 108, Channel.MBH: 192}
-        return {
-            ch: VladVec(values=np.zeros(k * d), n_descriptors=1) for ch, d in dims.items()
-        }
-
-    def test_known_length(self):
-        out = combine_vlad(self._vecs(k=16))
-        assert out.shape == (16 * 426,)
-
-    def test_all_zero_channels(self):
-        assert np.all(combine_vlad(self._vecs()) == 0.0)
-
-    def test_order_is_canonical_not_arrival(self, rng):
-        vecs = {}
-        for i, ch in enumerate(CHANNEL_ORDER):
-            vecs[ch] = VladVec(values=np.full(4, float(i)), n_descriptors=1)
-        reversed_input = dict(reversed(list(vecs.items())))
-        np.testing.assert_array_equal(combine_vlad(vecs), combine_vlad(reversed_input))
-        np.testing.assert_array_equal(
-            combine_vlad(vecs), np.repeat(np.arange(4.0), 4)
-        )
-
-    def test_missing_channel_rejected(self):
-        vecs = self._vecs()
-        del vecs[Channel.HOF]
-        with pytest.raises(InvalidParameterError):
-            combine_vlad(vecs)
 
 
 class TestChi2:
@@ -353,56 +278,34 @@ def _small_codebook(path):
     write_codebook(path, Codebook(channel=Channel.HOF, centroids=np.arange(6.0).reshape(2, 3), seed=7))
 
 
-def _small_vlad(path):
-    write_vlad_vectors(path, np.linspace(-1.0, 1.0, 12).reshape(3, 4))
-
-
-def _valid_codebook(cb):
-    return cb.k >= 1 and cb.dim >= 1 and np.all(np.isfinite(cb.centroids))
-
-
-def _valid_vlad(v):
-    return v.ndim == 2 and v.size >= 1 and np.all(np.isfinite(v))
-
-
-_SMALL_FILES = {
-    "igcb": (_small_codebook, read_codebook, _valid_codebook),
-    "igvl": (_small_vlad, read_vlad_vectors, _valid_vlad),
-}
-
-
-class TestCodebookAndVladFilesAreTotal:
-    @pytest.mark.parametrize("fmt", sorted(_SMALL_FILES))
-    def test_cut_at_every_byte_and_trailing_byte_raise(self, tmp_path, fmt):
-        write, read, _ = _SMALL_FILES[fmt]
-        p = tmp_path / f"f.{fmt}"
-        write(p)
+class TestCodebookFileIsTotal:
+    def test_cut_at_every_byte_and_trailing_byte_raise(self, tmp_path):
+        p = tmp_path / "f.igcb"
+        _small_codebook(p)
         raw = p.read_bytes()
         for cut in range(len(raw)):
             p.write_bytes(raw[:cut])
             with pytest.raises(AvcmdError):
-                read(p)
+                read_codebook(p)
         p.write_bytes(raw + b"\0")
         with pytest.raises(FormatError):
-            read(p)
+            read_codebook(p)
 
-    @pytest.mark.parametrize("fmt", sorted(_SMALL_FILES))
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_byte_flips_read_or_raise(self, tmp_path_factory, fmt, data):
-        write, read, valid = _SMALL_FILES[fmt]
-        p = tmp_path_factory.mktemp(fmt) / f"f.{fmt}"
-        write(p)
+    def test_byte_flips_read_or_raise(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("igcb") / "f.igcb"
+        _small_codebook(p)
         flipped = bytearray(p.read_bytes())
         for _ in range(data.draw(st.integers(1, 3))):
             pos = data.draw(st.integers(0, len(flipped) - 1))
             flipped[pos] ^= data.draw(st.integers(1, 255))
         p.write_bytes(bytes(flipped))
         try:
-            back = read(p)
+            cb = read_codebook(p)
         except AvcmdError:
             return
-        assert valid(back)
+        assert cb.k >= 1 and cb.dim >= 1 and np.all(np.isfinite(cb.centroids))
 
     @pytest.mark.parametrize("k,dim", [(0, 3), (2, 0), (0, 0)])
     def test_empty_centroid_matrix_rejected(self, tmp_path, k, dim):
@@ -410,31 +313,6 @@ class TestCodebookAndVladFilesAreTotal:
         p.write_bytes(b"IGCB" + struct.pack("<HBIIQ", 1, 0, k, dim, 0) + b"\0" * (4 * k * dim))
         with pytest.raises(FormatError):
             read_codebook(p)
-
-
-class TestVladFileIO:
-    def test_round_trip_is_the_float32_cast(self, tmp_path):
-        v = np.random.default_rng(3).normal(size=(5, 7))
-        write_vlad_vectors(tmp_path / "v.igvl", v)
-        assert np.array_equal(read_vlad_vectors(tmp_path / "v.igvl"), v.astype(np.float32))
-
-    @pytest.mark.parametrize("count,dim", [(0, 2**32 - 1), (0, 4), (3, 0)])
-    def test_empty_matrix_rejected(self, tmp_path, count, dim):
-        p = tmp_path / "v.igvl"
-        p.write_bytes(b"IGVL" + struct.pack("<HII", 1, count, dim))
-        with pytest.raises(FormatError):
-            read_vlad_vectors(p)
-        with pytest.raises(InvalidParameterError):
-            write_vlad_vectors(p, np.zeros((count, dim % 16)))
-
-    def test_non_finite_values_rejected(self, tmp_path):
-        p = tmp_path / "v.igvl"
-        for bad in (np.nan, np.inf):
-            p.write_bytes(b"IGVL" + struct.pack("<HII", 1, 1, 2) + np.array([0.5, bad], "<f4").tobytes())
-            with pytest.raises(FormatError):
-                read_vlad_vectors(p)
-            with pytest.raises(InvalidParameterError):
-                write_vlad_vectors(p, np.array([0.5, bad]))
 
 
 class TestEncodedVideoIO:

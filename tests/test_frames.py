@@ -12,7 +12,6 @@ from avcmd.frames import (
     GrayFrame,
     Modality,
     Sensor,
-    linear_depth,
     log_depth,
     to_grayscale,
 )
@@ -79,13 +78,6 @@ class TestLogDepth:
     def test_sample_above_cap_rejected(self):
         with pytest.raises(InvalidParameterError):
             DepthFrame(width=1, height=1, data=np.array([100], dtype=np.uint16), d_max=50)
-
-
-class TestLinearDepth:
-    def test_endpoints(self):
-        d = DepthFrame(width=2, height=1, data=np.array([0, 4095], dtype=np.uint16), d_max=4095)
-        out = linear_depth(d).data[0]
-        assert out[0] == 0 and out[1] == 255
 
 
 class TestClip:

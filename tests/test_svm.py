@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,16 +14,14 @@ from avcmd.errors import (
     DegenerateInputError,
     FormatError,
     InvalidParameterError,
-    TruncatedPayloadError,
+    UnsupportedVersionError,
 )
 from avcmd.svm import (
     KernelSvmModel,
-    LinearSvmModel,
     Prediction,
     read_model,
     train_kernel_svm,
     train_kernel_svms,
-    train_linear_svm,
     write_model,
 )
 
@@ -149,62 +146,6 @@ class TestKernelSvm:
         assert np.mean([p.label == t for p, t in zip(preds, y)]) == 1.0
 
 
-class TestLinearSvm:
-    def test_1d_forced_geometry(self):
-        x = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-        y = np.array([0, 0, 1, 1])
-        model = train_linear_svm(x, y, c=10.0)
-        preds = model.predict(x)
-        assert [p.label for p in preds] == [0, 0, 1, 1]
-        # the class-1 binary model must point toward positive x
-        cls1 = int(np.flatnonzero(model.classes == 1)[0])
-        assert model.weights[cls1, 0] > 0
-
-    def test_all_zero_features_predict_majority_and_flag(self):
-        x = np.zeros((6, 3))
-        y = np.array([0, 0, 0, 0, 1, 1])
-        model = train_linear_svm(x, y, c=1.0)
-        assert model.degenerate
-        preds = model.predict(np.zeros((4, 3)))
-        assert all(p.label == 0 for p in preds)
-        # every decision value is the bias alone
-        scores = model.decision_values(np.zeros((1, 3)))
-        np.testing.assert_allclose(scores[0], model.biases)
-
-    def test_matches_subgradient_reference(self, rng):
-        # independent oracle: projected subgradient descent on the primal
-        dim, n = 10, 100
-        w_true = rng.normal(size=dim)
-        x = rng.normal(size=(n, dim))
-        y01 = (x @ w_true > 0).astype(int)
-        if y01.min() == y01.max():  # ensure both classes exist
-            y01[0] = 1 - y01[0]
-        model = train_linear_svm(x, y01, c=1.0)
-
-        def subgradient_train(x, y_pm, c, iters=4000):
-            w = np.zeros(x.shape[1] + 1)
-            xa = np.hstack([x, np.ones((x.shape[0], 1))])
-            for t in range(1, iters + 1):
-                margins = y_pm * (xa @ w)
-                viol = margins < 1
-                grad = w - c * (y_pm[viol][:, None] * xa[viol]).sum(axis=0)
-                w -= (1.0 / t) * grad
-            return w
-
-        probe = rng.normal(size=(400, dim))
-        truth = (probe @ w_true > 0).astype(int)
-        mine = np.array([p.label for p in model.predict(probe)])
-        w_ref = subgradient_train(x, np.where(y01 == 1, 1.0, -1.0), c=1.0)
-        ref = (np.hstack([probe, np.ones((400, 1))]) @ w_ref > 0).astype(int)
-        acc_mine = float(np.mean(mine == truth))
-        acc_ref = float(np.mean(ref == truth))
-        assert abs(acc_mine - acc_ref) <= 0.005
-
-    def test_single_class_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            train_linear_svm(np.zeros((3, 2)), np.zeros(3, dtype=int))
-
-
 class TestPrediction:
     def _model(self, scores):
         class Fake:
@@ -240,16 +181,6 @@ class TestPrediction:
         pipeline = SimpleNamespace(model=SimpleNamespace(classes=classes))
         assert GesturePipeline.command_2best(pipeline, pred) == [(1, 0.9), (2, 0.9)]
 
-    def test_vlad_scaling_with_rescaled_c_keeps_argmax(self, rng):
-        x, y = separable_points(rng, n_per=10)
-        lam = 3.0
-        m1 = train_linear_svm(x, y, c=2.0)
-        m2 = train_linear_svm(lam * x, y, c=2.0 / lam**2)
-        probe = rng.normal(size=(30, 2)) * 4
-        l1 = [p.label for p in m1.predict(probe)]
-        l2 = [p.label for p in m2.predict(lam * probe)]
-        assert l1 == l2
-
 
 class TestModelIO:
     def test_kernel_model_round_trip(self, tmp_path, rng):
@@ -278,19 +209,16 @@ class TestModelIO:
             back.decision_values(probe @ x.T), model.decision_values(probe @ x.T), atol=1e-6
         )
 
-    def test_linear_model_round_trip(self, tmp_path, rng):
-        x, y = separable_points(rng, n_per=8)
-        model = train_linear_svm(x, y, c=2.0)
+    def test_old_linear_kind_refused(self, tmp_path, rng):
+        x, y = separable_points(rng, n_per=4)
         path = tmp_path / "m.igsv"
-        write_model(path, model)
-        back = read_model(path)
-        assert isinstance(back, LinearSvmModel)
-        assert np.array_equal(back.classes, model.classes)
-        assert back.degenerate == model.degenerate
-        probe = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(
-            back.decision_values(probe), model.decision_values(probe), atol=1e-5
-        )
+        write_model(path, train_kernel_svm(x @ x.T, y, c=3.0))
+        raw = bytearray(path.read_bytes())
+        assert raw[6] == 0  # the kind byte after magic and version u16
+        raw[6] = 1  # the removed linear kind
+        path.write_bytes(bytes(raw))
+        with pytest.raises(UnsupportedVersionError, match="model kind 1"):
+            read_model(path)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.igsv"
@@ -313,9 +241,10 @@ class TestModelReaderTotality:
             channel_means={Channel.HOG: 0.4, Channel.MBH: 0.6},
             codebook_hashes={Channel.HOG: "ab" * 32},
         )
-        return {"kernel": kernel, "linear": train_linear_svm(x, y, c=2.0)}
+        # "bare": no training histograms, channel means or codebook digests
+        return {"kernel": kernel, "bare": train_kernel_svm(x @ x.T, y, c=2.0)}
 
-    @pytest.mark.parametrize("kind", ["kernel", "linear"])
+    @pytest.mark.parametrize("kind", ["kernel", "bare"])
     def test_every_truncation_raises(self, tmp_path, rng, kind):
         path = tmp_path / "m.igsv"
         write_model(path, self._models(rng)[kind])
@@ -325,7 +254,7 @@ class TestModelReaderTotality:
             with pytest.raises(AvcmdError):
                 read_model(path)
 
-    @pytest.mark.parametrize("kind", ["kernel", "linear"])
+    @pytest.mark.parametrize("kind", ["kernel", "bare"])
     def test_trailing_byte_rejected(self, tmp_path, rng, kind):
         path = tmp_path / "m.igsv"
         write_model(path, self._models(rng)[kind])
@@ -333,7 +262,7 @@ class TestModelReaderTotality:
         with pytest.raises(FormatError):
             read_model(path)
 
-    @pytest.mark.parametrize("kind", ["kernel", "linear"])
+    @pytest.mark.parametrize("kind", ["kernel", "bare"])
     def test_every_byte_flip_reads_or_raises(self, tmp_path, rng, kind):
         path = tmp_path / "m.igsv"
         write_model(path, self._models(rng)[kind])
@@ -347,18 +276,14 @@ class TestModelReaderTotality:
                     model = read_model(path)
                 except AvcmdError:
                     continue
-                assert isinstance(model, (KernelSvmModel, LinearSvmModel))
+                assert isinstance(model, KernelSvmModel)
                 assert self._all_finite(model)
-                if isinstance(model, KernelSvmModel):
-                    assert all(int(s.support.max(initial=-1)) < model.n_train for s in model.solutions)
+                assert all(int(s.support.max(initial=-1)) < model.n_train for s in model.solutions)
 
     @staticmethod
     def _all_finite(model) -> bool:
-        if isinstance(model, LinearSvmModel):
-            numbers = [model.c, model.weights, model.biases]
-        else:
-            numbers = [model.c, *model.train_hists.values(), *model.channel_means.values()]
-            numbers += [v for s in model.solutions for v in (s.bias, s.coef)]
+        numbers = [model.c, *(model.train_hists or {}).values(), *(model.channel_means or {}).values()]
+        numbers += [v for s in model.solutions for v in (s.bias, s.coef)]
         return all(np.all(np.isfinite(v)) for v in numbers)
 
     @pytest.mark.parametrize(
@@ -369,9 +294,6 @@ class TestModelReaderTotality:
             ("kernel", lambda m: m.solutions[1].coef.__setitem__(0, float("inf"))),
             ("kernel", lambda m: m.channel_means.__setitem__(Channel.MBH, float("inf"))),
             ("kernel", lambda m: m.train_hists[Channel.HOG].__setitem__((3, 1), float("nan"))),
-            ("linear", lambda m: setattr(m, "c", float("inf"))),
-            ("linear", lambda m: m.weights.__setitem__((1, 0), float("nan"))),
-            ("linear", lambda m: m.biases.__setitem__(0, float("nan"))),
         ],
     )
     def test_non_finite_number_rejected(self, tmp_path, rng, kind, spoil):
@@ -380,17 +302,6 @@ class TestModelReaderTotality:
         path = tmp_path / "m.igsv"
         write_model(path, model)
         with pytest.raises(FormatError, match="non-finite"):
-            read_model(path)
-
-    def test_oversized_linear_dimension_is_truncation(self, tmp_path, rng):
-        path = tmp_path / "m.igsv"
-        write_model(path, self._models(rng)["linear"])
-        raw = bytearray(path.read_bytes())
-        dim_at = 4 + 5 + 8 + 1  # magic, version/kind/classes, C, empty hash table
-        assert struct.unpack_from("<I", raw, dim_at)[0] == 2
-        struct.pack_into("<I", raw, dim_at, 0x7FFFFFFF)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(TruncatedPayloadError):
             read_model(path)
 
 
