@@ -214,9 +214,12 @@ def _cmd_classify(args) -> int:
     books = _read_codebooks(args.codebooks)
     pipeline = GesturePipeline(codebooks=books, model=model, tracker=cfg.tracker_params())
     clip = read_clip(args.clip)
+    if len(clip.frames) < pipeline.tracker.traj_len + 1:
+        raise AvcmdError("clip is too short to track")
     pred = pipeline.classify_clip(clip)
     if pred is None:
-        raise AvcmdError("clip is too short to track")
+        print("no gesture (no trajectory survived)")
+        return 0
     print(f"label: {pred.label}")
     for cls, score in zip(model.classes, pred.scores):
         print(f"  class {int(cls)}: {score:.4f}")

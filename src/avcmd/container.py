@@ -4,7 +4,7 @@ Container layout (little-endian):
 
     magic   4 bytes  "IGSC"
     version u16      1
-    modality u8      0 = RGB converted to gray, 1 = log-depth, 2 = raw depth
+    modality u8      0 = RGB converted to gray, 1 = log-depth; any other code is refused
     sensor  u8       1..3
     width   u16
     height  u16

@@ -1,20 +1,23 @@
 """Dense optical flow via iterative pyramidal Lucas-Kanade.
 
-Each frame is turned once into a `FramePyramid`: its Gaussian pyramid and,
-per level, the image gradients and the windowed gradient normal matrix (the
-structure tensor) with its inverted determinant. A clip of n frames builds
-n pyramids, and frame t serves as `nxt` for the pair (t-1, t) and as `prev`
-for the pair (t, t+1). The per-level fields are built on first use: a frame
-that only ever serves as `nxt` needs its images and nothing else. The
-bilinear taps that resize a flow field onto a finer level depend only on
-the two shapes, so they are built once per shape pair and shared.
+Every frame gets a `FramePyramid`: its Gaussian pyramid and, per level, the
+image gradients and the windowed gradient normal matrix (the structure
+tensor) with its inverted determinant. A pyramid is built for a (T, h, w)
+stack of frames at once, one numpy pass per level, and frame t's pyramid
+is views into the stacks; one frame is the stack of T = 1. `track` builds
+a clip's pyramids in chunks of frames, and frame t serves as `nxt` for the
+pair (t-1, t) and as `prev` for the pair (t, t+1). The bilinear taps that
+resize a flow field onto a finer level depend only on the two shapes, so
+they are built once per shape pair and shared.
 
 Everything runs in float32, from the frame's conversion to the flow field.
-Window sums add the 2r+1 shifted slices of a zero-padded stack along each
-axis rather than differencing an integral image, whose large running sums
-would cancel in float32. The float64 form of the estimator is the test
-oracle in `tests/reference_tracker.py`; against it the flow differs by a
-stated tolerance, not bit for bit.
+Every pyramid operation is elementwise or per image, so a frame's pyramid
+is the same bit for bit whichever stack it was built in. Window sums add
+the 2r+1 shifted slices of a zero-padded stack along each axis rather than
+differencing an integral image, whose large running sums would cancel in
+float32. The float64 form of the estimator is the test oracle in
+`tests/reference_tracker.py`; against it the flow differs by a stated
+tolerance, not bit for bit.
 
 The estimator refines a dense displacement field coarse-to-fine. At every
 level the second frame is warped back by the current estimate and a windowed
@@ -26,8 +29,9 @@ interpolated from coarser levels.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -59,75 +63,138 @@ class FlowField:
             object.__setattr__(self, name, a)
 
 
-def _as_float_image(frame) -> np.ndarray:
-    if isinstance(frame, GrayFrame):
-        return frame.data.astype(np.float32)
-    a = np.asarray(frame, dtype=np.float32)
-    if a.ndim != 2:
-        raise InvalidParameterError("expected a 2-D intensity image")
-    return a
+def _as_float_stack(frames) -> tuple[np.ndarray, bool]:
+    """`frames` as a (T, h, w) float32 stack, and whether it was one frame.
+
+    One frame is a GrayFrame or a 2-D array; a stack is a sequence of them
+    or a 3-D array.
+    """
+    if isinstance(frames, GrayFrame):
+        return frames.data.astype(np.float32)[None], True
+    if isinstance(frames, (list, tuple)) and frames and isinstance(frames[0], GrayFrame):
+        frames = [f.data for f in frames]
+    try:
+        a = np.asarray(frames, dtype=np.float32)
+    except ValueError:
+        raise InvalidParameterError("frames must be intensity images of one shape") from None
+    if a.ndim not in (2, 3) or 0 in a.shape:
+        raise InvalidParameterError("expected a 2-D intensity image or a non-empty stack of them")
+    return (a[None], True) if a.ndim == 2 else (a, False)
 
 
-def binomial_blur(img: np.ndarray, mode: str) -> np.ndarray:
-    """Separable 5-tap binomial blur; `mode` is the `np.pad` mode of the border.
+def binomial_blur(img: np.ndarray, mode: str, stride: int = 1) -> np.ndarray:
+    """Separable 5-tap binomial blur of an image, or of each image of a
+    (T, h, w) stack; `mode` is the `np.pad` mode of the border.
 
-    The result has the dtype of a floating-point input; any other input is
-    blurred in float64.
+    With `stride` s only every s-th row and column is computed, starting
+    with the first: the values of `binomial_blur(img, mode)[..., ::s, ::s]`,
+    as a pyramid level takes them. The result has the dtype of a
+    floating-point input; any other input is blurred in float64.
     """
     if img.dtype.kind != "f":
         img = img.astype(np.float64)
-    h, w = img.shape
+    *lead, h, w = img.shape
     taps = _BINOMIAL.astype(img.dtype)
-    p = np.pad(img, 2, mode=mode)
-    tmp = np.zeros((h, p.shape[1]), dtype=img.dtype)
+    p = np.pad(img, ((0, 0), (2, 2), (2, 2)), mode=mode) if lead else np.pad(img, 2, mode=mode)
+    tmp = np.zeros(p[..., :h:stride, :].shape, dtype=img.dtype)
     for k, wgt in enumerate(taps):
-        tmp += wgt * p[k : k + h, :]
-    out = np.zeros((h, w), dtype=img.dtype)
+        tmp += wgt * p[..., k : k + h : stride, :]
+    out = np.zeros(tmp[..., :w:stride].shape, dtype=img.dtype)
     for k, wgt in enumerate(taps):
-        out += wgt * tmp[:, k : k + w]
+        out += wgt * tmp[..., k : k + w : stride]
+    return out
+
+
+def _window_sums(padded: np.ndarray, radius: int) -> np.ndarray:
+    """Sum over every (2r+1)^2 window of each zero-padded (h+2r, w+2r) slice.
+
+    The 2r+1 shifted slices are added along the rows, then along the
+    columns of that result, so each window sum adds only values of its own
+    window; an (h, w) window clipped at the borders adds the zeros of the
+    padding.
+    """
+    r = radius
+    h, w = padded.shape[-2] - 2 * r, padded.shape[-1] - 2 * r
+    rows = np.add(padded[..., :h, :], padded[..., 1 : 1 + h, :])
+    for d in range(2, 2 * r + 1):
+        rows += padded[..., d : d + h, :]
+    out = np.add(rows[..., :w], rows[..., 1 : 1 + w])
+    for d in range(2, 2 * r + 1):
+        out += rows[..., d : d + w]
     return out
 
 
 def _box_sum(stack: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over a (2r+1)^2 window, clipped at the borders, of each (h, w) slice.
-
-    `stack` is (k, h, w). The stack is zero-padded by r on every side, and
-    the 2r+1 shifted slices are added along the rows, then along the columns
-    of that result, so each window sum adds only values of its own window.
-    """
-    k, h, w = stack.shape
+    """Sum over a (2r+1)^2 window, clipped at the borders, of each (h, w) slice
+    of `stack` (..., h, w), with radius r >= 1."""
+    *lead, h, w = stack.shape
     r = radius
-    p = np.zeros((k, h + 2 * r, w + 2 * r), dtype=stack.dtype)
-    p[:, r : r + h, r : r + w] = stack
-    rows = p[:, :h].copy()
-    for d in range(1, 2 * r + 1):
-        rows += p[:, d : d + h]
-    out = rows[:, :, :w].copy()
-    for d in range(1, 2 * r + 1):
-        out += rows[:, :, d : d + w]
-    return out
+    p = np.zeros((*lead, h + 2 * r, w + 2 * r), dtype=stack.dtype)
+    p[..., r : r + h, r : r + w] = stack
+    return _window_sums(p, r)
 
 
 def _structure_tensor(grad: np.ndarray, radius: int):
     """Window sums (sxx, sxy, syy) of the gradient products of `grad` =
     (gx, gy) over a border-clipped (2r+1)^2 window, and the minimum
     eigenvalue of each 2x2 normal matrix. Lucas-Kanade uses the flow
-    window's radius; point sampling scores corners with radius 1.
+    window's radius; point sampling scores corners with radius 1. gx and gy
+    may be stacks of frames; the products go straight into the padded
+    buffer of the window sums.
     """
     gx, gy = grad
-    sxx, sxy, syy = _box_sum(np.stack([gx * gx, gx * gy, gy * gy]), radius)
-    lam_min = 0.5 * (sxx + syy - np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0)))
+    *lead, h, w = gx.shape
+    r = radius
+    p = np.zeros((3, *lead, h + 2 * r, w + 2 * r), dtype=gx.dtype)
+    inner = p[..., r : r + h, r : r + w]
+    np.multiply(gx, gx, out=inner[0])
+    np.multiply(gx, gy, out=inner[1])
+    np.multiply(gy, gy, out=inner[2])
+    sxx, sxy, syy = _window_sums(p, r)
+    # 0.5 * (sxx + syy - sqrt(max((sxx - syy)^2 + 4 sxy^2, 0))), in place
+    root = sxx - syy
+    root *= root
+    t = 4.0 * sxy
+    t *= sxy
+    root += t
+    np.maximum(root, 0.0, out=root)
+    np.sqrt(root, out=root)
+    lam_min = sxx + syy
+    lam_min -= root
+    lam_min *= 0.5
     return sxx, sxy, syy, lam_min
 
 
 def _pad_edge(img: np.ndarray) -> np.ndarray:
-    """`img` with its last row and column repeated once: (h+1, w+1)."""
-    h, w = img.shape
-    out = np.empty((h + 1, w + 1), dtype=img.dtype)
-    out[:h, :w] = img
-    out[h, :w] = img[-1]
-    out[:, w] = out[:, w - 1]
+    """`img` (..., h, w) with its last row and column repeated once: (..., h+1, w+1)."""
+    *lead, h, w = img.shape
+    out = np.empty((*lead, h + 1, w + 1), dtype=img.dtype)
+    out[..., :h, :w] = img
+    out[..., h, :w] = img[..., -1, :]
+    out[..., :, w] = out[..., :, w - 1]
     return out
+
+
+def _gradients(images: np.ndarray) -> np.ndarray:
+    """Central-difference gradients of a (T, h, w) stack as (T, 2, h, w) = (gx, gy).
+
+    `np.gradient`'s values: halved central differences inside, one-sided
+    differences on the first and last row and column.
+    """
+    t, h, w = images.shape
+    if h < 2 or w < 2:
+        raise InvalidParameterError("frames must be at least 2x2 pixels")
+    grad = np.empty((t, 2, h, w), dtype=images.dtype)
+    gx, gy = grad[:, 0], grad[:, 1]
+    np.subtract(images[:, :, 2:], images[:, :, :-2], out=gx[:, :, 1:-1])
+    gx[:, :, 1:-1] *= 0.5
+    np.subtract(images[:, :, 1], images[:, :, 0], out=gx[:, :, 0])
+    np.subtract(images[:, :, -1], images[:, :, -2], out=gx[:, :, -1])
+    np.subtract(images[:, 2:], images[:, :-2], out=gy[:, 1:-1])
+    gy[:, 1:-1] *= 0.5
+    np.subtract(images[:, 1], images[:, 0], out=gy[:, 0])
+    np.subtract(images[:, -1], images[:, -2], out=gy[:, -1])
+    return grad
 
 
 def _bilinear_taps(shape: tuple[int, int], ys: np.ndarray, xs: np.ndarray):
@@ -190,74 +257,95 @@ def _upsample_taps(shape: tuple[int, int], coarse_shape: tuple[int, int]):
     return taps, (w / wc, h / hc)
 
 
+@dataclass(frozen=True, eq=False)
 class _Level:
-    """One pyramid level: the image and what Lucas-Kanade derives from it.
+    """One pyramid level of a stack of frames, or of one frame.
 
-    The image and its padded copy serve the level as `nxt` of a frame pair;
-    the gradients and structure tensor serve it as `prev` and are built on
-    first access, so a pyramid used only as `nxt` (the last frame of a clip,
-    or the second array given to `dense_flow`) never builds them.
+    `image` and its `_pad_edge` copy `padded` serve the level as `nxt` of a
+    frame pair. The stacked central-difference gradients `grad` (gx, gy)
+    and `tensor` serve it as `prev`: the windowed normal matrix as (sxx,
+    sxy, -syy) and its inverted determinant, zero where the minimum
+    eigenvalue is too small. A stack's level holds (T, ...) arrays, and
+    `frame(t)` is frame t's level as views into them. `grad` is an array of
+    its own, so a view of it keeps neither the tensor nor other levels
+    alive.
     """
 
-    def __init__(self, image: np.ndarray, radius: int, min_eig: float):
-        h, w = image.shape
-        self.image = image
-        self.padded = _pad_edge(image)
-        self.rows = np.arange(h, dtype=np.float32)[:, None]
-        self.cols = np.arange(w, dtype=np.float32)
-        self.radius = radius
-        self.min_eig = min_eig
+    image: np.ndarray
+    padded: np.ndarray
+    grad: np.ndarray
+    tensor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rows: np.ndarray  # (h, 1) row coordinates, float32
+    cols: np.ndarray  # (w,) column coordinates
 
-    @cached_property
-    def grad(self) -> np.ndarray:
-        """Central-difference gradients (gx, gy), stacked."""
-        gy, gx = np.gradient(self.image)
-        return np.stack([gx, gy])
+    @classmethod
+    def of_stack(cls, images: np.ndarray, radius: int, min_eig: float) -> "_Level":
+        """The level of a (T, h, w) float32 stack, every field built at once."""
+        h, w = images.shape[1:]
+        grad = _gradients(images)
+        sxx, sxy, syy, lam_min = _structure_tensor(grad.swapaxes(0, 1), radius)
+        det = sxx * syy
+        det -= sxy * sxy
+        valid = (lam_min > min_eig) & (det > 1e-12)
+        inv_det = np.divide(1.0, det, out=np.zeros_like(det), where=valid)
+        rows = np.arange(h, dtype=np.float32)[:, None]
+        cols = np.arange(w, dtype=np.float32)
+        return cls(images, _pad_edge(images), grad, (sxx, sxy, -syy, inv_det), rows, cols)
 
-    @cached_property
-    def tensor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Windowed normal matrix as (sxx, sxy, -syy) and its inverted
-        determinant, zero where the minimum eigenvalue is too small."""
-        sxx, sxy, syy, lam_min = _structure_tensor(self.grad, self.radius)
-        det = sxx * syy - sxy * sxy
-        valid = (lam_min > self.min_eig) & (det > 1e-12)
-        inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
-        return sxx, sxy, -syy, inv_det
+    def frame(self, t: int) -> "_Level":
+        tensor = tuple(a[t] for a in self.tensor)
+        return _Level(self.image[t], self.padded[t], self.grad[t], tensor, self.rows, self.cols)
 
 
 class FramePyramid:
-    """A frame's Gaussian pyramid with per-level gradients and structure tensor.
+    """Gaussian pyramids with per-level gradients and structure tensors.
 
-    Build it once per frame and pass it to `dense_flow` as `prev` or `nxt`;
-    the parameters must equal those given to `dense_flow`. `levels[0]` is the
+    `FramePyramid(frame)` is one frame's pyramid; pass it to `dense_flow` as
+    `prev` or `nxt`, with the parameters it was built with. `FramePyramid(
+    frames)`, for a sequence of frames or a (T, h, w) array, builds the
+    pyramids of all T frames in one pass per level, and `frame(t)` is frame
+    t's pyramid as views into those stacks, bit for bit the pyramid
+    `FramePyramid(frames[t])` would build. `levels[0]` is the
     full-resolution frame in float32, and `levels[0].grad` its stacked
     central-difference gradients (gx, gy), which `track` also uses to sample
     points and to build hog.
     """
 
-    def __init__(self, frame, levels: int = 3, window: int = 7, min_eig: float = 1e-3):
+    def __init__(self, frames, levels: int = 3, window: int = 7, min_eig: float = 1e-3):
         if levels < 1:
             raise InvalidParameterError("levels must be >= 1")
-        img = _as_float_image(frame)
+        images, one = _as_float_stack(frames)
         self.params = (levels, window, min_eig)
-        self.shape = img.shape
+        self.shape = images.shape[1:]
+        self.n_frames = None if one else len(images)
         radius = max(1, window // 2)
-        images = [img]
-        for _ in range(levels - 1):
-            if min(images[-1].shape) < 8:
-                break
-            images.append(np.ascontiguousarray(binomial_blur(images[-1], "edge")[::2, ::2]))
-        self.levels = [_Level(im, radius, min_eig) for im in images]
+        self.levels = [_Level.of_stack(images, radius, min_eig)]
+        while len(self.levels) < levels and min(images.shape[1:]) >= 8:
+            images = binomial_blur(images, "edge", stride=2)
+            self.levels.append(_Level.of_stack(images, radius, min_eig))
+        if one:
+            self.levels = [lvl.frame(0) for lvl in self.levels]
+
+    def frame(self, t: int) -> "FramePyramid":
+        """Frame t's pyramid, as views into this stack's arrays."""
+        if self.n_frames is None:
+            raise InvalidParameterError("a single frame's pyramid has no frame axis")
+        pyramid = copy.copy(self)
+        pyramid.n_frames = None
+        pyramid.levels = [lvl.frame(t) for lvl in self.levels]
+        return pyramid
 
 
 def _pyramid(frame, levels: int, window: int, min_eig: float) -> FramePyramid:
     if not isinstance(frame, FramePyramid):
-        return FramePyramid(frame, levels, window, min_eig)
-    if frame.params != (levels, window, min_eig):
+        frame = FramePyramid(frame, levels, window, min_eig)
+    elif frame.params != (levels, window, min_eig):
         raise InvalidParameterError(
             f"pyramid built with (levels, window, min_eig) = {frame.params}, "
             f"flow asked for {(levels, window, min_eig)}"
         )
+    if frame.n_frames is not None:
+        raise InvalidParameterError("dense_flow takes one frame's pyramid: pass stack.frame(t)")
     return frame
 
 
@@ -272,8 +360,9 @@ def dense_flow(
     """Estimate dense displacement from `prev` to `nxt`.
 
     Inputs are GrayFrames, 2-D arrays of equal shape (converted to
-    float32), or `FramePyramid`s built with the same `levels`, `window` and
-    `min_eig`; `levels` is the pyramid depth (>= 1). For a pure integer
+    float32), or one frame's `FramePyramid` each (`FramePyramid(frame)` or
+    `stack.frame(t)`) built with the same `levels`, `window` and `min_eig`;
+    `levels` is the pyramid depth (>= 1). For a pure integer
     translation of a textured image the interior median of the result
     matches the translation to well under a quarter pixel per component.
     """

@@ -26,7 +26,6 @@ class Modality(IntEnum):
 
     RGB = 0         # grayscale converted from an RGB stream
     LOG_DEPTH = 1   # depth stream after the logarithmic transform
-    DEPTH = 2       # depth stream linearly rescaled to 8 bits
 
 
 class Sensor(IntEnum):

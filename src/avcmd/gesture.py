@@ -60,6 +60,9 @@ class GesturePipeline:
         self._train_l1 = {
             ch: _l1_rows(h) for ch, h in (self.model.train_hists or {}).items()
         }
+        # Whether some training clip kept no trajectory, as the synthetic
+        # background clips do: then an empty clip is a pattern the model knows.
+        self._knows_empty = any(not h.any(axis=1).all() for h in self._train_l1.values())
         for ch, cb in self.codebooks.items():
             want = self.model.codebook_hashes.get(ch)
             if want is not None and want != cb.content_hash():
@@ -84,10 +87,15 @@ class GesturePipeline:
         return self.model.predict(self.kernel_rows(hists))[0]
 
     def classify_clip(self, clip: Clip) -> Prediction | None:
-        """None when the clip is too short to track."""
+        """None when the clip is too short to track, or when no trajectory
+        survives in it and no training clip was empty either: its all-zero
+        histograms then match nothing the model has seen."""
         if len(clip.frames) < self.tracker.traj_len + 1:
             return None
-        return self.classify_hists(self.encode_clip(clip))
+        hists = self.encode_clip(clip)
+        if not self._knows_empty and not any(h.counts.any() for h in hists.values()):
+            return None
+        return self.classify_hists(hists)
 
     def command_2best(self, prediction: Prediction) -> list[tuple[int, float]] | None:
         """Top-2 command hypotheses; None when the clip looks like background."""

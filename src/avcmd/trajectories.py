@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import FormatError, InvalidParameterError, check_payload, unpack_header
 from .flow import (
-    FramePyramid, _bilinear_taps, _interpolate, _pad_edge, _structure_tensor, dense_flow, median_filter_3x3,
+    FramePyramid, _bilinear_taps, _gradients, _interpolate, _pad_edge, _structure_tensor, dense_flow,
+    median_filter_3x3,
 )
 from .frames import Clip, GrayFrame
 
@@ -161,9 +162,10 @@ def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.0
     `grad` is the frame's stacked gradients (gx, gy), as its pyramid's
     `levels[0].grad` holds them; a node's texture is the minimum eigenvalue
     of the gradient normal matrix over its border-clipped 3x3 window, and it
-    must reach `quality` times the frame's largest. `occupied` is an
-    iterable of (x, y) positions of currently tracked points; a grid node is
-    skipped when its step-sized cell already holds one.
+    must reach `quality` times the frame's largest. `occupied` holds the
+    (x, y) positions of currently tracked points, as an (n, 2) array or any
+    sequence of pairs; a grid node is skipped when its step-sized cell
+    already holds one. Nodes come row by row, as (x, y) pairs.
     """
     if step < 1:
         raise InvalidParameterError("step must be >= 1")
@@ -172,20 +174,22 @@ def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.0
     grad = np.asarray(grad)
     if grad.ndim != 3 or len(grad) != 2:
         raise InvalidParameterError("grad must be the stacked (gx, gy) of a frame: (2, h, w)")
-    _, h, w = grad.shape
     score = _structure_tensor(grad, 1)[3]
     max_score = float(score.max())
     if max_score <= 0.0:
         return []
-    threshold = quality * max_score
-
-    taken = {(int(x // step), int(y // step)) for x, y in occupied}
-    return [
-        (float(x), float(y))
-        for y in range(step // 2, h, step)
-        for x in range(step // 2, w, step)
-        if (x // step, y // step) not in taken and score[y, x] >= threshold and score[y, x] > 0.0
-    ]
+    # Grid node (i, j) sits at (step // 2 + j * step, step // 2 + i * step),
+    # inside cell (j, i).
+    nodes = score[step // 2 :: step, step // 2 :: step]
+    free = (nodes >= quality * max_score) & (nodes > 0.0)
+    cells = np.floor_divide(np.asarray(occupied, dtype=np.float64).reshape(-1, 2), step)
+    cx, cy = cells.T
+    on_grid = (cx >= 0) & (cx < free.shape[1]) & (cy >= 0) & (cy < free.shape[0])
+    free[cy[on_grid].astype(np.intp), cx[on_grid].astype(np.intp)] = False
+    iy, ix = np.nonzero(free)
+    xs = (ix * step + step // 2).astype(np.float64)
+    ys = (iy * step + step // 2).astype(np.float64)
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +205,13 @@ def _orientation_bins(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.nd
     [180, 360), are turned by 180 degrees and get 4 added. A zero vector has
     no angle and weight 0, so its bin adds nothing.
     """
-    lower = (gy < 0) | ((gy == 0) & (gx < 0))
+    lower = gy < 0
+    lower |= (gy == 0) & (gx < 0)
     x = np.where(lower, -gx, gx)
     y = np.where(lower, -gy, gy)
-    bins = (y >= x).astype(np.intp)
-    bins += x <= 0
-    bins += y <= -x
-    bins += 4 * lower
+    bins = np.add(y >= x, x <= 0, dtype=np.int8)
+    bins += y <= np.negative(x, out=x)
+    bins += np.left_shift(lower, 2, dtype=np.int8)
     return bins, np.hypot(gx, gy)
 
 
@@ -236,43 +240,63 @@ def descriptor_traj(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fast descriptor accumulation over integral histograms
 
-def _rect_sums(integ, y0, y1, x0, x1):
-    return integ[y1, x1] - integ[y0, x1] - integ[y1, x0] + integ[y0, x0]
+def _rect_sums(integ_t, y0, y1, x0, x1):
+    """Box sums of the rectangles [y0, y1) x [x0, x1) from a transposed
+    integral histogram, `integ_t[x, y]`."""
+    return integ_t[x1, y1] - integ_t[x1, y0] - integ_t[x0, y1] + integ_t[x0, y0]
 
 
 def _frame_integrals(grad, flow, bbox, params: TrackerParams) -> np.ndarray:
     """One float32 integral histogram over a bounding box for all four descriptors.
 
     `grad` is the frame's (gx, gy) and `flow` its (u, v), all full-frame;
-    the flow's gradients are taken before cropping, so the box edges get
-    central differences. The last axis holds the hog bins, the hof bins with
-    the zero-motion bin, then the mbh bins of u and of v.
+    the flow's gradients are taken on the box with a one-pixel margin, so
+    the box edges get central differences wherever the frame has a
+    neighbour. The last axis holds the hog bins, the hof bins with the
+    zero-motion bin, then the mbh bins of u and of v. The result is
+    transposed, (bw + 1, bh + 1, bins): entry [x, y] sums the box's columns
+    below x and rows below y.
     """
     nb = params.n_bins
+    nc = 4 * nb + 1
     y0, y1, x0, x1 = bbox
+    bh, bw = y1 - y0, x1 - x0
     gx, gy = grad
     u, v = flow
-    dy, dx = np.gradient(np.stack([u, v]), axis=(1, 2))
+    my, mx = max(y0 - 1, 0), max(x0 - 1, 0)
+    margin = np.s_[my : y1 + 1, mx : x1 + 1]
+    # (u, v) x (d/dx, d/dy) on the box
+    dflow = _gradients(np.stack([u[margin], v[margin]]))[:, :, y0 - my : y0 - my + bh, x0 - mx : x0 - mx + bw]
     box = np.s_[y0:y1, x0:x1]
     bins, weights = _orientation_bins(
-        np.stack([gx[box], u[box], dx[0][box], dx[1][box]]),
-        np.stack([gy[box], v[box], dy[0][box], dy[1][box]]),
+        np.stack([gx[box], u[box], dflow[0, 0], dflow[1, 0]]),
+        np.stack([gy[box], v[box], dflow[0, 1], dflow[1, 1]]),
     )
     still = weights[1] < params.hof_zero_thresh
     bins[1][still] = nb
     weights[1][still] = 1.0
-    bins += np.array([0, nb, 2 * nb + 1, 3 * nb + 1])[:, None, None]
 
-    bh, bw = y1 - y0, x1 - x0
-    integ = np.zeros((bh + 1, bw + 1, 4 * nb + 1), dtype=np.float32)
-    maps = integ[1:, 1:]
-    maps[np.arange(bh)[:, None], np.arange(bw), bins] = weights
-    # cumsum along axis 0, one row at a time: the same sequential sums, but
-    # each step adds a whole contiguous row.
+    # Scatter every pixel's four weights through one flat index into (bh, bw, nc).
+    first_bin = np.array([0, nb, 2 * nb + 1, 3 * nb + 1])[:, None, None]
+    index = np.arange(0, bh * bw * nc, nc).reshape(bh, bw) + first_bin
+    index += bins
+    maps = np.zeros((bh, bw, nc), dtype=np.float32)
+    maps.ravel()[index] = weights
+    del index, bins, weights
+    # The prefix sums run along the rows, then along the columns, one whole
+    # contiguous slab at a time: row y adds row y - 1, then, in the
+    # transposed copy that is returned, column x adds column x - 1. These
+    # are the float32 sums of a cumsum along each axis in turn, added in the
+    # same order.
     for y in range(1, bh):
         np.add(maps[y - 1], maps[y], out=maps[y])
-    np.cumsum(maps, axis=1, out=maps)
-    return integ
+    integ_t = np.zeros((bw + 1, bh + 1, nc), dtype=np.float32)
+    cols = integ_t[1:, 1:]
+    cols[...] = maps.transpose(1, 0, 2)
+    del maps
+    for x in range(1, bw):
+        np.add(cols[x - 1], cols[x], out=cols[x])
+    return integ_t
 
 
 def _describe_batch(starts, paths, grads, flows, params: TrackerParams):
@@ -332,6 +356,16 @@ def _tube_inside(paths: np.ndarray, traj_len: int, half: int, w: int, h: int) ->
     return ((x - half >= 0) & (x + half <= w) & (y - half >= 0) & (y + half <= h)).all(axis=1)
 
 
+# Frames whose pyramids `track` builds in one stack. A frame's pyramid holds
+# about 48 bytes per pixel of float32 arrays over its levels (image, padded
+# copy, gradients and structure tensor), so the budget is 4 frames at
+# 96 x 96 and 2 at 120 x 120. Two chunks are alive at a chunk boundary; at
+# this budget that stays below the memory that describing the clip's
+# trajectories needs, and stacks of up to 8 frames were no faster.
+PYRAMID_BATCH_BYTES = 1_900_000
+PYRAMID_BYTES_PER_PIXEL = 48
+
+
 def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     """Extract dense trajectories with descriptors from a clip.
 
@@ -358,7 +392,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
 
     def spawn(frame_idx: int, grad: np.ndarray) -> None:
         nonlocal starts, paths
-        occupied = paths[np.arange(len(starts)), frame_idx - starts].tolist()
+        occupied = paths[np.arange(len(starts)), frame_idx - starts]
         new = sample_points(grad, params.grid_step, occupied, params.quality)
         if new:
             fresh = np.zeros((len(new), L + 1, 2))
@@ -366,10 +400,17 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
             starts = np.concatenate([starts, np.full(len(new), frame_idx, dtype=np.intp)])
             paths = np.concatenate([paths, fresh])
 
-    nxt = FramePyramid(clip.frames[0], levels=params.pyramid_levels)
-    spawn(0, nxt.levels[0].grad)
-    for t in range(n_frames - 1):
-        prev, nxt = nxt, FramePyramid(clip.frames[t + 1], levels=params.pyramid_levels)
+    def pyramids():
+        """Each frame's pyramid, built PYRAMID_BATCH_BYTES worth of frames at a time."""
+        chunk = max(1, PYRAMID_BATCH_BYTES // (PYRAMID_BYTES_PER_PIXEL * h * w))
+        for first in range(0, n_frames, chunk):
+            stack = FramePyramid(clip.frames[first : first + chunk], levels=params.pyramid_levels)
+            yield from map(stack.frame, range(stack.n_frames))
+
+    frame_pyramids = pyramids()
+    prev = next(frame_pyramids)
+    spawn(0, prev.levels[0].grad)
+    for t, nxt in enumerate(frame_pyramids):
         field = dense_flow(prev, nxt, levels=params.pyramid_levels)
         grads.append(prev.levels[0].grad)
         flows.append((field.u, field.v))
@@ -392,6 +433,9 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
         # Refill only while a new track can still complete within the clip.
         if (n_frames - 1) - (t + 1) >= L:
             spawn(t + 1, nxt.levels[0].grad)
+        prev = nxt
+    # Let the last chunk's pyramids go: describing needs only `grads`.
+    del prev, nxt
 
     starts = np.concatenate([s for s, _ in done])
     paths = np.concatenate([p for _, p in done])

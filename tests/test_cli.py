@@ -214,6 +214,48 @@ class TestScriptsAndUsage:
         assert "error:" in capsys.readouterr().err
 
 
+def _two_clip_model_argv(tmp_path, n_frames: int) -> tuple[list[str], list[str]]:
+    """`train` and `classify` argv for a model of two hand-made, non-empty
+    histograms and a clip of n static 8x8 frames."""
+    frame = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
+    write_clip(tmp_path / "c.igsc", Clip(frames=(frame,) * n_frames, fps=15.0, modality=Modality.RGB))
+    books = tmp_path / "books"
+    books.mkdir()
+    for ch, name in _CHANNEL_FILES.items():
+        write_codebook(books / name, Codebook(channel=ch, centroids=np.eye(2, 3), seed=0))
+    write_encoded(tmp_path / "e.igev", [
+        {ch: BovwHist(counts=np.eye(2)[i], channel=ch) for ch in CHANNEL_ORDER} for i in range(2)
+    ])
+    write_annotations(tmp_path / "a.jsonl", [
+        Annotation(clip=f"c{i}.igsc", label=i, subject="u", task="legs", start_frame=0, end_frame=16)
+        for i in range(2)
+    ])
+    train = [
+        "train", "--encoded", str(tmp_path / "e.igev"), "--annotations", str(tmp_path / "a.jsonl"),
+        "--codebooks", str(books), "--out", str(tmp_path / "m.igsv"),
+    ]
+    classify = [
+        "classify", "--model", str(tmp_path / "m.igsv"), "--codebooks", str(books),
+        "--clip", str(tmp_path / "c.igsc"),
+    ]
+    return train, classify
+
+
+@pytest.mark.parametrize("n_frames", [16, 10])
+def test_classify_clip_without_gesture_evidence(tmp_path, capsys, n_frames):
+    # 16 static frames keep no trajectory, and no training clip was empty:
+    # no gesture, exit 0. Ten frames are too short to track: exit 1.
+    train, classify = _two_clip_model_argv(tmp_path, n_frames)
+    assert main(train) == 0
+    capsys.readouterr()
+    rc = main(classify)
+    out, err = capsys.readouterr()
+    if n_frames == 16:
+        assert rc == 0 and out == "no gesture (no trajectory survived)\n"
+    else:
+        assert rc == 1 and "too short" in err and out == ""
+
+
 class TestBadFilesExitOne:
     """Every binary file the CLI reads ends the command with exit 1 when cut or extended."""
 
@@ -221,32 +263,13 @@ class TestBadFilesExitOne:
     @pytest.mark.parametrize("damage", ["cut", "extend"])
     def test_reader_failure_is_exit_1(self, tmp_path, capsys, target, damage):
         # 16 static frames: long enough to classify, and nothing moves, so no
-        # trajectory reaches the 3-dimensional test codebooks
-        frame = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
-        write_clip(tmp_path / "c.igsc", Clip(frames=(frame,) * 16, fps=15.0, modality=Modality.RGB))
+        # trajectory survives and `classify` reports no gesture (exit 0)
+        train, classify = _two_clip_model_argv(tmp_path, 16)
         books = tmp_path / "books"
-        books.mkdir()
-        for ch, name in _CHANNEL_FILES.items():
-            write_codebook(books / name, Codebook(channel=ch, centroids=np.eye(2, 3), seed=0))
-        write_encoded(tmp_path / "e.igev", [
-            {ch: BovwHist(counts=np.eye(2)[i], channel=ch) for ch in CHANNEL_ORDER} for i in range(2)
-        ])
-        write_annotations(tmp_path / "a.jsonl", [
-            Annotation(clip=f"c{i}.igsc", label=i, subject="u", task="legs", start_frame=0, end_frame=16)
-            for i in range(2)
-        ])
         (tmp_path / "f").mkdir()
         write_features(tmp_path / "f" / "c.igtf", TrajectorySet(
             np.zeros(2), np.zeros((2, 16, 2)), np.arange(2.0 * DESC_DIM).reshape(2, DESC_DIM)
         ))
-        train = [
-            "train", "--encoded", str(tmp_path / "e.igev"), "--annotations", str(tmp_path / "a.jsonl"),
-            "--codebooks", str(books), "--out", str(tmp_path / "m.igsv"),
-        ]
-        classify = [
-            "classify", "--model", str(tmp_path / "m.igsv"), "--codebooks", str(books),
-            "--clip", str(tmp_path / "c.igsc"),
-        ]
         codebook = ["codebook", "--features", str(tmp_path / "f"), "--out", str(tmp_path / "cb"), "-k", "1"]
         path, argv = {
             "clip": (tmp_path / "c.igsc", ["detect", "--clip", str(tmp_path / "c.igsc")]),

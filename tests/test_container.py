@@ -23,6 +23,7 @@ from avcmd.errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
+from avcmd.cli import main
 from avcmd.frames import Clip, GrayFrame, Modality, Sensor
 from conftest import malformed_rows
 
@@ -135,6 +136,19 @@ def test_byte_flips_read_or_raise(tmp_path_factory, data):
     except AvcmdError:
         return
     assert len(back) * back.width * back.height + 20 == len(flipped)
+
+
+@pytest.mark.parametrize("code", [2, 255])
+def test_unknown_modality_code_refused(tmp_path, capsys, code):
+    # A hand-built header: code 2 was the linear-depth modality, which has
+    # no producer and is no longer a modality.
+    path = tmp_path / "c.igsc"
+    header = struct.pack("<4sHBBHHIf", b"IGSC", 1, code, 1, 2, 2, 1, 15.0)
+    path.write_bytes(header + bytes(4))
+    with pytest.raises(FormatError, match="Modality"):
+        read_clip(path)
+    assert main(["detect", "--clip", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_truncated_header(tmp_path):

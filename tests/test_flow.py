@@ -13,8 +13,10 @@ from avcmd.flow import (
     dense_flow,
     median_filter_3x3,
 )
+from avcmd.frames import GrayFrame
 from avcmd.synth import generate_corpus
 
+import reference_per_frame as per_frame
 import reference_tracker as ref
 from conftest import smooth_texture
 
@@ -251,3 +253,84 @@ def test_wrap_blur_equals_per_axis_convolution(shape, seed):
             lambda m: np.convolve(np.pad(m, 2, mode="wrap"), ref._BINOMIAL, mode="valid"), axis, want
         )
     assert np.array_equal(binomial_blur(img, "wrap"), want)
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _same_pyramid(got: FramePyramid, want: per_frame.FramePyramid) -> None:
+    assert got.params == want.params and got.shape == want.shape and got.n_frames is None
+    assert len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        for name in ("image", "padded", "grad", "rows", "cols"):
+            assert _same_bytes(getattr(a, name), getattr(b, name)), name
+        assert all(_same_bytes(x, y) for x, y in zip(a.tensor, b.tensor))
+
+
+class TestStackedPyramid:
+    """A stack's frames and one frame's pyramid equal the per-frame build bit for bit."""
+
+    # odd sizes; (15, 9) and (8, 8) stop after two levels, (7, 30) and (2, 3)
+    # after one, whatever `levels` asks for
+    SHAPES = [(37, 53), (53, 37), (15, 9), (8, 8), (7, 30), (2, 3), (96, 96)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("levels,window", [(3, 7), (4, 3), (1, 5)])
+    def test_stack_and_single_frames_equal_per_frame_pyramids(self, shape, levels, window):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        frames = [GrayFrame.from_array(a) for a in rng.integers(0, 256, (5,) + shape).astype(np.uint8)]
+        stack = FramePyramid(frames, levels=levels, window=window)
+        assert stack.n_frames == 5
+        for t, frame in enumerate(frames):
+            want = per_frame.FramePyramid(frame, levels=levels, window=window)
+            _same_pyramid(stack.frame(t), want)
+            _same_pyramid(FramePyramid(frame, levels=levels, window=window), want)
+            _same_pyramid(FramePyramid(frame.data, levels=levels, window=window), want)
+
+    def test_float_stack_and_flow_from_its_frames(self):
+        rng = np.random.default_rng(5)
+        frames = smooth_texture(45, 72, 11).astype(np.float64) + rng.normal(0.0, 3.0, (4, 45, 72))
+        stack = FramePyramid(frames)
+        for t in range(3):
+            _same_pyramid(stack.frame(t), per_frame.FramePyramid(frames[t]))
+            got = dense_flow(stack.frame(t), stack.frame(t + 1))
+            want = dense_flow(per_frame.FramePyramid(frames[t]), per_frame.FramePyramid(frames[t + 1]))
+            from_arrays = dense_flow(frames[t], frames[t + 1])
+            for field in (want, from_arrays):
+                assert _same_bytes(got.u, field.u) and _same_bytes(got.v, field.v)
+
+    def test_a_frames_gradients_keep_only_the_gradient_stack_alive(self):
+        # `track` keeps level 0's gradients of every frame for hog; they must
+        # not hold the chunk's tensors or coarser levels.
+        stack = FramePyramid(np.zeros((3, 16, 16)))
+        assert len(stack.levels) == 3
+        grad = stack.frame(1).levels[0].grad
+        assert grad.base is stack.levels[0].grad and grad.base.base is None
+        assert grad.base.nbytes == 3 * 2 * 16 * 16 * 4
+
+    def test_stack_validation(self):
+        with pytest.raises(InvalidParameterError):
+            FramePyramid(np.zeros((1, 8)))  # no central difference across one row
+        with pytest.raises(InvalidParameterError):
+            FramePyramid(np.zeros((0, 8, 8)))
+        with pytest.raises(InvalidParameterError):
+            FramePyramid([np.zeros((8, 8)), np.zeros((8, 9))])
+        with pytest.raises(InvalidParameterError):
+            FramePyramid(np.zeros((8, 8))).frame(0)
+        with pytest.raises(InvalidParameterError):
+            dense_flow(FramePyramid(np.zeros((2, 8, 8))), np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 9), (34, 14), (96, 96), (120, 120)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+def test_blur_of_one_image_is_unchanged_and_stacks_and_strides_agree(shape, dtype):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    stack = (rng.standard_normal((3,) + shape) * 40.0 + 100.0).clip(0, 255).astype(dtype)
+    for mode in ("edge", "wrap"):
+        got = binomial_blur(stack, mode)
+        for img, blurred in zip(stack, got):
+            want = per_frame.binomial_blur(img, mode)
+            assert _same_bytes(binomial_blur(img, mode), want)
+            assert _same_bytes(np.ascontiguousarray(blurred), want)
+            assert _same_bytes(binomial_blur(img, mode, stride=2), np.ascontiguousarray(want[::2, ::2]))

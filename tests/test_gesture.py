@@ -12,6 +12,7 @@ from avcmd.encoding import (
     train_codebook,
 )
 from avcmd.errors import PipelineMismatchError
+from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.gesture import (
     GesturePipeline,
     _l1_rows,
@@ -142,6 +143,22 @@ class TestPipeline:
     def test_too_short_clip_returns_none(self, pipeline, small_corpus):
         clips, _ = small_corpus
         assert pipeline.classify_clip(clips[0].subclip(0, 10)) is None
+
+    def test_clip_without_trajectories(self, pipeline, small_corpus):
+        # 16 static 8x8 frames: long enough to track, but nothing moves and no
+        # tube fits, so every histogram is zero.
+        frame = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        clip = Clip(frames=(frame,) * 16, fps=15.0, modality=Modality.RGB)
+        assert len(track(clip).trajectories) == 0
+        # The corpus's background clips keep no trajectory either, so this
+        # model knows the empty pattern as background.
+        assert pipeline.classify_clip(clip).label == BACKGROUND_LABEL
+        # Trained without them, a model has no evidence for an empty clip.
+        labels = np.asarray(small_corpus[1])
+        keep = labels != BACKGROUND_LABEL
+        hists = {ch: h[keep] for ch, h in pipeline.model.train_hists.items()}
+        model = train_bovw_model(hists, chi2_distances(hists), labels[keep], 100.0, pipeline.codebooks)
+        assert GesturePipeline(pipeline.codebooks, model, pipeline.tracker).classify_clip(clip) is None
 
     def test_model_round_trip_preserves_predictions(self, pipeline, small_corpus, tmp_path):
         clips, _ = small_corpus

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from avcmd import trajectories
 from avcmd.errors import (
     AvcmdError,
     FormatError,
@@ -34,6 +35,7 @@ from avcmd.trajectories import (
     write_features,
 )
 
+import reference_per_frame as per_frame
 import reference_tracker as ref
 from conftest import smooth_texture
 
@@ -653,3 +655,92 @@ class TestFeatureFileIsTotal:
             path.write_bytes(raw[:cut])
             with pytest.raises(AvcmdError):
                 read_features(path)
+
+
+def sliding_texture_clip(n_frames: int, shape=(53, 67), seed=4):
+    """A texture sliding right by 1 px per frame over an odd-sized frame.
+
+    Grid nodes at y = 37 stay there, so their tubes touch the bottom border.
+    """
+    h, w = shape
+    tex = smooth_texture(h, w + n_frames, seed)
+    frames = tuple(GrayFrame.from_array(tex[:, n_frames - t : n_frames - t + w]) for t in range(n_frames))
+    return Clip(frames=frames, fps=15.0, modality=Modality.RGB)
+
+
+class TestAgainstPerFrameReference:
+    """The chunked tracker against its per-frame form in `reference_per_frame`.
+
+    Stacked pyramids, array sampling and transposed integral passes only
+    reorganise the float32 work, so every output byte must be equal.
+    """
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.too_short == want.too_short
+        for name in ("start", "points", "desc"):
+            a, b = getattr(got.trajectories, name), getattr(want.trajectories, name)
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "chunk,n_frames", [(3, 16), (3, 17), (1, 17), (16, 16), (16, 17), (16, 33), (None, 17)]
+    )
+    def test_clip_lengths_around_chunk_boundaries(self, monkeypatch, chunk, n_frames):
+        clip = sliding_texture_clip(n_frames)
+        if chunk is not None:
+            per_frame_bytes = trajectories.PYRAMID_BYTES_PER_PIXEL * clip.width * clip.height
+            monkeypatch.setattr(trajectories, "PYRAMID_BATCH_BYTES", chunk * per_frame_bytes)
+        got = track(clip)
+        self.assert_same(got, per_frame.track(clip))
+        x, y = np.rint(got.trajectories.points[:, : P.traj_len]).T
+        half = P.tube_size // 2
+        assert ((x == half) | (x + half == clip.width) | (y == half) | (y + half == clip.height)).any()
+
+    @pytest.mark.parametrize("stream", ["rgb", "depth"])
+    def test_synthetic_clips(self, stream):
+        kept = 0
+        for sample in generate_corpus(1, seed=8, frames=20, size=96, patterns=GESTURE_CLASSES[:3]):
+            clip = getattr(sample, stream)
+            got = track(clip)
+            self.assert_same(got, per_frame.track(clip))
+            kept += len(got.trajectories)
+        assert kept > 0
+
+    def test_static_and_empty_clips(self):
+        tiny = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        clips = [
+            static_clip(),
+            static_clip(n_frames=10),
+            Clip(frames=(tiny,) * 16, fps=15.0, modality=Modality.RGB),
+            moving_block_clip(),
+        ]
+        for clip in clips:
+            self.assert_same(track(clip), per_frame.track(clip))
+        assert [len(track(c).trajectories) for c in clips[:3]] == [0, 0, 0]
+
+    def test_sampling_with_live_points_on_cell_borders(self):
+        img = smooth_texture(37, 53, 2)
+        grad = grad_of(img)
+        step = P.grid_step
+        xs, ys = np.meshgrid(np.arange(0.0, 53.0, step), np.arange(0.0, 37.0, step))
+        border = np.stack([xs.ravel(), ys.ravel()], axis=1)[::3]  # cell corners
+        just_below = border[1::4] - 1e-9  # the neighbouring cell
+        outside = [[-0.5, 3.0], [52.0, 36.0], [60.0, 2.0], [3.0, 40.0]]  # past the last node's cell
+        for occupied in (np.empty((0, 2)), border, just_below, np.vstack([border, just_below, outside])):
+            want = per_frame.sample_points(grad, step, occupied.tolist())
+            assert sample_points(grad, step, occupied) == want
+            assert sample_points(grad, step, [tuple(p) for p in occupied.tolist()]) == want
+        assert sample_points(grad, step, border) != sample_points(grad, step)
+
+    @pytest.mark.parametrize(
+        "bbox", [(0, 37, 0, 53), (0, 20, 28, 53), (17, 37, 0, 9), (5, 6, 3, 40), (4, 30, 7, 8), (10, 27, 11, 45)]
+    )
+    def test_integrals_equal_the_cumsum_form(self, bbox):
+        rng = np.random.default_rng(sum(bbox))
+        grad = rng.normal(0.0, 20.0, (2, 37, 53)).astype(np.float32)
+        grad[:, 5:9] = 0.0  # zero vectors add nothing
+        uv = rng.normal(0.0, 1.0, (2, 37, 53)).astype(np.float32)
+        got = trajectories._frame_integrals(grad, uv, bbox, P)
+        want = per_frame.frame_integrals(grad, uv, bbox, P)
+        assert got.shape == (want.shape[1], want.shape[0], want.shape[2])
+        assert np.ascontiguousarray(got.transpose(1, 0, 2)).tobytes() == want.tobytes()
