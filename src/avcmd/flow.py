@@ -42,6 +42,12 @@ from .frames import GrayFrame
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
+@cache
+def _binomial_taps(dtype: np.dtype) -> tuple:
+    """The kernel's taps as scalars of `dtype`, built once per dtype."""
+    return tuple(_BINOMIAL.astype(dtype))
+
+
 @dataclass(frozen=True)
 class FlowField:
     """Per-pixel displacement in pixels/frame; u is horizontal, v vertical."""
@@ -93,13 +99,14 @@ def binomial_blur(img: np.ndarray, mode: str, stride: int = 1) -> np.ndarray:
     """
     if img.dtype.kind != "f":
         img = img.astype(np.float64)
-    *lead, h, w = img.shape
-    taps = _BINOMIAL.astype(img.dtype)
+    lead, (h, w) = img.shape[:-2], img.shape[-2:]
+    taps = _binomial_taps(img.dtype)
     p = np.pad(img, ((0, 0), (2, 2), (2, 2)), mode=mode) if lead else np.pad(img, 2, mode=mode)
-    tmp = np.zeros(p[..., :h:stride, :].shape, dtype=img.dtype)
+    rows = (h - 1) // stride + 1
+    tmp = np.zeros((*lead, rows, w + 4), dtype=img.dtype)
     for k, wgt in enumerate(taps):
         tmp += wgt * p[..., k : k + h : stride, :]
-    out = np.zeros(tmp[..., :w:stride].shape, dtype=img.dtype)
+    out = np.zeros((*lead, rows, (w - 1) // stride + 1), dtype=img.dtype)
     for k, wgt in enumerate(taps):
         out += wgt * tmp[..., k : k + w : stride]
     return out
