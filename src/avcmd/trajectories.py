@@ -282,7 +282,7 @@ def _frame_integrals(grad, flow, bbox, params: TrackerParams) -> np.ndarray:
     index += bins
     maps = np.zeros((bh, bw, nc), dtype=np.float32)
     maps.ravel()[index] = weights
-    del index, bins, weights
+    del index, bins, weights  # not alive beside the transposed copy below
     # The prefix sums run along the rows, then along the columns, one whole
     # contiguous slab at a time: row y adds row y - 1, then, in the
     # transposed copy that is returned, column x adds column x - 1. These

@@ -4,9 +4,9 @@ These are the float32 tracker's earlier forms, one frame at a time: a
 `FramePyramid` built per frame, with each level's gradients and structure
 tensor built lazily on first use from 2-D blur, box-sum and edge-padding
 helpers; point sampling by a Python loop over the grid nodes with a set of
-occupied cells; an integral histogram with `np.cumsum` as its column
-prefix, read as [y, x]; and the tracking loop that builds one pyramid per
-frame. The package's chunked stacks, array sampling and transposed
+occupied cells; orientation bins counted in intp; an integral histogram
+with `np.cumsum` as its column prefix, read as [y, x]; and the tracking
+loop that builds one pyramid per frame. The package's chunked stacks, array sampling and transposed
 integrals must reproduce them bit for bit; the tests compare with
 `np.array_equal` and `.tobytes()`.
 """
