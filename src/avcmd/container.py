@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionOverflowError, FormatError, check_payload, json_field, read_json_rows, unpack_header
-from .frames import Clip, GrayFrame, Modality, Sensor
+from .frames import Clip, Modality, Sensor
 
 CLIP_MAGIC = b"IGSC"
 CLIP_VERSION = 1
@@ -61,8 +61,7 @@ def write_clip(path: str | Path, clip: Clip) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for frame in clip.frames:
-            fh.write(frame.data.tobytes())
+        fh.write(clip.frames.tobytes())
 
 
 def read_clip(path: str | Path) -> Clip:
@@ -70,18 +69,13 @@ def read_clip(path: str | Path) -> Clip:
     modality, sensor, width, height, n_frames, fps = unpack_header(raw, _HEADER, CLIP_MAGIC, CLIP_VERSION, "container")
     if width == 0 or height == 0 or n_frames == 0:
         raise FormatError("container declares an empty clip")
-    frame_size = width * height
-    check_payload(len(raw), _HEADER.size + n_frames * frame_size, "container")
+    check_payload(len(raw), _HEADER.size + n_frames * width * height, "container")
     try:
         modality = Modality(modality)
         sensor = Sensor(sensor)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    data = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
-    frames = tuple(
-        GrayFrame(width=width, height=height, data=data[i * frame_size : (i + 1) * frame_size])
-        for i in range(n_frames)
-    )
+    frames = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size).reshape(n_frames, height, width)
     return Clip(frames=frames, fps=fps, modality=modality, sensor_id=sensor)
 
 

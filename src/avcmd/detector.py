@@ -8,8 +8,9 @@ by shorter lulls. Because it runs causally, a Start is announced only after
 the segment has survived min_dur frames and an End trails the actual
 boundary by max_gap frames; the event carries the true boundary frame.
 
-`detect_segments` is the one detection loop; `activity_segments` runs it
-over a clip's frame-difference scores for the session runner and `detect`.
+`detect_segments` is the one detection loop and `activity_scores` the one
+scoring loop; `activity_segments` runs the first over the second for the
+session runner and `detect`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .frames import GrayFrame
 
 
 class EventKind(Enum):
@@ -37,8 +37,7 @@ class SegmentEvent:
 
 def activity_score(prev, curr, tau_noise: float) -> float:
     """Fraction of pixels with |curr - prev| > tau_noise."""
-    a = prev.data if isinstance(prev, GrayFrame) else np.asarray(prev)
-    b = curr.data if isinstance(curr, GrayFrame) else np.asarray(curr)
+    a, b = np.asarray(prev), np.asarray(curr)
     if a.shape != b.shape:
         raise InvalidParameterError("frames must share dimensions")
     diff = np.abs(a.astype(np.int32) - b.astype(np.int32))
@@ -120,17 +119,17 @@ def detect_segments(
     return events
 
 
+def activity_scores(frames, tau_noise: float) -> list[float]:
+    """0.0 for frame 0, which has no predecessor, then one score per frame pair."""
+    return [0.0] + [activity_score(frames[t - 1], frames[t], tau_noise) for t in range(1, len(frames))]
+
+
 def activity_segments(
     frames, tau_noise: float, theta_on: float, theta_off: float, min_dur: int, max_gap: int
 ) -> list[tuple[int, int]]:
-    """(start, end) activity segments; each frame is scored, then pushed."""
-
-    def scores():
-        yield 0.0  # frame 0 has no predecessor
-        for t in range(1, len(frames)):
-            yield activity_score(frames[t - 1], frames[t], tau_noise)
-
-    return segments_from_events(detect_segments(scores(), theta_on, theta_off, min_dur, max_gap))
+    """(start, end) activity segments of a frame sequence: every frame's score, pushed in order."""
+    scores = activity_scores(frames, tau_noise)
+    return segments_from_events(detect_segments(scores, theta_on, theta_off, min_dur, max_gap))
 
 
 def segments_from_events(events: list[SegmentEvent]) -> list[tuple[int, int]]:

@@ -36,7 +36,6 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidParameterError
-from .frames import GrayFrame
 
 # 5-tap binomial kernel of `binomial_blur`.
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -72,13 +71,10 @@ class FlowField:
 def _as_float_stack(frames) -> tuple[np.ndarray, bool]:
     """`frames` as a (T, h, w) float32 stack, and whether it was one frame.
 
-    One frame is a GrayFrame or a 2-D array; a stack is a sequence of them
-    or a 3-D array.
+    One frame is a 2-D array, such as a row of `Clip.frames`; a stack is a
+    3-D array, such as `Clip.frames` or a slice of it, or a sequence of
+    frames. Anything numpy converts to such an array is accepted.
     """
-    if isinstance(frames, GrayFrame):
-        return frames.data.astype(np.float32)[None], True
-    if isinstance(frames, (list, tuple)) and frames and isinstance(frames[0], GrayFrame):
-        frames = [f.data for f in frames]
     try:
         a = np.asarray(frames, dtype=np.float32)
     except ValueError:
@@ -366,12 +362,13 @@ def dense_flow(
 ) -> FlowField:
     """Estimate dense displacement from `prev` to `nxt`.
 
-    Inputs are GrayFrames, 2-D arrays of equal shape (converted to
-    float32), or one frame's `FramePyramid` each (`FramePyramid(frame)` or
-    `stack.frame(t)`) built with the same `levels`, `window` and `min_eig`;
-    `levels` is the pyramid depth (>= 1). For a pure integer
-    translation of a textured image the interior median of the result
-    matches the translation to well under a quarter pixel per component.
+    Inputs are 2-D arrays of equal shape, such as rows of `Clip.frames`
+    (converted to float32), or one frame's `FramePyramid` each
+    (`FramePyramid(frame)` or `stack.frame(t)`) built with the same
+    `levels`, `window` and `min_eig`; `levels` is the pyramid depth
+    (>= 1). For a pure integer translation of a textured image the interior
+    median of the result matches the translation to well under a quarter
+    pixel per component.
     """
     if levels < 1:
         raise InvalidParameterError("levels must be >= 1")

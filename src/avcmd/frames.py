@@ -3,14 +3,17 @@
 Visual streams are carried as 8-bit grayscale frames regardless of their
 origin: RGB input is converted with BT.601 luma weights, depth input is
 compressed with a logarithmic map so the full 8-bit range is used up to the
-sensor cap. Frames and clips are immutable after construction and safe to
-share across workers.
+sensor cap. A clip is one read-only (T, h, w) uint8 array, so frame t is the
+row `clip.frames[t]` and a subclip is a view; `GrayFrame` is the type of a
+single converted frame, and numpy takes it wherever it takes an array.
+Frames and clips are read-only after construction and safe to share across
+workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -35,7 +38,8 @@ class Sensor(IntEnum):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only C-contiguous view of `a`; `a`'s own flag is left alone."""
+    a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
 
@@ -66,6 +70,9 @@ class GrayFrame:
             raise FormatError("expected a 2-D intensity array")
         return cls(width=a.shape[1], height=a.shape[0], data=a.astype(np.uint8))
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
+
 
 @dataclass(frozen=True)
 class DepthFrame:
@@ -94,47 +101,47 @@ class DepthFrame:
 
 @dataclass(frozen=True)
 class Clip:
-    """A timed sequence of same-sized gray frames in one modality."""
+    """A timed sequence of same-sized gray frames in one modality.
 
-    frames: tuple[GrayFrame, ...]
+    `frames` is one read-only (T, h, w) uint8 array; a (T, h, w) array or a
+    sequence of T 2-D arrays or GrayFrames is accepted. A C-contiguous uint8
+    array is not copied: the clip holds a read-only view of it, and the
+    caller's array keeps its own writeable flag.
+    """
+
+    frames: np.ndarray
     fps: float
     modality: Modality
     sensor_id: Sensor = Sensor.S1
     label: int | None = None
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise InvalidParameterError("clip must contain at least one frame")
+        try:
+            frames = np.asarray(self.frames, dtype=np.uint8)
+        except ValueError:
+            raise InvalidParameterError("all frames in a clip must share dimensions") from None
+        if frames.ndim != 3 or 0 in frames.shape:
+            raise InvalidParameterError("clip must be a non-empty stack of non-empty frames")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise InvalidParameterError(f"fps must be finite and positive, not {self.fps}")
-        w, h = frames[0].width, frames[0].height
-        for f in frames:
-            if f.width != w or f.height != h:
-                raise InvalidParameterError("all frames in a clip must share dimensions")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", _freeze(frames))
 
     @property
     def width(self) -> int:
-        return self.frames[0].width
+        return self.frames.shape[2]
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
+        return self.frames.shape[1]
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def subclip(self, start: int, stop: int) -> "Clip":
+        """Frames [start, stop) with this clip's metadata, as a view."""
         if not 0 <= start < stop <= len(self.frames):
             raise InvalidParameterError("subclip range out of bounds")
-        return Clip(
-            frames=self.frames[start:stop],
-            fps=self.fps,
-            modality=self.modality,
-            sensor_id=self.sensor_id,
-            label=self.label,
-        )
+        return replace(self, frames=self.frames[start:stop])
 
 
 def to_grayscale(rgb: np.ndarray) -> GrayFrame:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .audio import adapt_speaker, classify_command, default_grammar, dtw_distance
-from .detector import activity_score
+from .detector import activity_scores
 from .encoding import CHANNEL_ORDER, channel_mean_distance, multichannel_gram
 from .errors import NoInputError, UndefinedMetricError
 from .flow import binomial_blur, dense_flow
@@ -484,11 +484,7 @@ def generator_calibration(seed: int) -> CriterionResult:
 
     # background drift never reaches the activity trigger
     bg = generate_gesture_clip(default_spec(MotionPattern.BACKGROUND), seed + 3, frames=24)
-    bg_scores = [
-        activity_score(bg.rgb.frames[t - 1], bg.rgb.frames[t], 12.0)
-        for t in range(1, len(bg.rgb.frames))
-    ]
-    bg_max = float(np.max(bg_scores))
+    bg_max = max(activity_scores(bg.rgb.frames, 12.0))
 
     # noise-free swipe: flow on the limb equals amplitude/period per frame
     spec = replace(default_spec(MotionPattern.SWIPE_RIGHT), noise_sigma=0.0)

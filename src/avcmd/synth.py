@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .flow import binomial_blur
-from .frames import Clip, DepthFrame, GrayFrame, Modality, Sensor, log_depth, to_grayscale
+from .frames import Clip, DepthFrame, Modality, Sensor, log_depth
 from .mfcc import mfcc
 from .session import AudioEvent, SessionStep
 from .trajectories import TrackerParams
@@ -32,6 +32,7 @@ from .vocabulary import BACKGROUND_LABEL, COMMAND_GESTURES, Command, MotionPatte
 MIN_CLIP_FRAMES = TrackerParams().traj_len + 1
 FPS = 15.0           # frames per second of every clip and session stream
 D_MAX = 4095         # depth range of every rendered depth stream
+DEPTH_NOISE_SIGMA = 6.0  # mm, sensor noise of every rendered depth stream
 SAMPLE_RATE = 16000  # Hz, every synthesized waveform
 
 # Session streams: one larger scene whose limb and gesture excursions exceed
@@ -203,19 +204,23 @@ class _World:
         self.bg_depth = 2400.0 + 300.0 * _smooth_field(rng, size, size)
         self.limb_depth = 520.0 + 260.0 * _smooth_field(rng, spec.limb_len, spec.limb_w, passes=2)
 
-    def render(self, cx: float, cy: float, rng: np.random.Generator, noise_sigma: float,
-               depth_noise: float = 6.0) -> tuple[GrayFrame, GrayFrame]:
+    def render_gray(self, out: np.ndarray, cx: float, cy: float, rng: np.random.Generator,
+                    noise_sigma: float) -> None:
+        """Write the intensity frame with the limb centered at (cx, cy) into `out`.
+
+        A gray frame stands for an RGB one with R = G = B: BT.601 weights sum
+        to 1, so `to_grayscale` of such a frame is the gray frame itself.
+        """
         gray = _paint(self.bg, self.limb_tex, cx, cy)
-        depth = _paint(self.bg_depth, self.limb_depth, cx, cy)
         gray = gray + rng.normal(0.0, noise_sigma, gray.shape) if noise_sigma > 0 else gray
-        depth = depth + rng.normal(0.0, depth_noise, depth.shape) if depth_noise > 0 else depth
-        gray_u8 = np.clip(np.rint(gray), 0, 255).astype(np.uint8)
-        rgb_frame = to_grayscale(np.repeat(gray_u8[:, :, None], 3, axis=2))
+        out[...] = np.clip(np.rint(gray), 0, 255)
+
+    def render_log_depth(self, out: np.ndarray, cx: float, cy: float, rng: np.random.Generator) -> None:
+        """Write the log-depth frame with the limb centered at (cx, cy) into `out`."""
+        depth = _paint(self.bg_depth, self.limb_depth, cx, cy)
+        depth = depth + rng.normal(0.0, DEPTH_NOISE_SIGMA, depth.shape)
         depth_u16 = np.clip(np.rint(depth), 0, D_MAX).astype(np.uint16)
-        ld_frame = log_depth(
-            DepthFrame(width=self.size, height=self.size, data=depth_u16, d_max=D_MAX)
-        )
-        return rgb_frame, ld_frame
+        out[...] = log_depth(DepthFrame(width=self.size, height=self.size, data=depth_u16, d_max=D_MAX)).data
 
 
 def generate_gesture_clip(
@@ -235,17 +240,14 @@ def generate_gesture_clip(
     if margin > size / 2.0 - 2.0:
         raise InvalidParameterError("pattern extent does not fit the frame")
 
-    rgb_frames, ld_frames = [], []
-    for t in range(frames):
-        cx, cy = home + offsets[t]
-        rgb_f, ld_f = world.render(cx, cy, rng, spec.noise_sigma)
-        rgb_frames.append(rgb_f)
-        ld_frames.append(ld_f)
+    rgb = np.empty((frames, size, size), dtype=np.uint8)
+    depth = np.empty_like(rgb)
+    for t, (cx, cy) in enumerate(home + offsets):
+        world.render_gray(rgb[t], cx, cy, rng, spec.noise_sigma)
+        world.render_log_depth(depth[t], cx, cy, rng)
     return GestureSample(
-        rgb=Clip(frames=tuple(rgb_frames), fps=FPS, modality=Modality.RGB,
-                 sensor_id=Sensor.S1, label=spec.class_id),
-        depth=Clip(frames=tuple(ld_frames), fps=FPS, modality=Modality.LOG_DEPTH,
-                   sensor_id=Sensor.S1, label=spec.class_id),
+        rgb=Clip(frames=rgb, fps=FPS, modality=Modality.RGB, sensor_id=Sensor.S1, label=spec.class_id),
+        depth=Clip(frames=depth, fps=FPS, modality=Modality.LOG_DEPTH, sensor_id=Sensor.S1, label=spec.class_id),
         label=spec.class_id,
     )
 
@@ -419,15 +421,13 @@ def build_session_streams(
         plan.append((step, offsets))
         total += window_frames + gap_frames
 
-    rgb_frames = []
     offset_by_frame = np.zeros((total, 2))
     for step, offsets in plan:
         offset_by_frame[step.window[0] : step.window[1]] = offsets
-    for t in range(total):
-        cx, cy = home + offset_by_frame[t]
-        rgb_f, _ = world.render(cx, cy, rng, SESSION_NOISE_SIGMA, depth_noise=0.0)
-        rgb_frames.append(rgb_f)
-    video = Clip(frames=tuple(rgb_frames), fps=FPS, modality=Modality.RGB)
+    frames = np.empty((total, size, size), dtype=np.uint8)
+    for t, (cx, cy) in enumerate(home + offset_by_frame):
+        world.render_gray(frames[t], cx, cy, rng, SESSION_NOISE_SIGMA)
+    video = Clip(frames=frames, fps=FPS, modality=Modality.RGB)
 
     audio_events = []
     for idx, (step, _) in enumerate(plan):

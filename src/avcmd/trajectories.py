@@ -47,7 +47,7 @@ from .flow import (
     FramePyramid, _bilinear_taps, _gradients, _interpolate, _pad_edge, _structure_tensor, dense_flow,
     median_filter_3x3,
 )
-from .frames import Clip, GrayFrame
+from .frames import Clip
 
 TRAJ_DIM = 30
 HOG_DIM = 96
@@ -169,8 +169,6 @@ def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.0
     """
     if step < 1:
         raise InvalidParameterError("step must be >= 1")
-    if isinstance(grad, GrayFrame):
-        raise InvalidParameterError("sample_points takes the frame's gradients, not the frame")
     grad = np.asarray(grad)
     if grad.ndim != 3 or len(grad) != 2:
         raise InvalidParameterError("grad must be the stacked (gx, gy) of a frame: (2, h, w)")
@@ -374,11 +372,11 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     sorted by (start_frame, x0, y0).
     """
     L = params.traj_len
-    n_frames = len(clip.frames)
+    n_frames = len(clip)
     if n_frames < L + 1:
         return TrackResult(TrajectorySet.empty(), too_short=True)
 
-    h, w = clip.frames[0].data.shape
+    h, w = clip.height, clip.width
     half = params.tube_size // 2
 
     # Per frame pair (t, t+1): frame t's gradients and the flow from t.

@@ -5,7 +5,8 @@ implementation: a symmetric chi-square matrix filled from its upper triangle
 by its own row loop, a Gram builder and a cross-kernel builder that each sum
 the per-channel distance terms themselves, the session runner's inline
 activity-detection loop, the synthetic generator's own wrap-padded
-binomial blur, and the one-histogram L1 normalization `BovwHist` had beside
+binomial blur and its one renderer of a gray and a log-depth frame, and the
+one-histogram L1 normalization `BovwHist` had beside
 the row-wise one. The merged code must reproduce them bit for bit; the tests
 compare with `np.array_equal` and `==`.
 """
@@ -16,6 +17,8 @@ import numpy as np
 
 from avcmd.detector import ActivityDetector, activity_score, segments_from_events
 from avcmd.errors import DegenerateInputError, InvalidParameterError
+from avcmd.frames import DepthFrame, log_depth, to_grayscale
+from avcmd.synth import D_MAX, _paint
 
 
 def chi2_distance_matrix(hists: np.ndarray) -> np.ndarray:
@@ -88,6 +91,20 @@ def smooth_field(rng: np.random.Generator, h: int, w: int, passes: int = 3) -> n
     field -= field.min()
     field /= max(field.max(), 1e-12)
     return field
+
+
+def render(world, cx: float, cy: float, rng: np.random.Generator, noise_sigma: float,
+           depth_noise: float = 6.0):
+    """`synth._World.render`: both frames, the gray one through RGB and back."""
+    gray = _paint(world.bg, world.limb_tex, cx, cy)
+    depth = _paint(world.bg_depth, world.limb_depth, cx, cy)
+    gray = gray + rng.normal(0.0, noise_sigma, gray.shape) if noise_sigma > 0 else gray
+    depth = depth + rng.normal(0.0, depth_noise, depth.shape) if depth_noise > 0 else depth
+    gray_u8 = np.clip(np.rint(gray), 0, 255).astype(np.uint8)
+    rgb_frame = to_grayscale(np.repeat(gray_u8[:, :, None], 3, axis=2))
+    depth_u16 = np.clip(np.rint(depth), 0, D_MAX).astype(np.uint16)
+    ld_frame = log_depth(DepthFrame(width=world.size, height=world.size, data=depth_u16, d_max=D_MAX))
+    return rgb_frame, ld_frame
 
 
 def l1_normalized(counts: np.ndarray) -> np.ndarray:

@@ -234,7 +234,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     if n_frames < L + 1:
         return TrackResult(TrajectorySet.empty(), too_short=True)
 
-    h, w = clip.frames[0].data.shape
+    h, w = clip.frames[0].shape
     half = params.tube_size // 2
     grads, flows = [], []
     starts = np.empty(0, dtype=np.intp)

@@ -335,7 +335,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     if n_frames < L + 1:
         return TrackResult([], too_short=True)
 
-    images = [f.data.astype(np.float64) for f in clip.frames]
+    images = [f.astype(np.float64) for f in clip.frames]
     h, w = images[0].shape
     half = params.tube_size // 2
 

@@ -24,15 +24,12 @@ from avcmd.errors import (
     UnsupportedVersionError,
 )
 from avcmd.cli import main
-from avcmd.frames import Clip, GrayFrame, Modality, Sensor
+from avcmd.frames import Clip, Modality, Sensor
 from conftest import malformed_rows
 
 
 def make_clip(rng, n_frames=3, w=4, h=3, modality=Modality.RGB, sensor=Sensor.S2, fps=15.0):
-    frames = tuple(
-        GrayFrame(width=w, height=h, data=rng.integers(0, 256, size=h * w, dtype=np.uint8))
-        for _ in range(n_frames)
-    )
+    frames = rng.integers(0, 256, size=(n_frames, h, w), dtype=np.uint8)
     return Clip(frames=frames, fps=fps, modality=modality, sensor_id=sensor)
 
 
@@ -45,8 +42,8 @@ def test_round_trip_identity(tmp_path, rng):
     assert back.modality == clip.modality
     assert back.sensor_id == clip.sensor_id
     assert len(back) == len(clip)
-    for f1, f2 in zip(clip.frames, back.frames):
-        assert np.array_equal(f1.data, f2.data)
+    assert back.frames.shape == clip.frames.shape
+    assert np.array_equal(back.frames, clip.frames)
 
 
 def test_round_trip_byte_identical(tmp_path, rng):
@@ -76,7 +73,8 @@ def test_round_trip_arbitrary_clips(tmp_path_factory, n_frames, w, h, modality, 
     write_clip(path, clip)
     back = read_clip(path)
     assert (back.fps, back.modality, back.sensor_id) == (clip.fps, clip.modality, clip.sensor_id)
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(clip.frames, back.frames))
+    assert back.frames.shape == clip.frames.shape
+    assert np.array_equal(back.frames, clip.frames)
 
 
 def test_bad_magic(tmp_path, rng):

@@ -9,6 +9,7 @@ from avcmd.detector import (
     ActivityDetector,
     EventKind,
     activity_score,
+    activity_scores,
     activity_segments,
     detect_segments,
     segments_from_events,
@@ -48,6 +49,13 @@ class TestActivityScore:
     def test_dim_mismatch(self):
         with pytest.raises(InvalidParameterError):
             activity_score(np.zeros((3, 3)), np.zeros((3, 4)), 12)
+
+
+    def test_scores_lead_with_zero_then_score_each_pair(self, rng):
+        frames = rng.integers(0, 256, size=(6, 9, 9), dtype=np.uint8)
+        scores = activity_scores(frames, 12.0)
+        assert scores == [0.0] + [activity_score(a, b, 12.0) for a, b in zip(frames, frames[1:])]
+        assert activity_scores(frames[:1], 12.0) == [0.0]
 
 
 class TestDetectSegments:

@@ -37,6 +37,13 @@ class TestToGrayscale:
         with pytest.raises(FormatError):
             to_grayscale(np.zeros((4, 5, 4), dtype=np.uint8))
 
+    def test_equal_channels_map_to_themselves(self):
+        # The weights sum to 1, so a gray level repeated over R, G and B
+        # comes back unchanged: the synthetic renderer relies on this.
+        levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        rgb = np.repeat(levels[:, :, None], 3, axis=2)
+        assert np.array_equal(to_grayscale(rgb).data, levels)
+
     def test_pointwise_map_commutes_with_permutation(self, rng):
         rgb = rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8)
         gray = to_grayscale(rgb).data
@@ -82,13 +89,28 @@ class TestLogDepth:
 
 class TestClip:
     def _frame(self, v=0, w=3, h=2):
-        return GrayFrame(width=w, height=h, data=np.full(w * h, v, dtype=np.uint8))
+        return np.full((h, w), v, dtype=np.uint8)
 
     def test_basic_construction(self):
         clip = Clip(frames=(self._frame(), self._frame(1)), fps=15.0, modality=Modality.RGB)
         assert len(clip) == 2
         assert clip.width == 3 and clip.height == 2
         assert clip.sensor_id == Sensor.S1
+
+    def test_frames_are_one_array_whatever_the_input(self, rng):
+        stack = rng.integers(0, 256, size=(4, 5, 6), dtype=np.uint8)
+        inputs = (tuple(GrayFrame.from_array(f) for f in stack), [f for f in stack], stack)
+        for frames in inputs:
+            clip = Clip(frames=frames, fps=15.0, modality=Modality.RGB)
+            assert clip.frames.shape == (4, 5, 6) and clip.frames.dtype == np.uint8
+            assert np.array_equal(clip.frames, stack)
+
+    def test_array_input_is_frozen_as_a_view(self, rng):
+        stack = rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8)
+        clip = Clip(frames=stack, fps=15.0, modality=Modality.RGB)
+        assert np.shares_memory(clip.frames, stack)
+        assert stack.flags.writeable
+        assert not clip.frames.flags.writeable
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -102,6 +124,22 @@ class TestClip:
                 modality=Modality.RGB,
             )
 
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            np.zeros((0, 2, 3), dtype=np.uint8),
+            [GrayFrame.from_array(np.zeros((2, 3))), GrayFrame.from_array(np.zeros((3, 2)))],
+            np.zeros((2, 3), dtype=np.uint8),
+            np.zeros((2, 3, 0), dtype=np.uint8),
+            np.zeros((2, 0, 3), dtype=np.uint8),
+            np.zeros((2, 2, 3, 1), dtype=np.uint8),
+        ],
+        ids=["no-frames", "ragged", "2-D", "zero-width", "zero-height", "4-D"],
+    )
+    def test_malformed_stacks_rejected(self, frames):
+        with pytest.raises(InvalidParameterError):
+            Clip(frames=frames, fps=15.0, modality=Modality.RGB)
+
     def test_nonpositive_fps_rejected(self):
         with pytest.raises(InvalidParameterError):
             Clip(frames=(self._frame(),), fps=0.0, modality=Modality.RGB)
@@ -109,7 +147,7 @@ class TestClip:
     def test_frames_are_read_only(self):
         clip = Clip(frames=(self._frame(),), fps=15.0, modality=Modality.RGB)
         with pytest.raises(ValueError):
-            clip.frames[0].data[0, 0] = 9
+            clip.frames[0][0, 0] = 9
 
     def test_subclip_preserves_metadata(self):
         clip = Clip(
@@ -124,4 +162,19 @@ class TestClip:
         assert sub.modality == Modality.LOG_DEPTH
         assert sub.sensor_id == Sensor.S3
         assert sub.label == 4
-        assert np.all(sub.frames[0].data == 1)
+        assert np.all(sub.frames[0] == 1)
+
+    def test_subclip_is_a_read_only_view(self):
+        clip = Clip(frames=np.arange(5 * 2 * 3, dtype=np.uint8).reshape(5, 2, 3), fps=15.0, modality=Modality.RGB)
+        sub = clip.subclip(1, 4)
+        assert np.shares_memory(sub.frames, clip.frames)
+        assert np.array_equal(sub.frames, clip.frames[1:4])
+        assert not sub.frames.flags.writeable
+        for start, stop in ((0, 0), (3, 2), (-1, 2), (0, 6)):
+            with pytest.raises(InvalidParameterError):
+                clip.subclip(start, stop)
+
+    def test_gray_frame_is_array_like(self):
+        frame = GrayFrame.from_array(np.arange(6).reshape(2, 3))
+        assert np.array_equal(np.asarray(frame), frame.data)
+        assert np.asarray(frame, dtype=np.float32).dtype == np.float32

@@ -15,6 +15,7 @@ from avcmd.mfcc import mfcc
 from avcmd.synth import (
     GESTURE_CLASSES,
     GestureSpec,
+    _World,
     build_session_streams,
     default_spec,
     generate_command_audio,
@@ -28,10 +29,7 @@ from dataclasses import replace
 
 
 def clip_digest(clip):
-    h = hashlib.sha256()
-    for f in clip.frames:
-        h.update(f.data.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(clip.frames.tobytes()).hexdigest()
 
 
 class TestGestureClips:
@@ -171,3 +169,22 @@ def test_smooth_field_equals_wrap_blur_oracle(h, w, passes):
     for seed in (0, 1, 99):
         got = _smooth_field(np.random.default_rng(seed), h, w, passes)
         assert np.array_equal(got, ref.smooth_field(np.random.default_rng(seed), h, w, passes))
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 3.0])
+def test_split_renders_equal_the_combined_oracle(noise_sigma):
+    """Corpus clips draw gray then depth noise; session streams drew no depth noise."""
+    world = _World(np.random.default_rng(4), 96, default_spec(MotionPattern.CIRCLE_CW))
+    for cx, cy in ((48.0, 48.0), (30.3, 61.7), (-40.0, 5.0)):
+        rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        gray, depth = np.empty((2, 96, 96), dtype=np.uint8)
+        world.render_gray(gray, cx, cy, rng, noise_sigma)
+        world.render_log_depth(depth, cx, cy, rng)
+        want_gray, want_depth = ref.render(world, cx, cy, oracle_rng, noise_sigma)
+        assert np.array_equal(gray, want_gray.data) and np.array_equal(depth, want_depth.data)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+        world.render_gray(gray, cx, cy, rng, noise_sigma)
+        want_gray, _ = ref.render(world, cx, cy, oracle_rng, noise_sigma, depth_noise=0.0)
+        assert np.array_equal(gray, want_gray.data)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -59,14 +59,13 @@ def moving_block_clip(
         x = int(round(start[0] + speed * t))
         y = start[1]
         img[y : y + block, x : x + block] = btex
-        frames.append(GrayFrame.from_array(np.clip(img + offset, 0, 255).astype(np.uint8)))
-    return Clip(frames=tuple(frames), fps=15.0, modality=Modality.RGB)
+        frames.append(np.clip(img + offset, 0, 255).astype(np.uint8))
+    return Clip(frames=frames, fps=15.0, modality=Modality.RGB)
 
 
 def static_clip(n_frames=18, size=64, seed=5):
     img = smooth_texture(size, size, seed)
-    frame = GrayFrame.from_array(img)
-    return Clip(frames=(frame,) * n_frames, fps=15.0, modality=Modality.RGB)
+    return Clip(frames=np.repeat(img[None], n_frames, axis=0), fps=15.0, modality=Modality.RGB)
 
 
 class TestTrackerParams:
@@ -344,8 +343,8 @@ class TestTrack:
             img = bg.copy()
             x = 10 if t < 7 else 50
             img[30 : 30 + block, x : x + block] = btex
-            frames.append(GrayFrame.from_array(img.astype(np.uint8)))
-        clip = Clip(frames=tuple(frames), fps=15.0, modality=Modality.RGB)
+            frames.append(img.astype(np.uint8))
+        clip = Clip(frames=frames, fps=15.0, modality=Modality.RGB)
         assert len(track(clip).trajectories) == 0
 
     def test_brightness_offset_leaves_hof_unchanged(self):
@@ -358,9 +357,7 @@ class TestTrack:
     def test_180_rotation_negates_mean_traj_descriptor(self):
         clip = moving_block_clip()
         rotated = Clip(
-            frames=tuple(
-                GrayFrame.from_array(np.rot90(f.data, 2).copy()) for f in clip.frames
-            ),
+            frames=np.rot90(clip.frames, 2, axes=(1, 2)),
             fps=clip.fps,
             modality=clip.modality,
         )
@@ -424,7 +421,7 @@ class TestFastPathAgainstBruteForce:
         clip = moving_block_clip()
         res = track(clip)
         assert res.trajectories
-        images = [f.data.astype(np.float32) for f in clip.frames]
+        images = clip.frames.astype(np.float32)
         flows = []
         for t in range(len(images) - 1):
             field = dense_flow(images[t], images[t + 1], levels=P.pyramid_levels)
@@ -550,7 +547,7 @@ class TestTrackAgainstReference:
         for sample in corpus:
             for clip in (sample.rgb, sample.depth):
                 for f in (0, 7):
-                    img = clip.frames[f].data
+                    img = clip.frames[f]
                     assert sample_points(grad_of(img), P.grid_step) == ref.sample_points(
                         img.astype(np.float64), P.grid_step
                     )
@@ -664,7 +661,7 @@ def sliding_texture_clip(n_frames: int, shape=(53, 67), seed=4):
     """
     h, w = shape
     tex = smooth_texture(h, w + n_frames, seed)
-    frames = tuple(GrayFrame.from_array(tex[:, n_frames - t : n_frames - t + w]) for t in range(n_frames))
+    frames = [tex[:, n_frames - t : n_frames - t + w] for t in range(n_frames)]
     return Clip(frames=frames, fps=15.0, modality=Modality.RGB)
 
 
@@ -707,11 +704,11 @@ class TestAgainstPerFrameReference:
         assert kept > 0
 
     def test_static_and_empty_clips(self):
-        tiny = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        tiny = np.arange(64, dtype=np.uint8).reshape(8, 8)
         clips = [
             static_clip(),
             static_clip(n_frames=10),
-            Clip(frames=(tiny,) * 16, fps=15.0, modality=Modality.RGB),
+            Clip(frames=[tiny] * 16, fps=15.0, modality=Modality.RGB),
             moving_block_clip(),
         ]
         for clip in clips:
