@@ -6,9 +6,9 @@ by its own row loop, a Gram builder and a cross-kernel builder that each sum
 the per-channel distance terms themselves, the session runner's inline
 activity-detection loop, the synthetic generator's own wrap-padded
 binomial blur and its one renderer of a gray and a log-depth frame, and the
-one-histogram L1 normalization `BovwHist` had beside
-the row-wise one. The merged code must reproduce them bit for bit; the tests
-compare with `np.array_equal` and `==`.
+one-histogram L1 normalization `BovwHist` had beside the row-wise one. The
+merged code must reproduce them bit for bit; the tests compare with
+`np.array_equal` and `==`.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ class TestActivityScore:
         with pytest.raises(InvalidParameterError):
             activity_score(np.zeros((3, 3)), np.zeros((3, 4)), 12)
 
-
     def test_scores_lead_with_zero_then_score_each_pair(self, rng):
         frames = rng.integers(0, 256, size=(6, 9, 9), dtype=np.uint8)
         scores = activity_scores(frames, 12.0)
