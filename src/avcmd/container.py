@@ -19,14 +19,15 @@ sidecar, one JSON object per line with fields
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionOverflowError, FormatError, check_payload, json_field, read_json_rows, unpack_header
+from .errors import (
+    DimensionOverflowError, FormatError, check_payload, json_field, read_json_rows, unpack_header, write_json_rows,
+)
 from .frames import Clip, Modality, Sensor
 
 CLIP_MAGIC = b"IGSC"
@@ -80,22 +81,7 @@ def read_clip(path: str | Path) -> Clip:
 
 
 def write_annotations(path: str | Path, annotations: list[Annotation]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in annotations:
-            fh.write(
-                json.dumps(
-                    {
-                        "clip": a.clip,
-                        "label": a.label,
-                        "subject": a.subject,
-                        "task": a.task,
-                        "start_frame": a.start_frame,
-                        "end_frame": a.end_frame,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_json_rows(path, map(asdict, annotations))
 
 
 def _annotation(row: dict) -> Annotation:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and the checks every file reader shares."""
+"""Exception hierarchy shared across the toolkit, the checks every file reader shares, and the JSON-lines writer."""
 
 import json
 import struct
@@ -113,3 +113,10 @@ def read_json_rows(path, what: str, parse) -> list:
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"bad {what} on line {lineno}: {exc}") from None
     return out
+
+
+def write_json_rows(path, rows) -> None:
+    """Write each dict of `rows` as one JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -1,13 +1,13 @@
 """Frame and clip data model plus the two pixel-level transforms.
 
-Visual streams are carried as 8-bit grayscale frames regardless of their
-origin: RGB input is converted with BT.601 luma weights, depth input is
-compressed with a logarithmic map so the full 8-bit range is used up to the
-sensor cap. A clip is one read-only (T, h, w) uint8 array, so frame t is the
-row `clip.frames[t]` and a subclip is a view; `GrayFrame` is the type of a
-single converted frame, and numpy takes it wherever it takes an array.
-Frames and clips are read-only after construction and safe to share across
-workers.
+Visual streams are carried as 8-bit grayscale arrays regardless of their
+origin: RGB input is converted with BT.601 luma weights, depth input (uint16
+millimeters, one frame or a whole (T, h, w) stack) is compressed with a
+logarithmic map so the full 8-bit range is used up to the sensor cap. A clip
+is one read-only (T, h, w) uint8 array, so frame t is the row
+`clip.frames[t]` and a subclip is a view; `GrayFrame` is a single frame with
+its dimensions, and numpy takes it wherever it takes an array. Clips are
+read-only after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,11 +38,19 @@ class Sensor(IntEnum):
     S3 = 3
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous view of `a`; `a`'s own flag is left alone."""
-    a = np.ascontiguousarray(a).view()
-    a.flags.writeable = False
-    return a
+def _frozen_u8(a) -> np.ndarray:
+    """`a` as a read-only C-contiguous uint8 array, a view of `a` (whose flag is left alone) when it is one.
+
+    Other dtypes must hold only integers in [0, 255], which cast unchanged.
+    """
+    a = np.asarray(a)
+    with np.errstate(invalid="ignore"):
+        u8 = a.astype(np.uint8, copy=False)  # `a` itself when it is uint8 already
+    if u8 is not a and not np.array_equal(u8, a):
+        raise InvalidParameterError("intensities must be integers in [0, 255]")
+    u8 = np.ascontiguousarray(u8).view()
+    u8.flags.writeable = False
+    return u8
 
 
 @dataclass(frozen=True)
@@ -55,48 +64,23 @@ class GrayFrame:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise InvalidParameterError("frame dimensions must be positive")
-        a = np.asarray(self.data, dtype=np.uint8)
+        a = _frozen_u8(self.data)
         if a.size != self.width * self.height:
             raise FormatError(
                 f"frame data has {a.size} samples, expected "
                 f"{self.width * self.height}"
             )
-        object.__setattr__(self, "data", _freeze(a.reshape(self.height, self.width)))
+        object.__setattr__(self, "data", a.reshape(self.height, self.width))
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "GrayFrame":
         a = np.asarray(a)
         if a.ndim != 2:
             raise FormatError("expected a 2-D intensity array")
-        return cls(width=a.shape[1], height=a.shape[0], data=a.astype(np.uint8))
+        return cls(width=a.shape[1], height=a.shape[0], data=a.copy())
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.data, dtype=dtype, copy=copy)
-
-
-@dataclass(frozen=True)
-class DepthFrame:
-    """Single 16-bit depth frame in millimeters, capped at d_max."""
-
-    width: int
-    height: int
-    data: np.ndarray  # shape (height, width), uint16, read-only
-    d_max: int        # sensor range cap, millimeters
-
-    def __post_init__(self):
-        if self.d_max <= 0:
-            raise InvalidParameterError("d_max must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidParameterError("frame dimensions must be positive")
-        a = np.asarray(self.data, dtype=np.uint16)
-        if a.size != self.width * self.height:
-            raise FormatError(
-                f"depth data has {a.size} samples, expected "
-                f"{self.width * self.height}"
-            )
-        if a.size and int(a.max()) > self.d_max:
-            raise InvalidParameterError("depth sample exceeds d_max")
-        object.__setattr__(self, "data", _freeze(a.reshape(self.height, self.width)))
 
 
 @dataclass(frozen=True)
@@ -104,9 +88,9 @@ class Clip:
     """A timed sequence of same-sized gray frames in one modality.
 
     `frames` is one read-only (T, h, w) uint8 array; a (T, h, w) array or a
-    sequence of T 2-D arrays or GrayFrames is accepted. A C-contiguous uint8
-    array is not copied: the clip holds a read-only view of it, and the
-    caller's array keeps its own writeable flag.
+    sequence of T 2-D arrays or GrayFrames, of integers in [0, 255], is
+    accepted. A C-contiguous uint8 array is not copied: the clip holds a
+    read-only view of it, and the caller's array keeps its own writeable flag.
     """
 
     frames: np.ndarray
@@ -117,14 +101,14 @@ class Clip:
 
     def __post_init__(self):
         try:
-            frames = np.asarray(self.frames, dtype=np.uint8)
+            frames = _frozen_u8(self.frames)
         except ValueError:
             raise InvalidParameterError("all frames in a clip must share dimensions") from None
         if frames.ndim != 3 or 0 in frames.shape:
             raise InvalidParameterError("clip must be a non-empty stack of non-empty frames")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise InvalidParameterError(f"fps must be finite and positive, not {self.fps}")
-        object.__setattr__(self, "frames", _freeze(frames))
+        object.__setattr__(self, "frames", frames)
 
     @property
     def width(self) -> int:
@@ -144,32 +128,41 @@ class Clip:
         return replace(self, frames=self.frames[start:stop])
 
 
-def to_grayscale(rgb: np.ndarray) -> GrayFrame:
-    """Convert an interleaved 8-bit RGB frame to intensity.
+def to_grayscale(rgb: np.ndarray) -> np.ndarray:
+    """Convert an interleaved 8-bit (H, W, 3) RGB frame to an (H, W) uint8 intensity array.
 
-    Accepts either an (H, W, 3) array or a flat interleaved array together
-    with its shape encoded as (H, W, 3). Per pixel the output is
-    round(0.299 R + 0.587 G + 0.114 B), clamped to [0, 255].
+    Per pixel the output is round(0.299 R + 0.587 G + 0.114 B), clamped to
+    [0, 255].
     """
     a = np.asarray(rgb)
     if a.ndim != 3 or a.shape[2] != 3:
         raise FormatError("expected an (H, W, 3) interleaved RGB array")
     gray = np.rint(a.astype(np.float64) @ _LUMA)
-    gray = np.clip(gray, 0, 255).astype(np.uint8)
-    return GrayFrame.from_array(gray)
+    return np.clip(gray, 0, 255).astype(np.uint8)
 
 
-def log_depth(depth: DepthFrame) -> GrayFrame:
-    """Compress a depth frame to 8 bits with v = round(255 ln(1+d)/ln(1+d_max)).
+@lru_cache(maxsize=8)
+def _log_table(d_max: int) -> np.ndarray:
+    """The read-only uint8 table of `log_depth` for depths 0..d_max."""
+    lut_in = np.arange(d_max + 1, dtype=np.float64)
+    lut = np.rint(255.0 * np.log1p(lut_in) / np.log1p(float(d_max)))
+    lut = np.clip(lut, 0, 255).astype(np.uint8)
+    lut.flags.writeable = False
+    return lut
 
+
+def log_depth(depth: np.ndarray, d_max: int) -> np.ndarray:
+    """Compress uint16 depths to 8 bits with v = round(255 ln(1+d)/ln(1+d_max)).
+
+    `depth` is one frame or a (T, h, w) stack, every sample at most d_max.
     Monotone nondecreasing in d, with 0 -> 0 and d_max -> 255; near-range
     structure gets most of the output levels, which is what makes depth
     streams usable for trajectory extraction.
     """
-    if depth.d_max <= 0:
+    if d_max <= 0:
         raise InvalidParameterError("d_max must be positive")
+    depth = np.asarray(depth, dtype=np.uint16)
+    if depth.size and int(depth.max()) > d_max:
+        raise InvalidParameterError("depth sample exceeds d_max")
     # Depth is at most 16-bit: a lookup table is cheaper than a log per pixel.
-    lut_in = np.arange(depth.d_max + 1, dtype=np.float64)
-    lut = np.rint(255.0 * np.log1p(lut_in) / np.log1p(float(depth.d_max)))
-    lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return GrayFrame.from_array(lut[depth.data])
+    return _log_table(d_max)[depth]

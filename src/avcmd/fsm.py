@@ -35,7 +35,6 @@ ACTIVE_STATES = frozenset(
 class FsmState:
     kind: StateKind
     resume: StateKind | None = None  # set only while paused
-    last_action: str | None = None
 
     def __post_init__(self):
         if self.kind == StateKind.PAUSED:
@@ -124,8 +123,7 @@ def fsm_step(state: FsmState, command, lang: str = "en") -> tuple[FsmState, tupl
         return stay("already_halted")
 
     if cmd == Command.HALT:
-        new = FsmState(kind=StateKind.HALTED, last_action="halt_all")
-        return new, ("halt_all",), feedback_message("ack_halt", lang)
+        return FsmState(kind=StateKind.HALTED), ("halt_all",), feedback_message("ack_halt", lang)
 
     if state.kind == StateKind.IDLE:
         if cmd == Command.WASH_LEGS:
@@ -136,7 +134,7 @@ def fsm_step(state: FsmState, command, lang: str = "en") -> tuple[FsmState, tupl
 
     if state.kind in ACTIVE_STATES:
         if cmd == Command.STOP:
-            new = FsmState(kind=StateKind.PAUSED, resume=state.kind, last_action="pause_task")
+            new = FsmState(kind=StateKind.PAUSED, resume=state.kind)
             return new, ("pause_task",), feedback_message("ack_pause", lang)
         if state.kind == StateKind.WASHING_BACK and cmd == Command.SCRUB_BACK:
             return _start(StateKind.SCRUBBING_BACK, "ack_scrub_back", lang)
@@ -145,8 +143,7 @@ def fsm_step(state: FsmState, command, lang: str = "en") -> tuple[FsmState, tupl
     if state.kind == StateKind.PAUSED:
         if cmd == Command.REPEAT:
             action = _RESUME_ACTIONS[state.resume]
-            new = FsmState(kind=state.resume, last_action=action)
-            return new, (action,), feedback_message("ack_resume", lang)
+            return FsmState(kind=state.resume), (action,), feedback_message("ack_resume", lang)
         return stay("cannot_comply")
 
     raise ProtocolError(f"unhandled state {state.kind}")  # pragma: no cover
@@ -154,4 +151,4 @@ def fsm_step(state: FsmState, command, lang: str = "en") -> tuple[FsmState, tupl
 
 def _start(kind: StateKind, key: str, lang: str) -> tuple[FsmState, tuple[str, ...], str]:
     action = _START_ACTIONS[kind]
-    return FsmState(kind=kind, last_action=action), (action,), feedback_message(key, lang)
+    return FsmState(kind=kind), (action,), feedback_message(key, lang)

@@ -40,18 +40,28 @@ class Rate:
         return {"num": self.num, "den": self.den, "pct": None if self.den == 0 else self.pct}
 
 
-def _script_index(script: list[tuple[int, int, str]]) -> dict[int, tuple[int, str]]:
-    return {step_id: (command, modality) for step_id, command, modality in script}
-
-
 def _joined_entries(logs: list[SessionLog], script):
-    index = _script_index(script)
+    """(entry, scripted command, step modality) per logged step; raises on a step the script lacks."""
+    index = {step_id: (command, modality) for step_id, command, modality in script}
     for log in logs:
         for entry in log.entries:
             if entry.step_id not in index:
                 raise InvalidParameterError(f"log step {entry.step_id} is not in the script")
             command, modality = index[entry.step_id]
             yield entry, command, modality
+
+
+def _count(logs: list[SessionLog], script, judge, empty: str) -> Rate:
+    """Hits among counted steps; judge(entry, command, modality) says (counted, hit) per logged step."""
+    num = den = 0
+    for row in _joined_entries(logs, script):
+        counted, hit = judge(*row)
+        if counted:
+            den += 1
+            num += int(hit)
+    if den == 0:
+        raise UndefinedMetricError(empty)
+    return Rate(num=num, den=den)
 
 
 def mcrr(logs: list[SessionLog], script) -> Rate:
@@ -61,41 +71,23 @@ def mcrr(logs: list[SessionLog], script) -> Rate:
     correctly and the system recognized the scripted command. Raises when no
     command was correctly performed: the ratio is undefined, not zero.
     """
-    num = den = 0
-    for entry, command, _ in _joined_entries(logs, script):
-        if entry.performed_ok:
-            den += 1
-            if entry.recognized == command:
-                num += 1
-    if den == 0:
-        raise UndefinedMetricError("no correctly performed commands in the denominator")
-    return Rate(num=num, den=den)
+    return _count(
+        logs, script, lambda e, command, _: (e.performed_ok, e.recognized == command),
+        "no correctly performed commands in the denominator",
+    )
 
 
 def accuracy(logs: list[SessionLog], script) -> Rate:
     """Correctly recognized / all attempted commands."""
-    num = den = 0
-    for entry, command, _ in _joined_entries(logs, script):
-        den += 1
-        if entry.recognized == command:
-            num += 1
-    if den == 0:
-        raise UndefinedMetricError("no attempted commands")
-    return Rate(num=num, den=den)
+    return _count(logs, script, lambda e, command, _: (True, e.recognized == command), "no attempted commands")
 
 
 def user_performance(logs: list[SessionLog], script, modality: str | None = None) -> Rate:
     """Correctly performed / attempted, optionally split by step modality."""
-    num = den = 0
-    for entry, _, step_modality in _joined_entries(logs, script):
-        if modality is not None and step_modality != modality:
-            continue
-        den += 1
-        if entry.performed_ok:
-            num += 1
-    if den == 0:
-        raise UndefinedMetricError("no attempts for the requested modality")
-    return Rate(num=num, den=den)
+    return _count(
+        logs, script, lambda e, _, step_modality: (modality is None or step_modality == modality, e.performed_ok),
+        "no attempts for the requested modality",
+    )
 
 
 @dataclass(frozen=True)
@@ -108,11 +100,7 @@ class CurvePoint:
 
 def first_attempt_curve(logs: list[SessionLog], script) -> list[CurvePoint]:
     """Per script step, the fraction of users succeeding on their first try."""
-    index = _script_index(script)
-    for log in logs:
-        for entry in log.entries:
-            if entry.step_id not in index:
-                raise InvalidParameterError(f"log step {entry.step_id} is not in the script")
+    list(_joined_entries(logs, script))  # only for its check of every logged step
     points = []
     for step_id, command, modality in script:
         num = den = 0

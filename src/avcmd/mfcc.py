@@ -114,7 +114,6 @@ def mfcc(
     frame_shift_s: float = 0.010,
     preemphasis: float = 0.97,
     n_mels: int = N_MELS,
-    n_ceps: int = N_CEPS,
     cmn: bool = True,
 ) -> MfccSeq:
     if sample_rate not in SUPPORTED_RATES:
@@ -135,7 +134,7 @@ def mfcc(
     pad = max(0, (n_frames - 1) * frame_shift + frame_len - y.size)
     y = np.pad(y, (0, pad))
     n_fft = 1 << (frame_len - 1).bit_length()
-    window, filterbank, dct = _analysis_constants(sample_rate, frame_len, n_fft, n_mels, n_ceps)
+    window, filterbank, dct = _analysis_constants(sample_rate, frame_len, n_fft, n_mels, N_CEPS)
     idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(n_frames)[:, None]
     windowed = y[idx] * window
 

@@ -68,23 +68,6 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.name}"
 
 
-def _py(obj):
-    """Recursively coerce numpy scalars/arrays for stable JSON output."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # shared corpus artifacts
 
@@ -238,35 +221,27 @@ def criterion_flow_oracle(size: int = 64, seed: int = 7) -> CriterionResult:
 def criterion_fusion_table() -> CriterionResult:
     """All eight presence-by-membership cases of the late-fusion rule."""
     sp = lambda *cmds: NBest(hypotheses=tuple(Hypothesis(command=c, score=i * 0.1) for i, c in enumerate(cmds)))
-    g = [(int(Command.STOP), 2.0), (int(Command.HALT), 1.0)]
-    stop, rep = int(Command.STOP), int(Command.REPEAT)
-    checks = []
-
-    def check(name, fn, want):
-        got = fn()
-        checks.append({"case": name, "ok": got == want, "got": str(got), "want": str(want)})
-
-    # the published ranking-rule case: best speech is among the 2-best gestures
-    check("agree_first", lambda: (lambda d: (d.command, d.source))(fuse(sp(stop, rep), g)), (stop, FusionSource.AGREED))
-    check(
-        "agree_second",
-        lambda: (lambda d: (d.command, d.source))(fuse(sp(int(Command.HALT), stop), g)),
-        (int(Command.HALT), FusionSource.AGREED),
+    stop, halt, rep = int(Command.STOP), int(Command.HALT), int(Command.REPEAT)
+    g = [(stop, 2.0), (halt, 1.0)]
+    rows = (
+        # the published ranking-rule case: best speech is among the 2-best gestures
+        ("agree_first", sp(stop, rep), g, (stop, FusionSource.AGREED)),
+        ("agree_second", sp(halt, stop), g, (halt, FusionSource.AGREED)),
+        ("disagree_speech_priority", sp(rep), g, (rep, FusionSource.SPEECH_ONLY)),
+        ("speech_only_none", sp(stop, rep), None, (stop, FusionSource.SPEECH_ONLY)),
+        ("speech_only_empty_list", sp(rep), [], (rep, FusionSource.SPEECH_ONLY)),
+        ("gesture_only_none", None, g, (stop, FusionSource.GESTURE_ONLY)),
+        ("gesture_only_empty_nbest", NBest.empty(), g, (stop, FusionSource.GESTURE_ONLY)),
+        ("neither_raises", NBest.empty(), [], "no-input error"),
     )
-    check("disagree_speech_priority", lambda: (lambda d: (d.command, d.source))(fuse(sp(rep), g)), (rep, FusionSource.SPEECH_ONLY))
-    check("speech_only_none", lambda: (lambda d: (d.command, d.source))(fuse(sp(stop, rep), None)), (stop, FusionSource.SPEECH_ONLY))
-    check("speech_only_empty_list", lambda: (lambda d: (d.command, d.source))(fuse(sp(rep), [])), (rep, FusionSource.SPEECH_ONLY))
-    check("gesture_only_none", lambda: (lambda d: (d.command, d.source))(fuse(None, g)), (stop, FusionSource.GESTURE_ONLY))
-    check("gesture_only_empty_nbest", lambda: (lambda d: (d.command, d.source))(fuse(NBest.empty(), g)), (stop, FusionSource.GESTURE_ONLY))
-
-    def both_absent():
+    checks = []
+    for case, speech, gesture, want in rows:
         try:
-            fuse(NBest.empty(), [])
-            return "no error"
+            d = fuse(speech, gesture)
+            got = (d.command, d.source)
         except NoInputError:
-            return "no-input error"
-
-    check("neither_raises", both_absent, "no-input error")
+            got = "no-input error"
+        checks.append({"case": case, "ok": got == want, "got": str(got), "want": str(want)})
     passed = all(c["ok"] for c in checks)
     return CriterionResult(5, "late-fusion truth table is exact on all 8 cases", passed, {"cases": checks})
 
@@ -585,7 +560,7 @@ def run_selftest(profile: str = "full", seed: int = 42) -> dict:
                 "number": r.number,
                 "name": r.name,
                 "passed": r.passed,
-                "details": _py({k: v for k, v in r.details.items() if k not in _VOLATILE_KEYS}),
+                "details": {k: v for k, v in r.details.items() if k not in _VOLATILE_KEYS},
             }
             for r in sorted(results, key=lambda r: r.number)
         ],
@@ -594,4 +569,5 @@ def run_selftest(profile: str = "full", seed: int = 42) -> dict:
 
 
 def report_bytes(report: dict) -> bytes:
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """The canonical serialization; numpy scalars and arrays are written as Python numbers and lists."""
+    return (json.dumps(report, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n").encode("utf-8")

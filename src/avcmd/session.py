@@ -1,10 +1,11 @@
 """Online session layer: late fusion and the scripted session runner.
 
 The runner consumes a video frame stream and pre-segmented audio events on a
-shared frame clock, localizes visual activity, classifies both modalities,
-fuses their ranked hypotheses, and drives the dialogue FSM. It produces one
-log entry per scripted step: what the user did (from the script annotation),
-what the system recognized, through which modality, and how late.
+shared frame clock, localizes and classifies visual activity segments, and
+gives each scripted step the audio event and the segment that overlap its
+window most (the first on a tie). It fuses their ranked hypotheses, drives
+the dialogue FSM, and logs per step what the user did (from the script
+annotation), what the system recognized, through which modality, and how late.
 
 Fusion rule, in priority order: announce the top speech hypothesis when it
 appears among the two best gesture hypotheses (agreement); otherwise a lone
@@ -14,14 +15,13 @@ speech hypothesis wins (speech priority, configurable off).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
 from .audio import CommandGrammar, MfccSeq, NBest, SpeakerTransform, classify_command, keyword_gate
 from .detector import activity_segments
-from .errors import InvalidParameterError, NoInputError, SessionDesyncError, json_field, read_json_rows
+from .errors import InvalidParameterError, NoInputError, SessionDesyncError, json_field, read_json_rows, write_json_rows
 from .fsm import FsmState, fsm_step
 from .frames import Clip
 from .gesture import GesturePipeline
@@ -149,8 +149,15 @@ class SessionParams:
     lang: str = "en"
 
 
-def _overlap(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
+def _best_overlap(window: tuple[int, int], items, span):
+    """The item whose span(item) overlaps `window` most, the first on a tie; None if none overlaps."""
+    best, best_ov = None, 0
+    for item in items:
+        start, end = span(item)
+        ov = max(0, min(window[1], end) - max(window[0], start))
+        if ov > best_ov:
+            best, best_ov = item, ov
+    return best
 
 
 def run_session(
@@ -173,84 +180,51 @@ def run_session(
                 f"outside the {n_frames}-frame video stream"
             )
 
-    # temporal localization of visual activity
-    segments: list[tuple[int, int]] = []
+    # temporal localization of visual activity; each segment is classified once
+    segments: list[tuple[tuple[int, int], list[tuple[int, float]] | None]] = []
     if video is not None and n_frames >= 2:
-        segments = activity_segments(
+        for start, end in activity_segments(
             video.frames,
             params.tau_noise,
             params.theta_on,
             params.theta_off,
             params.min_dur_frames,
             params.max_gap_frames,
-        )
-
-    # classify each activity segment once
-    seg_hyps: list[tuple[tuple[int, int], list[tuple[int, float]] | None]] = []
-    for start, end in segments:
-        two = None
-        if end - start >= models.gesture.tracker.traj_len + 1:
-            pred = models.gesture.classify_clip(video.subclip(start, end))
-            if pred is not None:
-                two = models.gesture.command_2best(pred)
-        seg_hyps.append(((start, end), two))
+        ):
+            two = None
+            if end - start >= models.gesture.tracker.traj_len + 1:
+                pred = models.gesture.classify_clip(video.subclip(start, end))
+                if pred is not None:
+                    two = models.gesture.command_2best(pred)
+            segments.append(((start, end), two))
 
     state = FsmState.idle()
     log = SessionLog()
     for step in steps:
-        speech_nbest = None
-        speech_avail = None
-        best_ev, best_ov = None, 0
-        for ev in audio_events:
-            ov = _overlap(step.window, (ev.start_frame, ev.end_frame))
-            if ov > best_ov:
-                best_ev, best_ov = ev, ov
-        if best_ev is not None:
-            raw = classify_command(
-                best_ev.features, models.templates, models.grammar, models.transform
-            )
-            gated = keyword_gate(raw, best_ev.keyword_score, params.keyword_threshold)
+        speech_nbest = gesture_two = None
+        avail = []  # the frame each present modality's hypothesis is ready at
+        ev = _best_overlap(step.window, audio_events, lambda e: (e.start_frame, e.end_frame))
+        if ev is not None:
+            raw = classify_command(ev.features, models.templates, models.grammar, models.transform)
+            gated = keyword_gate(raw, ev.keyword_score, params.keyword_threshold)
             if not gated.is_empty:
                 speech_nbest = gated
-                speech_avail = best_ev.end_frame
+                avail.append(ev.end_frame)
+        seg = _best_overlap(step.window, segments, lambda s: s[0])
+        if seg is not None and seg[1]:
+            gesture_two = seg[1]
+            avail.append(seg[0][1] + params.max_gap_frames)
 
-        gesture_two = None
-        gesture_avail = None
-        best_seg, best_ov = None, 0
-        for (seg, two) in seg_hyps:
-            ov = _overlap(step.window, seg)
-            if ov > best_ov:
-                best_seg, best_ov = (seg, two), ov
-        if best_seg is not None and best_seg[1]:
-            gesture_two = best_seg[1]
-            gesture_avail = best_seg[0][1] + params.max_gap_frames
-
-        decision = None
-        if speech_nbest is not None or gesture_two is not None:
-            decision = fuse(speech_nbest, gesture_two, params.speech_fallback)
-
-        if decision is None:
-            log.entries.append(
-                LogEntry(
-                    step_id=step.step_id,
-                    performed_ok=step.performed_ok,
-                    recognized=None,
-                    source=None,
-                    latency_frames=None,
-                    state_after=state.describe(),
-                )
-            )
-            continue
-
-        state, _actions, _feedback = fsm_step(state, decision, params.lang)
-        avail = max(v for v in (speech_avail, gesture_avail) if v is not None)
+        decision = fuse(speech_nbest, gesture_two, params.speech_fallback) if avail else None
+        if decision is not None:
+            state, _actions, _feedback = fsm_step(state, decision, params.lang)
         log.entries.append(
             LogEntry(
                 step_id=step.step_id,
                 performed_ok=step.performed_ok,
-                recognized=decision.command,
-                source=decision.source,
-                latency_frames=max(0, int(avail - step.window[0])),
+                recognized=None if decision is None else decision.command,
+                source=None if decision is None else decision.source,
+                latency_frames=None if decision is None else max(0, int(max(avail) - step.window[0])),
                 state_after=state.describe(),
             )
         )
@@ -265,15 +239,8 @@ def run_session(
 
 def write_script(path: str | Path, steps: list[tuple[int, int, str]]) -> None:
     """Rows are (step_id, command, modality)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for step_id, command, modality in steps:
-            fh.write(
-                json.dumps(
-                    {"step_id": step_id, "command": command_name(command), "modality": modality},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    rows = ({"step_id": sid, "command": command_name(cmd), "modality": mod} for sid, cmd, mod in steps)
+    write_json_rows(path, rows)
 
 
 def _script_step(row: dict) -> tuple[int, int, str]:
@@ -286,22 +253,12 @@ def read_script(path: str | Path) -> list[tuple[int, int, str]]:
 
 
 def write_session_log(path: str | Path, log: SessionLog) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in log.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "step_id": e.step_id,
-                        "performed_ok": e.performed_ok,
-                        "recognized": None if e.recognized is None else command_name(e.recognized),
-                        "source": None if e.source is None else e.source.value,
-                        "latency_frames": e.latency_frames,
-                        "state_after": e.state_after,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    rows = (
+        {**asdict(e), "recognized": None if e.recognized is None else command_name(e.recognized),
+         "source": None if e.source is None else e.source.value}
+        for e in log.entries
+    )
+    write_json_rows(path, rows)
 
 
 def _log_entry(row: dict) -> LogEntry:

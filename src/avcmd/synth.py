@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .flow import binomial_blur
-from .frames import Clip, DepthFrame, Modality, Sensor, log_depth
+from .frames import Clip, Modality, Sensor, log_depth
 from .mfcc import mfcc
 from .session import AudioEvent, SessionStep
 from .trajectories import TrackerParams
@@ -198,7 +198,6 @@ class _World:
     """Shared renderer state: textures and depth fields for one scene."""
 
     def __init__(self, rng: np.random.Generator, size: int, spec: GestureSpec):
-        self.size = size
         self.bg = 40.0 + 120.0 * _smooth_field(rng, size, size)
         self.limb_tex = 90.0 + 140.0 * _smooth_field(rng, spec.limb_len, spec.limb_w, passes=2)
         self.bg_depth = 2400.0 + 300.0 * _smooth_field(rng, size, size)
@@ -215,12 +214,11 @@ class _World:
         gray = gray + rng.normal(0.0, noise_sigma, gray.shape) if noise_sigma > 0 else gray
         out[...] = np.clip(np.rint(gray), 0, 255)
 
-    def render_log_depth(self, out: np.ndarray, cx: float, cy: float, rng: np.random.Generator) -> None:
-        """Write the log-depth frame with the limb centered at (cx, cy) into `out`."""
+    def render_depth(self, out: np.ndarray, cx: float, cy: float, rng: np.random.Generator) -> None:
+        """Write the uint16 depth frame (mm) with the limb centered at (cx, cy) into `out`."""
         depth = _paint(self.bg_depth, self.limb_depth, cx, cy)
         depth = depth + rng.normal(0.0, DEPTH_NOISE_SIGMA, depth.shape)
-        depth_u16 = np.clip(np.rint(depth), 0, D_MAX).astype(np.uint16)
-        out[...] = log_depth(DepthFrame(width=self.size, height=self.size, data=depth_u16, d_max=D_MAX)).data
+        out[...] = np.clip(np.rint(depth), 0, D_MAX)
 
 
 def generate_gesture_clip(
@@ -241,13 +239,14 @@ def generate_gesture_clip(
         raise InvalidParameterError("pattern extent does not fit the frame")
 
     rgb = np.empty((frames, size, size), dtype=np.uint8)
-    depth = np.empty_like(rgb)
+    depth = np.empty(rgb.shape, dtype=np.uint16)
     for t, (cx, cy) in enumerate(home + offsets):
         world.render_gray(rgb[t], cx, cy, rng, spec.noise_sigma)
-        world.render_log_depth(depth[t], cx, cy, rng)
+        world.render_depth(depth[t], cx, cy, rng)
     return GestureSample(
         rgb=Clip(frames=rgb, fps=FPS, modality=Modality.RGB, sensor_id=Sensor.S1, label=spec.class_id),
-        depth=Clip(frames=depth, fps=FPS, modality=Modality.LOG_DEPTH, sensor_id=Sensor.S1, label=spec.class_id),
+        depth=Clip(frames=log_depth(depth, D_MAX), fps=FPS, modality=Modality.LOG_DEPTH, sensor_id=Sensor.S1,
+                   label=spec.class_id),
         label=spec.class_id,
     )
 

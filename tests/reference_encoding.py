@@ -17,7 +17,7 @@ import numpy as np
 
 from avcmd.detector import ActivityDetector, activity_score, segments_from_events
 from avcmd.errors import DegenerateInputError, InvalidParameterError
-from avcmd.frames import DepthFrame, log_depth, to_grayscale
+from avcmd.frames import log_depth, to_grayscale
 from avcmd.synth import D_MAX, _paint
 
 
@@ -103,7 +103,7 @@ def render(world, cx: float, cy: float, rng: np.random.Generator, noise_sigma: f
     gray_u8 = np.clip(np.rint(gray), 0, 255).astype(np.uint8)
     rgb_frame = to_grayscale(np.repeat(gray_u8[:, :, None], 3, axis=2))
     depth_u16 = np.clip(np.rint(depth), 0, D_MAX).astype(np.uint16)
-    ld_frame = log_depth(DepthFrame(width=world.size, height=world.size, data=depth_u16, d_max=D_MAX))
+    ld_frame = log_depth(depth_u16, D_MAX)
     return rgb_frame, ld_frame
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from avcmd.selftest import (
@@ -26,6 +27,7 @@ from avcmd.selftest import (
     criterion_session,
     generator_calibration,
     pipeline_from_artifacts,
+    report_bytes,
 )
 
 SEED = 42
@@ -92,3 +94,37 @@ def test_criterion_09_selftest_determinism():
 
 def test_criterion_10_end_to_end_session(pipeline):
     _check(criterion_session(pipeline, SEED))
+
+
+def _py(obj):
+    """The coercion `report_bytes` replaced: numpy scalars and arrays to Python values, recursively."""
+    if isinstance(obj, dict):
+        return {k: _py(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_py(v) for v in obj]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return [_py(v) for v in obj.tolist()]
+    return obj
+
+
+def test_report_bytes_equal_the_coerce_then_dump_oracle():
+    details = {
+        "f32": np.float32(0.1),
+        "f64": np.float64(1 / 3),
+        "i64": np.int64(-7),
+        "flag": np.bool_(True),
+        "matrix": np.array([[1.5, np.float32(3.25)], [-0.0, 4.0]], dtype=np.float32),
+        "ints": np.arange(3),
+        "mask": np.array([True, False]),
+        "nested": ({"pair": (np.int64(2), np.float32(2.5))}, [np.bool_(False)]),
+        "plain": [1, 2.5, None, "x", True],
+    }
+    report = {"profile": "smoke", "passed": True, "criteria": [{"number": 5, "details": details}]}
+    want = (json.dumps(_py(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert report_bytes(report) == want

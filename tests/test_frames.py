@@ -8,10 +8,10 @@ import pytest
 from avcmd.errors import FormatError, InvalidParameterError
 from avcmd.frames import (
     Clip,
-    DepthFrame,
     GrayFrame,
     Modality,
     Sensor,
+    _log_table,
     log_depth,
     to_grayscale,
 )
@@ -20,16 +20,16 @@ from avcmd.frames import (
 class TestToGrayscale:
     def test_all_black_maps_to_zero(self):
         rgb = np.zeros((4, 5, 3), dtype=np.uint8)
-        assert np.all(to_grayscale(rgb).data == 0)
+        assert np.all(to_grayscale(rgb) == 0)
 
     def test_all_white_maps_to_255(self):
         rgb = np.full((4, 5, 3), 255, dtype=np.uint8)
-        assert np.all(to_grayscale(rgb).data == 255)
+        assert np.all(to_grayscale(rgb) == 255)
 
     def test_single_pixel_weighted_sum(self):
         # 0.299*100 + 0.587*50 + 0.114*200 = 82.05 -> 82
         rgb = np.array([[[100, 50, 200]]], dtype=np.uint8)
-        assert to_grayscale(rgb).data[0, 0] == 82
+        assert to_grayscale(rgb)[0, 0] == 82
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(FormatError):
@@ -42,37 +42,33 @@ class TestToGrayscale:
         # comes back unchanged: the synthetic renderer relies on this.
         levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
         rgb = np.repeat(levels[:, :, None], 3, axis=2)
-        assert np.array_equal(to_grayscale(rgb).data, levels)
+        assert np.array_equal(to_grayscale(rgb), levels)
 
     def test_pointwise_map_commutes_with_permutation(self, rng):
         rgb = rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8)
-        gray = to_grayscale(rgb).data
+        gray = to_grayscale(rgb)
         perm = rng.permutation(6 * 7)
         flat = rgb.reshape(-1, 3)[perm].reshape(6, 7, 3)
-        assert np.array_equal(to_grayscale(flat).data.reshape(-1), gray.reshape(-1)[perm])
+        assert np.array_equal(to_grayscale(flat).reshape(-1), gray.reshape(-1)[perm])
 
 
 class TestLogDepth:
     def test_zero_depth_maps_to_zero(self):
-        d = DepthFrame(width=2, height=1, data=np.array([0, 0], dtype=np.uint16), d_max=4095)
-        assert np.all(log_depth(d).data == 0)
+        assert np.all(log_depth(np.array([[0, 0]], dtype=np.uint16), 4095) == 0)
 
     def test_d_max_maps_to_255(self):
-        d = DepthFrame(width=1, height=1, data=np.array([4095], dtype=np.uint16), d_max=4095)
-        assert log_depth(d).data[0, 0] == 255
+        assert log_depth(np.array([[4095]], dtype=np.uint16), 4095)[0, 0] == 255
 
     def test_scalar_evaluation(self):
         # round(255 * ln(1001) / ln(4096)) = 212
-        d = DepthFrame(width=1, height=1, data=np.array([1000], dtype=np.uint16), d_max=4095)
         expected = round(255 * math.log(1001) / math.log(4096))
         assert expected == 212
-        assert log_depth(d).data[0, 0] == 212
+        assert log_depth(np.array([[1000]], dtype=np.uint16), 4095)[0, 0] == 212
 
     def test_monotone_over_full_16bit_range(self):
         d_max = 65535
-        depths = np.arange(d_max + 1, dtype=np.uint16)
-        frame = DepthFrame(width=d_max + 1, height=1, data=depths, d_max=d_max)
-        values = log_depth(frame).data[0]
+        depths = np.arange(d_max + 1, dtype=np.uint16).reshape(1, -1)
+        values = log_depth(depths, d_max)[0]
         assert np.all(np.diff(values.astype(np.int32)) >= 0)
         # Spot-check against per-sample scalar math (independent of the LUT).
         for d in (0, 1, 7, 500, 12345, 65535):
@@ -80,11 +76,28 @@ class TestLogDepth:
 
     def test_d_max_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
-            DepthFrame(width=1, height=1, data=np.array([0], dtype=np.uint16), d_max=0)
+            log_depth(np.array([[0]], dtype=np.uint16), 0)
 
     def test_sample_above_cap_rejected(self):
         with pytest.raises(InvalidParameterError):
-            DepthFrame(width=1, height=1, data=np.array([100], dtype=np.uint16), d_max=50)
+            log_depth(np.array([[100]], dtype=np.uint16), 50)
+        stack = np.zeros((3, 2, 2), dtype=np.uint16)
+        stack[2, 1, 0] = 51
+        with pytest.raises(InvalidParameterError):
+            log_depth(stack, 50)
+
+    def test_stack_equals_per_frame_results(self, rng):
+        stack = rng.integers(0, 4096, size=(5, 6, 7)).astype(np.uint16)
+        out = log_depth(stack, 4095)
+        assert out.shape == stack.shape and out.dtype == np.uint8
+        assert np.array_equal(out, np.stack([log_depth(f, 4095) for f in stack]))
+
+    def test_table_is_built_once_and_read_only(self):
+        table = _log_table(4095)
+        assert _log_table(4095) is table and table.shape == (4096,)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 class TestClip:
@@ -139,6 +152,22 @@ class TestClip:
     def test_malformed_stacks_rejected(self, frames):
         with pytest.raises(InvalidParameterError):
             Clip(frames=frames, fps=15.0, modality=Modality.RGB)
+
+    @pytest.mark.parametrize("value", [300, -1, 12.5])
+    def test_out_of_range_intensities_rejected(self, value):
+        # a uint8 cast would store 300 as 44, -1 as 255 and 12.5 as 12
+        with pytest.raises(InvalidParameterError):
+            Clip(frames=np.full((2, 3, 4), value), fps=15.0, modality=Modality.RGB)
+        with pytest.raises(InvalidParameterError):
+            GrayFrame.from_array(np.full((3, 4), value))
+        with pytest.raises(InvalidParameterError):
+            GrayFrame(width=4, height=3, data=np.full(12, value))
+
+    def test_integral_intensities_of_any_dtype_accepted(self):
+        for frames in (np.zeros((2, 3, 4)), np.full((2, 3, 4), 255, dtype=np.int64), np.full((2, 3, 4), 7.0)):
+            clip = Clip(frames=frames, fps=15.0, modality=Modality.RGB)
+            assert clip.frames.dtype == np.uint8 and np.array_equal(clip.frames, frames)
+            assert np.array_equal(GrayFrame.from_array(frames[0]).data, frames[0])
 
     def test_nonpositive_fps_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -270,3 +270,42 @@ class TestRunSession:
         log1 = run_session(_static_video(), events, steps, models)
         log2 = run_session(_static_video(), events, steps, models)
         assert log1.entries == log2.entries
+
+    def test_equal_audio_overlaps_take_the_first_event(self, rng):
+        models = _speech_models(rng)
+        step = SessionStep(step_id=1, command=int(Command.WASH_LEGS), modality="A", window=(0, 20))
+        legs, back = int(Command.WASH_LEGS), int(Command.WASH_BACK)
+        for first, second in ((legs, back), (back, legs)):
+            # both events overlap the step window by 5 frames
+            events = [
+                AudioEvent(start_frame=0, end_frame=5, features=models.templates[first][0]),
+                AudioEvent(start_frame=15, end_frame=25, features=models.templates[second][0]),
+            ]
+            entry = run_session(_static_video(n_frames=40), events, [step], models).entries[0]
+            assert (entry.recognized, entry.latency_frames) == (first, 5)
+            events.reverse()
+            entry = run_session(_static_video(n_frames=40), events, [step], models).entries[0]
+            assert (entry.recognized, entry.latency_frames) == (second, 25)
+
+    def test_equal_segment_overlaps_take_the_first_segment(self, rng, monkeypatch):
+        @dataclass
+        class _FirstFrameGesture:
+            """Names each segment by its first frame's intensity, which is its start frame."""
+
+            tracker: TrackerParams = TrackerParams()
+
+            def classify_clip(self, clip):
+                return int(clip.frames[0, 0, 0])
+
+            def command_2best(self, start):
+                return [({10: int(Command.WASH_LEGS), 40: int(Command.WASH_BACK)}[start], 1.0)]
+
+        models = SessionModels(gesture=_FirstFrameGesture(), templates={}, grammar=default_grammar())
+        video = Clip(frames=np.repeat(np.arange(80, dtype=np.uint8), 4).reshape(80, 2, 2), fps=15.0,
+                     modality=Modality.RGB)
+        step = SessionStep(step_id=1, command=int(Command.WASH_LEGS), modality="A-G", window=(20, 50))
+        for segments, want in (([(10, 30), (40, 60)], Command.WASH_LEGS), ([(40, 60), (10, 30)], Command.WASH_BACK)):
+            # both segments overlap the step window by 10 frames
+            monkeypatch.setattr("avcmd.session.activity_segments", lambda *args, s=segments: s)
+            entry = run_session(video, [], [step], models).entries[0]
+            assert (entry.recognized, entry.source) == (int(want), FusionSource.GESTURE_ONLY)
