@@ -2,11 +2,13 @@
 
 Utterances and per-command templates are MFCC sequences compared with
 dynamic time warping (steps right/down/diagonal, Euclidean frame cost,
-normalized by the two sequence lengths). A command's score is its best
-template distance; the ranked command list is the n-best a downstream
-fusion stage consumes. Speaker mismatch is reduced with one global affine
-feature transform fitted on DTW-aligned enrollment data, and a wake-word
-gate suppresses every hypothesis when the keyword score is below threshold.
+normalized by the two sequence lengths). A `CommandGrammar` is the tuple
+of command ids an utterance is ranked against; a command's score is its
+best template distance, and the ranked command list is the n-best a
+downstream fusion stage consumes. Speaker mismatch is reduced with one
+global affine feature transform fitted on DTW-aligned enrollment data, and
+a wake-word gate suppresses every hypothesis when the keyword score, which
+an upstream spotter supplies, is below threshold.
 
 There is one DTW implementation, `_dtw_sweep`: it fills the accumulated-cost
 tables of one query against K templates together, one anti-diagonal step at
@@ -29,14 +31,14 @@ Sequences with non-finite frames are refused.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError, json_field
 from .mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read
-from .vocabulary import DEFAULT_KEYWORD, SURFACE_FORMS, Command
+from .vocabulary import Command
 
 MAX_CONDITION = 1e6
 
@@ -48,38 +50,22 @@ MAX_CONDITION = 1e6
 GRAM_FALLBACK = 1e-9
 
 
-@dataclass(frozen=True)
-class GrammarEntry:
-    command: int
-    surface: dict[str, str] = field(default_factory=dict)
+class CommandGrammar(tuple):
+    """The command ids an utterance is ranked against: at least one, none twice."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CommandGrammar:
-    entries: tuple[GrammarEntry, ...]
-    keyword: str = DEFAULT_KEYWORD
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
+    def __new__(cls, commands):
+        grammar = super().__new__(cls, commands)
+        if not grammar:
             raise InvalidParameterError("grammar needs at least one command")
-        ids = [e.command for e in entries]
-        if len(set(ids)) != len(ids):
+        if len(set(grammar)) != len(grammar):
             raise InvalidParameterError("grammar command ids must be unique")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def commands(self) -> list[int]:
-        return [e.command for e in self.entries]
+        return grammar
 
 
 def default_grammar() -> CommandGrammar:
-    return CommandGrammar(
-        entries=tuple(
-            GrammarEntry(command=int(c), surface=dict(SURFACE_FORMS[c])) for c in Command
-        ),
-        keyword=DEFAULT_KEYWORD,
-    )
+    return CommandGrammar(int(c) for c in Command)
 
 
 @dataclass(frozen=True)
@@ -125,12 +111,7 @@ class SpeakerTransform:
         object.__setattr__(self, "b", b)
 
     def apply(self, seq: MfccSeq) -> MfccSeq:
-        return MfccSeq(
-            frames=seq.frames @ self.a.T + self.b,
-            sample_rate=seq.sample_rate,
-            frame_len_s=seq.frame_len_s,
-            frame_shift_s=seq.frame_shift_s,
-        )
+        return MfccSeq(frames=seq.frames @ self.a.T + self.b)
 
     @classmethod
     def identity(cls) -> "SpeakerTransform":
@@ -277,16 +258,16 @@ def classify_command(
 
     Ties in the top score are broken toward the lower command id and flagged.
     """
-    for cmd in grammar.commands:
+    for cmd in grammar:
         if not templates.get(cmd):
             raise InvalidParameterError(f"command {cmd} has no templates")
     if transform is not None:
         utterance = transform.apply(utterance)
     # One sweep over the grammar's templates in command order; each command
     # scores the minimum over its own slice.
-    dists, _ = _distances(utterance, [t for cmd in grammar.commands for t in templates[cmd]])
+    dists, _ = _distances(utterance, [t for cmd in grammar for t in templates[cmd]])
     scored, start = [], 0
-    for cmd in grammar.commands:
+    for cmd in grammar:
         stop = start + len(templates[cmd])
         scored.append(Hypothesis(command=cmd, score=float(dists[start:stop].min())))
         start = stop

@@ -248,7 +248,8 @@ def _cmd_simulate(args) -> int:
     script = {"legs": LEGS_SCRIPT, "back": BACK_SCRIPT}.get(args.script) or read_script(args.script)
     samples = generate_corpus(args.train_clips_per_class, seed=cfg.seed, frames=20)
     pipeline = train_gesture_pipeline(
-        [s.rgb for s in samples], [s.label for s in samples], k=32, seed=cfg.seed + 1, subsample=20_000
+        [s.rgb for s in samples], [s.label for s in samples], k=32, seed=cfg.seed + 1, c=cfg.svm_c,
+        tracker=cfg.tracker_params(), subsample=20_000,
     )
     templates = build_audio_templates(cfg.seed + 40)
     models = SessionModels(gesture=pipeline, templates=templates, grammar=default_grammar())

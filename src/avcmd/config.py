@@ -4,48 +4,53 @@ Values load from a plain-text file of `key = value` lines with `#` comments.
 Unknown keys and out-of-range values are rejected. Tracking constants follow
 the dense-trajectory literature's published defaults; the online thresholds
 are tuned on the synthetic suite; both kinds are ordinary config here, so a
-deployment can pin its own. The trajectory length and the descriptor cell
-grid are not config: they fix the 426-value descriptor layout, and live as
+deployment can pin its own. Each default is written once, where the value
+is used: on `TrackerParams`, `SessionParams`, `svm.DEFAULT_C` and
+`encoding.DESCRIPTOR_SUBSAMPLE`. The trajectory length, the descriptor cell
+grid and tube, and the erratic and zero-motion thresholds are not config:
+they fix the 426-value descriptor layout and its pruning, and live as
 constants on `TrackerParams`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .encoding import DESCRIPTOR_SUBSAMPLE
 from .errors import ConfigError
 from .session import SessionParams
+from .svm import DEFAULT_C
 from .trajectories import TrackerParams
 
 
 @dataclass
 class PipelineConfig:
     # trajectory extraction (standard dense-trajectory settings)
-    grid_step: int = 5
-    quality: float = 0.001
-    sigma_min: float = math.sqrt(3.0)
-    pyramid_levels: int = 3
+    grid_step: int = TrackerParams.grid_step
+    quality: float = TrackerParams.quality
+    sigma_min: float = TrackerParams.sigma_min
+    pyramid_levels: int = TrackerParams.pyramid_levels
     # encoding
     codebook_k: int = 4000
     codebook_seed: int = 0
-    descriptor_subsample: int = 100_000
+    descriptor_subsample: int = DESCRIPTOR_SUBSAMPLE
     # classification
-    svm_c: float = 100.0
-    # online activity detection (tuned on the synthetic suite)
-    tau_noise: float = 12.0
-    theta_on: float = 0.02
-    theta_off: float = 0.01
+    svm_c: float = DEFAULT_C
+    # online activity detection (tuned on the synthetic suite); the two
+    # durations are in seconds, SessionParams' in frames
+    tau_noise: float = SessionParams.tau_noise
+    theta_on: float = SessionParams.theta_on
+    theta_off: float = SessionParams.theta_off
     min_dur_s: float = 0.4
     max_gap_s: float = 0.5
     # audio and fusion
-    keyword_threshold: float = 0.5
-    speech_fallback: bool = True
+    keyword_threshold: float = SessionParams.keyword_threshold
+    speech_fallback: bool = SessionParams.speech_fallback
     snr_db: float = 20.0
     # misc
     seed: int = 42
-    lang: str = "en"
+    lang: str = SessionParams.lang
 
     def validate(self) -> "PipelineConfig":
         checks = [

@@ -6,7 +6,8 @@ the score reaches theta_on and closes once the score has stayed below
 theta_off for max_gap consecutive frames, which also merges pulses separated
 by shorter lulls. Because it runs causally, a Start is announced only after
 the segment has survived min_dur frames and an End trails the actual
-boundary by max_gap frames; the event carries the true boundary frame.
+boundary by max_gap frames. An event is its kind and the true boundary
+frame, which is all that segment pairing and the session runner read.
 
 `detect_segments` is the one detection loop and `activity_scores` the one
 scoring loop; `activity_segments` runs the first over the second for the
@@ -31,8 +32,7 @@ class EventKind(Enum):
 @dataclass(frozen=True)
 class SegmentEvent:
     kind: EventKind
-    frame: int
-    score: float  # activity score at the trigger frame
+    frame: int  # the segment's first frame, or the frame after its last
 
 
 def activity_score(prev, curr, tau_noise: float) -> float:
@@ -59,22 +59,18 @@ class ActivityDetector:
         self._frame = 0
         self._active = False
         self._start = 0
-        self._start_score = 0.0
         self._provisional_end = 0
-        self._end_score = 0.0
         self._below = 0
         self._announced = False
 
     def push(self, score: float) -> list[SegmentEvent]:
         t = self._frame
         self._frame += 1
-        self._end_score = score if self._below == 0 else self._end_score
         out: list[SegmentEvent] = []
         if not self._active:
             if score >= self.theta_on:
                 self._active = True
                 self._start = t
-                self._start_score = score
                 self._provisional_end = t + 1
                 self._below = 0
                 self._announced = False
@@ -88,21 +84,19 @@ class ActivityDetector:
                 self._below += 1
                 if self._below >= self.max_gap:
                     if self._announced:
-                        out.append(
-                            SegmentEvent(EventKind.END, self._provisional_end, self._end_score)
-                        )
+                        out.append(SegmentEvent(EventKind.END, self._provisional_end))
                     self._active = False
                     return out
         if not self._announced and self._provisional_end - self._start >= self.min_dur:
             self._announced = True
-            out.append(SegmentEvent(EventKind.START, self._start, self._start_score))
+            out.append(SegmentEvent(EventKind.START, self._start))
         return out
 
     def flush(self) -> list[SegmentEvent]:
         """Close a trailing segment at end of stream."""
         out: list[SegmentEvent] = []
         if self._active and self._announced:
-            out.append(SegmentEvent(EventKind.END, self._provisional_end, self._end_score))
+            out.append(SegmentEvent(EventKind.END, self._provisional_end))
         self._active = False
         return out
 

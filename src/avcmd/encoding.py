@@ -37,6 +37,11 @@ _CODEBOOK_HEADER = struct.Struct("<4sHBIIQ")
 
 _ASSIGN_CHUNK = 16384  # rows per nearest-centroid block, bounds memory
 
+# Descriptors a codebook is learned on at most; larger pools are thinned.
+DESCRIPTOR_SUBSAMPLE = 100_000
+# Lloyd iterations stop once inertia improves by less than this fraction.
+KMEANS_RTOL = 1e-4
+
 
 class Channel(IntEnum):
     TRAJ = 0
@@ -161,12 +166,11 @@ def train_codebook(
     seed: int,
     channel: Channel = Channel.TRAJ,
     max_iter: int = 100,
-    rtol: float = 1e-4,
-    subsample: int | None = 100_000,
+    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
 ) -> Codebook:
     """Seeded k-means++ followed by Lloyd iterations.
 
-    Runs until the relative inertia improvement drops below `rtol` or
+    Runs until the relative inertia improvement drops below `KMEANS_RTOL` or
     `max_iter` iterations. Deterministic for a fixed seed. Descriptor sets
     larger than `subsample` are thinned with the same seeded generator before
     clustering.
@@ -198,7 +202,7 @@ def train_codebook(
             order = np.argsort(dists)[::-1]
             for slot, point in zip(np.flatnonzero(~nonempty), order):
                 centroids[slot] = x[point]
-        if prev_inertia < np.inf and prev_inertia - inertia < rtol * max(prev_inertia, 1e-12):
+        if prev_inertia < np.inf and prev_inertia - inertia < KMEANS_RTOL * max(prev_inertia, 1e-12):
             break
         prev_inertia = inertia
 

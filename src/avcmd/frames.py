@@ -38,19 +38,21 @@ class Sensor(IntEnum):
     S3 = 3
 
 
-def _frozen_u8(a) -> np.ndarray:
-    """`a` as a read-only C-contiguous uint8 array, a view of `a` (whose flag is left alone) when it is one.
+def _frozen(a, dtype) -> np.ndarray:
+    """`a` as a read-only C-contiguous `dtype` array, a view of `a` (whose flag is left alone) when it is one.
 
-    Other dtypes must hold only integers in [0, 255], which cast unchanged.
+    Other dtypes must hold only integers in the range of `dtype`, which cast
+    unchanged; anything else, NaN included, is refused before it can wrap
+    or truncate.
     """
     a = np.asarray(a)
     with np.errstate(invalid="ignore"):
-        u8 = a.astype(np.uint8, copy=False)  # `a` itself when it is uint8 already
-    if u8 is not a and not np.array_equal(u8, a):
-        raise InvalidParameterError("intensities must be integers in [0, 255]")
-    u8 = np.ascontiguousarray(u8).view()
-    u8.flags.writeable = False
-    return u8
+        cast = a.astype(dtype, copy=False)  # `a` itself when it has `dtype` already
+    if cast is not a and not np.array_equal(cast, a):
+        raise InvalidParameterError(f"samples must be integers in [0, {np.iinfo(dtype).max}]")
+    cast = np.asarray(cast, order="C").view()
+    cast.flags.writeable = False
+    return cast
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class GrayFrame:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise InvalidParameterError("frame dimensions must be positive")
-        a = _frozen_u8(self.data)
+        a = _frozen(self.data, np.uint8)
         if a.size != self.width * self.height:
             raise FormatError(
                 f"frame data has {a.size} samples, expected "
@@ -97,11 +99,10 @@ class Clip:
     fps: float
     modality: Modality
     sensor_id: Sensor = Sensor.S1
-    label: int | None = None
 
     def __post_init__(self):
         try:
-            frames = _frozen_u8(self.frames)
+            frames = _frozen(self.frames, np.uint8)
         except ValueError:
             raise InvalidParameterError("all frames in a clip must share dimensions") from None
         if frames.ndim != 3 or 0 in frames.shape:
@@ -154,14 +155,15 @@ def _log_table(d_max: int) -> np.ndarray:
 def log_depth(depth: np.ndarray, d_max: int) -> np.ndarray:
     """Compress uint16 depths to 8 bits with v = round(255 ln(1+d)/ln(1+d_max)).
 
-    `depth` is one frame or a (T, h, w) stack, every sample at most d_max.
+    `depth` is one frame or a (T, h, w) stack, every sample an integer in
+    [0, d_max]; other dtypes are accepted when they hold only such integers.
     Monotone nondecreasing in d, with 0 -> 0 and d_max -> 255; near-range
     structure gets most of the output levels, which is what makes depth
     streams usable for trajectory extraction.
     """
     if d_max <= 0:
         raise InvalidParameterError("d_max must be positive")
-    depth = np.asarray(depth, dtype=np.uint16)
+    depth = _frozen(depth, np.uint16)
     if depth.size and int(depth.max()) > d_max:
         raise InvalidParameterError("depth sample exceeds d_max")
     # Depth is at most 16-bit: a lookup table is cheaper than a log per pixel.

@@ -15,6 +15,7 @@ import numpy as np
 
 from .encoding import (
     CHANNEL_ORDER,
+    DESCRIPTOR_SUBSAMPLE,
     BovwHist,
     Channel,
     Codebook,
@@ -116,7 +117,7 @@ def train_gesture_pipeline(
     seed: int = 0,
     c: float = DEFAULT_C,
     tracker: TrackerParams = TrackerParams(),
-    subsample: int | None = 100_000,
+    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
 ) -> GesturePipeline:
     if len(clips) != len(labels):
         raise InvalidParameterError("clip and label counts differ")
@@ -130,7 +131,7 @@ def train_codebooks(
     per_clip_descriptors: list[dict[Channel, np.ndarray]],
     k: int,
     seed: int,
-    subsample: int | None = 100_000,
+    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
 ) -> dict[Channel, Codebook]:
     """One codebook per channel on the pooled descriptors; channel i uses seed + i."""
     return {
@@ -149,7 +150,7 @@ def encode_corpus(
     per_clip_descriptors: list[dict[Channel, np.ndarray]],
     k: int,
     seed: int,
-    subsample: int | None = 100_000,
+    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
 ) -> tuple[dict[Channel, np.ndarray], dict[Channel, Codebook]]:
     """Train per-channel codebooks on the pool and encode every clip."""
     codebooks = train_codebooks(per_clip_descriptors, k, seed, subsample)

@@ -1,9 +1,11 @@
 """MFCC front-end: 13 cepstra plus delta and delta-delta, 39 values per frame.
 
-Standard recipe: pre-emphasis, 25 ms Hamming windows every 10 ms, 26
-triangular mel filters, log energies, orthonormal DCT-II, per-utterance
-cepstral mean normalization on the static coefficients, and +/-2 frame
-regression deltas. Identical PCM in gives bit-identical features out.
+One fixed recipe, whose settings are the module constants: pre-emphasis
+0.97, 25 ms Hamming windows every 10 ms, 26 triangular mel filters, log
+energies, orthonormal DCT-II, per-utterance cepstral mean normalization on
+the static coefficients, and +/-2 frame regression deltas. The sample rate
+is the one input besides the samples, so an `MfccSeq` is just its frames.
+Identical PCM in gives bit-identical features out.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import numpy as np
 from .errors import FormatError, InvalidParameterError
 
 SUPPORTED_RATES = (16000, 44100, 48000)
+FRAME_LEN_S = 0.025
+FRAME_SHIFT_S = 0.010
+PREEMPHASIS = 0.97
 N_MELS = 26
 N_CEPS = 13
 FEATURE_DIM = 3 * N_CEPS
@@ -30,9 +35,6 @@ class MfccSeq:
     """Feature carrier: frames is (T, 39) with columns [cepstra, d, dd]."""
 
     frames: np.ndarray
-    sample_rate: int
-    frame_len_s: float = 0.025
-    frame_shift_s: float = 0.010
 
     def __post_init__(self):
         f = np.asarray(self.frames, dtype=np.float64)
@@ -56,15 +58,15 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = N_MELS) -> np.ndarray:
-    """Triangular filters (n_mels, n_fft//2 + 1) spanning 0 .. sample_rate/2."""
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
+def mel_filterbank(sample_rate: int, n_fft: int) -> np.ndarray:
+    """Triangular filters (N_MELS, n_fft//2 + 1) spanning 0 .. sample_rate/2."""
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
     bin_pos = hz_points * n_fft / sample_rate  # fractional FFT bin per point
     n_bins = n_fft // 2 + 1
-    fb = np.zeros((n_mels, n_bins))
+    fb = np.zeros((N_MELS, n_bins))
     bins = np.arange(n_bins, dtype=np.float64)
-    for m in range(n_mels):
+    for m in range(N_MELS):
         lo, center, hi = bin_pos[m], bin_pos[m + 1], bin_pos[m + 2]
         rising = (bins - lo) / max(center - lo, 1e-9)
         falling = (hi - bins) / max(hi - center, 1e-9)
@@ -85,17 +87,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=16)
-def _analysis_constants(sample_rate: int, frame_len: int, n_fft: int, n_mels: int, n_ceps: int):
-    """Hamming window, mel filterbank and DCT matrix of one analysis setting.
+@lru_cache(maxsize=len(SUPPORTED_RATES))
+def _analysis_constants(sample_rate: int):
+    """Frame length, hop and FFT size in samples, then the Hamming window,
+    mel filterbank and DCT matrix, at one sample rate.
 
-    Built once per setting and shared, read-only, by every `mfcc` call that
-    uses it.
+    Built once per rate and shared, read-only, by every `mfcc` call at it.
     """
+    frame_len = int(round(FRAME_LEN_S * sample_rate))
+    n_fft = 1 << (frame_len - 1).bit_length()
     return (
+        frame_len,
+        int(round(FRAME_SHIFT_S * sample_rate)),
+        n_fft,
         _read_only(np.hamming(frame_len)),
-        _read_only(mel_filterbank(sample_rate, n_fft, n_mels)),
-        _read_only(_dct_matrix(n_ceps, n_mels)),
+        _read_only(mel_filterbank(sample_rate, n_fft)),
+        _read_only(_dct_matrix(N_CEPS, N_MELS)),
     )
 
 
@@ -107,34 +114,23 @@ def _deltas(feats: np.ndarray) -> np.ndarray:
     ) / 10.0
 
 
-def mfcc(
-    samples: np.ndarray,
-    sample_rate: int,
-    frame_len_s: float = 0.025,
-    frame_shift_s: float = 0.010,
-    preemphasis: float = 0.97,
-    n_mels: int = N_MELS,
-    cmn: bool = True,
-) -> MfccSeq:
+def mfcc(samples: np.ndarray, sample_rate: int) -> MfccSeq:
     if sample_rate not in SUPPORTED_RATES:
         raise InvalidParameterError(f"sample rate {sample_rate} not in {SUPPORTED_RATES}")
     x = np.asarray(samples, dtype=np.float64).ravel()
-    frame_len = int(round(frame_len_s * sample_rate))
-    frame_shift = int(round(frame_shift_s * sample_rate))
+    frame_len, frame_shift, n_fft, window, filterbank, dct = _analysis_constants(sample_rate)
     if x.size < frame_len:
         raise InvalidParameterError("signal shorter than one analysis frame")
 
     y = np.empty_like(x)
-    y[0] = x[0] - preemphasis * x[0]
-    y[1:] = x[1:] - preemphasis * x[:-1]
+    y[0] = x[0] - PREEMPHASIS * x[0]
+    y[1:] = x[1:] - PREEMPHASIS * x[:-1]
 
     # One frame per hop; the tail is zero-padded so concatenating two signals
     # concatenates their frame sequences up to a single boundary frame.
     n_frames = x.size // frame_shift
     pad = max(0, (n_frames - 1) * frame_shift + frame_len - y.size)
     y = np.pad(y, (0, pad))
-    n_fft = 1 << (frame_len - 1).bit_length()
-    window, filterbank, dct = _analysis_constants(sample_rate, frame_len, n_fft, n_mels, N_CEPS)
     idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(n_frames)[:, None]
     windowed = y[idx] * window
 
@@ -146,16 +142,10 @@ def mfcc(
     floor = max(_LOG_FLOOR, 1e-6 * float(energies.max()))
     log_e = np.log(np.maximum(energies, floor))
     ceps = log_e @ dct.T
-    if cmn:
-        ceps = ceps - ceps.mean(axis=0, keepdims=True)
+    ceps = ceps - ceps.mean(axis=0, keepdims=True)
     d1 = _deltas(ceps)
     d2 = _deltas(d1)
-    return MfccSeq(
-        frames=np.hstack([ceps, d1, d2]),
-        sample_rate=sample_rate,
-        frame_len_s=frame_len_s,
-        frame_shift_s=frame_shift_s,
-    )
+    return MfccSeq(frames=np.hstack([ceps, d1, d2]))
 
 
 # ---------------------------------------------------------------------------

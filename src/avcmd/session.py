@@ -3,14 +3,17 @@
 The runner consumes a video frame stream and pre-segmented audio events on a
 shared frame clock, localizes and classifies visual activity segments, and
 gives each scripted step the audio event and the segment that overlap its
-window most (the first on a tie). It fuses their ranked hypotheses, drives
-the dialogue FSM, and logs per step what the user did (from the script
-annotation), what the system recognized, through which modality, and how late.
+window most (the first on a tie). A segment the gesture pipeline declines,
+one too short to track among them, offers no gesture hypothesis. The runner
+fuses the ranked hypotheses, drives the dialogue FSM, and logs per step what
+the user did (from the script annotation), what the system recognized,
+through which modality, and how late.
 
 Fusion rule, in priority order: announce the top speech hypothesis when it
 appears among the two best gesture hypotheses (agreement); otherwise a lone
 modality announces its own top; on a disagreement with both present the top
-speech hypothesis wins (speech priority, configurable off).
+speech hypothesis wins (speech priority, configurable off). A decision is
+the announced command and the source it came through.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ class FusionSource(Enum):
 class FusionDecision:
     command: int
     source: FusionSource
-    speech: NBest | None
-    gesture: tuple[tuple[int, float], ...] | None
 
     def __post_init__(self):
         try:
@@ -64,27 +65,13 @@ def fuse(
     if speech_in is not None and gesture_in is not None:
         top = speech_in.top.command
         if top in {g[0] for g in gesture_in[:2]}:
-            return FusionDecision(
-                command=top, source=FusionSource.AGREED, speech=speech_in, gesture=gesture_in
-            )
+            return FusionDecision(top, FusionSource.AGREED)
         if speech_fallback:
-            return FusionDecision(
-                command=top, source=FusionSource.SPEECH_ONLY, speech=speech_in, gesture=gesture_in
-            )
+            return FusionDecision(top, FusionSource.SPEECH_ONLY)
         return None
     if speech_in is not None:
-        return FusionDecision(
-            command=speech_in.top.command,
-            source=FusionSource.SPEECH_ONLY,
-            speech=speech_in,
-            gesture=None,
-        )
-    return FusionDecision(
-        command=gesture_in[0][0],
-        source=FusionSource.GESTURE_ONLY,
-        speech=None,
-        gesture=gesture_in,
-    )
+        return FusionDecision(speech_in.top.command, FusionSource.SPEECH_ONLY)
+    return FusionDecision(gesture_in[0][0], FusionSource.GESTURE_ONLY)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +178,8 @@ def run_session(
             params.min_dur_frames,
             params.max_gap_frames,
         ):
-            two = None
-            if end - start >= models.gesture.tracker.traj_len + 1:
-                pred = models.gesture.classify_clip(video.subclip(start, end))
-                if pred is not None:
-                    two = models.gesture.command_2best(pred)
+            pred = models.gesture.classify_clip(video.subclip(start, end))
+            two = None if pred is None else models.gesture.command_2best(pred)
             segments.append(((start, end), two))
 
     state = FsmState.idle()

@@ -7,9 +7,9 @@ whole stack of Grams such as the folds of a leave-one-out run, in a single
 loop; each problem's arithmetic is that of solving it alone, so the results
 are the same bit for bit.
 
-The trainers refuse a C or tolerance that is not finite and positive, an
-iteration cap below 1 and a Gram with non-finite entries; the model reader
-refuses a file with a non-finite number or a model kind other than kernel.
+The trainers refuse a C that is not finite and positive, an iteration cap
+below 1 and a Gram with non-finite entries; the model reader refuses a file
+with a non-finite number or a model kind other than kernel.
 
 Prediction picks the class with the highest decision value; exact ties go to
 the lowest class id and are flagged. Raw decision values are exposed because
@@ -42,6 +42,7 @@ KIND_KERNEL = 0  # the only model kind; its header byte stays so files keep thei
 _MODEL_HEADER = struct.Struct("<4sHBHd")  # magic, version, kind, class count, C
 
 DEFAULT_C = 100.0
+SMO_TOL = 1e-3  # KKT gap at which a binary problem stops
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,13 @@ def _solution(alpha: np.ndarray, y: np.ndarray, f: np.ndarray, c: float, iterati
     return BinarySolution(support=support, coef=alpha[support] * y[support], bias=bias, iterations=iterations)
 
 
-def _smo_solve(grams: np.ndarray, which: np.ndarray, ys: np.ndarray, c: float, tol: float,
+def _smo_solve(grams: np.ndarray, which: np.ndarray, ys: np.ndarray, c: float,
                max_iter: int) -> list[BinarySolution]:
     """Solve P binary soft-margin duals together on precomputed kernels.
 
     Problem p uses the Gram `grams[which[p]]` and the +-1 labels `ys[p]`.
     Each problem keeps f_i = sum_k alpha_k y_k K_ik and repeatedly updates its
-    maximal violating pair until its KKT gap drops below `tol`. All active
+    maximal violating pair until its KKT gap drops below `SMO_TOL`. All active
     problems take one step per iteration as (P,) vectors of the same scalar
     operations, so every problem's path is the one it takes alone; a problem
     leaves the active set at the iteration where it stops. Only the kernel
@@ -108,7 +109,7 @@ def _smo_solve(grams: np.ndarray, which: np.ndarray, ys: np.ndarray, c: float, t
         i = np.argmax(np.where(up, vals, -np.inf), axis=1)
         j = np.argmin(np.where(low, vals, np.inf), axis=1)
         r = np.arange(act.size)
-        stop = ~up.any(axis=1) | ~low.any(axis=1) | (vals[r, i] - vals[r, j] < tol)
+        stop = ~up.any(axis=1) | ~low.any(axis=1) | (vals[r, i] - vals[r, j] < SMO_TOL)
         if stop.any():
             done = act[stop]
             iterations[done] = it
@@ -193,7 +194,6 @@ def train_kernel_svm(
     gram: np.ndarray,
     labels: np.ndarray,
     c: float = DEFAULT_C,
-    tol: float = 1e-3,
     max_iter: int = 10_000,
     train_hists: dict[Channel, np.ndarray] | None = None,
     channel_means: dict[Channel, float] | None = None,
@@ -206,7 +206,7 @@ def train_kernel_svm(
         raise InvalidParameterError("gram matrix must be square")
     if g.shape[0] != labels.shape[0]:
         raise InvalidParameterError("gram size and label count differ")
-    (model,) = train_kernel_svms(g[None], [labels], c=c, tol=tol, max_iter=max_iter)
+    (model,) = train_kernel_svms(g[None], [labels], c=c, max_iter=max_iter)
     return replace(
         model,
         train_hists=train_hists,
@@ -219,7 +219,6 @@ def train_kernel_svms(
     grams: np.ndarray,
     labels_per_gram,
     c: float = DEFAULT_C,
-    tol: float = 1e-3,
     max_iter: int = 10_000,
 ) -> list[KernelSvmModel]:
     """One one-against-all model per Gram of a (G, n, n) stack, in one SMO solve.
@@ -239,8 +238,6 @@ def train_kernel_svms(
         raise InvalidParameterError("gram size and label count differ")
     if not (math.isfinite(c) and c > 0):
         raise InvalidParameterError(f"C must be finite and positive, got {c}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be at least 1, got {max_iter}")
     if not np.all(np.isfinite(g)):
@@ -251,7 +248,7 @@ def train_kernel_svms(
 
     which = np.repeat(np.arange(g.shape[0]), [cls.size for cls in classes])
     ys = np.concatenate([np.where(lab == cls[:, None], 1.0, -1.0) for lab, cls in zip(labels, classes)])
-    solutions = _smo_solve(g, which, ys, c, tol, max_iter)
+    solutions = _smo_solve(g, which, ys, c, max_iter)
     models, start = [], 0
     for cls in classes:
         models.append(

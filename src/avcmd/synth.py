@@ -29,7 +29,7 @@ from .session import AudioEvent, SessionStep
 from .trajectories import TrackerParams
 from .vocabulary import BACKGROUND_LABEL, COMMAND_GESTURES, Command, MotionPattern
 
-MIN_CLIP_FRAMES = TrackerParams().traj_len + 1
+MIN_CLIP_FRAMES = TrackerParams.traj_len + 1
 FPS = 15.0           # frames per second of every clip and session stream
 D_MAX = 4095         # depth range of every rendered depth stream
 DEPTH_NOISE_SIGMA = 6.0  # mm, sensor noise of every rendered depth stream
@@ -244,9 +244,8 @@ def generate_gesture_clip(
         world.render_gray(rgb[t], cx, cy, rng, spec.noise_sigma)
         world.render_depth(depth[t], cx, cy, rng)
     return GestureSample(
-        rgb=Clip(frames=rgb, fps=FPS, modality=Modality.RGB, sensor_id=Sensor.S1, label=spec.class_id),
-        depth=Clip(frames=log_depth(depth, D_MAX), fps=FPS, modality=Modality.LOG_DEPTH, sensor_id=Sensor.S1,
-                   label=spec.class_id),
+        rgb=Clip(frames=rgb, fps=FPS, modality=Modality.RGB, sensor_id=Sensor.S1),
+        depth=Clip(frames=log_depth(depth, D_MAX), fps=FPS, modality=Modality.LOG_DEPTH, sensor_id=Sensor.S1),
         label=spec.class_id,
     )
 

@@ -16,7 +16,9 @@ legal for structureless input.
 
 The layout is fixed: L = 15, 2x2x3 cells and 8 bins give the 30 + 96 + 108
 + 192 = 426 values of the standard dense-trajectory descriptor, and
-`TrackerParams` holds it as class constants rather than settable fields.
+`TrackerParams` holds it, with the tube size and the erratic and
+zero-motion thresholds, as class constants; its four settable fields are
+the config's tracking keys.
 
 The tracker computes in float32, as `flow` does: each frame's pyramid
 supplies the gradients that score sampling nodes (the flow's structure
@@ -66,18 +68,16 @@ class TrackerParams:
     spatial_cells: ClassVar[int] = 2
     temporal_cells: ClassVar[int] = 3
     n_bins: ClassVar[int] = 8
+    tube_size: ClassVar[int] = 32       # px, 2 cells of 16
+    # Pruning and binning constants of the published tracker.
+    erratic_frac: ClassVar[float] = 0.7     # single step vs total path length
+    hof_zero_thresh: ClassVar[float] = 0.4  # px/frame; below this flow counts as still
 
+    # The settable fields, each a config key.
     grid_step: int = 5            # sampling grid spacing, px
     quality: float = 0.001        # corner threshold, fraction of frame max
     sigma_min: float = math.sqrt(3.0)  # static-pruning position std, px
-    erratic_frac: float = 0.7     # single step vs total path length
     pyramid_levels: int = 3
-    tube_size: int = 32
-    hof_zero_thresh: float = 0.4  # px/frame; below this flow counts as still
-
-    def __post_init__(self):
-        if self.tube_size % self.spatial_cells != 0:
-            raise InvalidParameterError("tube_size must be divisible by spatial_cells")
 
 
 class Trajectory(NamedTuple):
@@ -145,7 +145,7 @@ def is_static(points: np.ndarray, sigma_min: float) -> np.ndarray:
     return np.sqrt(p[..., 0].var(axis=-1) + p[..., 1].var(axis=-1)) < sigma_min
 
 
-def is_erratic(points: np.ndarray, frac: float = 0.7) -> np.ndarray:
+def is_erratic(points: np.ndarray, frac: float = TrackerParams.erratic_frac) -> np.ndarray:
     """Per path in (..., L+1, 2): does one step exceed frac of the path length?"""
     steps = np.diff(np.asarray(points, dtype=np.float64), axis=-2)
     norms = np.hypot(steps[..., 0], steps[..., 1])
@@ -156,7 +156,9 @@ def is_erratic(points: np.ndarray, frac: float = 0.7) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # point sampling
 
-def sample_points(grad: np.ndarray, step: int, occupied=(), quality: float = 0.001) -> list[tuple[float, float]]:
+def sample_points(
+    grad: np.ndarray, step: int, occupied=(), quality: float = TrackerParams.quality
+) -> list[tuple[float, float]]:
     """Grid positions with enough texture and no live trajectory in their cell.
 
     `grad` is the frame's stacked gradients (gx, gy), as its pyramid's
@@ -440,7 +442,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     keep = (
         _tube_inside(paths, L, half, w, h)
         & ~is_static(paths, params.sigma_min)
-        & ~is_erratic(paths, params.erratic_frac)
+        & ~is_erratic(paths)
     )
     starts, paths = starts[keep], paths[keep]
     order = np.lexsort((paths[:, 0, 1], paths[:, 0, 0], starts))

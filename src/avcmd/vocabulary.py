@@ -1,8 +1,8 @@
 """The online command vocabulary shared by audio, gesture, and session layers.
 
-Six commands drive the two washing tasks. Each has spoken surface forms per
-language (all preceded by the wake keyword) and one gestural motion pattern,
-so a single class id flows through both recognizers and the fusion rule.
+Six commands drive the two washing tasks. Each is spoken and has one
+gestural motion pattern, so a single class id flows through both
+recognizers and the fusion rule.
 """
 
 from __future__ import annotations
@@ -32,17 +32,6 @@ class MotionPattern(IntEnum):
 #: Out-of-vocabulary motion; clips with this label belong to no command.
 BACKGROUND_LABEL = int(MotionPattern.BACKGROUND)
 
-DEFAULT_KEYWORD = "roberta"
-
-SURFACE_FORMS: dict[Command, dict[str, str]] = {
-    Command.WASH_LEGS: {"en": "wash legs", "it": "lava le gambe", "de": "wasch meine beine"},
-    Command.WASH_BACK: {"en": "wash back", "it": "lava la schiena", "de": "wasch meinen ruecken"},
-    Command.SCRUB_BACK: {"en": "scrub back", "it": "strofina la schiena", "de": "schrubb meinen ruecken"},
-    Command.STOP: {"en": "stop", "it": "basta", "de": "stopp"},
-    Command.REPEAT: {"en": "repeat", "it": "ripeti", "de": "noch einmal"},
-    Command.HALT: {"en": "halt", "it": "fermati subito", "de": "wir sind fertig"},
-}
-
 #: Gesture performed together with each spoken command in the A-G modality.
 COMMAND_GESTURES: dict[Command, MotionPattern] = {
     Command.WASH_LEGS: MotionPattern.SWIPE_DOWN,
@@ -52,8 +41,6 @@ COMMAND_GESTURES: dict[Command, MotionPattern] = {
     Command.REPEAT: MotionPattern.CIRCLE_CW,
     Command.HALT: MotionPattern.SWIPE_RIGHT,
 }
-
-GESTURE_COMMANDS: dict[MotionPattern, Command] = {g: c for c, g in COMMAND_GESTURES.items()}
 
 
 def command_name(value: int) -> str:

@@ -96,7 +96,7 @@ def classify_command(
     if transform is not None:
         utterance = transform.apply(utterance)
     scored = []
-    for cmd in grammar.commands:
+    for cmd in grammar:
         best = min(dtw_distance(utterance, t) for t in templates[cmd])
         scored.append(Hypothesis(command=cmd, score=best))
     scored.sort(key=lambda h: (h.score, h.command))

@@ -43,6 +43,14 @@ def pipeline(artifacts):
     return pipeline_from_artifacts(artifacts)
 
 
+@pytest.fixture(scope="session")
+def gesture_loo(artifacts):
+    # 6 command classes + background, 20 clips each, leave-one-clip-out,
+    # combined channels >= 90% and never beaten by a single channel by more
+    # than 2 points; the whole thing within the 5-minute budget.
+    return criterion_gesture_loo(artifacts, min_comb=0.90, max_deficit=0.02, budget_s=300.0)
+
+
 def _check(result):
     print()
     print(result.line())
@@ -53,15 +61,13 @@ def test_generator_calibration():
     _check(generator_calibration(SEED))
 
 
-def test_criterion_01_gesture_pipeline_loo(artifacts):
-    # 6 command classes + background, 20 clips each, leave-one-clip-out,
-    # combined channels >= 90% and never beaten by a single channel by more
-    # than 2 points; the whole thing within the 5-minute budget.
-    _check(criterion_gesture_loo(artifacts, min_comb=0.90, max_deficit=0.02, budget_s=300.0))
+def test_criterion_01_gesture_pipeline_loo(gesture_loo):
+    _check(gesture_loo)
 
 
-def test_criterion_02_rgb_vs_log_depth(artifacts):
-    _check(criterion_modalities(artifacts, floor=0.85))
+def test_criterion_02_rgb_vs_log_depth(artifacts, gesture_loo):
+    # criterion 1's combined-channel LOO is the RGB figure
+    _check(criterion_modalities(artifacts, gesture_loo.details["combined_accuracy"], floor=0.85))
 
 
 def test_criterion_03_kernel_gram(artifacts):

@@ -9,7 +9,6 @@ import pytest
 from avcmd.audio import (
     GRAM_FALLBACK,
     CommandGrammar,
-    GrammarEntry,
     Hypothesis,
     NBest,
     SpeakerTransform,
@@ -36,7 +35,7 @@ from conftest import malformed_rows
 
 
 def seq(frames: np.ndarray) -> MfccSeq:
-    return MfccSeq(frames=np.asarray(frames, dtype=np.float64), sample_rate=16000)
+    return MfccSeq(frames=np.asarray(frames, dtype=np.float64))
 
 
 def random_seq(rng, t=20, scale=5.0) -> MfccSeq:
@@ -88,16 +87,17 @@ class TestMfcc:
 
         x = rng.normal(size=8000) * 0.2
         first = mfcc(x, 16000).frames
-        window, filterbank, dct = _analysis_constants(16000, 400, 512, 26, 13)
+        frame_len, frame_shift, n_fft, window, filterbank, dct = _analysis_constants(16000)
+        assert (frame_len, frame_shift, n_fft) == (400, 160, 512)
         for cached, fresh in (
             (window, np.hamming(400)),
-            (filterbank, mel_filterbank(16000, 512, 26)),
+            (filterbank, mel_filterbank(16000, 512)),
             (dct, _dct_matrix(13, 26)),
         ):
             assert not cached.flags.writeable
             assert np.array_equal(cached, fresh)
         mfcc(rng.normal(size=20000) * 0.2, 44100)
-        assert _analysis_constants(16000, 400, 512, 26, 13)[1] is filterbank
+        assert _analysis_constants(16000)[4] is filterbank
         assert np.array_equal(mfcc(x, 16000).frames, first)
 
     def test_too_short_signal_rejected(self):
@@ -190,9 +190,7 @@ class TestDtw:
 
 class TestClassifyCommand:
     def _setup(self, rng, n_cmds=3):
-        grammar = CommandGrammar(
-            entries=tuple(GrammarEntry(command=i) for i in range(n_cmds))
-        )
+        grammar = CommandGrammar(range(n_cmds))
         templates = {i: [random_seq(rng), random_seq(rng, t=16)] for i in range(n_cmds)}
         return grammar, templates
 
@@ -204,7 +202,7 @@ class TestClassifyCommand:
         assert out.top.score == 0.0
 
     def test_equidistant_tie_goes_to_lower_id(self):
-        grammar = CommandGrammar(entries=(GrammarEntry(command=0), GrammarEntry(command=1)))
+        grammar = CommandGrammar((0, 1))
         base = np.zeros((1, FEATURE_DIM))
         t0 = base.copy()
         t0[0, 0] = 2.0
@@ -233,9 +231,13 @@ class TestClassifyCommand:
         assert [h.command for h in out1.hypotheses] == [h.command for h in out2.hypotheses]
 
     def test_default_grammar_covers_vocabulary(self):
-        g = default_grammar()
-        assert sorted(g.commands) == [int(c) for c in Command]
-        assert g.keyword
+        assert default_grammar() == tuple(int(c) for c in Command)
+
+    def test_grammar_needs_unique_commands(self):
+        assert CommandGrammar([4, 1]) == (4, 1)
+        for bad in ([], [1, 2, 1]):
+            with pytest.raises(InvalidParameterError):
+                CommandGrammar(bad)
 
 
 class TestKeywordGate:
@@ -329,7 +331,7 @@ class TestTemplateStore:
         save_template_manifest(tmp_path / "manifest.json", rows)
         store = load_template_store(tmp_path / "manifest.json")
         assert sorted(store) == [0, 1, 2]
-        grammar = CommandGrammar(entries=tuple(GrammarEntry(command=i) for i in range(3)))
+        grammar = CommandGrammar(range(3))
         utt = mfcc(waves[1], sr)
         out = classify_command(utt, store, grammar)
         assert out.top.command == 1
@@ -424,7 +426,7 @@ class TestDtwAgainstReference:
                 assert _backtrack(moves[n], len(query) - 1, len(t) - 1) == ref.dtw_align(query, t)[1]
 
     def test_nbest_with_duplicated_templates(self, rng):
-        grammar = CommandGrammar(entries=tuple(GrammarEntry(command=c) for c in (4, 1, 3, 0)))
+        grammar = CommandGrammar((4, 1, 3, 0))
         shared = random_seq(rng, t=12)
         templates = {
             4: [random_seq(rng, t=9), shared],
@@ -492,12 +494,12 @@ class TestGramFrameCosts:
         assert np.count_nonzero(costs) == costs.size - 40
         assert dtw_distance(x, x) == 0.0
         assert dtw_distance(x, np.repeat(x, 2, axis=0)) == 0.0
-        grammar = CommandGrammar(entries=(GrammarEntry(command=0), GrammarEntry(command=1)))
+        grammar = CommandGrammar((0, 1))
         out = classify_command(seq(x), {0: [seq(longer)], 1: [seq(longer), seq(x)]}, grammar)
         assert out.top == Hypothesis(command=1, score=0.0)
 
     def test_duplicated_template_ties_and_equals_single_pair(self, rng):
-        grammar = CommandGrammar(entries=tuple(GrammarEntry(command=c) for c in range(5)))
+        grammar = CommandGrammar(range(5))
         for _ in range(10):
             templates = {
                 c: [random_seq(rng, t=int(rng.integers(5, 60))) for _ in range(int(rng.integers(1, 4)))]
@@ -510,7 +512,7 @@ class TestGramFrameCosts:
             utt = seq(shared.frames + rng.normal(size=shared.frames.shape) * 0.5)
             out = classify_command(utt, templates, grammar)
             assert out.tie and [h.command for h in out.hypotheses[:2]] == pair
-            flat = [t for c in grammar.commands for t in templates[c]]
+            flat = [t for c in grammar for t in templates[c]]
             batched, _ = _distances(utt, flat)
             assert np.array_equal(batched, [dtw_distance(utt, t) for t in flat])
 
@@ -519,7 +521,7 @@ class TestGramFrameCosts:
         def ints(t):
             return seq(rng.integers(-500, 501, size=(t, FEATURE_DIM)))
 
-        grammar = CommandGrammar(entries=tuple(GrammarEntry(command=c) for c in range(4)))
+        grammar = CommandGrammar(range(4))
         templates = {c: [ints(int(rng.integers(1, 50))) for _ in range(2)] for c in range(4)}
         for _ in range(5):
             utt = ints(int(rng.integers(1, 50)))

@@ -12,7 +12,7 @@ from avcmd.encoding import CHANNEL_ORDER, BovwHist, Channel, Codebook, write_cod
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.mfcc import wav_write
 from avcmd.session import read_session_log
-from avcmd.trajectories import DESC_DIM, TrajectorySet, write_features
+from avcmd.trajectories import DESC_DIM, TrackerParams, TrajectorySet, write_features
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +160,28 @@ class TestSessionCommands:
         blob = json.loads(report.read_text())
         assert "legs" in blob
         assert curve.read_text().startswith("step_id,")
+
+    def test_simulate_trains_with_the_config(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid_step = 7\nsvm_c = 3.5\n")
+        seen = {}
+
+        class _Trained(Exception):
+            pass
+
+        def capture(clips, labels, **kwargs):
+            seen.update(kwargs)
+            raise _Trained
+
+        monkeypatch.setattr("avcmd.cli.train_gesture_pipeline", capture)
+        with pytest.raises(_Trained):
+            main([
+                "--config", str(cfg), "simulate", "--out", str(tmp_path / "log.jsonl"),
+                "--train-clips-per-class", "1",
+            ])
+        assert seen["tracker"] == TrackerParams(grid_step=7)
+        assert seen["c"] == 3.5
+        assert (seen["k"], seen["subsample"]) == (32, 20_000)
 
 
 class TestScriptsAndUsage:

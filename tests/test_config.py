@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from avcmd import synth
 from avcmd.config import PipelineConfig, load_config
 from avcmd.errors import ConfigError
+from avcmd.session import SessionParams
 from avcmd.trajectories import TrackerParams
 
 
@@ -96,6 +98,7 @@ def test_session_params_conversion():
     sp = cfg.session_params(fps=15.0)
     assert sp.min_dur_frames == 6   # 0.4 s at 15 fps
     assert sp.max_gap_frames == 8   # 0.5 s rounded
-    tp = cfg.tracker_params()
-    assert tp == TrackerParams(grid_step=cfg.grid_step, quality=cfg.quality, sigma_min=cfg.sigma_min)
-    assert tp.traj_len == 15
+    # Every default has one value: the config's objects equal the defaults'.
+    assert cfg.tracker_params() == TrackerParams()
+    assert cfg.session_params(synth.FPS) == SessionParams()
+    assert cfg.tracker_params().traj_len == 15

@@ -170,19 +170,13 @@ def test_non_finite_fps_rejected(tmp_path, rng, fps):
 
 
 def test_label_round_trips_via_sidecar(tmp_path, rng):
-    clip = make_clip(rng)
-    clip = Clip(
-        frames=clip.frames, fps=clip.fps, modality=clip.modality,
-        sensor_id=clip.sensor_id, label=5,
-    )
     clip_path = tmp_path / "g01.igsc"
-    write_clip(clip_path, clip)
+    write_clip(clip_path, make_clip(rng))
     write_annotations(
         tmp_path / "annotations.jsonl",
         [Annotation(clip="g01.igsc", label=5, subject="u1", task="legs", start_frame=0, end_frame=3)],
     )
     # The container does not store the label; the sidecar row for its name does.
-    assert read_clip(clip_path).label is None
     anns = read_annotations(tmp_path / "annotations.jsonl")
     assert [a.label for a in anns if a.clip == clip_path.name] == [5]
 

@@ -86,6 +86,16 @@ class TestLogDepth:
         with pytest.raises(InvalidParameterError):
             log_depth(stack, 50)
 
+    @pytest.mark.parametrize("bad", [-1, 12.9, 65536, np.nan])
+    def test_depth_that_would_wrap_or_truncate_rejected(self, bad):
+        # An unchecked uint16 cast would turn -1 into 65535 and 12.9 into 12.
+        with pytest.raises(InvalidParameterError):
+            log_depth(np.array([[bad, 0]]), 65535)
+
+    def test_integral_float_depth_accepted(self):
+        assert np.array_equal(log_depth(np.zeros((2, 3)), 4095), np.zeros((2, 3), dtype=np.uint8))
+        assert np.array_equal(log_depth(np.array([[1000.0, 4095.0]]), 4095), [[212, 255]])
+
     def test_stack_equals_per_frame_results(self, rng):
         stack = rng.integers(0, 4096, size=(5, 6, 7)).astype(np.uint16)
         out = log_depth(stack, 4095)
@@ -184,13 +194,11 @@ class TestClip:
             fps=30.0,
             modality=Modality.LOG_DEPTH,
             sensor_id=Sensor.S3,
-            label=4,
         )
         sub = clip.subclip(1, 3)
         assert len(sub) == 2
         assert sub.modality == Modality.LOG_DEPTH
         assert sub.sensor_id == Sensor.S3
-        assert sub.label == 4
         assert np.all(sub.frames[0] == 1)
 
     def test_subclip_is_a_read_only_view(self):

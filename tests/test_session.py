@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from avcmd.session import (
     write_script,
     write_session_log,
 )
-from avcmd.trajectories import TrackerParams
 from avcmd.vocabulary import Command
 from conftest import malformed_rows
 
@@ -81,7 +79,7 @@ class TestFuseTruthTable:
 
     def test_decision_validates_vocabulary(self):
         with pytest.raises(InvalidParameterError):
-            FusionDecision(command=77, source=FusionSource.AGREED, speech=None, gesture=None)
+            FusionDecision(command=77, source=FusionSource.AGREED)
 
 
 class TestScriptAndLogIO:
@@ -152,10 +150,7 @@ class TestMalformedRows:
         assert read_session_log(path).final_state == "idle"
 
 
-@dataclass
 class _NoGesture:
-    tracker: TrackerParams = TrackerParams()
-
     def classify_clip(self, clip):
         return None
 
@@ -166,7 +161,7 @@ class _NoGesture:
 def _speech_models(rng):
     grammar = default_grammar()
     templates = {
-        int(c): [MfccSeq(frames=rng.normal(size=(12, FEATURE_DIM)) * 4.0, sample_rate=16000)]
+        int(c): [MfccSeq(frames=rng.normal(size=(12, FEATURE_DIM)) * 4.0)]
         for c in Command
     }
     return SessionModels(
@@ -288,11 +283,8 @@ class TestRunSession:
             assert (entry.recognized, entry.latency_frames) == (second, 25)
 
     def test_equal_segment_overlaps_take_the_first_segment(self, rng, monkeypatch):
-        @dataclass
         class _FirstFrameGesture:
             """Names each segment by its first frame's intensity, which is its start frame."""
-
-            tracker: TrackerParams = TrackerParams()
 
             def classify_clip(self, clip):
                 return int(clip.frames[0, 0, 0])

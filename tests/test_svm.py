@@ -59,7 +59,7 @@ class TestKernelSvm:
         x, y01 = separable_points(rng, n_per=15, gap=2.0)
         gram = x @ x.T
         c = 5.0
-        model = train_kernel_svm(gram, y01, c=c, tol=1e-3)
+        model = train_kernel_svm(gram, y01, c=c)
         for cls_idx, cls in enumerate(model.classes):
             y = np.where(y01 == cls, 1.0, -1.0)
             sol = model.solutions[cls_idx]
@@ -91,10 +91,6 @@ class TestKernelSvm:
             {"c": 0.0},
             {"c": float("nan")},
             {"c": float("inf")},
-            {"tol": 0.0},
-            {"tol": -1e-3},
-            {"tol": float("nan")},
-            {"tol": float("inf")},
             {"max_iter": 0},
             {"max_iter": -5},
         ],

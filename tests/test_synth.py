@@ -53,7 +53,6 @@ class TestGestureClips:
         assert s.rgb.modality == Modality.RGB
         assert s.depth.modality == Modality.LOG_DEPTH
         assert s.label == int(Command.SCRUB_BACK)
-        assert s.rgb.label == s.label
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -71,15 +72,22 @@ def static_clip(n_frames=18, size=64, seed=5):
 class TestTrackerParams:
     def test_descriptor_layout_is_fixed(self):
         assert (P.traj_len, P.spatial_cells, P.temporal_cells, P.n_bins) == (15, 2, 3, 8)
+        assert (P.tube_size, P.erratic_frac, P.hof_zero_thresh) == (32, 0.7, 0.4)
         assert TrackerParams.traj_len == 15
-        for name, value in (("traj_len", 12), ("spatial_cells", 4), ("temporal_cells", 5), ("n_bins", 9)):
+        refused = (
+            ("traj_len", 12), ("spatial_cells", 4), ("temporal_cells", 5), ("n_bins", 9),
+            ("tube_size", 24), ("erratic_frac", 0.5), ("hof_zero_thresh", 0.2),
+        )
+        for name, value in refused:
             with pytest.raises(TypeError):
                 TrackerParams(**{name: value})
+        assert [f.name for f in dataclasses.fields(TrackerParams)] == [
+            "grid_step", "quality", "sigma_min", "pyramid_levels"
+        ]
 
     def test_tube_size_must_split_into_cells(self):
-        assert TrackerParams(tube_size=24).tube_size == 24
-        with pytest.raises(InvalidParameterError):
-            TrackerParams(tube_size=25)
+        # The descriptor cells are tube_size // spatial_cells px wide.
+        assert TrackerParams.tube_size % TrackerParams.spatial_cells == 0
 
 
 class TestSamplePoints:
@@ -536,7 +544,7 @@ class TestTrackAgainstReference:
             self.assert_close(track(clip), ref.track(clip))
 
     def test_other_tracker_parameters(self):
-        params = TrackerParams(grid_step=4, pyramid_levels=2, tube_size=24, hof_zero_thresh=0.2)
+        params = TrackerParams(grid_step=4, quality=0.01, sigma_min=1.0, pyramid_levels=2)
         clip = moving_block_clip()
         self.assert_close(track(clip, params), ref.track(clip, params))
 
