@@ -238,8 +238,8 @@ def train_kernel_svms(
         raise InvalidParameterError("gram size and label count differ")
     if not (math.isfinite(c) and c > 0):
         raise InvalidParameterError(f"C must be finite and positive, got {c}")
-    if max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise InvalidParameterError(f"max_iter must be an integer of at least 1, got {max_iter}")
     if not np.all(np.isfinite(g)):
         raise InvalidParameterError("gram matrix contains non-finite values")
     if not np.allclose(g, g.transpose(0, 2, 1), atol=1e-6):

@@ -91,6 +91,10 @@ class TestKernelSvm:
             {"c": 0.0},
             {"c": float("nan")},
             {"c": float("inf")},
+            {"c": -float("inf")},
+            {"max_iter": 2.5},
+            {"max_iter": float("nan")},
+            {"max_iter": float("inf")},
             {"max_iter": 0},
             {"max_iter": -5},
         ],
