@@ -1,19 +1,20 @@
 """Pipeline configuration: one flat key-value namespace for every tunable.
 
 Values load from a plain-text file of `key = value` lines with `#` comments.
-Unknown keys and out-of-range values are rejected. Tracking constants follow
-the dense-trajectory literature's published defaults; the online thresholds
-are tuned on the synthetic suite; both kinds are ordinary config here, so a
-deployment can pin its own. Each default is written once, where the value
-is used: on `TrackerParams`, `SessionParams`, `svm.DEFAULT_C` and
-`encoding.DESCRIPTOR_SUBSAMPLE`. The trajectory length, the descriptor cell
-grid and tube, and the erratic and zero-motion thresholds are not config:
-they fix the 426-value descriptor layout and its pruning, and live as
-constants on `TrackerParams`.
+Unknown keys, out-of-range values and non-finite floats are rejected.
+Tracking constants follow the dense-trajectory literature's published
+defaults; the online thresholds are tuned on the synthetic suite; both kinds
+are ordinary config here, so a deployment can pin its own. Each default is
+written once, where the value is used: on `TrackerParams`, `SessionParams`,
+`svm.DEFAULT_C` and `encoding.DESCRIPTOR_SUBSAMPLE`. The trajectory length,
+the descriptor cell grid and tube, and the erratic and zero-motion
+thresholds are not config: they fix the 426-value descriptor layout and its
+pruning, and live as constants on `TrackerParams`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -53,6 +54,9 @@ class PipelineConfig:
     lang: str = SessionParams.lang
 
     def validate(self) -> "PipelineConfig":
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         checks = [
             (self.grid_step >= 1, "grid_step must be >= 1"),
             (0.0 < self.quality <= 1.0, "quality must be in (0, 1]"),

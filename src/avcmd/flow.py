@@ -37,6 +37,9 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+# Pyramid depth of `FramePyramid` and `dense_flow`, and the tracker's default.
+PYRAMID_LEVELS = 3
+
 # 5-tap binomial kernel of `binomial_blur`.
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -314,7 +317,7 @@ class FramePyramid:
     points and to build hog.
     """
 
-    def __init__(self, frames, levels: int = 3, window: int = 7, min_eig: float = 1e-3):
+    def __init__(self, frames, levels: int = PYRAMID_LEVELS, window: int = 7, min_eig: float = 1e-3):
         if levels < 1:
             raise InvalidParameterError("levels must be >= 1")
         images, one = _as_float_stack(frames)
@@ -355,7 +358,7 @@ def _pyramid(frame, levels: int, window: int, min_eig: float) -> FramePyramid:
 def dense_flow(
     prev,
     nxt,
-    levels: int = 3,
+    levels: int = PYRAMID_LEVELS,
     window: int = 7,
     iterations: int = 3,
     min_eig: float = 1e-3,

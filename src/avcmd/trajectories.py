@@ -25,7 +25,9 @@ supplies the gradients that score sampling nodes (the flow's structure
 tensor with a 3x3 window) and feed hog, and the integral histograms are
 float32. Orientations are binned by sign and magnitude comparisons, not by
 a float32 angle, so a gradient on a bin edge gets the bin of its exact
-angle. Trajectory points and descriptors are float64.
+angle. `track` returns float64 trajectory points and descriptors; IGTF
+stores them as float32, and `read_features` hands back those float32
+values as they are stored.
 
 Trajectories travel as one columnar `TrajectorySet`: start frames (N,),
 point paths (N, 16, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
@@ -46,8 +48,8 @@ import numpy as np
 
 from .errors import FormatError, InvalidParameterError, check_payload, unpack_header
 from .flow import (
-    FramePyramid, _bilinear_taps, _gradients, _interpolate, _pad_edge, _structure_tensor, dense_flow,
-    median_filter_3x3,
+    PYRAMID_LEVELS, FramePyramid, _bilinear_taps, _gradients, _interpolate, _pad_edge, _structure_tensor,
+    dense_flow, median_filter_3x3,
 )
 from .frames import Clip
 
@@ -77,14 +79,14 @@ class TrackerParams:
     grid_step: int = 5            # sampling grid spacing, px
     quality: float = 0.001        # corner threshold, fraction of frame max
     sigma_min: float = math.sqrt(3.0)  # static-pruning position std, px
-    pyramid_levels: int = 3
+    pyramid_levels: int = PYRAMID_LEVELS
 
 
 class Trajectory(NamedTuple):
-    """One row of a `TrajectorySet`; the arrays are views into the set."""
+    """One row of a `TrajectorySet`; the arrays are views into the set, in its dtype."""
 
     start_frame: int
-    points: np.ndarray    # (L+1, 2) float64, columns (x, y)
+    points: np.ndarray    # (L+1, 2) float32 or float64, columns (x, y)
     traj: np.ndarray      # (30,)
     hog: np.ndarray       # (96,)
     hof: np.ndarray       # (108,)
@@ -93,16 +95,23 @@ class Trajectory(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """N trajectories as columns; traj, hog, hof and mbh are slices of desc."""
+    """N trajectories as columns; traj, hog, hof and mbh are slices of desc.
+
+    `points` and `desc` each keep a float32 or float64 input as it is, so
+    `track`'s float64 sets and the float32 sets read from IGTF are not
+    converted; any other input becomes float64.
+    """
 
     start: np.ndarray   # (N,) start frames
-    points: np.ndarray  # (N, L+1, 2) float64, columns (x, y); L = 15
-    desc: np.ndarray    # (N, 426) float64, traj | hog | hof | mbh
+    points: np.ndarray  # (N, L+1, 2) float32 or float64, columns (x, y); L = 15
+    desc: np.ndarray    # (N, 426) float32 or float64, traj | hog | hof | mbh
 
     def __post_init__(self):
         start = np.asarray(self.start, dtype=np.intp)
-        points = np.asarray(self.points, dtype=np.float64)
-        desc = np.asarray(self.desc, dtype=np.float64)
+        points, desc = (
+            a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+            for a in (np.asarray(self.points), np.asarray(self.desc))
+        )
         if start.ndim != 1 or points.shape != (len(start), TrackerParams.traj_len + 1, 2):
             raise InvalidParameterError(
                 f"a trajectory set needs (N,) start frames and (N, {TrackerParams.traj_len + 1}, 2) points"
@@ -476,14 +485,14 @@ def write_features(path: str | Path, trajectories: TrajectorySet) -> None:
 def read_features(path: str | Path) -> TrajectorySet:
     """Read an IGTF v2 file: count records of L = 15, or none with L = 0.
 
-    The payload must be exactly count records, or the read fails.
+    The payload must be exactly count records, or the read fails. The set's
+    `points` and `desc` are the stored float32 values, read-only views into
+    the file's one buffer, at half the bytes of a float64 copy.
     """
     raw = Path(path).read_bytes()
     count, traj_len = unpack_header(raw, _FEATURES_HEADER, FEATURES_MAGIC, FEATURES_VERSION, "feature")
     if count and traj_len != TrackerParams.traj_len:
         raise FormatError(f"trajectory length {traj_len}, expected {TrackerParams.traj_len}")
     check_payload(len(raw), _FEATURES_HEADER.size + count * _FEATURE_RECORD.itemsize, "feature")
-    if count == 0:
-        return TrajectorySet.empty()
     records = np.frombuffer(raw, dtype=_FEATURE_RECORD, count=count, offset=_FEATURES_HEADER.size)
     return TrajectorySet(records["start"], records["points"], records["desc"])

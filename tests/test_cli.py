@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from avcmd.cli import _CHANNEL_FILES, main
 from avcmd.container import Annotation, write_annotations, write_clip
 from avcmd.encoding import CHANNEL_ORDER, BovwHist, Channel, Codebook, write_codebook, write_encoded
 from avcmd.frames import Clip, GrayFrame, Modality
+from avcmd.gesture import channel_matrices, train_codebooks
 from avcmd.mfcc import wav_write
 from avcmd.session import read_session_log
-from avcmd.trajectories import DESC_DIM, TrackerParams, TrajectorySet, write_features
+from avcmd.trajectories import DESC_DIM, TrackerParams, TrajectorySet, read_features, write_features
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,21 @@ class TestPipelineCommands:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: model kind 1 not supported")
+
+    def test_codebook_from_float32_features_equals_float64_training(self, workspace, tmp_path):
+        # The CLI reads IGTF as float32 views; training on float64 copies of
+        # the same matrices must write the same IGCB bytes (k and subsample
+        # from the workspace config, the default codebook_seed).
+        rows = [json.loads(line) for line in (workspace / "annotations.jsonl").read_text().splitlines()]
+        per_clip = [
+            {ch: np.array(m, dtype=np.float64) for ch, m in channel_matrices(
+                read_features(workspace / "features" / (Path(r["clip"]).stem + ".igtf"))).items()}
+            for r in rows
+        ]
+        for ch, book in train_codebooks(per_clip, k=12, seed=0, subsample=5000).items():
+            write_codebook(tmp_path / _CHANNEL_FILES[ch], book)
+            assert (tmp_path / _CHANNEL_FILES[ch]).read_bytes() == (
+                workspace / "codebooks" / _CHANNEL_FILES[ch]).read_bytes()
 
     def test_detect_prints_segments(self, workspace, capsys):
         clip = sorted((workspace / "clips").glob("*_rgb.igsc"))[0]
@@ -352,6 +369,16 @@ class TestBadJsonRowsExitOne:
         argv = ["--config", str(tmp_path / "cfg.txt"), "extract", "--clips", str(tmp_path), "--out", str(tmp_path)]
         assert main(argv) == 1
         assert "unknown key 'traj_len'" in capsys.readouterr().err
+
+    def test_config_with_infinite_duration_is_exit_1(self, tmp_path, capsys):
+        # min_dur_s = inf once passed validation and ended `detect` in an
+        # OverflowError from the seconds-to-frames conversion
+        (tmp_path / "cfg.txt").write_text("min_dur_s = inf\n")
+        write_clip(tmp_path / "c.igsc", Clip(frames=np.zeros((4, 8, 8)), fps=15.0, modality=Modality.RGB))
+        argv = ["--config", str(tmp_path / "cfg.txt"), "detect", "--clip", str(tmp_path / "c.igsc")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: min_dur_s must be finite\n"
 
 
 class TestMissingFilesExitOne:

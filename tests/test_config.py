@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -81,6 +82,25 @@ def test_range_violations(tmp_path, key, value):
     path = tmp_path / "cfg.txt"
     path.write_text(f"{key} = {value}\n")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
+
+
+def test_float_keys_are_the_ten_numeric_tunables():
+    assert FLOAT_KEYS == [
+        "quality", "sigma_min", "svm_c", "tau_noise", "theta_on", "theta_off",
+        "min_dur_s", "max_gap_s", "keyword_threshold", "snr_db",
+    ]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_floats_rejected(tmp_path, key, value):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
         load_config(path)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import struct
 
@@ -15,7 +16,7 @@ from avcmd.errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
-from avcmd.flow import FramePyramid, dense_flow
+from avcmd.flow import PYRAMID_LEVELS, FramePyramid, dense_flow
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.synth import GESTURE_CLASSES, generate_corpus
 from avcmd.trajectories import (
@@ -84,6 +85,14 @@ class TestTrackerParams:
         assert [f.name for f in dataclasses.fields(TrackerParams)] == [
             "grid_step", "quality", "sigma_min", "pyramid_levels"
         ]
+
+    def test_pyramid_depth_has_one_default(self):
+        defaults = {
+            inspect.signature(FramePyramid).parameters["levels"].default,
+            inspect.signature(dense_flow).parameters["levels"].default,
+            {f.name: f.default for f in dataclasses.fields(TrackerParams)}["pyramid_levels"],
+        }
+        assert defaults == {PYRAMID_LEVELS}
 
     def test_tube_size_must_split_into_cells(self):
         # The descriptor cells are tube_size // spatial_cells px wide.
@@ -282,6 +291,18 @@ class TestTrajectorySet:
             for name in spans:
                 assert np.array_equal(getattr(row, name), getattr(s, name)[i])
         assert not TrajectorySet.empty() and len(TrajectorySet.empty()) == 0
+
+    def test_float32_and_float64_are_kept_and_other_input_becomes_float64(self):
+        s = TestFeatureDump()._trajs(n=3)
+        for dtype in (np.float32, np.float64):
+            points, desc = s.points.astype(dtype), s.desc.astype(dtype)
+            kept = TrajectorySet(s.start, points, desc)
+            assert kept.points.dtype == dtype and kept.desc.dtype == dtype
+            assert kept.points is points and kept.desc is desc
+            assert all(getattr(row, name).dtype == dtype for row in kept for name in ("points", "hog"))
+        widened = TrajectorySet(s.start, np.rint(s.points).astype(np.int32), np.ones((3, 426), dtype=np.int64))
+        assert widened.points.dtype == np.float64 and widened.desc.dtype == np.float64
+        assert np.array_equal(widened.points, np.rint(s.points))
 
     def test_batched_path_functions_equal_per_path_calls(self):
         rng = np.random.default_rng(8)
@@ -592,7 +613,13 @@ class TestFeatureBytes:
     def test_read_back_is_the_float32_cast(self, tmp_path):
         trajs = track(moving_block_clip()).trajectories
         write_features(tmp_path / "f.igtf", trajs)
-        for a, b in zip(trajs, read_features(tmp_path / "f.igtf")):
+        back = read_features(tmp_path / "f.igtf")
+        assert trajs.points.dtype == np.float64 and trajs.desc.dtype == np.float64
+        assert back.points.dtype == np.float32 and back.desc.dtype == np.float32
+        assert not back.points.flags.writeable and not back.desc.flags.writeable
+        # interleaved fields of the file's one record buffer, not copies
+        assert np.may_share_memory(back.points, back.desc)
+        for a, b in zip(trajs, back):
             assert a.start_frame == b.start_frame
             assert np.array_equal(a.points.astype(np.float32), b.points)
             for name in ("traj", "hog", "hof", "mbh"):
