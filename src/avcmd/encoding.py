@@ -116,20 +116,19 @@ def _l1_rows(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # k-means
 
-def _pairwise_sq_dists(x: np.ndarray, x_sq: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distances (len(x), len(c)); `x_sq` is x's row sums of squares."""
-    d = x_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
+def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    d = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
     return np.maximum(d, 0.0)
 
 
-def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row (ties to the lowest index) and the distance."""
     n = x.shape[0]
     labels = np.empty(n, dtype=np.intp)
     dists = np.empty(n)
     for lo in range(0, n, _ASSIGN_CHUNK):
         hi = min(lo + _ASSIGN_CHUNK, n)
-        d = _pairwise_sq_dists(x[lo:hi], x_sq[lo:hi], centroids)
+        d = _pairwise_sq_dists(x[lo:hi], centroids)
         labels[lo:hi] = d.argmin(axis=1)
         dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
     return labels, dists
@@ -143,11 +142,11 @@ def _cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def _kmeans_pp_init(x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    closest = _pairwise_sq_dists(x, x_sq, centroids[:1]).ravel()
+    closest = _pairwise_sq_dists(x, centroids[:1]).ravel()
     for i in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -157,7 +156,7 @@ def _kmeans_pp_init(x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Gene
         probs = closest / total
         idx = rng.choice(n, p=probs)
         centroids[i] = x[idx]
-        closest = np.minimum(closest, _pairwise_sq_dists(x, x_sq, centroids[i : i + 1]).ravel())
+        closest = np.minimum(closest, _pairwise_sq_dists(x, centroids[i : i + 1]).ravel())
     return centroids
 
 
@@ -175,15 +174,8 @@ def train_codebook(
     `max_iter` iterations. Deterministic for a fixed seed. Descriptor sets
     larger than `subsample` are thinned with the same seeded generator before
     clustering.
-
-    A float32 pool, such as descriptors read from IGTF, is checked and
-    thinned as float32, and only the kept rows are widened; any other input
-    is taken as float64. Widening is exact, so the k-means arithmetic, in
-    float64, and the centroids are the same for a pool in either dtype.
     """
-    x = np.asarray(descriptors)
-    if x.dtype != np.float32:
-        x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise InvalidParameterError("descriptors must be a (N, dim) matrix")
     if not np.all(np.isfinite(x)):
@@ -195,13 +187,11 @@ def train_codebook(
         x = x[keep]
     if x.shape[0] < k:
         raise InvalidParameterError(f"need at least {k} descriptors, got {x.shape[0]}")
-    x = x.astype(np.float64, copy=False)
-    x_sq = (x * x).sum(axis=1)
 
-    centroids = _kmeans_pp_init(x, x_sq, k, rng)
+    centroids = _kmeans_pp_init(x, k, rng)
     prev_inertia = np.inf
     for _ in range(max_iter):
-        labels, dists = _assign(x, x_sq, centroids)
+        labels, dists = _assign(x, centroids)
         inertia = float(dists.sum())
         counts = np.bincount(labels, minlength=k).astype(np.float64)
         sums = _cluster_sums(x, labels, k)
@@ -231,7 +221,7 @@ def bovw_encode(descriptors: np.ndarray, codebook: Codebook) -> BovwHist:
             raise InvalidParameterError(
                 f"descriptor dim {x.shape[-1] if x.ndim == 2 else '?'} does not match codebook dim {codebook.dim}"
             )
-        labels, _ = _assign(x, (x * x).sum(axis=1), codebook.centroids.astype(np.float64))
+        labels, _ = _assign(x, codebook.centroids.astype(np.float64))
         counts = np.bincount(labels, minlength=codebook.k).astype(np.float64)
     return BovwHist(counts=counts, channel=codebook.channel)
 

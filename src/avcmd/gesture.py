@@ -133,12 +133,7 @@ def train_codebooks(
     seed: int,
     subsample: int | None = DESCRIPTOR_SUBSAMPLE,
 ) -> dict[Channel, Codebook]:
-    """One codebook per channel on the pooled descriptors; channel i uses seed + i.
-
-    A pool keeps its matrices' dtype, so float32 descriptors read from IGTF
-    are stacked at half the bytes; `train_codebook` widens only the rows it
-    keeps.
-    """
+    """One codebook per channel on the pooled descriptors; channel i uses seed + i."""
     return {
         ch: train_codebook(
             np.vstack([d[ch] for d in per_clip_descriptors if d[ch].shape[0]]),

@@ -7,9 +7,8 @@ the per-channel distance terms themselves, the session runner's inline
 activity-detection loop, the synthetic generator's own wrap-padded
 binomial blur and its one renderer of a gray and a log-depth frame, and the
 one-histogram L1 normalization `BovwHist` had beside the row-wise one. The
-k-means steps are here in the form that recomputed the pool's squared norms
-on every distance call. The merged code must reproduce them bit for bit; the
-tests compare with `np.array_equal` and `==`.
+merged code must reproduce them bit for bit; the tests compare with
+`np.array_equal` and `==`.
 """
 
 from __future__ import annotations
@@ -111,36 +110,3 @@ def render(world, cx: float, cy: float, rng: np.random.Generator, noise_sigma: f
 def l1_normalized(counts: np.ndarray) -> np.ndarray:
     total = float(counts.sum())
     return counts / total if total > 0 else counts.copy()
-
-
-def pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    d = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
-    return np.maximum(d, 0.0)
-
-
-def assign(x: np.ndarray, centroids: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[0]
-    labels = np.empty(n, dtype=np.intp)
-    dists = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d = pairwise_sq_dists(x[lo:hi], centroids)
-        labels[lo:hi] = d.argmin(axis=1)
-        dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
-    return labels, dists
-
-
-def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    closest = pairwise_sq_dists(x, centroids[:1]).ravel()
-    for i in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            centroids[i:] = x[rng.choice(n, size=k - i, replace=False)]
-            break
-        idx = rng.choice(n, p=closest / total)
-        centroids[i] = x[idx]
-        closest = np.minimum(closest, pairwise_sq_dists(x, centroids[i : i + 1]).ravel())
-    return centroids

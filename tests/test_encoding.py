@@ -20,11 +20,7 @@ from avcmd.encoding import (
     chi2_distance_matrix,
     cross_gram,
     multichannel_gram,
-    _ASSIGN_CHUNK,
-    _assign,
-    _kmeans_pp_init,
     _l1_rows,
-    _pairwise_sq_dists,
     read_codebook,
     read_encoded,
     train_codebook,
@@ -107,18 +103,6 @@ class TestKmeans:
         cb1 = train_codebook(x, k=4, seed=1, subsample=500)
         cb2 = train_codebook(x, k=4, seed=1, subsample=500)
         assert np.array_equal(cb1.centroids, cb2.centroids)
-
-    def test_norms_computed_once_equal_recomputed_norms(self):
-        # A pool longer than one assignment chunk, so the norms are sliced.
-        rng = np.random.default_rng(20)
-        x = rng.normal(size=(_ASSIGN_CHUNK + 517, 30)) * rng.uniform(0.1, 4.0, size=30)
-        x_sq = (x * x).sum(axis=1)
-        centroids = _kmeans_pp_init(x, x_sq, 24, np.random.default_rng(5))
-        assert np.array_equal(centroids, ref.kmeans_pp_init(x, 24, np.random.default_rng(5)))
-        labels, dists = _assign(x, x_sq, centroids)
-        want_labels, want_dists = ref.assign(x, centroids, _ASSIGN_CHUNK)
-        assert np.array_equal(labels, want_labels) and np.array_equal(dists, want_dists)
-        assert np.array_equal(_pairwise_sq_dists(x, x_sq, centroids), ref.pairwise_sq_dists(x, centroids))
 
     @pytest.mark.parametrize("n,subsample", [(900, 20_000), (900, 400), (3000, None)])
     def test_float32_pool_gives_the_float64_codebook(self, n, subsample):
