@@ -96,6 +96,8 @@ class BovwHist:
         c = np.asarray(self.counts, dtype=np.float64)
         if c.ndim != 1:
             raise InvalidParameterError("counts must be a vector")
+        if not np.all(np.isfinite(c)):
+            raise InvalidParameterError("counts must be finite")
         if np.any(c < 0):
             raise InvalidParameterError("counts must be nonnegative")
         c = np.ascontiguousarray(c)
@@ -346,6 +348,9 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
     row = sum(k for _, k in channels)
     check_payload(len(raw), off + 4 * row * n_clips, "encoded-video")
     counts = np.frombuffer(raw, dtype="<f4", count=n_clips * row, offset=off)
+    # Checked in float32: widening a signalling NaN would warn.
+    if not np.all(np.isfinite(counts)):
+        raise FormatError("encoded-video counts must be finite")
     counts = counts.astype(np.float64).reshape(n_clips, row)
     bounds = np.cumsum([0] + [k for _, k in channels])
     spans = [(ch, lo, hi) for (ch, _), lo, hi in zip(channels, bounds[:-1], bounds[1:])]

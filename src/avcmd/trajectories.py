@@ -25,9 +25,9 @@ supplies the gradients that score sampling nodes (the flow's structure
 tensor with a 3x3 window) and feed hog, and the integral histograms are
 float32. Orientations are binned by sign and magnitude comparisons, not by
 a float32 angle, so a gradient on a bin edge gets the bin of its exact
-angle. `track` returns float64 trajectory points and descriptors; IGTF
-stores them as float32, and `read_features` hands back those float32
-values as they are stored.
+angle. `track` computes trajectory points and descriptors in float64 and
+rounds them once to float32, the values IGTF stores, so `read_features`
+hands back exactly the set that `write_features` was given.
 
 Trajectories travel as one columnar `TrajectorySet`: start frames (N,),
 point paths (N, 16, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
@@ -83,48 +83,67 @@ class TrackerParams:
 
 
 class Trajectory(NamedTuple):
-    """One row of a `TrajectorySet`; the arrays are views into the set, in its dtype."""
+    """One row of a `TrajectorySet`; the arrays are float32 views into the set."""
 
     start_frame: int
-    points: np.ndarray    # (L+1, 2) float32 or float64, columns (x, y)
+    points: np.ndarray    # (L+1, 2), columns (x, y)
     traj: np.ndarray      # (30,)
     hog: np.ndarray       # (96,)
     hof: np.ndarray       # (108,)
     mbh: np.ndarray       # (192,)
 
 
+# float64 magnitudes from here up round to float32 inf: FLT_MAX plus half its ulp.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+def _as_float32(a: np.ndarray, what: str) -> np.ndarray:
+    """`a` rounded once to float32, or kept without a copy if it is float32.
+
+    Every value must be finite in float32. The check comes before any cast,
+    so none warns; widening a float32 signalling NaN would warn too.
+    """
+    if a.dtype == np.float32:
+        finite = np.isfinite(a)
+    else:
+        finite = np.abs(a.astype(np.float64, copy=False)) < _FLOAT32_OVERFLOW
+    if not finite.all():
+        raise InvalidParameterError(f"trajectory {what} must be finite in float32")
+    return a.astype(np.float32, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
     """N trajectories as columns; traj, hog, hof and mbh are slices of desc.
 
-    `points` and `desc` each keep a float32 or float64 input as it is, so
-    `track`'s float64 sets and the float32 sets read from IGTF are not
-    converted; any other input becomes float64.
+    `points` and `desc` hold the float32 values IGTF stores: other input is
+    rounded once, as `write_features` rounds, and float32 input is kept as
+    it is. Start frames must fit IGTF's u4 field, so every set has the one
+    IGTF form that reads back equal to it.
     """
 
-    start: np.ndarray   # (N,) start frames
-    points: np.ndarray  # (N, L+1, 2) float32 or float64, columns (x, y); L = 15
-    desc: np.ndarray    # (N, 426) float32 or float64, traj | hog | hof | mbh
+    start: np.ndarray   # (N,) start frames in [0, 2**32)
+    points: np.ndarray  # (N, L+1, 2) float32, columns (x, y); L = 15
+    desc: np.ndarray    # (N, 426) float32, traj | hog | hof | mbh
 
     def __post_init__(self):
         start = np.asarray(self.start, dtype=np.intp)
-        points, desc = (
-            a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
-            for a in (np.asarray(self.points), np.asarray(self.desc))
-        )
+        points, desc = np.asarray(self.points), np.asarray(self.desc)
         if start.ndim != 1 or points.shape != (len(start), TrackerParams.traj_len + 1, 2):
             raise InvalidParameterError(
                 f"a trajectory set needs (N,) start frames and (N, {TrackerParams.traj_len + 1}, 2) points"
             )
         if desc.shape != (len(start), DESC_DIM):
             raise InvalidParameterError(f"a trajectory set needs (N, {DESC_DIM}) descriptors")
+        if len(start) and not (start.min() >= 0 and start.max() < 2**32):
+            raise InvalidParameterError("start frames must lie in [0, 2**32)")
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "desc", desc)
+        object.__setattr__(self, "points", _as_float32(points, "points"))
+        object.__setattr__(self, "desc", _as_float32(desc, "descriptors"))
 
     @classmethod
     def empty(cls) -> "TrajectorySet":
-        return cls(np.empty(0, dtype=np.intp), np.empty((0, TrackerParams.traj_len + 1, 2)), np.empty((0, DESC_DIM)))
+        return cls([], np.empty((0, TrackerParams.traj_len + 1, 2), np.float32), np.empty((0, DESC_DIM), np.float32))
 
     traj = property(lambda self: self.desc[:, :TRAJ_DIM])
     hog = property(lambda self: self.desc[:, TRAJ_DIM : TRAJ_DIM + HOG_DIM])
@@ -380,7 +399,9 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
 
     Returns an empty result with `too_short` set when the clip has fewer than
     traj_len + 1 frames. Output ordering is deterministic: trajectories are
-    sorted by (start_frame, x0, y0).
+    sorted by (start_frame, x0, y0). Points and descriptors are computed in
+    float64 and rounded once to float32 when the set is built, so writing
+    the set to IGTF and reading it back gives it back unchanged.
     """
     L = params.traj_len
     n_frames = len(clip)

@@ -287,4 +287,5 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     order = np.lexsort((paths[:, 0, 1], paths[:, 0, 0], starts))
     starts, paths = starts[order], paths[order]
     hog, hof, mbh = describe_batch(starts, paths, grads, flows, params)
+    # The set rounds the float64 points and descriptors once to float32, as in `track`.
     return TrackResult(TrajectorySet(starts, paths, np.hstack([descriptor_traj(paths), hog, hof, mbh])))

@@ -8,13 +8,13 @@ import pytest
 
 from avcmd.audio import save_template_manifest
 from avcmd.cli import _CHANNEL_FILES, main
-from avcmd.container import Annotation, write_annotations, write_clip
+from avcmd.container import Annotation, read_clip, write_annotations, write_clip
 from avcmd.encoding import CHANNEL_ORDER, BovwHist, Channel, Codebook, write_codebook, write_encoded
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.gesture import channel_matrices, train_codebooks
 from avcmd.mfcc import wav_write
 from avcmd.session import read_session_log
-from avcmd.trajectories import DESC_DIM, TrackerParams, TrajectorySet, read_features, write_features
+from avcmd.trajectories import DESC_DIM, TrackerParams, TrajectorySet, read_features, track, write_features
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,19 @@ class TestPipelineCommands:
         per_clip = [
             {ch: np.array(m, dtype=np.float64) for ch, m in channel_matrices(
                 read_features(workspace / "features" / (Path(r["clip"]).stem + ".igtf"))).items()}
+            for r in rows
+        ]
+        for ch, book in train_codebooks(per_clip, k=12, seed=0, subsample=5000).items():
+            write_codebook(tmp_path / _CHANNEL_FILES[ch], book)
+            assert (tmp_path / _CHANNEL_FILES[ch]).read_bytes() == (
+                workspace / "codebooks" / _CHANNEL_FILES[ch]).read_bytes()
+
+    def test_codebook_from_extracted_features_equals_training_on_track_output(self, workspace, tmp_path):
+        # `track` returns the float32 values IGTF stores, so codebooks trained
+        # in memory on its sets equal those of `extract` -> `codebook`.
+        rows = [json.loads(line) for line in (workspace / "annotations.jsonl").read_text().splitlines()]
+        per_clip = [
+            channel_matrices(track(read_clip(workspace / "clips" / (Path(r["clip"]).stem + ".igsc"))).trajectories)
             for r in rows
         ]
         for ch, book in train_codebooks(per_clip, k=12, seed=0, subsample=5000).items():

@@ -422,6 +422,23 @@ class TestEncodedVideoIO:
         for hists in back:
             for ch, h in hists.items():
                 assert h.channel == ch and h.counts.ndim == 1
+                assert np.all(np.isfinite(h.counts)) and np.all(h.counts >= 0)
+
+    @pytest.mark.parametrize(
+        "bits", [0x7F800001, 0x7FC00000, 0x7F800000, 0xFF800000], ids=["snan", "nan", "inf", "-inf"]
+    )
+    def test_non_finite_counts_are_a_format_error(self, tmp_path, bits):
+        # the last clip's last count
+        p, raw = self._file(tmp_path)
+        p.write_bytes(raw[:-4] + struct.pack("<I", bits))
+        with pytest.raises(FormatError, match="finite"):
+            read_encoded(p)
+
+    def test_bovw_hist_refuses_non_finite_counts(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                BovwHist(counts=np.array([1.0, bad]), channel=Channel.HOG)
+        assert BovwHist(counts=np.array([0.5, 2.5]), channel=Channel.HOG).counts.sum() == 3.0
 
 
 class TestSinglePathsAgainstReference:

@@ -66,7 +66,7 @@ class TestDescriptorExtraction:
         assert {ch: m.shape for ch, m in empty.items()} == {
             Channel.TRAJ: (0, 30), Channel.HOG: (0, 96), Channel.HOF: (0, 108), Channel.MBH: (0, 192)
         }
-        assert all(m.dtype == np.float64 for m in (*mats.values(), *empty.values()))
+        assert all(m.dtype == np.float32 for m in (*mats.values(), *empty.values()))
 
 
 class TestTrainingRecipe:

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -292,17 +293,57 @@ class TestTrajectorySet:
                 assert np.array_equal(getattr(row, name), getattr(s, name)[i])
         assert not TrajectorySet.empty() and len(TrajectorySet.empty()) == 0
 
-    def test_float32_and_float64_are_kept_and_other_input_becomes_float64(self):
+    def test_input_is_rounded_to_float32_and_float32_is_kept(self):
         s = TestFeatureDump()._trajs(n=3)
-        for dtype in (np.float32, np.float64):
-            points, desc = s.points.astype(dtype), s.desc.astype(dtype)
-            kept = TrajectorySet(s.start, points, desc)
-            assert kept.points.dtype == dtype and kept.desc.dtype == dtype
-            assert kept.points is points and kept.desc is desc
-            assert all(getattr(row, name).dtype == dtype for row in kept for name in ("points", "hog"))
-        widened = TrajectorySet(s.start, np.rint(s.points).astype(np.int32), np.ones((3, 426), dtype=np.int64))
-        assert widened.points.dtype == np.float64 and widened.desc.dtype == np.float64
-        assert np.array_equal(widened.points, np.rint(s.points))
+        assert s.points.dtype == np.float32 and s.desc.dtype == np.float32
+        kept = TrajectorySet(s.start, s.points, s.desc)
+        assert kept.points is s.points and kept.desc is s.desc
+        assert all(getattr(row, name).dtype == np.float32 for row in kept for name in ("points", "hog"))
+        rng = np.random.default_rng(3)
+        points64, desc64 = rng.normal(20.0, 5.0, (3, 16, 2)), rng.random((3, 426))
+        rounded = TrajectorySet(s.start, points64, desc64)
+        assert np.array_equal(rounded.points, points64.astype(np.float32))
+        assert np.array_equal(rounded.desc, desc64.astype(np.float32))
+        ints = TrajectorySet(s.start, np.rint(points64).astype(np.int32), np.ones((3, 426), dtype=np.int64))
+        assert ints.points.dtype == np.float32 and ints.desc.dtype == np.float32
+        assert np.array_equal(ints.points, np.rint(points64))
+        empty = TrajectorySet.empty()
+        assert empty.points.dtype == np.float32 and empty.desc.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "start,point,match",
+        [
+            (-1, 20.0, "start frames"),
+            (2**32 + 5, 20.0, "start frames"),
+            (0, 1e39, "points must be finite"),
+            (0, np.nan, "points must be finite"),
+        ],
+    )
+    def test_what_igtf_cannot_store_is_refused_without_a_warning(self, start, point, match):
+        s = TestFeatureDump()._trajs(n=3)
+        points = s.points.astype(np.float64)
+        points[1, 4, 0] = point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=match):
+                TrajectorySet([0, start, 2], points, s.desc)
+
+    def test_float32_bound_is_where_the_cast_overflows(self):
+        s = TestFeatureDump()._trajs(n=1)
+        fmax = float(np.finfo(np.float32).max)
+        below, limit = np.nextafter(trajectories._FLOAT32_OVERFLOW, 0.0), trajectories._FLOAT32_OVERFLOW
+        assert fmax < below < limit
+        desc = s.desc.astype(np.float64)
+        desc[0, 40] = -below
+        assert TrajectorySet(s.start, s.points, desc).desc[0, 40] == -fmax
+        for bad in (limit, -np.inf, np.nan):
+            desc[0, 40] = bad
+            with pytest.raises(InvalidParameterError, match="descriptors must be finite"):
+                TrajectorySet(s.start, s.points, desc)
+        stored = s.desc.copy()
+        stored[0, 7] = np.inf
+        with pytest.raises(InvalidParameterError, match="descriptors must be finite"):
+            TrajectorySet(s.start, s.points, stored)
 
     def test_batched_path_functions_equal_per_path_calls(self):
         rng = np.random.default_rng(8)
@@ -310,13 +351,16 @@ class TestTrajectorySet:
         paths[::7, 9:] += rng.uniform(-60, 60, size=(58, 1, 2))  # some jumps
         paths[::11] = np.rint(paths[::11])
         tracked = track(moving_block_clip()).trajectories.points
+        assert tracked.dtype == np.float32
         for p in (paths, tracked):
             static, erratic = is_static(p, P.sigma_min), is_erratic(p, P.erratic_frac)
             traj = descriptor_traj(p)
+            # The batched functions widen float32 paths; the per-path forms get them widened.
+            wide = p.astype(np.float64)
             for i in range(len(p)):
-                assert static[i] == ref.is_static(p[i], P.sigma_min)
-                assert erratic[i] == ref.is_erratic(p[i], P.erratic_frac)
-                assert np.array_equal(traj[i], ref.descriptor_traj(p[i]))
+                assert static[i] == ref.is_static(wide[i], P.sigma_min)
+                assert erratic[i] == ref.is_erratic(wide[i], P.erratic_frac)
+                assert np.array_equal(traj[i], ref.descriptor_traj(wide[i]))
         assert descriptor_traj(np.empty((0, 16, 2))).shape == (0, 30)
 
 
@@ -612,18 +656,16 @@ class TestFeatureBytes:
 
     def test_read_back_is_the_float32_cast(self, tmp_path):
         trajs = track(moving_block_clip()).trajectories
+        assert trajs
         write_features(tmp_path / "f.igtf", trajs)
         back = read_features(tmp_path / "f.igtf")
-        assert trajs.points.dtype == np.float64 and trajs.desc.dtype == np.float64
+        assert trajs.points.dtype == np.float32 and trajs.desc.dtype == np.float32
         assert back.points.dtype == np.float32 and back.desc.dtype == np.float32
         assert not back.points.flags.writeable and not back.desc.flags.writeable
         # interleaved fields of the file's one record buffer, not copies
         assert np.may_share_memory(back.points, back.desc)
-        for a, b in zip(trajs, back):
-            assert a.start_frame == b.start_frame
-            assert np.array_equal(a.points.astype(np.float32), b.points)
-            for name in ("traj", "hog", "hof", "mbh"):
-                assert np.array_equal(getattr(a, name).astype(np.float32), getattr(b, name))
+        for name in ("start", "points", "desc"):
+            assert np.array_equal(getattr(trajs, name), getattr(back, name)), name
 
 
 class TestFeatureFileIsTotal:
