@@ -35,7 +35,11 @@ CODEBOOK_MAGIC = b"IGCB"
 CODEBOOK_VERSION = 1
 _CODEBOOK_HEADER = struct.Struct("<4sHBIIQ")
 
-_ASSIGN_CHUNK = 16384  # rows per nearest-centroid block, bounds memory
+# Rows per nearest-centroid block: bounds the (rows, K) distance block.
+_ASSIGN_CHUNK = 16384
+# Rows per block of the one-time squared-norm pass; much smaller than a pool,
+# so no temporary the size of the pool is made.
+_SQ_NORM_BLOCK = 1024
 
 # Descriptors a codebook is learned on at most; larger pools are thinned.
 DESCRIPTOR_SUBSAMPLE = 100_000
@@ -87,7 +91,7 @@ class Codebook:
 
 @dataclass(frozen=True)
 class BovwHist:
-    """Raw visual-word counts; normalization is derived on demand."""
+    """Raw visual-word counts, non-negative integers; normalization is derived on demand."""
 
     counts: np.ndarray
     channel: Channel
@@ -100,6 +104,8 @@ class BovwHist:
             raise InvalidParameterError("counts must be finite")
         if np.any(c < 0):
             raise InvalidParameterError("counts must be nonnegative")
+        if np.any(c != np.floor(c)):
+            raise InvalidParameterError("counts must be integers")
         c = np.ascontiguousarray(c)
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
@@ -118,19 +124,30 @@ def _l1_rows(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # k-means
 
-def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    d = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """`(x * x).sum(axis=1)`, bit for bit, in blocks of `_SQ_NORM_BLOCK` rows:
+    each row is summed on its own, so the blocking changes no bit."""
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], _SQ_NORM_BLOCK):
+        blk = x[lo : lo + _SQ_NORM_BLOCK]
+        out[lo : lo + _SQ_NORM_BLOCK] = (blk * blk).sum(axis=1)
+    return out
+
+
+def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of x to those of c; `x_sq` is `_sq_norms(x)`."""
+    d = x_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
     return np.maximum(d, 0.0)
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row (ties to the lowest index) and the distance."""
     n = x.shape[0]
     labels = np.empty(n, dtype=np.intp)
     dists = np.empty(n)
     for lo in range(0, n, _ASSIGN_CHUNK):
         hi = min(lo + _ASSIGN_CHUNK, n)
-        d = _pairwise_sq_dists(x[lo:hi], centroids)
+        d = _pairwise_sq_dists(x[lo:hi], centroids, x_sq[lo:hi])
         labels[lo:hi] = d.argmin(axis=1)
         dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
     return labels, dists
@@ -144,11 +161,11 @@ def _cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    closest = _pairwise_sq_dists(x, centroids[:1]).ravel()
+    closest = _pairwise_sq_dists(x, centroids[:1], x_sq).ravel()
     for i in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -158,7 +175,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         probs = closest / total
         idx = rng.choice(n, p=probs)
         centroids[i] = x[idx]
-        closest = np.minimum(closest, _pairwise_sq_dists(x, centroids[i : i + 1]).ravel())
+        closest = np.minimum(closest, _pairwise_sq_dists(x, centroids[i : i + 1], x_sq).ravel())
     return centroids
 
 
@@ -190,10 +207,11 @@ def train_codebook(
     if x.shape[0] < k:
         raise InvalidParameterError(f"need at least {k} descriptors, got {x.shape[0]}")
 
-    centroids = _kmeans_pp_init(x, k, rng)
+    x_sq = _sq_norms(x)
+    centroids = _kmeans_pp_init(x, k, rng, x_sq)
     prev_inertia = np.inf
     for _ in range(max_iter):
-        labels, dists = _assign(x, centroids)
+        labels, dists = _assign(x, centroids, x_sq)
         inertia = float(dists.sum())
         counts = np.bincount(labels, minlength=k).astype(np.float64)
         sums = _cluster_sums(x, labels, k)
@@ -223,7 +241,7 @@ def bovw_encode(descriptors: np.ndarray, codebook: Codebook) -> BovwHist:
             raise InvalidParameterError(
                 f"descriptor dim {x.shape[-1] if x.ndim == 2 else '?'} does not match codebook dim {codebook.dim}"
             )
-        labels, _ = _assign(x, codebook.centroids.astype(np.float64))
+        labels, _ = _assign(x, codebook.centroids.astype(np.float64), _sq_norms(x))
         counts = np.bincount(labels, minlength=codebook.k).astype(np.float64)
     return BovwHist(counts=counts, channel=codebook.channel)
 
@@ -308,6 +326,8 @@ def multichannel_gram(
 ENCODED_MAGIC = b"IGEV"
 ENCODED_VERSION = 1
 _ENCODED_HEADER = struct.Struct("<4sHIB")
+# The largest count float32 stores with every smaller integer: 2**24 + 1 is not representable.
+_MAX_ENCODED_COUNT = 2**24
 
 
 def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> None:
@@ -319,6 +339,8 @@ def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> Non
         raise InvalidParameterError("clips need at least one channel, each with at least one bin")
     if any(layout(hists) != table for hists in clips):
         raise InvalidParameterError("all clips must share the same channels and histogram sizes")
+    if any(h.counts.max() > _MAX_ENCODED_COUNT for hists in clips for h in hists.values()):
+        raise InvalidParameterError(f"counts above {_MAX_ENCODED_COUNT} are not stored exactly in float32")
     with open(path, "wb") as fh:
         fh.write(_ENCODED_HEADER.pack(ENCODED_MAGIC, ENCODED_VERSION, len(clips), len(table)))
         for ch, k in table:
@@ -348,9 +370,9 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
     row = sum(k for _, k in channels)
     check_payload(len(raw), off + 4 * row * n_clips, "encoded-video")
     counts = np.frombuffer(raw, dtype="<f4", count=n_clips * row, offset=off)
-    # Checked in float32: widening a signalling NaN would warn.
-    if not np.all(np.isfinite(counts)):
-        raise FormatError("encoded-video counts must be finite")
+    # Checked in float32, before any BovwHist: widening a signalling NaN would warn.
+    if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and np.array_equal(counts, np.floor(counts))):
+        raise FormatError("encoded-video counts must be finite non-negative integers")
     counts = counts.astype(np.float64).reshape(n_clips, row)
     bounds = np.cumsum([0] + [k for _, k in channels])
     spans = [(ch, lo, hi) for (ch, _), lo, hi in zip(channels, bounds[:-1], bounds[1:])]

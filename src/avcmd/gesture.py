@@ -133,10 +133,14 @@ def train_codebooks(
     seed: int,
     subsample: int | None = DESCRIPTOR_SUBSAMPLE,
 ) -> dict[Channel, Codebook]:
-    """One codebook per channel on the pooled descriptors; channel i uses seed + i."""
+    """One codebook per channel on the pooled descriptors; channel i uses seed + i.
+
+    Each pool is stacked straight into float64, the dtype k-means runs in, so
+    `train_codebook` keeps it without a second copy.
+    """
     return {
         ch: train_codebook(
-            np.vstack([d[ch] for d in per_clip_descriptors if d[ch].shape[0]]),
+            np.vstack([d[ch] for d in per_clip_descriptors if d[ch].shape[0]], dtype=np.float64),
             k=k,
             seed=seed + offset,
             channel=ch,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ def smooth_texture(height: int, width: int, seed: int, lo: int = 20, hi: int = 2
     img -= img.min()
     img /= max(img.max(), 1e-12)
     return (lo + img * (hi - lo)).astype(np.uint8)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc, which sees numpy's buffers, records during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

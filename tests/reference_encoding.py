@@ -9,6 +9,12 @@ binomial blur and its one renderer of a gray and a log-depth frame, and the
 one-histogram L1 normalization `BovwHist` had beside the row-wise one. The
 merged code must reproduce them bit for bit; the tests compare with
 `np.array_equal` and `==`.
+
+The k-means oracle is the form that recomputed the pool's squared norms
+`(x * x).sum(axis=1)` on every distance call: k times on the whole pool in
+k-means++ and once per `_ASSIGN_CHUNK` block in every Lloyd iteration. The
+encoding layer now computes them once per pool, and must give the same
+centroids and the same assignments.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from avcmd.detector import ActivityDetector, activity_score, segments_from_events
+from avcmd.encoding import _ASSIGN_CHUNK, KMEANS_RTOL, Channel, Codebook, _cluster_sums
 from avcmd.errors import DegenerateInputError, InvalidParameterError
 from avcmd.frames import log_depth, to_grayscale
 from avcmd.synth import D_MAX, _paint
@@ -110,3 +117,64 @@ def render(world, cx: float, cy: float, rng: np.random.Generator, noise_sigma: f
 def l1_normalized(counts: np.ndarray) -> np.ndarray:
     total = float(counts.sum())
     return counts / total if total > 0 else counts.copy()
+
+
+def pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    d = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
+    return np.maximum(d, 0.0)
+
+
+def assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = x.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    dists = np.empty(n)
+    for lo in range(0, n, _ASSIGN_CHUNK):
+        hi = min(lo + _ASSIGN_CHUNK, n)
+        d = pairwise_sq_dists(x[lo:hi], centroids)
+        labels[lo:hi] = d.argmin(axis=1)
+        dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
+    return labels, dists
+
+
+def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    closest = pairwise_sq_dists(x, centroids[:1]).ravel()
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centroids[i:] = x[rng.choice(n, size=k - i, replace=False)]
+            break
+        probs = closest / total
+        idx = rng.choice(n, p=probs)
+        centroids[i] = x[idx]
+        closest = np.minimum(closest, pairwise_sq_dists(x, centroids[i : i + 1]).ravel())
+    return centroids
+
+
+def train_codebook(descriptors, k: int, seed: int, channel=Channel.TRAJ, max_iter: int = 100,
+                   subsample: int | None = None) -> Codebook:
+    x = np.asarray(descriptors, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    if subsample is not None and x.shape[0] > subsample:
+        keep = rng.choice(x.shape[0], size=subsample, replace=False)
+        keep.sort()
+        x = x[keep]
+    centroids = kmeans_pp_init(x, k, rng)
+    prev_inertia = np.inf
+    for _ in range(max_iter):
+        labels, dists = assign(x, centroids)
+        inertia = float(dists.sum())
+        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        sums = _cluster_sums(x, labels, k)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        if np.any(~nonempty):
+            order = np.argsort(dists)[::-1]
+            for slot, point in zip(np.flatnonzero(~nonempty), order):
+                centroids[slot] = x[point]
+        if prev_inertia < np.inf and prev_inertia - inertia < KMEANS_RTOL * max(prev_inertia, 1e-12):
+            break
+        prev_inertia = inertia
+    return Codebook(channel=channel, centroids=centroids.astype(np.float32), seed=seed)

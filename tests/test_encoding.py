@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_encoding as ref
+from conftest import traced_peak
 from avcmd.encoding import (
+    _ASSIGN_CHUNK,
+    _SQ_NORM_BLOCK,
     CHANNEL_ORDER,
     BovwHist,
     Channel,
@@ -20,7 +23,10 @@ from avcmd.encoding import (
     chi2_distance_matrix,
     cross_gram,
     multichannel_gram,
+    _assign,
     _l1_rows,
+    _pairwise_sq_dists,
+    _sq_norms,
     read_codebook,
     read_encoded,
     train_codebook,
@@ -114,6 +120,56 @@ class TestKmeans:
         assert got.content_hash() == want.content_hash()
 
 
+class TestKmeansAgainstReference:
+    """Squared norms computed once per pool give the per-call ones bit for bit."""
+
+    POOL_ROWS = (1, _SQ_NORM_BLOCK - 1, _SQ_NORM_BLOCK, _SQ_NORM_BLOCK + 1, _ASSIGN_CHUNK + 1)
+
+    @pytest.mark.parametrize("thin", [False, True], ids=["whole", "subsampled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", POOL_ROWS)
+    def test_codebook_equals_reference(self, n, dtype, thin):
+        rng = np.random.default_rng(n)
+        pool = (rng.normal(size=(n, 7)) * 3.0).astype(dtype)
+        k = min(5, n)
+        subsample = max(k, n - n // 3) if thin else None
+        got = train_codebook(pool, k=k, seed=n, channel=Channel.HOF, subsample=subsample)
+        want = ref.train_codebook(pool, k=k, seed=n, channel=Channel.HOF, subsample=subsample)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.content_hash() == want.content_hash()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 30, 96, 192])
+    def test_sq_norms_equal_whole_matrix_sums(self, dim):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(2 * _SQ_NORM_BLOCK + 3, dim)) * 5.0
+        for view in (x, np.asfortranarray(x), x[::2], x[:, ::-1]):
+            assert np.array_equal(_sq_norms(view), (view * view).sum(axis=1))
+
+    def test_distances_and_assignment_equal_reference(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(_ASSIGN_CHUNK + 1, 11)) * 2.0
+        c = rng.normal(size=(9, 11))
+        x_sq = _sq_norms(x)
+        assert np.array_equal(_pairwise_sq_dists(x, c, x_sq), ref.pairwise_sq_dists(x, c))
+        got, want = _assign(x, c, x_sq), ref.assign(x, c)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_bovw_counts_equal_reference(self):
+        rng = np.random.default_rng(8)
+        cb = train_codebook(rng.normal(size=(400, 9)), k=12, seed=2)
+        x = rng.normal(size=(_ASSIGN_CHUNK + 7, 9)).astype(np.float32)
+        labels, _ = ref.assign(x.astype(np.float64), cb.centroids.astype(np.float64))
+        assert np.array_equal(bovw_encode(x, cb).counts, np.bincount(labels, minlength=cb.k).astype(np.float64))
+
+
+class TestKmeansMemory:
+    def test_no_temporary_the_size_of_the_pool(self):
+        # A per-call (x * x) copy alone is the pool's size.
+        pool = np.random.default_rng(0).normal(size=(20_000, 64))
+        peak = traced_peak(lambda: train_codebook(pool, k=16, seed=0, max_iter=3))
+        assert peak < 0.75 * pool.nbytes
+
+
 class TestBovw:
     def _codebook(self, centroids, channel=Channel.HOG):
         return Codebook(channel=channel, centroids=np.asarray(centroids, dtype=np.float32), seed=0)
@@ -204,7 +260,7 @@ class TestMultichannelKernel:
         for _ in range(n):
             sample = {}
             for ch in CHANNEL_ORDER:
-                c = rng.random(k) * 10
+                c = rng.integers(0, 10, size=k).astype(np.float64)
                 sample[ch] = BovwHist(counts=c, channel=ch)
             out.append(sample)
         return out
@@ -425,10 +481,12 @@ class TestEncodedVideoIO:
                 assert np.all(np.isfinite(h.counts)) and np.all(h.counts >= 0)
 
     @pytest.mark.parametrize(
-        "bits", [0x7F800001, 0x7FC00000, 0x7F800000, 0xFF800000], ids=["snan", "nan", "inf", "-inf"]
+        "bits",
+        [0x7F800001, 0x7FC00000, 0x7F800000, 0xFF800000, 0x40200000, 0xBF800000],
+        ids=["snan", "nan", "inf", "-inf", "2.5", "-1"],
     )
     def test_non_finite_counts_are_a_format_error(self, tmp_path, bits):
-        # the last clip's last count
+        # the last clip's last count: not finite, not an integer, or negative
         p, raw = self._file(tmp_path)
         p.write_bytes(raw[:-4] + struct.pack("<I", bits))
         with pytest.raises(FormatError, match="finite"):
@@ -438,7 +496,20 @@ class TestEncodedVideoIO:
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidParameterError, match="finite"):
                 BovwHist(counts=np.array([1.0, bad]), channel=Channel.HOG)
-        assert BovwHist(counts=np.array([0.5, 2.5]), channel=Channel.HOG).counts.sum() == 3.0
+        assert BovwHist(counts=np.array([1.0, 2.0]), channel=Channel.HOG).counts.sum() == 3.0
+
+    def test_bovw_hist_refuses_non_integer_counts(self):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            BovwHist(counts=np.array([1.0, 2.5]), channel=Channel.HOG)
+
+    def test_counts_above_float32_exact_range_are_refused(self, tmp_path):
+        p = tmp_path / "big.igev"
+        top = {Channel.HOG: BovwHist(counts=np.array([2.0**24, 1.0]), channel=Channel.HOG)}
+        write_encoded(p, [top])
+        assert np.array_equal(read_encoded(p)[0][Channel.HOG].counts, top[Channel.HOG].counts)
+        over = {Channel.HOG: BovwHist(counts=np.array([2.0**24 + 1, 1.0]), channel=Channel.HOG)}
+        with pytest.raises(InvalidParameterError, match="float32"):
+            write_encoded(p, [top, over])
 
 
 class TestSinglePathsAgainstReference:
@@ -501,7 +572,8 @@ class TestSinglePathsAgainstReference:
 
     def test_kernel_is_one_entry_of_cross_gram(self, rng):
         samples = [
-            {ch: BovwHist(counts=rng.random(6) * 10, channel=ch) for ch in CHANNEL_ORDER}
+            {ch: BovwHist(counts=rng.integers(0, 10, size=6).astype(np.float64), channel=ch)
+             for ch in CHANNEL_ORDER}
             for _ in range(2)
         ]
         means = {ch: 0.3 + 0.1 * int(ch) for ch in CHANNEL_ORDER}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_encoding as ref
+from conftest import traced_peak
 from avcmd.encoding import (
     CHANNEL_ORDER,
     Channel,
@@ -90,6 +91,19 @@ class TestTrainingRecipe:
             pool = np.vstack([d[ch] for d in per_clip if d[ch].shape[0]])
             want = train_codebook(pool, k=5, seed=11 + offset, channel=ch, subsample=40)
             assert books[ch].content_hash() == want.content_hash()
+
+    def test_each_pool_is_held_once_in_float64(self):
+        # 16 separated blobs, so k-means converges in a few iterations.
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(16, 64)) * 20.0
+        per_clip = [
+            {ch: (centers[rng.integers(16, size=500)] + rng.normal(size=(500, 64))).astype(np.float32)
+             for ch in CHANNEL_ORDER}
+            for _ in range(40)
+        ]
+        pool_bytes = 40 * 500 * 64 * 8
+        peak = traced_peak(lambda: train_codebooks(per_clip, k=16, seed=0))
+        assert peak < 1.75 * pool_bytes
 
     def test_bovw_model_equals_written_out_recipe(self):
         per_clip, labels = self._corpus()

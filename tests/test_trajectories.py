@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcmd import trajectories
 from avcmd.errors import (
@@ -718,6 +720,26 @@ class TestFeatureFileIsTotal:
             with pytest.raises(FormatError) as err:
                 read_features(path)
             assert not isinstance(err.value, TruncatedPayloadError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips_read_or_raise(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("igtf") / "f.igtf"
+        write_features(path, TestFeatureDump()._trajs(n=2))
+        flipped = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(flipped) - 1))
+            flipped[pos] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(flipped))
+        try:
+            back = read_features(path)
+        except AvcmdError:
+            return
+        assert isinstance(back, TrajectorySet)
+        n = len(back)
+        assert back.start.shape == (n,) and back.points.shape == (n, P.traj_len + 1, 2)
+        assert back.desc.shape == (n, TRAJ_DIM + HOG_DIM + HOF_DIM + MBH_DIM)
+        assert np.all(np.isfinite(back.points)) and np.all(np.isfinite(back.desc))
 
     def test_version_1_is_refused(self, tmp_path):
         path = tmp_path / "v1.igtf"
