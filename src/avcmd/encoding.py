@@ -43,8 +43,10 @@ _SQ_NORM_BLOCK = 1024
 
 # Descriptors a codebook is learned on at most; larger pools are thinned.
 DESCRIPTOR_SUBSAMPLE = 100_000
-# Lloyd iterations stop once inertia improves by less than this fraction.
+# Lloyd iterations stop once inertia improves by less than this fraction,
+# or after KMEANS_MAX_ITER of them.
 KMEANS_RTOL = 1e-4
+KMEANS_MAX_ITER = 100
 
 
 class Channel(IntEnum):
@@ -184,13 +186,12 @@ def train_codebook(
     k: int,
     seed: int,
     channel: Channel = Channel.TRAJ,
-    max_iter: int = 100,
     subsample: int | None = DESCRIPTOR_SUBSAMPLE,
 ) -> Codebook:
     """Seeded k-means++ followed by Lloyd iterations.
 
     Runs until the relative inertia improvement drops below `KMEANS_RTOL` or
-    `max_iter` iterations. Deterministic for a fixed seed. Descriptor sets
+    for `KMEANS_MAX_ITER` iterations. Deterministic for a fixed seed. Descriptor sets
     larger than `subsample` are thinned with the same seeded generator before
     clustering.
     """
@@ -210,7 +211,7 @@ def train_codebook(
     x_sq = _sq_norms(x)
     centroids = _kmeans_pp_init(x, k, rng, x_sq)
     prev_inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         labels, dists = _assign(x, centroids, x_sq)
         inertia = float(dists.sum())
         counts = np.bincount(labels, minlength=k).astype(np.float64)
@@ -318,10 +319,11 @@ def multichannel_gram(
 
 # ---------------------------------------------------------------------------
 # encoded-video file: magic, version u16, clip count u32, channel count u8,
-# per channel (tag u8, K u32); then per clip, per channel, raw counts f32.
-# Clip order matches the annotation sidecar the file was produced from. With
-# clips there is a channel and every K >= 1, so the payload, exactly
-# clips x sum(4 K) bytes, bounds the declared clip count.
+# per channel (tag u8, K u32) in increasing tag order; then per clip, per
+# channel, raw counts f32. Clip order matches the annotation sidecar the file
+# was produced from. A file has channels exactly when it has clips, and every
+# K >= 1, so the payload, exactly clips x sum(4 K) bytes, bounds the declared
+# clip count.
 
 ENCODED_MAGIC = b"IGEV"
 ENCODED_VERSION = 1
@@ -354,8 +356,8 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
     raw = Path(path).read_bytes()
     n_clips, n_channels = unpack_header(raw, _ENCODED_HEADER, ENCODED_MAGIC, ENCODED_VERSION, "encoded-video")
     head = _ENCODED_HEADER.size
-    if n_clips > 0 and n_channels == 0:
-        raise FormatError(f"encoded-video file declares {n_clips} clips and no channels")
+    if (n_clips > 0) != (n_channels > 0):
+        raise FormatError(f"encoded-video file declares {n_clips} clips and {n_channels} channels")
     off = head + 5 * n_channels
     if len(raw) < off:
         raise TruncatedPayloadError("encoded-video channel table truncated")
@@ -367,12 +369,15 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
             raise FormatError(f"unknown channel tag {tag}") from None
         if k == 0:
             raise FormatError(f"channel tag {tag} declares zero bins")
+    if any(a >= b for (a, _), (b, _) in zip(channels, channels[1:])):
+        raise FormatError("encoded-video channel tags must be strictly increasing")
     row = sum(k for _, k in channels)
     check_payload(len(raw), off + 4 * row * n_clips, "encoded-video")
     counts = np.frombuffer(raw, dtype="<f4", count=n_clips * row, offset=off)
     # Checked in float32, before any BovwHist: widening a signalling NaN would warn.
-    if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and np.array_equal(counts, np.floor(counts))):
-        raise FormatError("encoded-video counts must be finite non-negative integers")
+    in_range = np.all(np.isfinite(counts)) and np.all((counts >= 0) & (counts <= _MAX_ENCODED_COUNT))
+    if not (in_range and np.array_equal(counts, np.floor(counts))):
+        raise FormatError(f"encoded-video counts must be finite integers in [0, {_MAX_ENCODED_COUNT}]")
     counts = counts.astype(np.float64).reshape(n_clips, row)
     bounds = np.cumsum([0] + [k for _, k in channels])
     spans = [(ch, lo, hi) for (ch, _), lo, hi in zip(channels, bounds[:-1], bounds[1:])]

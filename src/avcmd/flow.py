@@ -25,6 +25,11 @@ least-squares increment is solved in closed form per pixel from the first
 frame's structure tensor. Textureless pixels (small minimum eigenvalue of the
 normal matrix) receive no increment, which leaves them at the value
 interpolated from coarser levels.
+
+The recipe is fixed: a (2 `LK_RADIUS` + 1)^2 window, `LK_ITERATIONS`
+increments per level and the eigenvalue floor `MIN_EIG`. The one setting
+is the pyramid depth, which `FramePyramid` takes and `dense_flow` reads
+from the pyramids it is given.
 """
 
 from __future__ import annotations
@@ -37,8 +42,13 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# Pyramid depth of `FramePyramid` and `dense_flow`, and the tracker's default.
+# Pyramid depth of `FramePyramid`, and the tracker's default.
 PYRAMID_LEVELS = 3
+# Lucas-Kanade: the window's radius (7x7), increments per level, and the
+# minimum eigenvalue of the normal matrix below which a pixel gets none.
+LK_RADIUS = 3
+LK_ITERATIONS = 3
+MIN_EIG = 1e-3
 
 # 5-tap binomial kernel of `binomial_blur`.
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -285,14 +295,14 @@ class _Level:
     cols: np.ndarray  # (w,) column coordinates
 
     @classmethod
-    def of_stack(cls, images: np.ndarray, radius: int, min_eig: float) -> "_Level":
+    def of_stack(cls, images: np.ndarray) -> "_Level":
         """The level of a (T, h, w) float32 stack, every field built at once."""
         h, w = images.shape[1:]
         grad = _gradients(images)
-        sxx, sxy, syy, lam_min = _structure_tensor(grad.swapaxes(0, 1), radius)
+        sxx, sxy, syy, lam_min = _structure_tensor(grad.swapaxes(0, 1), LK_RADIUS)
         det = sxx * syy
         det -= sxy * sxy
-        valid = (lam_min > min_eig) & (det > 1e-12)
+        valid = (lam_min > MIN_EIG) & (det > 1e-12)
         inv_det = np.divide(1.0, det, out=np.zeros_like(det), where=valid)
         rows = np.arange(h, dtype=np.float32)[:, None]
         cols = np.arange(w, dtype=np.float32)
@@ -307,28 +317,26 @@ class FramePyramid:
     """Gaussian pyramids with per-level gradients and structure tensors.
 
     `FramePyramid(frame)` is one frame's pyramid; pass it to `dense_flow` as
-    `prev` or `nxt`, with the parameters it was built with. `FramePyramid(
-    frames)`, for a sequence of frames or a (T, h, w) array, builds the
-    pyramids of all T frames in one pass per level, and `frame(t)` is frame
-    t's pyramid as views into those stacks, bit for bit the pyramid
-    `FramePyramid(frames[t])` would build. `levels[0]` is the
-    full-resolution frame in float32, and `levels[0].grad` its stacked
-    central-difference gradients (gx, gy), which `track` also uses to sample
-    points and to build hog.
+    `prev` or `nxt`. `FramePyramid(frames)`, for a sequence of frames or a
+    (T, h, w) array, builds the pyramids of all T frames in one pass per
+    level, and `frame(t)` is frame t's pyramid as views into those stacks,
+    bit for bit the pyramid `FramePyramid(frames[t])` would build. `levels`
+    asks for the depth; a level smaller than 8 pixels on a side gets no
+    coarser one. `levels[0]` is the full-resolution frame in float32, and
+    `levels[0].grad` its stacked central-difference gradients (gx, gy),
+    which `track` also uses to sample points and to build hog.
     """
 
-    def __init__(self, frames, levels: int = PYRAMID_LEVELS, window: int = 7, min_eig: float = 1e-3):
+    def __init__(self, frames, levels: int = PYRAMID_LEVELS):
         if levels < 1:
             raise InvalidParameterError("levels must be >= 1")
         images, one = _as_float_stack(frames)
-        self.params = (levels, window, min_eig)
         self.shape = images.shape[1:]
         self.n_frames = None if one else len(images)
-        radius = max(1, window // 2)
-        self.levels = [_Level.of_stack(images, radius, min_eig)]
+        self.levels = [_Level.of_stack(images)]
         while len(self.levels) < levels and min(images.shape[1:]) >= 8:
             images = binomial_blur(images, "edge", stride=2)
-            self.levels.append(_Level.of_stack(images, radius, min_eig))
+            self.levels.append(_Level.of_stack(images))
         if one:
             self.levels = [lvl.frame(0) for lvl in self.levels]
 
@@ -342,44 +350,28 @@ class FramePyramid:
         return pyramid
 
 
-def _pyramid(frame, levels: int, window: int, min_eig: float) -> FramePyramid:
+def _pyramid(frame) -> FramePyramid:
     if not isinstance(frame, FramePyramid):
-        frame = FramePyramid(frame, levels, window, min_eig)
-    elif frame.params != (levels, window, min_eig):
-        raise InvalidParameterError(
-            f"pyramid built with (levels, window, min_eig) = {frame.params}, "
-            f"flow asked for {(levels, window, min_eig)}"
-        )
+        frame = FramePyramid(frame)
     if frame.n_frames is not None:
         raise InvalidParameterError("dense_flow takes one frame's pyramid: pass stack.frame(t)")
     return frame
 
 
-def dense_flow(
-    prev,
-    nxt,
-    levels: int = PYRAMID_LEVELS,
-    window: int = 7,
-    iterations: int = 3,
-    min_eig: float = 1e-3,
-) -> FlowField:
+def dense_flow(prev, nxt) -> FlowField:
     """Estimate dense displacement from `prev` to `nxt`.
 
-    Inputs are 2-D arrays of equal shape, such as rows of `Clip.frames`
-    (converted to float32), or one frame's `FramePyramid` each
-    (`FramePyramid(frame)` or `stack.frame(t)`) built with the same
-    `levels`, `window` and `min_eig`; `levels` is the pyramid depth
-    (>= 1). For a pure integer translation of a textured image the interior
-    median of the result matches the translation to well under a quarter
-    pixel per component.
+    Inputs are 2-D arrays of equal shape, such as rows of `Clip.frames`,
+    each converted to float32 and built into a `FramePyramid` of the
+    default depth, or one frame's pyramid each (`FramePyramid(frame,
+    levels)` or `stack.frame(t)`), used as it is. The two pyramids must
+    have the same shape and the same number of levels. For a pure integer
+    translation of a textured image the interior median of the result
+    matches the translation to well under a quarter pixel per component.
     """
-    if levels < 1:
-        raise InvalidParameterError("levels must be >= 1")
-    pa = _pyramid(prev, levels, window, min_eig)
-    pb = _pyramid(nxt, levels, window, min_eig)
-    if pa.shape != pb.shape:
-        raise InvalidParameterError("frames must share dimensions")
-    radius = max(1, window // 2)
+    pa, pb = _pyramid(prev), _pyramid(nxt)
+    if pa.shape != pb.shape or len(pa.levels) != len(pb.levels):
+        raise InvalidParameterError("frames must share dimensions and pyramid depth")
 
     u = np.zeros_like(pa.levels[-1].image)
     v = np.zeros_like(u)
@@ -394,11 +386,11 @@ def dense_flow(
         shape = la.image.shape
         sxx, sxy, neg_syy, inv_det = la.tensor
         prod = np.empty((2,) + shape, dtype=np.float32)
-        for _ in range(iterations):
+        for _ in range(LK_ITERATIONS):
             it = _interpolate(lb.padded, _bilinear_taps(shape, la.rows + v, la.cols + u))
             it -= la.image
             np.multiply(la.grad, it, out=prod)
-            sxt, syt = _box_sum(prod, radius)
+            sxt, syt = _box_sum(prod, LK_RADIUS)
             du = neg_syy * sxt
             du += sxy * syt
             du *= inv_det
@@ -406,8 +398,8 @@ def dense_flow(
             dv -= sxx * syt
             dv *= inv_det
             # A single increment larger than the window is never trustworthy.
-            np.clip(du, -radius, radius, out=du)
-            np.clip(dv, -radius, radius, out=dv)
+            np.clip(du, -LK_RADIUS, LK_RADIUS, out=du)
+            np.clip(dv, -LK_RADIUS, LK_RADIUS, out=dv)
             u += du
             v += dv
 

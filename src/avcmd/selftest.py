@@ -72,6 +72,11 @@ class CriterionResult:
 
 # Descriptors each selftest codebook is learned on at most.
 SELFTEST_SUBSAMPLE = 20_000
+# Every speech template's SNR in dB, the clips criterion 3's Gram covers at
+# most, and criterion 4's texture side in pixels and seed.
+TEMPLATE_SNR_DB = 30.0
+GRAM_CHECK_CLIPS = 50
+FLOW_CHECK_SIZE, FLOW_CHECK_SEED = 64, 7
 
 
 @dataclass
@@ -114,11 +119,11 @@ def pipeline_from_artifacts(art: GestureArtifacts) -> GesturePipeline:
     return GesturePipeline(codebooks=art.codebooks_rgb, model=model)
 
 
-def build_audio_templates(seed: int, per_command: int = 3, snr_db: float = 30.0):
+def build_audio_templates(seed: int, per_command: int = 3):
     templates: dict[int, list[MfccSeq]] = {}
     for cmd in Command:
         for i in range(per_command):
-            wave = generate_command_audio(int(cmd), seed + 17 * int(cmd) + i, snr_db)
+            wave = generate_command_audio(int(cmd), seed + 17 * int(cmd) + i, TEMPLATE_SNR_DB)
             templates.setdefault(int(cmd), []).append(mfcc(wave, 16000))
     return templates
 
@@ -169,9 +174,9 @@ def criterion_modalities(art: GestureArtifacts, rgb: float, floor: float) -> Cri
     )
 
 
-def criterion_kernel_gram(art: GestureArtifacts, n: int = 50) -> CriterionResult:
+def criterion_kernel_gram(art: GestureArtifacts) -> CriterionResult:
     """Symmetry, unit diagonal, and near-PSD of a multichannel Gram."""
-    take = min(n, art.labels.shape[0])
+    take = min(GRAM_CHECK_CLIPS, art.labels.shape[0])
     dists = {ch: d[:take, :take] for ch, d in art.dists_rgb.items()}
     means = {ch: channel_mean_distance(d) for ch, d in dists.items()}
     gram = multichannel_gram(dists, means)
@@ -187,10 +192,10 @@ def criterion_kernel_gram(art: GestureArtifacts, n: int = 50) -> CriterionResult
     )
 
 
-def criterion_flow_oracle(size: int = 64, seed: int = 7) -> CriterionResult:
+def criterion_flow_oracle() -> CriterionResult:
     """Integer translations recovered by the interior flow median."""
-    rng = np.random.default_rng(seed)
-    margin = 8
+    rng = np.random.default_rng(FLOW_CHECK_SEED)
+    size, margin = FLOW_CHECK_SIZE, 8
     tex = binomial_blur(rng.standard_normal((size + 2 * margin, size + 2 * margin)), "wrap")
     tex = ((tex - tex.min()) / (tex.max() - tex.min()) * 215 + 20).astype(np.uint8)
 

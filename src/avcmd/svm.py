@@ -7,9 +7,11 @@ whole stack of Grams such as the folds of a leave-one-out run, in a single
 loop; each problem's arithmetic is that of solving it alone, so the results
 are the same bit for bit.
 
-The trainers refuse a C that is not finite and positive, an iteration cap
-below 1 and a Gram with non-finite entries; the model reader refuses a file
-with a non-finite number or a model kind other than kernel.
+The trainers refuse a C that is not finite and positive and a Gram with
+non-finite entries. The model reader accepts only what `write_model` writes
+for a trained model: it refuses a model kind other than kernel, a
+non-finite number, a C the trainers refuse, fewer than two classes, and
+class ids or channel tags that are not strictly increasing.
 
 Prediction picks the class with the highest decision value; exact ties go to
 the lowest class id and are flagged. Raw decision values are exposed because
@@ -43,6 +45,7 @@ _MODEL_HEADER = struct.Struct("<4sHBHd")  # magic, version, kind, class count, C
 
 DEFAULT_C = 100.0
 SMO_TOL = 1e-3  # KKT gap at which a binary problem stops
+SMO_MAX_ITER = 10_000  # iterations after which a binary problem stops unconverged
 
 
 @dataclass(frozen=True)
@@ -77,30 +80,30 @@ def _solution(alpha: np.ndarray, y: np.ndarray, f: np.ndarray, c: float, iterati
     return BinarySolution(support=support, coef=alpha[support] * y[support], bias=bias, iterations=iterations)
 
 
-def _smo_solve(grams: np.ndarray, which: np.ndarray, ys: np.ndarray, c: float,
-               max_iter: int) -> list[BinarySolution]:
+def _smo_solve(grams: np.ndarray, which: np.ndarray, ys: np.ndarray, c: float) -> list[BinarySolution]:
     """Solve P binary soft-margin duals together on precomputed kernels.
 
     Problem p uses the Gram `grams[which[p]]` and the +-1 labels `ys[p]`.
     Each problem keeps f_i = sum_k alpha_k y_k K_ik and repeatedly updates its
-    maximal violating pair until its KKT gap drops below `SMO_TOL`. All active
-    problems take one step per iteration as (P,) vectors of the same scalar
-    operations, so every problem's path is the one it takes alone; a problem
-    leaves the active set at the iteration where it stops. Only the kernel
-    columns and entries a step needs are gathered.
+    maximal violating pair until its KKT gap drops below `SMO_TOL`, for at
+    most `SMO_MAX_ITER` iterations. All active problems take one step per
+    iteration as (P,) vectors of the same scalar operations, so every
+    problem's path is the one it takes alone; a problem leaves the active set
+    at the iteration where it stops. Only the kernel columns and entries a
+    step needs are gathered.
     """
     n_prob, n = ys.shape
     eps = 1e-12
     final_alpha = np.zeros((n_prob, n))
     final_f = np.zeros((n_prob, n))
-    iterations = np.full(n_prob, max_iter)
+    iterations = np.full(n_prob, SMO_MAX_ITER)
 
     act = np.arange(n_prob)
     w, y = np.asarray(which), ys
     pos = y > 0  # labels are +-1
     alpha = np.zeros((n_prob, n))
     f = np.zeros((n_prob, n))
-    for it in range(1, max_iter + 1):
+    for it in range(1, SMO_MAX_ITER + 1):
         vals = y - f  # equals -E_i; also -y_i * grad_i
         below, above = alpha < c - eps, alpha > eps
         up = np.where(pos, below, above)
@@ -194,7 +197,6 @@ def train_kernel_svm(
     gram: np.ndarray,
     labels: np.ndarray,
     c: float = DEFAULT_C,
-    max_iter: int = 10_000,
     train_hists: dict[Channel, np.ndarray] | None = None,
     channel_means: dict[Channel, float] | None = None,
     codebook_hashes: dict[Channel, str] | None = None,
@@ -206,7 +208,7 @@ def train_kernel_svm(
         raise InvalidParameterError("gram matrix must be square")
     if g.shape[0] != labels.shape[0]:
         raise InvalidParameterError("gram size and label count differ")
-    (model,) = train_kernel_svms(g[None], [labels], c=c, max_iter=max_iter)
+    (model,) = train_kernel_svms(g[None], [labels], c=c)
     return replace(
         model,
         train_hists=train_hists,
@@ -219,7 +221,6 @@ def train_kernel_svms(
     grams: np.ndarray,
     labels_per_gram,
     c: float = DEFAULT_C,
-    max_iter: int = 10_000,
 ) -> list[KernelSvmModel]:
     """One one-against-all model per Gram of a (G, n, n) stack, in one SMO solve.
 
@@ -238,8 +239,6 @@ def train_kernel_svms(
         raise InvalidParameterError("gram size and label count differ")
     if not (math.isfinite(c) and c > 0):
         raise InvalidParameterError(f"C must be finite and positive, got {c}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be an integer of at least 1, got {max_iter}")
     if not np.all(np.isfinite(g)):
         raise InvalidParameterError("gram matrix contains non-finite values")
     if not np.allclose(g, g.transpose(0, 2, 1), atol=1e-6):
@@ -248,7 +247,7 @@ def train_kernel_svms(
 
     which = np.repeat(np.arange(g.shape[0]), [cls.size for cls in classes])
     ys = np.concatenate([np.where(lab == cls[:, None], 1.0, -1.0) for lab, cls in zip(labels, classes)])
-    solutions = _smo_solve(g, which, ys, c, max_iter)
+    solutions = _smo_solve(g, which, ys, c)
     models, start = [], 0
     for cls in classes:
         models.append(
@@ -303,7 +302,14 @@ def _unpack_hashes(raw: bytes, off: int) -> tuple[dict[Channel, str], int]:
         (tag,) = struct.unpack_from("<B", raw, off)
         digest, off = _array(raw, off + 1, "u1", 32)
         hashes[_channel(tag)] = digest.tobytes().hex()
+    _in_tag_order(hashes, count, "codebook hash")
     return hashes, off
+
+
+def _in_tag_order(table: dict, count: int, what: str) -> None:
+    """Refuse a table of `count` channels unless its tags were strictly increasing."""
+    if len(table) != count or list(table) != sorted(table):
+        raise FormatError(f"{what} channel tags must be strictly increasing")
 
 
 def _finite(*values) -> None:
@@ -336,6 +342,10 @@ def read_model(path: str | Path) -> KernelSvmModel:
     if kind != KIND_KERNEL:
         raise UnsupportedVersionError(f"model kind {kind} not supported (only {KIND_KERNEL}, kernel)")
     _finite(c)
+    if c <= 0:
+        raise FormatError(f"model C must be positive, got {c}")
+    if n_classes < 2:
+        raise FormatError(f"model holds {n_classes} classes, fewer than two")
     try:
         hashes, off = _unpack_hashes(raw, _MODEL_HEADER.size)
         n_train, n_hists = _TRAIN_SET.unpack_from(raw, off)
@@ -349,6 +359,7 @@ def read_model(path: str | Path) -> KernelSvmModel:
             ch = _channel(tag)
             train_hists[ch] = h.reshape(n_train, k).astype(np.float64)
             means[ch] = a_c
+        _in_tag_order(train_hists, n_hists, "histogram")
         classes, solutions = [], []
         for _ in range(n_classes):
             cls, bias, n_sv = _CLASS_RECORD.unpack_from(raw, off)
@@ -364,6 +375,8 @@ def read_model(path: str | Path) -> KernelSvmModel:
     except struct.error:
         raise TruncatedPayloadError("model file truncated") from None
     check_payload(len(raw), off, "model")
+    if np.any(np.diff(classes) <= 0):
+        raise FormatError("model class ids must be strictly increasing")
     return KernelSvmModel(
         classes=np.asarray(classes),
         solutions=solutions,

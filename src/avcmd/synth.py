@@ -42,6 +42,8 @@ SESSION_SNR_DB = 20.0
 SESSION_NOISE_SIGMA = 3.0
 SESSION_LIMB_W, SESSION_LIMB_LEN = 18, 42
 SESSION_AMPLITUDE_SCALE = 1.3
+SESSION_GAP_FRAMES = 18     # idle frames before, between and after the steps
+SESSION_WINDOW_FRAMES = 30  # frames per step
 
 
 @dataclass(frozen=True)
@@ -266,11 +268,10 @@ def generate_corpus(
     seed: int,
     frames: int = 24,
     size: int = 96,
-    patterns: tuple[MotionPattern, ...] = GESTURE_CLASSES,
 ) -> list[GestureSample]:
     """The labeled gesture corpus: every pattern class, jittered per clip."""
     samples = []
-    for p_idx, pattern in enumerate(patterns):
+    for p_idx, pattern in enumerate(GESTURE_CLASSES):
         for i in range(clips_per_class):
             clip_seed = seed + 100_000 * p_idx + i
             jitter = np.random.default_rng(clip_seed + 7)
@@ -383,8 +384,6 @@ class SessionStreams:
 def build_session_streams(
     script: list[tuple[int, int, str]],
     seed: int,
-    gap_frames: int = 18,
-    window_frames: int = 30,
     gesture_noise: bool = False,
 ) -> SessionStreams:
     """One continuous scene realizing a command script.
@@ -401,10 +400,10 @@ def build_session_streams(
     world = _World(rng, size, base_spec)
     home = np.array([size / 2.0, size / 2.0])
 
-    total = gap_frames
+    total = SESSION_GAP_FRAMES
     plan: list[tuple[SessionStep, np.ndarray]] = []
     for step_id, command, modality in script:
-        window = (total, total + window_frames)
+        window = (total, total + SESSION_WINDOW_FRAMES)
         step = SessionStep(step_id=step_id, command=command, modality=modality, window=window)
         if modality == "A-G":
             pattern = (
@@ -413,11 +412,11 @@ def build_session_streams(
             spec = default_spec(pattern)
             if pattern != MotionPattern.BACKGROUND:
                 spec = replace(spec, amplitude=spec.amplitude * SESSION_AMPLITUDE_SCALE)
-            offsets = _limb_path(spec, window_frames, rng, start_at_home=True)
+            offsets = _limb_path(spec, SESSION_WINDOW_FRAMES, rng, start_at_home=True)
         else:
-            offsets = np.zeros((window_frames, 2))
+            offsets = np.zeros((SESSION_WINDOW_FRAMES, 2))
         plan.append((step, offsets))
-        total += window_frames + gap_frames
+        total += SESSION_WINDOW_FRAMES + SESSION_GAP_FRAMES
 
     offset_by_frame = np.zeros((total, 2))
     for step, offsets in plan:

@@ -161,7 +161,6 @@ class TrajectorySet:
 @dataclass
 class TrackResult:
     trajectories: TrajectorySet
-    too_short: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +172,13 @@ def is_static(points: np.ndarray, sigma_min: float) -> np.ndarray:
     return np.sqrt(p[..., 0].var(axis=-1) + p[..., 1].var(axis=-1)) < sigma_min
 
 
-def is_erratic(points: np.ndarray, frac: float = TrackerParams.erratic_frac) -> np.ndarray:
-    """Per path in (..., L+1, 2): does one step exceed frac of the path length?"""
+def is_erratic(points: np.ndarray) -> np.ndarray:
+    """Per path in (..., L+1, 2): does one step exceed `TrackerParams.erratic_frac`
+    of the path length?"""
     steps = np.diff(np.asarray(points, dtype=np.float64), axis=-2)
     norms = np.hypot(steps[..., 0], steps[..., 1])
     total = norms.sum(axis=-1)
-    return (total > 0.0) & (norms.max(axis=-1) > frac * total)
+    return (total > 0.0) & (norms.max(axis=-1) > TrackerParams.erratic_frac * total)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +397,8 @@ PYRAMID_BYTES_PER_PIXEL = 48
 def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     """Extract dense trajectories with descriptors from a clip.
 
-    Returns an empty result with `too_short` set when the clip has fewer than
-    traj_len + 1 frames. Output ordering is deterministic: trajectories are
+    The set is empty when the clip has fewer than traj_len + 1 frames.
+    Output ordering is deterministic: trajectories are
     sorted by (start_frame, x0, y0). Points and descriptors are computed in
     float64 and rounded once to float32 when the set is built, so writing
     the set to IGTF and reading it back gives it back unchanged.
@@ -406,7 +406,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     L = params.traj_len
     n_frames = len(clip)
     if n_frames < L + 1:
-        return TrackResult(TrajectorySet.empty(), too_short=True)
+        return TrackResult(TrajectorySet.empty())
 
     h, w = clip.height, clip.width
     half = params.tube_size // 2
@@ -441,7 +441,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     prev = next(frame_pyramids)
     spawn(0, prev.levels[0].grad)
     for t, nxt in enumerate(frame_pyramids):
-        field = dense_flow(prev, nxt, levels=params.pyramid_levels)
+        field = dense_flow(prev, nxt)
         grads.append(prev.levels[0].grad)
         flows.append((field.u, field.v))
         u_med = median_filter_3x3(field.u)
@@ -512,8 +512,9 @@ def read_features(path: str | Path) -> TrajectorySet:
     """
     raw = Path(path).read_bytes()
     count, traj_len = unpack_header(raw, _FEATURES_HEADER, FEATURES_MAGIC, FEATURES_VERSION, "feature")
-    if count and traj_len != TrackerParams.traj_len:
-        raise FormatError(f"trajectory length {traj_len}, expected {TrackerParams.traj_len}")
+    want_len = TrackerParams.traj_len if count else 0
+    if traj_len != want_len:
+        raise FormatError(f"trajectory length {traj_len}, expected {want_len}")
     check_payload(len(raw), _FEATURES_HEADER.size + count * _FEATURE_RECORD.itemsize, "feature")
     records = np.frombuffer(raw, dtype=_FEATURE_RECORD, count=count, offset=_FEATURES_HEADER.size)
     return TrajectorySet(records["start"], records["points"], records["desc"])

@@ -112,7 +112,6 @@ class FramePyramid(flow.FramePyramid):
             img = frame.data.astype(np.float32)
         else:
             img = np.asarray(frame, dtype=np.float32)
-        self.params = (levels, window, min_eig)
         self.shape = img.shape
         self.n_frames = None
         radius = max(1, window // 2)
@@ -232,7 +231,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     L = params.traj_len
     n_frames = len(clip.frames)
     if n_frames < L + 1:
-        return TrackResult(TrajectorySet.empty(), too_short=True)
+        return TrackResult(TrajectorySet.empty())
 
     h, w = clip.frames[0].shape
     half = params.tube_size // 2
@@ -255,7 +254,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     spawn(0, nxt.levels[0].grad)
     for t in range(n_frames - 1):
         prev, nxt = nxt, FramePyramid(clip.frames[t + 1], levels=params.pyramid_levels)
-        field = flow.dense_flow(prev, nxt, levels=params.pyramid_levels)
+        field = flow.dense_flow(prev, nxt)
         grads.append(prev.levels[0].grad)
         flows.append((field.u, field.v))
         u_med = median_filter_3x3(field.u)
@@ -281,7 +280,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     keep = (
         _tube_inside(paths, L, half, w, h)
         & ~is_static(paths, params.sigma_min)
-        & ~is_erratic(paths, params.erratic_frac)
+        & ~is_erratic(paths)
     )
     starts, paths = starts[keep], paths[keep]
     order = np.lexsort((paths[:, 0, 1], paths[:, 0, 0], starts))

@@ -333,7 +333,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     L = params.traj_len
     n_frames = len(clip.frames)
     if n_frames < L + 1:
-        return TrackResult([], too_short=True)
+        return TrackResult([])
 
     images = [f.astype(np.float64) for f in clip.frames]
     h, w = images[0].shape

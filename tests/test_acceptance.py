@@ -71,7 +71,7 @@ def test_criterion_02_rgb_vs_log_depth(artifacts, gesture_loo):
 
 
 def test_criterion_03_kernel_gram(artifacts):
-    _check(criterion_kernel_gram(artifacts, n=50))
+    _check(criterion_kernel_gram(artifacts))
 
 
 def test_criterion_04_flow_oracle():

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -122,3 +123,31 @@ def test_session_params_conversion():
     assert cfg.tracker_params() == TrackerParams()
     assert cfg.session_params(synth.FPS) == SessionParams()
     assert cfg.tracker_params().traj_len == 15
+
+
+def test_only_settings_with_a_caller_are_settable():
+    """The settable values (parameters and fields with a default) of these
+    signatures; each has a caller in `src/` or `bench/`, and a value only
+    tests need is a module constant that they monkeypatch."""
+    from avcmd import encoding, flow, selftest, svm, trajectories
+
+    signatures = {
+        flow.FramePyramid: ["levels"],
+        flow.dense_flow: [],
+        svm.train_kernel_svm: ["c", "train_hists", "channel_means", "codebook_hashes"],
+        svm.train_kernel_svms: ["c"],
+        encoding.train_codebook: ["channel", "subsample"],
+        synth.build_session_streams: ["gesture_noise"],
+        synth.generate_corpus: ["frames", "size"],
+        selftest.build_audio_templates: ["per_command"],
+        selftest.criterion_flow_oracle: [],
+        selftest.criterion_kernel_gram: [],
+        trajectories.is_erratic: [],
+    }
+    settable = {
+        fn.__name__: [p.name for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+        for fn in signatures
+    }
+    assert settable == {fn.__name__: names for fn, names in signatures.items()}
+    assert [(f.name, f.default) for f in fields(trajectories.TrackResult)] == [("trajectories", MISSING)]
+    assert sum(map(len, settable.values())) == 12

@@ -134,6 +134,8 @@ def test_byte_flips_read_or_raise(tmp_path_factory, data):
     except AvcmdError:
         return
     assert len(back) * back.width * back.height + 20 == len(flipped)
+    write_clip(path, back)
+    assert path.read_bytes() == flipped  # what a read accepts is written back as it was
 
 
 @pytest.mark.parametrize("code", [2, 255])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_encoding as ref
 from conftest import traced_peak
+from avcmd import encoding
 from avcmd.encoding import (
     _ASSIGN_CHUNK,
     _SQ_NORM_BLOCK,
@@ -87,11 +88,12 @@ class TestKmeans:
         cb2 = train_codebook(x, k=5, seed=42)
         assert np.array_equal(cb1.centroids, cb2.centroids)
 
-    def test_inertia_monotone_in_iteration_count(self, rng):
+    def test_inertia_monotone_in_iteration_count(self, rng, monkeypatch):
         x = rng.normal(size=(200, 3))
-        inertias = [
-            kmeans_inertia(x, train_codebook(x, k=8, seed=3, max_iter=m)) for m in range(1, 9)
-        ]
+        inertias = []
+        for m in range(1, 9):
+            monkeypatch.setattr(encoding, "KMEANS_MAX_ITER", m)
+            inertias.append(kmeans_inertia(x, train_codebook(x, k=8, seed=3)))
         assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
     def test_n_below_k_rejected(self, rng):
@@ -163,10 +165,11 @@ class TestKmeansAgainstReference:
 
 
 class TestKmeansMemory:
-    def test_no_temporary_the_size_of_the_pool(self):
+    def test_no_temporary_the_size_of_the_pool(self, monkeypatch):
         # A per-call (x * x) copy alone is the pool's size.
         pool = np.random.default_rng(0).normal(size=(20_000, 64))
-        peak = traced_peak(lambda: train_codebook(pool, k=16, seed=0, max_iter=3))
+        monkeypatch.setattr(encoding, "KMEANS_MAX_ITER", 3)
+        peak = traced_peak(lambda: train_codebook(pool, k=16, seed=0))
         assert peak < 0.75 * pool.nbytes
 
 
@@ -371,6 +374,8 @@ class TestCodebookFileIsTotal:
         except AvcmdError:
             return
         assert cb.k >= 1 and cb.dim >= 1 and np.all(np.isfinite(cb.centroids))
+        write_codebook(p, cb)
+        assert p.read_bytes() == flipped  # what a read accepts is written back as it was
 
     @pytest.mark.parametrize("k,dim", [(0, 3), (2, 0), (0, 0)])
     def test_empty_centroid_matrix_rejected(self, tmp_path, k, dim):
@@ -423,6 +428,10 @@ class TestEncodedVideoIO:
         p = tmp_path / "enc.igev"
         p.write_bytes(b"IGEV" + struct.pack("<HIB", 1, 3, 0))
         with pytest.raises(FormatError):
+            read_encoded(p)
+        # and no clips with a channel table, which write_encoded never writes
+        p.write_bytes(b"IGEV" + struct.pack("<HIB", 1, 0, 1) + struct.pack("<BI", 1, 2))
+        with pytest.raises(FormatError, match="0 clips and 1 channels"):
             read_encoded(p)
 
     def test_zero_bin_channel_fails_closed(self, tmp_path):
@@ -479,14 +488,17 @@ class TestEncodedVideoIO:
             for ch, h in hists.items():
                 assert h.channel == ch and h.counts.ndim == 1
                 assert np.all(np.isfinite(h.counts)) and np.all(h.counts >= 0)
+        write_encoded(p, back)
+        assert p.read_bytes() == flipped  # what a read accepts is written back as it was
 
     @pytest.mark.parametrize(
         "bits",
-        [0x7F800001, 0x7FC00000, 0x7F800000, 0xFF800000, 0x40200000, 0xBF800000],
-        ids=["snan", "nan", "inf", "-inf", "2.5", "-1"],
+        [0x7F800001, 0x7FC00000, 0x7F800000, 0xFF800000, 0x40200000, 0xBF800000, 0x4B800001, 0x4E800000],
+        ids=["snan", "nan", "inf", "-inf", "2.5", "-1", "2**24+2", "2**30"],
     )
     def test_non_finite_counts_are_a_format_error(self, tmp_path, bits):
-        # the last clip's last count: not finite, not an integer, or negative
+        # the last clip's last count: not finite, not an integer, negative, or
+        # above the 2**24 that write_encoded stores
         p, raw = self._file(tmp_path)
         p.write_bytes(raw[:-4] + struct.pack("<I", bits))
         with pytest.raises(FormatError, match="finite"):
@@ -501,6 +513,29 @@ class TestEncodedVideoIO:
     def test_bovw_hist_refuses_non_integer_counts(self):
         with pytest.raises(InvalidParameterError, match="integers"):
             BovwHist(counts=np.array([1.0, 2.5]), channel=Channel.HOG)
+
+    @staticmethod
+    def _hand_built(p, table):
+        """A one-clip IGEV file with the channel table `table` and every count 1."""
+        header = b"IGEV" + struct.pack("<HIB", 1, 1, len(table))
+        counts = np.ones(sum(k for _, k in table), dtype="<f4")
+        p.write_bytes(header + b"".join(struct.pack("<BI", tag, k) for tag, k in table) + counts.tobytes())
+
+    def test_repeated_channel_tag_refused(self, tmp_path):
+        # used to read as one TRAJ channel, dropping the other's counts
+        p = tmp_path / "enc.igev"
+        self._hand_built(p, [(int(Channel.TRAJ), 2), (int(Channel.TRAJ), 3)])
+        with pytest.raises(FormatError, match="strictly increasing"):
+            read_encoded(p)
+
+    def test_channel_tags_out_of_order_refused(self, tmp_path):
+        # used to read fine and be written back in CHANNEL_ORDER
+        p = tmp_path / "enc.igev"
+        self._hand_built(p, [(int(Channel.HOG), 2), (int(Channel.TRAJ), 2)])
+        with pytest.raises(FormatError, match="strictly increasing"):
+            read_encoded(p)
+        self._hand_built(p, [(int(Channel.TRAJ), 2), (int(Channel.HOG), 2)])
+        assert list(read_encoded(p)[0]) == [Channel.TRAJ, Channel.HOG]
 
     def test_counts_above_float32_exact_range_are_refused(self, tmp_path):
         p = tmp_path / "big.igev"

@@ -3,8 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from avcmd import flow
 from avcmd.errors import InvalidParameterError
 from avcmd.flow import (
+    LK_ITERATIONS,
+    LK_RADIUS,
+    PYRAMID_LEVELS,
     FlowField,
     FramePyramid,
     _box_sum,
@@ -139,31 +143,29 @@ class TestFlowAgainstOracle:
     """The float32 flow agrees with the float64 oracle within a stated max |du|, |dv|.
 
     The bounds are about 3x the largest difference measured over these five
-    pairs (4.7e-5, 2.3e-4, 5.7e-4 and 3.5e-3 px, each on the log-depth
-    pair, whose flat regions make the 2x2 solve ill-conditioned). Arrays
-    and prebuilt pyramids give the same field bit for bit.
+    pairs at 1, 2, 3 and 4 levels (4.7e-5, 1.5e-4, 5.7e-4 and 9.1e-4 px,
+    each on the log-depth pair, whose flat regions make the 2x2 solve
+    ill-conditioned). Arrays and prebuilt pyramids of the default depth
+    give the same field bit for bit.
     """
 
-    # max |du|, |dv| in px, by (levels, window, iterations)
-    TOL_PX = {(1, 7, 3): 1.5e-4, (2, 5, 2): 1e-3, (3, 7, 3): 2e-3, (4, 3, 1): 1e-2}
+    # max |du|, |dv| in px, by the oracle's (levels, window, iterations); the
+    # window and the iteration count are flow's constants
+    TOL_PX = {(1, 7, 3): 1.5e-4, (2, 7, 3): 5e-4, (3, 7, 3): 2e-3, (4, 7, 3): 3e-3}
 
     @pytest.mark.parametrize("levels,window,iterations", list(TOL_PX))
     def test_arrays_pyramids_and_oracle_agree(self, levels, window, iterations):
+        assert (window, iterations) == (2 * LK_RADIUS + 1, LK_ITERATIONS)
         tol_px = self.TOL_PX[levels, window, iterations]
         for prev, nxt in _frame_pairs():
             expected = ref.dense_flow(prev, nxt, levels=levels, window=window, iterations=iterations)
-            from_arrays = dense_flow(prev, nxt, levels=levels, window=window, iterations=iterations)
-            from_pyramids = dense_flow(
-                FramePyramid(prev, levels=levels, window=window),
-                FramePyramid(nxt, levels=levels, window=window),
-                levels=levels,
-                window=window,
-                iterations=iterations,
-            )
-            assert np.array_equal(from_arrays.u, from_pyramids.u)
-            assert np.array_equal(from_arrays.v, from_pyramids.v)
-            assert np.abs(from_arrays.u - expected.u).max() <= tol_px
-            assert np.abs(from_arrays.v - expected.v).max() <= tol_px
+            got = dense_flow(FramePyramid(prev, levels), FramePyramid(nxt, levels))
+            if levels == PYRAMID_LEVELS:
+                from_arrays = dense_flow(prev, nxt)
+                assert np.array_equal(from_arrays.u, got.u)
+                assert np.array_equal(from_arrays.v, got.v)
+            assert np.abs(got.u - expected.u).max() <= tol_px
+            assert np.abs(got.v - expected.v).max() <= tol_px
 
     def test_textured_pairs_at_default_parameters(self):
         # The three textured crops, without the synthetic clips' flat regions.
@@ -173,14 +175,19 @@ class TestFlowAgainstOracle:
             assert np.abs(got.u - expected.u).max() <= 2e-5
             assert np.abs(got.v - expected.v).max() <= 2e-5
 
-    def test_pyramid_with_other_parameters_rejected(self):
+    def test_pyramids_of_other_depth_rejected(self):
+        # 32 px builds up to 4 levels; an array gets the default 3
         prev, nxt = shifted_pair(1, 0, size=32)
-        b = FramePyramid(nxt)
-        for kwargs in ({"levels": 2}, {"window": 5}, {"min_eig": 1e-2}):
-            with pytest.raises(InvalidParameterError):
-                dense_flow(FramePyramid(prev, **kwargs), b)
-            with pytest.raises(InvalidParameterError):
-                dense_flow(prev, b, **kwargs)
+        for levels in (1, 2, 4):
+            with pytest.raises(InvalidParameterError, match="pyramid depth"):
+                dense_flow(FramePyramid(prev, levels), FramePyramid(nxt))
+            with pytest.raises(InvalidParameterError, match="pyramid depth"):
+                dense_flow(prev, FramePyramid(nxt, levels))
+            got = dense_flow(FramePyramid(prev, levels), FramePyramid(nxt, levels))
+            assert np.isclose(np.median(got.u[8:-8, 8:-8]), 1.0, atol=0.25)
+        # 15 x 9 stops after two levels whatever is asked, so the depths agree
+        a, b = np.zeros((15, 9)), np.ones((15, 9))
+        assert dense_flow(FramePyramid(a, 2), FramePyramid(b, 4)).u.shape == (15, 9)
 
     def test_pyramid_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -260,7 +267,7 @@ def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 def _same_pyramid(got: FramePyramid, want: per_frame.FramePyramid) -> None:
-    assert got.params == want.params and got.shape == want.shape and got.n_frames is None
+    assert got.shape == want.shape and got.n_frames is None
     assert len(got.levels) == len(want.levels)
     for a, b in zip(got.levels, want.levels):
         for name in ("image", "padded", "grad", "rows", "cols"):
@@ -269,7 +276,11 @@ def _same_pyramid(got: FramePyramid, want: per_frame.FramePyramid) -> None:
 
 
 class TestStackedPyramid:
-    """A stack's frames and one frame's pyramid equal the per-frame build bit for bit."""
+    """A stack's frames and one frame's pyramid equal the per-frame build bit for bit.
+
+    The window is flow's constant `LK_RADIUS`; the identity holds at any
+    radius, so it is checked at the windows of radius 3, 1 and 2.
+    """
 
     # odd sizes; (15, 9) and (8, 8) stop after two levels, (7, 30) and (2, 3)
     # after one, whatever `levels` asks for
@@ -277,16 +288,17 @@ class TestStackedPyramid:
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("levels,window", [(3, 7), (4, 3), (1, 5)])
-    def test_stack_and_single_frames_equal_per_frame_pyramids(self, shape, levels, window):
+    def test_stack_and_single_frames_equal_per_frame_pyramids(self, monkeypatch, shape, levels, window):
+        monkeypatch.setattr(flow, "LK_RADIUS", window // 2)
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         frames = [GrayFrame.from_array(a) for a in rng.integers(0, 256, (5,) + shape).astype(np.uint8)]
-        stack = FramePyramid(frames, levels=levels, window=window)
+        stack = FramePyramid(frames, levels=levels)
         assert stack.n_frames == 5
         for t, frame in enumerate(frames):
             want = per_frame.FramePyramid(frame, levels=levels, window=window)
             _same_pyramid(stack.frame(t), want)
-            _same_pyramid(FramePyramid(frame, levels=levels, window=window), want)
-            _same_pyramid(FramePyramid(frame.data, levels=levels, window=window), want)
+            _same_pyramid(FramePyramid(frame, levels=levels), want)
+            _same_pyramid(FramePyramid(frame.data, levels=levels), want)
 
     def test_float_stack_and_flow_from_its_frames(self):
         rng = np.random.default_rng(5)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reference_svm as ref
-from avcmd import gesture
+from avcmd import gesture, svm
 from avcmd.encoding import CHANNEL_ORDER, Channel, chi2_distance_matrix
 from avcmd.gesture import GesturePipeline, _l1_rows, evaluate_loo_bovw
 from avcmd.errors import (
@@ -92,11 +93,6 @@ class TestKernelSvm:
             {"c": float("nan")},
             {"c": float("inf")},
             {"c": -float("inf")},
-            {"max_iter": 2.5},
-            {"max_iter": float("nan")},
-            {"max_iter": float("inf")},
-            {"max_iter": 0},
-            {"max_iter": -5},
         ],
     )
     def test_bad_solver_parameters_rejected(self, rng, kwargs):
@@ -229,17 +225,82 @@ class TestModelIO:
             read_model(p)
 
 
+class TestModelReaderRefusesWhatTrainingNeverWrites:
+    """Each of these files used to read; writing it back gave other bytes, or
+    `predict` failed outside the `AvcmdError` family."""
+
+    @staticmethod
+    def _model(rng, **fields):
+        x, y = separable_points(rng, n_per=4)
+        hists = {Channel.TRAJ: rng.random((8, 3)), Channel.HOF: rng.random((8, 3))}
+        model = train_kernel_svm(
+            x @ x.T, y, c=3.0, train_hists=hists, channel_means={Channel.TRAJ: 0.4, Channel.HOF: 0.6},
+            codebook_hashes={Channel.HOG: "ab" * 32, Channel.HOF: "cd" * 32},
+        )
+        return replace(model, **fields)
+
+    def _refused(self, path, raw, match):
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=match):
+            read_model(path)
+
+    @pytest.mark.parametrize("n_classes", [0, 1])
+    def test_fewer_than_two_classes(self, tmp_path, rng, n_classes):
+        # zero classes used to read, and predict then raised a ValueError
+        model = self._model(rng)
+        model = replace(model, classes=model.classes[:n_classes], solutions=model.solutions[:n_classes])
+        path = tmp_path / "m.igsv"
+        write_model(path, model)
+        self._refused(path, path.read_bytes(), "fewer than two")
+
+    @pytest.mark.parametrize("ids", [[3, 3], [4, 3]])
+    def test_class_ids_not_strictly_increasing(self, tmp_path, rng, ids):
+        path = tmp_path / "m.igsv"
+        write_model(path, self._model(rng, classes=np.array(ids)))
+        self._refused(path, path.read_bytes(), "class ids")
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, -0.0])
+    def test_c_not_positive(self, tmp_path, rng, c):
+        path = tmp_path / "m.igsv"
+        write_model(path, self._model(rng, c=c))
+        self._refused(path, path.read_bytes(), "C must be positive")
+
+    @pytest.mark.parametrize("second", [Channel.TRAJ, Channel.HOF])
+    def test_histogram_tags_not_strictly_increasing(self, tmp_path, rng, second):
+        # written TRAJ, HOF; read as HOF, TRAJ it was written back sorted
+        path = tmp_path / "m.igsv"
+        write_model(path, self._model(rng, codebook_hashes={}))
+        raw = bytearray(path.read_bytes())
+        first_tag = svm._MODEL_HEADER.size + 1 + svm._TRAIN_SET.size
+        second_tag = first_tag + svm._HIST_RECORD.size + 4 * 8 * 3
+        assert (raw[first_tag], raw[second_tag]) == (Channel.TRAJ, Channel.HOF)
+        raw[first_tag], raw[second_tag] = Channel.HOF, second
+        self._refused(path, raw, "histogram channel tags")
+
+    @pytest.mark.parametrize("second", [Channel.HOG, Channel.TRAJ])
+    def test_hash_tags_not_strictly_increasing(self, tmp_path, rng, second):
+        path = tmp_path / "m.igsv"
+        write_model(path, self._model(rng))
+        raw = bytearray(path.read_bytes())
+        first_tag = svm._MODEL_HEADER.size + 1
+        second_tag = first_tag + 1 + 32
+        assert (raw[first_tag], raw[second_tag]) == (Channel.HOG, Channel.HOF)
+        raw[second_tag] = second
+        self._refused(path, raw, "codebook hash channel tags")
+
+
 class TestModelReaderTotality:
     """Any cut or corrupted model file reads back or raises an AvcmdError."""
 
     @staticmethod
     def _models(rng):
+        # Neighbouring tags, so that one flipped bit can repeat a tag.
         x, y = separable_points(rng, n_per=4)
-        hists = {Channel.HOG: rng.random((8, 3)), Channel.MBH: rng.random((8, 3))}
+        hists = {ch: rng.random((8, 3)) for ch in (Channel.HOG, Channel.HOF, Channel.MBH)}
         kernel = train_kernel_svm(
             x @ x.T, y, c=3.0, train_hists=hists,
-            channel_means={Channel.HOG: 0.4, Channel.MBH: 0.6},
-            codebook_hashes={Channel.HOG: "ab" * 32},
+            channel_means={Channel.HOG: 0.4, Channel.HOF: 0.5, Channel.MBH: 0.6},
+            codebook_hashes={Channel.TRAJ: "cd" * 32, Channel.HOG: "ab" * 32},
         )
         # "bare": no training histograms, channel means or codebook digests
         return {"kernel": kernel, "bare": train_kernel_svm(x @ x.T, y, c=2.0)}
@@ -279,6 +340,8 @@ class TestModelReaderTotality:
                 assert isinstance(model, KernelSvmModel)
                 assert self._all_finite(model)
                 assert all(int(s.support.max(initial=-1)) < model.n_train for s in model.solutions)
+                write_model(path, model)
+                assert path.read_bytes() == flipped  # what a read accepts is written back as it was
 
     @staticmethod
     def _all_finite(model) -> bool:
@@ -329,13 +392,13 @@ class TestBatchedSmoAgainstReference:
             assert got.bias == exp.bias
             assert got.iterations == exp.iterations
 
-    def _check_folds(self, dists, labels, c=100.0, max_iter=10_000):
+    def _check_folds(self, dists, labels, c=100.0):
         folds = list(ref.loo_folds(dists, labels))
         models = train_kernel_svms(
-            np.stack([gram for _, gram, _, _ in folds]), [lab for _, _, lab, _ in folds], c=c, max_iter=max_iter
+            np.stack([gram for _, gram, _, _ in folds]), [lab for _, _, lab, _ in folds], c=c
         )
         for model, (_, gram, fold_labels, _) in zip(models, folds, strict=True):
-            self._assert_same(model, ref.train_kernel_svm(gram, fold_labels, c, max_iter=max_iter))
+            self._assert_same(model, ref.train_kernel_svm(gram, fold_labels, c, max_iter=svm.SMO_MAX_ITER))
         return models
 
     def test_offline_build_size_loo(self):
@@ -380,16 +443,17 @@ class TestBatchedSmoAgainstReference:
         self._check_folds(dup, np.concatenate([labels, labels[::-1]]))
 
     @pytest.mark.parametrize("max_iter", [1, 3, 7])
-    def test_unconverged_problems(self, max_iter):
+    def test_unconverged_problems(self, monkeypatch, max_iter):
+        monkeypatch.setattr(svm, "SMO_MAX_ITER", max_iter)
         labels = np.repeat(np.arange(7), 4)
         dists = _bovw_dists(np.random.default_rng(6), labels)
-        models = self._check_folds(dists, labels, max_iter=max_iter)
+        models = self._check_folds(dists, labels)
         assert all(s.iterations <= max_iter for m in models for s in m.solutions)
         assert any(s.iterations == max_iter for m in models for s in m.solutions)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 60])
     @pytest.mark.parametrize("c", [0.5, 10.0, 100.0])
-    def test_random_grams(self, n, c):
+    def test_random_grams(self, monkeypatch, n, c):
         rng = np.random.default_rng(1000 * n + int(c))
         grams, label_sets = [], []
         for g in range(4):
@@ -404,6 +468,7 @@ class TestBatchedSmoAgainstReference:
             grams.append(gram)
             label_sets.append(labels)
         for max_iter in (3, 10_000):
-            models = train_kernel_svms(np.stack(grams), label_sets, c=c, max_iter=max_iter)
+            monkeypatch.setattr(svm, "SMO_MAX_ITER", max_iter)
+            models = train_kernel_svms(np.stack(grams), label_sets, c=c)
             for model, gram, labels in zip(models, grams, label_sets, strict=True):
                 self._assert_same(model, ref.train_kernel_svm(gram, labels, c, max_iter=max_iter))

@@ -15,6 +15,8 @@ from avcmd.mfcc import mfcc
 from avcmd.synth import (
     D_MAX,
     GESTURE_CLASSES,
+    SESSION_GAP_FRAMES,
+    SESSION_WINDOW_FRAMES,
     GestureSpec,
     _World,
     build_session_streams,
@@ -145,12 +147,15 @@ class TestSessionStreams:
     def test_steps_align_with_script(self):
         from avcmd.session import LEGS_SCRIPT
 
-        streams = build_session_streams(LEGS_SCRIPT, seed=3, window_frames=24, gap_frames=10)
+        streams = build_session_streams(LEGS_SCRIPT, seed=3)
+        gap, window = SESSION_GAP_FRAMES, SESSION_WINDOW_FRAMES
+        assert (gap, window) == (18, 30)
         assert [s.step_id for s in streams.steps] == [sid for sid, _, _ in LEGS_SCRIPT]
         assert len(streams.audio_events) == len(LEGS_SCRIPT)
-        for step, ev in zip(streams.steps, streams.audio_events):
+        for i, (step, ev) in enumerate(zip(streams.steps, streams.audio_events)):
+            assert step.window == (gap + i * (window + gap), (i + 1) * (window + gap))
             assert step.window[0] <= ev.start_frame < ev.end_frame <= step.window[1]
-        assert len(streams.video.frames) == 10 + len(LEGS_SCRIPT) * (24 + 10)
+        assert len(streams.video.frames) == gap + len(LEGS_SCRIPT) * (window + gap)
 
     def test_deterministic(self):
         from avcmd.session import BACK_SCRIPT

@@ -21,7 +21,7 @@ from avcmd.errors import (
 )
 from avcmd.flow import PYRAMID_LEVELS, FramePyramid, dense_flow
 from avcmd.frames import Clip, GrayFrame, Modality
-from avcmd.synth import GESTURE_CLASSES, generate_corpus
+from avcmd.synth import GESTURE_CLASSES, default_spec, generate_corpus, generate_gesture_clip
 from avcmd.trajectories import (
     HOF_DIM,
     HOG_DIM,
@@ -68,6 +68,19 @@ def moving_block_clip(
     return Clip(frames=frames, fps=15.0, modality=Modality.RGB)
 
 
+def corpus_of(patterns, seed, frames, size):
+    """One clip of each of `patterns`, seeded as `generate_corpus` seeds the
+    classes of its corpus: class index p gets seed + 100_000 p, and its
+    jitter that seed + 7. Given all of `GESTURE_CLASSES`, this is
+    `generate_corpus(1, seed, frames, size)`."""
+    samples = []
+    for p_idx, pattern in enumerate(patterns):
+        clip_seed = seed + 100_000 * p_idx
+        spec = default_spec(pattern, jitter_rng=np.random.default_rng(clip_seed + 7))
+        samples.append(generate_gesture_clip(spec, clip_seed, frames, size=size))
+    return samples
+
+
 def static_clip(n_frames=18, size=64, seed=5):
     img = smooth_texture(size, size, seed)
     return Clip(frames=np.repeat(img[None], n_frames, axis=0), fps=15.0, modality=Modality.RGB)
@@ -92,7 +105,6 @@ class TestTrackerParams:
     def test_pyramid_depth_has_one_default(self):
         defaults = {
             inspect.signature(FramePyramid).parameters["levels"].default,
-            inspect.signature(dense_flow).parameters["levels"].default,
             {f.name: f.default for f in dataclasses.fields(TrackerParams)}["pyramid_levels"],
         }
         assert defaults == {PYRAMID_LEVELS}
@@ -355,7 +367,7 @@ class TestTrajectorySet:
         tracked = track(moving_block_clip()).trajectories.points
         assert tracked.dtype == np.float32
         for p in (paths, tracked):
-            static, erratic = is_static(p, P.sigma_min), is_erratic(p, P.erratic_frac)
+            static, erratic = is_static(p, P.sigma_min), is_erratic(p)
             traj = descriptor_traj(p)
             # The batched functions widen float32 paths; the per-path forms get them widened.
             wide = p.astype(np.float64)
@@ -370,12 +382,11 @@ class TestTrack:
     def test_static_clip_yields_no_trajectories(self):
         res = track(static_clip())
         assert len(res.trajectories) == 0
-        assert not res.too_short
 
     def test_short_clip_flagged(self):
-        res = track(static_clip(n_frames=10))
-        assert len(res.trajectories) == 0
-        assert res.too_short
+        # by an empty set: L + 1 frames of the moving block keep trajectories, L keep none
+        assert len(track(moving_block_clip(n_frames=P.traj_len + 1)).trajectories) > 0
+        assert len(track(moving_block_clip(n_frames=P.traj_len)).trajectories) == 0
 
     def test_moving_block_total_displacement(self):
         # ground truth: block interior moves 2 px/frame for 15 steps = 30 px.
@@ -398,7 +409,7 @@ class TestTrack:
         res = track(moving_block_clip())
         for tr in res.trajectories:
             assert not is_static(tr.points, P.sigma_min)
-            assert not is_erratic(tr.points, P.erratic_frac)
+            assert not is_erratic(tr.points)
 
     def test_descriptor_dimensions(self):
         res = track(moving_block_clip())
@@ -499,7 +510,7 @@ class TestFastPathAgainstBruteForce:
         images = clip.frames.astype(np.float32)
         flows = []
         for t in range(len(images) - 1):
-            field = dense_flow(images[t], images[t + 1], levels=P.pyramid_levels)
+            field = dense_flow(images[t], images[t + 1])
             flows.append((field.u, field.v))
         for tr in list(res.trajectories)[:2]:
             hog = self._brute(images, flows, tr.start_frame, tr.points, "hog")
@@ -581,7 +592,6 @@ class TestTrackAgainstReference:
 
     @classmethod
     def assert_close(cls, got, expected):
-        assert got.too_short == expected.too_short
         key = lambda t: (t.start_frame, *map(float, t.points[0]))
         mine = {key(t): t for t in got.trajectories}
         want = {key(t): t for t in expected.trajectories}
@@ -597,7 +607,7 @@ class TestTrackAgainstReference:
         "size,patterns", [(96, GESTURE_CLASSES), (120, GESTURE_CLASSES[::2])]
     )
     def test_synthetic_corpus(self, size, patterns, stream):
-        corpus = generate_corpus(1, seed=21, frames=20, size=size, patterns=patterns)
+        corpus = corpus_of(patterns, seed=21, frames=20, size=size)
         kept = 0
         for sample in corpus:
             clip = getattr(sample, stream)
@@ -740,6 +750,19 @@ class TestFeatureFileIsTotal:
         assert back.start.shape == (n,) and back.points.shape == (n, P.traj_len + 1, 2)
         assert back.desc.shape == (n, TRAJ_DIM + HOG_DIM + HOF_DIM + MBH_DIM)
         assert np.all(np.isfinite(back.points)) and np.all(np.isfinite(back.desc))
+        write_features(path, back)
+        assert path.read_bytes() == flipped  # what a read accepts is written back as it was
+
+    def test_empty_file_with_a_trajectory_length_refused(self, tmp_path):
+        # write_features gives an empty set L = 0; L = 15 used to read as empty
+        path = tmp_path / "f.igtf"
+        write_features(path, TrajectorySet.empty())
+        raw = bytearray(path.read_bytes())
+        assert raw[10:14] == struct.pack("<I", 0)
+        raw[10:14] = struct.pack("<I", P.traj_len)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="trajectory length 15, expected 0"):
+            read_features(path)
 
     def test_version_1_is_refused(self, tmp_path):
         path = tmp_path / "v1.igtf"
@@ -773,7 +796,6 @@ class TestAgainstPerFrameReference:
 
     @staticmethod
     def assert_same(got, want):
-        assert got.too_short == want.too_short
         for name in ("start", "points", "desc"):
             a, b = getattr(got.trajectories, name), getattr(want.trajectories, name)
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -795,7 +817,7 @@ class TestAgainstPerFrameReference:
     @pytest.mark.parametrize("stream", ["rgb", "depth"])
     def test_synthetic_clips(self, stream):
         kept = 0
-        for sample in generate_corpus(1, seed=8, frames=20, size=96, patterns=GESTURE_CLASSES[:3]):
+        for sample in corpus_of(GESTURE_CLASSES[:3], seed=8, frames=20, size=96):
             clip = getattr(sample, stream)
             got = track(clip)
             self.assert_same(got, per_frame.track(clip))
