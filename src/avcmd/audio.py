@@ -325,17 +325,12 @@ def adapt_speaker(
 
     x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
     solution, _, rank, _ = np.linalg.lstsq(x_aug, y, rcond=None)
-    if rank < FEATURE_DIM + 1:
-        return SpeakerTransform(
-            a=np.eye(FEATURE_DIM), b=(y - x).mean(axis=0), bias_only=True
-        )
     a = solution[:-1].T
-    b = solution[-1]
-    if np.linalg.cond(a) >= MAX_CONDITION:
+    if rank < FEATURE_DIM + 1 or np.linalg.cond(a) >= MAX_CONDITION:
         return SpeakerTransform(
             a=np.eye(FEATURE_DIM), b=(y - x).mean(axis=0), bias_only=True
         )
-    return SpeakerTransform(a=a, b=b)
+    return SpeakerTransform(a=a, b=solution[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .gesture import (
 )
 from .metrics import export_curve_csv, first_attempt_curve, render_report_text, task_report, write_report_json
 from .mfcc import mfcc, wav_read, wav_write
-from .selftest import build_audio_templates, report_bytes, run_selftest
+from .selftest import CriterionResult, build_audio_templates, report_bytes, run_selftest
 from .session import (
     BACK_SCRIPT,
     LEGS_SCRIPT,
@@ -282,8 +282,7 @@ def _cmd_selftest(args) -> int:
     cfg = _load_cfg(args)
     report = run_selftest(profile=args.profile, seed=cfg.seed)
     for c in report["criteria"]:
-        status = "PASS" if c["passed"] else "FAIL"
-        print(f"[{status}] criterion {c['number']}: {c['name']}")
+        print(CriterionResult(**c).line())
     if args.report:
         Path(args.report).write_bytes(report_bytes(report))
         print(f"report -> {args.report}")

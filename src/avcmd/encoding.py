@@ -59,6 +59,13 @@ class Channel(IntEnum):
 CHANNEL_ORDER = (Channel.TRAJ, Channel.HOG, Channel.HOF, Channel.MBH)
 
 
+def channel_from_tag(tag: int) -> Channel:
+    try:
+        return Channel(tag)
+    except ValueError:
+        raise FormatError(f"unknown channel tag {tag}") from None
+
+
 @dataclass(frozen=True)
 class Codebook:
     channel: Channel
@@ -186,7 +193,7 @@ def train_codebook(
     k: int,
     seed: int,
     channel: Channel = Channel.TRAJ,
-    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
+    subsample: int = DESCRIPTOR_SUBSAMPLE,
 ) -> Codebook:
     """Seeded k-means++ followed by Lloyd iterations.
 
@@ -201,7 +208,7 @@ def train_codebook(
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("descriptors contain non-finite values")
     rng = np.random.default_rng(seed)
-    if subsample is not None and x.shape[0] > subsample:
+    if x.shape[0] > subsample:
         keep = rng.choice(x.shape[0], size=subsample, replace=False)
         keep.sort()
         x = x[keep]
@@ -332,6 +339,14 @@ _ENCODED_HEADER = struct.Struct("<4sHIB")
 _MAX_ENCODED_COUNT = 2**24
 
 
+def check_counts(counts: np.ndarray, error: type[Exception], what: str) -> None:
+    """Raise `error` unless every count is an integer in [0, 2**24]. Checked in the dtype
+    given, so a reader checks its float32 before widening a signalling NaN, which would warn."""
+    in_range = np.all(np.isfinite(counts)) and np.all((counts >= 0) & (counts <= _MAX_ENCODED_COUNT))
+    if not (in_range and np.array_equal(counts, np.floor(counts))):
+        raise error(f"{what} counts must be finite integers in [0, {_MAX_ENCODED_COUNT}], which float32 stores exactly")
+
+
 def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> None:
     def layout(hists):
         return [(ch, hists[ch].counts.shape[0]) for ch in CHANNEL_ORDER if ch in hists]
@@ -341,8 +356,9 @@ def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> Non
         raise InvalidParameterError("clips need at least one channel, each with at least one bin")
     if any(layout(hists) != table for hists in clips):
         raise InvalidParameterError("all clips must share the same channels and histogram sizes")
-    if any(h.counts.max() > _MAX_ENCODED_COUNT for hists in clips for h in hists.values()):
-        raise InvalidParameterError(f"counts above {_MAX_ENCODED_COUNT} are not stored exactly in float32")
+    for hists in clips:
+        for h in hists.values():
+            check_counts(h.counts, InvalidParameterError, "encoded-video")
     with open(path, "wb") as fh:
         fh.write(_ENCODED_HEADER.pack(ENCODED_MAGIC, ENCODED_VERSION, len(clips), len(table)))
         for ch, k in table:
@@ -363,10 +379,7 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
         raise TruncatedPayloadError("encoded-video channel table truncated")
     channels: list[tuple[Channel, int]] = []
     for tag, k in struct.iter_unpack("<BI", raw[head:off]):
-        try:
-            channels.append((Channel(tag), k))
-        except ValueError:
-            raise FormatError(f"unknown channel tag {tag}") from None
+        channels.append((channel_from_tag(tag), k))
         if k == 0:
             raise FormatError(f"channel tag {tag} declares zero bins")
     if any(a >= b for (a, _), (b, _) in zip(channels, channels[1:])):
@@ -374,10 +387,7 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
     row = sum(k for _, k in channels)
     check_payload(len(raw), off + 4 * row * n_clips, "encoded-video")
     counts = np.frombuffer(raw, dtype="<f4", count=n_clips * row, offset=off)
-    # Checked in float32, before any BovwHist: widening a signalling NaN would warn.
-    in_range = np.all(np.isfinite(counts)) and np.all((counts >= 0) & (counts <= _MAX_ENCODED_COUNT))
-    if not (in_range and np.array_equal(counts, np.floor(counts))):
-        raise FormatError(f"encoded-video counts must be finite integers in [0, {_MAX_ENCODED_COUNT}]")
+    check_counts(counts, FormatError, "encoded-video")
     counts = counts.astype(np.float64).reshape(n_clips, row)
     bounds = np.cumsum([0] + [k for _, k in channels])
     spans = [(ch, lo, hi) for (ch, _), lo, hi in zip(channels, bounds[:-1], bounds[1:])]
@@ -401,9 +411,6 @@ def read_codebook(path: str | Path) -> Codebook:
     if k == 0 or dim == 0:
         raise FormatError(f"codebook declares an empty {k} x {dim} centroid matrix")
     check_payload(len(raw), _CODEBOOK_HEADER.size + k * dim * 4, "codebook")
-    try:
-        ch = Channel(channel)
-    except ValueError:
-        raise FormatError(f"unknown channel tag {channel}") from None
+    ch = channel_from_tag(channel)
     centroids = np.frombuffer(raw, dtype="<f4", offset=_CODEBOOK_HEADER.size).reshape(k, dim)
     return Codebook(channel=ch, centroids=centroids, seed=seed)

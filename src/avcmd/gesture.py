@@ -58,18 +58,14 @@ class GesturePipeline:
     tracker: TrackerParams = field(default_factory=TrackerParams)
 
     def __post_init__(self):
-        self._train_l1 = {
-            ch: _l1_rows(h) for ch, h in (self.model.train_hists or {}).items()
-        }
+        have = {ch: cb.content_hash() for ch, cb in self.codebooks.items()}
+        bad = [ch.name for ch in CHANNEL_ORDER if have.get(ch) != self.model.codebook_hashes.get(ch)]
+        if bad:
+            raise PipelineMismatchError(f"codebook vocabulary does not match the model's for {', '.join(bad)}")
+        self._train_l1 = {ch: _l1_rows(h) for ch, h in self.model.train_hists.items()}
         # Whether some training clip kept no trajectory, as the synthetic
         # background clips do: then an empty clip is a pattern the model knows.
         self._knows_empty = any(not h.any(axis=1).all() for h in self._train_l1.values())
-        for ch, cb in self.codebooks.items():
-            want = self.model.codebook_hashes.get(ch)
-            if want is not None and want != cb.content_hash():
-                raise PipelineMismatchError(
-                    f"codebook for {ch.name} does not match the model's vocabulary"
-                )
 
     def encode_clip(self, clip: Clip) -> dict[Channel, BovwHist]:
         descs = extract_channel_descriptors(clip, self.tracker)
@@ -117,7 +113,7 @@ def train_gesture_pipeline(
     seed: int = 0,
     c: float = DEFAULT_C,
     tracker: TrackerParams = TrackerParams(),
-    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
+    subsample: int = DESCRIPTOR_SUBSAMPLE,
 ) -> GesturePipeline:
     if len(clips) != len(labels):
         raise InvalidParameterError("clip and label counts differ")
@@ -131,7 +127,7 @@ def train_codebooks(
     per_clip_descriptors: list[dict[Channel, np.ndarray]],
     k: int,
     seed: int,
-    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
+    subsample: int = DESCRIPTOR_SUBSAMPLE,
 ) -> dict[Channel, Codebook]:
     """One codebook per channel on the pooled descriptors; channel i uses seed + i.
 
@@ -154,7 +150,7 @@ def encode_corpus(
     per_clip_descriptors: list[dict[Channel, np.ndarray]],
     k: int,
     seed: int,
-    subsample: int | None = DESCRIPTOR_SUBSAMPLE,
+    subsample: int = DESCRIPTOR_SUBSAMPLE,
 ) -> tuple[dict[Channel, np.ndarray], dict[Channel, Codebook]]:
     """Train per-channel codebooks on the pool and encode every clip."""
     codebooks = train_codebooks(per_clip_descriptors, k, seed, subsample)

@@ -159,17 +159,16 @@ def run_session(
         return SessionLog(entries=[], final_state=FsmState.idle().describe())
 
     n_frames = len(video.frames) if video is not None else 0
-    fps = video.fps if video is not None else 15.0
     for ev in audio_events:
-        if ev.start_frame < 0 or ev.end_frame > n_frames + fps:
+        if ev.start_frame < 0 or (video is not None and ev.end_frame > n_frames + video.fps):
             raise SessionDesyncError(
-                f"audio event [{ev.start_frame}, {ev.end_frame}) is more than 1 s "
-                f"outside the {n_frames}-frame video stream"
+                f"audio event [{ev.start_frame}, {ev.end_frame}) starts before frame 0 or ends "
+                f"more than 1 s after the {n_frames}-frame video stream"
             )
 
     # temporal localization of visual activity; each segment is classified once
     segments: list[tuple[tuple[int, int], list[tuple[int, float]] | None]] = []
-    if video is not None and n_frames >= 2:
+    if n_frames >= 2:
         for start, end in activity_segments(
             video.frames,
             params.tau_noise,

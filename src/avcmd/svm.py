@@ -8,10 +8,10 @@ loop; each problem's arithmetic is that of solving it alone, so the results
 are the same bit for bit.
 
 The trainers refuse a C that is not finite and positive and a Gram with
-non-finite entries. The model reader accepts only what `write_model` writes
-for a trained model: it refuses a model kind other than kernel, a
-non-finite number, a C the trainers refuse, fewer than two classes, and
-class ids or channel tags that are not strictly increasing.
+non-finite entries. IGSV stores only deployable models (`_check_tables`), and
+its reader accepts only what `write_model` writes: it refuses a model kind
+other than kernel, a non-finite number, a C the trainers refuse, fewer than
+two classes, and class ids or channel tags that are not strictly increasing.
 
 Prediction picks the class with the highest decision value; exact ties go to
 the lowest class id and are flagged. Raw decision values are exposed because
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import Channel
+from .encoding import Channel, channel_from_tag, check_counts
 from .errors import (
     DegenerateInputError,
     FormatError,
@@ -158,17 +158,17 @@ def _check_labels(labels: np.ndarray) -> np.ndarray:
 class KernelSvmModel:
     """One-against-all kernel SVM over chi-square histogram channels.
 
-    Keeps whatever the decision function needs at prediction time: the
-    support expansion per class plus (optionally) the training histograms
-    and channel normalizers used to kernelize new samples.
+    Keeps the support expansion per class; a deployable model also keeps the
+    training histograms, channel means and codebook hashes of one channel
+    set, which kernelize new samples (`train_kernel_svms` leaves them empty).
     """
 
     classes: np.ndarray
     solutions: list[BinarySolution]
     n_train: int
     c: float
-    train_hists: dict[Channel, np.ndarray] | None = None  # (n_train, K) raw counts
-    channel_means: dict[Channel, float] | None = None
+    train_hists: dict[Channel, np.ndarray] = field(default_factory=dict)  # (n_train, K) raw counts
+    channel_means: dict[Channel, float] = field(default_factory=dict)
     codebook_hashes: dict[Channel, str] = field(default_factory=dict)
 
     def decision_values(self, kernel_rows: np.ndarray) -> np.ndarray:
@@ -193,27 +193,38 @@ def _argmax_prediction(classes: np.ndarray, scores: np.ndarray) -> Prediction:
     return Prediction(label=int(classes[best]), scores=scores.copy(), tie=tie)
 
 
+def _check_tables(hists: dict, means: dict, hashes: dict, n_train: int, error: type[Exception]) -> None:
+    """A deployable model's tables: one nonempty channel set in all three, (n_train, K >= 1)
+    histograms of counts that float32 stores exactly, and finite positive means."""
+    if not hists or set(hists) != set(means) or set(hists) != set(hashes):
+        raise error("a model needs training histograms, channel means and codebook hashes of one channel set")
+    for ch, h in hists.items():
+        h = np.asarray(h)
+        if h.ndim != 2 or h.shape[0] != n_train or h.shape[1] < 1:
+            raise error(f"{ch.name} training histograms must be an (n_train, K >= 1) matrix")
+        check_counts(h, error, f"{ch.name} training")
+        if not (math.isfinite(means[ch]) and means[ch] > 0):
+            raise error(f"channel mean for {ch.name} must be finite and positive")
+
+
 def train_kernel_svm(
     gram: np.ndarray,
     labels: np.ndarray,
     c: float = DEFAULT_C,
-    train_hists: dict[Channel, np.ndarray] | None = None,
-    channel_means: dict[Channel, float] | None = None,
-    codebook_hashes: dict[Channel, str] | None = None,
+    *,
+    train_hists: dict[Channel, np.ndarray],
+    channel_means: dict[Channel, float],
+    codebook_hashes: dict[Channel, str],
 ) -> KernelSvmModel:
-    """Train one binary SMO problem per class on a precomputed Gram matrix."""
-    g = np.asarray(gram, dtype=np.float64)
-    labels = np.asarray(labels)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InvalidParameterError("gram matrix must be square")
-    if g.shape[0] != labels.shape[0]:
-        raise InvalidParameterError("gram size and label count differ")
-    (model,) = train_kernel_svms(g[None], [labels], c=c)
+    """The deployable model: one binary SMO problem per class on a precomputed
+    Gram matrix, with the tables that classify new samples (`KernelSvmModel`)."""
+    (model,) = train_kernel_svms(np.asarray(gram)[None], [labels], c=c)
+    _check_tables(train_hists, channel_means, codebook_hashes, model.n_train, InvalidParameterError)
     return replace(
         model,
         train_hists=train_hists,
         channel_means=channel_means,
-        codebook_hashes=dict(codebook_hashes or {}),
+        codebook_hashes=dict(codebook_hashes),
     )
 
 
@@ -227,7 +238,7 @@ def train_kernel_svms(
     `labels_per_gram[g]` labels the n samples of `grams[g]`; each Gram has
     its own classes. Every binary problem of every Gram advances in the same
     batched solver, and each model equals the one `train_kernel_svm` fits on
-    its Gram alone.
+    its Gram alone, without its tables: a bare fit, which `write_model` refuses.
     """
     g = np.asarray(grams, dtype=np.float64)
     if g.ndim != 3 or g.shape[1] != g.shape[2]:
@@ -279,13 +290,6 @@ def _pack_hashes(hashes: dict[Channel, str]) -> bytes:
     return b"".join(out)
 
 
-def _channel(tag: int) -> Channel:
-    try:
-        return Channel(tag)
-    except ValueError:
-        raise FormatError(f"unknown channel tag {tag}") from None
-
-
 def _array(raw: bytes, off: int, dtype: str, count: int) -> tuple[np.ndarray, int]:
     """`count` values of `dtype` at `off`, checked against the file length."""
     end = off + count * np.dtype(dtype).itemsize
@@ -301,7 +305,7 @@ def _unpack_hashes(raw: bytes, off: int) -> tuple[dict[Channel, str], int]:
     for _ in range(count):
         (tag,) = struct.unpack_from("<B", raw, off)
         digest, off = _array(raw, off + 1, "u1", 32)
-        hashes[_channel(tag)] = digest.tobytes().hex()
+        hashes[channel_from_tag(tag)] = digest.tobytes().hex()
     _in_tag_order(hashes, count, "codebook hash")
     return hashes, off
 
@@ -318,16 +322,15 @@ def _finite(*values) -> None:
 
 
 def write_model(path: str | Path, model: KernelSvmModel) -> None:
-    hists = model.train_hists or {}
-    means = model.channel_means or {}
+    _check_tables(model.train_hists, model.channel_means, model.codebook_hashes, model.n_train, InvalidParameterError)
     parts = [
         _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, KIND_KERNEL, model.classes.size, model.c),
         _pack_hashes(model.codebook_hashes),
-        _TRAIN_SET.pack(model.n_train, len(hists)),
+        _TRAIN_SET.pack(model.n_train, len(model.train_hists)),
     ]
-    for ch in sorted(hists, key=int):
-        h = np.asarray(hists[ch])
-        parts.append(_HIST_RECORD.pack(int(ch), h.shape[1], float(means[ch])))
+    for ch in sorted(model.train_hists, key=int):
+        h = np.asarray(model.train_hists[ch])
+        parts.append(_HIST_RECORD.pack(int(ch), h.shape[1], float(model.channel_means[ch])))
         parts.append(h.astype("<f4").tobytes())
     for cls, sol in zip(model.classes, model.solutions):
         parts.append(_CLASS_RECORD.pack(int(cls), sol.bias, sol.support.size))
@@ -356,10 +359,11 @@ def read_model(path: str | Path) -> KernelSvmModel:
             tag, k, a_c = _HIST_RECORD.unpack_from(raw, off)
             h, off = _array(raw, off + _HIST_RECORD.size, "<f4", n_train * k)
             _finite(a_c, h)
-            ch = _channel(tag)
-            train_hists[ch] = h.reshape(n_train, k).astype(np.float64)
+            ch = channel_from_tag(tag)
+            train_hists[ch] = h.reshape(n_train, k)  # float32 until checked
             means[ch] = a_c
         _in_tag_order(train_hists, n_hists, "histogram")
+        _check_tables(train_hists, means, hashes, n_train, FormatError)
         classes, solutions = [], []
         for _ in range(n_classes):
             cls, bias, n_sv = _CLASS_RECORD.unpack_from(raw, off)
@@ -382,7 +386,7 @@ def read_model(path: str | Path) -> KernelSvmModel:
         solutions=solutions,
         n_train=n_train,
         c=c,
-        train_hists=train_hists or None,
-        channel_means=means or None,
+        train_hists={ch: h.astype(np.float64) for ch, h in train_hists.items()},
+        channel_means=means,
         codebook_hashes=hashes,
     )

@@ -134,7 +134,7 @@ def test_only_settings_with_a_caller_are_settable():
     signatures = {
         flow.FramePyramid: ["levels"],
         flow.dense_flow: [],
-        svm.train_kernel_svm: ["c", "train_hists", "channel_means", "codebook_hashes"],
+        svm.train_kernel_svm: ["c"],
         svm.train_kernel_svms: ["c"],
         encoding.train_codebook: ["channel", "subsample"],
         synth.build_session_streams: ["gesture_noise"],
@@ -150,4 +150,4 @@ def test_only_settings_with_a_caller_are_settable():
     }
     assert settable == {fn.__name__: names for fn, names in signatures.items()}
     assert [(f.name, f.default) for f in fields(trajectories.TrackResult)] == [("trajectories", MISSING)]
-    assert sum(map(len, settable.values())) == 12
+    assert sum(map(len, settable.values())) == 9

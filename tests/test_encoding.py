@@ -112,7 +112,7 @@ class TestKmeans:
         cb2 = train_codebook(x, k=4, seed=1, subsample=500)
         assert np.array_equal(cb1.centroids, cb2.centroids)
 
-    @pytest.mark.parametrize("n,subsample", [(900, 20_000), (900, 400), (3000, None)])
+    @pytest.mark.parametrize("n,subsample", [(900, 20_000), (900, 400), (3000, 3000)])
     def test_float32_pool_gives_the_float64_codebook(self, n, subsample):
         rng = np.random.default_rng(n)
         pool = (rng.normal(size=(n, 12)) * 3.0).astype(np.float32)
@@ -134,9 +134,9 @@ class TestKmeansAgainstReference:
         rng = np.random.default_rng(n)
         pool = (rng.normal(size=(n, 7)) * 3.0).astype(dtype)
         k = min(5, n)
-        subsample = max(k, n - n // 3) if thin else None
+        subsample = max(k, n - n // 3) if thin else n  # n thins nothing, as the oracle's None
         got = train_codebook(pool, k=k, seed=n, channel=Channel.HOF, subsample=subsample)
-        want = ref.train_codebook(pool, k=k, seed=n, channel=Channel.HOF, subsample=subsample)
+        want = ref.train_codebook(pool, k=k, seed=n, channel=Channel.HOF, subsample=subsample if thin else None)
         assert np.array_equal(got.centroids, want.centroids)
         assert got.content_hash() == want.content_hash()
 

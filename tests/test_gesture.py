@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,11 @@ from avcmd.vocabulary import BACKGROUND_LABEL, Command, MotionPattern
 def small_corpus():
     samples = generate_corpus(clips_per_class=3, seed=77, frames=20, size=96)
     return [s.rgb for s in samples], [s.label for s in samples]
+
+
+def _largest_pool(per_clip):
+    """The most rows any channel pools: as `subsample`, it thins no pool."""
+    return max(sum(len(d[ch]) for d in per_clip) for ch in CHANNEL_ORDER)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +114,11 @@ class TestTrainingRecipe:
 
     def test_bovw_model_equals_written_out_recipe(self):
         per_clip, labels = self._corpus()
-        hists, books = encode_corpus(per_clip, k=5, seed=2, subsample=None)
+        hists, books = encode_corpus(per_clip, k=5, seed=2, subsample=_largest_pool(per_clip))
+        for offset, ch in enumerate(CHANNEL_ORDER):
+            # the whole pool, as the oracle's subsample=None clusters it
+            pool = np.vstack([d[ch] for d in per_clip if d[ch].shape[0]])
+            assert np.array_equal(books[ch].centroids, ref.train_codebook(pool, k=5, seed=2 + offset).centroids)
         dists = chi2_distances(hists)
         old_dists = {ch: ref.chi2_distance_matrix(_l1_rows(hists[ch])) for ch in CHANNEL_ORDER}
         assert all(np.array_equal(dists[ch], old_dists[ch]) for ch in CHANNEL_ORDER)
@@ -196,12 +207,24 @@ class TestPipeline:
                 codebooks=other.codebooks, model=pipeline.model, tracker=pipeline.tracker
             )
 
+    def test_codebooks_of_another_channel_set_refused(self, pipeline):
+        # a model whose hash table lacked a channel used to skip its check
+        books, model = pipeline.codebooks, pipeline.model
+        fewer = {ch: cb for ch, cb in books.items() if ch != Channel.HOF}
+        with pytest.raises(PipelineMismatchError, match="HOF"):
+            GesturePipeline(codebooks=fewer, model=model)
+        hashes = {ch: h for ch, h in model.codebook_hashes.items() if ch != Channel.MBH}
+        with pytest.raises(PipelineMismatchError, match="MBH"):
+            GesturePipeline(codebooks=books, model=replace(model, codebook_hashes=hashes))
+        with pytest.raises(PipelineMismatchError, match="TRAJ, HOG, HOF, MBH"):
+            GesturePipeline(codebooks=books, model=replace(model, codebook_hashes={}))
+
 
 class TestLooEvaluation:
     def test_single_channel_subset(self, small_corpus):
         clips, labels = small_corpus
         per_clip = [extract_channel_descriptors(c) for c in clips]
-        hists, _ = encode_corpus(per_clip, k=12, seed=5, subsample=None)
+        hists, _ = encode_corpus(per_clip, k=12, seed=5, subsample=_largest_pool(per_clip))
         dists = {ch: chi2_distance_matrix(_l1_rows(hists[ch])) for ch in CHANNEL_ORDER}
         acc_comb = evaluate_loo_bovw(dists, np.asarray(labels), c=100.0)
         acc_hof = evaluate_loo_bovw(dists, np.asarray(labels), channels=(Channel.HOF,), c=100.0)
@@ -213,7 +236,7 @@ class TestLooEvaluation:
         # same synthetic split
         clips, labels = small_corpus
         per_clip = [extract_channel_descriptors(c) for c in clips]
-        hists, _ = encode_corpus(per_clip, k=12, seed=5, subsample=None)
+        hists, _ = encode_corpus(per_clip, k=12, seed=5, subsample=_largest_pool(per_clip))
         dists = {ch: chi2_distance_matrix(_l1_rows(hists[ch])) for ch in CHANNEL_ORDER}
         labels = np.asarray(labels)
         acc = {c: evaluate_loo_bovw(dists, labels, c=c) for c in (1.0, 10.0, 100.0)}

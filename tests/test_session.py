@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,25 @@ class TestRunSession:
             assert entry.source == FusionSource.SPEECH_ONLY
             assert entry.latency_frames == 10
         assert log.final_state == "halted"
+
+    def test_audio_only_session_equals_a_static_video(self, rng):
+        # without video, events used to be checked against a 0-frame stream at
+        # a made-up 15 fps, so every event ending after frame 15 was refused
+        models = _speech_models(rng)
+        steps = _steps_with_windows(LEGS_SCRIPT)
+        events = [
+            AudioEvent(
+                start_frame=step.window[0] + 2,
+                end_frame=step.window[0] + 10,
+                features=models.templates[step.command][0],
+            )
+            for step in steps
+        ]
+        log = run_session(None, events, steps, models)
+        assert log == run_session(_static_video(), events, steps, models)
+        assert [e.recognized for e in log.entries] == [step.command for step in steps]
+        with pytest.raises(SessionDesyncError, match="before frame 0"):
+            run_session(None, [replace(events[0], start_frame=-1)], steps, models)
 
     def test_keyword_gate_blocks_recognition(self, rng):
         models = _speech_models(rng)

@@ -35,11 +35,22 @@ def separable_points(rng, n_per=20, gap=4.0):
     return x, y
 
 
+def _tables(n_train, channels=(Channel.HOG, Channel.HOF), seed=0):
+    """`train_kernel_svm`'s tables over one channel set: integer training
+    counts, positive channel means and one digest per channel."""
+    rng = np.random.default_rng(seed)
+    return {
+        "train_hists": {ch: rng.integers(0, 6, size=(n_train, 3)).astype(np.float64) for ch in channels},
+        "channel_means": {ch: 0.4 + 0.1 * i for i, ch in enumerate(channels)},
+        "codebook_hashes": {ch: f"{int(ch) + 10:02x}" * 32 for ch in channels},
+    }
+
+
 class TestKernelSvm:
     def test_separable_training_accuracy_100(self, rng):
         x, y = separable_points(rng)
         gram = x @ x.T
-        model = train_kernel_svm(gram, y, c=10.0)
+        model = train_kernel_svms(gram[None], [y], c=10.0)[0]
         preds = model.predict(gram)
         assert all(p.label == t for p, t in zip(preds, y))
 
@@ -47,12 +58,12 @@ class TestKernelSvm:
         x, y = separable_points(rng, n_per=12)
         probe = rng.normal(size=(15, 2)) * 3.0
         gram = x @ x.T
-        model1 = train_kernel_svm(gram, y, c=5.0)
+        model1 = train_kernel_svms(gram[None], [y], c=5.0)[0]
         labels1 = [p.label for p in model1.predict(probe @ x.T)]
 
         x2 = np.vstack([x, x])
         y2 = np.concatenate([y, y])
-        model2 = train_kernel_svm(x2 @ x2.T, y2, c=5.0)
+        model2 = train_kernel_svms((x2 @ x2.T)[None], [y2], c=5.0)[0]
         labels2 = [p.label for p in model2.predict(probe @ x2.T)]
         assert labels1 == labels2
 
@@ -60,7 +71,7 @@ class TestKernelSvm:
         x, y01 = separable_points(rng, n_per=15, gap=2.0)
         gram = x @ x.T
         c = 5.0
-        model = train_kernel_svm(gram, y01, c=c)
+        model = train_kernel_svms(gram[None], [y01], c=c)[0]
         for cls_idx, cls in enumerate(model.classes):
             y = np.where(y01 == cls, 1.0, -1.0)
             sol = model.solutions[cls_idx]
@@ -78,12 +89,12 @@ class TestKernelSvm:
     def test_single_class_rejected(self):
         gram = np.eye(4)
         with pytest.raises(DegenerateInputError):
-            train_kernel_svm(gram, np.zeros(4, dtype=int))
+            train_kernel_svms(gram[None], [np.zeros(4, dtype=int)])
 
     def test_asymmetric_gram_rejected(self, rng):
         gram = rng.normal(size=(6, 6))
         with pytest.raises(InvalidParameterError):
-            train_kernel_svm(gram, np.array([0, 0, 0, 1, 1, 1]))
+            train_kernel_svms(gram[None], [np.array([0, 0, 0, 1, 1, 1])])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -98,7 +109,7 @@ class TestKernelSvm:
     def test_bad_solver_parameters_rejected(self, rng, kwargs):
         x, y = separable_points(rng, n_per=4)
         with pytest.raises(InvalidParameterError):
-            train_kernel_svm(x @ x.T, y, **kwargs)
+            train_kernel_svm(x @ x.T, y, **kwargs, **_tables(8))
         with pytest.raises(InvalidParameterError):
             train_kernel_svms((x @ x.T)[None], [y], **kwargs)
 
@@ -107,7 +118,7 @@ class TestKernelSvm:
         x, y = separable_points(rng, n_per=4)
         gram = x @ x.T
         gram[2, 5] = gram[5, 2] = bad
-        for train in (lambda: train_kernel_svm(gram, y), lambda: train_kernel_svms(gram[None], [y])):
+        for train in (lambda: train_kernel_svm(gram, y, **_tables(8)), lambda: train_kernel_svms(gram[None], [y])):
             with pytest.raises(InvalidParameterError, match="non-finite"):
                 train()
 
@@ -125,7 +136,7 @@ class TestKernelSvm:
 
     def test_every_class_has_a_support_vector(self, rng):
         x, y = separable_points(rng)
-        model = train_kernel_svm(x @ x.T, y, c=10.0)
+        model = train_kernel_svms((x @ x.T)[None], [y], c=10.0)[0]
         assert all(sol.support.size >= 1 for sol in model.solutions)
 
     def test_multiclass_three_blobs(self, rng):
@@ -137,7 +148,7 @@ class TestKernelSvm:
         x = np.vstack(xs)
         y = np.asarray(ys)
         gram = np.exp(-0.1 * ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
-        model = train_kernel_svm(gram, y, c=10.0)
+        model = train_kernel_svms(gram[None], [y], c=10.0)[0]
         preds = model.predict(gram)
         assert np.mean([p.label == t for p, t in zip(preds, y)]) == 1.0
 
@@ -181,25 +192,19 @@ class TestPrediction:
 class TestModelIO:
     def test_kernel_model_round_trip(self, tmp_path, rng):
         x, y = separable_points(rng, n_per=8)
-        hists = {
-            Channel.HOG: rng.random((16, 5)),
-            Channel.HOF: rng.random((16, 5)),
-        }
-        means = {Channel.HOG: 0.4, Channel.HOF: 0.6}
-        hashes = {Channel.HOG: "ab" * 32, Channel.HOF: "cd" * 32}
-        model = train_kernel_svm(
-            x @ x.T, y, c=3.0, train_hists=hists, channel_means=means, codebook_hashes=hashes
-        )
+        tables = _tables(16)
+        tables["train_hists"][Channel.HOF][3, 1] = 2.0**24  # the largest count stored
+        model = train_kernel_svm(x @ x.T, y, c=3.0, **tables)
         path = tmp_path / "m.igsv"
         write_model(path, model)
         back = read_model(path)
         assert isinstance(back, KernelSvmModel)
         assert np.array_equal(back.classes, model.classes)
         assert back.n_train == model.n_train
-        assert back.codebook_hashes == hashes
-        assert back.channel_means == means
-        for ch in hists:
-            np.testing.assert_allclose(back.train_hists[ch], hists[ch], atol=1e-6)
+        assert back.codebook_hashes == tables["codebook_hashes"]
+        assert back.channel_means == tables["channel_means"]
+        for ch, h in tables["train_hists"].items():
+            assert back.train_hists[ch].dtype == np.float64 and np.array_equal(back.train_hists[ch], h)
         probe = rng.normal(size=(5, 2))
         np.testing.assert_allclose(
             back.decision_values(probe @ x.T), model.decision_values(probe @ x.T), atol=1e-6
@@ -208,7 +213,7 @@ class TestModelIO:
     def test_old_linear_kind_refused(self, tmp_path, rng):
         x, y = separable_points(rng, n_per=4)
         path = tmp_path / "m.igsv"
-        write_model(path, train_kernel_svm(x @ x.T, y, c=3.0))
+        write_model(path, train_kernel_svm(x @ x.T, y, c=3.0, **_tables(8)))
         raw = bytearray(path.read_bytes())
         assert raw[6] == 0  # the kind byte after magic and version u16
         raw[6] = 1  # the removed linear kind
@@ -225,6 +230,57 @@ class TestModelIO:
             read_model(p)
 
 
+# Spoiled tables, none of which a deployable model has, and the refusal's message.
+_SPOILED_TABLES = {
+    "no tables": (lambda t: [table.clear() for table in t.values()], "one channel set"),
+    "no histogram table": (lambda t: (t["train_hists"].clear(), t["channel_means"].clear()), "one channel set"),
+    "hash channels differ": (lambda t: t["codebook_hashes"].update({Channel.MBH: "ee" * 32}), "one channel set"),
+    "hash channel missing": (lambda t: t["codebook_hashes"].pop(Channel.HOF), "one channel set"),
+    "mean 0": (lambda t: t["channel_means"].update({Channel.HOF: 0.0}), "mean for HOF"),
+    "mean -0.5": (lambda t: t["channel_means"].update({Channel.HOG: -0.5}), "mean for HOG"),
+    "count -1": (lambda t: t["train_hists"][Channel.HOG].__setitem__((2, 0), -1.0), "HOG training counts"),
+    "count 2.5": (lambda t: t["train_hists"][Channel.HOF].__setitem__((5, 2), 2.5), "HOF training counts"),
+    "count 2**25": (lambda t: t["train_hists"][Channel.HOF].__setitem__((0, 1), 2.0**25), "HOF training counts"),
+}
+
+
+class TestDeployableModel:
+    """The trainer and the writer refuse a model without the histograms,
+    channel means and codebook hashes of one channel set."""
+
+    def test_writer_refuses_a_bare_fit(self, tmp_path, rng):
+        x, y = separable_points(rng, n_per=4)
+        with pytest.raises(InvalidParameterError, match="one channel set"):
+            write_model(tmp_path / "m.igsv", train_kernel_svms((x @ x.T)[None], [y], c=3.0)[0])
+
+    @pytest.mark.parametrize("spoil, match", list(_SPOILED_TABLES.values()), ids=list(_SPOILED_TABLES))
+    def test_trainer_and_writer_refuse_spoiled_tables(self, tmp_path, rng, spoil, match):
+        x, y = separable_points(rng, n_per=4)
+        tables = _tables(8)
+        model = train_kernel_svm(x @ x.T, y, c=3.0, **tables)
+        spoil(tables)
+        with pytest.raises(InvalidParameterError, match=match):
+            train_kernel_svm(x @ x.T, y, c=3.0, **tables)
+        with pytest.raises(InvalidParameterError, match=match):
+            write_model(tmp_path / "m.igsv", replace(model, **tables))
+
+    @pytest.mark.parametrize("count", [2.0**24 + 1, 2.0**24 + 2])
+    def test_writer_refuses_counts_float32_does_not_store(self, tmp_path, rng, count):
+        # 2**24 + 1 used to be written, and read back, as 2**24
+        x, y = separable_points(rng, n_per=4)
+        model = train_kernel_svm(x @ x.T, y, c=3.0, **_tables(8))
+        model.train_hists[Channel.HOG][1, 1] = count
+        with pytest.raises(InvalidParameterError, match="float32"):
+            write_model(tmp_path / "m.igsv", model)
+
+    def test_histograms_of_another_size_refused(self, rng):
+        x, y = separable_points(rng, n_per=4)
+        tables = _tables(8)
+        tables["train_hists"][Channel.HOG] = tables["train_hists"][Channel.HOG][:7]
+        with pytest.raises(InvalidParameterError, match="n_train"):
+            train_kernel_svm(x @ x.T, y, c=3.0, **tables)
+
+
 class TestModelReaderRefusesWhatTrainingNeverWrites:
     """Each of these files used to read; writing it back gave other bytes, or
     `predict` failed outside the `AvcmdError` family."""
@@ -232,17 +288,23 @@ class TestModelReaderRefusesWhatTrainingNeverWrites:
     @staticmethod
     def _model(rng, **fields):
         x, y = separable_points(rng, n_per=4)
-        hists = {Channel.TRAJ: rng.random((8, 3)), Channel.HOF: rng.random((8, 3))}
-        model = train_kernel_svm(
-            x @ x.T, y, c=3.0, train_hists=hists, channel_means={Channel.TRAJ: 0.4, Channel.HOF: 0.6},
-            codebook_hashes={Channel.HOG: "ab" * 32, Channel.HOF: "cd" * 32},
-        )
-        return replace(model, **fields)
+        return replace(train_kernel_svm(x @ x.T, y, c=3.0, **_tables(8)), **fields)
 
     def _refused(self, path, raw, match):
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=match):
             read_model(path)
+
+    @pytest.mark.parametrize("spoil, match", list(_SPOILED_TABLES.values()), ids=list(_SPOILED_TABLES))
+    def test_spoiled_tables(self, tmp_path, rng, monkeypatch, spoil, match):
+        # the bare layout and the tables below all used to read
+        tables = _tables(8)
+        spoil(tables)
+        path = tmp_path / "m.igsv"
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(svm, "_check_tables", lambda *args: None)
+            write_model(path, self._model(rng, **tables))
+        self._refused(path, path.read_bytes(), match)
 
     @pytest.mark.parametrize("n_classes", [0, 1])
     def test_fewer_than_two_classes(self, tmp_path, rng, n_classes):
@@ -267,13 +329,13 @@ class TestModelReaderRefusesWhatTrainingNeverWrites:
 
     @pytest.mark.parametrize("second", [Channel.TRAJ, Channel.HOF])
     def test_histogram_tags_not_strictly_increasing(self, tmp_path, rng, second):
-        # written TRAJ, HOF; read as HOF, TRAJ it was written back sorted
+        # written HOG, HOF; read as HOF, TRAJ it was written back sorted
         path = tmp_path / "m.igsv"
-        write_model(path, self._model(rng, codebook_hashes={}))
+        write_model(path, self._model(rng))
         raw = bytearray(path.read_bytes())
-        first_tag = svm._MODEL_HEADER.size + 1 + svm._TRAIN_SET.size
+        first_tag = svm._MODEL_HEADER.size + 1 + 2 * 33 + svm._TRAIN_SET.size
         second_tag = first_tag + svm._HIST_RECORD.size + 4 * 8 * 3
-        assert (raw[first_tag], raw[second_tag]) == (Channel.TRAJ, Channel.HOF)
+        assert (raw[first_tag], raw[second_tag]) == (Channel.HOG, Channel.HOF)
         raw[first_tag], raw[second_tag] = Channel.HOF, second
         self._refused(path, raw, "histogram channel tags")
 
@@ -294,18 +356,13 @@ class TestModelReaderTotality:
 
     @staticmethod
     def _models(rng):
-        # Neighbouring tags, so that one flipped bit can repeat a tag.
+        """By model kind: IGSV stores one, the deployable kernel model. Its
+        channels have neighbouring tags, so that one flipped bit can repeat a tag."""
         x, y = separable_points(rng, n_per=4)
-        hists = {ch: rng.random((8, 3)) for ch in (Channel.HOG, Channel.HOF, Channel.MBH)}
-        kernel = train_kernel_svm(
-            x @ x.T, y, c=3.0, train_hists=hists,
-            channel_means={Channel.HOG: 0.4, Channel.HOF: 0.5, Channel.MBH: 0.6},
-            codebook_hashes={Channel.TRAJ: "cd" * 32, Channel.HOG: "ab" * 32},
-        )
-        # "bare": no training histograms, channel means or codebook digests
-        return {"kernel": kernel, "bare": train_kernel_svm(x @ x.T, y, c=2.0)}
+        tables = _tables(8, channels=(Channel.HOG, Channel.HOF, Channel.MBH))
+        return {"kernel": train_kernel_svm(x @ x.T, y, c=3.0, **tables)}
 
-    @pytest.mark.parametrize("kind", ["kernel", "bare"])
+    @pytest.mark.parametrize("kind", ["kernel"])
     def test_every_truncation_raises(self, tmp_path, rng, kind):
         path = tmp_path / "m.igsv"
         write_model(path, self._models(rng)[kind])
@@ -315,7 +372,7 @@ class TestModelReaderTotality:
             with pytest.raises(AvcmdError):
                 read_model(path)
 
-    @pytest.mark.parametrize("kind", ["kernel", "bare"])
+    @pytest.mark.parametrize("kind", ["kernel"])
     def test_trailing_byte_rejected(self, tmp_path, rng, kind):
         path = tmp_path / "m.igsv"
         write_model(path, self._models(rng)[kind])
@@ -323,7 +380,7 @@ class TestModelReaderTotality:
         with pytest.raises(FormatError):
             read_model(path)
 
-    @pytest.mark.parametrize("kind", ["kernel", "bare"])
+    @pytest.mark.parametrize("kind", ["kernel"])
     def test_every_byte_flip_reads_or_raises(self, tmp_path, rng, kind):
         path = tmp_path / "m.igsv"
         write_model(path, self._models(rng)[kind])
@@ -345,7 +402,7 @@ class TestModelReaderTotality:
 
     @staticmethod
     def _all_finite(model) -> bool:
-        numbers = [model.c, *(model.train_hists or {}).values(), *(model.channel_means or {}).values()]
+        numbers = [model.c, *model.train_hists.values(), *model.channel_means.values()]
         numbers += [v for s in model.solutions for v in (s.bias, s.coef)]
         return all(np.all(np.isfinite(v)) for v in numbers)
 
@@ -359,11 +416,13 @@ class TestModelReaderTotality:
             ("kernel", lambda m: m.train_hists[Channel.HOG].__setitem__((3, 1), float("nan"))),
         ],
     )
-    def test_non_finite_number_rejected(self, tmp_path, rng, kind, spoil):
+    def test_non_finite_number_rejected(self, tmp_path, rng, monkeypatch, kind, spoil):
         model = self._models(rng)[kind]
         spoil(model)
         path = tmp_path / "m.igsv"
-        write_model(path, model)
+        with monkeypatch.context() as unchecked:  # the writer refuses the table spoils
+            unchecked.setattr(svm, "_check_tables", lambda *args: None)
+            write_model(path, model)
         with pytest.raises(FormatError, match="non-finite"):
             read_model(path)
 
@@ -436,7 +495,8 @@ class TestBatchedSmoAgainstReference:
         for seed in range(5):
             labels = np.random.default_rng(seed).integers(0, 3, size=12)
             labels[:3] = [0, 1, 2]
-            self._assert_same(train_kernel_svm(gram, labels, c=10.0), ref.train_kernel_svm(gram, labels, 10.0))
+            got = train_kernel_svms(gram[None], [labels], c=10.0)[0]
+            self._assert_same(got, ref.train_kernel_svm(gram, labels, 10.0))
         labels = np.repeat(np.arange(4), 3)
         dists = _bovw_dists(np.random.default_rng(5), labels)
         dup = {ch: d[np.ix_(np.r_[:12, :12], np.r_[:12, :12])] for ch, d in dists.items()}
