@@ -63,12 +63,14 @@ class PipelineConfig:
             (self.sigma_min > 0.0, "sigma_min must be positive"),
             (self.pyramid_levels >= 1, "pyramid_levels must be >= 1"),
             (self.codebook_k >= 1, "codebook_k must be >= 1"),
+            (self.codebook_seed >= 0, "codebook_seed must be >= 0"),
             (self.descriptor_subsample >= 1, "descriptor_subsample must be >= 1"),
             (self.svm_c > 0.0, "svm_c must be positive"),
             (self.tau_noise >= 0.0, "tau_noise must be nonnegative"),
             (0.0 <= self.theta_off <= self.theta_on <= 1.0, "need 0 <= theta_off <= theta_on <= 1"),
             (self.min_dur_s > 0.0, "min_dur_s must be positive"),
             (self.max_gap_s > 0.0, "max_gap_s must be positive"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.lang in ("en", "de", "it"), "lang must be one of en, de, it"),
         ]
         for ok, message in checks:

@@ -24,7 +24,11 @@ level the second frame is warped back by the current estimate and a windowed
 least-squares increment is solved in closed form per pixel from the first
 frame's structure tensor. Textureless pixels (small minimum eigenvalue of the
 normal matrix) receive no increment, which leaves them at the value
-interpolated from coarser levels.
+interpolated from coarser levels. The estimate is one float32 (2, h, w)
+field (u, v) from the coarsest level to the `FlowField`: the bilinear
+helpers read every image of a stack at one set of taps, so each increment
+is one warp, one 2x2 solve, one clip and one add, and one upsample moves
+both components to the next level.
 
 The recipe is fixed: a (2 `LK_RADIUS` + 1)^2 window, `LK_ITERATIONS`
 increments per level and the eigenvalue floor `MIN_EIG`. The one setting
@@ -140,16 +144,6 @@ def _window_sums(padded: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _box_sum(stack: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over a (2r+1)^2 window, clipped at the borders, of each (h, w) slice
-    of `stack` (..., h, w), with radius r >= 1."""
-    *lead, h, w = stack.shape
-    r = radius
-    p = np.zeros((*lead, h + 2 * r, w + 2 * r), dtype=stack.dtype)
-    p[..., r : r + h, r : r + w] = stack
-    return _window_sums(p, r)
-
-
 def _structure_tensor(grad: np.ndarray, radius: int):
     """Window sums (sxx, sxy, syy) of the gradient products of `grad` =
     (gx, gy) over a border-clipped (2r+1)^2 window, and the minimum
@@ -213,42 +207,42 @@ def _gradients(images: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _bilinear_taps(shape: tuple[int, int], ys: np.ndarray, xs: np.ndarray):
-    """Where bilinear lookups at (ys, xs) read in an (h, w) image.
+def _bilinear_taps(shape: tuple[int, int], yx: np.ndarray):
+    """Where bilinear lookups at the points `yx` = (ys, xs), a (2, ...)
+    array, read in an (h, w) image.
 
     Coordinates are clamped to the image. Returns the flat index of each
     point's top-left neighbour in the `_pad_edge`-padded image, whose extra
     row and column stand in for the clamped neighbours past the last row or
-    column, and the fractional offsets (fx, fy).
+    column, and the fractional offsets (fy, fx) as one (2, ...) array.
     """
     h, w = shape
-    ys = np.maximum(ys, 0.0)
-    np.minimum(ys, h - 1.0, out=ys)
-    xs = np.maximum(xs, 0.0)
-    np.minimum(xs, w - 1.0, out=xs)
-    y0 = np.floor(ys)
-    x0 = np.floor(xs)
-    ys -= y0
-    xs -= x0
+    yx = np.maximum(yx, 0.0)
+    np.minimum(yx[0], h - 1.0, out=yx[0])
+    np.minimum(yx[1], w - 1.0, out=yx[1])
+    corner = np.floor(yx)
+    yx -= corner
+    y0, x0 = corner
     y0 *= w + 1
     y0 += x0  # exact: integers below 2**24, even in float32
-    return y0.astype(np.intp), xs, ys
+    return y0.astype(np.intp), yx
 
 
 def _interpolate(padded: np.ndarray, taps) -> np.ndarray:
-    """Bilinear values of an image, given `_pad_edge(image)`, at `taps`."""
-    idx, fx, fy = taps
-    flat = padded.ravel()
-    row = padded.shape[1]
+    """Bilinear values of each image of a stack, given its `_pad_edge` copy
+    (..., h+1, w+1), at `taps`: an array of shape (..., *points)."""
+    idx, (fy, fx) = taps
+    flat = padded.reshape(*padded.shape[:-2], -1)
+    row = padded.shape[-1]
     gx = 1.0 - fx
-    top = flat.take(idx)
+    top = flat.take(idx, axis=-1)
     top *= gx
-    t = flat[1:].take(idx)
+    t = flat[..., 1:].take(idx, axis=-1)
     t *= fx
     top += t
-    bot = flat[row:].take(idx)
+    bot = flat[..., row:].take(idx, axis=-1)
     bot *= gx
-    flat[row + 1 :].take(idx, out=t)
+    flat[..., row + 1 :].take(idx, axis=-1, out=t)
     t *= fx
     bot += t
     top *= 1.0 - fy
@@ -265,9 +259,8 @@ def _upsample_taps(shape: tuple[int, int], coarse_shape: tuple[int, int]):
     hc, wc = coarse_shape
     ys = (np.arange(h) + 0.5) * (hc / h) - 0.5
     xs = (np.arange(w) + 0.5) * (wc / w) - 0.5
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    idx, fx, fy = _bilinear_taps(coarse_shape, grid_y, grid_x)
-    taps = (idx, fx.astype(np.float32), fy.astype(np.float32))
+    idx, frac = _bilinear_taps(coarse_shape, np.stack(np.meshgrid(ys, xs, indexing="ij")))
+    taps = (idx, frac.astype(np.float32))
     for a in taps:
         a.flags.writeable = False
     return taps, (w / wc, h / hc)
@@ -279,38 +272,39 @@ class _Level:
 
     `image` and its `_pad_edge` copy `padded` serve the level as `nxt` of a
     frame pair. The stacked central-difference gradients `grad` (gx, gy)
-    and `tensor` serve it as `prev`: the windowed normal matrix as (sxx,
-    sxy, -syy) and its inverted determinant, zero where the minimum
-    eigenvalue is too small. A stack's level holds (T, ...) arrays, and
-    `frame(t)` is frame t's level as views into them. `grad` is an array of
-    its own, so a view of it keeps neither the tensor nor other levels
-    alive.
+    and `tensor` serve it as `prev`. `tensor` is (coef, inv_det): the
+    windowed normal matrix [[sxx, sxy], [sxy, syy]] as the three planes
+    coef = (-syy, sxy, -sxx), so that its negated adjugate's rows are
+    coef[:2] and coef[1:], and its inverted determinant, zero where the
+    minimum eigenvalue is too small. `grid` is the (2, h, w) float32 grid of
+    (row, column) coordinates, shared by a stack's frames. A stack's level
+    holds (T, ...) arrays, and `frame(t)` is frame t's level as views into
+    them. `grad` is an array of its own, so a view of it keeps neither the
+    tensor nor other levels alive.
     """
 
     image: np.ndarray
     padded: np.ndarray
     grad: np.ndarray
-    tensor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    rows: np.ndarray  # (h, 1) row coordinates, float32
-    cols: np.ndarray  # (w,) column coordinates
+    tensor: tuple[np.ndarray, np.ndarray]
+    grid: np.ndarray
 
     @classmethod
     def of_stack(cls, images: np.ndarray) -> "_Level":
         """The level of a (T, h, w) float32 stack, every field built at once."""
-        h, w = images.shape[1:]
         grad = _gradients(images)
         sxx, sxy, syy, lam_min = _structure_tensor(grad.swapaxes(0, 1), LK_RADIUS)
         det = sxx * syy
         det -= sxy * sxy
         valid = (lam_min > MIN_EIG) & (det > 1e-12)
         inv_det = np.divide(1.0, det, out=np.zeros_like(det), where=valid)
-        rows = np.arange(h, dtype=np.float32)[:, None]
-        cols = np.arange(w, dtype=np.float32)
-        return cls(images, _pad_edge(images), grad, (sxx, sxy, -syy, inv_det), rows, cols)
+        coef = np.stack([-syy, sxy, -sxx], axis=1)
+        grid = np.indices(images.shape[1:], dtype=np.float32)
+        return cls(images, _pad_edge(images), grad, (coef, inv_det), grid)
 
     def frame(self, t: int) -> "_Level":
         tensor = tuple(a[t] for a in self.tensor)
-        return _Level(self.image[t], self.padded[t], self.grad[t], tensor, self.rows, self.cols)
+        return _Level(self.image[t], self.padded[t], self.grad[t], tensor, self.grid)
 
 
 class FramePyramid:
@@ -373,37 +367,32 @@ def dense_flow(prev, nxt) -> FlowField:
     if pa.shape != pb.shape or len(pa.levels) != len(pb.levels):
         raise InvalidParameterError("frames must share dimensions and pyramid depth")
 
-    u = np.zeros_like(pa.levels[-1].image)
-    v = np.zeros_like(u)
+    uv = np.zeros((2, *pa.levels[-1].image.shape), dtype=np.float32)  # (u, v)
     for la, lb in zip(reversed(pa.levels), reversed(pb.levels)):
-        if u.shape != la.image.shape:
-            taps, (scale_x, scale_y) = _upsample_taps(la.image.shape, u.shape)
-            u = _interpolate(_pad_edge(u), taps)
-            u *= scale_x
-            v = _interpolate(_pad_edge(v), taps)
-            v *= scale_y
-
         shape = la.image.shape
-        sxx, sxy, neg_syy, inv_det = la.tensor
-        prod = np.empty((2,) + shape, dtype=np.float32)
+        if uv.shape[1:] != shape:
+            taps, (scale_x, scale_y) = _upsample_taps(shape, uv.shape[1:])
+            uv = _interpolate(_pad_edge(uv), taps)
+            uv[0] *= scale_x
+            uv[1] *= scale_y
+
+        coef, inv_det = la.tensor
+        r = LK_RADIUS
+        p = np.zeros((2, shape[0] + 2 * r, shape[1] + 2 * r), dtype=np.float32)
+        prod = p[:, r : r + shape[0], r : r + shape[1]]
         for _ in range(LK_ITERATIONS):
-            it = _interpolate(lb.padded, _bilinear_taps(shape, la.rows + v, la.cols + u))
+            it = _interpolate(lb.padded, _bilinear_taps(shape, la.grid + uv[::-1]))
             it -= la.image
             np.multiply(la.grad, it, out=prod)
-            sxt, syt = _box_sum(prod, LK_RADIUS)
-            du = neg_syy * sxt
-            du += sxy * syt
-            du *= inv_det
-            dv = sxy * sxt
-            dv -= sxx * syt
-            dv *= inv_det
+            sxt, syt = _window_sums(p, r)
+            d = coef[:2] * sxt
+            d += coef[1:] * syt
+            d *= inv_det
             # A single increment larger than the window is never trustworthy.
-            np.clip(du, -LK_RADIUS, LK_RADIUS, out=du)
-            np.clip(dv, -LK_RADIUS, LK_RADIUS, out=dv)
-            u += du
-            v += dv
+            np.clip(d, -r, r, out=d)
+            uv += d
 
-    return FlowField(width=pa.shape[1], height=pa.shape[0], u=u, v=v)
+    return FlowField(width=pa.shape[1], height=pa.shape[0], u=uv[0], v=uv[1])
 
 
 def median_filter_3x3(field: np.ndarray) -> np.ndarray:

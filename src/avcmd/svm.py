@@ -21,6 +21,7 @@ the fusion layer consumes ranked hypothesis lists, not probabilities.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -195,9 +196,13 @@ def _argmax_prediction(classes: np.ndarray, scores: np.ndarray) -> Prediction:
 
 def _check_tables(hists: dict, means: dict, hashes: dict, n_train: int, error: type[Exception]) -> None:
     """A deployable model's tables: one nonempty channel set in all three, (n_train, K >= 1)
-    histograms of counts that float32 stores exactly, and finite positive means."""
+    histograms of counts that float32 stores exactly, finite positive means, and
+    codebook hashes of 64 lowercase hex digits, the sha256 digests IGSV stores."""
     if not hists or set(hists) != set(means) or set(hists) != set(hashes):
         raise error("a model needs training histograms, channel means and codebook hashes of one channel set")
+    for ch, digest in hashes.items():
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise error(f"codebook hash for {ch.name} must be 64 lowercase hex digits")
     for ch, h in hists.items():
         h = np.asarray(h)
         if h.ndim != 2 or h.shape[0] != n_train or h.shape[1] < 1:

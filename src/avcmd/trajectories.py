@@ -385,11 +385,12 @@ def _tube_inside(paths: np.ndarray, traj_len: int, half: int, w: int, h: int) ->
 
 
 # Frames whose pyramids `track` builds in one stack. A frame's pyramid holds
-# about 48 bytes per pixel of float32 arrays over its levels (image, padded
-# copy, gradients and structure tensor), so the budget is 4 frames at
-# 96 x 96 and 2 at 120 x 120. Two chunks are alive at a chunk boundary; at
-# this budget that stays below the memory that describing the clip's
-# trajectories needs, and stacks of up to 8 frames were no faster.
+# about 42 bytes per pixel of float32 arrays over its levels (image, padded
+# copy, gradients and four tensor planes); the budget counts 48, which
+# keeps the chunks measured below: 4 frames at 96 x 96 and 2 at 120 x 120.
+# Two chunks are alive at a chunk boundary; at this budget that stays below
+# the memory that describing the clip's trajectories needs, and stacks of up
+# to 8 frames were no faster.
 PYRAMID_BATCH_BYTES = 1_900_000
 PYRAMID_BYTES_PER_PIXEL = 48
 
@@ -444,19 +445,17 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
         field = dense_flow(prev, nxt)
         grads.append(prev.levels[0].grad)
         flows.append((field.u, field.v))
-        u_med = median_filter_3x3(field.u)
-        v_med = median_filter_3x3(field.v)
+        uv_med = np.stack([median_filter_3x3(field.u), median_filter_3x3(field.v)])
 
         if len(starts):
-            xs, ys = paths[np.arange(len(starts)), t - starts].T
-            taps = _bilinear_taps((h, w), ys, xs)
-            nxs = xs + _interpolate(_pad_edge(u_med), taps)
-            nys = ys + _interpolate(_pad_edge(v_med), taps)
+            xy = paths[np.arange(len(starts)), t - starts].T
+            nxy = xy + _interpolate(_pad_edge(uv_med), _bilinear_taps((h, w), xy[::-1]))
+            nxs, nys = nxy
             # Drop trajectories that left the frame.
             inside = (0.0 <= nxs) & (nxs <= w - 1.0) & (0.0 <= nys) & (nys <= h - 1.0)
             starts, paths = starts[inside], paths[inside]
             age = t + 1 - starts
-            paths[np.arange(len(starts)), age] = np.stack([nxs[inside], nys[inside]], axis=1)
+            paths[np.arange(len(starts)), age] = nxy[:, inside].T
             complete = age == L
             done.append((starts[complete], paths[complete]))
             starts, paths = starts[~complete], paths[~complete]

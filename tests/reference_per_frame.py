@@ -1,14 +1,17 @@
-"""Reference oracles for the stacked pyramid and the tracker's integral passes.
+"""Reference oracles for the stacked pyramid, the flow field and the tracker's integral passes.
 
 These are the float32 tracker's earlier forms, one frame at a time: a
 `FramePyramid` built per frame, with each level's gradients and structure
 tensor built lazily on first use from 2-D blur, box-sum and edge-padding
-helpers; point sampling by a Python loop over the grid nodes with a set of
-occupied cells; orientation bins counted in intp; an integral histogram
-with `np.cumsum` as its column prefix, read as [y, x]; and the tracking
-loop that builds one pyramid per frame. The package's chunked stacks, array sampling and transposed
-integrals must reproduce them bit for bit; the tests compare with
-`np.array_equal` and `.tobytes()`.
+helpers; the Lucas-Kanade loop that carries u and v as two arrays, with its
+bilinear helpers for one image and one coordinate array per axis; point
+sampling by a Python loop over the grid nodes with a set of occupied cells;
+orientation bins counted in intp; an integral histogram with `np.cumsum` as
+its column prefix, read as [y, x]; and the tracking loop that builds one
+pyramid per frame and advances points one flow component at a time. The
+package's chunked stacks, (2, h, w) flow field, array sampling and
+transposed integrals must reproduce them bit for bit; the tests compare
+with `np.array_equal` and `.tobytes()`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from avcmd import flow
-from avcmd.flow import _bilinear_taps, _interpolate, median_filter_3x3
+from avcmd.flow import median_filter_3x3
 from avcmd.frames import Clip, GrayFrame
 from avcmd.trajectories import (
     TrackerParams,
@@ -87,6 +90,7 @@ class _Level:
         self.padded = _pad_edge(image)
         self.rows = np.arange(h, dtype=np.float32)[:, None]
         self.cols = np.arange(w, dtype=np.float32)
+        self.grid = np.stack(np.broadcast_arrays(self.rows, self.cols))
         self.radius = radius
         self.min_eig = min_eig
 
@@ -96,16 +100,23 @@ class _Level:
         return np.stack([gx, gy])
 
     @cached_property
-    def tensor(self):
+    def normal(self):
+        """The normal matrix as (sxx, sxy, -syy) and its inverted determinant."""
         sxx, sxy, syy, lam_min = _structure_tensor(self.grad, self.radius)
         det = sxx * syy - sxy * sxy
         valid = (lam_min > self.min_eig) & (det > 1e-12)
         inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
         return sxx, sxy, -syy, inv_det
 
+    @cached_property
+    def tensor(self):
+        """`normal` in the package's layout: ((-syy, sxy, -sxx), inv_det)."""
+        sxx, sxy, neg_syy, inv_det = self.normal
+        return np.stack([neg_syy, sxy, -sxx]), inv_det
+
 
 class FramePyramid(flow.FramePyramid):
-    """One frame's pyramid, built as before stacks; `dense_flow` accepts it."""
+    """One frame's pyramid, built as before stacks; both `dense_flow`s accept it."""
 
     def __init__(self, frame, levels: int = 3, window: int = 7, min_eig: float = 1e-3):
         if isinstance(frame, GrayFrame):
@@ -121,6 +132,99 @@ class FramePyramid(flow.FramePyramid):
                 break
             images.append(np.ascontiguousarray(binomial_blur(images[-1], "edge")[::2, ::2]))
         self.levels = [_Level(im, radius, min_eig) for im in images]
+
+
+# ---------------------------------------------------------------------------
+# Lucas-Kanade, one flow component at a time
+
+
+def _bilinear_taps(shape: tuple[int, int], ys: np.ndarray, xs: np.ndarray):
+    h, w = shape
+    ys = np.maximum(ys, 0.0)
+    np.minimum(ys, h - 1.0, out=ys)
+    xs = np.maximum(xs, 0.0)
+    np.minimum(xs, w - 1.0, out=xs)
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
+    ys -= y0
+    xs -= x0
+    y0 *= w + 1
+    y0 += x0  # exact: integers below 2**24, even in float32
+    return y0.astype(np.intp), xs, ys
+
+
+def _interpolate(padded: np.ndarray, taps) -> np.ndarray:
+    idx, fx, fy = taps
+    flat = padded.ravel()
+    row = padded.shape[1]
+    gx = 1.0 - fx
+    top = flat.take(idx)
+    top *= gx
+    t = flat[1:].take(idx)
+    t *= fx
+    top += t
+    bot = flat[row:].take(idx)
+    bot *= gx
+    flat[row + 1 :].take(idx, out=t)
+    t *= fx
+    bot += t
+    top *= 1.0 - fy
+    bot *= fy
+    top += bot
+    return top
+
+
+def _upsample_taps(shape: tuple[int, int], coarse_shape: tuple[int, int]):
+    h, w = shape
+    hc, wc = coarse_shape
+    ys = (np.arange(h) + 0.5) * (hc / h) - 0.5
+    xs = (np.arange(w) + 0.5) * (wc / w) - 0.5
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    idx, fx, fy = _bilinear_taps(coarse_shape, grid_y, grid_x)
+    return (idx, fx.astype(np.float32), fy.astype(np.float32)), (w / wc, h / hc)
+
+
+def dense_flow(prev, nxt) -> flow.FlowField:
+    """Flow between two frames or their per-frame pyramids, u and v apart.
+
+    The window radius is the pyramids' own, so they must be built with the
+    window that `avcmd.flow.LK_RADIUS` gives the package's pyramids.
+    """
+    pa = prev if isinstance(prev, FramePyramid) else FramePyramid(prev)
+    pb = nxt if isinstance(nxt, FramePyramid) else FramePyramid(nxt)
+    assert pa.shape == pb.shape and len(pa.levels) == len(pb.levels)
+
+    u = np.zeros_like(pa.levels[-1].image)
+    v = np.zeros_like(u)
+    for la, lb in zip(reversed(pa.levels), reversed(pb.levels)):
+        if u.shape != la.image.shape:
+            taps, (scale_x, scale_y) = _upsample_taps(la.image.shape, u.shape)
+            u = _interpolate(_pad_edge(u), taps)
+            u *= scale_x
+            v = _interpolate(_pad_edge(v), taps)
+            v *= scale_y
+
+        shape = la.image.shape
+        r = la.radius
+        sxx, sxy, neg_syy, inv_det = la.normal
+        prod = np.empty((2,) + shape, dtype=np.float32)
+        for _ in range(flow.LK_ITERATIONS):
+            it = _interpolate(lb.padded, _bilinear_taps(shape, la.rows + v, la.cols + u))
+            it -= la.image
+            np.multiply(la.grad, it, out=prod)
+            sxt, syt = _box_sum(prod, r)
+            du = neg_syy * sxt
+            du += sxy * syt
+            du *= inv_det
+            dv = sxy * sxt
+            dv -= sxx * syt
+            dv *= inv_det
+            np.clip(du, -r, r, out=du)
+            np.clip(dv, -r, r, out=dv)
+            u += du
+            v += dv
+
+    return flow.FlowField(width=pa.shape[1], height=pa.shape[0], u=u, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +358,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     spawn(0, nxt.levels[0].grad)
     for t in range(n_frames - 1):
         prev, nxt = nxt, FramePyramid(clip.frames[t + 1], levels=params.pyramid_levels)
-        field = flow.dense_flow(prev, nxt)
+        field = dense_flow(prev, nxt)
         grads.append(prev.levels[0].grad)
         flows.append((field.u, field.v))
         u_med = median_filter_3x3(field.u)

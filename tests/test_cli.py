@@ -393,6 +393,22 @@ class TestBadJsonRowsExitOne:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: min_dur_s must be finite\n"
 
+    @pytest.mark.parametrize("key,value", [("seed", -3), ("codebook_seed", -1)])
+    def test_config_with_a_negative_seed_is_exit_1(self, workspace, tmp_path, capsys, key, value):
+        # a negative seed once passed validation and ended `synth` or
+        # `codebook` in numpy's "expected non-negative integer" ValueError
+        (tmp_path / "cfg.txt").write_text(f"{key} = {value}\n")
+        command = {
+            "seed": ["synth", "--kind", "audio", "--per-command", "1", "--out", str(tmp_path)],
+            "codebook_seed": [
+                "codebook", "--features", str(workspace / "features"),
+                "--annotations", str(workspace / "annotations.jsonl"), "--out", str(tmp_path / "books"),
+            ],
+        }[key]
+        assert main(["--config", str(tmp_path / "cfg.txt"), *command]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {key} must be >= 0\n"
+
 
 class TestMissingFilesExitOne:
     """An input file that does not exist ends the command with exit 1 and an `error:` line."""

@@ -11,14 +11,14 @@ from avcmd.flow import (
     PYRAMID_LEVELS,
     FlowField,
     FramePyramid,
-    _box_sum,
     _upsample_taps,
+    _window_sums,
     binomial_blur,
     dense_flow,
     median_filter_3x3,
 )
 from avcmd.frames import GrayFrame
-from avcmd.synth import generate_corpus
+from avcmd.synth import GESTURE_CLASSES, default_spec, generate_corpus, generate_gesture_clip
 
 import reference_per_frame as per_frame
 import reference_tracker as ref
@@ -232,7 +232,9 @@ def test_box_sum_equals_clipped_window_sum(shape, radius):
     # Small integers: every partial sum is exact in float32, so any order agrees.
     rng = np.random.default_rng(shape[0] * 31 + shape[1] + radius)
     stack = rng.integers(-50, 51, size=(3,) + shape).astype(np.float32)
-    got = _box_sum(stack, radius)
+    padded = np.zeros((3, shape[0] + 2 * radius, shape[1] + 2 * radius), dtype=np.float32)
+    padded[:, radius : radius + shape[0], radius : radius + shape[1]] = stack
+    got = _window_sums(padded, radius)
     assert got.dtype == np.float32 and got.shape == stack.shape
     for k in range(3):
         assert np.array_equal(got[k], _brute_box_sum(stack[k], radius))
@@ -242,12 +244,13 @@ def test_upsample_taps_are_shared_and_read_only():
     taps, scale = _upsample_taps((45, 72), (23, 36))
     assert _upsample_taps((45, 72), (23, 36))[0] is taps
     assert scale == (72 / 36, 45 / 23)
-    idx, fx, fy = taps
-    assert fx.dtype == fy.dtype == np.float32
+    idx, frac = taps
+    assert idx.shape == (45, 72) and frac.shape == (2, 45, 72)
+    assert frac.dtype == np.float32
     for a in taps:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a[0, 0] = 0
+            a[..., 0, 0] = 0
 
 
 @pytest.mark.parametrize("shape,seed", [((80, 80), 7), ((60, 80), 11), ((18, 18), 4), ((5, 9), 0)])
@@ -270,8 +273,9 @@ def _same_pyramid(got: FramePyramid, want: per_frame.FramePyramid) -> None:
     assert got.shape == want.shape and got.n_frames is None
     assert len(got.levels) == len(want.levels)
     for a, b in zip(got.levels, want.levels):
-        for name in ("image", "padded", "grad", "rows", "cols"):
+        for name in ("image", "padded", "grad", "grid"):
             assert _same_bytes(getattr(a, name), getattr(b, name)), name
+        assert len(a.tensor) == len(b.tensor) == 2
         assert all(_same_bytes(x, y) for x, y in zip(a.tensor, b.tensor))
 
 
@@ -332,6 +336,46 @@ class TestStackedPyramid:
             FramePyramid(np.zeros((8, 8))).frame(0)
         with pytest.raises(InvalidParameterError):
             dense_flow(FramePyramid(np.zeros((2, 8, 8))), np.zeros((8, 8)))
+
+
+def _odd_shaped_pairs():
+    """The three textured crops, and noise moved by a pixel at odd small shapes."""
+    rng = np.random.default_rng(17)
+    pairs = _frame_pairs()[:3]
+    for shape in [(61, 33), (15, 9), (7, 30), (2, 3)]:
+        prev = rng.normal(100.0, 30.0, shape)
+        pairs.append((prev, np.roll(prev, 1, axis=1) + rng.normal(0.0, 2.0, shape)))
+    return pairs
+
+
+class TestFieldAgainstPerComponentLoop:
+    """The (2, h, w) flow field equals the loop that carried u and v apart, bit for bit.
+
+    `reference_per_frame.dense_flow` is that loop with its one-image bilinear
+    helpers, on per-frame pyramids of the same window.
+    """
+
+    @pytest.mark.parametrize("size,frames", [(96, 24), (120, 30)])
+    def test_every_pair_of_an_rgb_and_a_log_depth_clip(self, size, frames):
+        sample = generate_gesture_clip(default_spec(GESTURE_CLASSES[1]), size, frames, size=size)
+        for clip in (sample.rgb, sample.depth):
+            stack = FramePyramid(clip.frames)
+            for t in range(frames - 1):
+                got = dense_flow(stack.frame(t), stack.frame(t + 1))
+                want = per_frame.dense_flow(clip.frames[t], clip.frames[t + 1])
+                assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_odd_shapes_at_every_depth_and_window(self, monkeypatch, levels, radius):
+        monkeypatch.setattr(flow, "LK_RADIUS", radius)
+        for prev, nxt in _odd_shaped_pairs():
+            got = dense_flow(FramePyramid(prev, levels), FramePyramid(nxt, levels))
+            want = per_frame.dense_flow(
+                per_frame.FramePyramid(prev, levels, window=2 * radius + 1),
+                per_frame.FramePyramid(nxt, levels, window=2 * radius + 1),
+            )
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 9), (34, 14), (96, 96), (120, 120)])

@@ -273,6 +273,20 @@ class TestDeployableModel:
         with pytest.raises(InvalidParameterError, match="float32"):
             write_model(tmp_path / "m.igsv", model)
 
+    @pytest.mark.parametrize("digest", ["ab" * 31, "zz" * 32, "AB" * 32], ids=["31 bytes", "not hex", "upper case"])
+    def test_trainer_and_writer_refuse_a_malformed_codebook_hash(self, tmp_path, rng, digest):
+        # 31 bytes used to be written and then refused by the reader as a
+        # misread channel tag, "zz" raised a bare ValueError from
+        # `bytes.fromhex`, and upper case read back in lower case
+        x, y = separable_points(rng, n_per=4)
+        tables = _tables(8)
+        model = train_kernel_svm(x @ x.T, y, c=3.0, **tables)
+        tables["codebook_hashes"][Channel.HOF] = digest
+        with pytest.raises(InvalidParameterError, match="hash for HOF must be 64 lowercase hex digits"):
+            train_kernel_svm(x @ x.T, y, c=3.0, **tables)
+        with pytest.raises(InvalidParameterError, match="hash for HOF must be 64 lowercase hex digits"):
+            write_model(tmp_path / "m.igsv", replace(model, **tables))
+
     def test_histograms_of_another_size_refused(self, rng):
         x, y = separable_points(rng, n_per=4)
         tables = _tables(8)
