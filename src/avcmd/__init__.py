@@ -8,7 +8,7 @@ generated ground-truth corpora.
 """
 
 from .frames import Clip, GrayFrame, Modality, Sensor, log_depth, to_grayscale
-from .flow import FlowField, FramePyramid, dense_flow
+from .flow import FramePyramid, dense_flow
 from .trajectories import TrackerParams, Trajectory, TrajectorySet, descriptor_traj, sample_points, track
 from .encoding import (
     BovwHist,

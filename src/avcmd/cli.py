@@ -64,6 +64,14 @@ _CHANNEL_FILES = {
 }
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_cfg(args) -> config_mod.PipelineConfig:
     if getattr(args, "config", None):
         return config_mod.load_config(args.config)
@@ -304,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic corpora")
     p.add_argument("--kind", choices=("gestures", "audio", "scripts"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--clips-per-class", type=int, default=20)
-    p.add_argument("--per-command", type=int, default=5)
+    p.add_argument("--clips-per-class", type=_count, default=20)
+    p.add_argument("--per-command", type=_count, default=5)
     p.add_argument("--frames", type=int, default=24)
     p.add_argument("--size", type=int, default=96)
-    p.add_argument("--subjects", type=int, default=4)
+    p.add_argument("--subjects", type=_count, default=4)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="clips -> trajectory features")
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", default="legs", help="legs, back, or a script file")
     p.add_argument("--out", required=True, help="session log output (jsonl)")
     p.add_argument("--gesture-noise", action="store_true")
-    p.add_argument("--train-clips-per-class", type=int, default=4)
+    p.add_argument("--train-clips-per-class", type=_count, default=4)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("evaluate", help="metrics over session logs")

@@ -10,7 +10,8 @@ pair (t-1, t) and as `prev` for the pair (t, t+1). The bilinear taps that
 resize a flow field onto a finer level depend only on the two shapes, so
 they are built once per shape pair and shared.
 
-Everything runs in float32, from the frame's conversion to the flow field.
+Everything runs in float32, from the conversion of the frames, each checked
+against `MAX_INTENSITY` so that no float32 sum overflows, to the flow field.
 Every pyramid operation is elementwise or per image, so a frame's pyramid
 is the same bit for bit whichever stack it was built in. Window sums add
 the 2r+1 shifted slices of a zero-padded stack along each axis rather than
@@ -25,10 +26,10 @@ least-squares increment is solved in closed form per pixel from the first
 frame's structure tensor. Textureless pixels (small minimum eigenvalue of the
 normal matrix) receive no increment, which leaves them at the value
 interpolated from coarser levels. The estimate is one float32 (2, h, w)
-field (u, v) from the coarsest level to the `FlowField`: the bilinear
-helpers read every image of a stack at one set of taps, so each increment
-is one warp, one 2x2 solve, one clip and one add, and one upsample moves
-both components to the next level.
+field (u, v) from the coarsest level to the caller: the bilinear helpers
+read every image of a stack at one set of taps, so each increment is one
+warp, one 2x2 solve, one clip and one add, and one upsample moves both
+components to the next level.
 
 The recipe is fixed: a (2 `LK_RADIUS` + 1)^2 window, `LK_ITERATIONS`
 increments per level and the eigenvalue floor `MIN_EIG`. The one setting
@@ -64,25 +65,10 @@ def _binomial_taps(dtype: np.dtype) -> tuple:
     return tuple(_BINOMIAL.astype(dtype))
 
 
-@dataclass(frozen=True)
-class FlowField:
-    """Per-pixel displacement in pixels/frame; u is horizontal, v vertical."""
-
-    width: int
-    height: int
-    u: np.ndarray  # shape (height, width), float32
-    v: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u", "v"):
-            a = np.asarray(getattr(self, name), dtype=np.float32)
-            if a.shape != (self.height, self.width):
-                raise InvalidParameterError(f"{name} must have shape (height, width)")
-            if not np.all(np.isfinite(a)):
-                raise InvalidParameterError(f"{name} contains non-finite values")
-            a = np.ascontiguousarray(a)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+# Largest intensity magnitude M a frame may hold: every integer up to it is
+# exact in float32, and a gradient is at most 2M, so a 7x7 sum of gradient
+# products is at most 196 M^2 and a determinant about 4e4 M^4 = 3e33 < 3.4e38.
+MAX_INTENSITY = 2.0**24
 
 
 def _as_float_stack(frames) -> tuple[np.ndarray, bool]:
@@ -90,14 +76,19 @@ def _as_float_stack(frames) -> tuple[np.ndarray, bool]:
 
     One frame is a 2-D array, such as a row of `Clip.frames`; a stack is a
     3-D array, such as `Clip.frames` or a slice of it, or a sequence of
-    frames. Anything numpy converts to such an array is accepted.
+    frames. Anything numpy converts to such an array of real numbers, each
+    finite and at most `MAX_INTENSITY` in magnitude, is accepted; the check
+    comes before the cast, so none warns, and skips uint8 and uint16 frames.
     """
     try:
-        a = np.asarray(frames, dtype=np.float32)
+        a = np.asarray(frames)
     except ValueError:
         raise InvalidParameterError("frames must be intensity images of one shape") from None
-    if a.ndim not in (2, 3) or 0 in a.shape:
-        raise InvalidParameterError("expected a 2-D intensity image or a non-empty stack of them")
+    if a.ndim not in (2, 3) or 0 in a.shape or a.dtype.kind not in "biuf":
+        raise InvalidParameterError("expected a 2-D image of real intensities or a non-empty stack of them")
+    if a.dtype not in (np.uint8, np.uint16) and not (-MAX_INTENSITY <= a.min() and a.max() <= MAX_INTENSITY):
+        raise InvalidParameterError(f"frame intensities must be finite and at most {MAX_INTENSITY:.0f} in magnitude")
+    a = a.astype(np.float32, copy=False)
     return (a[None], True) if a.ndim == 2 else (a, False)
 
 
@@ -352,14 +343,15 @@ def _pyramid(frame) -> FramePyramid:
     return frame
 
 
-def dense_flow(prev, nxt) -> FlowField:
-    """Estimate dense displacement from `prev` to `nxt`.
+def dense_flow(prev, nxt) -> np.ndarray:
+    """Estimate dense displacement from `prev` to `nxt`, in pixels/frame.
 
     Inputs are 2-D arrays of equal shape, such as rows of `Clip.frames`,
     each converted to float32 and built into a `FramePyramid` of the
     default depth, or one frame's pyramid each (`FramePyramid(frame,
     levels)` or `stack.frame(t)`), used as it is. The two pyramids must
-    have the same shape and the same number of levels. For a pure integer
+    have the same shape and the same number of levels. Returns the float32
+    (2, h, w) field (u, v), u horizontal and v vertical. For a pure integer
     translation of a textured image the interior median of the result
     matches the translation to well under a quarter pixel per component.
     """
@@ -392,7 +384,7 @@ def dense_flow(prev, nxt) -> FlowField:
             np.clip(d, -r, r, out=d)
             uv += d
 
-    return FlowField(width=pa.shape[1], height=pa.shape[0], u=uv[0], v=uv[1])
+    return uv
 
 
 def median_filter_3x3(field: np.ndarray) -> np.ndarray:

@@ -206,8 +206,8 @@ def criterion_flow_oracle() -> CriterionResult:
             prev = tex[margin : margin + size, margin : margin + size]
             nxt = tex[margin - dy : margin - dy + size, margin - dx : margin - dx + size]
             f = dense_flow(prev, nxt)
-            mu = float(np.median(f.u[12:-12, 12:-12]))
-            mv = float(np.median(f.v[12:-12, 12:-12]))
+            mu = float(np.median(f[0, 12:-12, 12:-12]))
+            mv = float(np.median(f[1, 12:-12, 12:-12]))
             err = max(abs(mu - dx), abs(mv - dy))
             worst = max(worst, err)
             cases.append({"dx": dx, "dy": dy, "median_u": mu, "median_v": mv})
@@ -471,11 +471,11 @@ def generator_calibration(seed: int) -> CriterionResult:
     size = clean.rgb.width
     cx = size / 2.0 + (5.5 / spec.period - 0.5) * spec.amplitude
     half_w, half_l = spec.limb_w // 2 - 2, spec.limb_len // 2 - 2
-    region_u = field.u[
+    region_u = field[0][
         int(size / 2 - half_l) : int(size / 2 + half_l),
         int(cx - half_w) : int(cx + half_w),
     ]
-    region_v = field.v[
+    region_v = field[1][
         int(size / 2 - half_l) : int(size / 2 + half_l),
         int(cx - half_w) : int(cx + half_w),
     ]

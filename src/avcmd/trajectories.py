@@ -25,9 +25,10 @@ supplies the gradients that score sampling nodes (the flow's structure
 tensor with a 3x3 window) and feed hog, and the integral histograms are
 float32. Orientations are binned by sign and magnitude comparisons, not by
 a float32 angle, so a gradient on a bin edge gets the bin of its exact
-angle. `track` computes trajectory points and descriptors in float64 and
-rounds them once to float32, the values IGTF stores, so `read_features`
-hands back exactly the set that `write_features` was given.
+angle. `track` holds points in float64 but advances them by float32
+displacements read from the float32 flow, and computes descriptors in
+float64; both are rounded once to float32, the values IGTF stores, so
+`read_features` hands back exactly the set that `write_features` was given.
 
 Trajectories travel as one columnar `TrajectorySet`: start frames (N,),
 point paths (N, 16, 2) and the descriptors (N, 426) in traj|hog|hof|mbh
@@ -277,7 +278,7 @@ def _rect_sums(integ_t, y0, y1, x0, x1):
 def _frame_integrals(grad, flow, bbox, params: TrackerParams) -> np.ndarray:
     """One float32 integral histogram over a bounding box for all four descriptors.
 
-    `grad` is the frame's (gx, gy) and `flow` its (u, v), all full-frame;
+    `grad` is the frame's (gx, gy) and `flow` its (u, v) field, full-frame;
     the flow's gradients are taken on the box with a one-pixel margin, so
     the box edges get central differences wherever the frame has a
     neighbour. The last axis holds the hog bins, the hof bins with the
@@ -292,9 +293,8 @@ def _frame_integrals(grad, flow, bbox, params: TrackerParams) -> np.ndarray:
     gx, gy = grad
     u, v = flow
     my, mx = max(y0 - 1, 0), max(x0 - 1, 0)
-    margin = np.s_[my : y1 + 1, mx : x1 + 1]
     # (u, v) x (d/dx, d/dy) on the box
-    dflow = _gradients(np.stack([u[margin], v[margin]]))[:, :, y0 - my : y0 - my + bh, x0 - mx : x0 - mx + bw]
+    dflow = _gradients(flow[:, my : y1 + 1, mx : x1 + 1])[:, :, y0 - my : y0 - my + bh, x0 - mx : x0 - mx + bw]
     box = np.s_[y0:y1, x0:x1]
     bins, weights = _orientation_bins(
         np.stack([gx[box], u[box], dflow[0, 0], dflow[1, 0]]),
@@ -330,7 +330,7 @@ def _frame_integrals(grad, flow, bbox, params: TrackerParams) -> np.ndarray:
 def _describe_batch(starts, paths, grads, flows, params: TrackerParams):
     """hog/hof/mbh of the trajectories (starts[i], paths[i]) via integrals.
 
-    `grads` are the (gx, gy) of each frame and `flows` its (u, v).
+    `grads` are the (gx, gy) of each frame and `flows` its (2, h, w) flow field.
 
     Returns three (n, dim) arrays, each row L2-normalized.
     """
@@ -340,6 +340,7 @@ def _describe_batch(starts, paths, grads, flows, params: TrackerParams):
     half = p.tube_size // 2
     cs = p.tube_size // p.spatial_cells
     n = len(starts)
+    cell_offsets = np.arange(p.spatial_cells) * cs - half
 
     acc = np.zeros((n, p.temporal_cells, p.spatial_cells, p.spatial_cells, 4 * nb + 1))
     centers = np.rint(paths[:, :L]).astype(np.intp)  # (n, L, 2) tube centers (x, y)
@@ -357,15 +358,10 @@ def _describe_batch(starts, paths, grads, flows, params: TrackerParams):
             int(cxs.max() + half),
         )
         integ = _frame_integrals(grads[f], flows[f], bbox, params)
-        bys = cys - bbox[0]
-        bxs = cxs - bbox[2]
-        for cy_i in range(p.spatial_cells):
-            y0 = bys - half + cy_i * cs
-            y1 = y0 + cs
-            for cx_i in range(p.spatial_cells):
-                x0 = bxs - half + cx_i * cs
-                x1 = x0 + cs
-                acc[idxs, tcs, cy_i, cx_i] += _rect_sums(integ, y0, y1, x0, x1)
+        # All 2x2 cells in one gather; a trajectory is in frame f once, so no row repeats.
+        y0 = (cys - bbox[0])[:, None, None] + cell_offsets[:, None]
+        x0 = (cxs - bbox[2])[:, None, None] + cell_offsets
+        acc[idxs, tcs] += _rect_sums(integ, y0, y0 + cs, x0, x0 + cs)
 
     cells = p.temporal_cells * p.spatial_cells ** 2
     hog = acc[..., :nb].reshape(n, cells * nb)
@@ -400,9 +396,10 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
 
     The set is empty when the clip has fewer than traj_len + 1 frames.
     Output ordering is deterministic: trajectories are
-    sorted by (start_frame, x0, y0). Points and descriptors are computed in
-    float64 and rounded once to float32 when the set is built, so writing
-    the set to IGTF and reading it back gives it back unchanged.
+    sorted by (start_frame, x0, y0). Points advance by float32 displacements
+    of the median-filtered flow and descriptors are computed in float64;
+    both are rounded once to float32 when the set is built, so writing the
+    set to IGTF and reading it back gives it back unchanged.
     """
     L = params.traj_len
     n_frames = len(clip)
@@ -414,7 +411,7 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
 
     # Per frame pair (t, t+1): frame t's gradients and the flow from t.
     grads: list[np.ndarray] = []
-    flows: list[tuple[np.ndarray, np.ndarray]] = []
+    flows: list[np.ndarray] = []
     # Live trajectories, one row each: start frame and an (L+1, 2) point
     # buffer filled up to index (current frame - start).
     starts = np.empty(0, dtype=np.intp)
@@ -444,8 +441,8 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
     for t, nxt in enumerate(frame_pyramids):
         field = dense_flow(prev, nxt)
         grads.append(prev.levels[0].grad)
-        flows.append((field.u, field.v))
-        uv_med = np.stack([median_filter_3x3(field.u), median_filter_3x3(field.v)])
+        flows.append(field)
+        uv_med = np.stack([median_filter_3x3(field[0]), median_filter_3x3(field[1])])
 
         if len(starts):
             xy = paths[np.arange(len(starts)), t - starts].T

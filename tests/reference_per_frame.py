@@ -184,8 +184,9 @@ def _upsample_taps(shape: tuple[int, int], coarse_shape: tuple[int, int]):
     return (idx, fx.astype(np.float32), fy.astype(np.float32)), (w / wc, h / hc)
 
 
-def dense_flow(prev, nxt) -> flow.FlowField:
-    """Flow between two frames or their per-frame pyramids, u and v apart.
+def dense_flow(prev, nxt) -> np.ndarray:
+    """Flow between two frames or their per-frame pyramids, u and v apart,
+    returned as the package returns it: np.stack([u, v]).
 
     The window radius is the pyramids' own, so they must be built with the
     window that `avcmd.flow.LK_RADIUS` gives the package's pyramids.
@@ -224,7 +225,7 @@ def dense_flow(prev, nxt) -> flow.FlowField:
             u += du
             v += dv
 
-    return flow.FlowField(width=pa.shape[1], height=pa.shape[0], u=u, v=v)
+    return np.stack([u, v])
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +361,9 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
         prev, nxt = nxt, FramePyramid(clip.frames[t + 1], levels=params.pyramid_levels)
         field = dense_flow(prev, nxt)
         grads.append(prev.levels[0].grad)
-        flows.append((field.u, field.v))
-        u_med = median_filter_3x3(field.u)
-        v_med = median_filter_3x3(field.v)
+        flows.append(field)
+        u_med = median_filter_3x3(field[0])
+        v_med = median_filter_3x3(field[1])
 
         if len(starts):
             xs, ys = paths[np.arange(len(starts)), t - starts].T

@@ -260,6 +260,27 @@ class TestScriptsAndUsage:
         assert exc.value.code == 2
         assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--kind", "gestures", "--clips-per-class", "1", "--subjects"],
+            ["synth", "--kind", "gestures", "--clips-per-class"],
+            ["synth", "--kind", "audio", "--per-command"],
+            ["simulate", "--train-clips-per-class"],
+        ],
+        ids=["subjects", "clips-per-class", "per-command", "train-clips-per-class"],
+    )
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, argv, value):
+        # Past argparse, such a count writes an empty corpus, names subjects
+        # u0 and u-1, or fails inside the command with a traceback.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_validation_failure(self, tmp_path, capsys):
         rc = main(["extract", "--clips", str(tmp_path), "--out", str(tmp_path / "f")])
         assert rc == 1

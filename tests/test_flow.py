@@ -8,8 +8,8 @@ from avcmd.errors import InvalidParameterError
 from avcmd.flow import (
     LK_ITERATIONS,
     LK_RADIUS,
+    MAX_INTENSITY,
     PYRAMID_LEVELS,
-    FlowField,
     FramePyramid,
     _upsample_taps,
     _window_sums,
@@ -34,17 +34,17 @@ def shifted_pair(dx: int, dy: int, size: int = 64, seed: int = 7):
     return prev, nxt
 
 
-def interior_median(field: FlowField, margin: int = 12):
-    u = field.u[margin:-margin, margin:-margin]
-    v = field.v[margin:-margin, margin:-margin]
+def interior_median(field: np.ndarray, margin: int = 12):
+    u = field[0, margin:-margin, margin:-margin]
+    v = field[1, margin:-margin, margin:-margin]
     return float(np.median(u)), float(np.median(v))
 
 
 def test_no_motion_gives_zero_field():
     prev, _ = shifted_pair(0, 0)
     field = dense_flow(prev, prev)
-    assert np.all(field.u == 0.0)
-    assert np.all(field.v == 0.0)
+    assert field.shape == (2, *prev.shape)
+    assert np.all(field == 0.0)
 
 
 @pytest.mark.parametrize("dx,dy", [(3, 0), (-2, 1), (0, -3), (1, 1)])
@@ -73,24 +73,61 @@ def test_dimension_mismatch_rejected():
 def test_flat_frames_give_zero_flow():
     flat = np.full((32, 32), 128, dtype=np.uint8)
     field = dense_flow(flat, flat)
-    assert np.all(field.u == 0.0) and np.all(field.v == 0.0)
+    assert np.all(field == 0.0)
 
 
-def test_flow_field_is_float32():
-    field = FlowField(width=3, height=2, u=np.ones((2, 3)), v=np.zeros((2, 3), dtype=np.float32))
-    assert field.u.dtype == field.v.dtype == np.float32
+def test_dense_flow_returns_a_float32_field():
     prev, nxt = shifted_pair(1, 0, size=32)
-    got = dense_flow(prev, nxt)
-    assert got.u.dtype == got.v.dtype == np.float32
+    for a, b in ((prev, nxt), (prev.astype(np.float32), nxt.astype(np.float32))):
+        field = dense_flow(a, b)
+        assert field.dtype == np.float32 and field.shape == (2, 32, 32)
 
 
-def test_flow_field_validates_shape_and_finiteness():
-    with pytest.raises(InvalidParameterError):
-        FlowField(width=3, height=2, u=np.zeros((3, 3)), v=np.zeros((2, 3)))
-    bad = np.zeros((2, 3))
-    bad[0, 0] = np.inf
-    with pytest.raises(InvalidParameterError):
-        FlowField(width=3, height=2, u=bad, v=np.zeros((2, 3)))
+def _noise_pair() -> np.ndarray:
+    """The 32x32 random float64 frame pair of the frame-check probes."""
+    return np.random.default_rng(8).random((2, 32, 32)) * 255.0
+
+
+class TestFrameChecks:
+    """A frame enters `FramePyramid`, and so `dense_flow`, only if every value
+    is finite and at most `MAX_INTENSITY` in magnitude.
+
+    Past that, the estimator's float32 sums overflow and a non-finite warp
+    coordinate reaches the cast to a pixel index. The check comes before any
+    cast, so a refused frame raises no warning either, which the pytest
+    settings would turn into a failure.
+    """
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1], ids=["prev", "nxt"])
+    def test_a_non_finite_pixel_is_refused(self, which, bad):
+        pair = _noise_pair()
+        pair[which, 5, 7] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            dense_flow(pair[0], pair[1])
+
+    def test_a_pair_scaled_past_the_bound_is_refused(self):
+        at_bound = _noise_pair() * (MAX_INTENSITY / 255.0)
+        assert np.abs(at_bound).max() <= MAX_INTENSITY
+        assert np.isfinite(dense_flow(-at_bound[0], -at_bound[1])).all()
+        assert np.isfinite(dense_flow(at_bound[0], at_bound[1])).all()
+        pair = _noise_pair() * 1e15
+        with pytest.raises(InvalidParameterError, match="magnitude"):
+            dense_flow(pair[0], pair[1])
+
+    def test_int64_frames_past_the_bound_are_refused(self):
+        pair = np.random.default_rng(8).integers(0, 2**40, size=(2, 32, 32), dtype=np.int64)
+        assert np.isfinite(dense_flow(*(pair % 2**24))).all()
+        with pytest.raises(InvalidParameterError, match="magnitude"):
+            dense_flow(pair[0], pair[1])
+
+    def test_a_non_finite_frame_or_stack_is_refused_by_the_pyramid(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            FramePyramid(np.full((8, 8), np.nan))
+        stack = np.zeros((3, 8, 8), dtype=np.float32)
+        stack[2, 0, 0] = np.inf
+        with pytest.raises(InvalidParameterError, match="finite"):
+            FramePyramid(stack)
 
 
 def test_median_filter_kills_salt_noise():
@@ -161,19 +198,17 @@ class TestFlowAgainstOracle:
             expected = ref.dense_flow(prev, nxt, levels=levels, window=window, iterations=iterations)
             got = dense_flow(FramePyramid(prev, levels), FramePyramid(nxt, levels))
             if levels == PYRAMID_LEVELS:
-                from_arrays = dense_flow(prev, nxt)
-                assert np.array_equal(from_arrays.u, got.u)
-                assert np.array_equal(from_arrays.v, got.v)
-            assert np.abs(got.u - expected.u).max() <= tol_px
-            assert np.abs(got.v - expected.v).max() <= tol_px
+                assert np.array_equal(dense_flow(prev, nxt), got)
+            assert np.abs(got[0] - expected.u).max() <= tol_px
+            assert np.abs(got[1] - expected.v).max() <= tol_px
 
     def test_textured_pairs_at_default_parameters(self):
         # The three textured crops, without the synthetic clips' flat regions.
         for prev, nxt in _frame_pairs()[:3]:
             expected = ref.dense_flow(prev, nxt)
             got = dense_flow(prev, nxt)
-            assert np.abs(got.u - expected.u).max() <= 2e-5
-            assert np.abs(got.v - expected.v).max() <= 2e-5
+            assert np.abs(got[0] - expected.u).max() <= 2e-5
+            assert np.abs(got[1] - expected.v).max() <= 2e-5
 
     def test_pyramids_of_other_depth_rejected(self):
         # 32 px builds up to 4 levels; an array gets the default 3
@@ -184,10 +219,10 @@ class TestFlowAgainstOracle:
             with pytest.raises(InvalidParameterError, match="pyramid depth"):
                 dense_flow(prev, FramePyramid(nxt, levels))
             got = dense_flow(FramePyramid(prev, levels), FramePyramid(nxt, levels))
-            assert np.isclose(np.median(got.u[8:-8, 8:-8]), 1.0, atol=0.25)
+            assert np.isclose(np.median(got[0, 8:-8, 8:-8]), 1.0, atol=0.25)
         # 15 x 9 stops after two levels whatever is asked, so the depths agree
         a, b = np.zeros((15, 9)), np.ones((15, 9))
-        assert dense_flow(FramePyramid(a, 2), FramePyramid(b, 4)).u.shape == (15, 9)
+        assert dense_flow(FramePyramid(a, 2), FramePyramid(b, 4)).shape == (2, 15, 9)
 
     def test_pyramid_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -314,7 +349,7 @@ class TestStackedPyramid:
             want = dense_flow(per_frame.FramePyramid(frames[t]), per_frame.FramePyramid(frames[t + 1]))
             from_arrays = dense_flow(frames[t], frames[t + 1])
             for field in (want, from_arrays):
-                assert _same_bytes(got.u, field.u) and _same_bytes(got.v, field.v)
+                assert _same_bytes(got, field)
 
     def test_a_frames_gradients_keep_only_the_gradient_stack_alive(self):
         # `track` keeps level 0's gradients of every frame for hog; they must
@@ -363,7 +398,7 @@ class TestFieldAgainstPerComponentLoop:
             for t in range(frames - 1):
                 got = dense_flow(stack.frame(t), stack.frame(t + 1))
                 want = per_frame.dense_flow(clip.frames[t], clip.frames[t + 1])
-                assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -375,7 +410,7 @@ class TestFieldAgainstPerComponentLoop:
                 per_frame.FramePyramid(prev, levels, window=2 * radius + 1),
                 per_frame.FramePyramid(nxt, levels, window=2 * radius + 1),
             )
-            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 9), (34, 14), (96, 96), (120, 120)])

@@ -89,8 +89,8 @@ class TestGestureClips:
         field = dense_flow(s.rgb.frames[4], s.rgb.frames[5])
         cx = size / 2.0 + (4.5 / spec.period - 0.5) * spec.amplitude
         hw, hl = spec.limb_w // 2 - 2, spec.limb_len // 2 - 2
-        u = field.u[size // 2 - hl : size // 2 + hl, int(cx - hw) : int(cx + hw)]
-        v = field.v[size // 2 - hl : size // 2 + hl, int(cx - hw) : int(cx + hw)]
+        u = field[0][size // 2 - hl : size // 2 + hl, int(cx - hw) : int(cx + hw)]
+        v = field[1][size // 2 - hl : size // 2 + hl, int(cx - hw) : int(cx + hw)]
         assert abs(float(np.median(u)) - speed) <= 0.25
         assert abs(float(np.median(v))) <= 0.25
 

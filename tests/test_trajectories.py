@@ -250,7 +250,7 @@ class TestTubeDescriptors:
     @staticmethod
     def _describe(image_value, u, v):
         grads = [grad_of(np.full((64, 64), image_value, dtype=np.uint8))] * P.traj_len
-        flows = [(np.full((64, 64), u, dtype=np.float32), np.full((64, 64), v, dtype=np.float32))] * P.traj_len
+        flows = [np.stack([np.full((64, 64), u, dtype=np.float32), np.full((64, 64), v, dtype=np.float32)])] * P.traj_len
         paths = np.full((1, P.traj_len + 1, 2), 32.0)
         hog, hof, mbh = _describe_batch(np.zeros(1, dtype=np.intp), paths, grads, flows, P)
         return hog[0], hof[0], mbh[0]
@@ -511,7 +511,7 @@ class TestFastPathAgainstBruteForce:
         flows = []
         for t in range(len(images) - 1):
             field = dense_flow(images[t], images[t + 1])
-            flows.append((field.u, field.v))
+            flows.append(field)
         for tr in list(res.trajectories)[:2]:
             hog = self._brute(images, flows, tr.start_frame, tr.points, "hog")
             hof = self._brute(images, flows, tr.start_frame, tr.points, "hof")
