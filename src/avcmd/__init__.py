@@ -7,7 +7,7 @@ modalities, and drives a dialogue FSM -- validated end to end on procedurally
 generated ground-truth corpora.
 """
 
-from .frames import Clip, GrayFrame, Modality, Sensor, log_depth, to_grayscale
+from .frames import Clip, GrayFrame, Modality, Sensor, log_depth
 from .flow import FramePyramid, dense_flow
 from .trajectories import TrackerParams, Trajectory, TrajectorySet, descriptor_traj, sample_points, track
 from .encoding import (

@@ -113,10 +113,6 @@ class SpeakerTransform:
     def apply(self, seq: MfccSeq) -> MfccSeq:
         return MfccSeq(frames=seq.frames @ self.a.T + self.b)
 
-    @classmethod
-    def identity(cls) -> "SpeakerTransform":
-        return cls(a=np.eye(FEATURE_DIM), b=np.zeros(FEATURE_DIM))
-
 
 # ---------------------------------------------------------------------------
 # dynamic time warping

@@ -160,9 +160,8 @@ def _cmd_codebook(args) -> int:
     per_clip, _ = _load_feature_dir(args.features, args.annotations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    books = train_codebooks(
-        per_clip, k=args.k or cfg.codebook_k, seed=cfg.codebook_seed, subsample=cfg.descriptor_subsample
-    )
+    k = cfg.codebook_k if args.k is None else args.k
+    books = train_codebooks(per_clip, k=k, seed=cfg.codebook_seed, subsample=cfg.descriptor_subsample)
     for ch, cb in books.items():
         write_codebook(out / _CHANNEL_FILES[ch], cb)
     print(f"wrote 4 channel codebooks to {out}")
@@ -198,7 +197,8 @@ def _cmd_train(args) -> int:
     if len(encoded) != labels.shape[0]:
         raise AvcmdError("encoded clip count does not match the annotation sidecar")
     hists = {ch: np.stack([e[ch].counts for e in encoded]) for ch in CHANNEL_ORDER}
-    model = train_bovw_model(hists, chi2_distances(hists), labels, args.c or cfg.svm_c, books)
+    c = cfg.svm_c if args.c is None else args.c
+    model = train_bovw_model(hists, chi2_distances(hists), labels, c, books)
     write_model(args.out, model)
     print(f"trained kernel model on {labels.shape[0]} clips -> {args.out}")
     return 0
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--annotations")
     p.add_argument("--out", required=True)
-    p.add_argument("-k", type=int, default=None, help="override codebook size")
+    p.add_argument("-k", type=_count, default=None, help="override codebook size")
     p.set_defaults(func=_cmd_codebook)
 
     p = sub.add_parser("encode", help="features -> BoVW histograms")

@@ -66,6 +66,12 @@ def channel_from_tag(tag: int) -> Channel:
         raise FormatError(f"unknown channel tag {tag}") from None
 
 
+def check_tag_order(table: dict, count: int, what: str) -> None:
+    """Refuse a table of `count` channels unless its tags were strictly increasing."""
+    if len(table) != count or list(table) != sorted(table):
+        raise FormatError(f"{what} channel tags must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class Codebook:
     channel: Channel
@@ -100,7 +106,7 @@ class Codebook:
 
 @dataclass(frozen=True)
 class BovwHist:
-    """Raw visual-word counts, non-negative integers; normalization is derived on demand."""
+    """Raw visual-word counts, integers in [0, 2**24]; normalization is derived on demand."""
 
     counts: np.ndarray
     channel: Channel
@@ -109,12 +115,7 @@ class BovwHist:
         c = np.asarray(self.counts, dtype=np.float64)
         if c.ndim != 1:
             raise InvalidParameterError("counts must be a vector")
-        if not np.all(np.isfinite(c)):
-            raise InvalidParameterError("counts must be finite")
-        if np.any(c < 0):
-            raise InvalidParameterError("counts must be nonnegative")
-        if np.any(c != np.floor(c)):
-            raise InvalidParameterError("counts must be integers")
+        check_counts(c, InvalidParameterError, "visual-word")
         c = np.ascontiguousarray(c)
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
@@ -356,9 +357,6 @@ def write_encoded(path: str | Path, clips: list[dict[Channel, BovwHist]]) -> Non
         raise InvalidParameterError("clips need at least one channel, each with at least one bin")
     if any(layout(hists) != table for hists in clips):
         raise InvalidParameterError("all clips must share the same channels and histogram sizes")
-    for hists in clips:
-        for h in hists.values():
-            check_counts(h.counts, InvalidParameterError, "encoded-video")
     with open(path, "wb") as fh:
         fh.write(_ENCODED_HEADER.pack(ENCODED_MAGIC, ENCODED_VERSION, len(clips), len(table)))
         for ch, k in table:
@@ -377,20 +375,19 @@ def read_encoded(path: str | Path) -> list[dict[Channel, BovwHist]]:
     off = head + 5 * n_channels
     if len(raw) < off:
         raise TruncatedPayloadError("encoded-video channel table truncated")
-    channels: list[tuple[Channel, int]] = []
+    channels: dict[Channel, int] = {}
     for tag, k in struct.iter_unpack("<BI", raw[head:off]):
-        channels.append((channel_from_tag(tag), k))
+        channels[channel_from_tag(tag)] = k
         if k == 0:
             raise FormatError(f"channel tag {tag} declares zero bins")
-    if any(a >= b for (a, _), (b, _) in zip(channels, channels[1:])):
-        raise FormatError("encoded-video channel tags must be strictly increasing")
-    row = sum(k for _, k in channels)
+    check_tag_order(channels, n_channels, "encoded-video")
+    row = sum(channels.values())
     check_payload(len(raw), off + 4 * row * n_clips, "encoded-video")
     counts = np.frombuffer(raw, dtype="<f4", count=n_clips * row, offset=off)
     check_counts(counts, FormatError, "encoded-video")
     counts = counts.astype(np.float64).reshape(n_clips, row)
-    bounds = np.cumsum([0] + [k for _, k in channels])
-    spans = [(ch, lo, hi) for (ch, _), lo, hi in zip(channels, bounds[:-1], bounds[1:])]
+    bounds = np.cumsum([0, *channels.values()])
+    spans = list(zip(channels, bounds[:-1], bounds[1:]))
     return [{ch: BovwHist(counts=c[lo:hi], channel=ch) for ch, lo, hi in spans} for c in counts]
 
 

@@ -53,7 +53,7 @@ class ProtocolError(AvcmdError):
 
 
 class LeakageError(AvcmdError):
-    """Cross-validation partition audit found test data in a training fold."""
+    """A sample is listed under two subjects, so it would reach its own training fold."""
 
 
 class PipelineMismatchError(AvcmdError):

@@ -1,8 +1,8 @@
-"""Frame and clip data model plus the two pixel-level transforms.
+"""Frame and clip data model plus the logarithmic depth transform.
 
 Visual streams are carried as 8-bit grayscale arrays regardless of their
-origin: RGB input is converted with BT.601 luma weights, depth input (uint16
-millimeters, one frame or a whole (T, h, w) stack) is compressed with a
+origin: the RGB stream as its gray intensity, and depth input (uint16
+millimeters, one frame or a whole (T, h, w) stack) compressed with a
 logarithmic map so the full 8-bit range is used up to the sensor cap. A clip
 is one read-only (T, h, w) uint8 array, so frame t is the row
 `clip.frames[t]` and a subclip is a view; `GrayFrame` is a single frame with
@@ -21,14 +21,11 @@ import numpy as np
 
 from .errors import FormatError, InvalidParameterError
 
-# BT.601 luma weights (sum to 1.0, so white maps to white).
-_LUMA = np.array([0.299, 0.587, 0.114])
-
 
 class Modality(IntEnum):
     """Visual modality of a clip. Values double as the container codes."""
 
-    RGB = 0         # grayscale converted from an RGB stream
+    RGB = 0         # gray intensity of an RGB stream
     LOG_DEPTH = 1   # depth stream after the logarithmic transform
 
 
@@ -127,19 +124,6 @@ class Clip:
         if not 0 <= start < stop <= len(self.frames):
             raise InvalidParameterError("subclip range out of bounds")
         return replace(self, frames=self.frames[start:stop])
-
-
-def to_grayscale(rgb: np.ndarray) -> np.ndarray:
-    """Convert an interleaved 8-bit (H, W, 3) RGB frame to an (H, W) uint8 intensity array.
-
-    Per pixel the output is round(0.299 R + 0.587 G + 0.114 B), clamped to
-    [0, 255].
-    """
-    a = np.asarray(rgb)
-    if a.ndim != 3 or a.shape[2] != 3:
-        raise FormatError("expected an (H, W, 3) interleaved RGB array")
-    gray = np.rint(a.astype(np.float64) @ _LUMA)
-    return np.clip(gray, 0, 255).astype(np.uint8)
 
 
 @lru_cache(maxsize=8)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,72 +133,35 @@ class LooSample:
     label: int
 
 
-@dataclass
-class LooResult:
-    per_subject: dict[str, Rate]
-
-
-def audit_partition(samples: list[LooSample], folds: dict[str, np.ndarray]) -> None:
-    """Every index appears in exactly one test fold; uids never straddle subjects."""
-    owner: dict[str, str] = {}
-    for s in samples:
-        if s.uid in owner and owner[s.uid] != s.subject:
-            raise LeakageError(
-                f"sample {s.uid!r} is listed under subjects {owner[s.uid]!r} and {s.subject!r}; "
-                "it would train on its own test fold"
-            )
-        owner.setdefault(s.uid, s.subject)
-    seen = np.zeros(len(samples), dtype=int)
-    for subject, idx in folds.items():
-        for i in idx:
-            if samples[i].subject != subject:
-                raise LeakageError(f"index {i} assigned to the wrong fold {subject!r}")
-            seen[i] += 1
-    if not np.all(seen == 1):
-        raise LeakageError("test folds are not a disjoint cover of the dataset")
-
-
-def loo_cv(
-    samples: list[LooSample],
-    trainer,
-    classifier,
-    subjects: list[str] | None = None,
-) -> LooResult:
+def loo_cv(samples: list[LooSample], trainer, classifier) -> dict[str, Rate]:
     """Leave one subject out; train on the rest, test on the held-out one.
 
     `trainer(train_indices)` builds a model from scratch (codebooks,
     normalizers, adaptation included); `classifier(model, test_index)`
-    returns a label. The partition audit runs before any training.
+    returns a label. Returns each subject's rate, in first-seen order. A uid
+    listed under two subjects would train on its own test fold, so it is
+    refused before any training.
     """
-    subject_order = []
+    owner: dict[str, str] = {}
     for s in samples:
-        if s.subject not in subject_order:
-            subject_order.append(s.subject)
-    if len(subject_order) < 2:
+        if owner.setdefault(s.uid, s.subject) != s.subject:
+            raise LeakageError(
+                f"sample {s.uid!r} is listed under subjects {owner[s.uid]!r} and {s.subject!r}; "
+                "it would train on its own test fold"
+            )
+    subjects = np.array([s.subject for s in samples])
+    order = list(dict.fromkeys(s.subject for s in samples))
+    if len(order) < 2:
         raise DegenerateInputError("leave-one-out needs at least two subjects")
 
-    folds = {
-        subj: np.asarray([i for i, s in enumerate(samples) if s.subject == subj], dtype=np.intp)
-        for subj in subject_order
-    }
-    audit_partition(samples, folds)
-
-    wanted = subjects if subjects is not None else subject_order
     per_subject: dict[str, Rate] = {}
-    for subj in wanted:
-        test_idx = folds.get(subj)
-        if test_idx is None or test_idx.size == 0:
-            warnings.warn(f"subject {subj!r} has no test samples; skipped", stacklevel=2)
-            continue
-        train_idx = np.asarray(
-            [i for i, s in enumerate(samples) if s.subject != subj], dtype=np.intp
-        )
-        model = trainer(train_idx)
-        correct = sum(
-            1 for i in test_idx if classifier(model, int(i)) == samples[i].label
-        )
+    for subj in order:
+        held_out = subjects == subj
+        model = trainer(np.flatnonzero(~held_out))
+        test_idx = np.flatnonzero(held_out)
+        correct = sum(1 for i in test_idx if classifier(model, int(i)) == samples[i].label)
         per_subject[subj] = Rate(num=correct, den=int(test_idx.size))
-    return LooResult(per_subject=per_subject)
+    return per_subject
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import Channel, channel_from_tag, check_counts
+from .encoding import Channel, channel_from_tag, check_counts, check_tag_order
 from .errors import (
     DegenerateInputError,
     FormatError,
@@ -311,14 +311,8 @@ def _unpack_hashes(raw: bytes, off: int) -> tuple[dict[Channel, str], int]:
         (tag,) = struct.unpack_from("<B", raw, off)
         digest, off = _array(raw, off + 1, "u1", 32)
         hashes[channel_from_tag(tag)] = digest.tobytes().hex()
-    _in_tag_order(hashes, count, "codebook hash")
+    check_tag_order(hashes, count, "codebook hash")
     return hashes, off
-
-
-def _in_tag_order(table: dict, count: int, what: str) -> None:
-    """Refuse a table of `count` channels unless its tags were strictly increasing."""
-    if len(table) != count or list(table) != sorted(table):
-        raise FormatError(f"{what} channel tags must be strictly increasing")
 
 
 def _finite(*values) -> None:
@@ -367,7 +361,7 @@ def read_model(path: str | Path) -> KernelSvmModel:
             ch = channel_from_tag(tag)
             train_hists[ch] = h.reshape(n_train, k)  # float32 until checked
             means[ch] = a_c
-        _in_tag_order(train_hists, n_hists, "histogram")
+        check_tag_order(train_hists, n_hists, "histogram")
         _check_tables(train_hists, means, hashes, n_train, FormatError)
         classes, solutions = [], []
         for _ in range(n_classes):

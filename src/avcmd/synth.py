@@ -209,8 +209,8 @@ class _World:
                     noise_sigma: float) -> None:
         """Write the intensity frame with the limb centered at (cx, cy) into `out`.
 
-        A gray frame stands for an RGB one with R = G = B: BT.601 weights sum
-        to 1, so `to_grayscale` of such a frame is the gray frame itself.
+        The RGB stream is rendered as its gray intensity, the form a clip
+        carries it in, so no color frame is drawn.
         """
         gray = _paint(self.bg, self.limb_tex, cx, cy)
         gray = gray + rng.normal(0.0, noise_sigma, gray.shape) if noise_sigma > 0 else gray
@@ -232,13 +232,13 @@ def generate_gesture_clip(
     """Render one gesture as matched RGB and log-depth clips."""
     if frames < MIN_CLIP_FRAMES:
         raise InvalidParameterError(f"need at least {MIN_CLIP_FRAMES} frames, got {frames}")
+    margin = spec.amplitude / 2.0 + max(spec.limb_len, spec.limb_w) / 2.0
+    if margin > size / 2.0 - 2.0:
+        raise InvalidParameterError("pattern extent does not fit the frame")
     rng = np.random.default_rng(seed)
     world = _World(rng, size, spec)
     home = np.array([size / 2.0, size / 2.0])
     offsets = _limb_path(spec, frames, rng)
-    margin = spec.amplitude / 2.0 + max(spec.limb_len, spec.limb_w) / 2.0
-    if margin > size / 2.0 - 2.0:
-        raise InvalidParameterError("pattern extent does not fit the frame")
 
     rgb = np.empty((frames, size, size), dtype=np.uint8)
     depth = np.empty(rgb.shape, dtype=np.uint16)

@@ -380,15 +380,13 @@ def _tube_inside(paths: np.ndarray, traj_len: int, half: int, w: int, h: int) ->
     return ((x - half >= 0) & (x + half <= w) & (y - half >= 0) & (y + half <= h)).all(axis=1)
 
 
-# Frames whose pyramids `track` builds in one stack. A frame's pyramid holds
-# about 42 bytes per pixel of float32 arrays over its levels (image, padded
-# copy, gradients and four tensor planes); the budget counts 48, which
-# keeps the chunks measured below: 4 frames at 96 x 96 and 2 at 120 x 120.
-# Two chunks are alive at a chunk boundary; at this budget that stays below
-# the memory that describing the clip's trajectories needs, and stacks of up
-# to 8 frames were no faster.
-PYRAMID_BATCH_BYTES = 1_900_000
-PYRAMID_BYTES_PER_PIXEL = 48
+# Frame pixels whose pyramids `track` builds in one stack: 4 frames at
+# 96 x 96 and 2 at 120 x 120. A frame's pyramid holds about 42 bytes of
+# float32 arrays per pixel over its levels, so a chunk is about 1.7 MB. Two
+# chunks are alive at a chunk boundary; at this budget that stays below the
+# memory that describing the clip's trajectories needs, and stacks of up to
+# 8 frames were no faster.
+PYRAMID_BATCH_PIXELS = 39_583
 
 
 def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
@@ -429,8 +427,8 @@ def track(clip: Clip, params: TrackerParams = TrackerParams()) -> TrackResult:
             paths = np.concatenate([paths, fresh])
 
     def pyramids():
-        """Each frame's pyramid, built PYRAMID_BATCH_BYTES worth of frames at a time."""
-        chunk = max(1, PYRAMID_BATCH_BYTES // (PYRAMID_BYTES_PER_PIXEL * h * w))
+        """Each frame's pyramid, built PYRAMID_BATCH_PIXELS worth of frames at a time."""
+        chunk = max(1, PYRAMID_BATCH_PIXELS // (h * w))
         for first in range(0, n_frames, chunk):
             stack = FramePyramid(clip.frames[first : first + chunk], levels=params.pyramid_levels)
             yield from map(stack.frame, range(stack.n_frames))

@@ -24,7 +24,7 @@ import numpy as np
 from avcmd.detector import ActivityDetector, activity_score, segments_from_events
 from avcmd.encoding import _ASSIGN_CHUNK, KMEANS_RTOL, Channel, Codebook, _cluster_sums
 from avcmd.errors import DegenerateInputError, InvalidParameterError
-from avcmd.frames import log_depth, to_grayscale
+from avcmd.frames import log_depth
 from avcmd.synth import D_MAX, _paint
 
 
@@ -102,13 +102,12 @@ def smooth_field(rng: np.random.Generator, h: int, w: int, passes: int = 3) -> n
 
 def render(world, cx: float, cy: float, rng: np.random.Generator, noise_sigma: float,
            depth_noise: float = 6.0):
-    """`synth._World.render`: both frames, the gray one through RGB and back."""
+    """`synth._World.render`: the gray and the log-depth frame."""
     gray = _paint(world.bg, world.limb_tex, cx, cy)
     depth = _paint(world.bg_depth, world.limb_depth, cx, cy)
     gray = gray + rng.normal(0.0, noise_sigma, gray.shape) if noise_sigma > 0 else gray
     depth = depth + rng.normal(0.0, depth_noise, depth.shape) if depth_noise > 0 else depth
-    gray_u8 = np.clip(np.rint(gray), 0, 255).astype(np.uint8)
-    rgb_frame = to_grayscale(np.repeat(gray_u8[:, :, None], 3, axis=2))
+    rgb_frame = np.clip(np.rint(gray), 0, 255).astype(np.uint8)
     depth_u16 = np.clip(np.rint(depth), 0, D_MAX).astype(np.uint16)
     ld_frame = log_depth(depth_u16, D_MAX)
     return rgb_frame, ld_frame

@@ -295,7 +295,8 @@ class TestAdaptSpeaker:
         ]
         fitted = adapt_speaker(templates, enrollment)
         obj_fit = ref.alignment_objective(templates, enrollment, fitted)
-        obj_id = ref.alignment_objective(templates, enrollment, SpeakerTransform.identity())
+        identity = SpeakerTransform(np.eye(FEATURE_DIM), np.zeros(FEATURE_DIM))
+        obj_id = ref.alignment_objective(templates, enrollment, identity)
         assert obj_fit <= obj_id + 1e-9
 
     def test_needs_three_commands(self, rng):

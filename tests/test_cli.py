@@ -268,8 +268,9 @@ class TestScriptsAndUsage:
             ["synth", "--kind", "gestures", "--clips-per-class"],
             ["synth", "--kind", "audio", "--per-command"],
             ["simulate", "--train-clips-per-class"],
+            ["codebook", "--features", "features", "-k"],
         ],
-        ids=["subjects", "clips-per-class", "per-command", "train-clips-per-class"],
+        ids=["subjects", "clips-per-class", "per-command", "train-clips-per-class", "k"],
     )
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, argv, value):
         # Past argparse, such a count writes an empty corpus, names subjects
@@ -280,6 +281,13 @@ class TestScriptsAndUsage:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_synth_size_below_one_is_exit_1(self, tmp_path, capsys, size):
+        argv = ["synth", "--kind", "gestures", "--clips-per-class", "1", "--size", size, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: pattern extent does not fit the frame\n"
 
     def test_missing_input_is_validation_failure(self, tmp_path, capsys):
         rc = main(["extract", "--clips", str(tmp_path), "--out", str(tmp_path / "f")])
@@ -327,6 +335,16 @@ def test_classify_clip_without_gesture_evidence(tmp_path, capsys, n_frames):
         assert rc == 0 and out == "no gesture (no trajectory survived)\n"
     else:
         assert rc == 1 and "too short" in err and out == ""
+
+
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_train_refuses_a_c_of_zero_or_below(tmp_path, capsys, c):
+    # `-c 0` used to train with the configured svm_c instead
+    train, _ = _two_clip_model_argv(tmp_path, 16)
+    assert main([*train, "-c", c]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: C must be finite and positive, got {float(c)}\n"
+    assert not (tmp_path / "m.igsv").exists()
 
 
 class TestBadFilesExitOne:

@@ -514,6 +514,14 @@ class TestEncodedVideoIO:
         with pytest.raises(InvalidParameterError, match="integers"):
             BovwHist(counts=np.array([1.0, 2.5]), channel=Channel.HOG)
 
+    def test_bovw_hist_counts_follow_the_igev_rule(self):
+        # one rule for a histogram, the IGEV files and the IGSV tables:
+        # integers in [0, 2**24], the range float32 stores exactly
+        assert BovwHist(counts=np.array([2.0**24, 0.0]), channel=Channel.HOG).counts[0] == 2**24
+        for bad in (2**24 + 1, -1):
+            with pytest.raises(InvalidParameterError, match=r"\[0, 16777216\]"):
+                BovwHist(counts=np.array([bad, 1], dtype=np.int64), channel=Channel.HOG)
+
     @staticmethod
     def _hand_built(p, table):
         """A one-clip IGEV file with the channel table `table` and every count 1."""
@@ -542,9 +550,8 @@ class TestEncodedVideoIO:
         top = {Channel.HOG: BovwHist(counts=np.array([2.0**24, 1.0]), channel=Channel.HOG)}
         write_encoded(p, [top])
         assert np.array_equal(read_encoded(p)[0][Channel.HOG].counts, top[Channel.HOG].counts)
-        over = {Channel.HOG: BovwHist(counts=np.array([2.0**24 + 1, 1.0]), channel=Channel.HOG)}
         with pytest.raises(InvalidParameterError, match="float32"):
-            write_encoded(p, [top, over])
+            BovwHist(counts=np.array([2.0**24 + 1, 1.0]), channel=Channel.HOG)
 
 
 class TestSinglePathsAgainstReference:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from avcmd.errors import FormatError, InvalidParameterError
+from avcmd.errors import InvalidParameterError
 from avcmd.frames import (
     Clip,
     GrayFrame,
@@ -13,43 +13,7 @@ from avcmd.frames import (
     Sensor,
     _log_table,
     log_depth,
-    to_grayscale,
 )
-
-
-class TestToGrayscale:
-    def test_all_black_maps_to_zero(self):
-        rgb = np.zeros((4, 5, 3), dtype=np.uint8)
-        assert np.all(to_grayscale(rgb) == 0)
-
-    def test_all_white_maps_to_255(self):
-        rgb = np.full((4, 5, 3), 255, dtype=np.uint8)
-        assert np.all(to_grayscale(rgb) == 255)
-
-    def test_single_pixel_weighted_sum(self):
-        # 0.299*100 + 0.587*50 + 0.114*200 = 82.05 -> 82
-        rgb = np.array([[[100, 50, 200]]], dtype=np.uint8)
-        assert to_grayscale(rgb)[0, 0] == 82
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(FormatError):
-            to_grayscale(np.zeros((4, 5), dtype=np.uint8))
-        with pytest.raises(FormatError):
-            to_grayscale(np.zeros((4, 5, 4), dtype=np.uint8))
-
-    def test_equal_channels_map_to_themselves(self):
-        # The weights sum to 1, so a gray level repeated over R, G and B
-        # comes back unchanged: the synthetic renderer relies on this.
-        levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        rgb = np.repeat(levels[:, :, None], 3, axis=2)
-        assert np.array_equal(to_grayscale(rgb), levels)
-
-    def test_pointwise_map_commutes_with_permutation(self, rng):
-        rgb = rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8)
-        gray = to_grayscale(rgb)
-        perm = rng.permutation(6 * 7)
-        flat = rgb.reshape(-1, 3)[perm].reshape(6, 7, 3)
-        assert np.array_equal(to_grayscale(flat).reshape(-1), gray.reshape(-1)[perm])
 
 
 class TestLogDepth:

@@ -208,10 +208,9 @@ class TestLooCv:
             return model
 
         result = loo_cv(samples, trainer, classifier)
-        # alice fold trains on bob (majority 1) -> both alice samples wrong
-        assert result.per_subject["alice"].num == 0
+        # alice fold trains on bob (majority 1) -> both alice samples wrong;
         # bob fold trains on alice (majority 0) -> bob sample wrong
-        assert result.per_subject["bob"].num == 0
+        assert result == {"alice": Rate(0, 2), "bob": Rate(0, 1)}
 
     def test_identical_data_perfect_classifier_is_100(self):
         samples = self._samples()
@@ -223,29 +222,39 @@ class TestLooCv:
             return model[samples[test_idx].uid[-1]]
 
         result = loo_cv(samples, trainer, classifier)
-        assert result.per_subject == {"alice": Rate(2, 2), "bob": Rate(2, 2)}
+        assert result == {"alice": Rate(2, 2), "bob": Rate(2, 2)}
 
     def test_leakage_injection_detected(self):
         samples = self._samples()
         samples.append(LooSample(uid="a1", subject="bob", label=0))  # duplicated clip
-        with pytest.raises(LeakageError):
-            loo_cv(samples, lambda idx: None, lambda m, i: 0)
+        calls = []
+        with pytest.raises(LeakageError, match="'a1'"):
+            loo_cv(samples, calls.append, lambda m, i: 0)
+        assert calls == []
+
+    def test_rates_per_subject_in_first_seen_order(self):
+        samples = [
+            LooSample(uid="c1", subject="carol", label=1),
+            LooSample(uid="a1", subject="alice", label=0),
+            LooSample(uid="c2", subject="carol", label=0),
+            LooSample(uid="b1", subject="bob", label=1),
+            LooSample(uid="a2", subject="alice", label=1),
+        ]
+        folds = []
+
+        def trainer(train_idx):
+            folds.append(train_idx.tolist())
+            return None
+
+        result = loo_cv(samples, trainer, lambda model, i: 1)
+        assert list(result) == ["carol", "alice", "bob"]
+        assert result == {"carol": Rate(1, 2), "alice": Rate(1, 2), "bob": Rate(1, 1)}
+        assert folds == [[1, 3, 4], [0, 2, 3], [0, 1, 2, 4]]
 
     def test_needs_two_subjects(self):
         samples = [LooSample(uid="a1", subject="alice", label=0)]
         with pytest.raises(DegenerateInputError):
             loo_cv(samples, lambda idx: None, lambda m, i: 0)
-
-    def test_missing_subject_skipped_with_warning(self):
-        samples = self._samples()
-        with pytest.warns(UserWarning):
-            result = loo_cv(
-                samples,
-                lambda idx: None,
-                lambda m, i: samples[i].label,
-                subjects=["alice", "bob", "carol"],
-            )
-        assert set(result.per_subject) == {"alice", "bob"}
 
     def test_trainer_never_sees_test_subject(self):
         samples = self._samples()

@@ -72,6 +72,12 @@ class TestGestureClips:
         with pytest.raises(InvalidParameterError):
             generate_gesture_clip(spec, seed=1, frames=18, size=96)
 
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_empty_and_negative_sizes_fail_the_extent_check(self, size):
+        # numpy used to fail first, building a texture of no or negative size
+        with pytest.raises(InvalidParameterError, match="does not fit"):
+            generate_gesture_clip(default_spec(MotionPattern.SWIPE_UP), seed=1, frames=18, size=size)
+
     def test_background_stays_below_activity_trigger(self):
         s = generate_gesture_clip(default_spec(MotionPattern.BACKGROUND), seed=5, frames=24)
         scores = [

@@ -806,13 +806,25 @@ class TestAgainstPerFrameReference:
     def test_clip_lengths_around_chunk_boundaries(self, monkeypatch, chunk, n_frames):
         clip = sliding_texture_clip(n_frames)
         if chunk is not None:
-            per_frame_bytes = trajectories.PYRAMID_BYTES_PER_PIXEL * clip.width * clip.height
-            monkeypatch.setattr(trajectories, "PYRAMID_BATCH_BYTES", chunk * per_frame_bytes)
+            monkeypatch.setattr(trajectories, "PYRAMID_BATCH_PIXELS", chunk * clip.width * clip.height)
         got = track(clip)
         self.assert_same(got, per_frame.track(clip))
         x, y = np.rint(got.trajectories.points[:, : P.traj_len]).T
         half = P.tube_size // 2
         assert ((x == half) | (x + half == clip.width) | (y == half) | (y + half == clip.height)).any()
+
+    @pytest.mark.parametrize("size,n_frames,chunks", [(96, 24, [4] * 6), (120, 17, [2] * 8 + [1])])
+    def test_chunk_lengths_at_the_benchmark_frame_sizes(self, monkeypatch, size, n_frames, chunks):
+        built = []
+
+        class Spy(FramePyramid):
+            def __init__(self, frames, levels):
+                built.append(len(frames))
+                super().__init__(frames, levels)
+
+        monkeypatch.setattr(trajectories, "FramePyramid", Spy)
+        track(Clip(frames=np.zeros((n_frames, size, size), dtype=np.uint8), fps=15.0, modality=Modality.RGB))
+        assert built == chunks
 
     @pytest.mark.parametrize("stream", ["rgb", "depth"])
     def test_synthetic_clips(self, stream):
