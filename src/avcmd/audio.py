@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameterError, json_field
+from .errors import FormatError, InvalidParameterError, json_field, open_text
 from .mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read
 from .vocabulary import Command
 
@@ -337,11 +337,10 @@ def load_template_store(manifest_path: str | Path) -> dict[int, list[MfccSeq]]:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     templates: dict[int, list[MfccSeq]] = {}
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            rows = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad template manifest: {exc}") from None
+    try:
+        rows = json.load(open_text(manifest_path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad template manifest: {exc}") from None
     if not isinstance(rows, list):
         raise FormatError("template manifest must be a JSON list of rows")
     for row in rows:

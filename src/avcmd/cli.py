@@ -19,7 +19,6 @@ import numpy as np
 from . import config as config_mod
 from .audio import classify_command, default_grammar, keyword_gate, load_template_store, save_template_manifest
 from .container import Annotation, read_annotations, read_clip, write_annotations, write_clip
-from .detector import activity_segments
 from .encoding import (
     CHANNEL_ORDER,
     Channel,
@@ -45,6 +44,7 @@ from .session import (
     BACK_SCRIPT,
     LEGS_SCRIPT,
     SessionModels,
+    activity_segments,
     read_script,
     read_session_log,
     run_session,
@@ -56,12 +56,9 @@ from .synth import SAMPLE_RATE, build_session_streams, generate_audio_corpus, ge
 from .trajectories import read_features, write_features, track
 from .vocabulary import command_name
 
-_CHANNEL_FILES = {
-    Channel.TRAJ: "cb_traj.igcb",
-    Channel.HOG: "cb_hog.igcb",
-    Channel.HOF: "cb_hof.igcb",
-    Channel.MBH: "cb_mbh.igcb",
-}
+
+def _codebook_file(ch: Channel) -> str:
+    return f"cb_{ch.name.lower()}.igcb"
 
 
 def _count(text: str) -> int:
@@ -81,11 +78,11 @@ def _load_cfg(args) -> config_mod.PipelineConfig:
 def _cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # each corpus is generated before any directory is made, so a refused run leaves nothing
     if args.kind == "gestures":
-        clips_dir = out / "clips"
-        clips_dir.mkdir(exist_ok=True)
         samples = generate_corpus(args.clips_per_class, seed=cfg.seed, frames=args.frames, size=args.size)
+        clips_dir = out / "clips"
+        clips_dir.mkdir(parents=True, exist_ok=True)
         annotations = []
         for i, sample in enumerate(samples):
             for stream, clip in (("rgb", sample.rgb), ("logdepth", sample.depth)):
@@ -104,20 +101,18 @@ def _cmd_synth(args) -> int:
         write_annotations(out / "annotations.jsonl", annotations)
         print(f"wrote {len(samples)} clip pairs to {clips_dir}")
     elif args.kind == "audio":
-        audio_dir = out / "audio"
-        audio_dir.mkdir(exist_ok=True)
-        rows = []
         corpus = generate_audio_corpus(args.per_command, seed=cfg.seed, snr_db=cfg.snr_db)
-        counters: dict[int, int] = {}
-        for cmd, wave in corpus:
-            i = counters.get(cmd, 0)
-            counters[cmd] = i + 1
+        audio_dir = out / "audio"
+        audio_dir.mkdir(parents=True, exist_ok=True)
+        rows = []
+        for cmd, i, wave in corpus:
             name = f"{command_name(cmd)}_{i:02d}.wav"
             wav_write(audio_dir / name, wave, SAMPLE_RATE)
             rows.append({"command_id": cmd, "language": "en", "speaker": f"s{i}", "path": name})
         save_template_manifest(audio_dir / "manifest.json", rows)
         print(f"wrote {len(rows)} utterances to {audio_dir}")
     else:  # scripts
+        out.mkdir(parents=True, exist_ok=True)
         write_script(out / "script_legs.jsonl", LEGS_SCRIPT)
         write_script(out / "script_back.jsonl", BACK_SCRIPT)
         print(f"wrote validation scripts to {out}")
@@ -163,7 +158,7 @@ def _cmd_codebook(args) -> int:
     k = cfg.codebook_k if args.k is None else args.k
     books = train_codebooks(per_clip, k=k, seed=cfg.codebook_seed, subsample=cfg.descriptor_subsample)
     for ch, cb in books.items():
-        write_codebook(out / _CHANNEL_FILES[ch], cb)
+        write_codebook(out / _codebook_file(ch), cb)
     print(f"wrote 4 channel codebooks to {out}")
     return 0
 
@@ -171,8 +166,8 @@ def _cmd_codebook(args) -> int:
 def _read_codebooks(codebooks_dir: str) -> dict[Channel, object]:
     root = Path(codebooks_dir)
     books = {}
-    for ch, name in _CHANNEL_FILES.items():
-        path = root / name
+    for ch in CHANNEL_ORDER:
+        path = root / _codebook_file(ch)
         if not path.exists():
             raise AvcmdError(f"missing codebook {path}")
         books[ch] = read_codebook(path)
@@ -237,16 +232,7 @@ def _cmd_classify(args) -> int:
 def _cmd_detect(args) -> int:
     cfg = _load_cfg(args)
     clip = read_clip(args.clip)
-    params = cfg.session_params(clip.fps)
-    segments = activity_segments(
-        clip.frames,
-        params.tau_noise,
-        params.theta_on,
-        params.theta_off,
-        params.min_dur_frames,
-        params.max_gap_frames,
-    )
-    for start, end in segments:
+    for start, end in activity_segments(clip.frames, cfg.session_params(clip.fps)):
         print(json.dumps({"start_frame": start, "end_frame": end}))
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .encoding import DESCRIPTOR_SUBSAMPLE
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .session import SessionParams
 from .svm import DEFAULT_C
 from .trajectories import TrackerParams
@@ -122,18 +122,17 @@ def load_config(path: str | Path) -> PipelineConfig:
     known = {f.name: f.type for f in fields(PipelineConfig)}
     types = {"int": int, "float": float, "bool": bool, "str": str}
     cfg = PipelineConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key = value")
-            name, _, value = line.partition("=")
-            name = name.strip()
-            if name not in known:
-                raise ConfigError(f"line {lineno}: unknown key {name!r}")
-            kind = types.get(known[name], str) if isinstance(known[name], str) else known[name]
-            setattr(cfg, name, _parse_value(name, value, kind))
+    for lineno, raw in enumerate(open_text(path, ConfigError), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value")
+        name, _, value = line.partition("=")
+        name = name.strip()
+        if name not in known:
+            raise ConfigError(f"line {lineno}: unknown key {name!r}")
+        kind = types.get(known[name], str) if isinstance(known[name], str) else known[name]
+        setattr(cfg, name, _parse_value(name, value, kind))
     return cfg.validate()
 

@@ -10,8 +10,8 @@ boundary by max_gap frames. An event is its kind and the true boundary
 frame, which is all that segment pairing and the session runner read.
 
 `detect_segments` is the one detection loop and `activity_scores` the one
-scoring loop; `activity_segments` runs the first over the second for the
-session runner and `detect`.
+scoring loop; `session.activity_segments` runs the first over the second
+with the settings of a `SessionParams`.
 """
 
 from __future__ import annotations
@@ -116,14 +116,6 @@ def detect_segments(
 def activity_scores(frames, tau_noise: float) -> list[float]:
     """0.0 for frame 0, which has no predecessor, then one score per frame pair."""
     return [0.0] + [activity_score(frames[t - 1], frames[t], tau_noise) for t in range(1, len(frames))]
-
-
-def activity_segments(
-    frames, tau_noise: float, theta_on: float, theta_off: float, min_dur: int, max_gap: int
-) -> list[tuple[int, int]]:
-    """(start, end) activity segments of a frame sequence: every frame's score, pushed in order."""
-    scores = activity_scores(frames, tau_noise)
-    return segments_from_events(detect_segments(scores, theta_on, theta_off, min_dur, max_gap))
 
 
 def segments_from_events(events: list[SegmentEvent]) -> list[tuple[int, int]]:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit, the checks every file reader shares, and the JSON-lines writer."""
 
+import io
 import json
 import struct
+from pathlib import Path
 
 
 class AvcmdError(Exception):
@@ -94,24 +96,31 @@ def json_field(row: dict, key: str, kind: type, nullable: bool = False):
     return value
 
 
+def open_text(path, error: type[AvcmdError] = FormatError) -> io.StringIO:
+    """A UTF-8 file read as text mode reads it, decoded whole: a byte that is not UTF-8 raises `error` here."""
+    try:
+        return io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_json_rows(path, what: str, parse) -> list:
     """`parse(row)` for the JSON object on each non-blank line of a JSON-lines file.
 
-    A line that is not a JSON object, or whose fields `parse` rejects with
-    KeyError, TypeError or ValueError, raises FormatError naming the line.
+    A line that is not a JSON object, or whose fields `parse` rejects (KeyError,
+    TypeError, ValueError, InvalidParameterError), raises FormatError naming it.
     """
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise TypeError(f"expected an object, not {row!r}")
-                out.append(parse(row))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"bad {what} on line {lineno}: {exc}") from None
+    for lineno, line in enumerate(open_text(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise TypeError(f"expected an object, not {row!r}")
+            out.append(parse(row))
+        except (KeyError, TypeError, ValueError, InvalidParameterError) as exc:
+            raise FormatError(f"bad {what} on line {lineno}: {exc}") from None
     return out
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameterError
+from .errors import FormatError, InvalidParameterError, check_payload
 
 SUPPORTED_RATES = (16000, 44100, 48000)
 FRAME_LEN_S = 0.025
@@ -168,9 +168,10 @@ def wav_read(path: str | Path) -> tuple[np.ndarray, int]:
                 raise FormatError("expected mono audio")
             if fh.getsampwidth() != 2:
                 raise FormatError("expected 16-bit PCM")
-            rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
-    except wave.Error as exc:
-        raise FormatError(str(exc)) from None
+            rate, n = fh.getframerate(), fh.getnframes()
+            raw = fh.readframes(n)
+    except (wave.Error, EOFError) as exc:  # EOFError: a file cut inside its RIFF or chunk header
+        raise FormatError(str(exc) or "WAV file truncated") from None
+    check_payload(len(raw), 2 * n, "WAV")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return samples, rate

@@ -206,8 +206,7 @@ def criterion_flow_oracle() -> CriterionResult:
             prev = tex[margin : margin + size, margin : margin + size]
             nxt = tex[margin - dy : margin - dy + size, margin - dx : margin - dx + size]
             f = dense_flow(prev, nxt)
-            mu = float(np.median(f[0, 12:-12, 12:-12]))
-            mv = float(np.median(f[1, 12:-12, 12:-12]))
+            mu, mv = (float(np.median(c)) for c in f[:, 12:-12, 12:-12])
             err = max(abs(mu - dx), abs(mv - dy))
             worst = max(worst, err)
             cases.append({"dx": dx, "dy": dy, "median_u": mu, "median_v": mv})
@@ -326,22 +325,18 @@ def criterion_audio(seed: int, tests_per_command: int, min_top1: float) -> Crite
     grammar = default_grammar()
     templates = build_audio_templates(seed)
 
-    correct = total = 0
+    correct = 0
     for cmd in Command:
         for i in range(tests_per_command):
             wave = generate_command_audio(int(cmd), seed + 9000 + 131 * int(cmd) + i, 20.0)
-            out = classify_command(mfcc(wave, 16000), templates, grammar)
-            correct += int(out.top.command == int(cmd))
-            total += 1
-    top1 = correct / total
+            correct += int(classify_command(mfcc(wave, 16000), templates, grammar).top.command == int(cmd))
+    top1 = correct / (len(Command) * tests_per_command)
 
     # recover an injected affine distortion from enrollment data
     rng = np.random.default_rng(seed + 5)
     a_true = np.eye(FEATURE_DIM) + 0.05 * rng.standard_normal((FEATURE_DIM, FEATURE_DIM))
     b_true = 0.3 * rng.standard_normal(FEATURE_DIM)
-    enrollment = []
-    for cmd, temps in templates.items():
-        enrollment.append((cmd, MfccSeq(frames=temps[0].frames @ a_true.T + b_true)))
+    enrollment = [(cmd, MfccSeq(frames=temps[0].frames @ a_true.T + b_true)) for cmd, temps in templates.items()]
     fitted = adapt_speaker(templates, enrollment)
     a_inv = np.linalg.inv(a_true)
     b_inv = -a_inv @ b_true
@@ -391,10 +386,8 @@ def criterion_audio(seed: int, tests_per_command: int, min_top1: float) -> Crite
 
 def criterion_determinism(seed: int) -> CriterionResult:
     """Two smoke selftests from the same seed must serialize identically."""
-    r1 = run_selftest(profile="smoke", seed=seed)
-    r2 = run_selftest(profile="smoke", seed=seed)
-    b1 = report_bytes(r1)
-    b2 = report_bytes(r2)
+    b1 = report_bytes(run_selftest(profile="smoke", seed=seed))
+    b2 = report_bytes(run_selftest(profile="smoke", seed=seed))
     passed = b1 == b2
     return CriterionResult(
         9,
@@ -461,7 +454,7 @@ def generator_calibration(seed: int) -> CriterionResult:
 
     # background drift never reaches the activity trigger
     bg = generate_gesture_clip(default_spec(MotionPattern.BACKGROUND), seed + 3, frames=24)
-    bg_max = max(activity_scores(bg.rgb.frames, 12.0))
+    bg_max = max(activity_scores(bg.rgb.frames, SessionParams.tau_noise))
 
     # noise-free swipe: flow on the limb equals amplitude/period per frame
     spec = replace(default_spec(MotionPattern.SWIPE_RIGHT), noise_sigma=0.0)
@@ -471,17 +464,10 @@ def generator_calibration(seed: int) -> CriterionResult:
     size = clean.rgb.width
     cx = size / 2.0 + (5.5 / spec.period - 0.5) * spec.amplitude
     half_w, half_l = spec.limb_w // 2 - 2, spec.limb_len // 2 - 2
-    region_u = field[0][
-        int(size / 2 - half_l) : int(size / 2 + half_l),
-        int(cx - half_w) : int(cx + half_w),
-    ]
-    region_v = field[1][
-        int(size / 2 - half_l) : int(size / 2 + half_l),
-        int(cx - half_w) : int(cx + half_w),
-    ]
-    flow_err = max(abs(float(np.median(region_u)) - speed), abs(float(np.median(region_v))))
+    region = field[:, int(size / 2 - half_l) : int(size / 2 + half_l), int(cx - half_w) : int(cx + half_w)]
+    flow_err = max(abs(float(np.median(region[0])) - speed), abs(float(np.median(region[1]))))
 
-    passed = separation >= 5.0 and bg_max < 0.02 and flow_err <= 0.25
+    passed = separation >= 5.0 and bg_max < SessionParams.theta_on and flow_err <= 0.25
     return CriterionResult(
         0,
         "generator calibration: audio separation, background activity bound, flow ground truth",
@@ -489,7 +475,7 @@ def generator_calibration(seed: int) -> CriterionResult:
         {
             "audio_pattern_separation": separation,
             "background_max_activity": bg_max,
-            "activity_trigger": 0.02,
+            "activity_trigger": SessionParams.theta_on,
             "swipe_flow_error_px": flow_err,
         },
     )

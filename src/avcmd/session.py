@@ -1,13 +1,14 @@
 """Online session layer: late fusion and the scripted session runner.
 
 The runner consumes a video frame stream and pre-segmented audio events on a
-shared frame clock, localizes and classifies visual activity segments, and
-gives each scripted step the audio event and the segment that overlap its
-window most (the first on a tie). A segment the gesture pipeline declines,
-one too short to track among them, offers no gesture hypothesis. The runner
-fuses the ranked hypotheses, drives the dialogue FSM, and logs per step what
-the user did (from the script annotation), what the system recognized,
-through which modality, and how late.
+shared frame clock, localizes visual activity segments with
+`activity_segments` (the detector, set by a `SessionParams`) and classifies
+them, and gives each scripted step the audio event and the segment that
+overlap its window most (the first on a tie). A segment the gesture pipeline
+declines, one too short to track among them, offers no gesture hypothesis.
+The runner fuses the ranked hypotheses, drives the dialogue FSM, and logs per
+step what the user did (from the script annotation), what the system
+recognized, through which modality, and how late.
 
 Fusion rule, in priority order: announce the top speech hypothesis when it
 appears among the two best gesture hypotheses (agreement); otherwise a lone
@@ -23,8 +24,10 @@ from enum import Enum
 from pathlib import Path
 
 from .audio import CommandGrammar, MfccSeq, NBest, SpeakerTransform, classify_command, keyword_gate
-from .detector import activity_segments
-from .errors import InvalidParameterError, NoInputError, SessionDesyncError, json_field, read_json_rows, write_json_rows
+from .detector import activity_scores, detect_segments, segments_from_events
+from .errors import (
+    FormatError, InvalidParameterError, NoInputError, SessionDesyncError, json_field, read_json_rows, write_json_rows,
+)
 from .fsm import FsmState, fsm_step
 from .frames import Clip
 from .gesture import GesturePipeline
@@ -87,6 +90,13 @@ class AudioEvent:
     keyword_score: float = 1.0
 
 
+def _check_modality(modality: str) -> str:
+    """The rule of a step's modality, on a `SessionStep` and on a script row: A or A-G."""
+    if modality not in ("A", "A-G"):
+        raise InvalidParameterError(f"modality must be A or A-G, not {modality!r}")
+    return modality
+
+
 @dataclass(frozen=True)
 class SessionStep:
     step_id: int
@@ -96,8 +106,7 @@ class SessionStep:
     performed_ok: bool = True
 
     def __post_init__(self):
-        if self.modality not in ("A", "A-G"):
-            raise InvalidParameterError(f"modality must be A or A-G, not {self.modality!r}")
+        _check_modality(self.modality)
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,13 @@ class SessionParams:
     lang: str = "en"
 
 
+def activity_segments(frames, params: SessionParams) -> list[tuple[int, int]]:
+    """(start, end) activity segments of a frame sequence: every frame's score, pushed in order."""
+    scores = activity_scores(frames, params.tau_noise)
+    events = detect_segments(scores, params.theta_on, params.theta_off, params.min_dur_frames, params.max_gap_frames)
+    return segments_from_events(events)
+
+
 def _best_overlap(window: tuple[int, int], items, span):
     """The item whose span(item) overlaps `window` most, the first on a tie; None if none overlaps."""
     best, best_ov = None, 0
@@ -169,14 +185,7 @@ def run_session(
     # temporal localization of visual activity; each segment is classified once
     segments: list[tuple[tuple[int, int], list[tuple[int, float]] | None]] = []
     if n_frames >= 2:
-        for start, end in activity_segments(
-            video.frames,
-            params.tau_noise,
-            params.theta_on,
-            params.theta_off,
-            params.min_dur_frames,
-            params.max_gap_frames,
-        ):
+        for start, end in activity_segments(video.frames, params):
             pred = models.gesture.classify_clip(video.subclip(start, end))
             two = None if pred is None else models.gesture.command_2best(pred)
             segments.append(((start, end), two))
@@ -228,11 +237,15 @@ def write_script(path: str | Path, steps: list[tuple[int, int, str]]) -> None:
 
 def _script_step(row: dict) -> tuple[int, int, str]:
     command = command_from_name(json_field(row, "command", str))
-    return json_field(row, "step_id", int), int(command), json_field(row, "modality", str)
+    return json_field(row, "step_id", int), int(command), _check_modality(json_field(row, "modality", str))
 
 
 def read_script(path: str | Path) -> list[tuple[int, int, str]]:
-    return read_json_rows(path, "script row", _script_step)
+    steps = read_json_rows(path, "script row", _script_step)
+    ids = [step[0] for step in steps]
+    if len(set(ids)) < len(ids):
+        raise FormatError(f"script {path} lists step {next(i for i in ids if ids.count(i) > 1)} more than once")
+    return steps
 
 
 def write_session_log(path: str | Path, log: SessionLog) -> None:

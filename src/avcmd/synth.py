@@ -363,12 +363,13 @@ def generate_command_audio(command: int, speaker_seed: int, snr_db: float) -> np
     return wave
 
 
-def generate_audio_corpus(per_command: int, seed: int, snr_db: float = 20.0) -> list[tuple[int, np.ndarray]]:
-    out = []
-    for cmd in Command:
-        for i in range(per_command):
-            out.append((int(cmd), generate_command_audio(int(cmd), seed + 1000 * int(cmd) + i, snr_db)))
-    return out
+def generate_audio_corpus(per_command: int, seed: int, snr_db: float = 20.0) -> list[tuple[int, int, np.ndarray]]:
+    """(command, index within the command, waveform) for `per_command` utterances of every command."""
+    return [
+        (int(cmd), i, generate_command_audio(int(cmd), seed + 1000 * int(cmd) + i, snr_db))
+        for cmd in Command
+        for i in range(per_command)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from avcmd.audio import save_template_manifest
-from avcmd.cli import _CHANNEL_FILES, main
+from avcmd.cli import _codebook_file, main
 from avcmd.container import Annotation, read_clip, write_annotations, write_clip
 from avcmd.encoding import CHANNEL_ORDER, BovwHist, Channel, Codebook, write_codebook, write_encoded
 from avcmd.frames import Clip, GrayFrame, Modality
@@ -15,6 +15,7 @@ from avcmd.gesture import channel_matrices, train_codebooks
 from avcmd.mfcc import wav_write
 from avcmd.session import read_session_log
 from avcmd.trajectories import DESC_DIM, TrackerParams, TrajectorySet, read_features, track, write_features
+from avcmd.vocabulary import Command
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +109,9 @@ class TestPipelineCommands:
             for r in rows
         ]
         for ch, book in train_codebooks(per_clip, k=12, seed=0, subsample=5000).items():
-            write_codebook(tmp_path / _CHANNEL_FILES[ch], book)
-            assert (tmp_path / _CHANNEL_FILES[ch]).read_bytes() == (
-                workspace / "codebooks" / _CHANNEL_FILES[ch]).read_bytes()
+            write_codebook(tmp_path / _codebook_file(ch), book)
+            assert (tmp_path / _codebook_file(ch)).read_bytes() == (
+                workspace / "codebooks" / _codebook_file(ch)).read_bytes()
 
     def test_codebook_from_extracted_features_equals_training_on_track_output(self, workspace, tmp_path):
         # `track` returns the float32 values IGTF stores, so codebooks trained
@@ -121,9 +122,9 @@ class TestPipelineCommands:
             for r in rows
         ]
         for ch, book in train_codebooks(per_clip, k=12, seed=0, subsample=5000).items():
-            write_codebook(tmp_path / _CHANNEL_FILES[ch], book)
-            assert (tmp_path / _CHANNEL_FILES[ch]).read_bytes() == (
-                workspace / "codebooks" / _CHANNEL_FILES[ch]).read_bytes()
+            write_codebook(tmp_path / _codebook_file(ch), book)
+            assert (tmp_path / _codebook_file(ch)).read_bytes() == (
+                workspace / "codebooks" / _codebook_file(ch)).read_bytes()
 
     def test_detect_prints_segments(self, workspace, capsys):
         clip = sorted((workspace / "clips").glob("*_rgb.igsc"))[0]
@@ -289,6 +290,17 @@ class TestScriptsAndUsage:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: pattern extent does not fit the frame\n"
 
+    @pytest.mark.parametrize(
+        "option,message", [("--size", "pattern extent does not fit the frame"), ("--frames", "need at least 16 frames")]
+    )
+    def test_refused_synth_leaves_no_directory(self, tmp_path, capsys, option, message):
+        # the corpus is generated before any directory is made
+        out = tmp_path / "out"
+        argv = ["synth", "--kind", "gestures", "--clips-per-class", "1", option, "0" if option == "--size" else "3"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_missing_input_is_validation_failure(self, tmp_path, capsys):
         rc = main(["extract", "--clips", str(tmp_path), "--out", str(tmp_path / "f")])
         assert rc == 1
@@ -302,8 +314,8 @@ def _two_clip_model_argv(tmp_path, n_frames: int) -> tuple[list[str], list[str]]
     write_clip(tmp_path / "c.igsc", Clip(frames=(frame,) * n_frames, fps=15.0, modality=Modality.RGB))
     books = tmp_path / "books"
     books.mkdir()
-    for ch, name in _CHANNEL_FILES.items():
-        write_codebook(books / name, Codebook(channel=ch, centroids=np.eye(2, 3), seed=0))
+    for ch in CHANNEL_ORDER:
+        write_codebook(books / _codebook_file(ch), Codebook(channel=ch, centroids=np.eye(2, 3), seed=0))
     write_encoded(tmp_path / "e.igev", [
         {ch: BovwHist(counts=np.eye(2)[i], channel=ch) for ch in CHANNEL_ORDER} for i in range(2)
     ])
@@ -364,7 +376,7 @@ class TestBadFilesExitOne:
         codebook = ["codebook", "--features", str(tmp_path / "f"), "--out", str(tmp_path / "cb"), "-k", "1"]
         path, argv = {
             "clip": (tmp_path / "c.igsc", ["detect", "--clip", str(tmp_path / "c.igsc")]),
-            "codebook": (books / _CHANNEL_FILES[Channel.TRAJ], train),
+            "codebook": (books / _codebook_file(Channel.TRAJ), train),
             "encoded": (tmp_path / "e.igev", train),
             "model": (tmp_path / "m.igsv", classify),
             "features": (tmp_path / "f" / "c.igtf", codebook),
@@ -406,6 +418,29 @@ class TestBadJsonRowsExitOne:
         target = ["--out", str(tmp_path / "out.jsonl")] if command == "simulate" else ["--logs", str(log)]
         assert main([command, "--script", str(script), *target]) == 1
         assert capsys.readouterr().err.startswith("error: bad script row on line 1")
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([{"step_id": 1, "command": "halt", "modality": "AG"}],
+             "bad script row on line 1: modality must be A or A-G, not 'AG'"),
+            ([{"step_id": 1, "command": "halt", "modality": "A"}, {"step_id": 2, "command": "stop", "modality": "A"},
+              {"step_id": 1, "command": "repeat", "modality": "A-G"}], "lists step 1 more than once"),
+        ],
+        ids=["modality", "repeated-step"],
+    )
+    def test_script_rows_follow_the_session_step_rules(self, tmp_path, capsys, command, rows, message):
+        # `evaluate` once took both files: 'AG' left gesture performance n/a,
+        # and the last row of a repeated step id silently won
+        script = tmp_path / "script.jsonl"
+        script.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(self.LOG_ROW) + "\n")
+        target = ["--out", str(tmp_path / "out.jsonl")] if command == "simulate" else ["--logs", str(log)]
+        assert main([command, "--script", str(script), *target]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_train_bad_annotation(self, tmp_path, capsys):
         (tmp_path / "a.jsonl").write_text('{"clip": "c.igsc", "label": [1]}\n')
@@ -466,3 +501,75 @@ class TestMissingFilesExitOne:
         assert main(["classify", "--wav", str(wav), "--templates", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gone.wav" in err
+
+
+@pytest.mark.parametrize("size", [0, 4, 24])
+def test_classify_refuses_a_cut_wav(tmp_path, capsys, size):
+    # a cut inside the RIFF or chunk headers once ended in a bare EOFError
+    wav_write(tmp_path / "t.wav", np.zeros(1600), 16000)
+    save_template_manifest(tmp_path / "m.json", [{"command_id": 1, "language": "en", "speaker": "s", "path": "t.wav"}])
+    (tmp_path / "cut.wav").write_bytes((tmp_path / "t.wav").read_bytes()[:size])
+    assert main(["classify", "--wav", str(tmp_path / "cut.wav"), "--templates", str(tmp_path / "m.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: WAV file truncated\n"
+
+
+def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
+    """Per reader of outside input, a valid file and a command that reads it (and exits 0)."""
+    train, classify = _two_clip_model_argv(tmp_path, 16)
+    assert main(train) == 0
+    (tmp_path / "f").mkdir()
+    write_features(tmp_path / "f" / "c.igtf", TrajectorySet(
+        np.zeros(2), np.zeros((2, 16, 2)), np.arange(2.0 * DESC_DIM).reshape(2, DESC_DIM)
+    ))
+    write_annotations(tmp_path / "f.jsonl", [
+        Annotation(clip="c.igsc", label=0, subject="u", task="legs", start_frame=0, end_frame=16)
+    ])
+    codebook = ["codebook", "--features", str(tmp_path / "f"), "--out", str(tmp_path / "cb"), "-k", "1"]
+    (tmp_path / "cfg.txt").write_text("seed = 4\ncodebook_k = 12\n")
+    (tmp_path / "script.jsonl").write_text('{"command": "halt", "modality": "A", "step_id": 1}\n')
+    (tmp_path / "log.jsonl").write_text(json.dumps(TestBadJsonRowsExitOne.LOG_ROW) + "\n")
+    evaluate = ["evaluate", "--logs", str(tmp_path / "log.jsonl"), "--script", str(tmp_path / "script.jsonl")]
+    wav_write(tmp_path / "t.wav", np.zeros(1600), 16000)
+    wav_write(tmp_path / "utt.wav", np.zeros(1600), 16000)
+    save_template_manifest(tmp_path / "m.json", [
+        {"command_id": int(c), "language": "en", "speaker": "s", "path": "t.wav"} for c in Command
+    ])
+    wav = ["classify", "--wav", str(tmp_path / "utt.wav"), "--templates", str(tmp_path / "m.json")]
+    return {
+        "IGSC": (tmp_path / "c.igsc", ["detect", "--clip", str(tmp_path / "c.igsc")]),
+        "IGTF": (tmp_path / "f" / "c.igtf", codebook),
+        "IGCB": (tmp_path / "books" / _codebook_file(Channel.HOF), train),
+        "IGEV": (tmp_path / "e.igev", train),
+        "IGSV": (tmp_path / "m.igsv", classify),
+        "config": (tmp_path / "cfg.txt", ["--config", str(tmp_path / "cfg.txt"), "synth", "--kind", "scripts",
+                                          "--out", str(tmp_path / "s")]),
+        "annotation": (tmp_path / "f.jsonl", [*codebook, "--annotations", str(tmp_path / "f.jsonl")]),
+        "script": (tmp_path / "script.jsonl", evaluate),
+        "log": (tmp_path / "log.jsonl", evaluate),
+        "manifest": (tmp_path / "m.json", wav),
+        "WAV": (tmp_path / "utt.wav", wav),
+    }
+
+
+_TEXT_READERS = ("config", "annotation", "script", "log", "manifest")
+
+
+@pytest.mark.parametrize(
+    "reader,damage",
+    [(r, "cut") for r in ("IGSC", "IGTF", "IGCB", "IGEV", "IGSV", *_TEXT_READERS, "WAV")]
+    + [(r, "not-utf8") for r in _TEXT_READERS],
+)
+def test_every_reader_of_outside_input_fails_with_one_error_line(tmp_path, capsys, reader, damage):
+    # Cut to half its length, or given a byte that is not UTF-8, each input
+    # ends its command with exit 1 and one `error:` line, never a traceback.
+    path, argv = _reader_inputs(tmp_path)[reader]
+    assert main(argv) == 0
+    capsys.readouterr()
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2] if damage == "cut" else raw[:-2] + b"\xff" + raw[-2:])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if damage == "not-utf8":
+        assert err.startswith(f"error: {path} is not UTF-8 text")

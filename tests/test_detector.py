@@ -10,13 +10,12 @@ from avcmd.detector import (
     EventKind,
     activity_score,
     activity_scores,
-    activity_segments,
     detect_segments,
     segments_from_events,
 )
 from avcmd.errors import ConfigError, InvalidParameterError
 from avcmd.frames import GrayFrame
-from avcmd.session import BACK_SCRIPT, LEGS_SCRIPT, SessionParams
+from avcmd.session import BACK_SCRIPT, LEGS_SCRIPT, SessionParams, activity_segments
 from avcmd.synth import build_session_streams
 
 
@@ -138,12 +137,6 @@ def _pulse_frames(rng, n, size=12, bursts=((5, 14), (20, 23), (30, 45))):
     return tuple(frames)
 
 
-def _segments(frames, p):
-    return activity_segments(
-        frames, p.tau_noise, p.theta_on, p.theta_off, p.min_dur_frames, p.max_gap_frames
-    )
-
-
 class TestActivitySegments:
     """`activity_segments` equals the session runner's old inline loop."""
 
@@ -151,7 +144,7 @@ class TestActivitySegments:
     def test_session_streams(self, script):
         video = build_session_streams(script, seed=41).video
         p = SessionParams()
-        got = _segments(video.frames, p)
+        got = activity_segments(video.frames, p)
         assert got and got == ref.session_segments(video.frames, p)
 
     @pytest.mark.parametrize(
@@ -166,7 +159,7 @@ class TestActivitySegments:
     def test_pulse_streams_and_edge_lengths(self, rng, params):
         frames = _pulse_frames(rng, 60)
         for n in (1, 2, 3, 10, 25, 60):
-            assert _segments(frames[:n], params) == ref.session_segments(frames[:n], params)
+            assert activity_segments(frames[:n], params) == ref.session_segments(frames[:n], params)
 
     def test_one_score_and_one_push_per_frame(self, rng, monkeypatch):
         calls = {"score": 0, "push": 0}
@@ -183,5 +176,5 @@ class TestActivitySegments:
         monkeypatch.setattr(detector, "activity_score", counted_score)
         monkeypatch.setattr(ActivityDetector, "push", counted_push)
         frames = _pulse_frames(rng, 40)
-        _segments(frames, SessionParams())
+        activity_segments(frames, SessionParams())
         assert calls == {"score": 39, "push": 40}
