@@ -186,6 +186,9 @@ def _cmd_encode(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     annotations = read_annotations(args.annotations)
+    for a in annotations:
+        if a.label is None:
+            raise AvcmdError(f"clip {a.clip} has no label to train on")
     labels = np.asarray([a.label for a in annotations])
     books = _read_codebooks(args.codebooks)
     encoded = read_encoded(args.encoded)

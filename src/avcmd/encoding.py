@@ -37,9 +37,9 @@ _CODEBOOK_HEADER = struct.Struct("<4sHBIIQ")
 
 # Rows per nearest-centroid block: bounds the (rows, K) distance block.
 _ASSIGN_CHUNK = 16384
-# Rows per block of the one-time squared-norm pass; much smaller than a pool,
-# so no temporary the size of the pool is made.
-_SQ_NORM_BLOCK = 1024
+# Bytes per block of the one-time squared-norm pass (at least one row): a
+# fixed budget at any descriptor width, so no temporary grows with the pool.
+_SQ_NORM_BYTES = 1 << 18
 
 # Descriptors a codebook is learned on at most; larger pools are thinned.
 DESCRIPTOR_SUBSAMPLE = 100_000
@@ -135,19 +135,26 @@ def _l1_rows(h: np.ndarray) -> np.ndarray:
 # k-means
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """`(x * x).sum(axis=1)`, bit for bit, in blocks of `_SQ_NORM_BLOCK` rows:
-    each row is summed on its own, so the blocking changes no bit."""
+    """`(x * x).sum(axis=1)`, bit for bit, in blocks of at most `_SQ_NORM_BYTES`
+    float64 bytes: each row is summed on its own, so the blocking changes no bit."""
     out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], _SQ_NORM_BLOCK):
-        blk = x[lo : lo + _SQ_NORM_BLOCK]
-        out[lo : lo + _SQ_NORM_BLOCK] = (blk * blk).sum(axis=1)
+    rows = max(1, _SQ_NORM_BYTES // (8 * x.shape[1]))
+    for lo in range(0, x.shape[0], rows):
+        blk = x[lo : lo + rows]
+        out[lo : lo + rows] = (blk * blk).sum(axis=1)
     return out
 
 
 def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
-    """Squared distances of the rows of x to those of c; `x_sq` is `_sq_norms(x)`."""
-    d = x_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
-    return np.maximum(d, 0.0)
+    """Squared distances of the rows of x to those of c; `x_sq` is `_sq_norms(x)`.
+
+    The operations of `max(x_sq + |c|^2 - 2 * (x @ c.T), 0)` in that order, bit
+    for bit, with two (rows, k) buffers: the sum is built and clamped in place."""
+    d = x_sq[:, None] + (c * c).sum(axis=1)[None, :]
+    xc = x @ c.T
+    xc *= 2.0
+    d -= xc
+    return np.maximum(d, 0.0, out=d)
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

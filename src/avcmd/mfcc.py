@@ -10,6 +10,7 @@ Identical PCM in gives bit-identical features out.
 
 from __future__ import annotations
 
+import io
 import wave
 from dataclasses import dataclass
 from functools import lru_cache
@@ -162,8 +163,11 @@ def wav_write(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
 
 
 def wav_read(path: str | Path) -> tuple[np.ndarray, int]:
+    """Samples (PCM / 32767) and rate of a 16-bit mono WAV file whose RIFF chunk
+    spans the whole file; chunks in it other than `fmt ` and `data` are skipped."""
+    data = Path(path).read_bytes()
     try:
-        with wave.open(str(path), "rb") as fh:
+        with wave.open(io.BytesIO(data), "rb") as fh:
             if fh.getnchannels() != 1:
                 raise FormatError("expected mono audio")
             if fh.getsampwidth() != 2:
@@ -172,6 +176,7 @@ def wav_read(path: str | Path) -> tuple[np.ndarray, int]:
             raw = fh.readframes(n)
     except (wave.Error, EOFError) as exc:  # EOFError: a file cut inside its RIFF or chunk header
         raise FormatError(str(exc) or "WAV file truncated") from None
+    check_payload(len(data), 8 + int.from_bytes(data[4:8], "little"), "WAV")
     check_payload(len(raw), 2 * n, "WAV")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return samples, rate

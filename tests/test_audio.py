@@ -116,6 +116,18 @@ class TestMfcc:
         assert rate == 16000
         np.testing.assert_allclose(back, x, atol=1.0 / 32767 + 1e-9)
 
+    def test_wav_chunk_inside_the_riff_chunk_is_skipped(self, tmp_path, rng):
+        # a LIST chunk between `fmt ` and `data`, counted in the RIFF size
+        path = tmp_path / "a.wav"
+        wav_write(path, np.clip(rng.normal(size=300) * 0.2, -1, 1), 16000)
+        raw = path.read_bytes()
+        riff = int.from_bytes(raw[4:8], "little") + 12
+        path.with_name("b.wav").write_bytes(
+            raw[:4] + riff.to_bytes(4, "little") + raw[8:36] + b"LIST" + (4).to_bytes(4, "little") + b"INFO" + raw[36:]
+        )
+        back, rate = wav_read(path.with_name("b.wav"))
+        assert rate == 16000 and np.array_equal(back, wav_read(path)[0])
+
 
 class TestDtw:
     def test_identity_is_zero(self, rng):

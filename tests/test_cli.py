@@ -359,6 +359,20 @@ def test_train_refuses_a_c_of_zero_or_below(tmp_path, capsys, c):
     assert not (tmp_path / "m.igsv").exists()
 
 
+def test_train_refuses_an_unlabeled_clip(tmp_path, capsys):
+    # `codebook` and `encode` accept a null label; `train` has nothing to learn from it
+    train, _ = _two_clip_model_argv(tmp_path, 16)
+    write_annotations(tmp_path / "a.jsonl", [
+        Annotation(clip=f"c{i}.igsc", label=(0 if i == 0 else None), subject="u", task="legs",
+                   start_frame=0, end_frame=16)
+        for i in range(2)
+    ])
+    assert main(train) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: clip c1.igsc has no label to train on\n"
+    assert not (tmp_path / "m.igsv").exists()
+
+
 class TestBadFilesExitOne:
     """Every binary file the CLI reads ends the command with exit 1 when cut or extended."""
 
@@ -558,16 +572,22 @@ _TEXT_READERS = ("config", "annotation", "script", "log", "manifest")
 @pytest.mark.parametrize(
     "reader,damage",
     [(r, "cut") for r in ("IGSC", "IGTF", "IGCB", "IGEV", "IGSV", *_TEXT_READERS, "WAV")]
-    + [(r, "not-utf8") for r in _TEXT_READERS],
+    + [(r, "not-utf8") for r in _TEXT_READERS]
+    + [("WAV", "extend")],
 )
 def test_every_reader_of_outside_input_fails_with_one_error_line(tmp_path, capsys, reader, damage):
-    # Cut to half its length, or given a byte that is not UTF-8, each input
-    # ends its command with exit 1 and one `error:` line, never a traceback.
+    # Cut to half its length, given a byte that is not UTF-8, or (a WAV file)
+    # one byte after its RIFF chunk, each input ends its command with exit 1
+    # and one `error:` line, never a traceback.
     path, argv = _reader_inputs(tmp_path)[reader]
     assert main(argv) == 0
     capsys.readouterr()
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2] if damage == "cut" else raw[:-2] + b"\xff" + raw[-2:])
+    path.write_bytes({
+        "cut": raw[: len(raw) // 2],
+        "not-utf8": raw[:-2] + b"\xff" + raw[-2:],
+        "extend": raw + b"\0",
+    }[damage])
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

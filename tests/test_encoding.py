@@ -13,7 +13,7 @@ from conftest import traced_peak
 from avcmd import encoding
 from avcmd.encoding import (
     _ASSIGN_CHUNK,
-    _SQ_NORM_BLOCK,
+    _SQ_NORM_BYTES,
     CHANNEL_ORDER,
     BovwHist,
     Channel,
@@ -122,17 +122,24 @@ class TestKmeans:
         assert got.content_hash() == want.content_hash()
 
 
+def norm_block_rows(dim: int) -> int:
+    """Rows one `_sq_norms` block holds at this descriptor width."""
+    return max(1, _SQ_NORM_BYTES // (8 * dim))
+
+
 class TestKmeansAgainstReference:
     """Squared norms computed once per pool give the per-call ones bit for bit."""
 
-    POOL_ROWS = (1, _SQ_NORM_BLOCK - 1, _SQ_NORM_BLOCK, _SQ_NORM_BLOCK + 1, _ASSIGN_CHUNK + 1)
+    DIM = 32  # a block holds 1024 rows at this width
+    BLOCK = norm_block_rows(DIM)
+    POOL_ROWS = (1, BLOCK - 1, BLOCK, BLOCK + 1, _ASSIGN_CHUNK + 1)
 
     @pytest.mark.parametrize("thin", [False, True], ids=["whole", "subsampled"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", POOL_ROWS)
     def test_codebook_equals_reference(self, n, dtype, thin):
         rng = np.random.default_rng(n)
-        pool = (rng.normal(size=(n, 7)) * 3.0).astype(dtype)
+        pool = (rng.normal(size=(n, self.DIM)) * 3.0).astype(dtype)
         k = min(5, n)
         subsample = max(k, n - n // 3) if thin else n  # n thins nothing, as the oracle's None
         got = train_codebook(pool, k=k, seed=n, channel=Channel.HOF, subsample=subsample)
@@ -143,7 +150,7 @@ class TestKmeansAgainstReference:
     @pytest.mark.parametrize("dim", [1, 2, 3, 30, 96, 192])
     def test_sq_norms_equal_whole_matrix_sums(self, dim):
         rng = np.random.default_rng(dim)
-        x = rng.normal(size=(2 * _SQ_NORM_BLOCK + 3, dim)) * 5.0
+        x = rng.normal(size=(2 * norm_block_rows(dim) + 3, dim)) * 5.0
         for view in (x, np.asfortranarray(x), x[::2], x[:, ::-1]):
             assert np.array_equal(_sq_norms(view), (view * view).sum(axis=1))
 
@@ -171,6 +178,12 @@ class TestKmeansMemory:
         monkeypatch.setattr(encoding, "KMEANS_MAX_ITER", 3)
         peak = traced_peak(lambda: train_codebook(pool, k=16, seed=0))
         assert peak < 0.75 * pool.nbytes
+
+    def test_no_temporary_near_the_size_of_a_benchmark_pool(self):
+        # offline_build's mbh pool: a block of a fixed row count would be most of it.
+        pool = np.random.default_rng(1).normal(size=(1480, 192))
+        peak = traced_peak(lambda: train_codebook(pool, k=24, seed=0))
+        assert peak < 0.4 * pool.nbytes
 
 
 class TestBovw:
