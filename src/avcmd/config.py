@@ -1,7 +1,8 @@
 """Pipeline configuration: one flat key-value namespace for every tunable.
 
-Values load from a plain-text file of `key = value` lines with `#` comments.
-Unknown keys, out-of-range values and non-finite floats are rejected.
+Values load from a plain-text file of `key = value` lines with `#` comments;
+every key is an int, a float or a bool. Unknown keys, out-of-range values
+and non-finite floats are rejected.
 Tracking constants follow the dense-trajectory literature's published
 defaults; the online thresholds are tuned on the synthetic suite; both kinds
 are ordinary config here, so a deployment can pin its own. Each default is
@@ -51,7 +52,6 @@ class PipelineConfig:
     snr_db: float = 20.0
     # misc
     seed: int = 42
-    lang: str = SessionParams.lang
 
     def validate(self) -> "PipelineConfig":
         for f in fields(self):
@@ -71,7 +71,6 @@ class PipelineConfig:
             (self.min_dur_s > 0.0, "min_dur_s must be positive"),
             (self.max_gap_s > 0.0, "max_gap_s must be positive"),
             (self.seed >= 0, "seed must be >= 0"),
-            (self.lang in ("en", "de", "it"), "lang must be one of en, de, it"),
         ]
         for ok, message in checks:
             if not ok:
@@ -95,7 +94,6 @@ class PipelineConfig:
             max_gap_frames=max(1, int(round(self.max_gap_s * fps))),
             keyword_threshold=self.keyword_threshold,
             speech_fallback=self.speech_fallback,
-            lang=self.lang,
         )
 
 
@@ -111,16 +109,14 @@ def _parse_value(name: str, text: str, kind: type):
             raise ValueError(text)
         if kind is int:
             return int(text)
-        if kind is float:
-            return float(text)
-        return text
+        return float(text)
     except ValueError:
         raise ConfigError(f"bad value for {name}: {text!r}") from None
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    known = {f.name: f.type for f in fields(PipelineConfig)}
-    types = {"int": int, "float": float, "bool": bool, "str": str}
+    types = {"int": int, "float": float, "bool": bool}
+    known = {f.name: types[f.type] for f in fields(PipelineConfig)}
     cfg = PipelineConfig()
     for lineno, raw in enumerate(open_text(path, ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,7 +128,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         name = name.strip()
         if name not in known:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
-        kind = types.get(known[name], str) if isinstance(known[name], str) else known[name]
-        setattr(cfg, name, _parse_value(name, value, kind))
+        setattr(cfg, name, _parse_value(name, value, known[name]))
     return cfg.validate()
 

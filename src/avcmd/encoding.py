@@ -35,8 +35,11 @@ CODEBOOK_MAGIC = b"IGCB"
 CODEBOOK_VERSION = 1
 _CODEBOOK_HEADER = struct.Struct("<4sHBIIQ")
 
-# Rows per nearest-centroid block: bounds the (rows, K) distance block.
-_ASSIGN_CHUNK = 16384
+# Float64 bytes of one (rows, k) nearest-centroid distance block: 16384 rows
+# at k = 64, 262 at k = 4000. A block holds at least 64 rows: on OpenBLAS,
+# blocks of 64 to 2048 rows gave `x @ c.T` bit-equal to the whole product at
+# k = 4000, and blocks much smaller need not.
+_ASSIGN_BYTES = 16384 * 64 * 8
 # Bytes per block of the one-time squared-norm pass (at least one row): a
 # fixed budget at any descriptor width, so no temporary grows with the pool.
 _SQ_NORM_BYTES = 1 << 18
@@ -157,13 +160,19 @@ def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray) -> np.nda
     return np.maximum(d, 0.0, out=d)
 
 
+def _assign_rows(k: int) -> int:
+    """Rows of one nearest-centroid block against k centroids."""
+    return max(64, _ASSIGN_BYTES // (8 * k))
+
+
 def _assign(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row (ties to the lowest index) and the distance."""
     n = x.shape[0]
     labels = np.empty(n, dtype=np.intp)
     dists = np.empty(n)
-    for lo in range(0, n, _ASSIGN_CHUNK):
-        hi = min(lo + _ASSIGN_CHUNK, n)
+    rows = _assign_rows(centroids.shape[0])
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         d = _pairwise_sq_dists(x[lo:hi], centroids, x_sq[lo:hi])
         labels[lo:hi] = d.argmin(axis=1)
         dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]

@@ -176,6 +176,8 @@ def wav_read(path: str | Path) -> tuple[np.ndarray, int]:
             raw = fh.readframes(n)
     except (wave.Error, EOFError) as exc:  # EOFError: a file cut inside its RIFF or chunk header
         raise FormatError(str(exc) or "WAV file truncated") from None
+    except RuntimeError:  # the stdlib reader's word for a chunk that runs past the RIFF chunk
+        raise FormatError("a WAV chunk runs past the end of its RIFF chunk") from None
     check_payload(len(data), 8 + int.from_bytes(data[4:8], "little"), "WAV")
     check_payload(len(raw), 2 * n, "WAV")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0

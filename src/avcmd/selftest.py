@@ -49,8 +49,8 @@ from .synth import (
     build_session_streams,
     default_spec,
     generate_command_audio,
-    generate_corpus,
     generate_gesture_clip,
+    iter_corpus,
 )
 from .vocabulary import Command
 
@@ -96,16 +96,18 @@ def build_gesture_artifacts(
     size: int = 96,
     k: int = 64,
 ) -> GestureArtifacts:
-    """The selftest corpus, tracked and encoded with the default tracker."""
+    """The selftest corpus, tracked and encoded with the default tracker; each
+    sample is rendered, tracked and dropped before the next is rendered."""
     t0 = time.monotonic()
-    samples = generate_corpus(clips_per_class=clips_per_class, seed=seed, frames=frames, size=size)
-    labels = np.asarray([s.label for s in samples])
-    per_rgb = [extract_channel_descriptors(s.rgb) for s in samples]
-    per_depth = [extract_channel_descriptors(s.depth) for s in samples]
+    labels, per_rgb, per_depth = [], [], []
+    for sample in iter_corpus(clips_per_class, seed, frames, size):
+        labels.append(sample.label)
+        per_rgb.append(extract_channel_descriptors(sample.rgb))
+        per_depth.append(extract_channel_descriptors(sample.depth))
     hists_rgb, codebooks_rgb = encode_corpus(per_rgb, k=k, seed=seed + 1, subsample=SELFTEST_SUBSAMPLE)
     hists_depth, _ = encode_corpus(per_depth, k=k, seed=seed + 1, subsample=SELFTEST_SUBSAMPLE)
     return GestureArtifacts(
-        labels=labels,
+        labels=np.asarray(labels),
         dists_rgb=chi2_distances(hists_rgb),
         dists_depth=chi2_distances(hists_depth),
         hists_rgb=hists_rgb,

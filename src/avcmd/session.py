@@ -142,7 +142,7 @@ class SessionParams:
     max_gap_frames: int = 8
     keyword_threshold: float = 0.5
     speech_fallback: bool = True
-    lang: str = "en"
+    lang: str = "en"  # the language of `fsm_step`'s feedback, which no log holds; not a config key
 
 
 def activity_segments(frames, params: SessionParams) -> list[tuple[int, int]]:

@@ -17,6 +17,7 @@ byte-identical clips and waves.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -263,6 +264,16 @@ GESTURE_CLASSES: tuple[MotionPattern, ...] = (
 )
 
 
+def iter_corpus(clips_per_class: int, seed: int, frames: int, size: int) -> Iterator[GestureSample]:
+    """The samples of `generate_corpus`, rendered one at a time as they are asked for."""
+    for p_idx, pattern in enumerate(GESTURE_CLASSES):
+        for i in range(clips_per_class):
+            clip_seed = seed + 100_000 * p_idx + i
+            jitter = np.random.default_rng(clip_seed + 7)
+            spec = default_spec(pattern, jitter_rng=jitter)
+            yield generate_gesture_clip(spec, clip_seed, frames, size=size)
+
+
 def generate_corpus(
     clips_per_class: int,
     seed: int,
@@ -270,14 +281,7 @@ def generate_corpus(
     size: int = 96,
 ) -> list[GestureSample]:
     """The labeled gesture corpus: every pattern class, jittered per clip."""
-    samples = []
-    for p_idx, pattern in enumerate(GESTURE_CLASSES):
-        for i in range(clips_per_class):
-            clip_seed = seed + 100_000 * p_idx + i
-            jitter = np.random.default_rng(clip_seed + 7)
-            spec = default_spec(pattern, jitter_rng=jitter)
-            samples.append(generate_gesture_clip(spec, clip_seed, frames, size=size))
-    return samples
+    return list(iter_corpus(clips_per_class, seed, frames, size))
 
 
 # ---------------------------------------------------------------------------

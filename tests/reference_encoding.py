@@ -12,7 +12,7 @@ merged code must reproduce them bit for bit; the tests compare with
 
 The k-means oracle is the form that recomputed the pool's squared norms
 `(x * x).sum(axis=1)` on every distance call: k times on the whole pool in
-k-means++ and once per `_ASSIGN_CHUNK` block in every Lloyd iteration. The
+k-means++ and once per `_assign_rows(k)` block in every Lloyd iteration. The
 encoding layer now computes them once per pool, and must give the same
 centroids and the same assignments.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from avcmd.detector import ActivityDetector, activity_score, segments_from_events
-from avcmd.encoding import _ASSIGN_CHUNK, KMEANS_RTOL, Channel, Codebook, _cluster_sums
+from avcmd.encoding import KMEANS_RTOL, Channel, Codebook, _assign_rows, _cluster_sums
 from avcmd.errors import DegenerateInputError, InvalidParameterError
 from avcmd.frames import log_depth
 from avcmd.synth import D_MAX, _paint
@@ -127,8 +127,9 @@ def assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     n = x.shape[0]
     labels = np.empty(n, dtype=np.intp)
     dists = np.empty(n)
-    for lo in range(0, n, _ASSIGN_CHUNK):
-        hi = min(lo + _ASSIGN_CHUNK, n)
+    rows = _assign_rows(centroids.shape[0])
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         d = pairwise_sq_dists(x[lo:hi], centroids)
         labels[lo:hi] = d.argmin(axis=1)
         dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]

@@ -563,6 +563,7 @@ def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
         "log": (tmp_path / "log.jsonl", evaluate),
         "manifest": (tmp_path / "m.json", wav),
         "WAV": (tmp_path / "utt.wav", wav),
+        "template WAV": (tmp_path / "t.wav", wav),
     }
 
 
@@ -573,12 +574,14 @@ _TEXT_READERS = ("config", "annotation", "script", "log", "manifest")
     "reader,damage",
     [(r, "cut") for r in ("IGSC", "IGTF", "IGCB", "IGEV", "IGSV", *_TEXT_READERS, "WAV")]
     + [(r, "not-utf8") for r in _TEXT_READERS]
-    + [("WAV", "extend")],
+    + [("WAV", "extend")]
+    + [(r, "long-chunk") for r in ("WAV", "template WAV")],
 )
 def test_every_reader_of_outside_input_fails_with_one_error_line(tmp_path, capsys, reader, damage):
     # Cut to half its length, given a byte that is not UTF-8, or (a WAV file)
-    # one byte after its RIFF chunk, each input ends its command with exit 1
-    # and one `error:` line, never a traceback.
+    # one byte after its RIFF chunk or a `fmt ` chunk that declares 2**30
+    # bytes, each input ends its command with exit 1 and one `error:` line,
+    # never a traceback.
     path, argv = _reader_inputs(tmp_path)[reader]
     assert main(argv) == 0
     capsys.readouterr()
@@ -587,6 +590,7 @@ def test_every_reader_of_outside_input_fails_with_one_error_line(tmp_path, capsy
         "cut": raw[: len(raw) // 2],
         "not-utf8": raw[:-2] + b"\xff" + raw[-2:],
         "extend": raw + b"\0",
+        "long-chunk": raw[:16] + (1 << 30).to_bytes(4, "little") + raw[20:],
     }[damage])
     assert main(argv) == 1
     out, err = capsys.readouterr()

@@ -12,7 +12,6 @@ import reference_encoding as ref
 from conftest import traced_peak
 from avcmd import encoding
 from avcmd.encoding import (
-    _ASSIGN_CHUNK,
     _SQ_NORM_BYTES,
     CHANNEL_ORDER,
     BovwHist,
@@ -25,6 +24,7 @@ from avcmd.encoding import (
     cross_gram,
     multichannel_gram,
     _assign,
+    _assign_rows,
     _l1_rows,
     _pairwise_sq_dists,
     _sq_norms,
@@ -127,12 +127,20 @@ def norm_block_rows(dim: int) -> int:
     return max(1, _SQ_NORM_BYTES // (8 * dim))
 
 
+# Nearest-centroid blocks of 1000 rows at k = 8 (1600 at k = 5), so a pool of a few thousand rows spans several.
+SMALL_ASSIGN_BYTES = 8 * 8 * 1000
+
+
 class TestKmeansAgainstReference:
     """Squared norms computed once per pool give the per-call ones bit for bit."""
 
     DIM = 32  # a block holds 1024 rows at this width
     BLOCK = norm_block_rows(DIM)
-    POOL_ROWS = (1, BLOCK - 1, BLOCK, BLOCK + 1, _ASSIGN_CHUNK + 1)
+    POOL_ROWS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 16 * BLOCK + 1)  # the last spans several assignment blocks
+
+    @pytest.fixture(autouse=True)
+    def small_assign_blocks(self, monkeypatch):
+        monkeypatch.setattr(encoding, "_ASSIGN_BYTES", SMALL_ASSIGN_BYTES)
 
     @pytest.mark.parametrize("thin", [False, True], ids=["whole", "subsampled"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -156,8 +164,8 @@ class TestKmeansAgainstReference:
 
     def test_distances_and_assignment_equal_reference(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(_ASSIGN_CHUNK + 1, 11)) * 2.0
         c = rng.normal(size=(9, 11))
+        x = rng.normal(size=(2 * _assign_rows(9) + 1, 11)) * 2.0
         x_sq = _sq_norms(x)
         assert np.array_equal(_pairwise_sq_dists(x, c, x_sq), ref.pairwise_sq_dists(x, c))
         got, want = _assign(x, c, x_sq), ref.assign(x, c)
@@ -166,7 +174,7 @@ class TestKmeansAgainstReference:
     def test_bovw_counts_equal_reference(self):
         rng = np.random.default_rng(8)
         cb = train_codebook(rng.normal(size=(400, 9)), k=12, seed=2)
-        x = rng.normal(size=(_ASSIGN_CHUNK + 7, 9)).astype(np.float32)
+        x = rng.normal(size=(2 * _assign_rows(cb.k) + 7, 9)).astype(np.float32)
         labels, _ = ref.assign(x.astype(np.float64), cb.centroids.astype(np.float64))
         assert np.array_equal(bovw_encode(x, cb).counts, np.bincount(labels, minlength=cb.k).astype(np.float64))
 
@@ -178,6 +186,17 @@ class TestKmeansMemory:
         monkeypatch.setattr(encoding, "KMEANS_MAX_ITER", 3)
         peak = traced_peak(lambda: train_codebook(pool, k=16, seed=0))
         assert peak < 0.75 * pool.nbytes
+
+    def test_assignment_blocks_stay_within_their_byte_budget(self, monkeypatch):
+        # Two distance blocks of one budget each: a block of the whole
+        # (4000, 400) distance matrix would be 16 budgets.
+        budget = 8 * 400 * 250
+        monkeypatch.setattr(encoding, "_ASSIGN_BYTES", budget)
+        monkeypatch.setattr(encoding, "KMEANS_MAX_ITER", 2)
+        pool = np.random.default_rng(2).normal(size=(4000, 8))
+        cb = train_codebook(pool, k=400, seed=0)
+        assert traced_peak(lambda: train_codebook(pool, k=400, seed=0)) < 4 * budget
+        assert traced_peak(lambda: bovw_encode(pool, cb)) < 4 * budget
 
     def test_no_temporary_near_the_size_of_a_benchmark_pool(self):
         # offline_build's mbh pool: a block of a fixed row count would be most of it.
