@@ -32,7 +32,6 @@ from .errors import AvcmdError
 from .gesture import (
     GesturePipeline,
     channel_matrices,
-    chi2_distances,
     train_bovw_model,
     train_codebooks,
     train_gesture_pipeline,
@@ -135,24 +134,20 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _load_feature_dir(features_dir: str, annotations_path: str | None):
+def _load_feature_dir(features_dir: str, annotations_path: str | None) -> list[dict[Channel, np.ndarray]]:
     feature_dir = Path(features_dir)
     if annotations_path:
-        annotations = read_annotations(annotations_path)
-        names = [a.clip for a in annotations]
-        labels = [a.label for a in annotations]
-        paths = [feature_dir / (Path(n).stem + ".igtf") for n in names]
+        paths = [feature_dir / (Path(a.clip).stem + ".igtf") for a in read_annotations(annotations_path)]
     else:
         paths = sorted(feature_dir.glob("*.igtf"))
-        labels = [None] * len(paths)
     if not paths:
         raise AvcmdError(f"no .igtf features under {features_dir}")
-    return [channel_matrices(read_features(p)) for p in paths], labels
+    return [channel_matrices(read_features(p)) for p in paths]
 
 
 def _cmd_codebook(args) -> int:
     cfg = _load_cfg(args)
-    per_clip, _ = _load_feature_dir(args.features, args.annotations)
+    per_clip = _load_feature_dir(args.features, args.annotations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     k = cfg.codebook_k if args.k is None else args.k
@@ -175,7 +170,7 @@ def _read_codebooks(codebooks_dir: str) -> dict[Channel, object]:
 
 
 def _cmd_encode(args) -> int:
-    per_clip, _ = _load_feature_dir(args.features, args.annotations)
+    per_clip = _load_feature_dir(args.features, args.annotations)
     books = _read_codebooks(args.codebooks)
     encoded = [{ch: bovw_encode(d[ch], books[ch]) for ch in CHANNEL_ORDER} for d in per_clip]
     write_encoded(args.out, encoded)
@@ -186,6 +181,8 @@ def _cmd_encode(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     annotations = read_annotations(args.annotations)
+    if not annotations:
+        raise AvcmdError(f"annotation sidecar {args.annotations} lists no clip to train on")
     for a in annotations:
         if a.label is None:
             raise AvcmdError(f"clip {a.clip} has no label to train on")
@@ -194,9 +191,9 @@ def _cmd_train(args) -> int:
     encoded = read_encoded(args.encoded)
     if len(encoded) != labels.shape[0]:
         raise AvcmdError("encoded clip count does not match the annotation sidecar")
-    hists = {ch: np.stack([e[ch].counts for e in encoded]) for ch in CHANNEL_ORDER}
+    hists = {ch: np.stack([e[ch].counts for e in encoded]) for ch in encoded[0]}
     c = cfg.svm_c if args.c is None else args.c
-    model = train_bovw_model(hists, chi2_distances(hists), labels, c, books)
+    model = train_bovw_model(hists, labels, c, books)
     write_model(args.out, model)
     print(f"trained kernel model on {labels.shape[0]} clips -> {args.out}")
     return 0

@@ -64,6 +64,9 @@ class PipelineConfig:
             (self.pyramid_levels >= 1, "pyramid_levels must be >= 1"),
             (self.codebook_k >= 1, "codebook_k must be >= 1"),
             (self.codebook_seed >= 0, "codebook_seed must be >= 0"),
+            # channel i's codebook seed, a u64 in IGCB, is codebook_seed + i in `codebook`
+            # and seed + 1 + i in `simulate` and the selftest
+            (self.codebook_seed + 3 < 2**64, "codebook_seed + 3 must fit in IGCB's u64 seed"),
             (self.descriptor_subsample >= 1, "descriptor_subsample must be >= 1"),
             (self.svm_c > 0.0, "svm_c must be positive"),
             (self.tau_noise >= 0.0, "tau_noise must be nonnegative"),
@@ -71,6 +74,7 @@ class PipelineConfig:
             (self.min_dur_s > 0.0, "min_dur_s must be positive"),
             (self.max_gap_s > 0.0, "max_gap_s must be positive"),
             (self.seed >= 0, "seed must be >= 0"),
+            (self.seed + 4 < 2**64, "seed + 4 must fit in IGCB's u64 seed"),
         ]
         for ok, message in checks:
             if not ok:

@@ -87,6 +87,8 @@ class Codebook:
             raise InvalidParameterError("centroids must be a (K, dim) matrix with K >= 1")
         if not np.all(np.isfinite(c)):
             raise InvalidParameterError("centroids must be finite")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameterError(f"seed must lie in [0, 2**64), the u64 IGCB stores, not {self.seed}")
         c = np.ascontiguousarray(c)
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)

@@ -34,10 +34,6 @@ from .svm import DEFAULT_C, KernelSvmModel, Prediction, train_kernel_svm, train_
 from .trajectories import TrackerParams, TrajectorySet, track
 from .vocabulary import BACKGROUND_LABEL
 
-# Fold Grams stacked into one batched SMO solve; a 7 x 20 corpus (21.6 MB of
-# float64 fold Grams) is one batch, and larger corpora stay at O(n^2) memory.
-LOO_BATCH_BYTES = 32 << 20
-
 
 def channel_matrices(trajectories: TrajectorySet) -> dict[Channel, np.ndarray]:
     """Per-channel descriptor matrices: column views of the set (possibly 0-row)."""
@@ -119,7 +115,7 @@ def train_gesture_pipeline(
         raise InvalidParameterError("clip and label counts differ")
     per_clip = [extract_channel_descriptors(cl, tracker) for cl in clips]
     hists, codebooks = encode_corpus(per_clip, k=k, seed=seed, subsample=subsample)
-    model = train_bovw_model(hists, chi2_distances(hists), labels, c, codebooks)
+    model = train_bovw_model(hists, labels, c, codebooks)
     return GesturePipeline(codebooks=codebooks, model=model, tracker=tracker)
 
 
@@ -131,12 +127,16 @@ def train_codebooks(
 ) -> dict[Channel, Codebook]:
     """One codebook per channel on the pooled descriptors; channel i uses seed + i.
 
-    Each pool is stacked straight into float64, the dtype k-means runs in, so
-    `train_codebook` keeps it without a second copy.
+    Every clip's rows are stacked, 0-row clips included, so an empty pool
+    reaches `train_codebook`'s refusal. Each pool is stacked straight into
+    float64, the dtype k-means runs in, so `train_codebook` keeps it without a
+    second copy.
     """
+    if not per_clip_descriptors:
+        raise InvalidParameterError("no clips to learn codebooks from")
     return {
         ch: train_codebook(
-            np.vstack([d[ch] for d in per_clip_descriptors if d[ch].shape[0]], dtype=np.float64),
+            np.vstack([d[ch] for d in per_clip_descriptors], dtype=np.float64),
             k=k,
             seed=seed + offset,
             channel=ch,
@@ -167,17 +167,16 @@ def chi2_distances(hists: dict[Channel, np.ndarray]) -> dict[Channel, np.ndarray
 
 
 def train_bovw_model(
-    hists: dict[Channel, np.ndarray],
-    dists: dict[Channel, np.ndarray],
-    labels,
-    c: float,
-    codebooks: dict[Channel, Codebook],
+    hists: dict[Channel, np.ndarray], labels, c: float, codebooks: dict[Channel, Codebook]
 ) -> KernelSvmModel:
-    """The multichannel chi-square kernel SVM on training count histograms.
-
-    `dists` is `chi2_distances(hists)`; the model keeps the histograms, the
+    """The multichannel chi-square kernel SVM on training count histograms,
+    each channel's K that of its codebook. The model keeps the histograms, the
     channel means and the codebook hashes that prediction needs.
     """
+    for ch, h in hists.items():
+        if ch in codebooks and h.shape[1] != codebooks[ch].k:
+            raise InvalidParameterError(f"{ch.name} histograms have {h.shape[1]} bins, its codebook {codebooks[ch].k}")
+    dists = chi2_distances(hists)
     means = {ch: channel_mean_distance(d) for ch, d in dists.items()}
     return train_kernel_svm(
         multichannel_gram(dists, means),
@@ -189,38 +188,27 @@ def train_bovw_model(
     )
 
 
-def evaluate_loo_bovw(
-    dists: dict[Channel, np.ndarray],
-    labels: np.ndarray,
-    channels: tuple[Channel, ...] = CHANNEL_ORDER,
-    c: float = DEFAULT_C,
-) -> float:
-    """Leave-one-clip-out accuracy from precomputed chi-square distances.
+def evaluate_loo_bovw(dists: dict[Channel, np.ndarray], labels: np.ndarray, c: float = DEFAULT_C) -> float:
+    """Leave-one-clip-out accuracy from precomputed chi-square distances over
+    the channels that key `dists`.
 
     Channel normalizers and the SVM are re-trained per fold on the held-in
     samples only; the codebooks behind `dists` were learned once on the full
-    descriptor pool, which is the usual vocabulary treatment. The folds'
-    Grams are stacked, up to `LOO_BATCH_BYTES` at a time, and every fold's
-    one-against-all problems are solved together by `train_kernel_svms`;
-    each fold's model is the one `train_kernel_svm` fits on that fold alone.
+    descriptor pool, which is the usual vocabulary treatment. Every fold's
+    one-against-all problems are solved together by `train_kernel_svms`, on
+    the stacked fold Grams (21.6 MB of float64 for a 7 x 20 corpus); each
+    fold's model is the one `train_kernel_svm` fits on that fold alone.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    per_batch = max(1, LOO_BATCH_BYTES // (8 * max(n - 1, 1) ** 2))
-    correct = 0
-    for start in range(0, n, per_batch):
-        folds = range(start, min(n, start + per_batch))
-        grams = np.empty((len(folds), n - 1, n - 1))
-        fold_labels, rows = [], []
-        for slot, i in enumerate(folds):
-            keep = np.arange(n) != i
-            fold_dists = {ch: dists[ch][np.ix_(keep, keep)] for ch in channels}
-            means = {ch: channel_mean_distance(d) for ch, d in fold_dists.items()}
-            grams[slot] = multichannel_gram(fold_dists, means)
-            fold_labels.append(labels[keep])
-            rows.append(cross_gram({ch: dists[ch][i, keep][None, :] for ch in channels}, means))
-        models = train_kernel_svms(grams, fold_labels, c=c)
-        for i, model, row in zip(folds, models, rows):
-            if model.predict(row)[0].label == labels[i]:
-                correct += 1
-    return correct / n
+    grams = np.empty((n, n - 1, n - 1))
+    fold_labels, rows = [], []
+    for i in range(n):
+        keep = np.arange(n) != i
+        fold_dists = {ch: d[np.ix_(keep, keep)] for ch, d in dists.items()}
+        means = {ch: channel_mean_distance(d) for ch, d in fold_dists.items()}
+        grams[i] = multichannel_gram(fold_dists, means)
+        fold_labels.append(labels[keep])
+        rows.append(cross_gram({ch: d[i, keep][None, :] for ch, d in dists.items()}, means))
+    models = train_kernel_svms(grams, fold_labels, c=c)
+    return sum(m.predict(row)[0].label == label for m, row, label in zip(models, rows, labels.tolist())) / n

@@ -45,6 +45,7 @@ from .session import (
 )
 from .svm import DEFAULT_C
 from .synth import (
+    SAMPLE_RATE,
     MotionPattern,
     build_session_streams,
     default_spec,
@@ -84,18 +85,11 @@ class GestureArtifacts:
     labels: np.ndarray
     dists_rgb: dict
     dists_depth: dict
-    hists_rgb: dict
-    codebooks_rgb: dict
+    pipeline: GesturePipeline  # trained on the RGB histograms
     extract_seconds: float
 
 
-def build_gesture_artifacts(
-    clips_per_class: int,
-    seed: int,
-    frames: int = 24,
-    size: int = 96,
-    k: int = 64,
-) -> GestureArtifacts:
+def build_gesture_artifacts(clips_per_class: int, seed: int, frames: int, size: int, k: int) -> GestureArtifacts:
     """The selftest corpus, tracked and encoded with the default tracker; each
     sample is rendered, tracked and dropped before the next is rendered."""
     t0 = time.monotonic()
@@ -110,15 +104,9 @@ def build_gesture_artifacts(
         labels=np.asarray(labels),
         dists_rgb=chi2_distances(hists_rgb),
         dists_depth=chi2_distances(hists_depth),
-        hists_rgb=hists_rgb,
-        codebooks_rgb=codebooks_rgb,
+        pipeline=GesturePipeline(codebooks_rgb, train_bovw_model(hists_rgb, labels, DEFAULT_C, codebooks_rgb)),
         extract_seconds=time.monotonic() - t0,
     )
-
-
-def pipeline_from_artifacts(art: GestureArtifacts) -> GesturePipeline:
-    model = train_bovw_model(art.hists_rgb, art.dists_rgb, art.labels, DEFAULT_C, art.codebooks_rgb)
-    return GesturePipeline(codebooks=art.codebooks_rgb, model=model)
 
 
 def build_audio_templates(seed: int, per_command: int = 3):
@@ -126,7 +114,7 @@ def build_audio_templates(seed: int, per_command: int = 3):
     for cmd in Command:
         for i in range(per_command):
             wave = generate_command_audio(int(cmd), seed + 17 * int(cmd) + i, TEMPLATE_SNR_DB)
-            templates.setdefault(int(cmd), []).append(mfcc(wave, 16000))
+            templates.setdefault(int(cmd), []).append(mfcc(wave, SAMPLE_RATE))
     return templates
 
 
@@ -138,7 +126,7 @@ def criterion_gesture_loo(art: GestureArtifacts, min_comb: float, max_deficit: f
     """Leave-one-clip-out on the RGB corpus: combined vs single channels."""
     t0 = time.monotonic()
     comb = evaluate_loo_bovw(art.dists_rgb, art.labels)
-    singles = {ch.name: evaluate_loo_bovw(art.dists_rgb, art.labels, channels=(ch,)) for ch in CHANNEL_ORDER}
+    singles = {ch.name: evaluate_loo_bovw({ch: art.dists_rgb[ch]}, art.labels) for ch in CHANNEL_ORDER}
     elapsed = art.extract_seconds + (time.monotonic() - t0)
     deficit = max(acc - comb for acc in singles.values())
     passed = comb >= min_comb and deficit <= max_deficit and elapsed <= budget_s
@@ -331,7 +319,7 @@ def criterion_audio(seed: int, tests_per_command: int, min_top1: float) -> Crite
     for cmd in Command:
         for i in range(tests_per_command):
             wave = generate_command_audio(int(cmd), seed + 9000 + 131 * int(cmd) + i, 20.0)
-            correct += int(classify_command(mfcc(wave, 16000), templates, grammar).top.command == int(cmd))
+            correct += int(classify_command(mfcc(wave, SAMPLE_RATE), templates, grammar).top.command == int(cmd))
     top1 = correct / (len(Command) * tests_per_command)
 
     # recover an injected affine distortion from enrollment data
@@ -439,7 +427,7 @@ def criterion_session(pipeline: GesturePipeline, seed: int) -> CriterionResult:
 def generator_calibration(seed: int) -> CriterionResult:
     """Generator-level properties the other criteria rely on."""
     # clean command patterns vs the spread among noisy speaker renditions
-    canon = {int(c): mfcc(generate_command_audio(int(c), 0, 120.0), 16000) for c in Command}
+    canon = {int(c): mfcc(generate_command_audio(int(c), 0, 120.0), SAMPLE_RATE) for c in Command}
     inter = min(
         dtw_distance(canon[a], canon[b])
         for a in canon
@@ -448,7 +436,7 @@ def generator_calibration(seed: int) -> CriterionResult:
     )
     intra = []
     for c in canon:
-        feats = [mfcc(generate_command_audio(c, seed + 1000 * c + i, 20.0), 16000) for i in range(4)]
+        feats = [mfcc(generate_command_audio(c, seed + 1000 * c + i, 20.0), SAMPLE_RATE) for i in range(4)]
         intra.extend(
             dtw_distance(feats[i], feats[j]) for i in range(4) for j in range(i + 1, 4)
         )
@@ -517,14 +505,7 @@ def run_selftest(profile: str = "full", seed: int = 42) -> dict:
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     p = _PROFILES[profile]
-    art = build_gesture_artifacts(
-        clips_per_class=p["clips_per_class"],
-        seed=seed,
-        frames=p["frames"],
-        size=p["size"],
-        k=p["k"],
-    )
-    pipeline = pipeline_from_artifacts(art)
+    art = build_gesture_artifacts(p["clips_per_class"], seed, p["frames"], p["size"], p["k"])
     loo = criterion_gesture_loo(art, p["loo_floor"], 0.02, p["runtime_budget_s"])
 
     results = [
@@ -537,7 +518,7 @@ def run_selftest(profile: str = "full", seed: int = 42) -> dict:
         criterion_fsm_replay(),
         criterion_metrics_fixture(),
         criterion_audio(seed, p["audio_tests"], 0.95),
-        criterion_session(pipeline, seed),
+        criterion_session(art.pipeline, seed),
     ]
     if profile == "full":
         results.insert(9, criterion_determinism(seed))

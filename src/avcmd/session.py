@@ -164,19 +164,16 @@ def _best_overlap(window: tuple[int, int], items, span):
 
 
 def run_session(
-    video: Clip | None,
+    video: Clip,
     audio_events: list[AudioEvent],
     steps: list[SessionStep],
     models: SessionModels,
     params: SessionParams = SessionParams(),
 ) -> SessionLog:
     """Drive detector, classifiers, fusion, and FSM over scripted streams."""
-    if video is None and not audio_events:
-        return SessionLog(entries=[], final_state=FsmState.idle().describe())
-
-    n_frames = len(video.frames) if video is not None else 0
+    n_frames = len(video.frames)
     for ev in audio_events:
-        if ev.start_frame < 0 or (video is not None and ev.end_frame > n_frames + video.fps):
+        if ev.start_frame < 0 or ev.end_frame > n_frames + video.fps:
             raise SessionDesyncError(
                 f"audio event [{ev.start_frame}, {ev.end_frame}) starts before frame 0 or ends "
                 f"more than 1 s after the {n_frames}-frame video stream"
@@ -184,11 +181,10 @@ def run_session(
 
     # temporal localization of visual activity; each segment is classified once
     segments: list[tuple[tuple[int, int], list[tuple[int, float]] | None]] = []
-    if n_frames >= 2:
-        for start, end in activity_segments(video.frames, params):
-            pred = models.gesture.classify_clip(video.subclip(start, end))
-            two = None if pred is None else models.gesture.command_2best(pred)
-            segments.append(((start, end), two))
+    for start, end in activity_segments(video.frames, params):
+        pred = models.gesture.classify_clip(video.subclip(start, end))
+        two = None if pred is None else models.gesture.command_2best(pred)
+        segments.append(((start, end), two))
 
     state = FsmState.idle()
     log = SessionLog()

@@ -253,15 +253,7 @@ def generate_gesture_clip(
     )
 
 
-GESTURE_CLASSES: tuple[MotionPattern, ...] = (
-    MotionPattern.SWIPE_UP,
-    MotionPattern.SWIPE_DOWN,
-    MotionPattern.SWIPE_LEFT,
-    MotionPattern.SWIPE_RIGHT,
-    MotionPattern.CIRCLE_CW,
-    MotionPattern.SCRUB_OSCILLATE,
-    MotionPattern.BACKGROUND,
-)
+GESTURE_CLASSES: tuple[MotionPattern, ...] = tuple(MotionPattern)
 
 
 def iter_corpus(clips_per_class: int, seed: int, frames: int, size: int) -> Iterator[GestureSample]:

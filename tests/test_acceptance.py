@@ -26,7 +26,6 @@ from avcmd.selftest import (
     criterion_modalities,
     criterion_session,
     generator_calibration,
-    pipeline_from_artifacts,
     report_bytes,
 )
 
@@ -36,11 +35,6 @@ SEED = 42
 @pytest.fixture(scope="session")
 def artifacts():
     return build_gesture_artifacts(clips_per_class=20, seed=SEED, frames=24, size=96, k=64)
-
-
-@pytest.fixture(scope="session")
-def pipeline(artifacts):
-    return pipeline_from_artifacts(artifacts)
 
 
 @pytest.fixture(scope="session")
@@ -98,8 +92,8 @@ def test_criterion_09_selftest_determinism():
     _check(criterion_determinism(SEED))
 
 
-def test_criterion_10_end_to_end_session(pipeline):
-    _check(criterion_session(pipeline, SEED))
+def test_criterion_10_end_to_end_session(artifacts):
+    _check(criterion_session(artifacts.pipeline, SEED))
 
 
 def _py(obj):

@@ -373,6 +373,63 @@ def test_train_refuses_an_unlabeled_clip(tmp_path, capsys):
     assert not (tmp_path / "m.igsv").exists()
 
 
+def _refused(argv, capsys, message: str) -> None:
+    """`argv` ends with exit 1, no output and the one error line `message`."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_train_on_a_file_of_fewer_channels_than_the_codebooks_is_exit_1(tmp_path, capsys):
+    # a one-channel IGEV used to end in a KeyError traceback
+    train, _ = _two_clip_model_argv(tmp_path, 16)
+    write_encoded(tmp_path / "e.igev", [{Channel.HOG: BovwHist(counts=np.eye(2)[i], channel=Channel.HOG)}
+                                        for i in range(2)])
+    _refused(train, capsys, "a model needs training histograms, channel means and codebook hashes of one channel set")
+    assert not (tmp_path / "m.igsv").exists()
+
+
+def test_train_with_codebooks_of_another_k_than_the_encoding_is_exit_1(workspace, tmp_path, capsys):
+    # the model used to claim the k = 6 hashes, and `classify` then failed
+    books = tmp_path / "books"
+    assert main(["codebook", "--features", str(workspace / "features"), "--annotations",
+                 str(workspace / "annotations.jsonl"), "--out", str(books), "-k", "6"]) == 0
+    capsys.readouterr()
+    _refused([
+        "train", "--encoded", str(workspace / "encoded.igev"), "--annotations", str(workspace / "annotations.jsonl"),
+        "--codebooks", str(books), "--out", str(tmp_path / "m.igsv"),
+    ], capsys, "TRAJ histograms have 12 bins, its codebook 6")
+    assert not (tmp_path / "m.igsv").exists()
+
+
+def test_train_on_an_empty_sidecar_is_exit_1(tmp_path, capsys):
+    train, _ = _two_clip_model_argv(tmp_path, 16)
+    write_annotations(tmp_path / "a.jsonl", [])
+    write_encoded(tmp_path / "e.igev", [])
+    _refused(train, capsys, f"annotation sidecar {tmp_path / 'a.jsonl'} lists no clip to train on")
+
+
+def test_codebook_over_features_without_trajectories_is_exit_1(tmp_path, capsys):
+    # the empty pool used to end in vstack's ValueError traceback
+    for i in range(2):
+        write_features(tmp_path / f"c{i}.igtf", TrajectorySet.empty())
+    _refused(["codebook", "--features", str(tmp_path), "--out", str(tmp_path / "books"), "-k", "2"],
+             capsys, "need at least 2 descriptors, got 0")
+
+
+@pytest.mark.parametrize("key,value", [("codebook_seed", 2**64), ("seed", 2**64 - 2)])
+def test_config_with_a_seed_past_igcb_is_exit_1(workspace, tmp_path, capsys, key, value):
+    # such a seed passed validation and ended `codebook` or `simulate` in
+    # struct.error once every k-means had run
+    (tmp_path / "cfg.txt").write_text(f"{key} = {value}\n")
+    command = {
+        "codebook_seed": ["codebook", "--features", str(workspace / "features"), "--out", str(tmp_path / "books")],
+        "seed": ["simulate", "--out", str(tmp_path / "log.jsonl"), "--train-clips-per-class", "1"],
+    }[key]
+    offset = {"codebook_seed": 3, "seed": 4}[key]
+    _refused(["--config", str(tmp_path / "cfg.txt"), *command], capsys, f"{key} + {offset} must fit in IGCB's u64 seed")
+
+
 class TestBadFilesExitOne:
     """Every binary file the CLI reads ends the command with exit 1 when cut or extended."""
 

@@ -86,6 +86,11 @@ def test_missing_equals_rejected(tmp_path):
         ("svm_c", "-1"),
         ("lang", "fr"),         # no longer a key: rejected as unknown
         ("jobs", "0"),          # no longer a key: rejected as unknown
+        # a codebook seed of codebook_seed + 3, or of seed + 1 + 3, past IGCB's u64
+        ("codebook_seed", str(2**64 - 3)),
+        ("codebook_seed", str(2**64)),
+        ("seed", str(2**64 - 4)),
+        ("seed", str(2**64 - 2)),
     ],
 )
 def test_range_violations(tmp_path, key, value):
@@ -93,6 +98,10 @@ def test_range_violations(tmp_path, key, value):
     path.write_text(f"{key} = {value}\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_the_largest_seeds_whose_codebook_seeds_fit_validate():
+    PipelineConfig(seed=2**64 - 5, codebook_seed=2**64 - 4).validate()
 
 
 FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
@@ -143,7 +152,7 @@ def test_only_settings_with_a_caller_are_settable():
     """The settable values (parameters and fields with a default) of these
     signatures; each has a caller in `src/` or `bench/`, and a value only
     tests need is a module constant that they monkeypatch."""
-    from avcmd import encoding, flow, selftest, svm, trajectories
+    from avcmd import encoding, flow, gesture, selftest, session, svm, trajectories
 
     signatures = {
         flow.FramePyramid: ["levels"],
@@ -151,9 +160,13 @@ def test_only_settings_with_a_caller_are_settable():
         svm.train_kernel_svm: ["c"],
         svm.train_kernel_svms: ["c"],
         encoding.train_codebook: ["channel", "subsample"],
+        gesture.evaluate_loo_bovw: ["c"],
+        gesture.train_bovw_model: [],
+        session.run_session: ["params"],
         synth.build_session_streams: ["gesture_noise"],
         synth.generate_corpus: ["frames", "size"],
         selftest.build_audio_templates: ["per_command"],
+        selftest.build_gesture_artifacts: [],
         selftest.criterion_flow_oracle: [],
         selftest.criterion_kernel_gram: [],
         trajectories.is_erratic: [],
@@ -164,7 +177,7 @@ def test_only_settings_with_a_caller_are_settable():
     }
     assert settable == {fn.__name__: names for fn, names in signatures.items()}
     assert [(f.name, f.default) for f in fields(trajectories.TrackResult)] == [("trajectories", MISSING)]
-    assert sum(map(len, settable.values())) == 9
+    assert sum(map(len, settable.values())) == 11
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,14 @@ class TestCodebookIO:
         with pytest.raises(TruncatedPayloadError):
             read_codebook(p)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_u64_field_rejected(self, seed):
+        # such a seed once built a codebook that `content_hash` and
+        # `write_codebook` then ended in struct.error
+        with pytest.raises(InvalidParameterError, match="seed"):
+            Codebook(channel=Channel.HOF, centroids=np.eye(2), seed=seed)
+        assert Codebook(channel=Channel.HOF, centroids=np.eye(2), seed=2**64 - 1).content_hash()
+
 
 def _small_codebook(path):
     write_codebook(path, Codebook(channel=Channel.HOF, centroids=np.arange(6.0).reshape(2, 3), seed=7))

@@ -14,7 +14,7 @@ from avcmd.encoding import (
     chi2_distance_matrix,
     train_codebook,
 )
-from avcmd.errors import PipelineMismatchError
+from avcmd.errors import InvalidParameterError, PipelineMismatchError
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.gesture import (
     GesturePipeline,
@@ -99,6 +99,22 @@ class TestTrainingRecipe:
             want = train_codebook(pool, k=5, seed=11 + offset, channel=ch, subsample=40)
             assert books[ch].content_hash() == want.content_hash()
 
+    def test_a_pool_without_rows_is_refused(self):
+        # the 0-row clips were filtered out, and vstack of nothing raised ValueError
+        per_clip, _ = self._corpus()
+        empty = [{ch: d[ch][:0] for ch in CHANNEL_ORDER} for d in per_clip]
+        with pytest.raises(InvalidParameterError, match="need at least 5 descriptors, got 0"):
+            train_codebooks(empty, k=5, seed=0)
+        with pytest.raises(InvalidParameterError, match="no clips"):
+            train_codebooks([], k=5, seed=0)
+
+    def test_histograms_of_another_width_than_their_codebook_refused(self):
+        per_clip, labels = self._corpus()
+        hists, books = encode_corpus(per_clip, k=5, seed=2)
+        wide = {**hists, Channel.HOF: np.hstack([hists[Channel.HOF], hists[Channel.HOF]])}
+        with pytest.raises(InvalidParameterError, match="HOF histograms have 10 bins, its codebook 5"):
+            train_bovw_model(wide, labels, 10.0, books)
+
     def test_each_pool_is_held_once_in_float64(self):
         # 16 separated blobs, so k-means converges in a few iterations.
         rng = np.random.default_rng(5)
@@ -131,7 +147,7 @@ class TestTrainingRecipe:
             channel_means=means,
             codebook_hashes={ch: cb.content_hash() for ch, cb in books.items()},
         )
-        got = train_bovw_model(hists, dists, list(labels), 10.0, books)
+        got = train_bovw_model(hists, list(labels), 10.0, books)
         assert got.channel_means == want.channel_means
         assert got.codebook_hashes == want.codebook_hashes
         assert np.array_equal(got.classes, want.classes)
@@ -182,8 +198,16 @@ class TestPipeline:
         labels = np.asarray(small_corpus[1])
         keep = labels != BACKGROUND_LABEL
         hists = {ch: h[keep] for ch, h in pipeline.model.train_hists.items()}
-        model = train_bovw_model(hists, chi2_distances(hists), labels[keep], 100.0, pipeline.codebooks)
+        model = train_bovw_model(hists, labels[keep], 100.0, pipeline.codebooks)
         assert GesturePipeline(pipeline.codebooks, model, pipeline.tracker).classify_clip(clip) is None
+
+    def test_clips_without_trajectories_or_no_clips_are_refused(self):
+        frame = GrayFrame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        clip = Clip(frames=(frame,) * 16, fps=15.0, modality=Modality.RGB)
+        with pytest.raises(InvalidParameterError, match="need at least 2 descriptors, got 0"):
+            train_gesture_pipeline([clip, clip], [0, 1], k=2)
+        with pytest.raises(InvalidParameterError, match="no clips"):
+            train_gesture_pipeline([], [], k=2)
 
     def test_model_round_trip_preserves_predictions(self, pipeline, small_corpus, tmp_path):
         clips, _ = small_corpus
@@ -227,7 +251,7 @@ class TestLooEvaluation:
         hists, _ = encode_corpus(per_clip, k=12, seed=5, subsample=_largest_pool(per_clip))
         dists = {ch: chi2_distance_matrix(_l1_rows(hists[ch])) for ch in CHANNEL_ORDER}
         acc_comb = evaluate_loo_bovw(dists, np.asarray(labels), c=100.0)
-        acc_hof = evaluate_loo_bovw(dists, np.asarray(labels), channels=(Channel.HOF,), c=100.0)
+        acc_hof = evaluate_loo_bovw({Channel.HOF: dists[Channel.HOF]}, np.asarray(labels), c=100.0)
         assert 0.0 <= acc_hof <= 1.0
         assert 0.0 <= acc_comb <= 1.0
 

@@ -183,12 +183,6 @@ def _steps_with_windows(script, window_len=20):
 
 
 class TestRunSession:
-    def test_empty_streams_empty_log(self, rng):
-        models = _speech_models(rng)
-        log = run_session(None, [], _steps_with_windows(LEGS_SCRIPT), models)
-        assert log.entries == []
-        assert log.final_state == "idle"
-
     def test_desync_rejected(self, rng):
         models = _speech_models(rng)
         video = _static_video(n_frames=30)
@@ -198,8 +192,11 @@ class TestRunSession:
             features=models.templates[0][0],
             keyword_score=1.0,
         )
+        steps = _steps_with_windows(LEGS_SCRIPT)
         with pytest.raises(SessionDesyncError):
-            run_session(video, [bad], _steps_with_windows(LEGS_SCRIPT), models)
+            run_session(video, [bad], steps, models)
+        with pytest.raises(SessionDesyncError, match="before frame 0"):
+            run_session(video, [replace(bad, start_frame=-1, end_frame=10)], steps, models)
 
     def test_speech_only_scripted_session(self, rng):
         models = _speech_models(rng)
@@ -220,25 +217,6 @@ class TestRunSession:
             assert entry.source == FusionSource.SPEECH_ONLY
             assert entry.latency_frames == 10
         assert log.final_state == "halted"
-
-    def test_audio_only_session_equals_a_static_video(self, rng):
-        # without video, events used to be checked against a 0-frame stream at
-        # a made-up 15 fps, so every event ending after frame 15 was refused
-        models = _speech_models(rng)
-        steps = _steps_with_windows(LEGS_SCRIPT)
-        events = [
-            AudioEvent(
-                start_frame=step.window[0] + 2,
-                end_frame=step.window[0] + 10,
-                features=models.templates[step.command][0],
-            )
-            for step in steps
-        ]
-        log = run_session(None, events, steps, models)
-        assert log == run_session(_static_video(), events, steps, models)
-        assert [e.recognized for e in log.entries] == [step.command for step in steps]
-        with pytest.raises(SessionDesyncError, match="before frame 0"):
-            run_session(None, [replace(events[0], start_frame=-1)], steps, models)
 
     def test_keyword_gate_blocks_recognition(self, rng):
         models = _speech_models(rng)
