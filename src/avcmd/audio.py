@@ -30,13 +30,12 @@ Sequences with non-finite frames are refused.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameterError, json_field, open_text
+from .errors import InvalidParameterError, json_field, read_json_rows
 from .mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read
 from .vocabulary import Command
 
@@ -330,31 +329,17 @@ def adapt_speaker(
 
 
 # ---------------------------------------------------------------------------
-# template store: directory of WAVs plus a JSON manifest
+# template store: directory of WAVs plus a JSON-lines manifest
+
+def _manifest_row(row: dict) -> tuple[int, str]:
+    return json_field(row, "command_id", int), json_field(row, "path", str)
+
 
 def load_template_store(manifest_path: str | Path) -> dict[int, list[MfccSeq]]:
-    """Manifest rows: {command_id, language, speaker, path}; paths are relative."""
+    """Manifest rows, one JSON object per line: {command_id, language, speaker, path}; paths are relative."""
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
     templates: dict[int, list[MfccSeq]] = {}
-    try:
-        rows = json.load(open_text(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad template manifest: {exc}") from None
-    if not isinstance(rows, list):
-        raise FormatError("template manifest must be a JSON list of rows")
-    for row in rows:
-        try:
-            cmd = json_field(row, "command_id", int)
-            rel = json_field(row, "path", str)
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad manifest row {row!r}: {exc}") from None
-        samples, rate = wav_read(base / rel)
+    for cmd, rel in read_json_rows(manifest_path, "manifest row", _manifest_row):
+        samples, rate = wav_read(manifest_path.parent / rel)
         templates.setdefault(cmd, []).append(mfcc(samples, rate))
     return templates
-
-
-def save_template_manifest(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .audio import classify_command, default_grammar, keyword_gate, load_template_store, save_template_manifest
+from .audio import classify_command, default_grammar, keyword_gate, load_template_store
 from .container import Annotation, read_annotations, read_clip, write_annotations, write_clip
 from .encoding import (
     CHANNEL_ORDER,
@@ -28,7 +28,7 @@ from .encoding import (
     write_codebook,
     write_encoded,
 )
-from .errors import AvcmdError
+from .errors import AvcmdError, write_json_rows
 from .gesture import (
     GesturePipeline,
     channel_matrices,
@@ -108,7 +108,7 @@ def _cmd_synth(args) -> int:
             name = f"{command_name(cmd)}_{i:02d}.wav"
             wav_write(audio_dir / name, wave, SAMPLE_RATE)
             rows.append({"command_id": cmd, "language": "en", "speaker": f"s{i}", "path": name})
-        save_template_manifest(audio_dir / "manifest.json", rows)
+        write_json_rows(audio_dir / "manifest.jsonl", rows)
         print(f"wrote {len(rows)} utterances to {audio_dir}")
     else:  # scripts
         out.mkdir(parents=True, exist_ok=True)

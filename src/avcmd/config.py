@@ -1,8 +1,8 @@
 """Pipeline configuration: one flat key-value namespace for every tunable.
 
 Values load from a plain-text file of `key = value` lines with `#` comments;
-every key is an int, a float or a bool. Unknown keys, out-of-range values
-and non-finite floats are rejected.
+every key is an int, a float or a bool. Unknown or repeated keys,
+out-of-range values and non-finite floats are rejected.
 Tracking constants follow the dense-trajectory literature's published
 defaults; the online thresholds are tuned on the synthetic suite; both kinds
 are ordinary config here, so a deployment can pin its own. Each default is
@@ -23,7 +23,10 @@ from .encoding import DESCRIPTOR_SUBSAMPLE
 from .errors import ConfigError, open_text
 from .session import SessionParams
 from .svm import DEFAULT_C
+from .synth import MAX_SNR_DB
 from .trajectories import TrackerParams
+
+MAX_DURATION_S = 86_400.0  # a day; times any IGSC fps (a float32, <= 3.4e38) it stays finite
 
 
 @dataclass
@@ -71,8 +74,9 @@ class PipelineConfig:
             (self.svm_c > 0.0, "svm_c must be positive"),
             (self.tau_noise >= 0.0, "tau_noise must be nonnegative"),
             (0.0 <= self.theta_off <= self.theta_on <= 1.0, "need 0 <= theta_off <= theta_on <= 1"),
-            (self.min_dur_s > 0.0, "min_dur_s must be positive"),
-            (self.max_gap_s > 0.0, "max_gap_s must be positive"),
+            (0.0 < self.min_dur_s <= MAX_DURATION_S, f"min_dur_s must be in (0, {MAX_DURATION_S:g}] s"),
+            (0.0 < self.max_gap_s <= MAX_DURATION_S, f"max_gap_s must be in (0, {MAX_DURATION_S:g}] s"),
+            (abs(self.snr_db) <= MAX_SNR_DB, f"snr_db must be in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}] dB"),
             (self.seed >= 0, "seed must be >= 0"),
             (self.seed + 4 < 2**64, "seed + 4 must fit in IGCB's u64 seed"),
         ]
@@ -122,6 +126,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     types = {"int": int, "float": float, "bool": bool}
     known = {f.name: types[f.type] for f in fields(PipelineConfig)}
     cfg = PipelineConfig()
+    seen = set()
     for lineno, raw in enumerate(open_text(path, ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,6 +137,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         name = name.strip()
         if name not in known:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
+        if name in seen:
+            raise ConfigError(f"line {lineno}: key {name!r} set a second time")
+        seen.add(name)
         setattr(cfg, name, _parse_value(name, value, known[name]))
     return cfg.validate()
 

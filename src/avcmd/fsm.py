@@ -1,11 +1,11 @@
 """Dialogue controller for the two washing tasks.
 
-A small explicit transition table: starting a task from Idle, escalating
-washing to scrubbing on the back, pause/resume, and an absorbing emergency
-halt reachable from everywhere. Invalid (state, command) pairs leave the
-state untouched and answer with a refusal. Every step emits exactly one
-feedback message, chosen from a string table keyed by transition and
-language.
+A small explicit transition table, `_STARTS`, starts a task from Idle or
+escalates washing to scrubbing on the back; one rule chain in `fsm_step`
+adds pause/resume and an absorbing emergency halt reachable from
+everywhere. Invalid (state, command) pairs leave the state untouched and
+answer with a refusal. Every step emits exactly one feedback message,
+chosen from a string table keyed by transition and language.
 """
 
 from __future__ import annotations
@@ -26,9 +26,21 @@ class StateKind(Enum):
     HALTED = "halted"
 
 
-ACTIVE_STATES = frozenset(
-    {StateKind.WASHING_LEGS, StateKind.WASHING_BACK, StateKind.SCRUBBING_BACK}
-)
+# Each task state and the task it runs: actions are `start_<task>` and
+# `resume_<task>`, and starting one is acknowledged by `ack_<task>`.
+_TASKS = {
+    StateKind.WASHING_LEGS: "wash_legs",
+    StateKind.WASHING_BACK: "wash_back",
+    StateKind.SCRUBBING_BACK: "scrub_back",
+}
+ACTIVE_STATES = frozenset(_TASKS)
+
+# (state, command) -> the task state the command starts from that state
+_STARTS = {
+    (StateKind.IDLE, Command.WASH_LEGS): StateKind.WASHING_LEGS,
+    (StateKind.IDLE, Command.WASH_BACK): StateKind.WASHING_BACK,
+    (StateKind.WASHING_BACK, Command.SCRUB_BACK): StateKind.SCRUBBING_BACK,
+}
 
 
 @dataclass(frozen=True)
@@ -52,18 +64,6 @@ class FsmState:
             return f"paused:{self.resume.value}"
         return self.kind.value
 
-
-_START_ACTIONS = {
-    StateKind.WASHING_LEGS: "start_wash_legs",
-    StateKind.WASHING_BACK: "start_wash_back",
-    StateKind.SCRUBBING_BACK: "start_scrub_back",
-}
-
-_RESUME_ACTIONS = {
-    StateKind.WASHING_LEGS: "resume_wash_legs",
-    StateKind.WASHING_BACK: "resume_wash_back",
-    StateKind.SCRUBBING_BACK: "resume_scrub_back",
-}
 
 FEEDBACK: dict[tuple[str, str], str] = {
     ("ack_wash_legs", "en"): "Starting to wash your legs.",
@@ -94,9 +94,7 @@ FEEDBACK: dict[tuple[str, str], str] = {
 
 
 def feedback_message(key: str, lang: str = "en") -> str:
-    msg = FEEDBACK.get((key, lang))
-    if msg is None:
-        msg = FEEDBACK.get((key, "en"))
+    msg = FEEDBACK.get((key, lang)) or FEEDBACK.get((key, "en"))
     if msg is None:
         raise InvalidParameterError(f"no feedback entry for {key!r}")
     return msg
@@ -109,46 +107,24 @@ def fsm_step(state: FsmState, command, lang: str = "en") -> tuple[FsmState, tupl
     `.command` attribute (a fusion decision). Unknown ids raise, they are a
     protocol violation rather than a user mistake.
     """
-    if hasattr(command, "command"):
-        command = command.command
+    command = getattr(command, "command", command)
     try:
         cmd = Command(command)
     except ValueError:
         raise ProtocolError(f"unknown command id {command!r}") from None
 
-    def stay(key: str) -> tuple[FsmState, tuple[str, ...], str]:
-        return state, (), feedback_message(key, lang)
-
-    if state.kind == StateKind.HALTED:
-        return stay("already_halted")
-
-    if cmd == Command.HALT:
-        return FsmState(kind=StateKind.HALTED), ("halt_all",), feedback_message("ack_halt", lang)
-
-    if state.kind == StateKind.IDLE:
-        if cmd == Command.WASH_LEGS:
-            return _start(StateKind.WASHING_LEGS, "ack_wash_legs", lang)
-        if cmd == Command.WASH_BACK:
-            return _start(StateKind.WASHING_BACK, "ack_wash_back", lang)
-        return stay("cannot_comply")
-
-    if state.kind in ACTIVE_STATES:
-        if cmd == Command.STOP:
-            new = FsmState(kind=StateKind.PAUSED, resume=state.kind)
-            return new, ("pause_task",), feedback_message("ack_pause", lang)
-        if state.kind == StateKind.WASHING_BACK and cmd == Command.SCRUB_BACK:
-            return _start(StateKind.SCRUBBING_BACK, "ack_scrub_back", lang)
-        return stay("cannot_comply")
-
-    if state.kind == StateKind.PAUSED:
-        if cmd == Command.REPEAT:
-            action = _RESUME_ACTIONS[state.resume]
-            return FsmState(kind=state.resume), (action,), feedback_message("ack_resume", lang)
-        return stay("cannot_comply")
-
-    raise ProtocolError(f"unhandled state {state.kind}")  # pragma: no cover
-
-
-def _start(kind: StateKind, key: str, lang: str) -> tuple[FsmState, tuple[str, ...], str]:
-    action = _START_ACTIONS[kind]
-    return FsmState(kind=kind), (action,), feedback_message(key, lang)
+    kind = state.kind
+    started = _STARTS.get((kind, cmd))
+    if kind == StateKind.HALTED:
+        actions, key = (), "already_halted"
+    elif cmd == Command.HALT:
+        state, actions, key = FsmState(kind=StateKind.HALTED), ("halt_all",), "ack_halt"
+    elif started is not None:
+        state, actions, key = FsmState(kind=started), (f"start_{_TASKS[started]}",), f"ack_{_TASKS[started]}"
+    elif kind in ACTIVE_STATES and cmd == Command.STOP:
+        state, actions, key = FsmState(kind=StateKind.PAUSED, resume=kind), ("pause_task",), "ack_pause"
+    elif kind == StateKind.PAUSED and cmd == Command.REPEAT:
+        state, actions, key = FsmState(kind=state.resume), (f"resume_{_TASKS[state.resume]}",), "ack_resume"
+    else:
+        actions, key = (), "cannot_comply"
+    return state, actions, feedback_message(key, lang)

@@ -35,6 +35,7 @@ FPS = 15.0           # frames per second of every clip and session stream
 D_MAX = 4095         # depth range of every rendered depth stream
 DEPTH_NOISE_SIGMA = 6.0  # mm, sensor noise of every rendered depth stream
 SAMPLE_RATE = 16000  # Hz, every synthesized waveform
+MAX_SNR_DB = 300.0   # |SNR| bound, dB: inside it the noise power is finite and nonzero
 
 # Session streams: one larger scene whose limb and gesture excursions exceed
 # the corpus clips' so every pattern clears the activity trigger.
@@ -324,6 +325,8 @@ def generate_command_audio(command: int, speaker_seed: int, snr_db: float) -> np
     recipe = _AUDIO_RECIPES.get(int(command))
     if recipe is None:
         raise InvalidParameterError(f"unknown command {command!r}")
+    if not abs(snr_db) <= MAX_SNR_DB:
+        raise InvalidParameterError(f"snr_db must be in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}] dB, not {snr_db}")
     rng = np.random.default_rng(speaker_seed)
     pitch = math.exp(rng.normal(0.0, 0.015))
     rate = math.exp(rng.normal(0.0, 0.05))

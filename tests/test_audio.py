@@ -19,12 +19,11 @@ from avcmd.audio import (
     dtw_distance,
     keyword_gate,
     load_template_store,
-    save_template_manifest,
     _backtrack,
     _distances,
     _frame_costs,
 )
-from avcmd.errors import FormatError, InvalidParameterError
+from avcmd.errors import FormatError, InvalidParameterError, write_json_rows
 from avcmd.mfcc import FEATURE_DIM, MfccSeq, mfcc, wav_read, wav_write
 from avcmd.selftest import build_audio_templates
 from avcmd.synth import generate_command_audio
@@ -341,8 +340,8 @@ class TestTemplateStore:
             wav_write(tmp_path / name, wave_data, sr)
             waves[cmd] = wave_data
             rows.append({"command_id": cmd, "language": "en", "speaker": "s1", "path": name})
-        save_template_manifest(tmp_path / "manifest.json", rows)
-        store = load_template_store(tmp_path / "manifest.json")
+        write_json_rows(tmp_path / "manifest.jsonl", rows)
+        store = load_template_store(tmp_path / "manifest.jsonl")
         assert sorted(store) == [0, 1, 2]
         grammar = CommandGrammar(range(3))
         utt = mfcc(waves[1], sr)
@@ -350,21 +349,28 @@ class TestTemplateStore:
         assert out.top.command == 1
 
     def test_manifest_bytes(self, tmp_path):
-        rows = [{"path": "a.wav", "command_id": 2, "speaker": "s0", "language": "en"}]
-        save_template_manifest(tmp_path / "manifest.json", rows)
-        assert (tmp_path / "manifest.json").read_text() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        # one object per line, keys sorted, as `avcmd synth --kind audio` writes it
+        rows = [{"path": "a.wav", "command_id": 2, "speaker": "s0", "language": "en"},
+                {"path": "b.wav", "command_id": 0, "speaker": "s1", "language": "en"}]
+        write_json_rows(tmp_path / "manifest.jsonl", rows)
+        want = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        assert (tmp_path / "manifest.jsonl").read_text() == want
+        for row in rows:
+            wav_write(tmp_path / row["path"], np.zeros(1600), 16000)
+        assert sorted(load_template_store(tmp_path / "manifest.jsonl")) == [0, 2]
 
-    @pytest.mark.parametrize("top", [5, None, "rows", {"command_id": 0, "path": "a.wav"}])
-    def test_manifest_that_is_not_a_list_is_refused(self, tmp_path, top):
-        (tmp_path / "manifest.json").write_text(json.dumps(top))
-        with pytest.raises(FormatError):
+    def test_a_json_list_manifest_is_refused(self, tmp_path):
+        # the manifest was once one JSON list of rows; it is JSON lines now
+        wav_write(tmp_path / "a.wav", np.zeros(1600), 16000)
+        (tmp_path / "manifest.json").write_text(json.dumps([{"command_id": 0, "path": "a.wav"}], indent=2))
+        with pytest.raises(FormatError, match="bad manifest row on line 1"):
             load_template_store(tmp_path / "manifest.json")
 
     @pytest.mark.parametrize("row", malformed_rows({"command_id": 0, "path": "a.wav"}))
     def test_malformed_manifest_row_is_refused(self, tmp_path, row):
-        (tmp_path / "manifest.json").write_text(json.dumps([row]))
-        with pytest.raises(FormatError, match="bad manifest row"):
-            load_template_store(tmp_path / "manifest.json")
+        (tmp_path / "manifest.jsonl").write_text(json.dumps(row) + "\n")
+        with pytest.raises(FormatError, match="bad manifest row on line 1"):
+            load_template_store(tmp_path / "manifest.jsonl")
 
 
 # ---------------------------------------------------------------------------

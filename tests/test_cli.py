@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcmd.audio import save_template_manifest
 from avcmd.cli import _codebook_file, main
 from avcmd.container import Annotation, read_clip, write_annotations, write_clip
 from avcmd.encoding import CHANNEL_ORDER, BovwHist, Channel, Codebook, write_codebook, write_encoded
+from avcmd.errors import read_json_rows, write_json_rows
 from avcmd.frames import Clip, GrayFrame, Modality
 from avcmd.gesture import channel_matrices, train_codebooks
 from avcmd.mfcc import wav_write
@@ -141,8 +141,8 @@ class TestAudioCommands:
             "synth", "--kind", "audio", "--out", str(tmp_path), "--per-command", "2",
         ]) == 0
         capsys.readouterr()  # drain the synth message
-        manifest = tmp_path / "audio" / "manifest.json"
-        rows = json.loads(manifest.read_text())
+        manifest = tmp_path / "audio" / "manifest.jsonl"
+        rows = read_json_rows(manifest, "manifest row", dict)
         target = next(r for r in rows if r["command_id"] == 3)
         rc = main([
             "classify",
@@ -157,8 +157,8 @@ class TestAudioCommands:
         assert main([
             "synth", "--kind", "audio", "--out", str(tmp_path), "--per-command", "1",
         ]) == 0
-        manifest = tmp_path / "audio" / "manifest.json"
-        rows = json.loads(manifest.read_text())
+        manifest = tmp_path / "audio" / "manifest.jsonl"
+        rows = read_json_rows(manifest, "manifest row", dict)
         rc = main([
             "classify",
             "--templates", str(manifest),
@@ -430,6 +430,34 @@ def test_config_with_a_seed_past_igcb_is_exit_1(workspace, tmp_path, capsys, key
     _refused(["--config", str(tmp_path / "cfg.txt"), *command], capsys, f"{key} + {offset} must fit in IGCB's u64 seed")
 
 
+
+@pytest.mark.parametrize(
+    "config,command,message",
+    [
+        ("max_gap_s = 1e308\n", "detect", "max_gap_s must be in (0, 86400] s"),
+        ("min_dur_s = 1e308\n", "simulate", "min_dur_s must be in (0, 86400] s"),
+        ("snr_db = 1e308\n", "synth", "snr_db must be in [-300, 300] dB"),
+        ("snr_db = -1e308\n", "synth", "snr_db must be in [-300, 300] dB"),
+        ("snr_db = -3100\n", "synth", "snr_db must be in [-300, 300] dB"),
+        ("codebook_k = 8\ncodebook_k = 16\n", "synth", "line 2: key 'codebook_k' set a second time"),
+    ],
+    ids=["max_gap_s", "min_dur_s", "snr_db-overflow", "snr_db-zero-noise-scale", "snr_db-nan-wave", "repeated-key"],
+)
+def test_config_value_the_commands_cannot_use_is_exit_1(tmp_path, capsys, config, command, message):
+    # a duration whose frame count overflowed ended `detect` (and `simulate`,
+    # after training) in OverflowError; these SNRs ended `synth --kind audio`
+    # in OverflowError or ZeroDivisionError or wrote a NaN waveform; and the
+    # second value of a repeated key silently won
+    (tmp_path / "cfg.txt").write_text(config)
+    write_clip(tmp_path / "c.igsc", Clip(frames=np.zeros((4, 8, 8)), fps=15.0, modality=Modality.RGB))
+    argv = {
+        "detect": ["detect", "--clip", str(tmp_path / "c.igsc")],
+        "simulate": ["simulate", "--out", str(tmp_path / "log.jsonl"), "--train-clips-per-class", "1"],
+        "synth": ["synth", "--kind", "audio", "--per-command", "1", "--out", str(tmp_path / "a")],
+    }[command]
+    _refused(["--config", str(tmp_path / "cfg.txt"), *argv], capsys, message)
+    assert not (tmp_path / "a").exists()
+
 class TestBadFilesExitOne:
     """Every binary file the CLI reads ends the command with exit 1 when cut or extended."""
 
@@ -567,8 +595,8 @@ class TestMissingFilesExitOne:
     def test_classify_manifest_names_a_missing_wav(self, tmp_path, capsys):
         wav = tmp_path / "utt.wav"
         wav_write(wav, np.zeros(1600), 16000)
-        manifest = tmp_path / "templates.json"
-        save_template_manifest(manifest, [{"command_id": 1, "language": "en", "speaker": "s", "path": "gone.wav"}])
+        manifest = tmp_path / "templates.jsonl"
+        write_json_rows(manifest, [{"command_id": 1, "language": "en", "speaker": "s", "path": "gone.wav"}])
         assert main(["classify", "--wav", str(wav), "--templates", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gone.wav" in err
@@ -578,9 +606,9 @@ class TestMissingFilesExitOne:
 def test_classify_refuses_a_cut_wav(tmp_path, capsys, size):
     # a cut inside the RIFF or chunk headers once ended in a bare EOFError
     wav_write(tmp_path / "t.wav", np.zeros(1600), 16000)
-    save_template_manifest(tmp_path / "m.json", [{"command_id": 1, "language": "en", "speaker": "s", "path": "t.wav"}])
+    write_json_rows(tmp_path / "m.jsonl", [{"command_id": 1, "language": "en", "speaker": "s", "path": "t.wav"}])
     (tmp_path / "cut.wav").write_bytes((tmp_path / "t.wav").read_bytes()[:size])
-    assert main(["classify", "--wav", str(tmp_path / "cut.wav"), "--templates", str(tmp_path / "m.json")]) == 1
+    assert main(["classify", "--wav", str(tmp_path / "cut.wav"), "--templates", str(tmp_path / "m.jsonl")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: WAV file truncated\n"
 
@@ -603,10 +631,10 @@ def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
     evaluate = ["evaluate", "--logs", str(tmp_path / "log.jsonl"), "--script", str(tmp_path / "script.jsonl")]
     wav_write(tmp_path / "t.wav", np.zeros(1600), 16000)
     wav_write(tmp_path / "utt.wav", np.zeros(1600), 16000)
-    save_template_manifest(tmp_path / "m.json", [
+    write_json_rows(tmp_path / "m.jsonl", [
         {"command_id": int(c), "language": "en", "speaker": "s", "path": "t.wav"} for c in Command
     ])
-    wav = ["classify", "--wav", str(tmp_path / "utt.wav"), "--templates", str(tmp_path / "m.json")]
+    wav = ["classify", "--wav", str(tmp_path / "utt.wav"), "--templates", str(tmp_path / "m.jsonl")]
     return {
         "IGSC": (tmp_path / "c.igsc", ["detect", "--clip", str(tmp_path / "c.igsc")]),
         "IGTF": (tmp_path / "f" / "c.igtf", codebook),
@@ -618,7 +646,7 @@ def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
         "annotation": (tmp_path / "f.jsonl", [*codebook, "--annotations", str(tmp_path / "f.jsonl")]),
         "script": (tmp_path / "script.jsonl", evaluate),
         "log": (tmp_path / "log.jsonl", evaluate),
-        "manifest": (tmp_path / "m.json", wav),
+        "manifest": (tmp_path / "m.jsonl", wav),
         "WAV": (tmp_path / "utt.wav", wav),
         "template WAV": (tmp_path / "t.wav", wav),
     }

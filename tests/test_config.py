@@ -5,6 +5,7 @@ import math
 import shutil
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from avcmd import synth
@@ -91,6 +92,12 @@ def test_missing_equals_rejected(tmp_path):
         ("codebook_seed", str(2**64)),
         ("seed", str(2**64 - 4)),
         ("seed", str(2**64 - 2)),
+        # a duration past a day, whose frame count could overflow
+        ("min_dur_s", "86400.001"),
+        ("max_gap_s", "1e308"),
+        # an SNR past 300 dB, whose noise power overflows or underflows
+        ("snr_db", "300.001"),
+        ("snr_db", "-300.001"),
     ],
 )
 def test_range_violations(tmp_path, key, value):
@@ -102,6 +109,23 @@ def test_range_violations(tmp_path, key, value):
 
 def test_the_largest_seeds_whose_codebook_seeds_fit_validate():
     PipelineConfig(seed=2**64 - 5, codebook_seed=2**64 - 4).validate()
+
+
+@pytest.mark.parametrize("snr_db", [-300.0, 300.0])
+def test_the_edges_of_the_duration_and_snr_bounds_validate(snr_db):
+    cfg = PipelineConfig(min_dur_s=86400.0, max_gap_s=86400.0, snr_db=snr_db).validate()
+    # at the largest fps IGSC's float32 holds, a day is still a frame count
+    params = cfg.session_params(float(np.finfo(np.float32).max))
+    assert params.min_dur_frames == params.max_gap_frames == round(86400.0 * float(np.finfo(np.float32).max))
+    assert np.isfinite(synth.generate_command_audio(0, speaker_seed=1, snr_db=snr_db)).all()
+
+
+def test_repeated_key_rejected(tmp_path):
+    # the second value once silently won
+    path = tmp_path / "cfg.txt"
+    path.write_text("codebook_k = 8\n# a comment\ncodebook_k = 16\n")
+    with pytest.raises(ConfigError, match="line 3: key 'codebook_k' set a second time"):
+        load_config(path)
 
 
 FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
@@ -196,7 +220,7 @@ COMMANDS = {
               "--out", "out/m.igsv"],
     "detect rgb": ["detect", "--clip", "g/clips/g0000_rgb.igsc"],
     "detect depth": ["detect", "--clip", "g/clips/g0005_logdepth.igsc"],
-    "classify --wav": ["classify", "--wav", "a/audio/stop_00.wav", "--templates", "a/audio/manifest.json"],
+    "classify --wav": ["classify", "--wav", "a/audio/stop_00.wav", "--templates", "a/audio/manifest.jsonl"],
     "simulate": ["simulate", "--out", "out/log.jsonl", "--train-clips-per-class", "1"],
 }
 
@@ -260,7 +284,9 @@ def test_every_key_changes_a_command_output(smoke_tree, capsys, monkeypatch, key
     value, command = REACH[key]
     monkeypatch.chdir(smoke_tree)
     base = _command_output(smoke_tree, capsys, BASELINE, command)
-    assert _command_output(smoke_tree, capsys, f"{BASELINE}{key} = {value}\n", command) != base
+    # a config sets each key once, so the key's line replaces the baseline's
+    config = f"{key} = {value}\n" if key == "codebook_k" else f"{BASELINE}{key} = {value}\n"
+    assert _command_output(smoke_tree, capsys, config, command) != base
 
 
 def test_speech_fallback_changes_a_session_where_speech_and_gesture_disagree(tmp_path):

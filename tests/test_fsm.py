@@ -99,6 +99,71 @@ class TestTransitions:
         assert s.kind == StateKind.WASHING_LEGS
 
 
+# Per state, the expected (next state, actions, feedback key) for each command
+# in `Command` order: wash legs, wash back, scrub back, stop, repeat, halt.
+# Written out by hand, not derived from the controller's tables.
+_REFUSE = (None, (), "cannot_comply")  # None: the state stays
+_HALT = ("halted", ("halt_all",), "ack_halt")
+_ABSORB = (None, (), "already_halted")
+EVERY_TRANSITION = {
+    "idle": [
+        ("washing_legs", ("start_wash_legs",), "ack_wash_legs"),
+        ("washing_back", ("start_wash_back",), "ack_wash_back"),
+        _REFUSE, _REFUSE, _REFUSE, _HALT,
+    ],
+    "washing_legs": [
+        _REFUSE, _REFUSE, _REFUSE,
+        ("paused:washing_legs", ("pause_task",), "ack_pause"),
+        _REFUSE, _HALT,
+    ],
+    "washing_back": [
+        _REFUSE, _REFUSE,
+        ("scrubbing_back", ("start_scrub_back",), "ack_scrub_back"),
+        ("paused:washing_back", ("pause_task",), "ack_pause"),
+        _REFUSE, _HALT,
+    ],
+    "scrubbing_back": [
+        _REFUSE, _REFUSE, _REFUSE,
+        ("paused:scrubbing_back", ("pause_task",), "ack_pause"),
+        _REFUSE, _HALT,
+    ],
+    "paused:washing_legs": [
+        _REFUSE, _REFUSE, _REFUSE, _REFUSE,
+        ("washing_legs", ("resume_wash_legs",), "ack_resume"),
+        _HALT,
+    ],
+    "paused:washing_back": [
+        _REFUSE, _REFUSE, _REFUSE, _REFUSE,
+        ("washing_back", ("resume_wash_back",), "ack_resume"),
+        _HALT,
+    ],
+    "paused:scrubbing_back": [
+        _REFUSE, _REFUSE, _REFUSE, _REFUSE,
+        ("scrubbing_back", ("resume_scrub_back",), "ack_resume"),
+        _HALT,
+    ],
+    "halted": [_ABSORB] * 6,
+}
+
+
+def _state(text: str) -> FsmState:
+    kind, _, resume = text.partition(":")
+    return FsmState(kind=StateKind(kind), resume=StateKind(resume) if resume else None)
+
+
+@pytest.mark.parametrize("lang", ["en", "de", "it", "fr"])
+def test_every_transition(lang):
+    assert len(EVERY_TRANSITION) == len(StateKind) - 1 + len(ACTIVE_STATES)
+    for text, row in EVERY_TRANSITION.items():
+        assert len(row) == len(Command)
+        for cmd, (want, want_actions, key) in zip(Command, row):
+            state = _state(text)
+            got, actions, feedback = fsm_step(state, cmd, lang)
+            assert got == (state if want is None else _state(want)), (text, cmd)
+            assert actions == want_actions, (text, cmd)
+            assert feedback == feedback_message(key, lang), (text, cmd)
+
+
 class TestScriptReplay:
     def test_legs_sequence_states(self):
         state = FsmState.idle()

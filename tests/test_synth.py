@@ -132,6 +132,12 @@ class TestCommandAudio:
         with pytest.raises(InvalidParameterError):
             generate_command_audio(42, speaker_seed=0, snr_db=20.0)
 
+    @pytest.mark.parametrize("snr_db", [300.001, -300.001, 1e308, -1e308, -3100.0, float("nan")])
+    def test_snr_past_its_bound_rejected(self, snr_db):
+        # 1e308 overflowed, -1e308 divided by zero and -3100 made a NaN wave
+        with pytest.raises(InvalidParameterError, match="snr_db must be in"):
+            generate_command_audio(0, speaker_seed=1, snr_db=snr_db)
+
     def test_snr_changes_wave(self):
         a = generate_command_audio(0, speaker_seed=1, snr_db=20.0)
         b = generate_command_audio(0, speaker_seed=1, snr_db=40.0)
