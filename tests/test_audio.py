@@ -366,6 +366,13 @@ class TestTemplateStore:
         with pytest.raises(FormatError, match="bad manifest row on line 1"):
             load_template_store(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize("top", [5, None, "rows"])
+    def test_manifest_that_is_not_a_list_is_refused(self, tmp_path, top):
+        # a file holding one bare value, neither rows nor a list of them
+        (tmp_path / "manifest.jsonl").write_text(json.dumps(top))
+        with pytest.raises(FormatError, match="bad manifest row on line 1"):
+            load_template_store(tmp_path / "manifest.jsonl")
+
     @pytest.mark.parametrize("row", malformed_rows({"command_id": 0, "path": "a.wav"}))
     def test_malformed_manifest_row_is_refused(self, tmp_path, row):
         (tmp_path / "manifest.jsonl").write_text(json.dumps(row) + "\n")
