@@ -332,11 +332,11 @@ def adapt_speaker(
 # template store: directory of WAVs plus a JSON-lines manifest
 
 def _manifest_row(row: dict) -> tuple[int, str]:
-    return json_field(row, "command_id", int), json_field(row, "path", str)
+    return int(Command(json_field(row, "command_id", int))), json_field(row, "path", str)
 
 
 def load_template_store(manifest_path: str | Path) -> dict[int, list[MfccSeq]]:
-    """Manifest rows, one JSON object per line: {command_id, language, speaker, path}; paths are relative."""
+    """Manifest rows, one JSON object per line: {command_id, path}; paths are relative, other keys unread."""
     manifest_path = Path(manifest_path)
     templates: dict[int, list[MfccSeq]] = {}
     for cmd, rel in read_json_rows(manifest_path, "manifest row", _manifest_row):

@@ -53,7 +53,7 @@ from .session import (
 from .svm import read_model, write_model
 from .synth import SAMPLE_RATE, build_session_streams, generate_audio_corpus, generate_corpus
 from .trajectories import read_features, write_features, track
-from .vocabulary import command_name
+from .vocabulary import BACKGROUND_LABEL, Command, command_name
 
 
 def _codebook_file(ch: Channel) -> str:
@@ -107,7 +107,7 @@ def _cmd_synth(args) -> int:
         for cmd, i, wave in corpus:
             name = f"{command_name(cmd)}_{i:02d}.wav"
             wav_write(audio_dir / name, wave, SAMPLE_RATE)
-            rows.append({"command_id": cmd, "language": "en", "speaker": f"s{i}", "path": name})
+            rows.append({"command_id": cmd, "path": name})
         write_json_rows(audio_dir / "manifest.jsonl", rows)
         print(f"wrote {len(rows)} utterances to {audio_dir}")
     else:  # scripts
@@ -183,9 +183,12 @@ def _cmd_train(args) -> int:
     annotations = read_annotations(args.annotations)
     if not annotations:
         raise AvcmdError(f"annotation sidecar {args.annotations} lists no clip to train on")
+    classes = [*map(int, Command), BACKGROUND_LABEL]  # a model of another class fuses with nothing
     for a in annotations:
         if a.label is None:
             raise AvcmdError(f"clip {a.clip} has no label to train on")
+        if a.label not in classes:
+            raise AvcmdError(f"clip {a.clip} has label {a.label}, not one of the gesture classes {classes}")
     labels = np.asarray([a.label for a in annotations])
     books = _read_codebooks(args.codebooks)
     encoded = read_encoded(args.encoded)

@@ -16,7 +16,6 @@ import numpy as np
 from .encoding import (
     CHANNEL_ORDER,
     DESCRIPTOR_SUBSAMPLE,
-    BovwHist,
     Channel,
     Codebook,
     _l1_rows,
@@ -63,32 +62,22 @@ class GesturePipeline:
         # background clips do: then an empty clip is a pattern the model knows.
         self._knows_empty = any(not h.any(axis=1).all() for h in self._train_l1.values())
 
-    def encode_clip(self, clip: Clip) -> dict[Channel, BovwHist]:
-        descs = extract_channel_descriptors(clip, self.tracker)
-        return {ch: bovw_encode(descs[ch], cb) for ch, cb in self.codebooks.items()}
-
-    def kernel_rows(self, hists: dict[Channel, BovwHist]) -> np.ndarray:
-        dists = {}
-        for ch, train_l1 in self._train_l1.items():
-            if ch not in hists:
-                raise InvalidParameterError(f"missing channel {ch.name}")
-            test_l1 = hists[ch].l1_normalized()[None, :]
-            dists[ch] = chi2_cross_matrix(test_l1, train_l1)
-        return cross_gram(dists, self.model.channel_means)
-
-    def classify_hists(self, hists: dict[Channel, BovwHist]) -> Prediction:
-        return self.model.predict(self.kernel_rows(hists))[0]
-
     def classify_clip(self, clip: Clip) -> Prediction | None:
-        """None when the clip is too short to track, or when no trajectory
-        survives in it and no training clip was empty either: its all-zero
-        histograms then match nothing the model has seen."""
+        """Track, encode, and predict from the clip's kernel row against the
+        training histograms. None when the clip is too short to track, or when
+        no trajectory survives in it and no training clip was empty either: its
+        all-zero histograms then match nothing the model has seen."""
         if len(clip.frames) < self.tracker.traj_len + 1:
             return None
-        hists = self.encode_clip(clip)
+        descs = extract_channel_descriptors(clip, self.tracker)
+        hists = {ch: bovw_encode(descs[ch], cb) for ch, cb in self.codebooks.items()}
         if not self._knows_empty and not any(h.counts.any() for h in hists.values()):
             return None
-        return self.classify_hists(hists)
+        dists = {
+            ch: chi2_cross_matrix(hists[ch].l1_normalized()[None, :], train_l1)
+            for ch, train_l1 in self._train_l1.items()
+        }
+        return self.model.predict(cross_gram(dists, self.model.channel_means))[0]
 
     def command_2best(self, prediction: Prediction) -> list[tuple[int, float]] | None:
         """Top-2 command hypotheses; None when the clip looks like background."""

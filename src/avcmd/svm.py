@@ -257,7 +257,7 @@ def train_kernel_svms(
         raise InvalidParameterError(f"C must be finite and positive, got {c}")
     if not np.all(np.isfinite(g)):
         raise InvalidParameterError("gram matrix contains non-finite values")
-    if not np.allclose(g, g.transpose(0, 2, 1), atol=1e-6):
+    if not all(np.allclose(m, m.T, atol=1e-6) for m in g):  # one Gram at a time: no stack-sized temporaries
         raise InvalidParameterError("gram matrix is not symmetric (tolerance 1e-6)")
     classes = [_check_labels(lab) for lab in labels]
 

@@ -50,7 +50,6 @@ SESSION_WINDOW_FRAMES = 30  # frames per step
 
 @dataclass(frozen=True)
 class GestureSpec:
-    class_id: int
     pattern: MotionPattern
     amplitude: float          # px, total excursion of the pattern
     period: int               # frames per traverse / cycle
@@ -80,11 +79,7 @@ PATTERN_DEFAULTS: dict[MotionPattern, tuple[float, int]] = {
 
 def default_spec(pattern: MotionPattern, jitter_rng: np.random.Generator | None = None) -> GestureSpec:
     amplitude, period = PATTERN_DEFAULTS[pattern]
-    class_id = BACKGROUND_LABEL
-    for cmd, pat in COMMAND_GESTURES.items():
-        if pat == pattern:
-            class_id = int(cmd)
-    spec = GestureSpec(class_id=class_id, pattern=pattern, amplitude=amplitude, period=period)
+    spec = GestureSpec(pattern=pattern, amplitude=amplitude, period=period)
     if jitter_rng is not None and pattern != MotionPattern.BACKGROUND:
         spec = replace(
             spec,
@@ -250,7 +245,7 @@ def generate_gesture_clip(
     return GestureSample(
         rgb=Clip(frames=rgb, fps=FPS, modality=Modality.RGB, sensor_id=Sensor.S1),
         depth=Clip(frames=log_depth(depth, D_MAX), fps=FPS, modality=Modality.LOG_DEPTH, sensor_id=Sensor.S1),
-        label=spec.class_id,
+        label=next((int(cmd) for cmd, pat in COMMAND_GESTURES.items() if pat == spec.pattern), BACKGROUND_LABEL),
     )
 
 

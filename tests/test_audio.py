@@ -339,6 +339,7 @@ class TestTemplateStore:
             name = f"cmd{cmd}.wav"
             wav_write(tmp_path / name, wave_data, sr)
             waves[cmd] = wave_data
+            # the keys beside command_id and path, which older manifests carry, are not read
             rows.append({"command_id": cmd, "language": "en", "speaker": "s1", "path": name})
         write_json_rows(tmp_path / "manifest.jsonl", rows)
         store = load_template_store(tmp_path / "manifest.jsonl")
@@ -350,8 +351,7 @@ class TestTemplateStore:
 
     def test_manifest_bytes(self, tmp_path):
         # one object per line, keys sorted, as `avcmd synth --kind audio` writes it
-        rows = [{"path": "a.wav", "command_id": 2, "speaker": "s0", "language": "en"},
-                {"path": "b.wav", "command_id": 0, "speaker": "s1", "language": "en"}]
+        rows = [{"path": "a.wav", "command_id": 2}, {"path": "b.wav", "command_id": 0}]
         write_json_rows(tmp_path / "manifest.jsonl", rows)
         want = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
         assert (tmp_path / "manifest.jsonl").read_text() == want
@@ -371,6 +371,15 @@ class TestTemplateStore:
         # a file holding one bare value, neither rows nor a list of them
         (tmp_path / "manifest.jsonl").write_text(json.dumps(top))
         with pytest.raises(FormatError, match="bad manifest row on line 1"):
+            load_template_store(tmp_path / "manifest.jsonl")
+
+    @pytest.mark.parametrize("command_id", [-1, 6, 99])
+    def test_a_row_of_no_command_is_refused(self, tmp_path, command_id):
+        # such a row once loaded as templates that no grammar ranks
+        wav_write(tmp_path / "a.wav", np.zeros(1600), 16000)
+        write_json_rows(tmp_path / "manifest.jsonl", [{"command_id": 0, "path": "a.wav"},
+                                                       {"command_id": command_id, "path": "a.wav"}])
+        with pytest.raises(FormatError, match=f"bad manifest row on line 2: {command_id} is not a valid Command"):
             load_template_store(tmp_path / "manifest.jsonl")
 
     @pytest.mark.parametrize("row", malformed_rows({"command_id": 0, "path": "a.wav"}))

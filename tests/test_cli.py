@@ -143,6 +143,7 @@ class TestAudioCommands:
         capsys.readouterr()  # drain the synth message
         manifest = tmp_path / "audio" / "manifest.jsonl"
         rows = read_json_rows(manifest, "manifest row", dict)
+        assert all(set(r) == {"command_id", "path"} for r in rows)
         target = next(r for r in rows if r["command_id"] == 3)
         rc = main([
             "classify",
@@ -359,17 +360,29 @@ def test_train_refuses_a_c_of_zero_or_below(tmp_path, capsys, c):
     assert not (tmp_path / "m.igsv").exists()
 
 
-def test_train_refuses_an_unlabeled_clip(tmp_path, capsys):
-    # `codebook` and `encode` accept a null label; `train` has nothing to learn from it
+def _train_on_second_label(tmp_path, label) -> list[str]:
+    """`train` argv whose sidecar labels clip c0 with 0 and clip c1 with `label`."""
     train, _ = _two_clip_model_argv(tmp_path, 16)
     write_annotations(tmp_path / "a.jsonl", [
-        Annotation(clip=f"c{i}.igsc", label=(0 if i == 0 else None), subject="u", task="legs",
+        Annotation(clip=f"c{i}.igsc", label=(0 if i == 0 else label), subject="u", task="legs",
                    start_frame=0, end_frame=16)
         for i in range(2)
     ])
-    assert main(train) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: clip c1.igsc has no label to train on\n"
+    return train
+
+
+def test_train_refuses_an_unlabeled_clip(tmp_path, capsys):
+    # `codebook` and `encode` accept a null label; `train` has nothing to learn from it
+    _refused(_train_on_second_label(tmp_path, None), capsys, "clip c1.igsc has no label to train on")
+    assert not (tmp_path / "m.igsv").exists()
+
+
+@pytest.mark.parametrize("label", [99, 3_000_000_000])
+def test_train_refuses_a_label_that_is_no_gesture_class(tmp_path, capsys, label):
+    # 99 trained a class that no command has; 3000000000 ended in a traceback,
+    # since IGSV stores class ids as i32
+    message = f"clip c1.igsc has label {label}, not one of the gesture classes [0, 1, 2, 3, 4, 5, 6]"
+    _refused(_train_on_second_label(tmp_path, label), capsys, message)
     assert not (tmp_path / "m.igsv").exists()
 
 
@@ -596,7 +609,7 @@ class TestMissingFilesExitOne:
         wav = tmp_path / "utt.wav"
         wav_write(wav, np.zeros(1600), 16000)
         manifest = tmp_path / "templates.jsonl"
-        write_json_rows(manifest, [{"command_id": 1, "language": "en", "speaker": "s", "path": "gone.wav"}])
+        write_json_rows(manifest, [{"command_id": 1, "path": "gone.wav"}])
         assert main(["classify", "--wav", str(wav), "--templates", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gone.wav" in err
@@ -606,7 +619,7 @@ class TestMissingFilesExitOne:
 def test_classify_refuses_a_cut_wav(tmp_path, capsys, size):
     # a cut inside the RIFF or chunk headers once ended in a bare EOFError
     wav_write(tmp_path / "t.wav", np.zeros(1600), 16000)
-    write_json_rows(tmp_path / "m.jsonl", [{"command_id": 1, "language": "en", "speaker": "s", "path": "t.wav"}])
+    write_json_rows(tmp_path / "m.jsonl", [{"command_id": 1, "path": "t.wav"}])
     (tmp_path / "cut.wav").write_bytes((tmp_path / "t.wav").read_bytes()[:size])
     assert main(["classify", "--wav", str(tmp_path / "cut.wav"), "--templates", str(tmp_path / "m.jsonl")]) == 1
     out, err = capsys.readouterr()
@@ -632,7 +645,7 @@ def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
     wav_write(tmp_path / "t.wav", np.zeros(1600), 16000)
     wav_write(tmp_path / "utt.wav", np.zeros(1600), 16000)
     write_json_rows(tmp_path / "m.jsonl", [
-        {"command_id": int(c), "language": "en", "speaker": "s", "path": "t.wav"} for c in Command
+        {"command_id": int(c), "path": "t.wav"} for c in Command
     ])
     wav = ["classify", "--wav", str(tmp_path / "utt.wav"), "--templates", str(tmp_path / "m.jsonl")]
     return {
@@ -660,13 +673,14 @@ _TEXT_READERS = ("config", "annotation", "script", "log", "manifest")
     [(r, "cut") for r in ("IGSC", "IGTF", "IGCB", "IGEV", "IGSV", *_TEXT_READERS, "WAV")]
     + [(r, "not-utf8") for r in _TEXT_READERS]
     + [("WAV", "extend")]
-    + [(r, "long-chunk") for r in ("WAV", "template WAV")],
+    + [(r, "long-chunk") for r in ("WAV", "template WAV")]
+    + [("manifest", "unknown-command")],
 )
 def test_every_reader_of_outside_input_fails_with_one_error_line(tmp_path, capsys, reader, damage):
-    # Cut to half its length, given a byte that is not UTF-8, or (a WAV file)
+    # Cut to half its length, given a byte that is not UTF-8, (a WAV file)
     # one byte after its RIFF chunk or a `fmt ` chunk that declares 2**30
-    # bytes, each input ends its command with exit 1 and one `error:` line,
-    # never a traceback.
+    # bytes, or (the manifest) a row of a command id that no command has, each
+    # input ends its command with exit 1 and one `error:` line, never a traceback.
     path, argv = _reader_inputs(tmp_path)[reader]
     assert main(argv) == 0
     capsys.readouterr()
@@ -676,9 +690,12 @@ def test_every_reader_of_outside_input_fails_with_one_error_line(tmp_path, capsy
         "not-utf8": raw[:-2] + b"\xff" + raw[-2:],
         "extend": raw + b"\0",
         "long-chunk": raw[:16] + (1 << 30).to_bytes(4, "little") + raw[20:],
+        "unknown-command": raw.replace(b'"command_id": 0,', b'"command_id": 99,', 1),
     }[damage])
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     if damage == "not-utf8":
         assert err.startswith(f"error: {path} is not UTF-8 text")
+    if damage == "unknown-command":
+        assert err == "error: bad manifest row on line 1: 99 is not a valid Command\n"

@@ -217,9 +217,8 @@ class TestPipeline:
         restored = GesturePipeline(
             codebooks=pipeline.codebooks, model=model2, tracker=pipeline.tracker
         )
-        hists = pipeline.encode_clip(clips[0])
-        p1 = pipeline.classify_hists(hists)
-        p2 = restored.classify_hists(hists)
+        p1 = pipeline.classify_clip(clips[0])
+        p2 = restored.classify_clip(clips[0])
         assert p1.label == p2.label
         np.testing.assert_allclose(p1.scores, p2.scores, atol=1e-5)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference_svm as ref
+from conftest import traced_peak
 from avcmd import svm
 from avcmd.encoding import CHANNEL_ORDER, Channel, chi2_distance_matrix
 from avcmd.gesture import GesturePipeline, _l1_rows, evaluate_loo_bovw
@@ -95,6 +96,15 @@ class TestKernelSvm:
         gram = rng.normal(size=(6, 6))
         with pytest.raises(InvalidParameterError):
             train_kernel_svms(gram[None], [np.array([0, 0, 0, 1, 1, 1])])
+
+    def test_symmetry_check_copies_no_stack(self):
+        # comparing the whole (G, n, n) stack with its transpose peaked at 2.1x its bytes
+        labels = np.repeat(np.arange(4), 20)
+        folds = list(ref.loo_folds(_bovw_dists(np.random.default_rng(7), labels), labels))
+        grams = np.stack([gram for _, gram, _, _ in folds])
+        assert grams.shape == (80, 79, 79)
+        peak = traced_peak(lambda: train_kernel_svms(grams, [lab for _, _, lab, _ in folds], c=100.0))
+        assert peak < 1.5 * grams.nbytes
 
     @pytest.mark.parametrize(
         "kwargs",

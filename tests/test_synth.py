@@ -62,10 +62,8 @@ class TestGestureClips:
 
     def test_background_amplitude_rule(self):
         with pytest.raises(InvalidParameterError):
-            GestureSpec(class_id=0, pattern=MotionPattern.SWIPE_UP, amplitude=0.0, period=10)
-        GestureSpec(
-            class_id=BACKGROUND_LABEL, pattern=MotionPattern.BACKGROUND, amplitude=1.0, period=10
-        )
+            GestureSpec(pattern=MotionPattern.SWIPE_UP, amplitude=0.0, period=10)
+        GestureSpec(pattern=MotionPattern.BACKGROUND, amplitude=1.0, period=10)
 
     def test_pattern_must_fit_frame(self):
         spec = replace(default_spec(MotionPattern.SWIPE_RIGHT), amplitude=300.0)
