@@ -87,16 +87,7 @@ def _cmd_synth(args) -> int:
             for stream, clip in (("rgb", sample.rgb), ("logdepth", sample.depth)):
                 name = f"g{i:04d}_{stream}.igsc"
                 write_clip(clips_dir / name, clip)
-                annotations.append(
-                    Annotation(
-                        clip=name,
-                        label=sample.label,
-                        subject=f"u{i % args.subjects}",
-                        task="legs",
-                        start_frame=0,
-                        end_frame=len(clip.frames),
-                    )
-                )
+                annotations.append(Annotation(clip=name, label=sample.label, subject=f"u{i % args.subjects}"))
         write_annotations(out / "annotations.jsonl", annotations)
         print(f"wrote {len(samples)} clip pairs to {clips_dir}")
     elif args.kind == "audio":
@@ -134,15 +125,19 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _load_feature_dir(features_dir: str, annotations_path: str | None) -> list[dict[Channel, np.ndarray]]:
-    feature_dir = Path(features_dir)
-    if annotations_path:
-        paths = [feature_dir / (Path(a.clip).stem + ".igtf") for a in read_annotations(annotations_path)]
-    else:
-        paths = sorted(feature_dir.glob("*.igtf"))
-    if not paths:
-        raise AvcmdError(f"no .igtf features under {features_dir}")
-    return [channel_matrices(read_features(p)) for p in paths]
+def _read_sidecar(path: str) -> list[Annotation]:
+    """The chain's clip list, in the order every IGEV and model of it keeps."""
+    annotations = read_annotations(path)
+    if not annotations:
+        raise AvcmdError(f"annotation sidecar {path} lists no clip")
+    return annotations
+
+
+def _load_feature_dir(features_dir: str, annotations_path: str) -> list[dict[Channel, np.ndarray]]:
+    return [
+        channel_matrices(read_features(Path(features_dir) / (Path(a.clip).stem + ".igtf")))
+        for a in _read_sidecar(annotations_path)
+    ]
 
 
 def _cmd_codebook(args) -> int:
@@ -150,8 +145,7 @@ def _cmd_codebook(args) -> int:
     per_clip = _load_feature_dir(args.features, args.annotations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    k = cfg.codebook_k if args.k is None else args.k
-    books = train_codebooks(per_clip, k=k, seed=cfg.codebook_seed, subsample=cfg.descriptor_subsample)
+    books = train_codebooks(per_clip, k=cfg.codebook_k, seed=cfg.codebook_seed, subsample=cfg.descriptor_subsample)
     for ch, cb in books.items():
         write_codebook(out / _codebook_file(ch), cb)
     print(f"wrote 4 channel codebooks to {out}")
@@ -180,9 +174,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    annotations = read_annotations(args.annotations)
-    if not annotations:
-        raise AvcmdError(f"annotation sidecar {args.annotations} lists no clip to train on")
+    annotations = _read_sidecar(args.annotations)
     classes = [*map(int, Command), BACKGROUND_LABEL]  # a model of another class fuses with nothing
     for a in annotations:
         if a.label is None:
@@ -195,8 +187,7 @@ def _cmd_train(args) -> int:
     if len(encoded) != labels.shape[0]:
         raise AvcmdError("encoded clip count does not match the annotation sidecar")
     hists = {ch: np.stack([e[ch].counts for e in encoded]) for ch in encoded[0]}
-    c = cfg.svm_c if args.c is None else args.c
-    model = train_bovw_model(hists, labels, c, books)
+    model = train_bovw_model(hists, labels, cfg.svm_c, books)
     write_model(args.out, model)
     print(f"trained kernel model on {labels.shape[0]} clips -> {args.out}")
     return 0
@@ -240,9 +231,14 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _script(name: str):
+    """A built-in script by name (`legs`, `back`), else the script file at that path."""
+    return {"legs": LEGS_SCRIPT, "back": BACK_SCRIPT}.get(name) or read_script(name)
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    script = {"legs": LEGS_SCRIPT, "back": BACK_SCRIPT}.get(args.script) or read_script(args.script)
+    script = _script(args.script)
     samples = generate_corpus(args.train_clips_per_class, seed=cfg.seed, frames=20)
     pipeline = train_gesture_pipeline(
         [s.rgb for s in samples], [s.label for s in samples], k=32, seed=cfg.seed + 1, c=cfg.svm_c,
@@ -262,9 +258,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    script = {"legs": LEGS_SCRIPT, "back": BACK_SCRIPT}.get(args.script) or read_script(args.script)
+    script = _script(args.script)
     logs = [read_session_log(p) for p in args.logs]
-    report = {args.task: task_report(logs, script)}
+    report = {args.task or args.script: task_report(logs, script)}
     print(render_report_text(report), end="")
     if args.report:
         write_report_json(args.report, report)
@@ -315,14 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codebook", help="learn per-channel visual vocabularies")
     p.add_argument("--features", required=True)
-    p.add_argument("--annotations")
+    p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("-k", type=_count, default=None, help="override codebook size")
     p.set_defaults(func=_cmd_codebook)
 
     p = sub.add_parser("encode", help="features -> BoVW histograms")
     p.add_argument("--features", required=True)
-    p.add_argument("--annotations")
+    p.add_argument("--annotations", required=True)
     p.add_argument("--codebooks", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
@@ -332,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--codebooks", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("-c", type=float, default=None, help="override soft-margin C")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("classify", help="classify one clip or one utterance")
@@ -358,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="metrics over session logs")
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--script", default="legs")
-    p.add_argument("--task", default="legs")
+    p.add_argument("--task", help="the report's key (default: the --script value)")
     p.add_argument("--report")
     p.add_argument("--curve")
     p.set_defaults(func=_cmd_evaluate)

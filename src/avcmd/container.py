@@ -13,8 +13,8 @@ Container layout (little-endian):
     payload frames * width * height bytes, row-major per frame
 
 The clip label is not part of the container; it travels in the annotation
-sidecar, one JSON object per line with fields
-{clip, label, subject, task, start_frame, end_frame}.
+sidecar, one JSON object per line with fields {clip, label, subject}; a
+reader ignores any other key.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class Annotation:
     clip: str
     label: int | None
     subject: str
-    task: str
-    start_frame: int
-    end_frame: int
 
 
 def write_clip(path: str | Path, clip: Clip) -> None:
@@ -89,9 +86,6 @@ def _annotation(row: dict) -> Annotation:
         clip=json_field(row, "clip", str),
         label=json_field(row, "label", int, nullable=True),
         subject=json_field(row, "subject", str),
-        task=json_field(row, "task", str),
-        start_frame=json_field(row, "start_frame", int),
-        end_frame=json_field(row, "end_frame", int),
     )
 
 

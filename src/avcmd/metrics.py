@@ -168,30 +168,25 @@ def loo_cv(samples: list[LooSample], trainer, classifier) -> dict[str, Rate]:
 # report assembly
 
 def task_report(logs: list[SessionLog], script) -> dict:
-    """All session metrics for one task, JSON-ready."""
+    """All session metrics for one task, JSON-ready; an undefined rate is the 0-of-0 entry (pct null)."""
     out = {
-        "mcrr": mcrr(logs, script).to_json(),
-        "accuracy": accuracy(logs, script).to_json(),
+        "mcrr": _pooled(mcrr, logs, script),
+        "accuracy": _pooled(accuracy, logs, script),
         "user_performance": {
-            "speech": user_performance(logs, script).to_json(),
-            "gesture": _gesture_performance(logs, script),
+            "speech": _pooled(user_performance, logs, script),
+            "gesture": _pooled(user_performance, logs, script, modality="A-G"),
         },
         "n_sessions": len(logs),
     }
     # Two averaging conventions: pooled counts vs mean of per-session rates.
-    per_session = []
-    for log in logs:
-        try:
-            per_session.append(accuracy([log], script).pct)
-        except UndefinedMetricError:
-            continue
+    per_session = [p for log in logs if (p := _pooled(accuracy, [log], script)["pct"]) is not None]
     out["accuracy_avg_per_session"] = float(np.mean(per_session)) if per_session else None
     return out
 
 
-def _gesture_performance(logs, script):
+def _pooled(rate, logs, script, **kwargs) -> dict:
     try:
-        return user_performance(logs, script, modality="A-G").to_json()
+        return rate(logs, script, **kwargs).to_json()
     except UndefinedMetricError:
         return Rate(0, 0).to_json()
 

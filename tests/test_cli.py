@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avcmd.cli import _codebook_file, main
+from avcmd.cli import _codebook_file, build_parser, main
 from avcmd.container import Annotation, read_clip, write_annotations, write_clip
 from avcmd.encoding import CHANNEL_ORDER, BovwHist, Channel, Codebook, write_codebook, write_encoded
 from avcmd.errors import read_json_rows, write_json_rows
@@ -67,12 +68,12 @@ class TestPipelineCommands:
 
     def test_classify_with_mismatched_codebooks_fails(self, workspace, tmp_path, capsys):
         other = tmp_path / "other_codebooks"
+        (tmp_path / "cfg.txt").write_text("codebook_k = 6\n")
         assert main([
-            "codebook",
+            "--config", str(tmp_path / "cfg.txt"), "codebook",
             "--features", str(workspace / "features"),
             "--annotations", str(workspace / "annotations.jsonl"),
             "--out", str(other),
-            "-k", "6",
         ]) == 0
         clip = sorted((workspace / "clips").glob("*_rgb.igsc"))[0]
         rc = main([
@@ -193,6 +194,30 @@ class TestSessionCommands:
         assert "legs" in blob
         assert curve.read_text().startswith("step_id,")
 
+    def test_evaluate_keys_the_report_by_its_script(self, tmp_path, capsys):
+        # `--task` used to default to "legs" whatever the script
+        log = tmp_path / "back.jsonl"
+        log.write_text(json.dumps({**TestBadJsonRowsExitOne.LOG_ROW, "recognized": "wash_back"}) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--logs", str(log), "--script", "back", "--report", str(report)]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[0] == "back"
+        assert list(json.loads(report.read_text())) == ["back"]
+        assert main(["evaluate", "--logs", str(log), "--script", "back", "--task", "b2", "--report", str(report)]) == 0
+        assert list(json.loads(report.read_text())) == ["b2"]
+
+    def test_evaluate_a_log_with_no_correctly_performed_step(self, tmp_path, capsys):
+        # MCRR has no denominator: the report says n/a (0 of 0), as for gesture
+        # performance without an A-G step, where it used to end in exit 1
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps({**TestBadJsonRowsExitOne.LOG_ROW, "performed_ok": False}) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--logs", str(log), "--report", str(report)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[2].split() == ["legs", "n/a", "0.00", "0.00", "n/a"]
+        blob = json.loads(report.read_text())["legs"]
+        assert blob["mcrr"] == blob["user_performance"]["gesture"] == {"num": 0, "den": 0, "pct": None}
+        assert blob["accuracy"] == {"num": 0, "den": 1, "pct": 0.0}
+
     def test_simulate_trains_with_the_config(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("grid_step = 7\nsvm_c = 3.5\n")
@@ -238,8 +263,11 @@ class TestScriptsAndUsage:
             ["classify"],
             ["classify", "--wav", "w.wav"],
             ["train", "--annotations", "a.jsonl", "--codebooks", "books", "--out", "m.igsv"],
+            ["codebook", "--features", "f", "--out", "books"],
+            ["encode", "--features", "f", "--codebooks", "books", "--out", "e.igev"],
         ],
-        ids=["classify-without-inputs", "classify-wav-without-templates", "train-without-encoded"],
+        ids=["classify-without-inputs", "classify-wav-without-templates", "train-without-encoded",
+             "codebook-without-annotations", "encode-without-annotations"],
     )
     def test_missing_inputs_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -250,7 +278,8 @@ class TestScriptsAndUsage:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["encode", "--kind", "bovw", "--features", "f", "--codebooks", "books", "--out", "e.igev"],
+            ["encode", "--kind", "bovw", "--features", "f", "--annotations", "a.jsonl", "--codebooks", "books",
+             "--out", "e.igev"],
             ["train", "--kind", "kernel", "--encoded", "e.igev", "--annotations", "a.jsonl",
              "--codebooks", "books", "--out", "m.igsv"],
         ],
@@ -262,6 +291,45 @@ class TestScriptsAndUsage:
         assert exc.value.code == 2
         assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["codebook", "--features", "f", "--annotations", "a.jsonl", "--out", "books", "-k", "8"], "-k"),
+            (["train", "--encoded", "e.igev", "--annotations", "a.jsonl", "--codebooks", "books",
+              "--out", "m.igsv", "-c", "1"], "-c"),
+        ],
+        ids=["codebook-k", "train-c"],
+    )
+    def test_k_and_c_are_set_only_by_the_config(self, capsys, argv, option):
+        # `codebook_k` and `svm_c` are their one setter; the flags that restated them are gone
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_each_command_accepts_exactly_these_options(self):
+        # One table of every option string the parser accepts, so a flag that
+        # sets a config key a second time cannot come back without an edit here.
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in [("", parser), *sub.choices.items()]
+        }
+        assert accepted == {
+            "": ["--config"],
+            "synth": ["--kind", "--out", "--clips-per-class", "--per-command", "--frames", "--size", "--subjects"],
+            "extract": ["--clips", "--out"],
+            "codebook": ["--features", "--annotations", "--out"],
+            "encode": ["--features", "--annotations", "--codebooks", "--out"],
+            "train": ["--encoded", "--annotations", "--codebooks", "--out"],
+            "classify": ["--model", "--codebooks", "--clip", "--wav", "--templates", "--keyword-score"],
+            "detect": ["--clip"],
+            "simulate": ["--script", "--out", "--gesture-noise", "--train-clips-per-class"],
+            "evaluate": ["--logs", "--script", "--task", "--report", "--curve"],
+            "selftest": ["--profile", "--report"],
+        }
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",
@@ -270,9 +338,8 @@ class TestScriptsAndUsage:
             ["synth", "--kind", "gestures", "--clips-per-class"],
             ["synth", "--kind", "audio", "--per-command"],
             ["simulate", "--train-clips-per-class"],
-            ["codebook", "--features", "features", "-k"],
         ],
-        ids=["subjects", "clips-per-class", "per-command", "train-clips-per-class", "k"],
+        ids=["subjects", "clips-per-class", "per-command", "train-clips-per-class"],
     )
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, argv, value):
         # Past argparse, such a count writes an empty corpus, names subjects
@@ -321,8 +388,7 @@ def _two_clip_model_argv(tmp_path, n_frames: int) -> tuple[list[str], list[str]]
         {ch: BovwHist(counts=np.eye(2)[i], channel=ch) for ch in CHANNEL_ORDER} for i in range(2)
     ])
     write_annotations(tmp_path / "a.jsonl", [
-        Annotation(clip=f"c{i}.igsc", label=i, subject="u", task="legs", start_frame=0, end_frame=16)
-        for i in range(2)
+        Annotation(clip=f"c{i}.igsc", label=i, subject="u") for i in range(2)
     ])
     train = [
         "train", "--encoded", str(tmp_path / "e.igev"), "--annotations", str(tmp_path / "a.jsonl"),
@@ -352,11 +418,10 @@ def test_classify_clip_without_gesture_evidence(tmp_path, capsys, n_frames):
 
 @pytest.mark.parametrize("c", ["0", "-1"])
 def test_train_refuses_a_c_of_zero_or_below(tmp_path, capsys, c):
-    # `-c 0` used to train with the configured svm_c instead
+    # the config is C's one setter (`-c 0` once trained with the configured svm_c instead)
     train, _ = _two_clip_model_argv(tmp_path, 16)
-    assert main([*train, "-c", c]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"error: C must be finite and positive, got {float(c)}\n"
+    (tmp_path / "cfg.txt").write_text(f"svm_c = {c}\n")
+    _refused(["--config", str(tmp_path / "cfg.txt"), *train], capsys, "svm_c must be positive")
     assert not (tmp_path / "m.igsv").exists()
 
 
@@ -364,9 +429,7 @@ def _train_on_second_label(tmp_path, label) -> list[str]:
     """`train` argv whose sidecar labels clip c0 with 0 and clip c1 with `label`."""
     train, _ = _two_clip_model_argv(tmp_path, 16)
     write_annotations(tmp_path / "a.jsonl", [
-        Annotation(clip=f"c{i}.igsc", label=(0 if i == 0 else label), subject="u", task="legs",
-                   start_frame=0, end_frame=16)
-        for i in range(2)
+        Annotation(clip=f"c{i}.igsc", label=(0 if i == 0 else label), subject="u") for i in range(2)
     ])
     return train
 
@@ -405,8 +468,9 @@ def test_train_on_a_file_of_fewer_channels_than_the_codebooks_is_exit_1(tmp_path
 def test_train_with_codebooks_of_another_k_than_the_encoding_is_exit_1(workspace, tmp_path, capsys):
     # the model used to claim the k = 6 hashes, and `classify` then failed
     books = tmp_path / "books"
-    assert main(["codebook", "--features", str(workspace / "features"), "--annotations",
-                 str(workspace / "annotations.jsonl"), "--out", str(books), "-k", "6"]) == 0
+    (tmp_path / "cfg.txt").write_text("codebook_k = 6\n")
+    assert main(["--config", str(tmp_path / "cfg.txt"), "codebook", "--features", str(workspace / "features"),
+                 "--annotations", str(workspace / "annotations.jsonl"), "--out", str(books)]) == 0
     capsys.readouterr()
     _refused([
         "train", "--encoded", str(workspace / "encoded.igev"), "--annotations", str(workspace / "annotations.jsonl"),
@@ -419,14 +483,59 @@ def test_train_on_an_empty_sidecar_is_exit_1(tmp_path, capsys):
     train, _ = _two_clip_model_argv(tmp_path, 16)
     write_annotations(tmp_path / "a.jsonl", [])
     write_encoded(tmp_path / "e.igev", [])
-    _refused(train, capsys, f"annotation sidecar {tmp_path / 'a.jsonl'} lists no clip to train on")
+    _refused(train, capsys, f"annotation sidecar {tmp_path / 'a.jsonl'} lists no clip")
+
+
+@pytest.mark.parametrize("command", ["codebook", "encode"])
+def test_codebook_and_encode_on_an_empty_sidecar_are_exit_1(tmp_path, capsys, command):
+    # the sidecar is the chain's one clip list, so an empty one is refused by name
+    write_annotations(tmp_path / "a.jsonl", [])
+    argv = ["--features", str(tmp_path), "--annotations", str(tmp_path / "a.jsonl"), "--out", str(tmp_path / "o")]
+    if command == "encode":
+        argv += ["--codebooks", str(tmp_path)]
+    _refused([command, *argv], capsys, f"annotation sidecar {tmp_path / 'a.jsonl'} lists no clip")
+
+
+def test_the_chain_keeps_the_sidecar_order(workspace, tmp_path, capsys):
+    # One RGB clip per class, listed by descending label: `train` labels the
+    # encoded clips in sidecar order, so `encode` must take that order too.
+    # Without a sidecar it used to sort clips by name, and the model then
+    # classified its own training clips as other classes.
+    one_per_label = {}
+    for row in read_json_rows(workspace / "annotations.jsonl", "annotation", dict):
+        if row["clip"].endswith("_rgb.igsc"):
+            one_per_label.setdefault(row["label"], row)
+    picked = [one_per_label[label] for label in sorted(one_per_label, reverse=True)]
+    assert len(picked) == 7
+    write_json_rows(tmp_path / "a.jsonl", picked)
+    (tmp_path / "cfg.txt").write_text("codebook_k = 8\n")
+    common = ["--features", str(workspace / "features"), "--annotations", str(tmp_path / "a.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--features", str(workspace / "features"), "--codebooks", str(tmp_path / "cb"),
+              "--out", str(tmp_path / "e.igev")])
+    assert exc.value.code == 2
+    for argv in (
+        ["codebook", *common, "--out", str(tmp_path / "cb")],
+        ["encode", *common, "--codebooks", str(tmp_path / "cb"), "--out", str(tmp_path / "e.igev")],
+        ["train", "--encoded", str(tmp_path / "e.igev"), "--annotations", str(tmp_path / "a.jsonl"),
+         "--codebooks", str(tmp_path / "cb"), "--out", str(tmp_path / "m.igsv")],
+    ):
+        assert main(["--config", str(tmp_path / "cfg.txt"), *argv]) == 0
+    capsys.readouterr()
+    for row in picked:
+        assert main(["classify", "--model", str(tmp_path / "m.igsv"), "--codebooks", str(tmp_path / "cb"),
+                     "--clip", str(workspace / "clips" / row["clip"])]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"label: {row['label']}"
 
 
 def test_codebook_over_features_without_trajectories_is_exit_1(tmp_path, capsys):
     # the empty pool used to end in vstack's ValueError traceback
     for i in range(2):
         write_features(tmp_path / f"c{i}.igtf", TrajectorySet.empty())
-    _refused(["codebook", "--features", str(tmp_path), "--out", str(tmp_path / "books"), "-k", "2"],
+    write_annotations(tmp_path / "a.jsonl", [Annotation(clip=f"c{i}.igsc", label=i, subject="u") for i in range(2)])
+    (tmp_path / "cfg.txt").write_text("codebook_k = 2\n")
+    _refused(["--config", str(tmp_path / "cfg.txt"), "codebook", "--features", str(tmp_path),
+              "--annotations", str(tmp_path / "a.jsonl"), "--out", str(tmp_path / "books")],
              capsys, "need at least 2 descriptors, got 0")
 
 
@@ -436,7 +545,8 @@ def test_config_with_a_seed_past_igcb_is_exit_1(workspace, tmp_path, capsys, key
     # struct.error once every k-means had run
     (tmp_path / "cfg.txt").write_text(f"{key} = {value}\n")
     command = {
-        "codebook_seed": ["codebook", "--features", str(workspace / "features"), "--out", str(tmp_path / "books")],
+        "codebook_seed": ["codebook", "--features", str(workspace / "features"),
+                          "--annotations", str(workspace / "annotations.jsonl"), "--out", str(tmp_path / "books")],
         "seed": ["simulate", "--out", str(tmp_path / "log.jsonl"), "--train-clips-per-class", "1"],
     }[key]
     offset = {"codebook_seed": 3, "seed": 4}[key]
@@ -485,7 +595,7 @@ class TestBadFilesExitOne:
         write_features(tmp_path / "f" / "c.igtf", TrajectorySet(
             np.zeros(2), np.zeros((2, 16, 2)), np.arange(2.0 * DESC_DIM).reshape(2, DESC_DIM)
         ))
-        codebook = ["codebook", "--features", str(tmp_path / "f"), "--out", str(tmp_path / "cb"), "-k", "1"]
+        codebook = _one_clip_codebook_argv(tmp_path)
         path, argv = {
             "clip": (tmp_path / "c.igsc", ["detect", "--clip", str(tmp_path / "c.igsc")]),
             "codebook": (books / _codebook_file(Channel.TRAJ), train),
@@ -626,6 +736,14 @@ def test_classify_refuses_a_cut_wav(tmp_path, capsys, size):
     assert out == "" and err == "error: WAV file truncated\n"
 
 
+def _one_clip_codebook_argv(tmp_path) -> list[str]:
+    """`codebook` argv at k = 1 over the one feature file `f/c.igtf`, listed in `f.jsonl`."""
+    write_annotations(tmp_path / "f.jsonl", [Annotation(clip="c.igsc", label=0, subject="u")])
+    (tmp_path / "k1.txt").write_text("codebook_k = 1\n")
+    return ["--config", str(tmp_path / "k1.txt"), "codebook", "--features", str(tmp_path / "f"),
+            "--annotations", str(tmp_path / "f.jsonl"), "--out", str(tmp_path / "cb")]
+
+
 def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
     """Per reader of outside input, a valid file and a command that reads it (and exits 0)."""
     train, classify = _two_clip_model_argv(tmp_path, 16)
@@ -634,10 +752,7 @@ def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
     write_features(tmp_path / "f" / "c.igtf", TrajectorySet(
         np.zeros(2), np.zeros((2, 16, 2)), np.arange(2.0 * DESC_DIM).reshape(2, DESC_DIM)
     ))
-    write_annotations(tmp_path / "f.jsonl", [
-        Annotation(clip="c.igsc", label=0, subject="u", task="legs", start_frame=0, end_frame=16)
-    ])
-    codebook = ["codebook", "--features", str(tmp_path / "f"), "--out", str(tmp_path / "cb"), "-k", "1"]
+    codebook = _one_clip_codebook_argv(tmp_path)
     (tmp_path / "cfg.txt").write_text("seed = 4\ncodebook_k = 12\n")
     (tmp_path / "script.jsonl").write_text('{"command": "halt", "modality": "A", "step_id": 1}\n')
     (tmp_path / "log.jsonl").write_text(json.dumps(TestBadJsonRowsExitOne.LOG_ROW) + "\n")
@@ -656,7 +771,7 @@ def _reader_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
         "IGSV": (tmp_path / "m.igsv", classify),
         "config": (tmp_path / "cfg.txt", ["--config", str(tmp_path / "cfg.txt"), "synth", "--kind", "scripts",
                                           "--out", str(tmp_path / "s")]),
-        "annotation": (tmp_path / "f.jsonl", [*codebook, "--annotations", str(tmp_path / "f.jsonl")]),
+        "annotation": (tmp_path / "f.jsonl", codebook),
         "script": (tmp_path / "script.jsonl", evaluate),
         "log": (tmp_path / "log.jsonl", evaluate),
         "manifest": (tmp_path / "m.jsonl", wav),

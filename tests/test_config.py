@@ -85,6 +85,9 @@ def test_missing_equals_rejected(tmp_path):
         ("traj_len", "14"),     # no longer a key: the layout is fixed at L = 15
         ("quality", "0"),
         ("svm_c", "-1"),
+        # k's one setter (the `codebook -k` count option is gone)
+        ("codebook_k", "0"),
+        ("codebook_k", "-1"),
         ("lang", "fr"),         # no longer a key: rejected as unknown
         ("jobs", "0"),          # no longer a key: rejected as unknown
         # a codebook seed of codebook_seed + 3, or of seed + 1 + 3, past IGCB's u64

@@ -176,7 +176,7 @@ def test_label_round_trips_via_sidecar(tmp_path, rng):
     write_clip(clip_path, make_clip(rng))
     write_annotations(
         tmp_path / "annotations.jsonl",
-        [Annotation(clip="g01.igsc", label=5, subject="u1", task="legs", start_frame=0, end_frame=3)],
+        [Annotation(clip="g01.igsc", label=5, subject="u1")],
     )
     # The container does not store the label; the sidecar row for its name does.
     anns = read_annotations(tmp_path / "annotations.jsonl")
@@ -185,18 +185,43 @@ def test_label_round_trips_via_sidecar(tmp_path, rng):
 
 def test_annotation_round_trip(tmp_path):
     anns = [
-        Annotation(clip="a.igsc", label=1, subject="u1", task="legs", start_frame=0, end_frame=9),
-        Annotation(clip="b.igsc", label=None, subject="u2", task="back", start_frame=3, end_frame=20),
+        Annotation(clip="a.igsc", label=1, subject="u1"),
+        Annotation(clip="b.igsc", label=None, subject="u2"),
     ]
     path = tmp_path / "ann.jsonl"
     write_annotations(path, anns)
+    assert path.read_text() == (
+        '{"clip": "a.igsc", "label": 1, "subject": "u1"}\n{"clip": "b.igsc", "label": null, "subject": "u2"}\n'
+    )
     assert read_annotations(path) == anns
 
 
-_GOOD_ANNOTATION = {"clip": "a.igsc", "label": 1, "subject": "u1", "task": "legs", "start_frame": 0, "end_frame": 9}
+_GOOD_ANNOTATION = {"clip": "a.igsc", "label": 1, "subject": "u1"}
 
 
-@pytest.mark.parametrize("row", malformed_rows(_GOOD_ANNOTATION, nullable=("label",)))
+def test_a_row_of_the_three_read_keys_loads(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps(_GOOD_ANNOTATION) + "\n")
+    assert read_annotations(path) == [Annotation(clip="a.igsc", label=1, subject="u1")]
+
+
+def test_a_row_that_still_carries_the_dropped_keys_loads(tmp_path):
+    # rows written before task, start_frame and end_frame left the sidecar;
+    # their values are not read, so not even their kinds are checked
+    path = tmp_path / "ann.jsonl"
+    for old in ({"task": "legs", "start_frame": 0, "end_frame": 16}, {"task": 7, "start_frame": None}):
+        path.write_text(json.dumps({**_GOOD_ANNOTATION, **old}) + "\n")
+        assert read_annotations(path) == [Annotation(clip="a.igsc", label=1, subject="u1")]
+
+
+# malformed_rows' kinds, then per field the JSON kinds it does not try: either
+# bool (not an int here), an object, and a float (1.0 is not an int either)
+_MALFORMED_ANNOTATIONS = malformed_rows(_GOOD_ANNOTATION, nullable=("label",)) + [
+    {**_GOOD_ANNOTATION, key: bad} for key in _GOOD_ANNOTATION for bad in (True, False, {}, 1.0)
+]
+
+
+@pytest.mark.parametrize("row", _MALFORMED_ANNOTATIONS)
 def test_malformed_annotation_row_names_its_line(tmp_path, row):
     path = tmp_path / "ann.jsonl"
     path.write_text(json.dumps(_GOOD_ANNOTATION) + "\n" + json.dumps(row) + "\n")
